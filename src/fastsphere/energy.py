@@ -84,9 +84,7 @@ def energy_uniform(kappa: float, d, m: float) -> float:
 
 def _branch_energy_gain_zeta(zeta: float, d: int, m: float, rel_tol: float) -> float:
     q = 1.0 / (m - 1.0)
-    i0 = _integral(zeta, q, 0, d, rel_tol)
-    i1 = _integral(zeta, q, 1, d, rel_tol)
-    i_ent = _integral(zeta, q + 1.0, 0, d, rel_tol)  # exponent m/(m-1)
+    i0, i1, i_ent = _integral(zeta, q, d, rel_tol)  # i_ent: exponent m/(m-1)
     dwd = sphere_geometry(d).area_sdm1
     g1 = m * i1 + 2.0 * i_ent
     g2 = 1.0 / (2.0 * (1.0 - m) * dwd ** (m - 1.0) * i0**m)
@@ -123,7 +121,7 @@ def energy_fully_supported(
     q = 1.0 / (m - 1.0)
     pref = (m / ((1.0 - m) * state.kappa * state.s)) ** (1.0 / (1.0 - m))
     dwd = sphere_geometry(d).area_sdm1
-    entropy = dwd * pref**m * _integral(state.eta_minus_1, q + 1.0, 0, d, rel_tol)
+    entropy = dwd * pref**m * _integral(state.eta_minus_1, q, d, rel_tol)[2]
     direct = entropy / (m - 1.0) - 0.5 * state.kappa * state.s**2 + 0.5 * state.kappa
     identity = 0.5 * state.kappa - _branch_energy_gain_zeta(state.eta_minus_1, d, m, rel_tol)
     if abs(direct - identity) > _CROSS_CHECK_TOL * max(1.0, abs(direct)):
@@ -143,8 +141,7 @@ def rho_bar_entropy_integral(d, m: float, rel_tol: float = DEFAULT_REL_TOL) -> f
         raise NotIntegrableError(
             f"rho_bar is not integrable for m={m!r} >= 1 - 2/d (d={d})"
         )
-    i0 = _integral(0.0, q, 0, d, rel_tol)
-    i_ent = _integral(0.0, q + 1.0, 0, d, rel_tol)
+    i0, _, i_ent = _integral(0.0, q, d, rel_tol)
     dwd = sphere_geometry(d).area_sdm1
     return dwd ** (1.0 - m) * i_ent * i0 ** (-m)
 

@@ -24,6 +24,7 @@ the measure-valued family happens.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import (
@@ -118,9 +119,9 @@ def kappa1(d, m: float) -> float:
 
 def _inverse_kappa_zeta(zeta: float, d: int, m: float, rel_tol: float) -> float:
     q = _q_exponent(m)
-    i0 = _integral(zeta, q, 0, d, rel_tol)
-    i1 = _integral(zeta, q, 1, d, rel_tol)
-    if not 0.0 < i0 < math.inf:
+    i0, i1, _ = _integral(zeta, q, d, rel_tol)
+    # a subnormal i0 has already lost the relative precision asked for
+    if not sys.float_info.min <= i0 < math.inf:
         raise ToleranceNotMetError(
             f"mass integral left double range at eta = 1 + {zeta!r} for d={d}, "
             f"m={m!r} (i0={i0!r})"
@@ -146,8 +147,7 @@ def inverse_kappa(eta: float, d, m: float, rel_tol: float = DEFAULT_REL_TOL) -> 
 
 def _com_norm_zeta(zeta: float, d: int, m: float, rel_tol: float) -> float:
     q = _q_exponent(m)
-    i0 = _integral(zeta, q, 0, d, rel_tol)
-    i1 = _integral(zeta, q, 1, d, rel_tol)
+    i0, i1, _ = _integral(zeta, q, d, rel_tol)
     return i1 / i0
 
 
@@ -403,7 +403,7 @@ def singular_lambda(alpha: float, d, m: float, rel_tol: float = DEFAULT_REL_TOL)
         raise InvalidParamError(f"alpha must lie in [0, 1), got {alpha!r}")
     d = int(d)
     q = _q_exponent(m)
-    i0 = _integral(0.0, q, 0, d, rel_tol)
+    i0 = _integral(0.0, q, d, rel_tol)[0]
     dwd = sphere_geometry(d).area_sdm1
     return -(m / (1.0 - m)) * (1.0 - alpha) ** m * (dwd * i0) ** (1.0 - m)
 
@@ -423,7 +423,7 @@ def rho_bar_density(theta: float, d, m: float, rel_tol: float = DEFAULT_REL_TOL)
     v = 2.0 * math.sin(0.5 * theta) ** 2  # 1 - cos(theta)
     if v == 0.0:
         return math.inf
-    i0 = _integral(0.0, q, 0, d, rel_tol)
+    i0 = _integral(0.0, q, d, rel_tol)[0]
     return v**q / (sphere_geometry(d).area_sdm1 * i0)
 
 

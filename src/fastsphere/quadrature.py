@@ -22,15 +22,32 @@ eta - cos t is always formed as (eta - 1) + 2 sin^2(t/2), never by direct
 subtraction, and each term is assembled in log space so that steep panels
 near the endpoint cannot overflow halfway through a product.
 
+Every caller needs the same three members at one eta: the mass
+I(eta, q, 0, d), the moment I(eta, q, 1, d) and the entropy integral
+I(eta, q + 1, 0, d).  One cached kernel, _integral, returns all three from
+a single adaptive mesh.  The integrand evaluates the three folded profiles
+from shared sin, log and exp values (the entropy profile is the mass
+profile's two halves times eta -+ cos t), and each Gauss-Kronrod batch
+integrates them together.
+
+Every integral is seeded the same way.  The only fine structure is the
+spike of (eta - cos t)^q at t = 0, of width sqrt(eta - 1), and around and
+above it the integrand is self-similar under halving.  So the seed panels
+are dyadic, with edges pi/2 * 2^-k from pi/2 down to the first edge below
+half the spike scale.  Below that edge the integrand is analytic for
+eta > 1, and one more panel reaches down to 0; for eta - 1 >= pi^2 that
+leaves the single panel [0, pi/2].  At eta = 1 the edges stop at a cutoff
+theta_c instead, and the piece below it is added in closed form (exact to
+a relative O(theta_c^2) correction that joins the error budget).
+
 All panels are integrated by a Gauss-Kronrod 7/15 rule with |K15 - G7|
-error estimates; the worst panel is bisected until the summed estimate
-meets the requested relative tolerance.  Away from the endpoint
-(eta - 1 >= SINGULAR_SWITCH) a single seed panel suffices.  Near it the
-algebraic behaviour is self-similar under halving, so the seed panels are
-laid out dyadically from a cutoff theta_c up to pi/2; the piece below the
-cutoff is added in closed form at eta = 1 (exact to a relative O(theta_c^2)
-correction that joins the error budget) and bounded into the budget for
-eta > 1, where the cutoff sits far below the spike scale sqrt(eta - 1).
+error estimates, and each component must meet the requested relative
+tolerance of its own total.  While one misses it, every panel whose
+estimate exceeds its equal share of that component's budget is marked,
+and the whole contiguous span from the first to the last marked panel is
+bisected in one batch.  The seed mesh usually meets the tolerance at once,
+so one integral costs about one batch.
+
 At eta = 1 the full integrals also have exact Gamma-function values
 (eta1_closed_form), kept strictly separate from the quadrature path so
 the two can serve as independent oracles for each other.
@@ -38,7 +55,6 @@ the two can serve as independent oracles for each other.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -49,9 +65,8 @@ from .errors import InvalidParamError, NotIntegrableError, ToleranceNotMetError
 from .model import check_dimension
 
 DEFAULT_REL_TOL = 1e-10
-# Below this eta - 1 the spike at t = 0 is treated like a singularity and
-# integrated on the graded dyadic mesh.
-SINGULAR_SWITCH = 1e-6
+# The seed mesh reaches down to this fraction of the spike scale sqrt(eta - 1).
+_SPIKE_FRACTION = 0.5
 
 _MAX_PANELS = 4000
 _HALF_PI = 0.5 * math.pi
@@ -86,6 +101,14 @@ _WG = np.array([
     0.381830050505118944950369775488975,
     0.417959183673469387755102040816327,
 ])
+# The same rule over all 15 nodes, laid out as (-x, +x, centre); the error
+# weights give K15 - G7 as one dot product.
+_NODES = np.concatenate((-_XGK[:7], _XGK[:7], _XGK[7:]))
+_W_KRONROD = np.concatenate((_WGK[:7], _WGK[:7], _WGK[7:]))
+_W_GAUSS = np.zeros(15)
+_W_GAUSS[1:7:2] = _W_GAUSS[8:14:2] = _WG[:3]
+_W_GAUSS[14] = _WG[3]
+_W_ERROR = _W_KRONROD - _W_GAUSS
 
 
 @dataclass(frozen=True)
@@ -124,180 +147,152 @@ def _check_spec(eta: float, q: float, p: int, d) -> tuple[float, float, int, int
     return eta, q, int(p), d
 
 
-def _folded_integrand(theta: np.ndarray, zeta: float, q: float, p: int, d: int) -> np.ndarray:
-    """Folded integrand on (0, pi/2] at eta = 1 + zeta.
+def _folded_integrand(theta: np.ndarray, zeta: float, q: float, d: int) -> np.ndarray:
+    """Folded mass, moment and entropy integrands on (0, pi/2] at eta = 1 + zeta.
 
-    Parametrized by zeta = eta - 1 so callers tracking the branch close to
-    eta = 1 keep full relative precision; theta must not contain 0 when
-    zeta = 0.
+    Returns the integrands of I(eta, q, 0), I(eta, q, 1) and I(eta, q + 1, 0)
+    stacked along a new leading axis, all three from one set of sin, log
+    and exp values.  Parametrized by zeta = eta - 1 so callers tracking the
+    branch close to eta = 1 keep full relative precision; theta must not
+    contain 0 when zeta = 0.
     """
     half = np.sin(0.5 * theta)
     v = 2.0 * half * half  # 1 - cos(theta), no cancellation
     cos_t = 1.0 - v
     a1 = zeta + v
     a2 = (2.0 + zeta) - v
+    log_a1 = np.log(a1)
+    log_a2 = np.log(a2)
     log_weight = (d - 1) * np.log(np.sin(theta)) if d > 1 else 0.0
-    t1 = q * np.log(a1) + log_weight
-    t2 = q * np.log(a2) + log_weight
-    if p == 0:
-        return np.exp(t1) + np.exp(t2)
+    e1 = np.exp(q * log_a1 + log_weight)
+    e2 = np.exp(q * log_a2 + log_weight)
     # log(a1/a2) two ways: 1 + z with z = -2 cos(t)/a2 is exact algebra but
     # loses v once cos(t) rounds to 1, so it is only used where the ratio is
     # close to 1 (and the plain log difference would cancel).
     z = -2.0 * cos_t / a2
-    near_one = z > -0.5
-    y = q * np.where(
-        near_one,
-        np.log1p(np.maximum(z, -0.75)),
-        np.log(a1) - np.log(a2),
-    )
-    direct = y > 700.0  # a1^q dwarfs a2^q; expm1 would overflow
-    out = np.where(
-        direct,
-        np.exp(t1) - np.exp(t2),
-        np.exp(t2) * np.expm1(np.minimum(y, 700.0)),
-    )
-    return out * cos_t
+    y = q * np.where(z > -0.5, np.log1p(np.maximum(z, -0.75)), log_a1 - log_a2)
+    # a1^q dwarfs a2^q where y > 700; expm1 would overflow there
+    moment = np.where(y > 700.0, e1 - e2, e2 * np.expm1(np.minimum(y, 700.0)))
+    return np.stack((e1 + e2, moment * cos_t, e1 * a1 + e2 * a2))
 
 
 def _kronrod_batch(f, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Kronrod values and |K15 - G7| estimates for consecutive panels.
 
     bounds is an increasing array of n + 1 panel edges; one call to f
-    covers all 15 n nodes.
+    covers all 15 n nodes.  f returns its components stacked along a
+    leading axis, and so do the two (components, n) results.
     """
-    a = bounds[:-1]
-    b = bounds[1:]
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    lo = c[:, None] - h[:, None] * _XGK[None, :7]
-    hi = c[:, None] + h[:, None] * _XGK[None, :7]
-    nodes = np.concatenate([lo, hi, c[:, None]], axis=1)
-    fv = f(nodes.ravel()).reshape(nodes.shape)
-    pairs = fv[:, :7] + fv[:, 7:14]
-    f_c = fv[:, 14]
-    kron = h * (_WGK[7] * f_c + pairs @ _WGK[:7])
-    gauss = h * (_WG[3] * f_c + pairs[:, 1::2] @ _WG[:3])
-    return kron, np.abs(kron - gauss)
+    c = 0.5 * (bounds[1:] + bounds[:-1])
+    h = 0.5 * (bounds[1:] - bounds[:-1])
+    fv = f(c[:, None] + h[:, None] * _NODES)
+    return h * (fv @ _W_KRONROD), h * np.abs(fv @ _W_ERROR)
 
 
-def _choose_cut(zeta: float, q: float, d: int) -> float:
-    """Dyadic cutoff near t = 0 for the graded seed panels."""
-    power = 2.0 * q + d
-    if zeta > 0.0:
-        # far below the spike scale sqrt(zeta) the integrand is flat, so a
-        # (cut/sqrt(zeta))^d ~ 1e-18 slice of the spike is negligible; the
-        # power-law cut is kept as well when it is cheaper
-        r = power if q < 0.0 else float(d)
-        cut = math.sqrt(zeta) * 10.0 ** (-18.0 / d)
-        if r > 0.0:
-            cut = min(cut, _HALF_PI * math.exp(-18.0 * math.log(10.0) / r))
-        return min(max(cut, 1e-300), _HALF_PI / 16.0)
-    cut = _HALF_PI * math.exp(-18.0 * math.log(10.0) / power) if power > 0.0 else _MIN_CUT
-    # the floor keeps 2 sin^2(t/2) fully precise where it IS the integrand
-    return min(max(cut, _MIN_CUT), _HALF_PI / 16.0)
+def _eta1_tail(q: float, d: int, cut: float) -> tuple[np.ndarray, np.ndarray]:
+    """Values and error budgets of the three moments on (0, cut) at eta = 1.
 
-
-def _tail_below(zeta: float, q: float, p: int, d: int, cut: float) -> tuple[float, float]:
-    """Analytic value and error budget for the omitted piece on (0, cut).
-
-    For zeta > 0 the piece is only bounded (value 0, bound in the budget).
-    For zeta = 0 it is evaluated: to leading order the folded integrand
-    below the cutoff is 2^(-q) t^(2q+d-1) + (-1)^p 2^q t^(d-1), whose
-    integral is exact up to a relative O(cut^2) correction absorbed by the
-    budget.  That keeps the quadrature usable arbitrarily close to the
-    integrability threshold 2q + d = 0, where the true mass concentrates
-    at angles far below anything floating point panels can reach.
+    To leading order the folded integrand below the cutoff is
+    2^(-q) t^(2q+d-1) + (-1)^p 2^q t^(d-1), whose integral is exact up to a
+    relative O(cut^2) correction absorbed by the budget.  That keeps the
+    quadrature usable arbitrarily close to the integrability threshold
+    2q + d = 0, where the true mass concentrates at angles far below
+    anything floating point panels can reach.
     """
-    power = 2.0 * q + d
     log_cut = math.log(cut)
-    if zeta > 0.0:
-        log_bounds = []
-        if q >= 0.0:
-            log_bounds.append(q * math.log(zeta + 0.5 * cut * cut) + d * log_cut - math.log(d))
-        else:
-            if power > 0.0:
-                # (zeta + v)^q <= v^q; the factor covers v <= 1 - cos t there
-                log_bounds.append(
-                    abs(q) * cut * cut / 6.0
-                    - q * math.log(2.0)
-                    + power * log_cut
-                    - math.log(power)
-                )
-            log_bounds.append(q * math.log(zeta) + d * log_cut - math.log(d))
-        # second fold term: (eta + cos t)^q <= max(1, (eta + 1)^q)
-        log_second = d * log_cut - math.log(d) + max(0.0, q * math.log(2.0 + zeta))
+    values, errors = [], []
+    for qq, sign in ((q, 1.0), (q, -1.0), (q + 1.0, 1.0)):
+        power = 2.0 * qq + d
         try:
-            bound = math.exp(min(log_bounds)) + math.exp(log_second)
+            t1 = math.exp(-qq * math.log(2.0) + power * log_cut) / power
+            t2 = 2.0**qq * cut**d / d
         except OverflowError:
-            bound = math.inf
-        return 0.0, bound
-    try:
-        t1 = math.exp(-q * math.log(2.0) + power * log_cut) / power
-        t2 = 2.0**q * cut**d / d * (1.0 if p == 0 else -1.0)
-    except OverflowError:
-        return 0.0, math.inf
-    return t1 + t2, (abs(t1) + abs(t2)) * cut * cut * (abs(q) + d + 1.0)
+            values.append(0.0)
+            errors.append(math.inf)
+            continue
+        values.append(t1 + sign * t2)
+        errors.append((t1 + t2) * cut * cut * (abs(qq) + d + 1.0))
+    return np.array(values), np.array(errors)
 
 
-def _adaptive_panels(
-    f, seeds: np.ndarray, rel_tol: float, err_floor: float, offset: float = 0.0
-) -> float:
-    """Globally adaptive Gauss-Kronrod refinement over the seed panels.
+def _worst(err: np.ndarray, total: np.ndarray) -> float:
+    return max(e / max(abs(t), 1e-300) for e, t in zip(err.tolist(), total.tolist()))
 
-    offset is a closed-form contribution (the analytic endpoint tail) that
-    joins the total; err_floor is the irreducible part of the error budget.
+
+def _refine(
+    f, edges: np.ndarray, rel_tol: float, offset: np.ndarray, err_floor: np.ndarray
+) -> np.ndarray:
+    """Adaptive Gauss-Kronrod refinement of all components over the seed mesh.
+
+    Each component must meet rel_tol relative to its own total.  While one
+    misses, every panel whose estimate exceeds its equal share of a missing
+    component's budget is marked, and the contiguous span from the first to
+    the last marked panel is bisected in one batch.  offset is the
+    closed-form endpoint tail that joins each total, and err_floor its
+    irreducible share of each error budget.
     """
-    values, errors = _kronrod_batch(f, seeds)
-    total = offset + float(values.sum())
-    total_err = float(errors.sum()) + err_floor
-    heap = [(-e, i, seeds[i], seeds[i + 1], v) for i, (v, e) in enumerate(zip(values, errors))]
-    heapq.heapify(heap)
-    counter = len(heap)
-    while not total_err <= rel_tol * abs(total):
-        if len(heap) >= _MAX_PANELS:
+    values, errors = _kronrod_batch(f, edges)
+    while True:
+        total = offset + values.sum(axis=1)
+        err = err_floor + errors.sum(axis=1)
+        missing = ~(err <= rel_tol * np.abs(total))
+        if values.shape[1] > _MAX_PANELS:
             raise ToleranceNotMetError(
                 f"adaptive quadrature stalled at estimated relative error "
-                f"{total_err / max(abs(total), 1e-300):.3e} after {len(heap)} panels "
+                f"{_worst(err, total):.3e} after {values.shape[1]} panels "
                 f"(target {rel_tol:.1e})"
             )
-        neg_err, _, pa, pb, pval = heapq.heappop(heap)
-        mid = 0.5 * (pa + pb)
-        if not pa < mid < pb or -neg_err <= err_floor:
-            # The worst panel can no longer reduce the budget: either it sits
-            # at floating point resolution or the analytic tail dominates.
+        if not missing.any():
+            return total
+        budget = rel_tol * np.abs(total) - err_floor
+        share = np.where(missing, budget / values.shape[1], np.inf)
+        marked = np.flatnonzero((errors > share[:, None]).any(axis=0))
+        span = edges[marked[0] : marked[-1] + 2] if marked.size else edges[:0]
+        mid = 0.5 * (span[:-1] + span[1:])
+        splits = (span[:-1] < mid) & (mid < span[1:])
+        if not ((share > 0.0).all() and mid.size and splits.all()):
+            # No panel can reduce the budget: either the budget is used up
+            # (by the analytic tail, or rel_tol * total underflowed) or the
+            # marked panels sit at floating point resolution.
             raise ToleranceNotMetError(
                 f"adaptive quadrature hit its resolution floor at estimated "
-                f"relative error {total_err / max(abs(total), 1e-300):.3e} "
-                f"(target {rel_tol:.1e})"
+                f"relative error {_worst(err, total):.3e} (target {rel_tol:.1e})"
             )
-        sub = np.array([pa, mid, pb])
+        sub = np.empty(span.size + mid.size)
+        sub[0::2] = span
+        sub[1::2] = mid
         vals, errs = _kronrod_batch(f, sub)
-        total += float(vals.sum()) - pval
-        total_err += float(errs.sum()) + neg_err
-        heapq.heappush(heap, (-errs[0], counter, pa, mid, vals[0]))
-        heapq.heappush(heap, (-errs[1], counter + 1, mid, pb, vals[1]))
-        counter += 2
-    return total
+        lo, hi = marked[0], marked[0] + mid.size
+        edges = np.concatenate((edges[:lo], sub, edges[hi + 1 :]))
+        values = np.concatenate((values[:, :lo], vals, values[:, hi:]), axis=1)
+        errors = np.concatenate((errors[:, :lo], errs, errors[:, hi:]), axis=1)
 
 
 @lru_cache(maxsize=65536)
-def _integral(zeta: float, q: float, p: int, d: int, rel_tol: float) -> float:
-    """The family integral at eta = 1 + zeta, keyed by zeta exactly."""
+def _integral(zeta: float, q: float, d: int, rel_tol: float) -> tuple[float, float, float]:
+    """(I(eta, q, 0), I(eta, q, 1), I(eta, q + 1, 0)) at eta = 1 + zeta, keyed by zeta exactly."""
     if zeta == 0.0 and 2.0 * q + d <= 0.0:
         raise NotIntegrableError(
             f"(1 - cos t)^q sin^(d-1) t diverges at t = 0 for q={q!r}, d={d}: "
             f"need 2q + d - 1 > -1"
         )
-    f = lambda t: _folded_integrand(t, zeta, q, p, d)
-    if zeta >= SINGULAR_SWITCH:
-        return _adaptive_panels(f, np.array([0.0, _HALF_PI]), rel_tol, 0.0)
-    cut = _choose_cut(zeta, q, d)
-    n_dyadic = max(int(math.ceil(math.log2(_HALF_PI / cut))), 1)
-    seeds = _HALF_PI * 2.0 ** -np.arange(n_dyadic, -1, -1, dtype=float)
-    # the tail joins at the actual lowest panel edge, not the nominal cut
-    tail_value, tail_err = _tail_below(zeta, q, p, d, float(seeds[0]))
-    return _adaptive_panels(f, seeds, rel_tol, tail_err, offset=tail_value)
+    if zeta > 0.0:
+        low = _SPIKE_FRACTION * math.sqrt(zeta)
+    else:
+        low = _HALF_PI * math.exp(-18.0 * math.log(10.0) / (2.0 * q + d))
+        # the floor keeps 2 sin^2(t/2) fully precise where it IS the integrand
+        low = min(max(low, _MIN_CUT), _HALF_PI / 16.0)
+    n = max(math.ceil(math.log2(_HALF_PI / low)), 0)
+    edges = _HALF_PI * 2.0 ** -np.arange(n, -1, -1, dtype=float)
+    if zeta > 0.0:
+        # below the spike the integrand is analytic: one panel down to 0
+        edges = np.concatenate(([0.0], edges))
+        tail = tail_err = np.zeros(3)
+    else:
+        # the tail joins at the actual lowest panel edge, not the nominal cut
+        tail, tail_err = _eta1_tail(q, d, float(edges[0]))
+    f = lambda t: _folded_integrand(t, zeta, q, d)
+    return tuple(_refine(f, edges, rel_tol, tail, tail_err).tolist())
 
 
 def theta_integral(spec: ThetaIntegralSpec, rel_tol: float = DEFAULT_REL_TOL) -> float:
@@ -317,7 +312,7 @@ def theta_integral(spec: ThetaIntegralSpec, rel_tol: float = DEFAULT_REL_TOL) ->
     if not 0.0 < rel_tol <= 1e-6:
         raise InvalidParamError(f"rel_tol must lie in (0, 1e-6], got {rel_tol!r}")
     eta, q, p, d = _check_spec(spec.eta, spec.q, spec.p, spec.d)
-    return _integral(eta - 1.0, q, p, d, rel_tol)
+    return _integral(eta - 1.0, q, d, rel_tol)[p]
 
 
 def eta1_closed_form(q: float, p: int, d) -> float:

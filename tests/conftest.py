@@ -40,14 +40,16 @@ def mp_theta_integral(eta: float, q: float, p: int, d: int) -> float:
 
     Half-angle substitution x = 2t keeps eta - cos x = (eta - 1) + 2 sin^2 t
     exact near the singular end, and the split points track the spike scale
-    sqrt(eta - 1) so the tanh-sinh backend never misses it.
+    sqrt(eta - 1) so the tanh-sinh backend never misses it.  The factor eta^q
+    is taken out of the integrand: mpmath's convergence test is absolute, so
+    at eta = 1e6 and q = -5 it would accept an integral of size 1e-30 at once.
     """
     e = mp.mpf(eta)
     qm = mp.mpf(q)
 
     def f(t):
         s2 = 2 * mp.sin(t) ** 2
-        val = ((e - 1) + s2) ** qm * (2 * mp.sin(t) * mp.cos(t)) ** (d - 1)
+        val = (((e - 1) + s2) / e) ** qm * (2 * mp.sin(t) * mp.cos(t)) ** (d - 1)
         if p == 1:
             val *= 1 - s2
         return 2 * val
@@ -61,7 +63,7 @@ def mp_theta_integral(eta: float, q: float, p: int, d: int) -> float:
             if 0 < x < mp.pi / 8:
                 pts.append(x)
     pts += [mp.pi / 8, mp.pi / 4, mp.pi / 2]
-    return float(mp.quad(f, sorted(set(pts))))
+    return float(e**qm * mp.quad(f, sorted(set(pts))))
 
 
 def sphere_average(f, d: int, nodes: int = 400) -> float:

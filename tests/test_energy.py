@@ -14,7 +14,12 @@ from conftest import (
 )
 from fastsphere import energy as en
 from fastsphere import equilibria as eq
-from fastsphere.errors import BracketFailureError, InvalidParamError, WrongRegimeError
+from fastsphere.errors import (
+    BracketFailureError,
+    FastSphereError,
+    InvalidParamError,
+    WrongRegimeError,
+)
 from fastsphere.model import sphere_geometry
 
 
@@ -214,6 +219,23 @@ class TestClassifyMinimizer:
             }
             populated = {k: v for k, v in energies.items() if v is not None}
             assert report.minimizer == min(populated, key=populated.get)
+
+    def test_bracket_failure_message_prints_plain_floats(self):
+        # at m -> 1 the clamped log-zeta bracket misses the case-I root
+        with pytest.raises(BracketFailureError) as err:
+            en.classify_minimizer(30.0, 3, 0.999)
+        assert "f(lo)=" in str(err.value)
+        assert "np.float64" not in str(err.value)
+
+    @pytest.mark.parametrize("d, m", [(20, 0.99999), (60, 0.999)])
+    def test_moments_beyond_double_range_fail_typed(self, d, m):
+        # the supported-branch moments turn subnormal near the clamped
+        # uniform-limit end of the bracket: a typed error, not OverflowError
+        try:
+            report = en.classify_minimizer(3.0 * eq.kappa1(d, m), d, m)
+        except FastSphereError:
+            return
+        assert math.isfinite(report.e_fully_supported)
 
     def test_degenerate_flag_at_branch_birth(self):
         k1 = eq.kappa1(2, 0.5)

@@ -54,6 +54,44 @@ def test_fresh_points_against_live_oracle():
         )
 
 
+@pytest.mark.parametrize("d", range(1, 7))
+@pytest.mark.parametrize("eta_minus_1", [1e-9, 5e-7, 2e-6, 1e-3, 1.0, 1e3, 1e6])
+def test_fused_moments_against_live_oracle(eta_minus_1, d):
+    # one kernel call returns I(eta, q, 0), I(eta, q, 1) and I(eta, q + 1, 0)
+    q = 1.0 / (0.05 + 0.14 * d - 1.0)  # m from 0.19 to 0.89
+    eta = 1.0 + eta_minus_1
+    i0, i1, i_ent = quadrature._integral(eta - 1.0, q, d, 1e-10)
+    assert i0 == pytest.approx(mp_theta_integral(eta, q, 0, d), rel=1e-9)
+    assert i1 == pytest.approx(mp_theta_integral(eta, q, 1, d), rel=1e-9)
+    assert i_ent == pytest.approx(mp_theta_integral(eta, q + 1.0, 0, d), rel=1e-9)
+
+
+@pytest.mark.parametrize("d, m", [(3, 0.25), (5, 0.3), (4, 0.4999), (8, 0.74999)])
+def test_fused_moments_at_eta_one_match_closed_form(d, m):
+    q = 1.0 / (m - 1.0)
+    i0, i1, i_ent = quadrature._integral(0.0, q, d, 1e-10)
+    assert i0 == pytest.approx(eta1_closed_form(q, 0, d), rel=1e-10)
+    assert i1 == pytest.approx(eta1_closed_form(q, 1, d), rel=1e-10)
+    assert i_ent == pytest.approx(eta1_closed_form(q + 1.0, 0, d), rel=1e-10)
+
+
+def test_one_cache_miss_serves_all_three_moments():
+    quadrature._integral.cache_clear()
+    eta, q, d = 1.0 + 3.3e-4, -1.7, 4
+    i0 = integral(eta, q, 0, d)
+    i1 = integral(eta, q, 1, d)
+    i_ent = quadrature._integral(eta - 1.0, q, d, 1e-10)[2]
+    info = quadrature._integral.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    assert (i0, i1, i_ent) == quadrature._integral(eta - 1.0, q, d, 1e-10)
+    assert i_ent == pytest.approx(integral(eta, q + 1.0, 0, d), rel=1e-10)
+
+
+def test_results_are_plain_floats():
+    assert type(integral(2.5, -1.3, 1, 3)) is float
+    assert all(type(x) is float for x in quadrature._integral(0.0, -1.3, 3, 1e-10))
+
+
 def test_singular_endpoint_beta_value():
     # eta = 1, q = -4/3, d = 3 equals 2^(2/3) B(1/6, 3/2)
     beta = math.exp(log_gamma(1.0 / 6.0) + log_gamma(1.5) - log_gamma(1.0 / 6.0 + 1.5))
