@@ -50,9 +50,9 @@ def _tolerances(args) -> tuple[float, float]:
 
 
 def cmd_critical(args) -> int:
-    quad_tol, root_tol = _tolerances(args)
+    quad_tol, _ = _tolerances(args)
     regime = classify_regime(args.d, args.m)
-    crit = energy.critical_set(args.d, args.m, quad_tol, root_tol)
+    crit = energy.critical_set(args.d, args.m, quad_tol)
     payload = {
         "d": args.d,
         "m": args.m,
@@ -122,7 +122,7 @@ def cmd_sweep(args) -> int:
         raise FastSphereError(
             "sweep needs 0 < --kappa-min < --kappa-max and --steps >= 2"
         )
-    crit = energy.critical_set(args.d, args.m, quad_tol, root_tol)
+    crit = energy.critical_set(args.d, args.m, quad_tol)
     if args.log_grid:
         grid = np.geomspace(args.kappa_min, args.kappa_max, args.steps)
     else:

@@ -14,7 +14,8 @@ The minimizer map follows the energy comparisons: the uniform state below
 kappa1, the supported branch up to the handoff at kappa2 where one exists,
 and the measure-valued branch beyond; in the fold regime (CaseIII) the
 switch happens at the strength kappa_c where the uniform and the upper
-measure-valued energies cross, located here by bisection.
+measure-valued energies cross, located here by bisection along that branch,
+where kappa and both energies are closed forms of the atom fraction.
 """
 
 from __future__ import annotations
@@ -154,7 +155,12 @@ def energy_singular(
     if not 0.0 < alpha < 1.0:
         raise InvalidParamError(f"alpha must lie in (0, 1), got {alpha!r}")
     ent = rho_bar_entropy_integral(d, m, rel_tol)
-    com = alpha + (1.0 - alpha) * equilibria.s_bar(d, m)
+    return _singular_energy(alpha, kappa, ent, equilibria.s_bar(d, m), m)
+
+
+def _singular_energy(alpha: float, kappa: float, ent: float, sb: float, m: float) -> float:
+    """Energy of alpha * delta + (1 - alpha) * rho_bar, given ent = int rho_bar^m dS."""
+    com = alpha + (1.0 - alpha) * sb
     return (1.0 - alpha) ** m * ent / (m - 1.0) - 0.5 * kappa * com**2 + 0.5 * kappa
 
 
@@ -208,51 +214,59 @@ def second_variation_gap(kappa: float, d, m: float) -> float:
     return equilibria.kappa1(d, m) - kappa
 
 
-def kappa_c(
-    d,
-    m: float,
-    rel_tol: float = DEFAULT_REL_TOL,
-    root_tol: float = DEFAULT_ROOT_TOL,
-    kappa_tol: float = 1e-10,
-) -> float:
+def kappa_c(d, m: float, rel_tol: float = DEFAULT_REL_TOL) -> float:
     """Strength where the uniform and upper measure-valued energies cross.
 
-    CaseIII only; the crossing is unique in (kappa3, kappa1) because the
-    energy gap grows at the strictly positive rate (alpha + (1-alpha)
-    s_bar)^2 / 2.  Located by bisection to kappa_tol.
+    CaseIII only.  Along the upper measure-valued branch, parametrized by
+    u = -log(1 - alpha), the strength is explicit,
+
+        kappa(u) = e^((1-m) u) kappa2 s_bar / (1 - e^(-u) (1 - s_bar)),
+
+    rising from kappa3 at the fold u_bar = -log(1 - alpha_bar).  The energy
+    gap E_uniform - E_singular is then closed form in u; its one integral,
+    the entropy of rho_bar, does not depend on kappa.  The gap grows with
+    kappa at the strictly positive rate (alpha + (1-alpha) s_bar)^2 / 2, so
+    the crossing is unique in (kappa3, kappa1); it is bisected in u until
+    the midpoint no longer splits the bracket, i.e. to double resolution.
     """
     regime = classify_regime(d, m)
     if regime.tag is not RegimeCase.CASE_III:
         raise WrongRegimeError(
             f"kappa_c exists only in case_iii; d={d}, m={m!r} is {regime.tag.value}"
         )
-    k3, _ = equilibria.kappa3_and_alpha_bar(d, m)
+    _, alpha_bar = equilibria.kappa3_and_alpha_bar(d, m)
     k1 = equilibria.kappa1(d, m)
+    k2 = equilibria.kappa2(d, m)
+    sb = equilibria.s_bar(d, m)
+    ent = rho_bar_entropy_integral(d, m, rel_tol)
+    e_uniform_0 = energy_uniform(0.0, d, m)
 
-    def gap(kappa: float) -> float:
-        roots = equilibria.alpha_roots(kappa, d, m, root_tol)
-        if not roots:
-            raise BracketFailureError(
-                f"no measure-valued branch at kappa={kappa!r} inside (kappa3, kappa1)"
-            )
-        return energy_uniform(kappa, d, m) - energy_singular(roots[-1], kappa, d, m, rel_tol)
+    def kappa_of(u: float) -> float:
+        return math.exp((1.0 - m) * u) * k2 * sb / (1.0 - math.exp(-u) * (1.0 - sb))
 
-    lo = k3 * (1.0 + 1e-9)  # just inside the fold; at kappa3 the pair is tangent
-    hi = k1
+    def gap(u: float) -> float:
+        kappa = kappa_of(u)
+        return e_uniform_0 + 0.5 * kappa - _singular_energy(-math.expm1(-u), kappa, ent, sb, m)
+
+    lo = -math.log1p(-alpha_bar)
+    hi = lo + 1.0  # a positive width, so the doubling ends even for u_bar ~ 0
+    while kappa_of(hi) < k1:
+        hi *= 2.0
     g_lo = gap(lo)
     g_hi = gap(hi)
     if not (g_lo < 0.0 < g_hi):
         raise BracketFailureError(
             f"energy gap does not change sign on (kappa3, kappa1): "
-            f"gap(kappa3+)={g_lo!r}, gap(kappa1)={g_hi!r}"
+            f"gap(kappa3)={g_lo!r}, gap(kappa={kappa_of(hi)!r})={g_hi!r}"
         )
-    while hi - lo > kappa_tol:
+    while True:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return kappa_of(mid)
         if gap(mid) < 0.0:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
 
 
 def _populate_energies(
@@ -325,12 +339,7 @@ def classify_minimizer(
     )
 
 
-def critical_set(
-    d,
-    m: float,
-    rel_tol: float = DEFAULT_REL_TOL,
-    root_tol: float = DEFAULT_ROOT_TOL,
-) -> CriticalSet:
+def critical_set(d, m: float, rel_tol: float = DEFAULT_REL_TOL) -> CriticalSet:
     """All critical strengths for (d, m), including kappa_c where defined."""
     base = equilibria.critical_constants(d, m, rel_tol)
     if base.kappa3 is None:
@@ -340,5 +349,5 @@ def critical_set(
         kappa2=base.kappa2,
         kappa3=base.kappa3,
         alpha_bar=base.alpha_bar,
-        kappa_c=kappa_c(d, m, rel_tol, root_tol),
+        kappa_c=kappa_c(d, m, rel_tol),
     )

@@ -368,7 +368,7 @@ def check_minimizer_consistency(tol: float, rel_tol: float, root_tol: float) -> 
     mismatches = 0
     total = 0
     for d, m, lo, hi in ((2, 0.5, 4.0, 12.0), (3, 0.25, 8.0, 16.0), (5, 0.3, 15.0, 21.0)):
-        crit = energy.critical_set(d, m, rel_tol, root_tol)
+        crit = energy.critical_set(d, m, rel_tol)
         for kappa in np.linspace(lo, hi, 9):
             kappa = float(kappa)
             report = energy.classify_minimizer(kappa, d, m, rel_tol, root_tol)

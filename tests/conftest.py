@@ -2,7 +2,8 @@
 
 The brute-force integral oracle goes through mpmath on the half-angle
 substituted integrand with scale-aware interval splits, entirely
-independent of the package's own quadrature.  Per-pair constants were
+independent of the package's own quadrature; the kappa_c oracle works
+from exact Beta-function moments at eta = 1.  Per-pair constants were
 frozen from 30+ digit runs of the same oracle (and exact closed forms
 where those exist).
 """
@@ -64,6 +65,45 @@ def mp_theta_integral(eta: float, q: float, p: int, d: int) -> float:
                 pts.append(x)
     pts += [mp.pi / 8, mp.pi / 4, mp.pi / 2]
     return float(e**qm * mp.quad(f, sorted(set(pts))))
+
+
+def mp_kappa_c(d: int, m: float) -> float:
+    """30-digit kappa_c: root in u = -log(1 - alpha) of the energy gap.
+
+    Along the upper measure-valued branch kappa(u) is explicit and the
+    uniform minus singular energy gap is closed form; every integral sits at
+    eta = 1, where int_0^pi (1 - cos t)^p sin^(d-1) t dt is the Beta value
+    2^(p+d-1) B(p + d/2, d/2).  mp.findroot brackets the root between the
+    fold and the first u where kappa(u) >= kappa1.
+    """
+    d, m = mp.mpf(d), mp.mpf(m)
+    q = 1 / (m - 1)
+
+    def eta1_mass(p):
+        return 2 ** (p + d - 1) * mp.beta(p + d / 2, d / 2)
+
+    area_sd = 2 * mp.pi ** ((d + 1) / 2) / mp.gamma((d + 1) / 2)
+    area_sdm1 = 2 * mp.pi ** (d / 2) / mp.gamma(d / 2)
+    i0 = eta1_mass(q)
+    k1 = m * (d + 1) * area_sd ** (1 - m)
+    k2 = m / (1 - m) * (area_sdm1 * i0) ** (1 - m) * (q + d) / -q
+    sb = 1 / ((1 - m) * d - 1)
+    alpha_bar = (1 - 2 * sb + m * sb) / ((1 - sb) * (2 - m))
+    entropy = area_sdm1 ** (1 - m) * eta1_mass(q + 1) * i0 ** (-m)
+
+    def kappa_of(u):
+        return mp.exp((1 - m) * u) * k2 * sb / (1 - mp.exp(-u) * (1 - sb))
+
+    def gap(u):
+        rest = mp.exp(-u)
+        com = 1 - rest * (1 - sb)
+        return (area_sd ** (1 - m) - rest**m * entropy) / (m - 1) + kappa_of(u) * com**2 / 2
+
+    lo = -mp.log(1 - alpha_bar)
+    hi = lo + 1
+    while kappa_of(hi) < k1:
+        hi *= 2
+    return float(kappa_of(mp.findroot(gap, (lo, hi), solver="anderson")))
 
 
 def sphere_average(f, d: int, nodes: int = 400) -> float:

@@ -55,6 +55,14 @@ class TestCritical:
         assert payload["kappa3"] / payload["kappa2"] == pytest.approx(0.88502, abs=1e-3)
         assert payload["kappa3"] < payload["kappa_c"] < payload["kappa1"]
 
+    def test_case_iii_payload_at_large_d(self, capsys):
+        code, out, _ = run(capsys, "critical", "--d", "200", "--m", "0.9")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["regime"] == "case_iii"
+        assert math.isfinite(payload["kappa_c"])
+        assert payload["kappa3"] < payload["kappa_c"] < payload["kappa1"]
+
     def test_threshold_degenerate_exits_2(self, capsys):
         code, _, err = run(capsys, "critical", "--d", "3", "--m", "0.3333333333")
         assert code == 2

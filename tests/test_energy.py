@@ -10,10 +10,12 @@ from conftest import (
     E_UNIFORM_ZERO_KAPPA_2_05,
     KAPPA_C_5_03,
     REFERENCE_PAIRS,
+    mp_kappa_c,
     sphere_average,
 )
 from fastsphere import energy as en
 from fastsphere import equilibria as eq
+from fastsphere import solvers
 from fastsphere.errors import (
     BracketFailureError,
     FastSphereError,
@@ -169,7 +171,7 @@ class TestKappaC:
         k1 = eq.kappa1(5, 0.3)
         kc = en.kappa_c(5, 0.3)
         assert k3 < kc < k1
-        assert kc == pytest.approx(KAPPA_C_5_03, abs=2e-9)
+        assert kc == pytest.approx(KAPPA_C_5_03, rel=1e-12)
 
     def test_signs_at_the_bracket_ends(self):
         d, m = 5, 0.3
@@ -186,6 +188,47 @@ class TestKappaC:
     def test_wrong_regime(self):
         with pytest.raises(WrongRegimeError):
             en.kappa_c(3, 0.25)
+
+    @pytest.mark.parametrize("d, m", [(5, 0.3), (12, 0.05), (100, 0.95), (200, 0.9)])
+    def test_matches_mpmath_oracle(self, d, m):
+        kc = en.kappa_c(d, m)
+        assert kc == pytest.approx(mp_kappa_c(d, m), rel=1e-9)
+
+    @pytest.mark.parametrize("d, m", [(100, 0.95), (200, 0.9)])
+    def test_large_d_inside_fold_window(self, d, m):
+        # the upper atom fraction at kappa1 lies beyond 1 - 1e-12 here, so
+        # a bracket through alpha_roots cannot reach kappa1
+        k3, _ = eq.kappa3_and_alpha_bar(d, m)
+        k1 = eq.kappa1(d, m)
+        kc = en.kappa_c(d, m)
+        assert k3 < kc < k1
+        crit = en.critical_set(d, m)
+        assert crit.kappa_c == kc
+        assert crit.kappa3 < crit.kappa_c < crit.kappa1
+
+    @pytest.mark.parametrize(
+        "d, m",
+        [(d, f * (1.0 - 2.0 / (d - 1))) for d in range(4, 13) for f in (0.02, 0.99)],
+    )
+    def test_gap_changes_sign_through_alpha_roots(self, d, m):
+        # the kappa-space route: solve the upper atom fraction at each kappa
+        kc = en.kappa_c(d, m)
+        delta = 1e-9 * kc
+        for kappa, sign in ((kc - delta, -1.0), (kc + delta, 1.0)):
+            alpha = eq.alpha_roots(kappa, d, m)[-1]
+            gap = en.energy_uniform(kappa, d, m) - en.energy_singular(alpha, kappa, d, m)
+            assert sign * gap > 0.0
+
+    def test_needs_no_root_solve(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("kappa_c must not solve for roots")
+
+        monkeypatch.setattr(eq, "alpha_roots", forbidden)
+        monkeypatch.setattr(eq, "bracketed_root", forbidden)
+        monkeypatch.setattr(solvers, "bracketed_root", forbidden)
+        assert en.kappa_c(5, 0.3) == pytest.approx(KAPPA_C_5_03, rel=1e-12)
+        crit = en.critical_set(12, 0.05)
+        assert crit.kappa3 < crit.kappa_c < crit.kappa1
 
 
 class TestClassifyMinimizer:
