@@ -31,6 +31,7 @@ from .equilibria import (
     critical_constants,
     fully_supported_density,
     fully_supported_state,
+    fully_supported_states,
     inverse_kappa,
     kappa1,
     kappa2,
@@ -99,6 +100,7 @@ __all__ = [
     "eta1_closed_form",
     "fully_supported_density",
     "fully_supported_state",
+    "fully_supported_states",
     "inverse_kappa",
     "kappa1",
     "kappa2",

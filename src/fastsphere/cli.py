@@ -67,18 +67,23 @@ def cmd_critical(args) -> int:
     return 0
 
 
-def _branch_rows(kappa: float, d: int, m: float, crit, quad_tol: float, root_tol: float):
-    """Rows (branch, alpha, eta, com_norm, energy) existing at kappa."""
-    rows = [("uniform", None, None, 0.0, energy.energy_uniform(kappa, d, m))]
-    regime = classify_regime(d, m).tag.value
+def _supported(kappa: float, regime: str, crit) -> bool:
+    """Whether sweep reports a fully supported row at kappa."""
     if regime == "case_i":
-        supported = kappa > crit.kappa1
-    elif regime == "case_ii":
-        supported = crit.kappa1 < kappa < crit.kappa2
-    else:
-        supported = crit.kappa2 < kappa < crit.kappa1
-    if supported:
-        state = equilibria.fully_supported_state(kappa, d, m, quad_tol, root_tol)
+        return kappa > crit.kappa1
+    if regime == "case_ii":
+        return crit.kappa1 < kappa < crit.kappa2
+    return crit.kappa2 < kappa < crit.kappa1
+
+
+def _branch_rows(kappa: float, d: int, m: float, crit, state, quad_tol: float, root_tol: float):
+    """Rows (branch, alpha, eta, com_norm, energy) existing at kappa.
+
+    state is the fully supported state at kappa, or None where sweep
+    reports no such row.
+    """
+    rows = [("uniform", None, None, 0.0, energy.energy_uniform(kappa, d, m))]
+    if state is not None:
         rows.append(
             (
                 "fully_supported",
@@ -127,14 +132,28 @@ def cmd_sweep(args) -> int:
         grid = np.geomspace(args.kappa_min, args.kappa_max, args.steps)
     else:
         grid = np.linspace(args.kappa_min, args.kappa_max, args.steps)
+    kappas = [float(kappa) for kappa in grid]
 
+    # every fully supported state first, all branch solves in lockstep
+    regime = classify_regime(args.d, args.m).tag.value
+    supported = [kappa for kappa in kappas if _supported(kappa, regime, crit)]
+    states = dict(
+        zip(
+            supported,
+            equilibria.fully_supported_states(supported, args.d, args.m, quad_tol, root_tol),
+        )
+    )
     records = []
     failures = 0
-    for kappa in grid:
-        kappa = float(kappa)
-        try:
-            rows = _branch_rows(kappa, args.d, args.m, crit, quad_tol, root_tol)
-        except FastSphereError:
+    for kappa in kappas:
+        state = states.get(kappa)
+        rows = None
+        if not isinstance(state, FastSphereError):
+            try:
+                rows = _branch_rows(kappa, args.d, args.m, crit, state, quad_tol, root_tol)
+            except FastSphereError:
+                pass
+        if rows is None:
             failures += 1
             rows = [("uniform", math.nan, math.nan, math.nan, math.nan)]
         for branch, alpha, eta, com, e in rows:

@@ -28,6 +28,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import (
+    FastSphereError,
     InvalidParamError,
     NotIntegrableError,
     OutOfWindowError,
@@ -35,8 +36,8 @@ from .errors import (
     WrongRegimeError,
 )
 from .model import Regime, RegimeCase, classify_regime, sphere_geometry, validate_params
-from .quadrature import DEFAULT_REL_TOL, _integral
-from .solvers import DEFAULT_ROOT_TOL, DEFAULT_WIDTH_TOL, bracketed_root
+from .quadrature import DEFAULT_REL_TOL, _integral, _integrals
+from .solvers import DEFAULT_ROOT_TOL, DEFAULT_WIDTH_TOL, bracketed_root, lockstep_roots
 
 # zeta = eta - 1 ceiling standing in for the uniform limit eta -> infinity.
 _ZETA_CEIL = 1e9
@@ -118,16 +119,25 @@ def kappa1(d, m: float) -> float:
 
 
 def _inverse_kappa_zeta(zeta: float, d: int, m: float, rel_tol: float) -> float:
-    q = _q_exponent(m)
-    i0, i1, _ = _integral(zeta, q, d, rel_tol)
+    i0, i1, _ = _integral(zeta, _q_exponent(m), d, rel_tol)
+    return _inverse_kappa_of(zeta, i0, i1, _inverse_kappa_scale(d, m), d, m)
+
+
+def _inverse_kappa_scale(d: int, m: float) -> float:
+    return (1.0 - m) / m * sphere_geometry(d).area_sdm1 ** (m - 1.0)
+
+
+def _inverse_kappa_of(
+    zeta: float, i0: float, i1: float, scale: float, d: int, m: float
+) -> float:
+    """inverse_kappa at eta = 1 + zeta from the mass and moment integrals there."""
     # a subnormal i0 has already lost the relative precision asked for
     if not sys.float_info.min <= i0 < math.inf:
         raise ToleranceNotMetError(
             f"mass integral left double range at eta = 1 + {zeta!r} for d={d}, "
             f"m={m!r} (i0={i0!r})"
         )
-    dwd = sphere_geometry(d).area_sdm1
-    return (1.0 - m) / m * dwd ** (m - 1.0) * i1 * i0 ** (m - 2.0)
+    return scale * i1 * i0 ** (m - 2.0)
 
 
 def inverse_kappa(eta: float, d, m: float, rel_tol: float = DEFAULT_REL_TOL) -> float:
@@ -180,23 +190,27 @@ def _window(kappa: float, d: int, m: float, regime: Regime) -> tuple[float, floa
     return lo, hi
 
 
+def _log_zeta_bracket(d: int, m: float) -> tuple[float, float]:
+    """Bracket of every branch solve in log(zeta)."""
+    q = _q_exponent(m)
+    # eta^q underflows for m very close to 1; keep the uniform-limit end of
+    # the bracket inside double range
+    ceil = min(_ZETA_CEIL, math.exp(620.0 / abs(q)))
+    return math.log(_zeta_floor(q, d)), math.log(ceil)
+
+
 def _solve_zeta(
     kappa: float, d: int, m: float, rel_tol: float, root_tol: float
 ) -> float:
     regime = classify_regime(d, m)
     _window(kappa, d, m, regime)
-    q = _q_exponent(m)
-    # eta^q underflows for m very close to 1; keep the uniform-limit end of
-    # the bracket inside double range
-    ceil = min(_ZETA_CEIL, math.exp(620.0 / abs(q)))
 
     def scaled_residual(y: float) -> float:
         return _inverse_kappa_zeta(math.exp(y), d, m, rel_tol) * kappa - 1.0
 
     y = bracketed_root(
         scaled_residual,
-        math.log(_zeta_floor(q, d)),
-        math.log(ceil),
+        *_log_zeta_bracket(d, m),
         residual_tol=root_tol,
         width_tol=DEFAULT_WIDTH_TOL,
     )
@@ -233,11 +247,81 @@ def fully_supported_state(
     validate_params(d, m, kappa)
     kappa = float(kappa)
     zeta = _solve_zeta(kappa, int(d), m, rel_tol, root_tol)
-    s = _com_norm_zeta(zeta, int(d), m, rel_tol)
+    return _state(kappa, zeta, _com_norm_zeta(zeta, int(d), m, rel_tol))
+
+
+def _state(kappa: float, zeta: float, s: float) -> FullySupportedState:
     eta = 1.0 + zeta
     return FullySupportedState(
         kappa=kappa, eta=eta, s=s, lambda_=-kappa * s * eta, eta_minus_1=zeta
     )
+
+
+def fully_supported_states(
+    kappas,
+    d,
+    m: float,
+    rel_tol: float = DEFAULT_REL_TOL,
+    root_tol: float = DEFAULT_ROOT_TOL,
+) -> list:
+    """fully_supported_state at each of kappas, with the branch solves run in lockstep.
+
+    Each entry is the state, equal to fully_supported_state's, or the
+    FastSphereError that kappa raises there (without its traceback).  Each
+    solver round evaluates the integrals of every unfinished solve in one
+    batch (quadrature._integrals); a memo of the moments at every zeta met,
+    kept for this call only, serves the zetas that several solves visit and
+    the centre-of-mass norm at each root.
+    """
+    validate_params(d, m)
+    d = int(d)
+    regime = classify_regime(d, m)
+    q = _q_exponent(m)
+    results: list = [None] * len(kappas)
+    solved = []  # (index into results, kappa)
+    for i, kappa in enumerate(kappas):
+        try:
+            validate_params(d, m, kappa)
+            _window(float(kappa), d, m, regime)
+        except FastSphereError as exc:
+            results[i] = exc.with_traceback(None)
+        else:
+            solved.append((i, float(kappa)))
+    moments = {}
+    scale = _inverse_kappa_scale(d, m)
+
+    def residuals(asks):
+        zetas = [math.exp(y) for _, y in asks]
+        new = [zeta for zeta in dict.fromkeys(zetas) if zeta not in moments]
+        moments.update(zip(new, _integrals(new, q, d, rel_tol)))
+        values = []
+        for (item, _), zeta in zip(asks, zetas):
+            at_zeta = moments[zeta]
+            if isinstance(at_zeta, FastSphereError):
+                values.append(at_zeta)
+                continue
+            try:
+                inverse = _inverse_kappa_of(zeta, at_zeta[0], at_zeta[1], scale, d, m)
+            except FastSphereError as exc:
+                values.append(exc.with_traceback(None))
+            else:
+                values.append(inverse * solved[item][1] - 1.0)
+        return values
+
+    roots = lockstep_roots(
+        residuals,
+        [_log_zeta_bracket(d, m)] * len(solved),
+        residual_tol=root_tol,
+        width_tol=DEFAULT_WIDTH_TOL,
+    )
+    for (i, kappa), y in zip(solved, roots):
+        if isinstance(y, FastSphereError):
+            results[i] = y
+            continue
+        zeta = math.exp(y)
+        i0, i1, _ = moments[zeta]
+        results[i] = _state(kappa, zeta, i1 / i0)
+    return results
 
 
 def fully_supported_density(

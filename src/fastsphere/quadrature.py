@@ -36,9 +36,12 @@ above it the integrand is self-similar under halving.  So the seed panels
 are dyadic, with edges pi/2 * 2^-k from pi/2 down to the first edge below
 half the spike scale.  Below that edge the integrand is analytic for
 eta > 1, and one more panel reaches down to 0; for eta - 1 >= pi^2 that
-leaves the single panel [0, pi/2].  At eta = 1 the edges stop at a cutoff
-theta_c instead, and the piece below it is added in closed form (exact to
-a relative O(theta_c^2) correction that joins the error budget).
+leaves the single panel [0, pi/2].  Where the eta = 1 integral converges
+(2q + d > 0) the edges never go below the cutoff theta_c under which the
+eta = 1 integrand holds less than 1e-18 of its total, and for eta > 1 even
+less, however narrow the spike.  At eta = 1 the piece below theta_c is
+added in closed form (exact to a relative O(theta_c^2) correction that
+joins the error budget).
 
 All panels are integrated by a Gauss-Kronrod 7/15 rule with |K15 - G7|
 error estimates, and each component must meet the requested relative
@@ -47,6 +50,14 @@ estimate exceeds its equal share of that component's budget is marked,
 and the whole contiguous span from the first to the last marked panel is
 bisected in one batch.  The seed mesh usually meets the tolerance at once,
 so one integral costs about one batch.
+
+A batch of a few panels costs mostly fixed numpy overhead, so callers
+that need many integrals at once (the branch solves of a sweep, run in
+lockstep) use _integrals: it lays the seed meshes of many zetas end to
+end, with zeta given per panel, and integrates up to _BATCH_NODES nodes in
+one batch; only the few seeds that miss the tolerance are refined one by
+one.  Every panel and every per-mesh sum is computed in the same order in
+either route, so _integrals returns exactly what _integral would.
 
 At eta = 1 the full integrals also have exact Gamma-function values
 (eta1_closed_form), kept strictly separate from the quadrature path so
@@ -61,7 +72,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidParamError, NotIntegrableError, ToleranceNotMetError
+from .errors import (
+    FastSphereError,
+    InvalidParamError,
+    NotIntegrableError,
+    ToleranceNotMetError,
+)
 from .model import check_dimension
 
 DEFAULT_REL_TOL = 1e-10
@@ -69,6 +85,9 @@ DEFAULT_REL_TOL = 1e-10
 _SPIKE_FRACTION = 0.5
 
 _MAX_PANELS = 4000
+# Nodes per batch of seed meshes integrated together; a single seed mesh
+# holds at most about 7000.
+_BATCH_NODES = 8192
 _HALF_PI = 0.5 * math.pi
 # Smallest admissible dyadic cutoff; keeps every log-space exponent on the
 # graded mesh comfortably inside double range.
@@ -147,14 +166,15 @@ def _check_spec(eta: float, q: float, p: int, d) -> tuple[float, float, int, int
     return eta, q, int(p), d
 
 
-def _folded_integrand(theta: np.ndarray, zeta: float, q: float, d: int) -> np.ndarray:
+def _folded_integrand(theta: np.ndarray, zeta, q: float, d: int) -> np.ndarray:
     """Folded mass, moment and entropy integrands on (0, pi/2] at eta = 1 + zeta.
 
     Returns the integrands of I(eta, q, 0), I(eta, q, 1) and I(eta, q + 1, 0)
     stacked along a new leading axis, all three from one set of sin, log
     and exp values.  Parametrized by zeta = eta - 1 so callers tracking the
-    branch close to eta = 1 keep full relative precision; theta must not
-    contain 0 when zeta = 0.
+    branch close to eta = 1 keep full relative precision; zeta is a float or
+    an array that broadcasts against theta (one zeta per node).  theta must
+    not contain 0 where zeta = 0.
     """
     half = np.sin(0.5 * theta)
     v = 2.0 * half * half  # 1 - cos(theta), no cancellation
@@ -179,14 +199,18 @@ def _folded_integrand(theta: np.ndarray, zeta: float, q: float, d: int) -> np.nd
 def _kronrod_batch(f, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Kronrod values and |K15 - G7| estimates for consecutive panels.
 
-    bounds is an increasing array of n + 1 panel edges; one call to f
-    covers all 15 n nodes.  f returns its components stacked along a
-    leading axis, and so do the two (components, n) results.
+    bounds is an array of n + 1 panel edges, increasing or decreasing (a
+    panel is the same either way); one call to f covers all 15 n nodes.  f
+    returns its components stacked along a leading axis, and so do the two
+    (components, n) results.  Each panel's sums run over its own 15 nodes in
+    a fixed order (a BLAS matrix-vector product would not keep to one), so
+    its values do not depend on the other panels of the batch.
     """
     c = 0.5 * (bounds[1:] + bounds[:-1])
-    h = 0.5 * (bounds[1:] - bounds[:-1])
+    h = 0.5 * np.abs(bounds[1:] - bounds[:-1])
     fv = f(c[:, None] + h[:, None] * _NODES)
-    return h * (fv @ _W_KRONROD), h * np.abs(fv @ _W_ERROR)
+    kronrod = np.einsum("...j,j->...", fv, _W_KRONROD)
+    return h * kronrod, h * np.abs(np.einsum("...j,j->...", fv, _W_ERROR))
 
 
 def _eta1_tail(q: float, d: int, cut: float) -> tuple[np.ndarray, np.ndarray]:
@@ -215,15 +239,31 @@ def _eta1_tail(q: float, d: int, cut: float) -> tuple[np.ndarray, np.ndarray]:
     return np.array(values), np.array(errors)
 
 
+def _run_sums(panels: np.ndarray, starts) -> np.ndarray:
+    """Sums over the runs of panels (columns) that begin at starts, one column per run.
+
+    Each run is summed on its own and in the same order wherever it sits,
+    so the totals of a mesh do not depend on the meshes batched with it.
+    """
+    return np.add.reduceat(panels, starts, axis=1)
+
+
 def _worst(err: np.ndarray, total: np.ndarray) -> float:
     return max(e / max(abs(t), 1e-300) for e, t in zip(err.tolist(), total.tolist()))
 
 
 def _refine(
-    f, edges: np.ndarray, rel_tol: float, offset: np.ndarray, err_floor: np.ndarray
+    f,
+    edges: np.ndarray,
+    values: np.ndarray,
+    errors: np.ndarray,
+    rel_tol: float,
+    offset: np.ndarray,
+    err_floor: np.ndarray,
 ) -> np.ndarray:
     """Adaptive Gauss-Kronrod refinement of all components over the seed mesh.
 
+    values and errors are the seed panels' Kronrod values and estimates.
     Each component must meet rel_tol relative to its own total.  While one
     misses, every panel whose estimate exceeds its equal share of a missing
     component's budget is marked, and the contiguous span from the first to
@@ -231,10 +271,9 @@ def _refine(
     closed-form endpoint tail that joins each total, and err_floor its
     irreducible share of each error budget.
     """
-    values, errors = _kronrod_batch(f, edges)
     while True:
-        total = offset + values.sum(axis=1)
-        err = err_floor + errors.sum(axis=1)
+        total = offset + _run_sums(values, [0])[:, 0]
+        err = err_floor + _run_sums(errors, [0])[:, 0]
         missing = ~(err <= rel_tol * np.abs(total))
         if values.shape[1] > _MAX_PANELS:
             raise ToleranceNotMetError(
@@ -268,31 +307,116 @@ def _refine(
         errors = np.concatenate((errors[:, :lo], errs, errors[:, hi:]), axis=1)
 
 
-@lru_cache(maxsize=65536)
-def _integral(zeta: float, q: float, d: int, rel_tol: float) -> tuple[float, float, float]:
-    """(I(eta, q, 0), I(eta, q, 1), I(eta, q + 1, 0)) at eta = 1 + zeta, keyed by zeta exactly."""
-    if zeta == 0.0 and 2.0 * q + d <= 0.0:
+def _eta1_cutoff(q: float, d: int) -> float:
+    """Angle below which the eta = 1 integrand holds under 1e-18 of its total (2q + d > 0)."""
+    cut = _HALF_PI * math.exp(-18.0 * math.log(10.0) / (2.0 * q + d))
+    # the floor keeps 2 sin^2(t/2) fully precise where it IS the integrand
+    return min(max(cut, _MIN_CUT), _HALF_PI / 16.0)
+
+
+def _seed_mesh(zeta: float, q: float, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Seed edges at eta = 1 + zeta, with the closed-form tail below them and its error budget."""
+    if 2.0 * q + d > 0.0:
+        # what the eta = 1 integrand leaves below the cutoff is negligible,
+        # and for eta > 1 it is smaller still
+        cut = _eta1_cutoff(q, d)
+    elif zeta == 0.0:
         raise NotIntegrableError(
             f"(1 - cos t)^q sin^(d-1) t diverges at t = 0 for q={q!r}, d={d}: "
             f"need 2q + d - 1 > -1"
         )
-    if zeta > 0.0:
-        low = _SPIKE_FRACTION * math.sqrt(zeta)
     else:
-        low = _HALF_PI * math.exp(-18.0 * math.log(10.0) / (2.0 * q + d))
-        # the floor keeps 2 sin^2(t/2) fully precise where it IS the integrand
-        low = min(max(low, _MIN_CUT), _HALF_PI / 16.0)
+        cut = 0.0
+    low = max(_SPIKE_FRACTION * math.sqrt(zeta), cut)
     n = max(math.ceil(math.log2(_HALF_PI / low)), 0)
-    edges = _HALF_PI * 2.0 ** -np.arange(n, -1, -1, dtype=float)
     if zeta > 0.0:
         # below the spike the integrand is analytic: one panel down to 0
-        edges = np.concatenate(([0.0], edges))
-        tail = tail_err = np.zeros(3)
-    else:
-        # the tail joins at the actual lowest panel edge, not the nominal cut
-        tail, tail_err = _eta1_tail(q, d, float(edges[0]))
+        edges = np.ldexp(_HALF_PI, np.arange(-n - 1, 1))
+        edges[0] = 0.0
+        return edges, np.zeros(3), np.zeros(3)
+    edges = np.ldexp(_HALF_PI, np.arange(-n, 1))
+    # the tail joins at the actual lowest panel edge, not the nominal cut
+    return (edges, *_eta1_tail(q, d, float(edges[0])))
+
+
+@lru_cache(maxsize=65536)
+def _integral(zeta: float, q: float, d: int, rel_tol: float) -> tuple[float, float, float]:
+    """(I(eta, q, 0), I(eta, q, 1), I(eta, q + 1, 0)) at eta = 1 + zeta, keyed by zeta exactly."""
+    edges, tail, tail_err = _seed_mesh(zeta, q, d)
     f = lambda t: _folded_integrand(t, zeta, q, d)
-    return tuple(_refine(f, edges, rel_tol, tail, tail_err).tolist())
+    values, errors = _kronrod_batch(f, edges)
+    return tuple(_refine(f, edges, values, errors, rel_tol, tail, tail_err).tolist())
+
+
+def _integrals(zetas, q: float, d: int, rel_tol: float) -> list:
+    """_integral at each of zetas, with all the seed meshes integrated together.
+
+    The seed meshes are laid end to end as one edge array, every other one
+    reversed so that neighbours share their end edge (0 or pi/2), and cut
+    into batches of at most _BATCH_NODES nodes with zeta given per panel.  A
+    seed that misses rel_tol is refined on its own, from its batch values.
+    Each entry is the (i0, i1, i_ent) tuple, equal to _integral's, or the
+    FastSphereError that zeta raised, without its traceback.  Nothing enters
+    _integral's cache.
+    """
+    results = [None] * len(zetas)
+    group, nodes = [], 0
+    for i, zeta in enumerate(zetas):
+        try:
+            seed = _seed_mesh(zeta, q, d)
+        except FastSphereError as exc:
+            results[i] = exc.with_traceback(None)
+            continue
+        size = _NODES.size * (seed[0].size - 1)
+        if group and nodes + size > _BATCH_NODES:
+            _integrate_group(group, q, d, rel_tol, results)
+            group, nodes = [], 0
+        group.append((i, zeta, *seed))
+        nodes += size
+    if group:
+        _integrate_group(group, q, d, rel_tol, results)
+    return results
+
+
+def _integrate_group(group, q: float, d: int, rel_tol: float, results: list) -> None:
+    """One batch over the seed meshes of group; a mesh that misses rel_tol is refined alone."""
+    parts, panel_zeta, ascending, sizes = [], [], [], []
+    for k, (_, zeta, edges, _, _) in enumerate(group):
+        n = edges.size - 1
+        sizes.append(n)
+        if k % 2:
+            edges = edges[::-1]
+        if parts and parts[-1][-1] == edges[0]:
+            edges = edges[1:]
+        elif parts:
+            panel_zeta.append(zeta)  # bridges meshes that do not meet; dropped
+        positions = np.arange(len(panel_zeta), len(panel_zeta) + n)
+        ascending.append(positions[::-1] if k % 2 else positions)
+        panel_zeta.extend([zeta] * n)
+        parts.append(edges)
+    zeta_col = np.array(panel_zeta)[:, None]
+    values, errors = _kronrod_batch(
+        lambda t: _folded_integrand(t, zeta_col, q, d), np.concatenate(parts)
+    )
+    # every mesh's panels in increasing order, mesh after mesh
+    order = np.concatenate(ascending)
+    values, errors = values[:, order], errors[:, order]
+    starts = np.cumsum([0] + sizes[:-1])
+    totals = np.array([tail for *_, tail, _ in group]).T + _run_sums(values, starts)
+    err = np.array([floor for *_, floor in group]).T + _run_sums(errors, starts)
+    met = (err <= rel_tol * np.abs(totals)).all(axis=0).tolist()
+    for k, (i, zeta, edges, tail, tail_err) in enumerate(group):
+        if met[k] and sizes[k] <= _MAX_PANELS:
+            results[i] = tuple(totals[:, k].tolist())
+            continue
+        span = slice(starts[k], starts[k] + sizes[k])
+        f = lambda t: _folded_integrand(t, zeta, q, d)
+        try:
+            total = _refine(f, edges, values[:, span], errors[:, span], rel_tol, tail, tail_err)
+        except FastSphereError as exc:
+            results[i] = exc.with_traceback(None)
+        else:
+            results[i] = tuple(total.tolist())
 
 
 def theta_integral(spec: ThetaIntegralSpec, rel_tol: float = DEFAULT_REL_TOL) -> float:

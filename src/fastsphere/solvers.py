@@ -5,13 +5,21 @@ monotone or concave residual, so a safeguarded bracket is all that is
 needed.  Secant steps give the fast local convergence; any step that
 leaves the bracket, or fails to shrink it fast enough, falls back to a
 bisection step.
+
+The iteration is written once, as a coroutine that yields each point to
+evaluate and is sent the residual there.  bracketed_root drives one of
+them with a scalar residual.  lockstep_roots drives many side by side and
+asks one batch residual per round for the values of every unfinished
+solve, so a caller whose residual is cheaper in bulk (a batch of
+quadratures) pays its fixed costs once per round instead of once per
+evaluation; each solve takes exactly the steps bracketed_root would.
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import BracketFailureError
+from .errors import BracketFailureError, FastSphereError
 
 DEFAULT_ROOT_TOL = 1e-12  # on the residual
 DEFAULT_WIDTH_TOL = 1e-13  # on the bracket width
@@ -19,28 +27,16 @@ DEFAULT_WIDTH_TOL = 1e-13  # on the bracket width
 _MAX_ITER = 200
 
 
-def bracketed_root(
-    f,
-    lo: float,
-    hi: float,
-    *,
-    residual_tol: float = DEFAULT_ROOT_TOL,
-    width_tol: float = DEFAULT_WIDTH_TOL,
-    f_lo: float | None = None,
-    f_hi: float | None = None,
-) -> float:
-    """Root of f in [lo, hi], to |f| <= residual_tol or width <= width_tol.
-
-    f(lo) and f(hi) must have opposite signs (an endpoint already within
-    residual_tol counts as the root).  Raises BracketFailureError when no
-    sign change exists.
-    """
+def _root_steps(lo, hi, residual_tol, width_tol, f_lo=None, f_hi=None):
+    """The bracketed_root iteration: yields each x, is sent f(x), returns the root."""
     if not lo < hi:
         raise BracketFailureError(f"empty bracket [{lo!r}, {hi!r}]")
-    f_lo = f(lo) if f_lo is None else f_lo
+    if f_lo is None:
+        f_lo = yield lo
     if abs(f_lo) <= residual_tol:
         return lo
-    f_hi = f(hi) if f_hi is None else f_hi
+    if f_hi is None:
+        f_hi = yield hi
     if abs(f_hi) <= residual_tol:
         return hi
     if math.copysign(1.0, f_lo) == math.copysign(1.0, f_hi):
@@ -65,7 +61,7 @@ def bracketed_root(
         margin = 0.01 * width
         if not lo + margin <= x <= hi - margin:
             x = lo + 0.5 * width
-        fx = f(x)
+        fx = yield x
         if abs(fx) <= residual_tol:
             return x
         if math.copysign(1.0, fx) == math.copysign(1.0, f_lo):
@@ -78,3 +74,71 @@ def bracketed_root(
         last_updated = side
     # bracket exhausted; return the endpoint with the smaller residual
     return lo if abs(f_lo) <= abs(f_hi) else hi
+
+
+def bracketed_root(
+    f,
+    lo: float,
+    hi: float,
+    *,
+    residual_tol: float = DEFAULT_ROOT_TOL,
+    width_tol: float = DEFAULT_WIDTH_TOL,
+    f_lo: float | None = None,
+    f_hi: float | None = None,
+) -> float:
+    """Root of f in [lo, hi], to |f| <= residual_tol or width <= width_tol.
+
+    f(lo) and f(hi) must have opposite signs (an endpoint already within
+    residual_tol counts as the root).  Raises BracketFailureError when no
+    sign change exists.
+    """
+    steps = _root_steps(lo, hi, residual_tol, width_tol, f_lo, f_hi)
+    fx = None
+    while True:
+        try:
+            x = steps.send(fx)
+        except StopIteration as done:
+            return done.value
+        fx = f(x)
+
+
+def lockstep_roots(
+    residuals,
+    brackets,
+    *,
+    residual_tol: float = DEFAULT_ROOT_TOL,
+    width_tol: float = DEFAULT_WIDTH_TOL,
+) -> list:
+    """bracketed_root on every (lo, hi) of brackets, solved side by side.
+
+    Each round, residuals([(item, x), ...]) is called once with the next
+    point of every unfinished solve (item indexes brackets) and returns the
+    residual values in the same order; an entry that is a FastSphereError
+    instead fails its own solve alone.  Returns one entry per bracket: the
+    root, or the FastSphereError its solve ended with, without its
+    traceback, so the list holds no frames.
+    """
+    results: list = [None] * len(brackets)
+    running = [
+        (item, _root_steps(lo, hi, residual_tol, width_tol), None)
+        for item, (lo, hi) in enumerate(brackets)
+    ]
+    while running:
+        asks = []
+        for item, steps, fx in running:
+            try:
+                asks.append((item, steps, steps.send(fx)))
+            except StopIteration as done:
+                results[item] = done.value
+            except FastSphereError as exc:
+                results[item] = exc.with_traceback(None)
+        if not asks:
+            break
+        values = residuals([(item, x) for item, _, x in asks])
+        running = []
+        for (item, steps, _), fx in zip(asks, values, strict=True):
+            if isinstance(fx, FastSphereError):
+                results[item] = fx.with_traceback(None)
+            else:
+                running.append((item, steps, fx))
+    return results

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fastsphere import equilibria as eq
+from fastsphere import quadrature
 from fastsphere.cli import main
 from fastsphere.errors import BracketFailureError
 from fastsphere.model import sphere_geometry
@@ -178,10 +179,10 @@ class TestSweep:
         assert "error:" in err
 
     def test_unsolvable_samples_become_nan_rows(self, capsys, monkeypatch):
-        def broken(kappa, d, m, rel_tol=1e-10, root_tol=1e-12):
-            raise BracketFailureError("injected solver failure")
+        def broken(kappas, d, m, rel_tol=1e-10, root_tol=1e-12):
+            return [BracketFailureError("injected solver failure") for _ in kappas]
 
-        monkeypatch.setattr(eq, "fully_supported_state", broken)
+        monkeypatch.setattr(eq, "fully_supported_states", broken)
         code, out, err = run(
             capsys,
             "sweep", "--d", "2", "--m", "0.5",
@@ -190,6 +191,36 @@ class TestSweep:
         assert code == 0
         assert "nan" in out
         assert "3 kappa samples failed" in err
+
+
+class TestSweepWork:
+    # Gauss-Kronrod batches of a cold 41-step sweep when every kappa was
+    # solved on its own, one batch per computed integral or refinement step
+    @pytest.mark.parametrize(
+        "d, m, lo, hi, per_kappa_batches",
+        [(5, 0.3, 15, 22, 449), (3, 0.25, 8, 20, 556)],
+    )
+    def test_lockstep_solves_share_their_batches(
+        self, capsys, monkeypatch, d, m, lo, hi, per_kappa_batches
+    ):
+        batches = 0
+        kronrod_batch = quadrature._kronrod_batch
+
+        def counted(f, bounds):
+            nonlocal batches
+            batches += 1
+            return kronrod_batch(f, bounds)
+
+        monkeypatch.setattr(quadrature, "_kronrod_batch", counted)
+        quadrature._integral.cache_clear()
+        code, _, err = run(
+            capsys,
+            "sweep", "--d", str(d), "--m", str(m),
+            "--kappa-min", str(lo), "--kappa-max", str(hi), "--steps", "41",
+        )
+        quadrature._integral.cache_clear()
+        assert code == 0 and err == ""
+        assert batches <= per_kappa_batches / 4
 
 
 class TestProfile:
@@ -269,3 +300,28 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--rel-tol", "-1")
         assert code == 2
         assert "error:" in err
+
+    def test_failure_at_one_kappa_leaves_the_other_rows(self, capsys, monkeypatch):
+        argv = (
+            "sweep", "--d", "2", "--m", "0.5",
+            "--kappa-min", "6", "--kappa-max", "8", "--steps", "3",
+        )
+        _, clean, _ = run(capsys, *argv)
+        solve = eq.fully_supported_states
+
+        def broken_at_7(kappas, *args):
+            states = solve(kappas, *args)
+            return [
+                BracketFailureError("injected solver failure") if kappa == 7.0 else state
+                for kappa, state in zip(kappas, states)
+            ]
+
+        monkeypatch.setattr(eq, "fully_supported_states", broken_at_7)
+        code, out, err = run(capsys, *argv)
+        assert code == 0
+        assert "1 kappa samples failed" in err
+        kept = [line for line in clean.splitlines() if not line.startswith("7.0,")]
+        assert [line for line in out.splitlines() if not line.startswith("7.0,")] == kept
+        assert [line for line in out.splitlines() if line.startswith("7.0,")] == [
+            "7.0,uniform,nan,nan,nan,nan"
+        ]

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -17,8 +18,12 @@ from conftest import (
     mp_theta_integral,
     sphere_average,
 )
+from fastsphere import energy as en
 from fastsphere import equilibria as eq
 from fastsphere.errors import (
+    BracketFailureError,
+    FastSphereError,
+    InvalidParamError,
     NotIntegrableError,
     OutOfWindowError,
     WrongRegimeError,
@@ -144,6 +149,63 @@ class TestFullySupportedState:
         assert eq.fully_supported_density(state, 0.0, d, m) > eq.fully_supported_density(
             state, math.pi, d, m
         )
+
+
+class TestFullySupportedStates:
+    @staticmethod
+    def grid(d, m):
+        """Kappas across the branch window, its ends, and some outside it."""
+        crit = eq.critical_constants(d, m)
+        ends = [crit.kappa1] if crit.kappa2 is None else [crit.kappa1, crit.kappa2]
+        lo, hi = min(ends), max(ends) if crit.kappa2 else 3.0 * crit.kappa1
+        return [-1.0, 0.5 * lo, *ends, *np.linspace(lo, hi, 15)[1:-1].tolist(), 1.2 * hi]
+
+    @pytest.mark.parametrize("d, m", REFERENCE_PAIRS)
+    def test_matches_one_solve_per_kappa(self, d, m):
+        kappas = self.grid(d, m)
+        states = eq.fully_supported_states(kappas, d, m)
+        assert len(states) == len(kappas)
+        solved = 0
+        for kappa, got in zip(kappas, states):
+            try:
+                expected = eq.fully_supported_state(kappa, d, m)
+            except FastSphereError as exc:
+                assert type(got) is type(exc)
+                assert got.__traceback__ is None
+                continue
+            solved += 1
+            assert got.kappa == kappa
+            assert got.s == pytest.approx(expected.s, rel=1e-12)
+            assert en.energy_fully_supported(got, d, m) == pytest.approx(
+                en.energy_fully_supported(expected, d, m), rel=1e-12
+            )
+        assert solved >= 13
+
+    def test_invalid_kappa_fails_alone(self):
+        states = eq.fully_supported_states([-1.0, math.nan, 8.0], 2, 0.5)
+        assert [type(s) for s in states[:2]] == [InvalidParamError, InvalidParamError]
+        assert states[2] == eq.fully_supported_state(8.0, 2, 0.5)
+
+    def test_stored_errors_leave_no_reference_cycles(self, monkeypatch):
+        # out-of-window kappas, and solves whose bracket misses the root
+        # (a zeta ceiling far below the branch birth) all fail
+        monkeypatch.setattr(eq, "_ZETA_CEIL", 1e-3)
+        d, m = CASE_II
+        kappas = [0.5 * KAPPA1[CASE_II], 9.4, 9.5, 12.0, 20.0]
+        gc.collect()
+        gc.disable()
+        try:
+            # the list goes as soon as its types are read; anything it kept
+            # alive through a cycle would be left for the collector
+            types = [type(s) for s in eq.fully_supported_states(kappas, d, m)]
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert unreachable == 0
+        assert types == [
+            OutOfWindowError, BracketFailureError, BracketFailureError,
+            eq.FullySupportedState, OutOfWindowError,
+        ]
 
 
 class TestSBar:

@@ -1,11 +1,18 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import I0_ETA1_Q43_D3, I1_ETA1_Q43_D3, LGAMMA_ONE_SIXTH, mp_theta_integral
 from fastsphere import quadrature
-from fastsphere.errors import InvalidParamError, NotIntegrableError, ToleranceNotMetError
+from fastsphere.equilibria import _zeta_floor
+from fastsphere.errors import (
+    FastSphereError,
+    InvalidParamError,
+    NotIntegrableError,
+    ToleranceNotMetError,
+)
 from fastsphere.quadrature import (
     ThetaIntegralSpec,
     eta1_closed_form,
@@ -73,6 +80,68 @@ def test_fused_moments_at_eta_one_match_closed_form(d, m):
     assert i0 == pytest.approx(eta1_closed_form(q, 0, d), rel=1e-10)
     assert i1 == pytest.approx(eta1_closed_form(q, 1, d), rel=1e-10)
     assert i_ent == pytest.approx(eta1_closed_form(q + 1.0, 0, d), rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "d, m, zeta, levels",
+    [
+        (5, 0.3, 1e-40, 28),
+        (5, 0.3, 1e-120, 28),
+        (5, 0.3, 1e-250, 28),
+        (3, 0.25, 1e-120, 180),
+        (3, 0.25, 1e-250, 180),
+    ],
+)
+def test_seed_stops_at_the_eta_one_cutoff(d, m, zeta, levels):
+    # below the eta = 1 cutoff the integrand holds under 1e-18 of its total,
+    # so the dyadic seed stops there however far below it sqrt(zeta) lies
+    q = 1.0 / (m - 1.0)
+    edges, _, _ = quadrature._seed_mesh(zeta, q, d)
+    assert edges.size - 2 == levels  # dyadic levels below pi/2, plus [0, first edge]
+    moments = quadrature._integral(zeta, q, d, 1e-10)
+    for value, (qq, p) in zip(moments, ((q, 0), (q, 1), (q + 1.0, 0))):
+        assert value == pytest.approx(eta1_closed_form(qq, p, d), rel=1e-12)
+
+
+def batched_and_scalar(q, d, zetas):
+    """quadrature._integrals over zetas, and _integral (or its error) at each."""
+    quadrature._integral.cache_clear()
+    batched = quadrature._integrals(zetas, q, d, 1e-10)
+    assert quadrature._integral.cache_info().currsize == 0  # nothing enters the cache
+    scalar = []
+    for zeta in zetas:
+        try:
+            scalar.append(quadrature._integral(zeta, q, d, 1e-10))
+        except FastSphereError as exc:
+            scalar.append(exc)
+    quadrature._integral.cache_clear()
+    return batched, scalar
+
+
+@pytest.mark.parametrize("d, m", [(2, 0.5), (3, 0.25), (5, 0.3), (8, 0.74999)])
+def test_batched_integrals_equal_the_scalar_kernel(d, m):
+    # many seed meshes per batch, several batches, eta = 1 meshes in between
+    q = 1.0 / (m - 1.0)
+    zetas = [float(z) for z in np.geomspace(_zeta_floor(q, d), 1e9, 60)]
+    zetas[7:7] = [0.0, 0.0]
+    zetas[31:31] = [0.0, 3.3e-4, 3.3e-4]
+    batched, scalar = batched_and_scalar(q, d, zetas)
+    for got, expected in zip(batched, scalar):
+        if isinstance(expected, FastSphereError):
+            assert type(got) is type(expected)
+            assert got.__traceback__ is None
+        else:
+            assert got == expected
+
+
+def test_batched_integrals_fail_item_by_item(monkeypatch):
+    # with a tiny panel budget the deep seeds fail, the shallow ones pass
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 12)
+    q, d = 1.0 / (0.3 - 1.0), 5
+    batched, scalar = batched_and_scalar(q, d, [1e-30, 2.0, 1e-3, 0.0, 1e9, 1e-200])
+    assert [type(r) for r in batched] == [type(r) for r in scalar]
+    assert {type(r) for r in batched} == {tuple, ToleranceNotMetError}
+    assert [r for r in batched if type(r) is tuple] == [r for r in scalar if type(r) is tuple]
 
 
 def test_one_cache_miss_serves_all_three_moments():

@@ -2,8 +2,8 @@ import math
 
 import pytest
 
-from fastsphere.errors import BracketFailureError
-from fastsphere.solvers import bracketed_root
+from fastsphere.errors import BracketFailureError, ToleranceNotMetError
+from fastsphere.solvers import bracketed_root, lockstep_roots
 
 
 def test_simple_root():
@@ -52,3 +52,67 @@ def test_no_one_sided_creep_on_wide_convex_bracket():
     assert abs(f(root)) <= 1e-13
     assert root == pytest.approx(100.0 * math.log(1.001), abs=1e-8)
     assert evals < 150
+
+
+# (f, lo, hi, residual_tol, width_tol): the problems above, solved side by side
+PROBLEMS = [
+    (math.cos, 0.0, 3.0, 1e-14, 1e-14),
+    (lambda x: x, 0.0, 1.0, 1e-14, 1e-14),
+    (lambda x: x**9 - 1e-6, 0.0, 2.0, 0.0, 1e-15),
+    (lambda x: -1.0 if x < 1.0 else 1.0, 0.0, 2.0, 1e-30, 1e-12),
+    (lambda x: math.exp(x / 100.0) - 1.001, -600.0, 20.0, 1e-13, 1e-13),
+]
+
+
+def lockstep(fs, brackets, **tols):
+    """lockstep_roots over per-item residuals, recording each round's asks."""
+    rounds = []
+
+    def residuals(asks):
+        rounds.append(asks)
+        values = []
+        for item, x in asks:
+            try:
+                values.append(fs[item](x))
+            except ToleranceNotMetError as exc:
+                values.append(exc)
+        return values
+
+    return lockstep_roots(residuals, brackets, **tols), rounds
+
+
+@pytest.mark.parametrize("f, lo, hi, residual_tol, width_tol", PROBLEMS)
+def test_lockstep_matches_bracketed_root(f, lo, hi, residual_tol, width_tol):
+    tols = dict(residual_tol=residual_tol, width_tol=width_tol)
+    roots, rounds = lockstep([f, f], [(lo, hi), (lo, hi)], **tols)
+    assert roots == [bracketed_root(f, lo, hi, **tols)] * 2
+    # one residual call per round serves both solves
+    assert all(len(asks) == 2 for asks in rounds)
+
+
+def test_lockstep_runs_different_problems_together():
+    fs = [p[0] for p in PROBLEMS[2:]]
+    brackets = [(p[1], p[2]) for p in PROBLEMS[2:]]
+    tols = dict(residual_tol=1e-13, width_tol=1e-14)
+    roots, _ = lockstep(fs, brackets, **tols)
+    assert roots == [bracketed_root(f, lo, hi, **tols) for f, (lo, hi) in zip(fs, brackets)]
+
+
+def test_lockstep_failures_stay_with_their_item():
+    def flaky(x):
+        if x > 1.0:
+            raise ToleranceNotMetError("injected residual failure")
+        return x - 0.5
+
+    fs = [math.cos, lambda x: 1.0 + x * x, flaky, math.cos]
+    brackets = [(0.0, 3.0), (-1.0, 1.0), (0.0, 2.0), (2.0, 1.0)]
+    roots, rounds = lockstep(fs, brackets)
+    assert roots[0] == bracketed_root(math.cos, 0.0, 3.0)
+    assert isinstance(roots[1], BracketFailureError)
+    assert "no sign change" in str(roots[1])
+    assert isinstance(roots[2], ToleranceNotMetError)
+    assert isinstance(roots[3], BracketFailureError)
+    assert all(exc.__traceback__ is None for exc in roots[1:])
+    # the failed items leave the rounds, the cosine solve goes on alone
+    assert {item for item, _ in rounds[-1]} == {0}
+
