@@ -27,26 +27,31 @@ SWEEPS = {
     "case_iii.csv": dict(d=5, m=0.3, lo=15.0, hi=22.0, steps=141),
 }
 
-for name, spec in SWEEPS.items():
-    crit = critical_set(spec["d"], spec["m"])
-    print(f"{name}: d={spec['d']}, m={spec['m']}")
-    print(f"  kappa1 = {crit.kappa1:.6f}")
-    if crit.kappa2 is not None:
-        print(f"  kappa2 = {crit.kappa2:.6f}")
-    if crit.kappa3 is not None:
-        print(f"  kappa3 = {crit.kappa3:.6f}  (fold; alpha_bar = {crit.alpha_bar:.6f})")
-    if crit.kappa_c is not None:
-        print(f"  kappa_c = {crit.kappa_c:.6f}  (ground state switches here)")
-    out = HERE / name
-    main(
-        [
-            "sweep",
-            "--d", str(spec["d"]),
-            "--m", str(spec["m"]),
-            "--kappa-min", str(spec["lo"]),
-            "--kappa-max", str(spec["hi"]),
-            "--steps", str(spec["steps"]),
-            "--out", str(out),
-        ]
-    )
-    print(f"  wrote {out}")
+
+def sweep_argv(spec: dict, out) -> list[str]:
+    """fastsphere sweep arguments that write the demo sweep of spec to out."""
+    return [
+        "sweep",
+        "--d", str(spec["d"]),
+        "--m", str(spec["m"]),
+        "--kappa-min", str(spec["lo"]),
+        "--kappa-max", str(spec["hi"]),
+        "--steps", str(spec["steps"]),
+        "--out", str(out),
+    ]
+
+
+if __name__ == "__main__":
+    for name, spec in SWEEPS.items():
+        crit = critical_set(spec["d"], spec["m"])
+        print(f"{name}: d={spec['d']}, m={spec['m']}")
+        print(f"  kappa1 = {crit.kappa1:.6f}")
+        if crit.kappa2 is not None:
+            print(f"  kappa2 = {crit.kappa2:.6f}")
+        if crit.kappa3 is not None:
+            print(f"  kappa3 = {crit.kappa3:.6f}  (fold; alpha_bar = {crit.alpha_bar:.6f})")
+        if crit.kappa_c is not None:
+            print(f"  kappa_c = {crit.kappa_c:.6f}  (ground state switches here)")
+        out = HERE / name
+        main(sweep_argv(spec, out))
+        print(f"  wrote {out}")

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage or parameter error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -275,9 +276,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built once per process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except FastSphereError as exc:

@@ -84,8 +84,11 @@ def energy_uniform(kappa: float, d, m: float) -> float:
 
 
 def _branch_energy_gain_zeta(zeta: float, d: int, m: float, rel_tol: float) -> float:
-    q = 1.0 / (m - 1.0)
-    i0, i1, i_ent = _integral(zeta, q, d, rel_tol)  # i_ent: exponent m/(m-1)
+    return _branch_energy_gain_of(*_integral(zeta, 1.0 / (m - 1.0), d, rel_tol), d, m)
+
+
+def _branch_energy_gain_of(i0: float, i1: float, i_ent: float, d: int, m: float) -> float:
+    """g1 * g2 from the moments at eta (i_ent: exponent m/(m-1))."""
     dwd = sphere_geometry(d).area_sdm1
     g1 = m * i1 + 2.0 * i_ent
     g2 = 1.0 / (2.0 * (1.0 - m) * dwd ** (m - 1.0) * i0**m)
@@ -115,16 +118,18 @@ def energy_fully_supported(
     """Energy of a fully supported state, by direct quadrature.
 
     Also evaluated through kappa/2 - g1 g2; the two routes must agree to
-    1e-8 relative or the internal state is inconsistent.
+    1e-8 relative or the internal state is inconsistent.  Both take the
+    moments the state carries from its solve, or compute them at rel_tol
+    when it carries none.
     """
     validate_params(d, m)
     d = int(d)
-    q = 1.0 / (m - 1.0)
+    i0, i1, i_ent = state.moments or _integral(state.eta_minus_1, 1.0 / (m - 1.0), d, rel_tol)
     pref = (m / ((1.0 - m) * state.kappa * state.s)) ** (1.0 / (1.0 - m))
     dwd = sphere_geometry(d).area_sdm1
-    entropy = dwd * pref**m * _integral(state.eta_minus_1, q, d, rel_tol)[2]
+    entropy = dwd * pref**m * i_ent
     direct = entropy / (m - 1.0) - 0.5 * state.kappa * state.s**2 + 0.5 * state.kappa
-    identity = 0.5 * state.kappa - _branch_energy_gain_zeta(state.eta_minus_1, d, m, rel_tol)
+    identity = 0.5 * state.kappa - _branch_energy_gain_of(i0, i1, i_ent, d, m)
     if abs(direct - identity) > _CROSS_CHECK_TOL * max(1.0, abs(direct)):
         raise FastSphereError(
             f"energy cross-check failed at kappa={state.kappa!r}: "

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     FastSphereError,
@@ -56,7 +56,9 @@ class FullySupportedState:
     """One point of the fully supported branch at interaction strength kappa.
 
     eta_minus_1 carries the shape parameter at full relative precision;
-    eta = 1 + eta_minus_1 is kept for reporting.
+    eta = 1 + eta_minus_1 is kept for reporting.  moments holds the mass,
+    moment and entropy integrals (i0, i1, i_ent) at eta that the state was
+    solved with, so that its energy needs no second quadrature.
     """
 
     kappa: float
@@ -64,6 +66,7 @@ class FullySupportedState:
     s: float  # centre-of-mass norm, in (0, 1)
     lambda_: float  # multiplier, equal to -kappa * s * eta
     eta_minus_1: float
+    moments: tuple[float, float, float] | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -247,13 +250,14 @@ def fully_supported_state(
     validate_params(d, m, kappa)
     kappa = float(kappa)
     zeta = _solve_zeta(kappa, int(d), m, rel_tol, root_tol)
-    return _state(kappa, zeta, _com_norm_zeta(zeta, int(d), m, rel_tol))
+    return _state(kappa, zeta, _integral(zeta, _q_exponent(m), int(d), rel_tol))
 
 
-def _state(kappa: float, zeta: float, s: float) -> FullySupportedState:
+def _state(kappa: float, zeta: float, moments: tuple[float, float, float]) -> FullySupportedState:
     eta = 1.0 + zeta
+    s = moments[1] / moments[0]
     return FullySupportedState(
-        kappa=kappa, eta=eta, s=s, lambda_=-kappa * s * eta, eta_minus_1=zeta
+        kappa=kappa, eta=eta, s=s, lambda_=-kappa * s * eta, eta_minus_1=zeta, moments=moments
     )
 
 
@@ -319,8 +323,7 @@ def fully_supported_states(
             results[i] = y
             continue
         zeta = math.exp(y)
-        i0, i1, _ = moments[zeta]
-        results[i] = _state(kappa, zeta, i1 / i0)
+        results[i] = _state(kappa, zeta, moments[zeta])
     return results
 
 

@@ -51,12 +51,24 @@ and the whole contiguous span from the first to the last marked panel is
 bisected in one batch.  The seed mesh usually meets the tolerance at once,
 so one integral costs about one batch.
 
+Every seed panel is a rung of one dyadic ladder: [pi/2 * 2^-(k+1), pi/2 *
+2^-k], or a bottom panel [0, pi/2 * 2^-n].  Its nodes, and everything the
+integrand needs of the angle alone (1 - cos t and log sin t), are the same
+at every zeta, so a table of them (_ladder) is built on first use, down to
+the deepest level a seed can reach, and every seed panel takes its basis
+from it by index; only the panels that refinement bisects compute it.
+
 A batch of a few panels costs mostly fixed numpy overhead, so callers
 that need many integrals at once (the branch solves of a sweep, run in
-lockstep) use _integrals: it lays the seed meshes of many zetas end to
-end, with zeta given per panel, and integrates up to _BATCH_NODES nodes in
-one batch; only the few seeds that miss the tolerance are refined one by
-one.  Every panel and every per-mesh sum is computed in the same order in
+lockstep) use _integrals: _seed_pass lays the seed meshes of many zetas
+end to end, alternately upwards and downwards so that neighbours share an
+edge, with each panel's ladder index and zeta found by index arithmetic
+(no Python loop per mesh), and integrates up to _BATCH_NODES nodes in one
+batch; only the few seeds that miss the tolerance are refined one by one.
+The eta = 1 meshes go last, where they share their common lowest edge, so
+no panel is ever spent bridging two meshes, and one gather puts every
+downward mesh back in increasing order for its sums.
+Every panel and every per-mesh sum is computed in the same order in
 either route, so _integrals returns exactly what _integral would.
 
 At eta = 1 the full integrals also have exact Gamma-function values
@@ -69,6 +81,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -159,14 +172,18 @@ def _check_spec(eta: float, q: float, p: int, d) -> tuple[float, float, int, int
     if not math.isfinite(q):
         raise InvalidParamError(f"exponent q must be finite, got {q!r}")
     if eta == 1.0 and 2.0 * q + d <= 0.0:
-        raise NotIntegrableError(
-            f"(1 - cos t)^q sin^(d-1) t diverges at t = 0 for q={q!r}, d={d}: "
-            f"need 2q + d - 1 > -1"
-        )
+        raise _not_integrable(q, d)
     return eta, q, int(p), d
 
 
-def _folded_integrand(theta: np.ndarray, zeta, q: float, d: int) -> np.ndarray:
+def _angle_basis(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """1 - cos(theta) and log(sin(theta)): what the integrand needs of theta."""
+    half = np.sin(0.5 * theta)
+    v = 2.0 * half * half  # 1 - cos(theta), no cancellation
+    return v, np.log(np.sin(theta))
+
+
+def _folded_integrand(theta: np.ndarray, zeta, q: float, d: int, basis=None) -> np.ndarray:
     """Folded mass, moment and entropy integrands on (0, pi/2] at eta = 1 + zeta.
 
     Returns the integrands of I(eta, q, 0), I(eta, q, 1) and I(eta, q + 1, 0)
@@ -174,26 +191,38 @@ def _folded_integrand(theta: np.ndarray, zeta, q: float, d: int) -> np.ndarray:
     and exp values.  Parametrized by zeta = eta - 1 so callers tracking the
     branch close to eta = 1 keep full relative precision; zeta is a float or
     an array that broadcasts against theta (one zeta per node).  theta must
-    not contain 0 where zeta = 0.
+    not contain 0 where zeta = 0.  basis is _angle_basis(theta) when the
+    caller already has it (the seed ladder does).
     """
-    half = np.sin(0.5 * theta)
-    v = 2.0 * half * half  # 1 - cos(theta), no cancellation
+    v, log_sin = _angle_basis(theta) if basis is None else basis
     cos_t = 1.0 - v
     a1 = zeta + v
     a2 = (2.0 + zeta) - v
     log_a1 = np.log(a1)
     log_a2 = np.log(a2)
-    log_weight = (d - 1) * np.log(np.sin(theta)) if d > 1 else 0.0
-    e1 = np.exp(q * log_a1 + log_weight)
-    e2 = np.exp(q * log_a2 + log_weight)
     # log(a1/a2) two ways: 1 + z with z = -2 cos(t)/a2 is exact algebra but
     # loses v once cos(t) rounds to 1, so it is only used where the ratio is
     # close to 1 (and the plain log difference would cancel).
     z = -2.0 * cos_t / a2
     y = q * np.where(z > -0.5, np.log1p(np.maximum(z, -0.75)), log_a1 - log_a2)
+    log_weight = (d - 1) * log_sin if d > 1 else 0.0
+    e1 = np.exp(q * log_a1 + log_weight)
+    e2 = np.exp(q * log_a2 + log_weight)
+    del z, log_a1, log_a2, log_weight  # lowers the peak memory of a full batch
     # a1^q dwarfs a2^q where y > 700; expm1 would overflow there
     moment = np.where(y > 700.0, e1 - e2, e2 * np.expm1(np.minimum(y, 700.0)))
-    return np.stack((e1 + e2, moment * cos_t, e1 * a1 + e2 * a2))
+    # written into one array: stacking fresh temporaries costs several times more
+    out = np.empty((3,) + e1.shape)
+    np.add(e1, e2, out=out[0])
+    np.multiply(moment, cos_t, out=out[1])
+    np.add(e1 * a1, e2 * a2, out=out[2])
+    return out
+
+
+def _panel_nodes(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Half widths of the panels [a, b] (either way round) and their 15 nodes, one row each."""
+    h = 0.5 * np.abs(b - a)
+    return h, (0.5 * (b + a))[:, None] + h[:, None] * _NODES
 
 
 def _kronrod_batch(f, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -206,9 +235,8 @@ def _kronrod_batch(f, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a fixed order (a BLAS matrix-vector product would not keep to one), so
     its values do not depend on the other panels of the batch.
     """
-    c = 0.5 * (bounds[1:] + bounds[:-1])
-    h = 0.5 * np.abs(bounds[1:] - bounds[:-1])
-    fv = f(c[:, None] + h[:, None] * _NODES)
+    h, nodes = _panel_nodes(bounds[:-1], bounds[1:])
+    fv = f(nodes)
     kronrod = np.einsum("...j,j->...", fv, _W_KRONROD)
     return h * kronrod, h * np.abs(np.einsum("...j,j->...", fv, _W_ERROR))
 
@@ -314,21 +342,37 @@ def _eta1_cutoff(q: float, d: int) -> float:
     return min(max(cut, _MIN_CUT), _HALF_PI / 16.0)
 
 
+def _seed_cut(q: float, d: int) -> float:
+    """Lowest angle a seed mesh needs at any zeta: the eta = 1 cutoff where 2q + d > 0, else 0."""
+    # what the eta = 1 integrand leaves below the cutoff is negligible, and
+    # for eta > 1 it is smaller still
+    return _eta1_cutoff(q, d) if 2.0 * q + d > 0.0 else 0.0
+
+
+def _seed_levels(zeta, cut: float):
+    """Dyadic levels n of the seed at zeta (a float or an array, cut > 0 where zeta = 0).
+
+    n = ceil(log2(pi/2 / low)), at least 0, where low = max(sqrt(zeta)/2, cut):
+    pi/2 * 2^-n is the highest dyadic edge at or below low.  Read off the
+    binary exponent, so it is exact.
+    """
+    mantissa, exponent = np.frexp(_HALF_PI / np.maximum(_SPIKE_FRACTION * np.sqrt(zeta), cut))
+    return np.maximum(exponent - (mantissa == 0.5), 0)
+
+
+def _not_integrable(q: float, d: int) -> NotIntegrableError:
+    return NotIntegrableError(
+        f"(1 - cos t)^q sin^(d-1) t diverges at t = 0 for q={q!r}, d={d}: "
+        f"need 2q + d - 1 > -1"
+    )
+
+
 def _seed_mesh(zeta: float, q: float, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Seed edges at eta = 1 + zeta, with the closed-form tail below them and its error budget."""
-    if 2.0 * q + d > 0.0:
-        # what the eta = 1 integrand leaves below the cutoff is negligible,
-        # and for eta > 1 it is smaller still
-        cut = _eta1_cutoff(q, d)
-    elif zeta == 0.0:
-        raise NotIntegrableError(
-            f"(1 - cos t)^q sin^(d-1) t diverges at t = 0 for q={q!r}, d={d}: "
-            f"need 2q + d - 1 > -1"
-        )
-    else:
-        cut = 0.0
-    low = max(_SPIKE_FRACTION * math.sqrt(zeta), cut)
-    n = max(math.ceil(math.log2(_HALF_PI / low)), 0)
+    cut = _seed_cut(q, d)
+    if zeta == 0.0 and cut == 0.0:
+        raise _not_integrable(q, d)
+    n = int(_seed_levels(zeta, cut))
     if zeta > 0.0:
         # below the spike the integrand is analytic: one panel down to 0
         edges = np.ldexp(_HALF_PI, np.arange(-n - 1, 1))
@@ -339,84 +383,151 @@ def _seed_mesh(zeta: float, q: float, d: int) -> tuple[np.ndarray, np.ndarray, n
     return (edges, *_eta1_tail(q, d, float(edges[0])))
 
 
-@lru_cache(maxsize=65536)
-def _integral(zeta: float, q: float, d: int, rel_tol: float) -> tuple[float, float, float]:
-    """(I(eta, q, 0), I(eta, q, 1), I(eta, q + 1, 0)) at eta = 1 + zeta, keyed by zeta exactly."""
-    edges, tail, tail_err = _seed_mesh(zeta, q, d)
-    f = lambda t: _folded_integrand(t, zeta, q, d)
-    values, errors = _kronrod_batch(f, edges)
-    return tuple(_refine(f, edges, values, errors, rel_tol, tail, tail_err).tolist())
+class _Ladder(NamedTuple):
+    """Every panel a seed mesh can hold, with the angle-only basis at its nodes.
+
+    Panel i < depth is the dyadic panel [pi/2 * 2^(i - depth), pi/2 *
+    2^(i + 1 - depth)], so the n dyadic panels of a seed are the slice
+    [depth - n, depth) in increasing order; panel depth + n is the bottom
+    panel [0, pi/2 * 2^-n] of a zeta > 0 seed with n levels.
+    """
+
+    depth: int
+    lo: np.ndarray  # lower edge of every panel
+    hi: np.ndarray  # upper edge of every panel
+    basis: tuple  # _angle_basis at every node, each part of shape (panels, 15)
+
+
+@lru_cache(maxsize=1)
+def _ladder() -> _Ladder:
+    """The seed panel table, built on first use.
+
+    It reaches the deepest level any seed can have, that of the smallest
+    positive zeta with no cutoff (539 levels, about 0.28 MB in all).
+    """
+    depth = int(_seed_levels(math.ulp(0.0), 0.0))
+    tops = np.ldexp(_HALF_PI, np.arange(-depth, 1))
+    lo = np.concatenate((tops[:-1], np.zeros(depth + 1)))
+    hi = np.concatenate((tops[1:], tops[::-1]))
+    basis = np.empty((2, lo.size, _NODES.size))
+    for k in range(0, lo.size, 64):  # a few panels at a time, to keep the build small
+        basis[:, k : k + 64] = _angle_basis(_panel_nodes(lo[k : k + 64], hi[k : k + 64])[1])
+    for table in (lo, hi, basis):  # shared by every caller
+        table.setflags(write=False)
+    return _Ladder(depth, lo, hi, tuple(basis))
+
+
+def _seed_pass(zeta: np.ndarray, levels: np.ndarray, q: float, d: int):
+    """One Gauss-Kronrod batch over the seed meshes of zeta, which have the given levels.
+
+    The meshes are laid end to end as one edge array, alternately upwards
+    and downwards so that neighbours share their end edge: pi/2, 0, or the
+    lowest edge of two eta = 1 meshes, which must come last (they all have
+    the same levels).  The last zeta > 0 mesh runs upwards.  Each node takes
+    its zeta and its angle-only basis by index from the ladder table.
+
+    Returns the Kronrod values and estimates of every mesh's panels, mesh
+    after mesh and each in increasing order, and the first panel and the
+    number of panels of each mesh.
+    """
+    ladder = _ladder()
+    depth = ladder.depth
+    bottom = zeta > 0.0
+    panels = levels + bottom
+    starts = np.cumsum(panels) - panels
+    mesh = np.repeat(np.arange(zeta.size), panels)  # mesh of each laid panel
+    at = np.arange(mesh.size) - starts[mesh]  # its place in its mesh, as laid
+    upward = (np.count_nonzero(bottom) - 1 - mesh) % 2 == 0
+    # the place in increasing order; the map is its own inverse
+    rank = np.where(upward, at, panels[mesh] - 1 - at)
+    n, has_bottom = levels[mesh], bottom[mesh]
+    panel = np.where(has_bottom & (rank == 0), depth + n, depth - n + rank - has_bottom)
+    lo, hi = ladder.lo[panel], ladder.hi[panel]
+    edges = np.concatenate((np.where(upward[:1], lo[:1], hi[:1]), np.where(upward, hi, lo)))
+    zeta_col = zeta[mesh][:, None]
+    basis = [part.take(panel, 0) for part in ladder.basis]
+    values, errors = _kronrod_batch(
+        lambda t: _folded_integrand(t, zeta_col, q, d, basis), edges
+    )
+    order = starts[mesh] + rank
+    return values[:, order], errors[:, order], starts, panels
 
 
 def _integrals(zetas, q: float, d: int, rel_tol: float) -> list:
     """_integral at each of zetas, with all the seed meshes integrated together.
 
-    The seed meshes are laid end to end as one edge array, every other one
-    reversed so that neighbours share their end edge (0 or pi/2), and cut
-    into batches of at most _BATCH_NODES nodes with zeta given per panel.  A
-    seed that misses rel_tol is refined on its own, from its batch values.
-    Each entry is the (i0, i1, i_ent) tuple, equal to _integral's, or the
-    FastSphereError that zeta raised, without its traceback.  Nothing enters
-    _integral's cache.
+    The seed meshes are cut, zeta > 0 first and zeta = 0 last, into batches
+    of at most _BATCH_NODES nodes, and each batch is one _seed_pass.  A seed
+    that misses rel_tol is refined on its own, from its batch values.  Each
+    entry is the (i0, i1, i_ent) tuple or the FastSphereError that zeta
+    raises, without a traceback.  Nothing enters _integral's cache.
     """
-    results = [None] * len(zetas)
-    group, nodes = [], 0
-    for i, zeta in enumerate(zetas):
-        try:
-            seed = _seed_mesh(zeta, q, d)
-        except FastSphereError as exc:
-            results[i] = exc.with_traceback(None)
-            continue
-        size = _NODES.size * (seed[0].size - 1)
-        if group and nodes + size > _BATCH_NODES:
-            _integrate_group(group, q, d, rel_tol, results)
-            group, nodes = [], 0
-        group.append((i, zeta, *seed))
-        nodes += size
-    if group:
-        _integrate_group(group, q, d, rel_tol, results)
+    zeta = np.array(zetas, dtype=float)
+    results = [None] * zeta.size
+    cut = _seed_cut(q, d)
+    items = range(zeta.size)
+    tail = np.zeros((2, 3, 1))  # the eta = 1 tail and its error budget
+    if not zeta.all():
+        items = np.argsort(zeta == 0.0, kind="stable")
+        positive = np.count_nonzero(zeta)
+        if cut == 0.0:
+            for i in items[positive:].tolist():
+                results[i] = _not_integrable(q, d)
+            items = items[:positive]
+        else:
+            tail = np.array(_seed_mesh(0.0, q, d)[1:])[:, :, None]
+        zeta = zeta[items]
+        items = items.tolist()
+    levels = _seed_levels(zeta, cut)
+    ends = np.cumsum(levels + (zeta > 0.0))  # in panels
+    first = 0
+    while first < zeta.size:
+        room = (ends[first - 1] if first else 0) + _BATCH_NODES // _NODES.size
+        last = max(int(np.searchsorted(ends, room, "right")), first + 1)
+        batch = zeta[first:last]
+        values, errors, starts, panels = _seed_pass(batch, levels[first:last], q, d)
+        offset = np.where(batch == 0.0, tail, 0.0)
+        totals = offset[0] + _run_sums(values, starts)
+        err = offset[1] + _run_sums(errors, starts)
+        met = ((err <= rel_tol * np.abs(totals)).all(axis=0) & (panels <= _MAX_PANELS)).tolist()
+        for k, total in enumerate(totals.T.tolist()):
+            i = items[first + k]
+            if met[k]:
+                results[i] = tuple(total)
+                continue
+            span = slice(starts[k], starts[k] + panels[k])
+            try:
+                results[i] = _refine_seed(
+                    float(batch[k]), q, d, rel_tol, values[:, span], errors[:, span]
+                )
+            except FastSphereError as exc:
+                results[i] = exc.with_traceback(None)
+        first = last
     return results
 
 
-def _integrate_group(group, q: float, d: int, rel_tol: float, results: list) -> None:
-    """One batch over the seed meshes of group; a mesh that misses rel_tol is refined alone."""
-    parts, panel_zeta, ascending, sizes = [], [], [], []
-    for k, (_, zeta, edges, _, _) in enumerate(group):
-        n = edges.size - 1
-        sizes.append(n)
-        if k % 2:
-            edges = edges[::-1]
-        if parts and parts[-1][-1] == edges[0]:
-            edges = edges[1:]
-        elif parts:
-            panel_zeta.append(zeta)  # bridges meshes that do not meet; dropped
-        positions = np.arange(len(panel_zeta), len(panel_zeta) + n)
-        ascending.append(positions[::-1] if k % 2 else positions)
-        panel_zeta.extend([zeta] * n)
-        parts.append(edges)
-    zeta_col = np.array(panel_zeta)[:, None]
-    values, errors = _kronrod_batch(
-        lambda t: _folded_integrand(t, zeta_col, q, d), np.concatenate(parts)
-    )
-    # every mesh's panels in increasing order, mesh after mesh
-    order = np.concatenate(ascending)
-    values, errors = values[:, order], errors[:, order]
-    starts = np.cumsum([0] + sizes[:-1])
-    totals = np.array([tail for *_, tail, _ in group]).T + _run_sums(values, starts)
-    err = np.array([floor for *_, floor in group]).T + _run_sums(errors, starts)
-    met = (err <= rel_tol * np.abs(totals)).all(axis=0).tolist()
-    for k, (i, zeta, edges, tail, tail_err) in enumerate(group):
-        if met[k] and sizes[k] <= _MAX_PANELS:
-            results[i] = tuple(totals[:, k].tolist())
-            continue
-        span = slice(starts[k], starts[k] + sizes[k])
-        f = lambda t: _folded_integrand(t, zeta, q, d)
-        try:
-            total = _refine(f, edges, values[:, span], errors[:, span], rel_tol, tail, tail_err)
-        except FastSphereError as exc:
-            results[i] = exc.with_traceback(None)
-        else:
-            results[i] = tuple(total.tolist())
+def _refine_seed(zeta: float, q: float, d: int, rel_tol: float, values, errors) -> tuple:
+    """_refine from the seed mesh at zeta, given its panels' values and estimates."""
+    edges, tail, tail_err = _seed_mesh(zeta, q, d)
+    f = lambda t: _folded_integrand(t, zeta, q, d)
+    return tuple(_refine(f, edges, values, errors, rel_tol, tail, tail_err).tolist())
+
+
+@lru_cache(maxsize=65536)
+def _integral(zeta: float, q: float, d: int, rel_tol: float) -> tuple[float, float, float]:
+    """(I(eta, q, 0), I(eta, q, 1), I(eta, q + 1, 0)) at eta = 1 + zeta, keyed by zeta exactly."""
+    edges, tail, tail_err = _seed_mesh(zeta, q, d)
+    # one mesh needs none of _seed_pass's layout, whose index arithmetic
+    # would cost more than the integrand here: its panels in the ladder are
+    # the bottom one (zeta > 0), then the dyadic ones, in increasing order
+    ladder = _ladder()
+    panel = np.arange(ladder.depth + 1 - edges.size, ladder.depth)
+    if zeta > 0.0:
+        panel[0] = ladder.depth + edges.size - 2
+    basis = [part.take(panel, 0) for part in ladder.basis]
+    values, errors = _kronrod_batch(lambda t: _folded_integrand(t, zeta, q, d, basis), edges)
+    f = lambda t: _folded_integrand(t, zeta, q, d)
+    return tuple(_refine(f, edges, values, errors, rel_tol, tail, tail_err).tolist())
 
 
 def theta_integral(spec: ThetaIntegralSpec, rel_tol: float = DEFAULT_REL_TOL) -> float:

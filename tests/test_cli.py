@@ -1,14 +1,20 @@
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fastsphere import cli
 from fastsphere import equilibria as eq
 from fastsphere import quadrature
 from fastsphere.cli import main
 from fastsphere.errors import BracketFailureError
 from fastsphere.model import sphere_geometry
+
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
 def run(capsys, *argv):
@@ -221,6 +227,49 @@ class TestSweepWork:
         quadrature._integral.cache_clear()
         assert code == 0 and err == ""
         assert batches <= per_kappa_batches / 4
+
+
+    def test_cold_sweep_computes_one_integral(self, capsys):
+        # the sweep's branch solves run through the batched seed pass, and
+        # each root's energy takes the moments of its solve; only the rho_bar
+        # entropy integral behind kappa_c and the singular energies is left
+        quadrature._integral.cache_clear()
+        code, _, err = run(
+            capsys,
+            "sweep", "--d", "5", "--m", "0.3",
+            "--kappa-min", "15", "--kappa-max", "22", "--steps", "41",
+        )
+        misses = quadrature._integral.cache_info().misses
+        quadrature._integral.cache_clear()
+        assert code == 0 and err == ""
+        assert misses <= 1
+
+
+class TestDemoSweeps:
+    def test_demo_csvs_are_reproduced_byte_for_byte(self, tmp_path):
+        # the three bifurcation diagrams of demos/bifurcation_diagram.py
+        demo = DEMOS / "bifurcation_diagram.py"
+        spec = importlib.util.spec_from_file_location("bifurcation_diagram", demo)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        for name, sweep in module.SWEEPS.items():
+            assert main(module.sweep_argv(sweep, tmp_path / name)) == 0
+            assert (tmp_path / name).read_bytes() == (DEMOS / name).read_bytes(), name
+
+
+class TestParser:
+    def test_main_builds_its_parser_once(self, capsys, monkeypatch):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        try:
+            for _ in range(3):
+                assert run(capsys, "critical", "--d", "5", "--m", "0.3")[0] == 0
+        finally:
+            cli._parser.cache_clear()
+        assert built == [1]
+        assert build() is not build()
 
 
 class TestProfile:

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 
@@ -20,6 +21,7 @@ from conftest import (
 )
 from fastsphere import energy as en
 from fastsphere import equilibria as eq
+from fastsphere import quadrature
 from fastsphere.errors import (
     BracketFailureError,
     FastSphereError,
@@ -180,6 +182,25 @@ class TestFullySupportedStates:
                 en.energy_fully_supported(expected, d, m), rel=1e-12
             )
         assert solved >= 13
+
+    @pytest.mark.parametrize("d, m", REFERENCE_PAIRS)
+    def test_energy_takes_the_moments_of_the_solve(self, monkeypatch, d, m):
+        # both energy routes use the moments the lockstep solve held, so the
+        # energy at a root needs no second quadrature and is unchanged
+        states = eq.fully_supported_states(self.grid(d, m), d, m)
+        states = [s for s in states if not isinstance(s, FastSphereError)]
+        expected = [
+            en.energy_fully_supported(dataclasses.replace(s, moments=None), d, m) for s in states
+        ]
+        q = 1.0 / (m - 1.0)
+        for state in states:
+            assert state.moments == quadrature._integral(state.eta_minus_1, q, d, 1e-10)
+
+        def no_integral(*args):
+            raise AssertionError("the energy recomputed the moments")
+
+        monkeypatch.setattr(en, "_integral", no_integral)
+        assert [en.energy_fully_supported(s, d, m) for s in states] == expected
 
     def test_invalid_kappa_fails_alone(self):
         states = eq.fully_supported_states([-1.0, math.nan, 8.0], 2, 0.5)

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -142,6 +145,121 @@ def test_batched_integrals_fail_item_by_item(monkeypatch):
     assert [type(r) for r in batched] == [type(r) for r in scalar]
     assert {type(r) for r in batched} == {tuple, ToleranceNotMetError}
     assert [r for r in batched if type(r) is tuple] == [r for r in scalar if type(r) is tuple]
+
+
+def seed_reference(zeta, q, d, rel_tol=1e-10):
+    """The seed of zeta as _seed_mesh defines it, integrated with the basis computed at its nodes.
+
+    Returns the edges, the panel values and estimates of the one batch, and
+    the (i0, i1, i_ent) that _refine makes of them, or the type of its error.
+    """
+    edges, tail, tail_err = quadrature._seed_mesh(zeta, q, d)
+    f = lambda t: quadrature._folded_integrand(t, zeta, q, d)
+    values, errors = quadrature._kronrod_batch(f, edges)
+
+    def refined():
+        return tuple(quadrature._refine(f, edges, values, errors, rel_tol, tail, tail_err).tolist())
+
+    return edges, values, errors, outcome(refined)
+
+
+def outcome(call):
+    """What call returns, or the type of the FastSphereError it raises."""
+    try:
+        return call()
+    except FastSphereError as exc:
+        return type(exc)
+
+
+POWERS = [(math.pi * 2.0**-k) ** 2 for k in (0, 1, 7, 40, 300)]
+LADDER_CASES = [
+    # sqrt(zeta)/2 = pi/2 * 2^-k exactly, and the zetas either side of it
+    (2, 0.5, POWERS + [math.nextafter(z, math.inf) for z in POWERS]),
+    (2, 0.5, [math.nextafter(z, 0.0) for z in POWERS]),
+    # the deepest seed the table must hold (2q + d = -0.03: no cutoff, and
+    # the spike stays inside double range), next to the shallowest
+    (3, 0.34, [5e-324, 1e9, 1e-300]),
+    (1, 0.3, [1e-200, 3.3e-4, 0.7, 1e6]),  # d = 1: no sin weight
+    # eta = 1 meshes go last in a pass; 2q + d from 2.1 down to 3e-4
+    (5, 0.3, [1e-40, 11.9, 0.0, 0.0]),
+    (3, 0.25, [1e-120, 0.0]),
+    (4, 0.4999, [2e-6, 0.0, 0.0, 0.0]),
+    (8, 0.74999, [0.0]),
+]
+
+
+@pytest.mark.parametrize("d, m, zetas", LADDER_CASES)
+def test_ladder_seed_pass_matches_the_seed_mesh(monkeypatch, d, m, zetas):
+    # edges, panel values and estimates gathered from the ladder table equal
+    # those of each seed mesh integrated on its own, bit for bit
+    q = 1.0 / (m - 1.0)
+    zeta = np.array(zetas)
+    levels = quadrature._seed_levels(zeta, quadrature._seed_cut(q, d))
+    laid = []
+    kronrod_batch = quadrature._kronrod_batch
+
+    def recorded(f, bounds):
+        laid.append(bounds)
+        return kronrod_batch(f, bounds)
+
+    monkeypatch.setattr(quadrature, "_kronrod_batch", recorded)
+    values, errors, starts, panels = quadrature._seed_pass(zeta, levels, q, d)
+    monkeypatch.undo()
+    (edges,) = laid
+    assert edges.size == panels.sum() + 1  # no panel between the meshes
+    quadrature._integral.cache_clear()
+    for k, z in enumerate(zetas):
+        ref_edges, ref_values, ref_errors, ref_total = seed_reference(z, q, d)
+        assert np.array_equal(np.sort(edges[starts[k] : starts[k] + panels[k] + 1]), ref_edges)
+        span = slice(starts[k], starts[k] + panels[k])
+        assert np.array_equal(values[:, span], ref_values)
+        assert np.array_equal(errors[:, span], ref_errors)
+        assert outcome(lambda: quadrature._integral(z, q, d, 1e-10)) == ref_total
+    batched = quadrature._integrals(zetas, q, d, 1e-10)
+    assert [r if type(r) is tuple else type(r) for r in batched] == [
+        seed_reference(z, q, d)[3] for z in zetas
+    ]
+    quadrature._integral.cache_clear()
+
+
+@pytest.mark.parametrize("k", [0, 1, 7, 40, 300])
+def test_seed_levels_at_a_power_of_two(k):
+    # log2(pi/2 / low) is the integer k, and math.log2 agrees; one ulp
+    # above 2^k the count is k + 1, where a rounded log2 can give k
+    zeta = (math.pi * 2.0**-k) ** 2
+    ratio = quadrature._HALF_PI / (0.5 * math.sqrt(zeta))
+    assert ratio == 2.0**k and math.log2(ratio) == k
+    assert int(quadrature._seed_levels(zeta, 0.0)) == k
+    assert int(quadrature._seed_levels(math.nextafter(zeta, 0.0), 0.0)) == k + 1
+    assert int(quadrature._seed_levels(np.array([zeta, 0.0]), 1e-3)[1]) == 11  # the cutoff
+
+
+def test_batched_seeds_that_miss_the_tolerance_are_refined_exactly(monkeypatch):
+    q, d = 1.0 / (0.5 - 1.0), 2
+    zetas = [float(z) for z in np.geomspace(1e-12, 1e3, 40)]
+    refined = []
+    refine = quadrature._refine
+    monkeypatch.setattr(
+        quadrature, "_refine", lambda *args: refined.append(1) or refine(*args)
+    )
+    batched = quadrature._integrals(zetas, q, d, 1e-10)
+    monkeypatch.undo()
+    assert len(refined) >= 5
+    assert batched == [seed_reference(z, q, d)[3] for z in zetas]
+
+
+def test_ladder_table_is_built_on_first_use_and_small():
+    code = (
+        "import fastsphere.cli, fastsphere.quadrature as q; "
+        "print(q._ladder.cache_info().currsize)"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.stdout.strip() == "0"
+    ladder = quadrature._ladder()
+    size = ladder.lo.nbytes + ladder.hi.nbytes + sum(part.nbytes for part in ladder.basis)
+    assert size < 0.5e6
+    assert ladder.depth == int(quadrature._seed_levels(5e-324, 0.0))
 
 
 def test_one_cache_miss_serves_all_three_moments():
