@@ -18,6 +18,7 @@ from .energy import (
     energy_fully_supported,
     energy_singular,
     energy_uniform,
+    equilibria_at,
     kappa_c,
     second_variation_gap,
 )
@@ -97,6 +98,7 @@ __all__ = [
     "energy_fully_supported",
     "energy_singular",
     "energy_uniform",
+    "equilibria_at",
     "eta1_closed_form",
     "fully_supported_density",
     "fully_supported_state",

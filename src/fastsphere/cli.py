@@ -23,8 +23,6 @@ from . import energy, equilibria, verification
 from .errors import FastSphereError
 from .model import classify_regime
 
-_BRANCH_ORDER = ("fully_supported", "singular_lower", "singular_upper", "uniform")
-
 
 def _fmt(value) -> str:
     """Shortest round-trip float formatting; None becomes the empty field."""
@@ -68,97 +66,26 @@ def cmd_critical(args) -> int:
     return 0
 
 
-def _supported(kappa: float, regime: str, crit) -> bool:
-    """Whether sweep reports a fully supported row at kappa."""
-    if regime == "case_i":
-        return kappa > crit.kappa1
-    if regime == "case_ii":
-        return crit.kappa1 < kappa < crit.kappa2
-    return crit.kappa2 < kappa < crit.kappa1
-
-
-def _branch_rows(kappa: float, d: int, m: float, crit, state, quad_tol: float, root_tol: float):
-    """Rows (branch, alpha, eta, com_norm, energy) existing at kappa.
-
-    state is the fully supported state at kappa, or None where sweep
-    reports no such row.
-    """
-    rows = [("uniform", None, None, 0.0, energy.energy_uniform(kappa, d, m))]
-    if state is not None:
-        rows.append(
-            (
-                "fully_supported",
-                None,
-                state.eta,
-                state.s,
-                energy.energy_fully_supported(state, d, m, quad_tol),
-            )
-        )
-    if crit.kappa2 is not None:
-        roots = equilibria.alpha_roots(kappa, d, m, root_tol)
-        sb = equilibria.s_bar(d, m)
-        if roots:
-            alpha = roots[-1]
-            rows.append(
-                (
-                    "singular_upper",
-                    alpha,
-                    None,
-                    alpha + (1.0 - alpha) * sb,
-                    energy.energy_singular(alpha, kappa, d, m, quad_tol),
-                )
-            )
-        if len(roots) == 2 and roots[0] < roots[1]:
-            alpha = roots[0]
-            rows.append(
-                (
-                    "singular_lower",
-                    alpha,
-                    None,
-                    alpha + (1.0 - alpha) * sb,
-                    energy.energy_singular(alpha, kappa, d, m, quad_tol),
-                )
-            )
-    return rows
-
-
 def cmd_sweep(args) -> int:
     quad_tol, root_tol = _tolerances(args)
     if not (0.0 < args.kappa_min < args.kappa_max) or args.steps < 2:
         raise FastSphereError(
             "sweep needs 0 < --kappa-min < --kappa-max and --steps >= 2"
         )
-    crit = energy.critical_set(args.d, args.m, quad_tol)
     if args.log_grid:
         grid = np.geomspace(args.kappa_min, args.kappa_max, args.steps)
     else:
         grid = np.linspace(args.kappa_min, args.kappa_max, args.steps)
     kappas = [float(kappa) for kappa in grid]
 
-    # every fully supported state first, all branch solves in lockstep
-    regime = classify_regime(args.d, args.m).tag.value
-    supported = [kappa for kappa in kappas if _supported(kappa, regime, crit)]
-    states = dict(
-        zip(
-            supported,
-            equilibria.fully_supported_states(supported, args.d, args.m, quad_tol, root_tol),
-        )
-    )
     records = []
     failures = 0
-    for kappa in kappas:
-        state = states.get(kappa)
-        rows = None
-        if not isinstance(state, FastSphereError):
-            try:
-                rows = _branch_rows(kappa, args.d, args.m, crit, state, quad_tol, root_tol)
-            except FastSphereError:
-                pass
-        if rows is None:
+    found = energy.equilibria_at(kappas, args.d, args.m, quad_tol, root_tol)
+    for kappa, rows in zip(kappas, found):
+        if isinstance(rows, FastSphereError):
             failures += 1
             rows = [("uniform", math.nan, math.nan, math.nan, math.nan)]
-        for branch, alpha, eta, com, e in rows:
-            records.append((kappa, branch, alpha, eta, com, e))
+        records.extend((kappa, *row) for row in rows)
     records.sort(key=lambda r: (r[0], r[1]))
 
     if args.format == "json":

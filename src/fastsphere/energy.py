@@ -10,6 +10,12 @@ Each branch energy is evaluated by direct quadrature and, where a second
 route exists (a product identity for the supported branch, a multiplier
 identity for the singular one), cross-checked against it.
 
+equilibria_at enumerates, for a list of strengths, every equilibrium that
+exists at each with its energy: the uniform state always, the supported
+branch wherever equilibria's window admits it (closed at kappa2), and the
+measure-valued pair wherever alpha_roots finds it.  classify_minimizer
+(one kappa) and the sweep command (a grid) both read their rows from it.
+
 The minimizer map follows the energy comparisons: the uniform state below
 kappa1, the supported branch up to the handoff at kappa2 where one exists,
 and the measure-valued branch beyond; in the fold regime (CaseIII) the
@@ -30,6 +36,7 @@ from .errors import (
     FastSphereError,
     InvalidParamError,
     NotIntegrableError,
+    OutOfWindowError,
     WrongRegimeError,
 )
 from .model import RegimeCase, classify_regime, sphere_geometry, validate_params
@@ -274,28 +281,53 @@ def kappa_c(d, m: float, rel_tol: float = DEFAULT_REL_TOL) -> float:
             hi = mid
 
 
-def _populate_energies(
-    kappa: float, d: int, m: float, regime, rel_tol: float, root_tol: float
-) -> dict[str, float]:
-    energies: dict[str, float] = {UNIFORM: energy_uniform(kappa, d, m)}
-    k1 = equilibria.kappa1(d, m)
-    in_window = (
-        kappa > k1
-        if regime.tag is RegimeCase.CASE_I
-        else k1 < kappa <= equilibria.kappa2(d, m)
-        if regime.tag is RegimeCase.CASE_II
-        else equilibria.kappa2(d, m) <= kappa < k1
-    )
-    if in_window:
-        state = equilibria.fully_supported_state(kappa, d, m, rel_tol, root_tol)
-        energies[FULLY_SUPPORTED] = energy_fully_supported(state, d, m, rel_tol)
-    if regime.tag is not RegimeCase.CASE_I and m < 1.0 - 2.0 / d:
-        roots = equilibria.alpha_roots(kappa, d, m, root_tol)
-        if roots:
-            energies[SINGULAR_UPPER] = energy_singular(roots[-1], kappa, d, m, rel_tol)
-        if len(roots) == 2 and roots[0] < roots[1]:
-            energies[SINGULAR_LOWER] = energy_singular(roots[0], kappa, d, m, rel_tol)
-    return energies
+def equilibria_at(
+    kappas,
+    d,
+    m: float,
+    rel_tol: float = DEFAULT_REL_TOL,
+    root_tol: float = DEFAULT_ROOT_TOL,
+) -> list:
+    """The equilibria that exist at each of kappas, with their energies.
+
+    Each entry is a list of rows (branch, alpha, eta, com_norm, energy),
+    the uniform row first; alpha is set on the measure-valued rows only and
+    eta on the supported row only.  Where a kappa fails, its entry is the
+    FastSphereError raised there, without its traceback.  The supported
+    branch is taken from equilibria.fully_supported_states, whose window
+    check alone decides where it exists; the measure-valued rows from
+    alpha_roots, where the tangent double root at kappa3 gives the upper
+    row only.
+    """
+    validate_params(d, m)
+    d = int(d)
+    singular = classify_regime(d, m).tag is not RegimeCase.CASE_I
+    states = equilibria.fully_supported_states(kappas, d, m, rel_tol, root_tol)
+    found: list = []
+    for kappa, state in zip(kappas, states):
+        if isinstance(state, FastSphereError) and not isinstance(state, OutOfWindowError):
+            found.append(state)
+            continue
+        kappa = float(kappa)
+        try:
+            rows = [(UNIFORM, None, None, 0.0, energy_uniform(kappa, d, m))]
+            if not isinstance(state, OutOfWindowError):
+                e = energy_fully_supported(state, d, m, rel_tol)
+                rows.append((FULLY_SUPPORTED, None, state.eta, state.s, e))
+            if singular:
+                roots = equilibria.alpha_roots(kappa, d, m, root_tol)
+                atoms = [(SINGULAR_UPPER, roots[-1])] if roots else []
+                if len(roots) == 2 and roots[0] < roots[1]:
+                    atoms.append((SINGULAR_LOWER, roots[0]))
+                sb = equilibria.s_bar(d, m)
+                for branch, alpha in atoms:
+                    e = energy_singular(alpha, kappa, d, m, rel_tol)
+                    rows.append((branch, alpha, None, alpha + (1.0 - alpha) * sb, e))
+        except FastSphereError as exc:
+            found.append(exc.with_traceback(None))
+        else:
+            found.append(rows)
+    return found
 
 
 def classify_minimizer(
@@ -313,9 +345,10 @@ def classify_minimizer(
     """
     validate_params(d, m, kappa)
     kappa = float(kappa)
-    d = int(d)
-    regime = classify_regime(d, m)
-    energies = _populate_energies(kappa, d, m, regime, rel_tol, root_tol)
+    found = equilibria_at([kappa], d, m, rel_tol, root_tol)[0]
+    if isinstance(found, FastSphereError):
+        raise found
+    energies = {branch: e for branch, _, _, _, e in found}
 
     candidates = sorted(energies.items(), key=lambda kv: (kv[1], kv[0]))
     minimizer, best = candidates[0]

@@ -173,24 +173,25 @@ def com_norm_of_eta(eta: float, d, m: float, rel_tol: float = DEFAULT_REL_TOL) -
     return _com_norm_zeta(eta - 1.0, int(d), m, rel_tol)
 
 
-def _window(kappa: float, d: int, m: float, regime: Regime) -> tuple[float, float]:
-    """Existence window of the fully supported branch; raises outside it."""
+def _window(d: int, m: float, regime: Regime):
+    """Existence window of the fully supported branch, as a check of kappa.
+
+    The returned check(kappa) raises OutOfWindowError outside the window.
+    """
     k1 = kappa1(d, m)
-    if regime.tag is RegimeCase.CASE_I:
-        lo, hi = k1, math.inf
-        inside = kappa > k1
-    elif regime.tag is RegimeCase.CASE_II:
-        lo, hi = k1, kappa2(d, m)
-        inside = k1 < kappa <= hi  # closed at kappa2 where eta = 1
-    else:
-        lo, hi = kappa2(d, m), k1
-        inside = lo <= kappa < k1
-    if not inside:
-        raise OutOfWindowError(
-            f"kappa={kappa!r} outside the fully supported branch window "
-            f"({lo!r}, {hi!r}) for d={d}, m={m!r} ({regime.tag.value})"
-        )
-    return lo, hi
+    k2 = None if regime.tag is RegimeCase.CASE_I else kappa2(d, m)
+    lo, hi = (k1, math.inf) if k2 is None else sorted((k1, k2))
+
+    def check(kappa: float) -> None:
+        # open at kappa1, where the branch leaves the uniform state; closed
+        # at kappa2, where eta = 1
+        if not (lo < kappa < hi or kappa == k2):
+            raise OutOfWindowError(
+                f"kappa={kappa!r} outside the fully supported branch window "
+                f"({lo!r}, {hi!r}) for d={d}, m={m!r} ({regime.tag.value})"
+            )
+
+    return check
 
 
 def _log_zeta_bracket(d: int, m: float) -> tuple[float, float]:
@@ -205,8 +206,7 @@ def _log_zeta_bracket(d: int, m: float) -> tuple[float, float]:
 def _solve_zeta(
     kappa: float, d: int, m: float, rel_tol: float, root_tol: float
 ) -> float:
-    regime = classify_regime(d, m)
-    _window(kappa, d, m, regime)
+    _window(d, m, classify_regime(d, m))(kappa)
 
     def scaled_residual(y: float) -> float:
         return _inverse_kappa_zeta(math.exp(y), d, m, rel_tol) * kappa - 1.0
@@ -275,18 +275,25 @@ def fully_supported_states(
     solver round evaluates the integrals of every unfinished solve in one
     batch (quadrature._integrals); a memo of the moments at every zeta met,
     kept for this call only, serves the zetas that several solves visit and
-    the centre-of-mass norm at each root.
+    the centre-of-mass norm at each root.  A single kappa takes the scalar
+    solve instead, whose one small mesh per step costs less than the batch
+    layout and whose integrals stay in _integral's cache for later callers.
     """
     validate_params(d, m)
+    if len(kappas) == 1:
+        try:
+            return [fully_supported_state(kappas[0], d, m, rel_tol, root_tol)]
+        except FastSphereError as exc:
+            return [exc.with_traceback(None)]
     d = int(d)
-    regime = classify_regime(d, m)
     q = _q_exponent(m)
+    in_window = _window(d, m, classify_regime(d, m))
     results: list = [None] * len(kappas)
     solved = []  # (index into results, kappa)
     for i, kappa in enumerate(kappas):
         try:
             validate_params(d, m, kappa)
-            _window(float(kappa), d, m, regime)
+            in_window(float(kappa))
         except FastSphereError as exc:
             results[i] = exc.with_traceback(None)
         else:

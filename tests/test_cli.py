@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fastsphere import cli
+from fastsphere import energy as en
 from fastsphere import equilibria as eq
 from fastsphere import quadrature
 from fastsphere.cli import main
@@ -197,6 +198,48 @@ class TestSweep:
         assert code == 0
         assert "nan" in out
         assert "3 kappa samples failed" in err
+
+
+    @pytest.mark.parametrize("d, m", [(3, 0.25), (5, 0.3)])
+    def test_supported_row_at_kappa2(self, capsys, d, m):
+        # the branch window is closed at kappa2, where eta = 1
+        k2 = eq.kappa2(d, m)
+        code, out, _ = run(
+            capsys,
+            "sweep", "--d", str(d), "--m", str(m),
+            "--kappa-min", repr(k2), "--kappa-max", repr(1.1 * k2), "--steps", "2",
+        )
+        assert code == 0
+        rows = [
+            r for r in read_sweep(out) if r["kappa"] == k2 and r["branch"] == "fully_supported"
+        ]
+        assert len(rows) == 1
+        assert rows[0]["eta"] == 1.0
+        assert rows[0]["energy"] == en.classify_minimizer(k2, d, m).e_fully_supported
+
+    @pytest.mark.parametrize(
+        "d, m, lo, hi", [(2, 0.5, 4.0, 16.0), (3, 0.25, 8.0, 20.0), (5, 0.3, 15.0, 22.0)]
+    )
+    def test_rows_match_classify_minimizer(self, capsys, d, m, lo, hi):
+        code, out, err = run(
+            capsys,
+            "sweep", "--d", str(d), "--m", str(m),
+            "--kappa-min", str(lo), "--kappa-max", str(hi), "--steps", "41",
+        )
+        assert code == 0 and err == ""
+        swept = {}
+        for row in read_sweep(out):
+            swept.setdefault(row["kappa"], {})[row["branch"]] = row["energy"]
+        assert len(swept) == 41
+        for kappa, energies in swept.items():
+            report = en.classify_minimizer(kappa, d, m)
+            reported = {
+                "uniform": report.e_uniform,
+                "fully_supported": report.e_fully_supported,
+                "singular_upper": report.e_singular_upper,
+                "singular_lower": report.e_singular_lower,
+            }
+            assert energies == {k: v for k, v in reported.items() if v is not None}
 
 
 class TestSweepWork:

@@ -231,6 +231,40 @@ class TestKappaC:
         assert crit.kappa3 < crit.kappa_c < crit.kappa1
 
 
+class TestEquilibriaAt:
+    def test_rows_per_kappa_and_failures_alone(self):
+        bad, found = en.equilibria_at([-1.0, 8.0], 2, 0.5)
+        assert type(bad) is InvalidParamError and bad.__traceback__ is None
+        uniform, supported = found
+        assert uniform == ("uniform", None, None, 0.0, en.energy_uniform(8.0, 2, 0.5))
+        state = eq.fully_supported_state(8.0, 2, 0.5)
+        assert supported == (
+            "fully_supported", None, state.eta, state.s,
+            en.energy_fully_supported(state, 2, 0.5),
+        )
+
+    def test_fold_gives_the_upper_row_only(self):
+        k3, alpha_bar = eq.kappa3_and_alpha_bar(*CASE_III)
+        (found,) = en.equilibria_at([k3], *CASE_III)
+        assert [row[0] for row in found] == ["uniform", "singular_upper"]
+        assert found[1][1] == pytest.approx(alpha_bar, abs=1e-5)
+
+    def test_branch_failure_fails_its_kappa(self, monkeypatch):
+        alpha_roots = eq.alpha_roots
+
+        def broken_at_17(kappa, *args):
+            if kappa == 17.0:
+                raise BracketFailureError("injected root failure")
+            return alpha_roots(kappa, *args)
+
+        monkeypatch.setattr(eq, "alpha_roots", broken_at_17)
+        found = en.equilibria_at([16.5, 17.0, 18.5], *CASE_III)
+        assert type(found[1]) is BracketFailureError and found[1].__traceback__ is None
+        assert [row[0] for row in found[2]] == ["uniform", "fully_supported", "singular_upper"]
+        with pytest.raises(BracketFailureError):
+            en.classify_minimizer(17.0, *CASE_III)
+
+
 class TestClassifyMinimizer:
     def test_case_i_below_and_above(self):
         assert en.classify_minimizer(4.0, 2, 0.5).minimizer == "uniform"

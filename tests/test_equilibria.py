@@ -184,6 +184,30 @@ class TestFullySupportedStates:
         assert solved >= 13
 
     @pytest.mark.parametrize("d, m", REFERENCE_PAIRS)
+    def test_single_kappa_equals_fully_supported_state(self, d, m):
+        # one kappa takes the scalar solve, so every field and the moments match
+        solved = 0
+        for kappa in self.grid(d, m):
+            (got,) = eq.fully_supported_states([kappa], d, m)
+            try:
+                expected = eq.fully_supported_state(kappa, d, m)
+            except FastSphereError as exc:
+                assert type(got) is type(exc)
+                assert got.__traceback__ is None
+                continue
+            solved += 1
+            assert got == expected and got.moments == expected.moments
+        assert solved >= 13
+
+    def test_single_kappa_takes_the_scalar_solve(self, monkeypatch):
+        def no_batch(*args):
+            raise AssertionError("one kappa went through the batched integrals")
+
+        monkeypatch.setattr(eq, "_integrals", no_batch)
+        (state,) = eq.fully_supported_states([11.0], *CASE_II)
+        assert isinstance(state, eq.FullySupportedState)
+
+    @pytest.mark.parametrize("d, m", REFERENCE_PAIRS)
     def test_energy_takes_the_moments_of_the_solve(self, monkeypatch, d, m):
         # both energy routes use the moments the lockstep solve held, so the
         # energy at a root needs no second quadrature and is unchanged
@@ -202,31 +226,47 @@ class TestFullySupportedStates:
         monkeypatch.setattr(en, "_integral", no_integral)
         assert [en.energy_fully_supported(s, d, m) for s in states] == expected
 
+    @staticmethod
+    def one_at_a_time(kappas, d, m):
+        return [eq.fully_supported_states([kappa], d, m)[0] for kappa in kappas]
+
     def test_invalid_kappa_fails_alone(self):
         states = eq.fully_supported_states([-1.0, math.nan, 8.0], 2, 0.5)
         assert [type(s) for s in states[:2]] == [InvalidParamError, InvalidParamError]
         assert states[2] == eq.fully_supported_state(8.0, 2, 0.5)
 
-    def test_stored_errors_leave_no_reference_cycles(self, monkeypatch):
-        # out-of-window kappas, and solves whose bracket misses the root
-        # (a zeta ceiling far below the branch birth) all fail
+    def test_single_invalid_kappa_fails_without_traceback(self):
+        states = self.one_at_a_time([-1.0, math.nan], 2, 0.5)
+        assert [type(s) for s in states] == [InvalidParamError, InvalidParamError]
+        assert all(s.__traceback__ is None for s in states)
+
+    @staticmethod
+    def check_failures_leave_no_cycles(monkeypatch, solve):
+        # invalid and out-of-window kappas, and solves whose bracket misses
+        # the root (a zeta ceiling far below the branch birth) all fail
         monkeypatch.setattr(eq, "_ZETA_CEIL", 1e-3)
         d, m = CASE_II
-        kappas = [0.5 * KAPPA1[CASE_II], 9.4, 9.5, 12.0, 20.0]
+        kappas = [-1.0, 0.5 * KAPPA1[CASE_II], 9.4, 9.5, 12.0, 20.0]
         gc.collect()
         gc.disable()
         try:
             # the list goes as soon as its types are read; anything it kept
             # alive through a cycle would be left for the collector
-            types = [type(s) for s in eq.fully_supported_states(kappas, d, m)]
+            types = [type(s) for s in solve(kappas, d, m)]
             unreachable = gc.collect()
         finally:
             gc.enable()
         assert unreachable == 0
         assert types == [
-            OutOfWindowError, BracketFailureError, BracketFailureError,
+            InvalidParamError, OutOfWindowError, BracketFailureError, BracketFailureError,
             eq.FullySupportedState, OutOfWindowError,
         ]
+
+    def test_stored_errors_leave_no_reference_cycles(self, monkeypatch):
+        self.check_failures_leave_no_cycles(monkeypatch, eq.fully_supported_states)
+
+    def test_single_kappa_errors_leave_no_reference_cycles(self, monkeypatch):
+        self.check_failures_leave_no_cycles(monkeypatch, self.one_at_a_time)
 
 
 class TestSBar:
