@@ -49,9 +49,9 @@ def _tolerances(args) -> tuple[float, float]:
 
 
 def cmd_critical(args) -> int:
-    quad_tol, _ = _tolerances(args)
+    _tolerances(args)  # validated as for every command, though critical_set integrates nothing
     regime = classify_regime(args.d, args.m)
-    crit = energy.critical_set(args.d, args.m, quad_tol)
+    crit = energy.critical_set(args.d, args.m)
     payload = {
         "d": args.d,
         "m": args.m,
@@ -127,9 +127,7 @@ def cmd_profile(args) -> int:
             for t in thetas
         ]
     else:  # rho_bar, the kappa-independent regular density
-        values = [
-            equilibria.rho_bar_density(float(t), args.d, args.m, quad_tol) for t in thetas
-        ]
+        values = [equilibria.rho_bar_density(float(t), args.d, args.m) for t in thetas]
     if args.format == "json":
         payload = [{"theta": float(t), "density": v} for t, v in zip(thetas, values)]
         _write(json.dumps(payload, indent=2) + "\n", args.out)

@@ -6,9 +6,10 @@ free energy of a state mu with regular density rho is
     E[mu] = (1/(m-1)) int rho^m dS  -  (kappa/2) |c_mu|^2  +  kappa/2,
 
 which makes the energy of a pure atom exactly zero, the natural reference.
-Each branch energy is evaluated by direct quadrature and, where a second
-route exists (a product identity for the supported branch, a multiplier
-identity for the singular one), cross-checked against it.
+The supported branch's energy is evaluated by direct quadrature and
+cross-checked against a product identity; the measure-valued energies
+take the entropy of rho_bar from its Beta-function closed form, with a
+multiplier identity as their second route.
 
 equilibria_at enumerates, for a list of strengths, every equilibrium that
 exists at each with its energy: the uniform state always, the supported
@@ -40,7 +41,7 @@ from .errors import (
     WrongRegimeError,
 )
 from .model import RegimeCase, classify_regime, sphere_geometry, validate_params
-from .quadrature import DEFAULT_REL_TOL, _integral
+from .quadrature import DEFAULT_REL_TOL, _integral, eta1_closed_form
 from .solvers import DEFAULT_ROOT_TOL
 
 UNIFORM = "uniform"
@@ -145,8 +146,8 @@ def energy_fully_supported(
     return direct
 
 
-def rho_bar_entropy_integral(d, m: float, rel_tol: float = DEFAULT_REL_TOL) -> float:
-    """int rho_bar^m dS for the fixed regular density (m < 1 - 2/d)."""
+def rho_bar_entropy_integral(d, m: float) -> float:
+    """int rho_bar^m dS for the fixed regular density (m < 1 - 2/d), in closed form."""
     validate_params(d, m)
     d = int(d)
     q = 1.0 / (m - 1.0)
@@ -154,19 +155,18 @@ def rho_bar_entropy_integral(d, m: float, rel_tol: float = DEFAULT_REL_TOL) -> f
         raise NotIntegrableError(
             f"rho_bar is not integrable for m={m!r} >= 1 - 2/d (d={d})"
         )
-    i0, _, i_ent = _integral(0.0, q, d, rel_tol)
+    i0 = eta1_closed_form(q, 0, d)
+    i_ent = eta1_closed_form(q + 1.0, 0, d)
     dwd = sphere_geometry(d).area_sdm1
     return dwd ** (1.0 - m) * i_ent * i0 ** (-m)
 
 
-def energy_singular(
-    alpha: float, kappa: float, d, m: float, rel_tol: float = DEFAULT_REL_TOL
-) -> float:
+def energy_singular(alpha: float, kappa: float, d, m: float) -> float:
     """Energy of alpha * delta + (1 - alpha) * rho_bar at strength kappa."""
     validate_params(d, m, kappa)
     if not 0.0 < alpha < 1.0:
         raise InvalidParamError(f"alpha must lie in (0, 1), got {alpha!r}")
-    ent = rho_bar_entropy_integral(d, m, rel_tol)
+    ent = rho_bar_entropy_integral(d, m)
     return _singular_energy(alpha, kappa, ent, equilibria.s_bar(d, m), m)
 
 
@@ -226,7 +226,7 @@ def second_variation_gap(kappa: float, d, m: float) -> float:
     return equilibria.kappa1(d, m) - kappa
 
 
-def kappa_c(d, m: float, rel_tol: float = DEFAULT_REL_TOL) -> float:
+def kappa_c(d, m: float) -> float:
     """Strength where the uniform and upper measure-valued energies cross.
 
     CaseIII only.  Along the upper measure-valued branch, parametrized by
@@ -235,11 +235,12 @@ def kappa_c(d, m: float, rel_tol: float = DEFAULT_REL_TOL) -> float:
         kappa(u) = e^((1-m) u) kappa2 s_bar / (1 - e^(-u) (1 - s_bar)),
 
     rising from kappa3 at the fold u_bar = -log(1 - alpha_bar).  The energy
-    gap E_uniform - E_singular is then closed form in u; its one integral,
-    the entropy of rho_bar, does not depend on kappa.  The gap grows with
-    kappa at the strictly positive rate (alpha + (1-alpha) s_bar)^2 / 2, so
-    the crossing is unique in (kappa3, kappa1); it is bisected in u until
-    the midpoint no longer splits the bracket, i.e. to double resolution.
+    gap E_uniform - E_singular is then closed form in u, down to the entropy
+    of rho_bar, a Beta function that does not depend on kappa.  The gap
+    grows with kappa at the strictly positive rate
+    (alpha + (1-alpha) s_bar)^2 / 2, so the crossing is unique in
+    (kappa3, kappa1); it is bisected in u until the midpoint no longer
+    splits the bracket, i.e. to double resolution.
     """
     regime = classify_regime(d, m)
     if regime.tag is not RegimeCase.CASE_III:
@@ -250,7 +251,7 @@ def kappa_c(d, m: float, rel_tol: float = DEFAULT_REL_TOL) -> float:
     k1 = equilibria.kappa1(d, m)
     k2 = equilibria.kappa2(d, m)
     sb = equilibria.s_bar(d, m)
-    ent = rho_bar_entropy_integral(d, m, rel_tol)
+    ent = rho_bar_entropy_integral(d, m)
     e_uniform_0 = energy_uniform(0.0, d, m)
 
     def kappa_of(u: float) -> float:
@@ -302,6 +303,9 @@ def equilibria_at(
     validate_params(d, m)
     d = int(d)
     singular = classify_regime(d, m).tag is not RegimeCase.CASE_I
+    if singular:  # rho_bar, and so its com norm and entropy, is the same at every kappa
+        sb = equilibria.s_bar(d, m)
+        ent = rho_bar_entropy_integral(d, m)
     states = equilibria.fully_supported_states(kappas, d, m, rel_tol, root_tol)
     found: list = []
     for kappa, state in zip(kappas, states):
@@ -319,9 +323,8 @@ def equilibria_at(
                 atoms = [(SINGULAR_UPPER, roots[-1])] if roots else []
                 if len(roots) == 2 and roots[0] < roots[1]:
                     atoms.append((SINGULAR_LOWER, roots[0]))
-                sb = equilibria.s_bar(d, m)
                 for branch, alpha in atoms:
-                    e = energy_singular(alpha, kappa, d, m, rel_tol)
+                    e = _singular_energy(alpha, kappa, ent, sb, m)
                     rows.append((branch, alpha, None, alpha + (1.0 - alpha) * sb, e))
         except FastSphereError as exc:
             found.append(exc.with_traceback(None))
@@ -377,9 +380,9 @@ def classify_minimizer(
     )
 
 
-def critical_set(d, m: float, rel_tol: float = DEFAULT_REL_TOL) -> CriticalSet:
+def critical_set(d, m: float) -> CriticalSet:
     """All critical strengths for (d, m), including kappa_c where defined."""
-    base = equilibria.critical_constants(d, m, rel_tol)
+    base = equilibria.critical_constants(d, m)
     if base.kappa3 is None:
         return base
     return CriticalSet(
@@ -387,5 +390,5 @@ def critical_set(d, m: float, rel_tol: float = DEFAULT_REL_TOL) -> CriticalSet:
         kappa2=base.kappa2,
         kappa3=base.kappa3,
         alpha_bar=base.alpha_bar,
-        kappa_c=kappa_c(d, m, rel_tol),
+        kappa_c=kappa_c(d, m),
     )

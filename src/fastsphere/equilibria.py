@@ -36,7 +36,7 @@ from .errors import (
     WrongRegimeError,
 )
 from .model import Regime, RegimeCase, classify_regime, sphere_geometry, validate_params
-from .quadrature import DEFAULT_REL_TOL, _integral, _integrals
+from .quadrature import DEFAULT_REL_TOL, _integral, _integrals, eta1_closed_form
 from .solvers import DEFAULT_ROOT_TOL, DEFAULT_WIDTH_TOL, bracketed_root, lockstep_roots
 
 # zeta = eta - 1 ceiling standing in for the uniform limit eta -> infinity.
@@ -490,19 +490,19 @@ def singular_state(
     return SingularState(kappa=float(kappa), alpha=alpha, s_bar=s_bar(d, m))
 
 
-def singular_lambda(alpha: float, d, m: float, rel_tol: float = DEFAULT_REL_TOL) -> float:
+def singular_lambda(alpha: float, d, m: float) -> float:
     """Multiplier of the measure-valued state, from its unit-mass condition."""
     validate_params(d, m)
     if not 0.0 <= alpha < 1.0:
         raise InvalidParamError(f"alpha must lie in [0, 1), got {alpha!r}")
     d = int(d)
     q = _q_exponent(m)
-    i0 = _integral(0.0, q, d, rel_tol)[0]
+    i0 = eta1_closed_form(q, 0, d)
     dwd = sphere_geometry(d).area_sdm1
     return -(m / (1.0 - m)) * (1.0 - alpha) ** m * (dwd * i0) ** (1.0 - m)
 
 
-def rho_bar_density(theta: float, d, m: float, rel_tol: float = DEFAULT_REL_TOL) -> float:
+def rho_bar_density(theta: float, d, m: float) -> float:
     """Pointwise value of the fixed regular density; +inf at theta = 0."""
     validate_params(d, m)
     d = int(d)
@@ -517,11 +517,11 @@ def rho_bar_density(theta: float, d, m: float, rel_tol: float = DEFAULT_REL_TOL)
     v = 2.0 * math.sin(0.5 * theta) ** 2  # 1 - cos(theta)
     if v == 0.0:
         return math.inf
-    i0 = _integral(0.0, q, d, rel_tol)[0]
+    i0 = eta1_closed_form(q, 0, d)
     return v**q / (sphere_geometry(d).area_sdm1 * i0)
 
 
-def critical_constants(d, m: float, rel_tol: float = DEFAULT_REL_TOL) -> CriticalSet:
+def critical_constants(d, m: float) -> CriticalSet:
     """All closed-form critical strengths for (d, m); kappa_c is left unset.
 
     The energy module completes the set with kappa_c where it exists.

@@ -71,9 +71,11 @@ downward mesh back in increasing order for its sums.
 Every panel and every per-mesh sum is computed in the same order in
 either route, so _integrals returns exactly what _integral would.
 
-At eta = 1 the full integrals also have exact Gamma-function values
-(eta1_closed_form), kept strictly separate from the quadrature path so
-the two can serve as independent oracles for each other.
+At eta = 1 the full integrals are Beta functions (eta1_closed_form), and
+that closed form is the primary route for every eta = 1 moment the
+package reports: the mass and entropy of rho_bar behind kappa_c, the
+measure-valued energies and multiplier.  It shares no code with the
+quadrature, which at eta = 1 serves as its independent oracle.
 """
 
 from __future__ import annotations
@@ -556,20 +558,59 @@ def eta1_closed_form(q: float, p: int, d) -> float:
     Substituting 1 - cos t = 2 sin^2(t/2) turns the p = 0 integral into a
     Beta function,
 
-        I0 = 2^(q+d-1) Gamma(q + d/2) Gamma(d/2) / Gamma(q + d),
+        I0 = 2^(q+d-1) B(a, d/2) = 2^(q+d-1) Gamma(a) Gamma(d/2) / Gamma(a + d/2),
 
-    and writing cos t = 2 cos^2(t/2) - 1 expresses the p = 1 integral as a
-    difference of two such terms, which telescopes to I0 * (-q) / (q + d).
-    The Gamma arithmetic is done in log space and exponentiated once.
+    with a = q + d/2, and writing cos t = 2 cos^2(t/2) - 1 expresses the
+    p = 1 integral as a difference of two such terms, which telescopes to
+    I0 * (-q) / (q + d).
+
+    The shift d/2 is an integer n or a half-integer n + 1/2.  For even d,
+    B(a, n) = (n-1)! / prod_{k<n} (a + k).  For odd d, a is first written
+    as a0 + j with a0 in (0, 1], and
+
+        B(a, n + 1/2) = Gamma(a0)/Gamma(a0 + 1/2) Gamma(n + 1/2)
+                        prod_{k<j} (a0 + k) / prod_{k<j+n} (a0 + 1/2 + k).
+
+    q is a dyadic rational, so every factor of the products is an exact
+    ratio of integers; the products and the power 2^(floor(q)+d-1) are
+    formed in integers and divided once, correctly rounded, and only
+    2^(q - floor(q)) and, for odd d, sqrt(pi) Gamma(a0)/Gamma(a0 + 1/2) at
+    a0 <= 1 are taken in floating point.  That keeps I0 within a few
+    rounding errors at any d, where a sum of log-Gamma terms loses eps
+    times their size.
     """
     _, q, p, d = _check_spec(1.0, q, p, d)
-    log_i0 = (
-        (q + d - 1.0) * math.log(2.0)
-        + math.lgamma(q + 0.5 * d)
-        + math.lgamma(0.5 * d)
-        - math.lgamma(q + d)
-    )
-    i0 = math.exp(log_i0)
+    num, den = q.as_integer_ratio()  # den is a power of two
+    n, odd = divmod(d, 2)
+    j = max(math.ceil(q + 0.5 * d) - 1, 0) if odd else 0
+    # a0 + k = (2 num + (2 (n - j + k) + 1) den) / (2 den), and
+    # a0 + odd/2 + k = (num + (n + odd - j + k) den) / den
+    top = math.prod(2 * num + (2 * (n - j + k) + 1) * den for k in range(j))
+    bottom = math.prod(num + (n + odd - j + k) * den for k in range(j + n))
+    top *= den**n
+    scale = 2.0 ** (q - math.floor(q))
+    power = math.floor(q) + d - 1
+    if odd:
+        # Gamma(n + 1/2) = sqrt(pi) (2n - 1)!! / 2^n
+        top *= math.prod(range(1, 2 * n, 2))
+        power -= j + n
+        a0 = q + (n + 0.5 - j)
+        scale *= math.sqrt(math.pi) * math.gamma(a0) / math.gamma(a0 + 0.5)
+    else:
+        top *= math.factorial(n - 1)
+    if power >= 0:
+        top <<= power
+    else:
+        bottom <<= -power
+    try:
+        # no underflow: for q <= 0, I0 >= int_0^pi sin^(d-1) t dt (Jensen)
+        i0 = top / bottom * scale
+    except OverflowError:
+        i0 = math.inf
+    if i0 == math.inf:
+        raise ToleranceNotMetError(
+            f"eta = 1 integral leaves double range for q={q!r}, d={d}"
+        )
     if p == 0:
         return i0
     return i0 * (-q) / (q + d)

@@ -119,10 +119,13 @@ def check_eta1_quadrature_vs_closed_form(tol: float, rel_tol: float) -> CheckRes
     worst = 0.0
     for d, m in SINGULAR_PAIRS:
         q = 1.0 / (m - 1.0)
-        for p in (0, 1):
-            quad = quadrature.theta_integral(ThetaIntegralSpec(1.0, q, p, d), rel_tol)
-            closed = quadrature.eta1_closed_form(q, p, d)
-            worst = max(worst, _rel(quad, closed))
+        # the fused kernel's three members: mass, moment, and the entropy
+        # integral at exponent q + 1 that kappa_c and the singular energies take
+        # from the closed form
+        quad = quadrature._integral(0.0, q, d, rel_tol)
+        members = ((q, 0), (q, 1), (q + 1.0, 0))
+        closed = [quadrature.eta1_closed_form(qq, p, d) for qq, p in members]
+        worst = max(worst, *map(_rel, quad, closed))
     return _result("eta1_quadrature_vs_closed_form", worst, tol)
 
 
@@ -207,7 +210,7 @@ def check_case_iii_com_decreasing(tol: float, rel_tol: float) -> CheckResult:
     return _result("case_iii_com_decreasing", worst, tol)
 
 
-def check_singular_multiplier_relation(tol: float, rel_tol: float, root_tol: float) -> CheckResult:
+def check_singular_multiplier_relation(tol: float, root_tol: float) -> CheckResult:
     worst = 0.0
     samples = []
     k2_ii = equilibria.kappa2(3, 0.25)
@@ -219,7 +222,7 @@ def check_singular_multiplier_relation(tol: float, rel_tol: float, root_tol: flo
     samples.append((5, 0.3, 1.05 * k2_iii, "upper"))
     for d, m, kappa, branch in samples:
         state = equilibria.singular_state(kappa, d, m, root_tol, branch)
-        lam = equilibria.singular_lambda(state.alpha, d, m, rel_tol)
+        lam = equilibria.singular_lambda(state.alpha, d, m)
         lhs = -lam / (1.0 - state.alpha)
         rhs = kappa * (state.alpha + (1.0 - state.alpha) * state.s_bar)
         worst = max(worst, _rel(lhs, rhs))
@@ -278,7 +281,7 @@ def check_energy_two_route_agreement(tol: float, rel_tol: float, root_tol: float
         worst = max(worst, abs(direct - identity) / max(1.0, abs(direct)))
     for d, m, kappa in ((3, 0.25, 2.0 * equilibria.kappa2(3, 0.25)), (5, 0.3, 18.5)):
         alpha = equilibria.alpha_roots(kappa, d, m, root_tol)[-1]
-        direct = energy.energy_singular(alpha, kappa, d, m, rel_tol)
+        direct = energy.energy_singular(alpha, kappa, d, m)
         sb = equilibria.s_bar(d, m)
         com = alpha + (1.0 - alpha) * sb
         identity = (
@@ -299,9 +302,7 @@ def check_energy_slope_identities(tol: float, rel_tol: float, root_tol: float) -
 
         def gap(k):
             alpha = equilibria.alpha_roots(k, d, m, root_tol)[-1]
-            return energy.energy_uniform(k, d, m) - energy.energy_singular(
-                alpha, k, d, m, rel_tol
-            )
+            return energy.energy_uniform(k, d, m) - energy.energy_singular(alpha, k, d, m)
 
         fd = (gap(kappa + h) - gap(kappa - h)) / (2.0 * h)
         alpha = equilibria.alpha_roots(kappa, d, m, root_tol)[-1]
@@ -343,8 +344,8 @@ def check_energy_comparison_steps(tol: float, rel_tol: float, root_tol: float) -
     d, m = 5, 0.3
     for kappa in (15.9, 16.4, 16.9, 17.4):
         lower, upper = equilibria.alpha_roots(kappa, d, m, root_tol)
-        margin = energy.energy_singular(lower, kappa, d, m, rel_tol) - energy.energy_singular(
-            upper, kappa, d, m, rel_tol
+        margin = energy.energy_singular(lower, kappa, d, m) - energy.energy_singular(
+            upper, kappa, d, m
         )
         if margin <= 0.0:
             worst = max(worst, -margin, 1e-300)
@@ -356,7 +357,7 @@ def check_energy_comparison_steps(tol: float, rel_tol: float, root_tol: float) -
         upper = equilibria.alpha_roots(kappa, d, m, root_tol)[-1]
         vals.append(
             energy.energy_fully_supported(state, d, m, rel_tol)
-            - energy.energy_singular(upper, kappa, d, m, rel_tol)
+            - energy.energy_singular(upper, kappa, d, m)
         )
     bad = _worst_nonmonotone(vals, increasing=True)
     worst = max(worst, bad)
@@ -368,7 +369,7 @@ def check_minimizer_consistency(tol: float, rel_tol: float, root_tol: float) -> 
     mismatches = 0
     total = 0
     for d, m, lo, hi in ((2, 0.5, 4.0, 12.0), (3, 0.25, 8.0, 16.0), (5, 0.3, 15.0, 21.0)):
-        crit = energy.critical_set(d, m, rel_tol)
+        crit = energy.critical_set(d, m)
         for kappa in np.linspace(lo, hi, 9):
             kappa = float(kappa)
             report = energy.classify_minimizer(kappa, d, m, rel_tol, root_tol)
@@ -448,7 +449,7 @@ def run_verification(
         ("case_iii_com_decreasing",
          lambda: check_case_iii_com_decreasing(tol(0.0), quad_tol)),
         ("singular_multiplier_relation",
-         lambda: check_singular_multiplier_relation(tol(1e-10), quad_tol, root_tol)),
+         lambda: check_singular_multiplier_relation(tol(1e-10), root_tol)),
         ("singular_alpha_saturates",
          lambda: check_singular_alpha_saturates(tol(1e-2), root_tol)),
         ("kappa2_dual_oracle", lambda: check_kappa2_dual_oracle(tol(1e-8), quad_tol)),

@@ -9,7 +9,7 @@ import pytest
 from fastsphere import cli
 from fastsphere import energy as en
 from fastsphere import equilibria as eq
-from fastsphere import quadrature
+from fastsphere import quadrature, verification
 from fastsphere.cli import main
 from fastsphere.errors import BracketFailureError
 from fastsphere.model import sphere_geometry
@@ -272,10 +272,10 @@ class TestSweepWork:
         assert batches <= per_kappa_batches / 4
 
 
-    def test_cold_sweep_computes_one_integral(self, capsys):
-        # the sweep's branch solves run through the batched seed pass, and
-        # each root's energy takes the moments of its solve; only the rho_bar
-        # entropy integral behind kappa_c and the singular energies is left
+    def test_cold_sweep_computes_no_scalar_integral(self, capsys):
+        # the sweep's branch solves run through the batched seed pass, each
+        # root's energy takes the moments of its solve, and the singular
+        # energies take the rho_bar entropy from its closed form
         quadrature._integral.cache_clear()
         code, _, err = run(
             capsys,
@@ -285,7 +285,7 @@ class TestSweepWork:
         misses = quadrature._integral.cache_info().misses
         quadrature._integral.cache_clear()
         assert code == 0 and err == ""
-        assert misses <= 1
+        assert misses == 0
 
 
 class TestDemoSweeps:
@@ -387,6 +387,19 @@ class TestVerify:
         code, out, _ = run(capsys, "verify")
         assert code == 1
         assert "FAIL" in out
+
+    def test_eta1_check_covers_the_entropy_member(self, monkeypatch):
+        # kappa_c and the singular energies take I(1, q + 1, 0) from the
+        # closed form, so verify must hold it against the quadrature too
+        original = quadrature._integral
+
+        def skewed(zeta, q, d, rel_tol):
+            i0, i1, i_ent = original(zeta, q, d, rel_tol)
+            return i0, i1, i_ent * (1.0 + 1e-6)
+
+        assert verification.check_eta1_quadrature_vs_closed_form(1e-8, 1e-10).passed
+        monkeypatch.setattr(quadrature, "_integral", skewed)
+        assert not verification.check_eta1_quadrature_vs_closed_form(1e-8, 1e-10).passed
 
     def test_bad_tolerance_exits_2(self, capsys):
         code, _, err = run(capsys, "verify", "--rel-tol", "-1")

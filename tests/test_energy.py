@@ -15,7 +15,7 @@ from conftest import (
 )
 from fastsphere import energy as en
 from fastsphere import equilibria as eq
-from fastsphere import solvers
+from fastsphere import quadrature, solvers
 from fastsphere.errors import (
     BracketFailureError,
     FastSphereError,
@@ -194,6 +194,13 @@ class TestKappaC:
         kc = en.kappa_c(d, m)
         assert kc == pytest.approx(mp_kappa_c(d, m), rel=1e-9)
 
+    @pytest.mark.parametrize("d, m", [(10, 0.00035051991165634474), (8, 0.0005204527127321834)])
+    def test_matches_mpmath_oracle_at_small_m(self, d, m):
+        # the uniform and rho_bar entropies nearly cancel in the energy gap,
+        # so kappa_c magnifies their rounding by about 1/m
+        kc = en.kappa_c(d, m)
+        assert kc == pytest.approx(mp_kappa_c(d, m), rel=3e-12, abs=0.0)
+
     @pytest.mark.parametrize("d, m", [(100, 0.95), (200, 0.9)])
     def test_large_d_inside_fold_window(self, d, m):
         # the upper atom fraction at kappa1 lies beyond 1 - 1e-12 here, so
@@ -220,15 +227,21 @@ class TestKappaC:
             assert sign * gap > 0.0
 
     def test_needs_no_root_solve(self, monkeypatch):
+        # nor any quadrature: every eta = 1 moment of rho_bar is a closed form
         def forbidden(*args, **kwargs):
-            raise AssertionError("kappa_c must not solve for roots")
+            raise AssertionError("kappa_c must not solve for roots or integrate")
 
         monkeypatch.setattr(eq, "alpha_roots", forbidden)
         monkeypatch.setattr(eq, "bracketed_root", forbidden)
         monkeypatch.setattr(solvers, "bracketed_root", forbidden)
+        for module in (en, eq, quadrature):
+            monkeypatch.setattr(module, "_integral", forbidden)
         assert en.kappa_c(5, 0.3) == pytest.approx(KAPPA_C_5_03, rel=1e-12)
         crit = en.critical_set(12, 0.05)
         assert crit.kappa3 < crit.kappa_c < crit.kappa1
+        assert math.isfinite(en.energy_singular(0.5, 17.0, 5, 0.3))
+        assert eq.singular_lambda(0.5, 5, 0.3) < 0.0
+        assert eq.rho_bar_density(1.0, 5, 0.3) > 0.0
 
 
 class TestEquilibriaAt:

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -314,6 +315,71 @@ def test_closed_form_matches_near_integrability_threshold(d, m, p):
     q = 1.0 / (m - 1.0)
     assert 0.0 < 2.0 * q + d < 0.05
     assert integral(1.0, q, p, d) == pytest.approx(eta1_closed_form(q, p, d), rel=1e-10)
+
+
+def mp_eta1(q: float, p: int, d: int) -> float:
+    """2^(q+d-1) B(q + d/2, d/2), times -q/(q + d) for p = 1, to 40 digits at the float q."""
+    with mp.workdps(40):
+        q = mp.mpf(q)
+        i0 = 2 ** (q + d - 1) * mp.beta(q + mp.mpf(d) / 2, mp.mpf(d) / 2)
+        return float(i0 if p == 0 else i0 * -q / (q + d))
+
+
+def _regime_grid(d: int) -> list:
+    """m at fixed fractions of every regime interval of d (cases iii, ii, i)."""
+    edges = [0.0, 1.0 - 2.0 / (d - 1) if d > 2 else 0.0, 1.0 - 2.0 / d if d > 1 else 0.0, 1.0]
+    return [
+        lo + f * (hi - lo)
+        for lo, hi in zip(edges, edges[1:])
+        if lo < hi
+        for f in (0.001, 0.02, 0.3, 0.7, 0.98, 0.999)
+    ]
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_closed_form_matches_mpmath_to_rounding(d):
+    # q and q + 1 are the mass and entropy exponents of rho_bar; near either
+    # regime threshold a = q + d/2 comes close to 0 or grows with d
+    checked = 0
+    for m in _regime_grid(d):
+        q = 1.0 / (m - 1.0)
+        for qq in (q, q + 1.0):
+            if 2.0 * qq + d <= 0.0:
+                continue
+            for p in (0, 1):
+                expected = pytest.approx(mp_eta1(qq, p, d), rel=4e-15, abs=0.0)
+                assert eta1_closed_form(qq, p, d) == expected
+                checked += 1
+    assert checked >= 6  # d = 1, 2: only q + 1 converges, and only for m < 1/3, 1/2
+
+
+@pytest.mark.parametrize("d, m", [(100, 0.95), (200, 0.9)])
+def test_closed_form_matches_mpmath_at_large_d(d, m):
+    # a sum of log-Gamma terms of size ~ d log d loses 1e-13 here
+    q = 1.0 / (m - 1.0)
+    for qq in (q, q + 1.0):
+        for p in (0, 1):
+            expected = pytest.approx(mp_eta1(qq, p, d), rel=4e-15, abs=0.0)
+            assert eta1_closed_form(qq, p, d) == expected
+
+
+@pytest.mark.parametrize("d", [400, 401])
+@pytest.mark.parametrize("m", [0.05, 0.9, 0.99])
+def test_closed_form_beyond_float_factorials(d, m):
+    # (d/2)! and the Gamma products leave double range at this d; the
+    # integer assembly does not, and raises nothing
+    q = 1.0 / (m - 1.0)
+    for qq in (q, q + 1.0):
+        for p in (0, 1):
+            expected = pytest.approx(mp_eta1(qq, p, d), rel=1e-12, abs=0.0)
+            assert eta1_closed_form(qq, p, d) == expected
+
+
+def test_closed_form_out_of_double_range_is_typed():
+    # the value itself overflows (q large) or nearly does (q -> -d/2 at large d)
+    for q, d in ((2000.0, 3), (-2000.0, 4001)):
+        with pytest.raises(ToleranceNotMetError):
+            eta1_closed_form(q, 0, d)
 
 
 def test_log_gamma_values():
