@@ -29,7 +29,6 @@ from .equilibria import (
     UniformState,
     alpha_roots,
     com_norm_of_eta,
-    critical_constants,
     fully_supported_density,
     fully_supported_state,
     fully_supported_states,
@@ -92,7 +91,6 @@ __all__ = [
     "classify_minimizer",
     "classify_regime",
     "com_norm_of_eta",
-    "critical_constants",
     "critical_set",
     "delta_mixture_energy",
     "energy_fully_supported",

@@ -21,7 +21,6 @@ import numpy as np
 
 from . import energy, equilibria, verification
 from .errors import FastSphereError
-from .model import classify_regime
 
 
 def _fmt(value) -> str:
@@ -50,12 +49,11 @@ def _tolerances(args) -> tuple[float, float]:
 
 def cmd_critical(args) -> int:
     _tolerances(args)  # validated as for every command, though critical_set integrates nothing
-    regime = classify_regime(args.d, args.m)
     crit = energy.critical_set(args.d, args.m)
     payload = {
         "d": args.d,
         "m": args.m,
-        "regime": regime.tag.value,
+        "regime": crit.regime.value,
         "kappa1": crit.kappa1,
         "kappa2": crit.kappa2,
         "kappa3": crit.kappa3,

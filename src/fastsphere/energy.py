@@ -21,13 +21,16 @@ The minimizer map follows the energy comparisons: the uniform state below
 kappa1, the supported branch up to the handoff at kappa2 where one exists,
 and the measure-valued branch beyond; in the fold regime (CaseIII) the
 switch happens at the strength kappa_c where the uniform and the upper
-measure-valued energies cross, located here by bisection along that branch,
-where kappa and both energies are closed forms of the atom fraction.
+measure-valued energies cross.  critical_set finds it in one pass with the
+other critical strengths: along that branch kappa and the energy gap are
+closed forms of the atom fraction, and a safeguarded Newton iteration on
+the gap locates the crossing without quadrature or a general root solve.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from . import equilibria
@@ -157,8 +160,12 @@ def rho_bar_entropy_integral(d, m: float) -> float:
         )
     i0 = eta1_closed_form(q, 0, d)
     i_ent = eta1_closed_form(q + 1.0, 0, d)
-    dwd = sphere_geometry(d).area_sdm1
-    return dwd ** (1.0 - m) * i_ent * i0 ** (-m)
+    return _rho_bar_entropy_of(i0, i_ent, sphere_geometry(d).area_sdm1, m)
+
+
+def _rho_bar_entropy_of(i0: float, i_ent: float, area_sdm1: float, m: float) -> float:
+    """int rho_bar^m dS from the eta = 1 integrals I(1, q, 0) and I(1, q + 1, 0)."""
+    return area_sdm1 ** (1.0 - m) * i_ent * i0 ** (-m)
 
 
 def energy_singular(alpha: float, kappa: float, d, m: float) -> float:
@@ -229,57 +236,102 @@ def second_variation_gap(kappa: float, d, m: float) -> float:
 def kappa_c(d, m: float) -> float:
     """Strength where the uniform and upper measure-valued energies cross.
 
-    CaseIII only.  Along the upper measure-valued branch, parametrized by
+    CaseIII only; the value is critical_set(d, m).kappa_c, which see.
+    """
+    crit = critical_set(d, m)
+    if crit.kappa_c is None:
+        raise WrongRegimeError(
+            f"kappa_c exists only in case_iii; d={d}, m={m!r} is {crit.regime.value}"
+        )
+    return crit.kappa_c
+
+
+def _kappa_c_gap(
+    u: float, e_uniform_0: float, k2sb: float, sb: float, ent: float, m: float
+) -> tuple[float, float, float]:
+    """E_uniform - E_singular on the upper measure-valued branch at u = -log(1 - alpha).
+
+    With kappa(u) com^2 = kappa2 s_bar (e^((1-m) u) - (1 - s_bar) e^(-m u)),
+    the gap is e_uniform_0 + kappa com^2 / 2 + e^(-m u) ent / (1 - m).
+    Returns the gap, its slope in u, and the sum of the magnitudes of its
+    terms, which is its rounding error in units of eps.
+    """
+    rise = math.exp((1.0 - m) * u)
+    rest = math.exp(-m * u)  # (1 - alpha)^m
+    atom = 0.5 * k2sb * (rise - (1.0 - sb) * rest)
+    entropy = rest * ent / (1.0 - m)
+    slope = 0.5 * k2sb * ((1.0 - m) * rise + m * (1.0 - sb) * rest) - m * entropy
+    return e_uniform_0 + atom + entropy, slope, atom + entropy - e_uniform_0
+
+
+def _kappa_c_of(
+    k1: float, k2: float, sb: float, alpha_bar: float, ent: float, e_uniform_0: float, m: float
+) -> float:
+    """kappa_c from the closed-form constants of a CaseIII pair.
+
+    Along the upper measure-valued branch, parametrized by
     u = -log(1 - alpha), the strength is explicit,
 
         kappa(u) = e^((1-m) u) kappa2 s_bar / (1 - e^(-u) (1 - s_bar)),
 
-    rising from kappa3 at the fold u_bar = -log(1 - alpha_bar).  The energy
-    gap E_uniform - E_singular is then closed form in u, down to the entropy
-    of rho_bar, a Beta function that does not depend on kappa.  The gap
-    grows with kappa at the strictly positive rate
+    rising from kappa3 at the fold u_bar = -log(1 - alpha_bar), and the
+    energy gap (_kappa_c_gap) is closed form down to the entropy of rho_bar.
+    The gap grows with kappa at the strictly positive rate
     (alpha + (1-alpha) s_bar)^2 / 2, so the crossing is unique in
-    (kappa3, kappa1); it is bisected in u until the midpoint no longer
-    splits the bracket, i.e. to double resolution.
+    (kappa3, kappa1).  It is found by rtsafe (Press et al., Numerical
+    Recipes, sec. 9.4) on the bracket from the fold to the first doubling
+    of u past kappa1: a Newton step on the gap where it stays inside the
+    bracket and at least halves the step before the last one, a bisection
+    otherwise.  It stops when the step no longer moves u, or when the gap
+    at u is within its own rounding error and Newton cannot go on.
     """
-    regime = classify_regime(d, m)
-    if regime.tag is not RegimeCase.CASE_III:
-        raise WrongRegimeError(
-            f"kappa_c exists only in case_iii; d={d}, m={m!r} is {regime.tag.value}"
-        )
-    _, alpha_bar = equilibria.kappa3_and_alpha_bar(d, m)
-    k1 = equilibria.kappa1(d, m)
-    k2 = equilibria.kappa2(d, m)
-    sb = equilibria.s_bar(d, m)
-    ent = rho_bar_entropy_integral(d, m)
-    e_uniform_0 = energy_uniform(0.0, d, m)
+    k2sb = k2 * sb
 
     def kappa_of(u: float) -> float:
         return math.exp((1.0 - m) * u) * k2 * sb / (1.0 - math.exp(-u) * (1.0 - sb))
-
-    def gap(u: float) -> float:
-        kappa = kappa_of(u)
-        return e_uniform_0 + 0.5 * kappa - _singular_energy(-math.expm1(-u), kappa, ent, sb, m)
 
     lo = -math.log1p(-alpha_bar)
     hi = lo + 1.0  # a positive width, so the doubling ends even for u_bar ~ 0
     while kappa_of(hi) < k1:
         hi *= 2.0
-    g_lo = gap(lo)
-    g_hi = gap(hi)
+    g_lo = _kappa_c_gap(lo, e_uniform_0, k2sb, sb, ent, m)[0]
+    g_hi = _kappa_c_gap(hi, e_uniform_0, k2sb, sb, ent, m)[0]
     if not (g_lo < 0.0 < g_hi):
         raise BracketFailureError(
             f"energy gap does not change sign on (kappa3, kappa1): "
             f"gap(kappa3)={g_lo!r}, gap(kappa={kappa_of(hi)!r})={g_hi!r}"
         )
+    u = 0.5 * (lo + hi)
+    step = before = hi - lo
     while True:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            return kappa_of(mid)
-        if gap(mid) < 0.0:
-            lo = mid
+        g, slope, size = _kappa_c_gap(u, e_uniform_0, k2sb, sb, ent, m)
+        if g < 0.0:
+            lo = u
+        elif g > 0.0:
+            hi = u
         else:
-            hi = mid
+            break
+        newton = u - g / slope if slope > 0.0 else math.nan
+        if newton == u:
+            break
+        noise = sys.float_info.epsilon * size
+        if lo < newton < hi and abs(newton - u) <= 0.5 * abs(before):
+            before, step = step, newton - u
+            u = newton
+        elif abs(g) <= noise:
+            # u is inside the band where the gap is rounding noise: bisecting
+            # would only grind the bracket down through it.  A bracket that
+            # lies within the band is settled by its midpoint.
+            if (hi - lo) * slope <= 4.0 * noise:
+                u = 0.5 * (lo + hi)
+            break
+        else:
+            before, step = step, 0.5 * (hi - lo)
+            mid = lo + step
+            if not lo < mid < hi:
+                break
+            u = mid
+    return kappa_of(u)
 
 
 def equilibria_at(
@@ -296,15 +348,16 @@ def equilibria_at(
     eta on the supported row only.  Where a kappa fails, its entry is the
     FastSphereError raised there, without its traceback.  The supported
     branch is taken from equilibria.fully_supported_states, whose window
-    check alone decides where it exists; the measure-valued rows from
-    alpha_roots, where the tangent double root at kappa3 gives the upper
+    check alone decides where it exists; the measure-valued rows from the
+    root finder of alpha_roots, fed s_bar, kappa2 and alpha_bar computed
+    once per call, where the tangent double root at kappa3 gives the upper
     row only.
     """
     validate_params(d, m)
     d = int(d)
     singular = classify_regime(d, m).tag is not RegimeCase.CASE_I
-    if singular:  # rho_bar, and so its com norm and entropy, is the same at every kappa
-        sb = equilibria.s_bar(d, m)
+    if singular:  # rho_bar, its com norm and entropy, and kappa2 are the same at every kappa
+        sb, k2, alpha_bar = equilibria._singular_constants(d, m)
         ent = rho_bar_entropy_integral(d, m)
     states = equilibria.fully_supported_states(kappas, d, m, rel_tol, root_tol)
     found: list = []
@@ -319,7 +372,7 @@ def equilibria_at(
                 e = energy_fully_supported(state, d, m, rel_tol)
                 rows.append((FULLY_SUPPORTED, None, state.eta, state.s, e))
             if singular:
-                roots = equilibria.alpha_roots(kappa, d, m, root_tol)
+                roots = equilibria._alpha_roots(kappa, sb, k2, alpha_bar, m, root_tol)
                 atoms = [(SINGULAR_UPPER, roots[-1])] if roots else []
                 if len(roots) == 2 and roots[0] < roots[1]:
                     atoms.append((SINGULAR_LOWER, roots[0]))
@@ -381,14 +434,33 @@ def classify_minimizer(
 
 
 def critical_set(d, m: float) -> CriticalSet:
-    """All critical strengths for (d, m), including kappa_c where defined."""
-    base = equilibria.critical_constants(d, m)
-    if base.kappa3 is None:
-        return base
+    """All critical strengths for (d, m), including kappa_c where defined.
+
+    One pass: the parameters are validated and classified once, the sphere
+    geometry and the eta = 1 integrals of rho_bar computed once, and every
+    strength, kappa_c included, formed from them by the same closed forms
+    as kappa1, kappa2, s_bar, kappa3_and_alpha_bar, rho_bar_entropy_integral
+    and energy_uniform.
+    """
+    regime = classify_regime(d, m).tag
+    d = int(d)
+    geo = sphere_geometry(d)
+    k1 = equilibria._kappa1_of(geo.area_sd, d, m)
+    if regime is RegimeCase.CASE_I:
+        return CriticalSet(kappa1=k1)
+    q = 1.0 / (m - 1.0)
+    i0 = eta1_closed_form(q, 0, d)
+    k2 = equilibria._kappa2_of(i0, geo.area_sdm1, d, m)
+    if regime is RegimeCase.CASE_II:
+        return CriticalSet(kappa1=k1, kappa2=k2)
+    sb = equilibria._s_bar_of(d, m)
+    k3, alpha_bar = equilibria._fold(k2, sb, m)
+    ent = _rho_bar_entropy_of(i0, eta1_closed_form(q + 1.0, 0, d), geo.area_sdm1, m)
+    e_uniform_0 = geo.area_sd ** (1.0 - m) / (m - 1.0)  # energy_uniform(0, d, m)
     return CriticalSet(
-        kappa1=base.kappa1,
-        kappa2=base.kappa2,
-        kappa3=base.kappa3,
-        alpha_bar=base.alpha_bar,
-        kappa_c=kappa_c(d, m),
+        kappa1=k1,
+        kappa2=k2,
+        kappa3=k3,
+        alpha_bar=alpha_bar,
+        kappa_c=_kappa_c_of(k1, k2, sb, alpha_bar, ent, e_uniform_0, m),
     )

@@ -88,6 +88,13 @@ class CriticalSet:
     alpha_bar: float | None = None  # CaseIII, atom fraction at the fold
     kappa_c: float | None = None  # CaseIII, global-minimizer switch
 
+    @property
+    def regime(self) -> RegimeCase:
+        """The m-range, read off which strengths exist."""
+        if self.kappa3 is not None:
+            return RegimeCase.CASE_III
+        return RegimeCase.CASE_I if self.kappa2 is None else RegimeCase.CASE_II
+
 
 def _q_exponent(m: float) -> float:
     return 1.0 / (m - 1.0)
@@ -118,7 +125,11 @@ def uniform_state(d, m: float) -> UniformState:
 def kappa1(d, m: float) -> float:
     """Stability threshold of the uniform state: m (d+1) |S^d|^(1-m)."""
     validate_params(d, m)
-    return m * (d + 1) * sphere_geometry(d).area_sd ** (1.0 - m)
+    return _kappa1_of(sphere_geometry(d).area_sd, d, m)
+
+
+def _kappa1_of(area_sd: float, d, m: float) -> float:
+    return m * (d + 1) * area_sd ** (1.0 - m)
 
 
 def _inverse_kappa_zeta(zeta: float, d: int, m: float, rel_tol: float) -> float:
@@ -354,36 +365,33 @@ def s_bar(d, m: float) -> float:
         raise NotIntegrableError(
             f"the regular density is not integrable for m={m!r} >= 1 - 2/d (d={d})"
         )
+    return _s_bar_of(d, m)
+
+
+def _s_bar_of(d, m: float) -> float:
     return 1.0 / ((1.0 - m) * int(d) - 1.0)
 
 
 def kappa2(d, m: float) -> float:
     """Transition strength between supported and measure-valued equilibria.
 
-    Gamma closed form, assembled in log space.  Defined for m < 1 - 2/d; it
-    equals 1 / inverse_kappa(1), which kappa2_quadrature evaluates through
-    the independent quadrature route.
+    Defined for m < 1 - 2/d, where it equals 1 / inverse_kappa(1); at
+    eta = 1 the moment is I1 = I0 (-q) / (q + d), so it is a closed form in
+    the mass I0 = eta1_closed_form(q, 0, d).  kappa2_quadrature evaluates
+    the same quantity through the independent quadrature route.
     """
     validate_params(d, m)
     d = int(d)
     if m >= 1.0 - 2.0 / d:
         raise NotIntegrableError(f"kappa2 is undefined for m={m!r} >= 1 - 2/d (d={d})")
-    a = _q_exponent(m)
-    area = sphere_geometry(d).area_sd
-    log_k2 = (
-        math.log(m)
-        + math.log(a + d)
-        - (1.0 + (d - 1) * (m - 1.0)) * math.log(2.0)
-        - (m - 1.0) * math.log(area)
-        + (m - 1.0)
-        * (
-            math.lgamma(0.5)
-            + math.lgamma(a + d)
-            - math.lgamma(a + 0.5 * d)
-            - math.lgamma(0.5 * (d + 1))
-        )
-    )
-    return math.exp(log_k2)
+    i0 = eta1_closed_form(_q_exponent(m), 0, d)
+    return _kappa2_of(i0, sphere_geometry(d).area_sdm1, d, m)
+
+
+def _kappa2_of(i0: float, area_sdm1: float, d: int, m: float) -> float:
+    """kappa2 = m/(1-m) (|S^(d-1)| I0)^(1-m) (q+d)/(-q) from the eta = 1 mass I0."""
+    q = _q_exponent(m)
+    return m / (1.0 - m) * (area_sdm1 * i0) ** (1.0 - m) * (q + d) / -q
 
 
 def kappa2_quadrature(d, m: float, rel_tol: float = DEFAULT_REL_TOL) -> float:
@@ -404,9 +412,13 @@ def kappa3_and_alpha_bar(d, m: float) -> tuple[float, float]:
             f"kappa3 exists only in case_iii (0 < m < 1 - 2/(d-1)); "
             f"d={d}, m={m!r} is {regime.tag.value}"
         )
-    sb = s_bar(d, m)
+    return _fold(kappa2(d, m), _s_bar_of(d, m), m)
+
+
+def _fold(k2: float, sb: float, m: float) -> tuple[float, float]:
+    """(kappa3, alpha_bar) from kappa2 and s_bar."""
     alpha_bar = (1.0 - 2.0 * sb + m * sb) / ((1.0 - sb) * (2.0 - m))
-    k3 = kappa2(d, m) * (1.0 - m) * sb / (1.0 - sb) * (1.0 - alpha_bar) ** (m - 2.0)
+    k3 = k2 * (1.0 - m) * sb / (1.0 - sb) * (1.0 - alpha_bar) ** (m - 2.0)
     return k3, alpha_bar
 
 
@@ -427,14 +439,27 @@ def alpha_roots(
     roots straddling alpha_bar on (kappa3, kappa2), one root past kappa2.
     """
     validate_params(d, m, kappa)
-    kappa = float(kappa)
+    return _alpha_roots(float(kappa), *_singular_constants(d, m), m, root_tol)
+
+
+def _singular_constants(d, m: float) -> tuple[float, float, float | None]:
+    """(s_bar, kappa2, alpha_bar) of the measure-valued family; alpha_bar is None in CaseII."""
     regime = classify_regime(d, m)
     if m >= 1.0 - 2.0 / int(d):
         raise NotIntegrableError(
             f"measure-valued equilibria require m < 1 - 2/d; got d={d}, m={m!r}"
         )
-    sb = s_bar(d, m)
+    sb = _s_bar_of(d, m)
     k2 = kappa2(d, m)
+    if regime.tag is RegimeCase.CASE_II:
+        return sb, k2, None
+    return sb, k2, _fold(k2, sb, m)[1]
+
+
+def _alpha_roots(
+    kappa: float, sb: float, k2: float, alpha_bar: float | None, m: float, root_tol: float
+) -> list[float]:
+    """alpha_roots from the constants _singular_constants returns."""
 
     def mismatch(alpha: float) -> float:
         return kappa * (sb + alpha * (1.0 - sb)) - (1.0 - alpha) ** (m - 1.0) * k2 * sb
@@ -442,7 +467,7 @@ def alpha_roots(
     scale = max(1.0, kappa)
     cap = 1.0 - 1e-12  # the right side diverges at alpha = 1, root is interior
 
-    if regime.tag is RegimeCase.CASE_II:
+    if alpha_bar is None:  # CaseII
         if kappa <= k2:
             return []
         root = bracketed_root(
@@ -451,7 +476,6 @@ def alpha_roots(
         # kappa within rounding of kappa2 can land on the alpha = 0 boundary
         return [root] if root > 0.0 else []
 
-    k3, alpha_bar = kappa3_and_alpha_bar(d, m)
     gap_at_bar = mismatch(alpha_bar)  # increasing in kappa, zero at kappa3
     if gap_at_bar < -1e-11 * scale:
         return []
@@ -519,18 +543,3 @@ def rho_bar_density(theta: float, d, m: float) -> float:
         return math.inf
     i0 = eta1_closed_form(q, 0, d)
     return v**q / (sphere_geometry(d).area_sdm1 * i0)
-
-
-def critical_constants(d, m: float) -> CriticalSet:
-    """All closed-form critical strengths for (d, m); kappa_c is left unset.
-
-    The energy module completes the set with kappa_c where it exists.
-    """
-    regime = classify_regime(d, m)
-    k1 = kappa1(d, m)
-    if regime.tag is RegimeCase.CASE_I:
-        return CriticalSet(kappa1=k1)
-    if regime.tag is RegimeCase.CASE_II:
-        return CriticalSet(kappa1=k1, kappa2=kappa2(d, m))
-    k3, alpha_bar = kappa3_and_alpha_bar(d, m)
-    return CriticalSet(kappa1=k1, kappa2=kappa2(d, m), kappa3=k3, alpha_bar=alpha_bar)

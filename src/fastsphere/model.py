@@ -14,6 +14,7 @@ bottom range is empty.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -116,12 +117,34 @@ def classify_regime(d, m: float) -> Regime:
 
 
 def sphere_geometry(d) -> SphereGeometry:
-    """Surface area |S^d|, unit-ball volume w_d and |S^{d-1}| = d w_d."""
+    """Surface area |S^d|, unit-ball volume w_d and |S^{d-1}| = d w_d.
+
+    From d = 342 on math.gamma overflows, and the areas are taken from
+    lgamma instead.  They underflow from d = 438 on; there an
+    InvalidParamError is raised, since no quantity of the model keeps its
+    precision once they leave the normal double range.
+    """
     d = check_dimension(d)
-    area_sd = 2.0 * math.pi ** ((d + 1) / 2.0) / math.gamma((d + 1) / 2.0)
-    ball_volume_wd = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
+    try:
+        area_sd = 2.0 * math.pi ** ((d + 1) / 2.0) / math.gamma((d + 1) / 2.0)
+        ball_volume_wd = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
+        area_sdm1 = d * ball_volume_wd
+    except OverflowError:
+        area_sd = _area_from_lgamma(d + 1)
+        area_sdm1 = _area_from_lgamma(d)
+        ball_volume_wd = area_sdm1 / d
+        if not area_sd >= sys.float_info.min:  # |S^d| < |S^(d-1)| here
+            raise InvalidParamError(
+                f"the sphere areas leave the normal double range at d={d} "
+                f"(|S^d|={area_sd!r}, |S^(d-1)|={area_sdm1!r})"
+            ) from None
     return SphereGeometry(
         area_sd=area_sd,
         ball_volume_wd=ball_volume_wd,
-        area_sdm1=d * ball_volume_wd,
+        area_sdm1=area_sdm1,
     )
+
+
+def _area_from_lgamma(n: int) -> float:
+    """|S^(n-1)| = 2 pi^(n/2) / Gamma(n/2), formed in log space."""
+    return 2.0 * math.exp(0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n))

@@ -74,7 +74,10 @@ def mp_kappa_c(d: int, m: float) -> float:
     uniform minus singular energy gap is closed form; every integral sits at
     eta = 1, where int_0^pi (1 - cos t)^p sin^(d-1) t dt is the Beta value
     2^(p+d-1) B(p + d/2, d/2).  mp.findroot brackets the root between the
-    fold and the first u where kappa(u) >= kappa1.
+    fold and the first u where kappa(u) >= kappa1.  Its convergence test is
+    absolute, so the gap is divided by |S^d|^(1-m), the size of each
+    energy: at large d the energies are tiny, and the raw gap would let it
+    accept a point far from the root.
     """
     d, m = mp.mpf(d), mp.mpf(m)
     q = 1 / (m - 1)
@@ -94,16 +97,25 @@ def mp_kappa_c(d: int, m: float) -> float:
     def kappa_of(u):
         return mp.exp((1 - m) * u) * k2 * sb / (1 - mp.exp(-u) * (1 - sb))
 
+    scale = area_sd ** (1 - m)
+
     def gap(u):
         rest = mp.exp(-u)
         com = 1 - rest * (1 - sb)
-        return (area_sd ** (1 - m) - rest**m * entropy) / (m - 1) + kappa_of(u) * com**2 / 2
+        return ((scale - rest**m * entropy) / (m - 1) + kappa_of(u) * com**2 / 2) / scale
 
     lo = -mp.log(1 - alpha_bar)
     hi = lo + 1
     while kappa_of(hi) < k1:
         hi *= 2
-    return float(kappa_of(mp.findroot(gap, (lo, hi), solver="anderson")))
+    return float(kappa_of(mp.findroot(gap, (lo, hi), solver="illinois")))
+
+
+def mp_kappa1(d: int, m: float) -> float:
+    """30-digit kappa1 = m (d+1) |S^d|^(1-m)."""
+    d, m = mp.mpf(d), mp.mpf(m)
+    area_sd = 2 * mp.pi ** ((d + 1) / 2) / mp.gamma((d + 1) / 2)
+    return float(m * (d + 1) * area_sd ** (1 - m))
 
 
 def sphere_average(f, d: int, nodes: int = 400) -> float:

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import mp_kappa1, mp_kappa_c
 from fastsphere import cli
 from fastsphere import energy as en
 from fastsphere import equilibria as eq
@@ -70,6 +71,20 @@ class TestCritical:
         assert payload["regime"] == "case_iii"
         assert math.isfinite(payload["kappa_c"])
         assert payload["kappa3"] < payload["kappa_c"] < payload["kappa1"]
+
+    def test_case_iii_payload_beyond_gamma_range(self, capsys):
+        # math.gamma overflows from d = 342 on; the areas come from lgamma there
+        code, out, _ = run(capsys, "critical", "--d", "400", "--m", "0.5")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["kappa1"] == pytest.approx(mp_kappa1(400, 0.5), rel=1e-12, abs=0.0)
+        assert payload["kappa_c"] == pytest.approx(mp_kappa_c(400, 0.5), rel=1e-12, abs=0.0)
+
+    def test_areas_below_double_range_exit_2(self, capsys):
+        code, out, err = run(capsys, "critical", "--d", "1000", "--m", "0.5")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "d=1000" in err
 
     def test_threshold_degenerate_exits_2(self, capsys):
         code, _, err = run(capsys, "critical", "--d", "3", "--m", "0.3333333333")

@@ -1,4 +1,8 @@
+import importlib
 import math
+import statistics
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,14 +19,16 @@ from conftest import (
 )
 from fastsphere import energy as en
 from fastsphere import equilibria as eq
-from fastsphere import quadrature, solvers
+from fastsphere import model, quadrature, solvers
 from fastsphere.errors import (
     BracketFailureError,
     FastSphereError,
     InvalidParamError,
     WrongRegimeError,
 )
-from fastsphere.model import sphere_geometry
+from fastsphere.model import RegimeCase, classify_regime, sphere_geometry
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 class TestEnergyUniform:
@@ -201,6 +207,25 @@ class TestKappaC:
         kc = en.kappa_c(d, m)
         assert kc == pytest.approx(mp_kappa_c(d, m), rel=3e-12, abs=0.0)
 
+    @pytest.mark.parametrize(
+        "d, m",
+        [
+            (50, 0.1), (50, 0.5), (50, 0.95),
+            (100, 0.077), (100, 0.5), (100, 0.95),
+            (200, 0.1), (200, 0.45), (200, 0.9),
+            (300, 0.3), (300, 0.81), (300, 0.95),
+        ],
+    )
+    def test_matches_mpmath_oracle_at_large_d(self, d, m):
+        kc = en.kappa_c(d, m)
+        assert kc == pytest.approx(mp_kappa_c(d, m), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "d, m", [(5, 0.3), (12, 0.05), (10, 0.00035051991165634474), (200, 0.9), (400, 0.5)]
+    )
+    def test_equals_critical_set_bit_for_bit(self, d, m):
+        assert en.kappa_c(d, m) == en.critical_set(d, m).kappa_c
+
     @pytest.mark.parametrize("d, m", [(100, 0.95), (200, 0.9)])
     def test_large_d_inside_fold_window(self, d, m):
         # the upper atom fraction at kappa1 lies beyond 1 - 1e-12 here, so
@@ -263,14 +288,14 @@ class TestEquilibriaAt:
         assert found[1][1] == pytest.approx(alpha_bar, abs=1e-5)
 
     def test_branch_failure_fails_its_kappa(self, monkeypatch):
-        alpha_roots = eq.alpha_roots
+        alpha_roots = eq._alpha_roots
 
         def broken_at_17(kappa, *args):
             if kappa == 17.0:
                 raise BracketFailureError("injected root failure")
             return alpha_roots(kappa, *args)
 
-        monkeypatch.setattr(eq, "alpha_roots", broken_at_17)
+        monkeypatch.setattr(eq, "_alpha_roots", broken_at_17)
         found = en.equilibria_at([16.5, 17.0, 18.5], *CASE_III)
         assert type(found[1]) is BracketFailureError and found[1].__traceback__ is None
         assert [row[0] for row in found[2]] == ["uniform", "fully_supported", "singular_upper"]
@@ -332,6 +357,76 @@ class TestClassifyMinimizer:
         report = en.classify_minimizer(k1, 2, 0.5)
         assert report.minimizer == "uniform"
         assert report.degenerate
+
+
+def _count_calls(monkeypatch, name: str, home) -> list:
+    """Count the calls of home.<name> through every package module that binds it."""
+    original = getattr(home, name)
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("fastsphere") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _benchmark_case_iii_pairs() -> list:
+    """The case-iii (d, m) pairs of the benchmark's critical workload, seeds 0-3."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return [
+        (d, m)
+        for seed in range(4)
+        for d, m in workloads.critical_pairs(seed)
+        if classify_regime(d, m).tag is RegimeCase.CASE_III
+    ]
+
+
+class TestCriticalSetWork:
+    def test_one_pass(self, monkeypatch):
+        validations = _count_calls(monkeypatch, "validate_params", model)
+        geometries = _count_calls(monkeypatch, "sphere_geometry", model)
+        closed_forms = _count_calls(monkeypatch, "eta1_closed_form", quadrature)
+        crit = en.critical_set(5, 0.3)
+        assert crit.kappa_c == pytest.approx(KAPPA_C_5_03, rel=1e-12)
+        assert validations[0] <= 2
+        assert geometries[0] == 1
+        assert closed_forms[0] == 2
+
+    def test_gap_evaluations_per_kappa_c(self, monkeypatch):
+        # the count includes the two checks of the bracket ends
+        calls = _count_calls(monkeypatch, "_kappa_c_gap", en)
+        counts = []
+        for d, m in _benchmark_case_iii_pairs():
+            calls[0] = 0
+            en.kappa_c(d, m)
+            counts.append(calls[0])
+        assert len(counts) > 900
+        assert statistics.median(counts) <= 10
+        assert max(counts) <= 16
+
+
+def test_critical_set_by_regime():
+    case_i = en.critical_set(2, 0.5)
+    assert case_i.regime is RegimeCase.CASE_I
+    assert case_i.kappa2 is None and case_i.kappa3 is None and case_i.kappa_c is None
+    case_ii = en.critical_set(3, 0.25)
+    assert case_ii.regime is RegimeCase.CASE_II
+    assert case_ii.kappa2 is not None and case_ii.kappa2 > case_ii.kappa1
+    assert case_ii.kappa3 is None and case_ii.kappa_c is None
+    case_iii = en.critical_set(5, 0.3)
+    assert case_iii.regime is RegimeCase.CASE_III
+    assert case_iii.kappa3 < case_iii.kappa2 < case_iii.kappa1
+    assert 0.0 < case_iii.alpha_bar < 1.0
+    assert (case_iii.kappa3, case_iii.alpha_bar) == eq.kappa3_and_alpha_bar(5, 0.3)
+    assert (case_iii.kappa1, case_iii.kappa2) == (eq.kappa1(5, 0.3), eq.kappa2(5, 0.3))
 
 
 def test_critical_set_complete_for_case_iii():

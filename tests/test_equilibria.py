@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -157,7 +158,7 @@ class TestFullySupportedStates:
     @staticmethod
     def grid(d, m):
         """Kappas across the branch window, its ends, and some outside it."""
-        crit = eq.critical_constants(d, m)
+        crit = en.critical_set(d, m)
         ends = [crit.kappa1] if crit.kappa2 is None else [crit.kappa1, crit.kappa2]
         lo, hi = min(ends), max(ends) if crit.kappa2 else 3.0 * crit.kappa1
         return [-1.0, 0.5 * lo, *ends, *np.linspace(lo, hi, 15)[1:-1].tolist(), 1.2 * hi]
@@ -310,6 +311,17 @@ class TestKappa2:
         with pytest.raises(NotIntegrableError):
             eq.kappa2(2, 0.5)
 
+    @pytest.mark.parametrize("d, m", [(5, 0.3), (12, 0.05), (80, 0.3), (200, 0.5), (200, 0.9)])
+    def test_matches_40_digit_value(self, d, m):
+        # m/(1-m) (|S^(d-1)| I0)^(1-m) (q+d)/(-q) with I0 = 2^(q+d-1) B(q + d/2, d/2)
+        with mp.workdps(40):
+            dd, mm = mp.mpf(d), mp.mpf(m)
+            q = 1 / (mm - 1)
+            i0 = 2 ** (q + dd - 1) * mp.beta(q + dd / 2, dd / 2)
+            area_sdm1 = 2 * mp.pi ** (dd / 2) / mp.gamma(dd / 2)
+            want = mm / (1 - mm) * (area_sdm1 * i0) ** (1 - mm) * (q + dd) / -q
+        assert eq.kappa2(d, m) == pytest.approx(float(want), rel=4e-15, abs=0.0)
+
 
 class TestAlphaRoots:
     def test_case_iii_below_fold_empty(self):
@@ -435,15 +447,3 @@ class TestSingularState:
         with pytest.raises(OutOfWindowError):
             eq.singular_state(18.5, 5, 0.3, branch="lower")
 
-
-def test_critical_constants_by_regime():
-    case_i = eq.critical_constants(2, 0.5)
-    assert case_i.kappa2 is None and case_i.kappa3 is None and case_i.kappa_c is None
-    case_ii = eq.critical_constants(3, 0.25)
-    assert case_ii.kappa2 is not None and case_ii.kappa2 > case_ii.kappa1
-    assert case_ii.kappa3 is None
-    case_iii = eq.critical_constants(5, 0.3)
-    assert case_iii.kappa3 is not None and case_iii.kappa2 is not None
-    assert case_iii.kappa3 < case_iii.kappa2 < case_iii.kappa1
-    assert 0.0 < case_iii.alpha_bar < 1.0
-    assert case_iii.kappa_c is None  # completed by the energy module

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import pytest
 from hypothesis import given, strategies as st
 
@@ -31,6 +32,34 @@ def test_sphere_area_consistency_across_dimensions():
         direct = 2.0 * math.pi ** (0.5 * d) / math.gamma(0.5 * d)
         assert geo.area_sdm1 == pytest.approx(direct, rel=1e-14)
         assert geo.area_sdm1 == pytest.approx(d * geo.ball_volume_wd, rel=1e-14)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 100, 340, 341])
+def test_sphere_geometry_unchanged_within_gamma_range(d):
+    geo = sphere_geometry(d)
+    assert geo.area_sd == 2.0 * math.pi ** ((d + 1) / 2.0) / math.gamma((d + 1) / 2.0)
+    wd = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
+    assert (geo.ball_volume_wd, geo.area_sdm1) == (wd, d * wd)
+
+
+@pytest.mark.parametrize("d", [342, 343, 400, 437])
+def test_sphere_geometry_beyond_gamma_range(d):
+    # math.gamma overflows here; the areas come from lgamma
+    with pytest.raises(OverflowError):
+        math.gamma(d / 2.0 + 1.0)
+    geo = sphere_geometry(d)
+    with mp.workdps(30):
+        area_sd = 2 * mp.pi ** (mp.mpf(d + 1) / 2) / mp.gamma(mp.mpf(d + 1) / 2)
+        area_sdm1 = 2 * mp.pi ** (mp.mpf(d) / 2) / mp.gamma(mp.mpf(d) / 2)
+    assert geo.area_sd == pytest.approx(float(area_sd), rel=1e-12, abs=0.0)
+    assert geo.area_sdm1 == pytest.approx(float(area_sdm1), rel=1e-12, abs=0.0)
+    assert geo.ball_volume_wd == pytest.approx(float(area_sdm1) / d, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("d", [438, 439, 1000, 10**6])
+def test_sphere_geometry_below_double_range_fails_typed(d):
+    with pytest.raises(InvalidParamError, match="double range"):
+        sphere_geometry(d)
 
 
 @pytest.mark.parametrize(
