@@ -48,7 +48,6 @@ def _tolerances(args) -> tuple[float, float]:
 
 
 def cmd_critical(args) -> int:
-    _tolerances(args)  # validated as for every command, though critical_set integrates nothing
     crit = energy.critical_set(args.d, args.m)
     payload = {
         "d": args.d,
@@ -144,18 +143,21 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def _add_common(parser: argparse.ArgumentParser, model_params: bool = True) -> None:
+def _add_common(
+    parser: argparse.ArgumentParser, model_params: bool = True, tolerances: bool = True
+) -> None:
     if model_params:
         parser.add_argument("--d", type=int, required=True, help="sphere dimension, >= 1")
         parser.add_argument(
             "--m", type=float, required=True, help="diffusion exponent in (0, 1)"
         )
-    parser.add_argument(
-        "--rel-tol", type=float, default=1e-10, help="quadrature relative tolerance"
-    )
-    parser.add_argument(
-        "--root-tol", type=float, default=1e-12, help="root-finding residual tolerance"
-    )
+    if tolerances:
+        parser.add_argument(
+            "--rel-tol", type=float, default=1e-10, help="quadrature relative tolerance"
+        )
+        parser.add_argument(
+            "--root-tol", type=float, default=1e-12, help="root-finding residual tolerance"
+        )
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
 
 
@@ -168,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_crit = sub.add_parser("critical", help="critical interaction strengths as JSON")
-    _add_common(p_crit)
+    _add_common(p_crit, tolerances=False)  # closed forms: nothing to integrate or solve
     p_crit.set_defaults(func=cmd_critical)
 
     p_sweep = sub.add_parser("sweep", help="branch samples over a kappa grid")

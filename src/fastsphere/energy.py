@@ -94,10 +94,6 @@ def energy_uniform(kappa: float, d, m: float) -> float:
     return sphere_geometry(d).area_sd ** (1.0 - m) / (m - 1.0) + 0.5 * kappa
 
 
-def _branch_energy_gain_zeta(zeta: float, d: int, m: float, rel_tol: float) -> float:
-    return _branch_energy_gain_of(*_integral(zeta, 1.0 / (m - 1.0), d, rel_tol), d, m)
-
-
 def _branch_energy_gain_of(i0: float, i1: float, i_ent: float, d: int, m: float) -> float:
     """g1 * g2 from the moments at eta (i_ent: exponent m/(m-1))."""
     dwd = sphere_geometry(d).area_sdm1
@@ -120,7 +116,8 @@ def branch_energy_gain(
     eta = float(eta)
     if not math.isfinite(eta) or eta < 1.0:
         raise InvalidParamError(f"eta must be finite and >= 1, got {eta!r}")
-    return BranchEnergyGain(eta=eta, value=_branch_energy_gain_zeta(eta - 1.0, int(d), m, rel_tol))
+    moments = _integral(eta - 1.0, 1.0 / (m - 1.0), int(d), rel_tol)
+    return BranchEnergyGain(eta=eta, value=_branch_energy_gain_of(*moments, int(d), m))
 
 
 def energy_fully_supported(

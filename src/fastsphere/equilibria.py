@@ -132,11 +132,6 @@ def _kappa1_of(area_sd: float, d, m: float) -> float:
     return m * (d + 1) * area_sd ** (1.0 - m)
 
 
-def _inverse_kappa_zeta(zeta: float, d: int, m: float, rel_tol: float) -> float:
-    i0, i1, _ = _integral(zeta, _q_exponent(m), d, rel_tol)
-    return _inverse_kappa_of(zeta, i0, i1, _inverse_kappa_scale(d, m), d, m)
-
-
 def _inverse_kappa_scale(d: int, m: float) -> float:
     return (1.0 - m) / m * sphere_geometry(d).area_sdm1 ** (m - 1.0)
 
@@ -166,13 +161,9 @@ def inverse_kappa(eta: float, d, m: float, rel_tol: float = DEFAULT_REL_TOL) -> 
     eta = float(eta)
     if not math.isfinite(eta) or eta < 1.0:
         raise InvalidParamError(f"eta must be finite and >= 1, got {eta!r}")
-    return _inverse_kappa_zeta(eta - 1.0, int(d), m, rel_tol)
-
-
-def _com_norm_zeta(zeta: float, d: int, m: float, rel_tol: float) -> float:
-    q = _q_exponent(m)
-    i0, i1, _ = _integral(zeta, q, d, rel_tol)
-    return i1 / i0
+    d = int(d)
+    i0, i1, _ = _integral(eta - 1.0, _q_exponent(m), d, rel_tol)
+    return _inverse_kappa_of(eta - 1.0, i0, i1, _inverse_kappa_scale(d, m), d, m)
 
 
 def com_norm_of_eta(eta: float, d, m: float, rel_tol: float = DEFAULT_REL_TOL) -> float:
@@ -181,7 +172,8 @@ def com_norm_of_eta(eta: float, d, m: float, rel_tol: float = DEFAULT_REL_TOL) -
     eta = float(eta)
     if not math.isfinite(eta) or eta < 1.0:
         raise InvalidParamError(f"eta must be finite and >= 1, got {eta!r}")
-    return _com_norm_zeta(eta - 1.0, int(d), m, rel_tol)
+    i0, i1, _ = _integral(eta - 1.0, _q_exponent(m), int(d), rel_tol)
+    return i1 / i0
 
 
 def _window(d: int, m: float, regime: Regime):
@@ -214,23 +206,6 @@ def _log_zeta_bracket(d: int, m: float) -> tuple[float, float]:
     return math.log(_zeta_floor(q, d)), math.log(ceil)
 
 
-def _solve_zeta(
-    kappa: float, d: int, m: float, rel_tol: float, root_tol: float
-) -> float:
-    _window(d, m, classify_regime(d, m))(kappa)
-
-    def scaled_residual(y: float) -> float:
-        return _inverse_kappa_zeta(math.exp(y), d, m, rel_tol) * kappa - 1.0
-
-    y = bracketed_root(
-        scaled_residual,
-        *_log_zeta_bracket(d, m),
-        residual_tol=root_tol,
-        width_tol=DEFAULT_WIDTH_TOL,
-    )
-    return math.exp(y)
-
-
 def solve_eta(
     kappa: float,
     d,
@@ -246,8 +221,7 @@ def solve_eta(
     uniform limit.  The result satisfies
     |inverse_kappa(eta) * kappa - 1| <= root_tol.
     """
-    validate_params(d, m, kappa)
-    return 1.0 + _solve_zeta(float(kappa), int(d), m, rel_tol, root_tol)
+    return fully_supported_state(kappa, d, m, rel_tol, root_tol).eta
 
 
 def fully_supported_state(
@@ -257,19 +231,14 @@ def fully_supported_state(
     rel_tol: float = DEFAULT_REL_TOL,
     root_tol: float = DEFAULT_ROOT_TOL,
 ) -> FullySupportedState:
-    """Construct the fully supported equilibrium at kappa."""
-    validate_params(d, m, kappa)
-    kappa = float(kappa)
-    zeta = _solve_zeta(kappa, int(d), m, rel_tol, root_tol)
-    return _state(kappa, zeta, _integral(zeta, _q_exponent(m), int(d), rel_tol))
+    """The fully supported equilibrium at kappa: fully_supported_states at [kappa].
 
-
-def _state(kappa: float, zeta: float, moments: tuple[float, float, float]) -> FullySupportedState:
-    eta = 1.0 + zeta
-    s = moments[1] / moments[0]
-    return FullySupportedState(
-        kappa=kappa, eta=eta, s=s, lambda_=-kappa * s * eta, eta_minus_1=zeta, moments=moments
-    )
+    Raises the FastSphereError its solve ends with.
+    """
+    (state,) = fully_supported_states([kappa], d, m, rel_tol, root_tol)
+    if isinstance(state, FastSphereError):
+        raise state
+    return state
 
 
 def fully_supported_states(
@@ -279,23 +248,18 @@ def fully_supported_states(
     rel_tol: float = DEFAULT_REL_TOL,
     root_tol: float = DEFAULT_ROOT_TOL,
 ) -> list:
-    """fully_supported_state at each of kappas, with the branch solves run in lockstep.
+    """The fully supported equilibrium at each of kappas, with the branch solves run in lockstep.
 
-    Each entry is the state, equal to fully_supported_state's, or the
-    FastSphereError that kappa raises there (without its traceback).  Each
-    solver round evaluates the integrals of every unfinished solve in one
-    batch (quadrature._integrals); a memo of the moments at every zeta met,
-    kept for this call only, serves the zetas that several solves visit and
-    the centre-of-mass norm at each root.  A single kappa takes the scalar
-    solve instead, whose one small mesh per step costs less than the batch
-    layout and whose integrals stay in _integral's cache for later callers.
+    Each entry is the state or the FastSphereError that kappa raises there
+    (without its traceback); a solve does not depend on the other kappas,
+    so its state is the one fully_supported_state gives.  Each solver round
+    evaluates the integrals of every unfinished solve together
+    (quadrature._integrals, which sends a lone zeta to the cached
+    _integral); a memo of the moments at every zeta met, kept for this call
+    only, serves the zetas that several solves visit and the centre-of-mass
+    norm at each root.
     """
     validate_params(d, m)
-    if len(kappas) == 1:
-        try:
-            return [fully_supported_state(kappas[0], d, m, rel_tol, root_tol)]
-        except FastSphereError as exc:
-            return [exc.with_traceback(None)]
     d = int(d)
     q = _q_exponent(m)
     in_window = _window(d, m, classify_regime(d, m))
@@ -341,7 +305,11 @@ def fully_supported_states(
             results[i] = y
             continue
         zeta = math.exp(y)
-        results[i] = _state(kappa, zeta, moments[zeta])
+        at_root = moments[zeta]
+        eta, s = 1.0 + zeta, at_root[1] / at_root[0]
+        results[i] = FullySupportedState(
+            kappa=kappa, eta=eta, s=s, lambda_=-kappa * s * eta, eta_minus_1=zeta, moments=at_root
+        )
     return results
 
 

@@ -46,8 +46,7 @@ class SphereGeometry:
     """Surface and volume constants of the unit d-sphere."""
 
     area_sd: float  # |S^d|
-    ball_volume_wd: float  # w_d, volume of the d-dimensional unit ball
-    area_sdm1: float  # |S^{d-1}| = d * w_d
+    area_sdm1: float  # |S^{d-1}| = d * w_d, w_d the volume of the unit d-ball
 
 
 @dataclass(frozen=True)
@@ -117,7 +116,7 @@ def classify_regime(d, m: float) -> Regime:
 
 
 def sphere_geometry(d) -> SphereGeometry:
-    """Surface area |S^d|, unit-ball volume w_d and |S^{d-1}| = d w_d.
+    """Surface areas |S^d| and |S^{d-1}| = d w_d, w_d the volume of the unit d-ball.
 
     From d = 342 on math.gamma overflows, and the areas are taken from
     lgamma instead.  They underflow from d = 438 on; there an
@@ -127,22 +126,16 @@ def sphere_geometry(d) -> SphereGeometry:
     d = check_dimension(d)
     try:
         area_sd = 2.0 * math.pi ** ((d + 1) / 2.0) / math.gamma((d + 1) / 2.0)
-        ball_volume_wd = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
-        area_sdm1 = d * ball_volume_wd
+        area_sdm1 = d * (math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0))
     except OverflowError:
         area_sd = _area_from_lgamma(d + 1)
         area_sdm1 = _area_from_lgamma(d)
-        ball_volume_wd = area_sdm1 / d
         if not area_sd >= sys.float_info.min:  # |S^d| < |S^(d-1)| here
             raise InvalidParamError(
                 f"the sphere areas leave the normal double range at d={d} "
                 f"(|S^d|={area_sd!r}, |S^(d-1)|={area_sdm1!r})"
             ) from None
-    return SphereGeometry(
-        area_sd=area_sd,
-        ball_volume_wd=ball_volume_wd,
-        area_sdm1=area_sdm1,
-    )
+    return SphereGeometry(area_sd=area_sd, area_sdm1=area_sdm1)
 
 
 def _area_from_lgamma(n: int) -> float:

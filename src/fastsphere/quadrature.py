@@ -58,18 +58,20 @@ at every zeta, so a table of them (_ladder) is built on first use, down to
 the deepest level a seed can reach, and every seed panel takes its basis
 from it by index; only the panels that refinement bisects compute it.
 
-A batch of a few panels costs mostly fixed numpy overhead, so callers
-that need many integrals at once (the branch solves of a sweep, run in
-lockstep) use _integrals: _seed_pass lays the seed meshes of many zetas
-end to end, alternately upwards and downwards so that neighbours share an
-edge, with each panel's ladder index and zeta found by index arithmetic
-(no Python loop per mesh), and integrates up to _BATCH_NODES nodes in one
-batch; only the few seeds that miss the tolerance are refined one by one.
-The eta = 1 meshes go last, where they share their common lowest edge, so
-no panel is ever spent bridging two meshes, and one gather puts every
-downward mesh back in increasing order for its sums.
-Every panel and every per-mesh sum is computed in the same order in
-either route, so _integrals returns exactly what _integral would.
+A batch of a few panels costs mostly fixed numpy overhead, so the branch
+solves, run in lockstep, take their integrals from _integrals.  For many
+zetas (a sweep) _seed_pass lays their seed meshes end to end, alternately
+upwards and downwards so that neighbours share an edge, with each panel's
+ladder index and zeta found by index arithmetic (no Python loop per
+mesh), and integrates up to _BATCH_NODES nodes in one batch; one gather
+puts every downward mesh back in increasing order for its sums, and only
+the few seeds that miss the tolerance are refined one by one.  A lone
+zeta (a single solve) goes to the cached _integral, because on one mesh
+that layout costs more than it saves.  Every panel and every per-mesh sum
+is computed in the same order in either route, so _integrals returns
+exactly what _integral would.  The solves work in log(eta - 1), so
+_integrals takes zeta > 0 only; _integral also serves eta = 1, as the
+oracle of the closed form below.
 
 At eta = 1 the full integrals are Beta functions (eta1_closed_form), and
 that closed form is the primary route for every eta = 1 moment the
@@ -420,13 +422,12 @@ def _ladder() -> _Ladder:
 
 
 def _seed_pass(zeta: np.ndarray, levels: np.ndarray, q: float, d: int):
-    """One Gauss-Kronrod batch over the seed meshes of zeta, which have the given levels.
+    """One Gauss-Kronrod batch over the seed meshes of zeta > 0, which have the given levels.
 
     The meshes are laid end to end as one edge array, alternately upwards
-    and downwards so that neighbours share their end edge: pi/2, 0, or the
-    lowest edge of two eta = 1 meshes, which must come last (they all have
-    the same levels).  The last zeta > 0 mesh runs upwards.  Each node takes
-    its zeta and its angle-only basis by index from the ladder table.
+    and downwards from the first, so that neighbours share their end edge,
+    pi/2 or 0.  Each node takes its zeta and its angle-only basis by index
+    from the ladder table.
 
     Returns the Kronrod values and estimates of every mesh's panels, mesh
     after mesh and each in increasing order, and the first panel and the
@@ -434,18 +435,17 @@ def _seed_pass(zeta: np.ndarray, levels: np.ndarray, q: float, d: int):
     """
     ladder = _ladder()
     depth = ladder.depth
-    bottom = zeta > 0.0
-    panels = levels + bottom
+    panels = levels + 1  # the bottom panel, then the dyadic ones
     starts = np.cumsum(panels) - panels
     mesh = np.repeat(np.arange(zeta.size), panels)  # mesh of each laid panel
     at = np.arange(mesh.size) - starts[mesh]  # its place in its mesh, as laid
-    upward = (np.count_nonzero(bottom) - 1 - mesh) % 2 == 0
+    upward = mesh % 2 == 0
     # the place in increasing order; the map is its own inverse
     rank = np.where(upward, at, panels[mesh] - 1 - at)
-    n, has_bottom = levels[mesh], bottom[mesh]
-    panel = np.where(has_bottom & (rank == 0), depth + n, depth - n + rank - has_bottom)
+    n = levels[mesh]
+    panel = np.where(rank == 0, depth + n, depth - n + rank - 1)
     lo, hi = ladder.lo[panel], ladder.hi[panel]
-    edges = np.concatenate((np.where(upward[:1], lo[:1], hi[:1]), np.where(upward, hi, lo)))
+    edges = np.concatenate((lo[:1], np.where(upward, hi, lo)))
     zeta_col = zeta[mesh][:, None]
     basis = [part.take(panel, 0) for part in ladder.basis]
     values, errors = _kronrod_batch(
@@ -456,54 +456,44 @@ def _seed_pass(zeta: np.ndarray, levels: np.ndarray, q: float, d: int):
 
 
 def _integrals(zetas, q: float, d: int, rel_tol: float) -> list:
-    """_integral at each of zetas, with all the seed meshes integrated together.
+    """_integral at each of zetas, all > 0, with all the seed meshes integrated together.
 
-    The seed meshes are cut, zeta > 0 first and zeta = 0 last, into batches
-    of at most _BATCH_NODES nodes, and each batch is one _seed_pass.  A seed
-    that misses rel_tol is refined on its own, from its batch values.  Each
-    entry is the (i0, i1, i_ent) tuple or the FastSphereError that zeta
-    raises, without a traceback.  Nothing enters _integral's cache.
+    Each entry is the (i0, i1, i_ent) tuple or the FastSphereError that zeta
+    raises, without a traceback.  A lone zeta goes to the cached _integral.
+    Otherwise the seed meshes are cut into batches of at most _BATCH_NODES
+    nodes, and each batch is one _seed_pass; a seed that misses rel_tol is
+    refined on its own, from its batch values, and nothing enters
+    _integral's cache.
     """
+    if len(zetas) == 1:
+        try:
+            return [_integral(zetas[0], q, d, rel_tol)]
+        except FastSphereError as exc:
+            return [exc.with_traceback(None)]
     zeta = np.array(zetas, dtype=float)
-    results = [None] * zeta.size
-    cut = _seed_cut(q, d)
-    items = range(zeta.size)
-    tail = np.zeros((2, 3, 1))  # the eta = 1 tail and its error budget
-    if not zeta.all():
-        items = np.argsort(zeta == 0.0, kind="stable")
-        positive = np.count_nonzero(zeta)
-        if cut == 0.0:
-            for i in items[positive:].tolist():
-                results[i] = _not_integrable(q, d)
-            items = items[:positive]
-        else:
-            tail = np.array(_seed_mesh(0.0, q, d)[1:])[:, :, None]
-        zeta = zeta[items]
-        items = items.tolist()
-    levels = _seed_levels(zeta, cut)
-    ends = np.cumsum(levels + (zeta > 0.0))  # in panels
+    results = []
+    levels = _seed_levels(zeta, _seed_cut(q, d))
+    ends = np.cumsum(levels + 1)  # in panels
     first = 0
     while first < zeta.size:
         room = (ends[first - 1] if first else 0) + _BATCH_NODES // _NODES.size
         last = max(int(np.searchsorted(ends, room, "right")), first + 1)
         batch = zeta[first:last]
         values, errors, starts, panels = _seed_pass(batch, levels[first:last], q, d)
-        offset = np.where(batch == 0.0, tail, 0.0)
-        totals = offset[0] + _run_sums(values, starts)
-        err = offset[1] + _run_sums(errors, starts)
+        totals = _run_sums(values, starts)
+        err = _run_sums(errors, starts)
         met = ((err <= rel_tol * np.abs(totals)).all(axis=0) & (panels <= _MAX_PANELS)).tolist()
         for k, total in enumerate(totals.T.tolist()):
-            i = items[first + k]
             if met[k]:
-                results[i] = tuple(total)
+                results.append(tuple(total))
                 continue
             span = slice(starts[k], starts[k] + panels[k])
             try:
-                results[i] = _refine_seed(
-                    float(batch[k]), q, d, rel_tol, values[:, span], errors[:, span]
+                results.append(
+                    _refine_seed(float(batch[k]), q, d, rel_tol, values[:, span], errors[:, span])
                 )
             except FastSphereError as exc:
-                results[i] = exc.with_traceback(None)
+                results.append(exc.with_traceback(None))
         first = last
     return results
 

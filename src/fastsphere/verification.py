@@ -67,7 +67,6 @@ def check_geometry_consistency(tol: float) -> CheckResult:
         # dimension down (2 pi^{d/2} / Gamma(d/2), valid down to d = 1)
         direct = 2.0 * math.pi ** (0.5 * d) / math.gamma(0.5 * d)
         worst = max(worst, _rel(geo.area_sdm1, direct))
-        worst = max(worst, _rel(geo.area_sdm1, d * geo.ball_volume_wd))
     return _result("geometry_consistency", worst, tol)
 
 

@@ -12,7 +12,10 @@ import pytest
 from conftest import mp_theta_integral
 from fastsphere import energy as en
 from fastsphere import equilibria as eq
+from fastsphere import verification
 from fastsphere.cli import main
+from fastsphere.quadrature import DEFAULT_REL_TOL
+from fastsphere.solvers import DEFAULT_ROOT_TOL
 from fastsphere.model import RegimeCase, classify_regime, sphere_geometry
 
 
@@ -38,62 +41,50 @@ def test_criterion_02_kappa3_over_kappa2_ratio():
     report("criterion-02 kappa3/kappa2 ratio", f"ratio = {ratio:.6f} (0.88502 +- 1e-3)")
 
 
+def passes(check, *args):
+    """Run a verify check with the default solver tolerances, and assert it passes."""
+    result = check(*args)
+    assert result.passed, (result.name, result.measured, result.tolerance, result.lines)
+    return result
+
+
 def test_criterion_03_kappa2_dual_oracle():
-    worst = 0.0
-    lines = []
-    for d, m in ((3, 0.25), (4, 0.2), (5, 0.3)):
-        closed = eq.kappa2(d, m)
-        quad = eq.kappa2_quadrature(d, m)
-        rel = abs(closed - quad) / closed
-        worst = max(worst, rel)
-        assert rel <= 1e-8
-        lines.append(f"(d={d}, m={m}): closed {closed:.10f} vs quadrature {quad:.10f}")
+    result = passes(verification.check_kappa2_dual_oracle, 1e-8, DEFAULT_REL_TOL)
     # the reported reference figure for (3, 0.25) is NOT ground truth here
     closed = eq.kappa2(3, 0.25)
     assert abs(closed - 12.4453) / closed > 0.1
     report(
         "criterion-03 kappa2 dual-oracle consistency",
-        f"max rel diff = {worst:.2e} (tol 1e-8); both oracles sit near "
+        f"max rel diff = {result.measured:.2e} (tol 1e-8); both oracles sit near "
         f"{closed:.4f} for (3, 0.25), away from the reported 12.4453; "
-        + "; ".join(lines),
+        + "; ".join(result.lines),
     )
 
 
 def test_criterion_04_s_bar_closed_form_vs_quadrature():
-    worst = 0.0
-    for d, m in ((3, 0.25), (4, 0.45), (4, 0.2), (5, 0.3), (6, 0.35)):
-        closed = eq.s_bar(d, m)
-        ratio = eq.com_norm_of_eta(1.0, d, m)
-        worst = max(worst, abs(closed - ratio))
-        assert closed == pytest.approx(ratio, abs=1e-8)
-    report("criterion-04 s_bar closed form vs quadrature", f"max |diff| = {worst:.2e} (tol 1e-8)")
+    # relative to s_bar < 1, so tighter than the absolute 1e-8 of the criterion
+    result = passes(verification.check_com_norm_closed_form, 1e-8, DEFAULT_REL_TOL)
+    report(
+        "criterion-04 s_bar closed form vs quadrature",
+        f"max rel diff = {result.measured:.2e} (tol 1e-8)",
+    )
 
 
 def test_criterion_05_branch_limit():
-    worst = 0.0
-    for d, m in ((2, 0.5), (3, 0.25), (5, 0.3)):
-        prod = eq.inverse_kappa(1e6, d, m) * eq.kappa1(d, m)
-        worst = max(worst, abs(prod - 1.0))
-        assert 1.0 - 1e-4 <= prod <= 1.0 + 1e-4
-    report("criterion-05 uniform-limit of the branch function", f"max |H*kappa1 - 1| = {worst:.2e} (tol 1e-4)")
+    result = passes(verification.check_branch_limit_matches_kappa1, 1e-4, DEFAULT_REL_TOL)
+    report(
+        "criterion-05 uniform-limit of the branch function",
+        f"max |H*kappa1 - 1| = {result.measured:.2e} (tol 1e-4)",
+    )
 
 
 def test_criterion_06_branch_monotonicity():
-    pairs = ((2, 0.5), (3, 0.25), (3, 0.9), (5, 0.3), (5, 0.65))
-    for d, m in pairs:
-        increasing = m > 1.0 - 2.0 / (d - 1) if d >= 2 else True
-        values = [
-            eq.inverse_kappa(float(eta), d, m)
-            for eta in 1.0 + np.geomspace(1e-3, 1e4 - 1.0, 20)
-        ]
-        diffs = np.diff(values)
-        if increasing:
-            assert np.all(diffs > 0.0), (d, m)
-        else:
-            assert np.all(diffs < 0.0), (d, m)
+    # tolerance 0: every step must be strict in the regime direction
+    result = passes(verification.check_branch_monotone_direction, 0.0, DEFAULT_REL_TOL)
     report(
         "criterion-06 branch-function monotonicity",
-        "strict in the regime direction on 20 log-spaced eta for all five pairs",
+        "strict in the regime direction on 20 log-spaced eta for all five pairs; "
+        + "; ".join(result.lines),
     )
 
 
@@ -136,36 +127,12 @@ def test_criterion_07_branch_self_consistency():
 
 
 def test_criterion_08_slope_identities():
-    worst = 0.0
-    d, m = 3, 0.25
-    k2 = eq.kappa2(d, m)
-    sb = eq.s_bar(d, m)
-    for factor in (1.2, 1.6, 2.0, 3.0, 5.0):
-        kappa = factor * k2
-        h = 1e-5 * kappa
-
-        def gap(k):
-            alpha = eq.alpha_roots(k, d, m)[-1]
-            return en.energy_uniform(k, d, m) - en.energy_singular(alpha, k, d, m)
-
-        fd = (gap(kappa + h) - gap(kappa - h)) / (2.0 * h)
-        alpha = eq.alpha_roots(kappa, d, m)[-1]
-        analytic = 0.5 * (alpha + (1.0 - alpha) * sb) ** 2
-        worst = max(worst, abs(fd - analytic) / analytic)
-        assert fd == pytest.approx(analytic, rel=1e-4)
-    for kappa in (6.0, 7.0, 8.0, 10.0, 12.0):
-        h = 1e-5 * kappa
-
-        def gain(k):
-            return en.branch_energy_gain(eq.solve_eta(k, 2, 0.5), 2, 0.5).value
-
-        fd = (gain(kappa + h) - gain(kappa - h)) / (2.0 * h)
-        analytic = 0.5 * eq.fully_supported_state(kappa, 2, 0.5).s ** 2
-        worst = max(worst, abs(fd - analytic) / analytic)
-        assert fd == pytest.approx(analytic, rel=1e-4)
+    result = passes(
+        verification.check_energy_slope_identities, 1e-4, DEFAULT_REL_TOL, DEFAULT_ROOT_TOL
+    )
     report(
         "criterion-08 energy slope identities",
-        f"max rel FD deviation = {worst:.2e} over 10 samples (tol 1e-4)",
+        f"max rel FD deviation = {result.measured:.2e} over 10 samples (tol 1e-4)",
     )
 
 

@@ -96,6 +96,13 @@ class TestCritical:
         assert code == 2
         assert "error:" in err
 
+    def test_takes_no_tolerance_flags(self, capsys):
+        # critical integrates nothing and solves no root
+        with pytest.raises(SystemExit) as exc:
+            main(["critical", "--d", "5", "--m", "0.3", "--rel-tol", "1e-8"])
+        assert exc.value.code == 2
+        assert "--rel-tol" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_deterministic_output(self, tmp_path):
@@ -287,20 +294,19 @@ class TestSweepWork:
         assert batches <= per_kappa_batches / 4
 
 
-    def test_cold_sweep_computes_no_scalar_integral(self, capsys):
-        # the sweep's branch solves run through the batched seed pass, each
-        # root's energy takes the moments of its solve, and the singular
+    def test_sweep_energies_call_no_integral(self, capsys, monkeypatch):
+        # each root's energy takes the moments of its solve, and the singular
         # energies take the rho_bar entropy from its closed form
-        quadrature._integral.cache_clear()
+        def forbidden(*args):
+            raise AssertionError("a sweep energy computed an integral")
+
+        monkeypatch.setattr(en, "_integral", forbidden)
         code, _, err = run(
             capsys,
             "sweep", "--d", "5", "--m", "0.3",
             "--kappa-min", "15", "--kappa-max", "22", "--steps", "41",
         )
-        misses = quadrature._integral.cache_info().misses
-        quadrature._integral.cache_clear()
         assert code == 0 and err == ""
-        assert misses == 0
 
 
 class TestDemoSweeps:
@@ -365,7 +371,7 @@ class TestProfile:
         assert lines[0].split(",")[1] == "inf"
         theta = np.array([float(line.split(",")[0]) for line in lines[1:]])
         dens = np.array([float(line.split(",")[1]) for line in lines[1:]])
-        dwd = 5.0 * sphere_geometry(5).ball_volume_wd
+        dwd = sphere_geometry(5).area_sdm1
         weighted = dens * np.sin(theta) ** 4
         trapezoid = 0.5 * np.sum((weighted[1:] + weighted[:-1]) * np.diff(theta))
         assert dwd * trapezoid == pytest.approx(1.0, abs=1e-2)

@@ -177,16 +177,14 @@ class TestFullySupportedStates:
                 assert got.__traceback__ is None
                 continue
             solved += 1
-            assert got.kappa == kappa
-            assert got.s == pytest.approx(expected.s, rel=1e-12)
-            assert en.energy_fully_supported(got, d, m) == pytest.approx(
-                en.energy_fully_supported(expected, d, m), rel=1e-12
-            )
+            # each solve takes the same steps alone as among the others
+            assert got == expected and got.moments == expected.moments
         assert solved >= 13
 
     @pytest.mark.parametrize("d, m", REFERENCE_PAIRS)
     def test_single_kappa_equals_fully_supported_state(self, d, m):
-        # one kappa takes the scalar solve, so every field and the moments match
+        # fully_supported_state is the one-kappa solve: the same state, or
+        # its error raised
         solved = 0
         for kappa in self.grid(d, m):
             (got,) = eq.fully_supported_states([kappa], d, m)
@@ -199,14 +197,6 @@ class TestFullySupportedStates:
             solved += 1
             assert got == expected and got.moments == expected.moments
         assert solved >= 13
-
-    def test_single_kappa_takes_the_scalar_solve(self, monkeypatch):
-        def no_batch(*args):
-            raise AssertionError("one kappa went through the batched integrals")
-
-        monkeypatch.setattr(eq, "_integrals", no_batch)
-        (state,) = eq.fully_supported_states([11.0], *CASE_II)
-        assert isinstance(state, eq.FullySupportedState)
 
     @pytest.mark.parametrize("d, m", REFERENCE_PAIRS)
     def test_energy_takes_the_moments_of_the_solve(self, monkeypatch, d, m):

@@ -19,19 +19,18 @@ def test_sphere_geometry_standard_values():
     assert g1.area_sd == pytest.approx(2.0 * math.pi, rel=1e-15)
     g2 = sphere_geometry(2)
     assert g2.area_sd == pytest.approx(4.0 * math.pi, rel=1e-15)
-    assert g2.ball_volume_wd == pytest.approx(math.pi, rel=1e-15)
+    assert g2.area_sdm1 == pytest.approx(2.0 * math.pi, rel=1e-15)
     g3 = sphere_geometry(3)
     assert g3.area_sd == pytest.approx(2.0 * math.pi**2, rel=1e-15)
     assert g3.area_sdm1 == pytest.approx(4.0 * math.pi, rel=1e-15)
 
 
 def test_sphere_area_consistency_across_dimensions():
-    # |S^{d-1}| from d * w_d must match the direct surface-area formula
+    # |S^{d-1}| from d * w_d must match the surface-area formula one dimension down
     for d in range(1, 11):
         geo = sphere_geometry(d)
         direct = 2.0 * math.pi ** (0.5 * d) / math.gamma(0.5 * d)
         assert geo.area_sdm1 == pytest.approx(direct, rel=1e-14)
-        assert geo.area_sdm1 == pytest.approx(d * geo.ball_volume_wd, rel=1e-14)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 100, 340, 341])
@@ -39,7 +38,7 @@ def test_sphere_geometry_unchanged_within_gamma_range(d):
     geo = sphere_geometry(d)
     assert geo.area_sd == 2.0 * math.pi ** ((d + 1) / 2.0) / math.gamma((d + 1) / 2.0)
     wd = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
-    assert (geo.ball_volume_wd, geo.area_sdm1) == (wd, d * wd)
+    assert geo.area_sdm1 == d * wd
 
 
 @pytest.mark.parametrize("d", [342, 343, 400, 437])
@@ -53,7 +52,6 @@ def test_sphere_geometry_beyond_gamma_range(d):
         area_sdm1 = 2 * mp.pi ** (mp.mpf(d) / 2) / mp.gamma(mp.mpf(d) / 2)
     assert geo.area_sd == pytest.approx(float(area_sd), rel=1e-12, abs=0.0)
     assert geo.area_sdm1 == pytest.approx(float(area_sdm1), rel=1e-12, abs=0.0)
-    assert geo.ball_volume_wd == pytest.approx(float(area_sdm1) / d, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("d", [438, 439, 1000, 10**6])

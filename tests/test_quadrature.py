@@ -108,44 +108,63 @@ def test_seed_stops_at_the_eta_one_cutoff(d, m, zeta, levels):
 
 
 def batched_and_scalar(q, d, zetas):
-    """quadrature._integrals over zetas, and _integral (or its error) at each."""
+    """The outcomes of quadrature._integrals over zetas and of _integral at each (see outcome)."""
     quadrature._integral.cache_clear()
     batched = quadrature._integrals(zetas, q, d, 1e-10)
     assert quadrature._integral.cache_info().currsize == 0  # nothing enters the cache
-    scalar = []
-    for zeta in zetas:
-        try:
-            scalar.append(quadrature._integral(zeta, q, d, 1e-10))
-        except FastSphereError as exc:
-            scalar.append(exc)
+    assert all(r.__traceback__ is None for r in batched if isinstance(r, FastSphereError))
+    scalar = [outcome(lambda: quadrature._integral(zeta, q, d, 1e-10)) for zeta in zetas]
     quadrature._integral.cache_clear()
-    return batched, scalar
+    return [r if type(r) is tuple else type(r) for r in batched], scalar
+
+
+def eta1_integral_is_its_seed_mesh(q, d):
+    """_integral at eta = 1, which the batched route never takes, equals its seed mesh alone."""
+    reference = outcome(lambda: seed_reference(0.0, q, d)[3])
+    assert outcome(lambda: quadrature._integral(0.0, q, d, 1e-10)) == reference
+    quadrature._integral.cache_clear()
 
 
 @pytest.mark.parametrize("d, m", [(2, 0.5), (3, 0.25), (5, 0.3), (8, 0.74999)])
 def test_batched_integrals_equal_the_scalar_kernel(d, m):
-    # many seed meshes per batch, several batches, eta = 1 meshes in between
+    # many seed meshes per batch, several batches, a repeated zeta
     q = 1.0 / (m - 1.0)
     zetas = [float(z) for z in np.geomspace(_zeta_floor(q, d), 1e9, 60)]
-    zetas[7:7] = [0.0, 0.0]
-    zetas[31:31] = [0.0, 3.3e-4, 3.3e-4]
+    zetas[31:31] = [3.3e-4, 3.3e-4]
     batched, scalar = batched_and_scalar(q, d, zetas)
-    for got, expected in zip(batched, scalar):
-        if isinstance(expected, FastSphereError):
-            assert type(got) is type(expected)
-            assert got.__traceback__ is None
-        else:
-            assert got == expected
+    assert batched == scalar
+    eta1_integral_is_its_seed_mesh(q, d)
 
 
 def test_batched_integrals_fail_item_by_item(monkeypatch):
     # with a tiny panel budget the deep seeds fail, the shallow ones pass
     monkeypatch.setattr(quadrature, "_MAX_PANELS", 12)
     q, d = 1.0 / (0.3 - 1.0), 5
-    batched, scalar = batched_and_scalar(q, d, [1e-30, 2.0, 1e-3, 0.0, 1e9, 1e-200])
-    assert [type(r) for r in batched] == [type(r) for r in scalar]
-    assert {type(r) for r in batched} == {tuple, ToleranceNotMetError}
-    assert [r for r in batched if type(r) is tuple] == [r for r in scalar if type(r) is tuple]
+    batched, scalar = batched_and_scalar(q, d, [1e-30, 2.0, 1e-3, 1e9, 1e-200])
+    assert batched == scalar
+    assert {r if type(r) is type else tuple for r in batched} == {tuple, ToleranceNotMetError}
+    eta1_integral_is_its_seed_mesh(q, d)
+
+
+def test_one_zeta_takes_the_cached_kernel(monkeypatch):
+    # one mesh needs none of _seed_pass's layout, and its moments stay in
+    # the cache for later callers; a batch leaves the cache as it was
+    q, d = 1.0 / (0.25 - 1.0), 3
+    integral = quadrature._integral
+    calls = []
+    monkeypatch.setattr(
+        quadrature, "_integral", lambda *args: calls.append(args) or integral(*args)
+    )
+    integral.cache_clear()
+    assert quadrature._integrals([3.3e-4], q, d, 1e-10) == [integral(3.3e-4, q, d, 1e-10)]
+    assert calls == [(3.3e-4, q, d, 1e-10)]
+    assert integral.cache_info().currsize == 1
+    quadrature._integrals([1e-3, 3.3e-4, 2.0], q, d, 1e-10)
+    assert len(calls) == 1 and integral.cache_info().currsize == 1
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 2)
+    (failed,) = quadrature._integrals([1e-30], q, d, 1e-10)
+    assert type(failed) is ToleranceNotMetError and failed.__traceback__ is None
+    integral.cache_clear()
 
 
 def seed_reference(zeta, q, d, rel_tol=1e-10):
@@ -181,7 +200,8 @@ LADDER_CASES = [
     # the spike stays inside double range), next to the shallowest
     (3, 0.34, [5e-324, 1e9, 1e-300]),
     (1, 0.3, [1e-200, 3.3e-4, 0.7, 1e6]),  # d = 1: no sin weight
-    # eta = 1 meshes go last in a pass; 2q + d from 2.1 down to 3e-4
+    # eta = 1 (on the ladder in _integral only) next to the deep seeds its
+    # cutoff stops; 2q + d from 2.1 down to 3e-4
     (5, 0.3, [1e-40, 11.9, 0.0, 0.0]),
     (3, 0.25, [1e-120, 0.0]),
     (4, 0.4999, [2e-6, 0.0, 0.0, 0.0]),
@@ -192,8 +212,16 @@ LADDER_CASES = [
 @pytest.mark.parametrize("d, m, zetas", LADDER_CASES)
 def test_ladder_seed_pass_matches_the_seed_mesh(monkeypatch, d, m, zetas):
     # edges, panel values and estimates gathered from the ladder table equal
-    # those of each seed mesh integrated on its own, bit for bit
+    # those of each seed mesh integrated on its own, bit for bit, and so do
+    # the results of _integral and _integrals
     q = 1.0 / (m - 1.0)
+    quadrature._integral.cache_clear()
+    for z in zetas:
+        assert outcome(lambda: quadrature._integral(z, q, d, 1e-10)) == seed_reference(z, q, d)[3]
+    quadrature._integral.cache_clear()
+    zetas = [z for z in zetas if z > 0.0]  # the batched route takes zeta > 0 only
+    if not zetas:
+        return
     zeta = np.array(zetas)
     levels = quadrature._seed_levels(zeta, quadrature._seed_cut(q, d))
     laid = []
@@ -208,14 +236,12 @@ def test_ladder_seed_pass_matches_the_seed_mesh(monkeypatch, d, m, zetas):
     monkeypatch.undo()
     (edges,) = laid
     assert edges.size == panels.sum() + 1  # no panel between the meshes
-    quadrature._integral.cache_clear()
     for k, z in enumerate(zetas):
-        ref_edges, ref_values, ref_errors, ref_total = seed_reference(z, q, d)
+        ref_edges, ref_values, ref_errors, _ = seed_reference(z, q, d)
         assert np.array_equal(np.sort(edges[starts[k] : starts[k] + panels[k] + 1]), ref_edges)
         span = slice(starts[k], starts[k] + panels[k])
         assert np.array_equal(values[:, span], ref_values)
         assert np.array_equal(errors[:, span], ref_errors)
-        assert outcome(lambda: quadrature._integral(z, q, d, 1e-10)) == ref_total
     batched = quadrature._integrals(zetas, q, d, 1e-10)
     assert [r if type(r) is tuple else type(r) for r in batched] == [
         seed_reference(z, q, d)[3] for z in zetas

@@ -1,0 +1,25 @@
+"""The layer boundaries that perfbench/tracing.py wraps exist in the package.
+
+traced() skips a boundary the package no longer has, without a warning,
+and every metric read from its spans then reads 0; a rename or deletion
+must fail here instead.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_every_trace_boundary_exists(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    assert len(tracing.BOUNDARIES) > 30
+    missing = [
+        f"fastsphere.{module}.{name}"
+        for module, name in tracing.BOUNDARIES
+        if not callable(getattr(importlib.import_module(f"fastsphere.{module}"), name, None))
+    ]
+    assert missing == []
