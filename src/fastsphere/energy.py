@@ -399,6 +399,11 @@ def classify_minimizer(
     validate_params(d, m, kappa)
     kappa = float(kappa)
     found = equilibria_at([kappa], d, m, rel_tol, root_tol)[0]
+    return _energy_report(kappa, found, equilibria.kappa1(d, m))
+
+
+def _energy_report(kappa: float, found, k1: float) -> EnergyReport:
+    """classify_minimizer's report from the equilibria_at entry at kappa (an error is raised)."""
     if isinstance(found, FastSphereError):
         raise found
     energies = {branch: e for branch, _, _, _, e in found}
@@ -415,7 +420,6 @@ def classify_minimizer(
     if len(candidates) > 1 and candidates[1][1] - best <= _TIE_TOL:
         degenerate = True
         runner_up = candidates[1][0]
-    k1 = equilibria.kappa1(d, m)
     if abs(kappa - k1) <= _TIE_TOL * max(1.0, k1):
         degenerate = True  # branch birth point; the minimizer is ambiguous
     return EnergyReport(

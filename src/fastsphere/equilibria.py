@@ -235,10 +235,16 @@ def fully_supported_state(
 
     Raises the FastSphereError its solve ends with.
     """
-    (state,) = fully_supported_states([kappa], d, m, rel_tol, root_tol)
-    if isinstance(state, FastSphereError):
-        raise state
-    return state
+    return _solve_all([kappa], d, m, rel_tol, root_tol)[0]
+
+
+def _solve_all(kappas, d, m: float, rel_tol: float, root_tol: float) -> list:
+    """fully_supported_states at kappas, raising the first FastSphereError among them."""
+    states = fully_supported_states(kappas, d, m, rel_tol, root_tol)
+    for state in states:
+        if isinstance(state, FastSphereError):
+            raise state
+    return states
 
 
 def fully_supported_states(
@@ -254,10 +260,10 @@ def fully_supported_states(
     (without its traceback); a solve does not depend on the other kappas,
     so its state is the one fully_supported_state gives.  Each solver round
     evaluates the integrals of every unfinished solve together
-    (quadrature._integrals, which sends a lone zeta to the cached
-    _integral); a memo of the moments at every zeta met, kept for this call
-    only, serves the zetas that several solves visit and the centre-of-mass
-    norm at each root.
+    (quadrature._integrals, which sends a lone zeta to _integral).  A memo
+    of the moments at every zeta met, kept for this call only (the package's
+    only memo of integrals), serves the zetas that several solves visit and
+    the centre-of-mass norm at each root.
     """
     validate_params(d, m)
     d = int(d)

@@ -24,8 +24,8 @@ near the endpoint cannot overflow halfway through a product.
 
 Every caller needs the same three members at one eta: the mass
 I(eta, q, 0, d), the moment I(eta, q, 1, d) and the entropy integral
-I(eta, q + 1, 0, d).  One cached kernel, _integral, returns all three from
-a single adaptive mesh.  The integrand evaluates the three folded profiles
+I(eta, q + 1, 0, d).  One kernel, _integral, returns all three from a
+single adaptive mesh.  The integrand evaluates the three folded profiles
 from shared sin, log and exp values (the entropy profile is the mass
 profile's two halves times eta -+ cos t), and each Gauss-Kronrod batch
 integrates them together.
@@ -66,8 +66,8 @@ ladder index and zeta found by index arithmetic (no Python loop per
 mesh), and integrates up to _BATCH_NODES nodes in one batch; one gather
 puts every downward mesh back in increasing order for its sums, and only
 the few seeds that miss the tolerance are refined one by one.  A lone
-zeta (a single solve) goes to the cached _integral, because on one mesh
-that layout costs more than it saves.  Every panel and every per-mesh sum
+zeta (a single solve) goes to _integral, because on one mesh that layout
+costs more than it saves.  Every panel and every per-mesh sum
 is computed in the same order in either route, so _integrals returns
 exactly what _integral would.  The solves work in log(eta - 1), so
 _integrals takes zeta > 0 only; _integral also serves eta = 1, as the
@@ -459,11 +459,10 @@ def _integrals(zetas, q: float, d: int, rel_tol: float) -> list:
     """_integral at each of zetas, all > 0, with all the seed meshes integrated together.
 
     Each entry is the (i0, i1, i_ent) tuple or the FastSphereError that zeta
-    raises, without a traceback.  A lone zeta goes to the cached _integral.
-    Otherwise the seed meshes are cut into batches of at most _BATCH_NODES
-    nodes, and each batch is one _seed_pass; a seed that misses rel_tol is
-    refined on its own, from its batch values, and nothing enters
-    _integral's cache.
+    raises, without a traceback.  A lone zeta goes to _integral.  Otherwise
+    the seed meshes are cut into batches of at most _BATCH_NODES nodes, and
+    each batch is one _seed_pass; a seed that misses rel_tol is refined on
+    its own, from its batch values.
     """
     if len(zetas) == 1:
         try:
@@ -505,9 +504,8 @@ def _refine_seed(zeta: float, q: float, d: int, rel_tol: float, values, errors) 
     return tuple(_refine(f, edges, values, errors, rel_tol, tail, tail_err).tolist())
 
 
-@lru_cache(maxsize=65536)
 def _integral(zeta: float, q: float, d: int, rel_tol: float) -> tuple[float, float, float]:
-    """(I(eta, q, 0), I(eta, q, 1), I(eta, q + 1, 0)) at eta = 1 + zeta, keyed by zeta exactly."""
+    """(I(eta, q, 0), I(eta, q, 1), I(eta, q + 1, 0)) at eta = 1 + zeta, computed on every call."""
     edges, tail, tail_err = _seed_mesh(zeta, q, d)
     # one mesh needs none of _seed_pass's layout, whose index arithmetic
     # would cost more than the integrand here: its panels in the ladder are

@@ -27,16 +27,14 @@ DEFAULT_WIDTH_TOL = 1e-13  # on the bracket width
 _MAX_ITER = 200
 
 
-def _root_steps(lo, hi, residual_tol, width_tol, f_lo=None, f_hi=None):
+def _root_steps(lo, hi, residual_tol, width_tol):
     """The bracketed_root iteration: yields each x, is sent f(x), returns the root."""
     if not lo < hi:
         raise BracketFailureError(f"empty bracket [{lo!r}, {hi!r}]")
-    if f_lo is None:
-        f_lo = yield lo
+    f_lo = yield lo
     if abs(f_lo) <= residual_tol:
         return lo
-    if f_hi is None:
-        f_hi = yield hi
+    f_hi = yield hi
     if abs(f_hi) <= residual_tol:
         return hi
     if math.copysign(1.0, f_lo) == math.copysign(1.0, f_hi):
@@ -83,8 +81,6 @@ def bracketed_root(
     *,
     residual_tol: float = DEFAULT_ROOT_TOL,
     width_tol: float = DEFAULT_WIDTH_TOL,
-    f_lo: float | None = None,
-    f_hi: float | None = None,
 ) -> float:
     """Root of f in [lo, hi], to |f| <= residual_tol or width <= width_tol.
 
@@ -92,7 +88,7 @@ def bracketed_root(
     residual_tol counts as the root).  Raises BracketFailureError when no
     sign change exists.
     """
-    steps = _root_steps(lo, hi, residual_tol, width_tol, f_lo, f_hi)
+    steps = _root_steps(lo, hi, residual_tol, width_tol)
     fx = None
     while True:
         try:

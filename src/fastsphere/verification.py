@@ -1,8 +1,9 @@
 """Self-verification suite: every module invariant as a runnable check.
 
 Each check computes a worst-case measured error and compares it against a
-tolerance.  Tolerances can only be loosened by the caller, never
-tightened, so a passing default run keeps passing under any override.
+tolerance.  The caller can loosen tolerances (loosen) but never tighten
+them; rel_tol and root_tol feed the solvers alone, and a looser root_tol
+(1e-8) fails singular_multiplier_relation.
 Checks call into the library through module attributes on purpose: the
 suite must notice if an implementation is swapped out underneath it.
 """
@@ -185,16 +186,16 @@ def check_branch_continuity(tol: float, rel_tol: float, root_tol: float) -> Chec
     for d, m in REFERENCE_PAIRS:
         k1 = equilibria.kappa1(d, m)
         tag = model.classify_regime(d, m).tag
-        kappa = k1 * (1.0 - 1e-6) if tag is model.RegimeCase.CASE_III else k1 * (1.0 + 1e-6)
-        s_birth = equilibria.fully_supported_state(kappa, d, m, rel_tol, root_tol).s
+        birth = k1 * (1.0 - 1e-6) if tag is model.RegimeCase.CASE_III else k1 * (1.0 + 1e-6)
+        kappas = [birth] if tag is model.RegimeCase.CASE_I else [birth, equilibria.kappa2(d, m)]
+        states = equilibria._solve_all(kappas, d, m, rel_tol, root_tol)
+        s_birth = states[0].s
         worst = max(worst, s_birth)
         lines.append(f"(d={d}, m={m}): s at branch birth {s_birth:.3e}")
         if tag is not model.RegimeCase.CASE_I:
-            k2 = equilibria.kappa2(d, m)
             sb = equilibria.s_bar(d, m)
-            s_at_k2 = equilibria.com_norm_of_eta(
-                equilibria.solve_eta(k2, d, m, rel_tol, root_tol), d, m, rel_tol
-            )
+            # the eta = 1 end through the quadrature route, not the solve's moments
+            s_at_k2 = equilibria.com_norm_of_eta(states[1].eta, d, m, rel_tol)
             worst = max(worst, abs(s_at_k2 - sb))
             lines.append(f"(d={d}, m={m}): |s(kappa2) - s_bar| = {abs(s_at_k2 - sb):.3e}")
     return _result("branch_continuity", worst, tol, lines=lines)
@@ -262,22 +263,18 @@ def check_com_norm_closed_form(tol: float, rel_tol: float) -> CheckResult:
     return _result("com_norm_closed_form", worst, tol)
 
 
-def _fs_energy_samples(rel_tol: float, root_tol: float):
+def check_energy_two_route_agreement(tol: float, rel_tol: float, root_tol: float) -> CheckResult:
+    worst = 0.0
     for d, m, kappas in (
         (2, 0.5, (6.0, 8.0, 12.0)),
         (3, 0.25, (10.0, 11.0, 13.0)),
         (5, 0.3, (17.9, 18.6, 19.5)),
     ):
-        for kappa in kappas:
-            yield d, m, equilibria.fully_supported_state(kappa, d, m, rel_tol, root_tol)
-
-
-def check_energy_two_route_agreement(tol: float, rel_tol: float, root_tol: float) -> CheckResult:
-    worst = 0.0
-    for d, m, state in _fs_energy_samples(rel_tol, root_tol):
-        direct = energy.energy_fully_supported(state, d, m, rel_tol)
-        identity = 0.5 * state.kappa - energy.branch_energy_gain(state.eta, d, m, rel_tol).value
-        worst = max(worst, abs(direct - identity) / max(1.0, abs(direct)))
+        for state in equilibria._solve_all(kappas, d, m, rel_tol, root_tol):
+            direct = energy.energy_fully_supported(state, d, m, rel_tol)
+            gain = energy.branch_energy_gain(state.eta, d, m, rel_tol).value
+            identity = 0.5 * state.kappa - gain
+            worst = max(worst, abs(direct - identity) / max(1.0, abs(direct)))
     for d, m, kappa in ((3, 0.25, 2.0 * equilibria.kappa2(3, 0.25)), (5, 0.3, 18.5)):
         alpha = equilibria.alpha_roots(kappa, d, m, root_tol)[-1]
         direct = energy.energy_singular(alpha, kappa, d, m)
@@ -307,35 +304,34 @@ def check_energy_slope_identities(tol: float, rel_tol: float, root_tol: float) -
         alpha = equilibria.alpha_roots(kappa, d, m, root_tol)[-1]
         analytic = 0.5 * (alpha + (1.0 - alpha) * sb) ** 2
         worst = max(worst, _rel(fd, analytic))
-    for kappa in (6.0, 7.0, 8.0, 10.0, 12.0):
-        h = 1e-5 * kappa
+    grid = (6.0, 7.0, 8.0, 10.0, 12.0)
+    kappas = [k + side * 1e-5 * k for k in grid for side in (-1.0, 1.0, 0.0)]
+    states = equilibria._solve_all(kappas, 2, 0.5, rel_tol, root_tol)
 
-        def gain(k):
-            eta = equilibria.solve_eta(k, 2, 0.5, rel_tol, root_tol)
-            return energy.branch_energy_gain(eta, 2, 0.5, rel_tol).value
+    def gain(state):
+        return energy.branch_energy_gain(state.eta, 2, 0.5, rel_tol).value
 
-        fd = (gain(kappa + h) - gain(kappa - h)) / (2.0 * h)
-        s = equilibria.fully_supported_state(kappa, 2, 0.5, rel_tol, root_tol).s
-        worst = max(worst, _rel(fd, 0.5 * s * s))
+    for kappa, below, above, state in zip(grid, states[0::3], states[1::3], states[2::3]):
+        fd = (gain(above) - gain(below)) / (2.0 * 1e-5 * kappa)
+        worst = max(worst, _rel(fd, 0.5 * state.s * state.s))
     return _result("energy_slope_identities", worst, tol)
 
 
 def check_energy_comparison_steps(tol: float, rel_tol: float, root_tol: float) -> CheckResult:
     worst = 0.0
     lines = []
-
-    def fs_gap(kappa, d, m):
-        state = equilibria.fully_supported_state(kappa, d, m, rel_tol, root_tol)
-        return energy.energy_uniform(kappa, d, m) - energy.energy_fully_supported(
-            state, d, m, rel_tol
-        )
-
+    supported = {}  # (d, m): the grid and its supported-branch energies
     for d, m, grid in (
         (2, 0.5, (6.0, 8.0, 10.0, 12.0)),
         (3, 0.25, (9.6, 10.5, 11.5, 12.5)),
         (5, 0.3, (17.9, 18.4, 19.0, 19.6)),
     ):
-        vals = [fs_gap(k, d, m) for k in grid]
+        e_fs = [
+            energy.energy_fully_supported(state, d, m, rel_tol)
+            for state in equilibria._solve_all(grid, d, m, rel_tol, root_tol)
+        ]
+        supported[d, m] = grid, e_fs
+        vals = [energy.energy_uniform(k, d, m) - e for k, e in zip(grid, e_fs)]
         bad = _worst_nonmonotone(vals, increasing=True)
         worst = max(worst, bad)
         lines.append(f"supported-branch gap increasing for (d={d}, m={m}): worst {bad:.2e}")
@@ -351,13 +347,9 @@ def check_energy_comparison_steps(tol: float, rel_tol: float, root_tol: float) -
     lines.append("lower measure-valued branch never beats the upper one on the fold")
 
     vals = []
-    for kappa in (17.9, 18.4, 19.0, 19.6):
-        state = equilibria.fully_supported_state(kappa, d, m, rel_tol, root_tol)
+    for kappa, e in zip(*supported[d, m]):
         upper = equilibria.alpha_roots(kappa, d, m, root_tol)[-1]
-        vals.append(
-            energy.energy_fully_supported(state, d, m, rel_tol)
-            - energy.energy_singular(upper, kappa, d, m)
-        )
+        vals.append(e - energy.energy_singular(upper, kappa, d, m))
     bad = _worst_nonmonotone(vals, increasing=True)
     worst = max(worst, bad)
     lines.append(f"supported-vs-singular gap increasing on (kappa2, kappa1): worst {bad:.2e}")
@@ -369,9 +361,9 @@ def check_minimizer_consistency(tol: float, rel_tol: float, root_tol: float) -> 
     total = 0
     for d, m, lo, hi in ((2, 0.5, 4.0, 12.0), (3, 0.25, 8.0, 16.0), (5, 0.3, 15.0, 21.0)):
         crit = energy.critical_set(d, m)
-        for kappa in np.linspace(lo, hi, 9):
-            kappa = float(kappa)
-            report = energy.classify_minimizer(kappa, d, m, rel_tol, root_tol)
+        grid = [float(kappa) for kappa in np.linspace(lo, hi, 9)]
+        for kappa, found in zip(grid, energy.equilibria_at(grid, d, m, rel_tol, root_tol)):
+            report = energy._energy_report(kappa, found, crit.kappa1)
             if crit.kappa_c is not None:
                 expected = energy.UNIFORM if kappa < crit.kappa_c else energy.SINGULAR_UPPER
             elif crit.kappa2 is not None:

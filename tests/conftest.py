@@ -5,10 +5,11 @@ substituted integrand with scale-aware interval splits, entirely
 independent of the package's own quadrature; the kappa_c oracle works
 from exact Beta-function moments at eta = 1.  Per-pair constants were
 frozen from 30+ digit runs of the same oracle (and exact closed forms
-where those exist).
+where those exist).  read_sweep and record_calls are shared test helpers.
 """
 
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -125,6 +126,43 @@ def sphere_average(f, d: int, nodes: int = 400) -> float:
     area_sdm1 = 2.0 * math.pi ** (0.5 * d) / math.gamma(0.5 * d)
     vals = np.array([f(float(t)) for t in theta])
     return area_sdm1 * 0.5 * math.pi * float(np.sum(w * vals * np.sin(theta) ** (d - 1)))
+
+
+def read_sweep(text):
+    """The rows of a sweep CSV, one dict per row; empty alpha and eta fields are None."""
+    lines = text.strip().splitlines()
+    assert lines[0] == "kappa,branch,alpha,eta,com_norm,energy"
+    rows = []
+    for line in lines[1:]:
+        kappa, branch, alpha, eta, com, energy = line.split(",")
+        rows.append(
+            {
+                "kappa": float(kappa),
+                "branch": branch,
+                "alpha": float(alpha) if alpha else None,
+                "eta": float(eta) if eta else None,
+                "com_norm": float(com),
+                "energy": float(energy),
+            }
+        )
+    return rows
+
+
+def record_calls(monkeypatch, home, name: str) -> list:
+    """Record the positional arguments of every call of home.<name>.
+
+    Patches every package module that binds it; returns the record, which the caller may clear.
+    """
+    calls, original = [], getattr(home, name)
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("fastsphere") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, recorded)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,7 @@ finite differences of the analytic identities).
 import numpy as np
 import pytest
 
-from conftest import mp_theta_integral
+from conftest import mp_theta_integral, read_sweep
 from fastsphere import energy as en
 from fastsphere import equilibria as eq
 from fastsphere import verification
@@ -89,14 +89,9 @@ def test_criterion_06_branch_monotonicity():
 
 
 def test_criterion_07_branch_self_consistency():
-    windows = {
-        (2, 0.5): None,  # open above kappa1
-        (3, 0.25): None,
-        (5, 0.3): None,
-    }
     worst_mass = 0.0
     worst_moment = 0.0
-    for d, m in windows:
+    for d, m in ((2, 0.5), (3, 0.25), (5, 0.3)):
         k1 = eq.kappa1(d, m)
         tag = classify_regime(d, m).tag
         if tag is RegimeCase.CASE_I:
@@ -109,8 +104,7 @@ def test_criterion_07_branch_self_consistency():
             grid = np.linspace(k2 + 0.05 * (k1 - k2), k1 - 0.05 * (k1 - k2), 10)
         q = 1.0 / (m - 1.0)
         dwd = sphere_geometry(d).area_sdm1
-        for kappa in grid:
-            state = eq.fully_supported_state(float(kappa), d, m)
+        for state in eq.fully_supported_states(grid.tolist(), d, m):
             pref = (m / ((1.0 - m) * state.kappa * state.s)) ** (1.0 / (1.0 - m))
             eta = 1.0 + state.eta_minus_1
             mass = dwd * pref * mp_theta_integral(eta, q, 0, d)
@@ -189,20 +183,7 @@ def test_criterion_09_global_minimizer_classification():
 def _sweep_rows(tmp_path, name, argv):
     path = tmp_path / name
     assert main(argv + ["--out", str(path)]) == 0
-    rows = []
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "kappa,branch,alpha,eta,com_norm,energy"
-    for line in lines[1:]:
-        kappa, branch, alpha, eta, com, energy = line.split(",")
-        rows.append(
-            {
-                "kappa": float(kappa),
-                "branch": branch,
-                "alpha": float(alpha) if alpha else None,
-                "com_norm": float(com),
-            }
-        )
-    return rows
+    return read_sweep(path.read_text())
 
 
 def test_criterion_10_bifurcation_diagram_shape(tmp_path):

@@ -1,12 +1,13 @@
 import importlib.util
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import mp_kappa1, mp_kappa_c
+from conftest import mp_kappa1, mp_kappa_c, read_sweep, record_calls
 from fastsphere import cli
 from fastsphere import energy as en
 from fastsphere import equilibria as eq
@@ -23,25 +24,6 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def read_sweep(text):
-    lines = text.strip().splitlines()
-    assert lines[0] == "kappa,branch,alpha,eta,com_norm,energy"
-    rows = []
-    for line in lines[1:]:
-        kappa, branch, alpha, eta, com, energy = line.split(",")
-        rows.append(
-            {
-                "kappa": float(kappa),
-                "branch": branch,
-                "alpha": float(alpha) if alpha else None,
-                "eta": float(eta) if eta else None,
-                "com_norm": float(com),
-                "energy": float(energy),
-            }
-        )
-    return rows
 
 
 class TestCritical:
@@ -265,7 +247,7 @@ class TestSweep:
 
 
 class TestSweepWork:
-    # Gauss-Kronrod batches of a cold 41-step sweep when every kappa was
+    # Gauss-Kronrod batches of a 41-step sweep when every kappa was
     # solved on its own, one batch per computed integral or refinement step
     @pytest.mark.parametrize(
         "d, m, lo, hi, per_kappa_batches",
@@ -274,24 +256,14 @@ class TestSweepWork:
     def test_lockstep_solves_share_their_batches(
         self, capsys, monkeypatch, d, m, lo, hi, per_kappa_batches
     ):
-        batches = 0
-        kronrod_batch = quadrature._kronrod_batch
-
-        def counted(f, bounds):
-            nonlocal batches
-            batches += 1
-            return kronrod_batch(f, bounds)
-
-        monkeypatch.setattr(quadrature, "_kronrod_batch", counted)
-        quadrature._integral.cache_clear()
+        batches = record_calls(monkeypatch, quadrature, "_kronrod_batch")
         code, _, err = run(
             capsys,
             "sweep", "--d", str(d), "--m", str(m),
             "--kappa-min", str(lo), "--kappa-max", str(hi), "--steps", "41",
         )
-        quadrature._integral.cache_clear()
         assert code == 0 and err == ""
-        assert batches <= per_kappa_batches / 4
+        assert len(batches) <= per_kappa_batches / 4
 
 
     def test_sweep_energies_call_no_integral(self, capsys, monkeypatch):
@@ -309,6 +281,34 @@ class TestSweepWork:
         assert code == 0 and err == ""
 
 
+class TestVerifyWork:
+    def test_verify_never_solves_one_kappa_at_a_time(self, monkeypatch):
+        calls = record_calls(monkeypatch, eq, "fully_supported_state")
+        assert all(r.passed for r in verification.run_verification())
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "check, tol, pairs",
+        [
+            ("check_energy_two_route_agreement", 1e-8, verification.REFERENCE_PAIRS),
+            ("check_energy_slope_identities", 1e-4, [(2, 0.5)]),
+            ("check_energy_comparison_steps", 0.0, verification.REFERENCE_PAIRS),
+            ("check_branch_continuity", 1e-2, verification.REFERENCE_PAIRS),
+        ],
+    )
+    def test_one_branch_solve_per_pair(self, monkeypatch, check, tol, pairs):
+        # the default thresholds of run_verification
+        calls = record_calls(monkeypatch, eq, "fully_supported_states")
+        assert getattr(verification, check)(tol, 1e-10, 1e-12).passed
+        assert [(d, m) for _, d, m, *_ in calls] == list(pairs)
+
+    def test_minimizer_check_enumerates_each_grid_once(self, monkeypatch):
+        at = record_calls(monkeypatch, en, "equilibria_at")
+        classified = record_calls(monkeypatch, en, "classify_minimizer")
+        assert verification.check_minimizer_consistency(0.0, 1e-10, 1e-12).passed
+        assert (len(at), len(classified)) == (3, 0)
+
+
 class TestDemoSweeps:
     def test_demo_csvs_are_reproduced_byte_for_byte(self, tmp_path):
         # the three bifurcation diagrams of demos/bifurcation_diagram.py
@@ -323,16 +323,15 @@ class TestDemoSweeps:
 
 class TestParser:
     def test_main_builds_its_parser_once(self, capsys, monkeypatch):
-        built = []
         build = cli.build_parser
-        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        built = record_calls(monkeypatch, cli, "build_parser")
         cli._parser.cache_clear()
         try:
             for _ in range(3):
                 assert run(capsys, "critical", "--d", "5", "--m", "0.3")[0] == 0
         finally:
             cli._parser.cache_clear()
-        assert built == [1]
+        assert built == [()]
         assert build() is not build()
 
 
@@ -421,6 +420,18 @@ class TestVerify:
         assert verification.check_eta1_quadrature_vs_closed_form(1e-8, 1e-10).passed
         monkeypatch.setattr(quadrature, "_integral", skewed)
         assert not verification.check_eta1_quadrature_vs_closed_form(1e-8, 1e-10).passed
+
+    def test_only_rel_tol_loosens_the_thresholds(self, capsys):
+        # --root-tol feeds the solves alone; --rel-tol above 1e-10 also loosens
+        def tolerances(*flags):
+            code, out, _ = run(capsys, "verify", *flags)
+            assert code == 0
+            return [float(t) for t in re.findall(r"\(tolerance (\S+)\)", out)]
+
+        default = tolerances()
+        assert len(default) == 20
+        assert tolerances("--root-tol", "1e-11") == default
+        assert min(tolerances("--rel-tol", "1e-8")) >= 1e-8 > min(default)
 
     def test_bad_tolerance_exits_2(self, capsys):
         code, _, err = run(capsys, "verify", "--rel-tol", "-1")

@@ -15,6 +15,7 @@ from conftest import (
     KAPPA_C_5_03,
     REFERENCE_PAIRS,
     mp_kappa_c,
+    record_calls,
     sphere_average,
 )
 from fastsphere import energy as en
@@ -102,12 +103,10 @@ class TestFullySupportedEnergy:
         )
 
     def test_energy_gap_increases_with_kappa(self):
-        gaps = []
-        for kappa in (6.0, 8.0, 10.0, 12.0):
-            state = eq.fully_supported_state(kappa, 2, 0.5)
-            gaps.append(
-                en.energy_uniform(kappa, 2, 0.5) - en.energy_fully_supported(state, 2, 0.5)
-            )
+        gaps = [
+            en.energy_uniform(s.kappa, 2, 0.5) - en.energy_fully_supported(s, 2, 0.5)
+            for s in eq.fully_supported_states([6.0, 8.0, 10.0, 12.0], 2, 0.5)
+        ]
         assert gaps == sorted(gaps)
         assert gaps[0] > 0.0
 
@@ -359,21 +358,6 @@ class TestClassifyMinimizer:
         assert report.degenerate
 
 
-def _count_calls(monkeypatch, name: str, home) -> list:
-    """Count the calls of home.<name> through every package module that binds it."""
-    original = getattr(home, name)
-    calls = [0]
-
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return original(*args, **kwargs)
-
-    for module_name, module in list(sys.modules.items()):
-        if module_name.startswith("fastsphere") and getattr(module, name, None) is original:
-            monkeypatch.setattr(module, name, counted)
-    return calls
-
-
 def _benchmark_case_iii_pairs() -> list:
     """The case-iii (d, m) pairs of the benchmark's critical workload, seeds 0-3."""
     sys.path.insert(0, str(PERFBENCH))
@@ -391,23 +375,23 @@ def _benchmark_case_iii_pairs() -> list:
 
 class TestCriticalSetWork:
     def test_one_pass(self, monkeypatch):
-        validations = _count_calls(monkeypatch, "validate_params", model)
-        geometries = _count_calls(monkeypatch, "sphere_geometry", model)
-        closed_forms = _count_calls(monkeypatch, "eta1_closed_form", quadrature)
+        validations = record_calls(monkeypatch, model, "validate_params")
+        geometries = record_calls(monkeypatch, model, "sphere_geometry")
+        closed_forms = record_calls(monkeypatch, quadrature, "eta1_closed_form")
         crit = en.critical_set(5, 0.3)
         assert crit.kappa_c == pytest.approx(KAPPA_C_5_03, rel=1e-12)
-        assert validations[0] <= 2
-        assert geometries[0] == 1
-        assert closed_forms[0] == 2
+        assert len(validations) <= 2
+        assert len(geometries) == 1
+        assert len(closed_forms) == 2
 
     def test_gap_evaluations_per_kappa_c(self, monkeypatch):
         # the count includes the two checks of the bracket ends
-        calls = _count_calls(monkeypatch, "_kappa_c_gap", en)
+        calls = record_calls(monkeypatch, en, "_kappa_c_gap")
         counts = []
         for d, m in _benchmark_case_iii_pairs():
-            calls[0] = 0
+            calls.clear()
             en.kappa_c(d, m)
-            counts.append(calls[0])
+            counts.append(len(calls))
         assert len(counts) > 900
         assert statistics.median(counts) <= 10
         assert max(counts) <= 16

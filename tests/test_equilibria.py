@@ -163,40 +163,33 @@ class TestFullySupportedStates:
         lo, hi = min(ends), max(ends) if crit.kappa2 else 3.0 * crit.kappa1
         return [-1.0, 0.5 * lo, *ends, *np.linspace(lo, hi, 15)[1:-1].tolist(), 1.2 * hi]
 
-    @pytest.mark.parametrize("d, m", REFERENCE_PAIRS)
-    def test_matches_one_solve_per_kappa(self, d, m):
-        kappas = self.grid(d, m)
-        states = eq.fully_supported_states(kappas, d, m)
+    @staticmethod
+    def check_one_solve_per_kappa(kappas, states, d, m):
+        """states hold what fully_supported_state gives at each kappa: the state, or its error."""
         assert len(states) == len(kappas)
         solved = 0
         for kappa, got in zip(kappas, states):
             try:
                 expected = eq.fully_supported_state(kappa, d, m)
             except FastSphereError as exc:
-                assert type(got) is type(exc)
-                assert got.__traceback__ is None
+                assert type(got) is type(exc) and got.__traceback__ is None
                 continue
             solved += 1
-            # each solve takes the same steps alone as among the others
             assert got == expected and got.moments == expected.moments
         assert solved >= 13
+
+    @pytest.mark.parametrize("d, m", REFERENCE_PAIRS)
+    def test_matches_one_solve_per_kappa(self, d, m):
+        # each solve takes the same steps alone as among the others
+        kappas = self.grid(d, m)
+        self.check_one_solve_per_kappa(kappas, eq.fully_supported_states(kappas, d, m), d, m)
 
     @pytest.mark.parametrize("d, m", REFERENCE_PAIRS)
     def test_single_kappa_equals_fully_supported_state(self, d, m):
         # fully_supported_state is the one-kappa solve: the same state, or
         # its error raised
-        solved = 0
-        for kappa in self.grid(d, m):
-            (got,) = eq.fully_supported_states([kappa], d, m)
-            try:
-                expected = eq.fully_supported_state(kappa, d, m)
-            except FastSphereError as exc:
-                assert type(got) is type(exc)
-                assert got.__traceback__ is None
-                continue
-            solved += 1
-            assert got == expected and got.moments == expected.moments
-        assert solved >= 13
+        kappas = self.grid(d, m)
+        self.check_one_solve_per_kappa(kappas, self.one_at_a_time(kappas, d, m), d, m)
 
     @pytest.mark.parametrize("d, m", REFERENCE_PAIRS)
     def test_energy_takes_the_moments_of_the_solve(self, monkeypatch, d, m):

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import I0_ETA1_Q43_D3, I1_ETA1_Q43_D3, LGAMMA_ONE_SIXTH, mp_theta_integral
+from conftest import I0_ETA1_Q43_D3, I1_ETA1_Q43_D3, LGAMMA_ONE_SIXTH
+from conftest import mp_theta_integral, record_calls
 from fastsphere import quadrature
 from fastsphere.equilibria import _zeta_floor
 from fastsphere.errors import (
@@ -109,12 +110,9 @@ def test_seed_stops_at_the_eta_one_cutoff(d, m, zeta, levels):
 
 def batched_and_scalar(q, d, zetas):
     """The outcomes of quadrature._integrals over zetas and of _integral at each (see outcome)."""
-    quadrature._integral.cache_clear()
     batched = quadrature._integrals(zetas, q, d, 1e-10)
-    assert quadrature._integral.cache_info().currsize == 0  # nothing enters the cache
     assert all(r.__traceback__ is None for r in batched if isinstance(r, FastSphereError))
     scalar = [outcome(lambda: quadrature._integral(zeta, q, d, 1e-10)) for zeta in zetas]
-    quadrature._integral.cache_clear()
     return [r if type(r) is tuple else type(r) for r in batched], scalar
 
 
@@ -122,7 +120,6 @@ def eta1_integral_is_its_seed_mesh(q, d):
     """_integral at eta = 1, which the batched route never takes, equals its seed mesh alone."""
     reference = outcome(lambda: seed_reference(0.0, q, d)[3])
     assert outcome(lambda: quadrature._integral(0.0, q, d, 1e-10)) == reference
-    quadrature._integral.cache_clear()
 
 
 @pytest.mark.parametrize("d, m", [(2, 0.5), (3, 0.25), (5, 0.3), (8, 0.74999)])
@@ -146,25 +143,20 @@ def test_batched_integrals_fail_item_by_item(monkeypatch):
     eta1_integral_is_its_seed_mesh(q, d)
 
 
-def test_one_zeta_takes_the_cached_kernel(monkeypatch):
-    # one mesh needs none of _seed_pass's layout, and its moments stay in
-    # the cache for later callers; a batch leaves the cache as it was
+def test_one_zeta_takes_the_single_mesh_kernel(monkeypatch):
+    # one mesh needs none of _seed_pass's layout; several zetas never call _integral
     q, d = 1.0 / (0.25 - 1.0), 3
     integral = quadrature._integral
-    calls = []
-    monkeypatch.setattr(
-        quadrature, "_integral", lambda *args: calls.append(args) or integral(*args)
-    )
-    integral.cache_clear()
+    calls = record_calls(monkeypatch, quadrature, "_integral")
+    passes = record_calls(monkeypatch, quadrature, "_seed_pass")
     assert quadrature._integrals([3.3e-4], q, d, 1e-10) == [integral(3.3e-4, q, d, 1e-10)]
-    assert calls == [(3.3e-4, q, d, 1e-10)]
-    assert integral.cache_info().currsize == 1
+    assert calls == [(3.3e-4, q, d, 1e-10)] and passes == []
     quadrature._integrals([1e-3, 3.3e-4, 2.0], q, d, 1e-10)
-    assert len(calls) == 1 and integral.cache_info().currsize == 1
+    assert len(calls) == 1 and len(passes) == 1
     monkeypatch.setattr(quadrature, "_MAX_PANELS", 2)
     (failed,) = quadrature._integrals([1e-30], q, d, 1e-10)
     assert type(failed) is ToleranceNotMetError and failed.__traceback__ is None
-    integral.cache_clear()
+    assert len(calls) == 2 and len(passes) == 1
 
 
 def seed_reference(zeta, q, d, rel_tol=1e-10):
@@ -215,26 +207,17 @@ def test_ladder_seed_pass_matches_the_seed_mesh(monkeypatch, d, m, zetas):
     # those of each seed mesh integrated on its own, bit for bit, and so do
     # the results of _integral and _integrals
     q = 1.0 / (m - 1.0)
-    quadrature._integral.cache_clear()
     for z in zetas:
         assert outcome(lambda: quadrature._integral(z, q, d, 1e-10)) == seed_reference(z, q, d)[3]
-    quadrature._integral.cache_clear()
     zetas = [z for z in zetas if z > 0.0]  # the batched route takes zeta > 0 only
     if not zetas:
         return
     zeta = np.array(zetas)
     levels = quadrature._seed_levels(zeta, quadrature._seed_cut(q, d))
-    laid = []
-    kronrod_batch = quadrature._kronrod_batch
-
-    def recorded(f, bounds):
-        laid.append(bounds)
-        return kronrod_batch(f, bounds)
-
-    monkeypatch.setattr(quadrature, "_kronrod_batch", recorded)
+    laid = record_calls(monkeypatch, quadrature, "_kronrod_batch")
     values, errors, starts, panels = quadrature._seed_pass(zeta, levels, q, d)
     monkeypatch.undo()
-    (edges,) = laid
+    ((_, edges),) = laid
     assert edges.size == panels.sum() + 1  # no panel between the meshes
     for k, z in enumerate(zetas):
         ref_edges, ref_values, ref_errors, _ = seed_reference(z, q, d)
@@ -246,7 +229,6 @@ def test_ladder_seed_pass_matches_the_seed_mesh(monkeypatch, d, m, zetas):
     assert [r if type(r) is tuple else type(r) for r in batched] == [
         seed_reference(z, q, d)[3] for z in zetas
     ]
-    quadrature._integral.cache_clear()
 
 
 @pytest.mark.parametrize("k", [0, 1, 7, 40, 300])
@@ -264,11 +246,7 @@ def test_seed_levels_at_a_power_of_two(k):
 def test_batched_seeds_that_miss_the_tolerance_are_refined_exactly(monkeypatch):
     q, d = 1.0 / (0.5 - 1.0), 2
     zetas = [float(z) for z in np.geomspace(1e-12, 1e3, 40)]
-    refined = []
-    refine = quadrature._refine
-    monkeypatch.setattr(
-        quadrature, "_refine", lambda *args: refined.append(1) or refine(*args)
-    )
+    refined = record_calls(monkeypatch, quadrature, "_refine")
     batched = quadrature._integrals(zetas, q, d, 1e-10)
     monkeypatch.undo()
     assert len(refined) >= 5
@@ -289,15 +267,14 @@ def test_ladder_table_is_built_on_first_use_and_small():
     assert ladder.depth == int(quadrature._seed_levels(5e-324, 0.0))
 
 
-def test_one_cache_miss_serves_all_three_moments():
-    quadrature._integral.cache_clear()
+def test_one_integral_serves_all_three_moments(monkeypatch):
+    # one Gauss-Kronrod batch integrates the mass, moment and entropy profiles
     eta, q, d = 1.0 + 3.3e-4, -1.7, 4
-    i0 = integral(eta, q, 0, d)
-    i1 = integral(eta, q, 1, d)
-    i_ent = quadrature._integral(eta - 1.0, q, d, 1e-10)[2]
-    info = quadrature._integral.cache_info()
-    assert (info.misses, info.hits) == (1, 2)
-    assert (i0, i1, i_ent) == quadrature._integral(eta - 1.0, q, d, 1e-10)
+    batches = record_calls(monkeypatch, quadrature, "_kronrod_batch")
+    i0, i1, i_ent = quadrature._integral(eta - 1.0, q, d, 1e-10)
+    assert len(batches) == 1
+    monkeypatch.undo()
+    assert (i0, i1) == (integral(eta, q, 0, d), integral(eta, q, 1, d))
     assert i_ent == pytest.approx(integral(eta, q + 1.0, 0, d), rel=1e-10)
 
 
@@ -443,10 +420,8 @@ def test_invalid_spec_rejected():
 
 def test_tolerance_not_met_when_budget_exhausted(monkeypatch):
     monkeypatch.setattr(quadrature, "_MAX_PANELS", 2)
-    quadrature._integral.cache_clear()
     with pytest.raises(ToleranceNotMetError):
         integral(1.0 + 2e-6, -2.0, 0, 2)
-    quadrature._integral.cache_clear()
 
 
 @settings(max_examples=40, deadline=None)

@@ -23,3 +23,19 @@ def test_every_trace_boundary_exists(monkeypatch):
         if not callable(getattr(importlib.import_module(f"fastsphere.{module}"), name, None))
     ]
     assert missing == []
+
+
+def test_traced_verify_passes_with_no_cache_hit(monkeypatch):
+    # _integral keeps no cache, so the trace sees no cache hit, and its
+    # other cross-checks hold on the verify workload
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    workload = importlib.import_module("workloads").Verify(0)
+    tracer = tracing.Tracer()
+    with tracing.traced(tracer):
+        outputs = [unit() for unit in workload.units]
+    assert workload.check(outputs) == (0, [])
+    layers, problems = tracer.metrics(None)
+    assert problems == []
+    assert layers["quadrature.cache_hits"] == 0
