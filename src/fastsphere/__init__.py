@@ -61,7 +61,7 @@ from .model import (
     classify_regime,
     sphere_geometry,
 )
-from .quadrature import ThetaIntegralSpec, eta1_closed_form, log_gamma, theta_integral
+from .quadrature import ThetaIntegralSpec, eta1_closed_form, theta_integral
 from .verification import run_verification
 
 __version__ = "0.1.0"
@@ -107,7 +107,6 @@ __all__ = [
     "kappa2_quadrature",
     "kappa3_and_alpha_bar",
     "kappa_c",
-    "log_gamma",
     "rho_bar_density",
     "run_verification",
     "s_bar",

@@ -38,15 +38,6 @@ def _write(text: str, out: str | None) -> None:
             handle.write(text)
 
 
-def _tolerances(args) -> tuple[float, float]:
-    rel_tol = float(args.rel_tol)
-    root_tol = float(args.root_tol)
-    if not rel_tol > 0.0 or not root_tol > 0.0:
-        raise FastSphereError("--rel-tol and --root-tol must be positive")
-    # quadrature accepts at most 1e-6; looser requests only loosen checks
-    return min(rel_tol, 1e-6), root_tol
-
-
 def cmd_critical(args) -> int:
     crit = energy.critical_set(args.d, args.m)
     payload = {
@@ -64,7 +55,6 @@ def cmd_critical(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    quad_tol, root_tol = _tolerances(args)
     if not (0.0 < args.kappa_min < args.kappa_max) or args.steps < 2:
         raise FastSphereError(
             "sweep needs 0 < --kappa-min < --kappa-max and --steps >= 2"
@@ -77,7 +67,7 @@ def cmd_sweep(args) -> int:
 
     records = []
     failures = 0
-    found = energy.equilibria_at(kappas, args.d, args.m, quad_tol, root_tol)
+    found = energy.equilibria_at(kappas, args.d, args.m)
     for kappa, rows in zip(kappas, found):
         if isinstance(rows, FastSphereError):
             failures += 1
@@ -111,14 +101,13 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    quad_tol, root_tol = _tolerances(args)
     if args.points < 2:
         raise FastSphereError("--points must be >= 2")
     thetas = np.linspace(0.0, math.pi, args.points)
     if args.branch == "fully_supported":
         if args.kappa is None:
             raise FastSphereError("--kappa is required for the fully_supported branch")
-        state = equilibria.fully_supported_state(args.kappa, args.d, args.m, quad_tol, root_tol)
+        state = equilibria.fully_supported_state(args.kappa, args.d, args.m)
         values = [
             equilibria.fully_supported_density(state, float(t), args.d, args.m)
             for t in thetas
@@ -136,27 +125,16 @@ def cmd_profile(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    quad_tol, root_tol = _tolerances(args)
-    loosen = float(args.rel_tol) if float(args.rel_tol) > 1e-10 else None
-    results = verification.run_verification(quad_tol, root_tol, loosen)
+    results = verification.run_verification()
     _write(verification.format_report(results) + "\n", args.out)
     return 0 if all(r.passed for r in results) else 1
 
 
-def _add_common(
-    parser: argparse.ArgumentParser, model_params: bool = True, tolerances: bool = True
-) -> None:
+def _add_common(parser: argparse.ArgumentParser, model_params: bool = True) -> None:
     if model_params:
         parser.add_argument("--d", type=int, required=True, help="sphere dimension, >= 1")
         parser.add_argument(
             "--m", type=float, required=True, help="diffusion exponent in (0, 1)"
-        )
-    if tolerances:
-        parser.add_argument(
-            "--rel-tol", type=float, default=1e-10, help="quadrature relative tolerance"
-        )
-        parser.add_argument(
-            "--root-tol", type=float, default=1e-12, help="root-finding residual tolerance"
         )
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
 
@@ -170,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_crit = sub.add_parser("critical", help="critical interaction strengths as JSON")
-    _add_common(p_crit, tolerances=False)  # closed forms: nothing to integrate or solve
+    _add_common(p_crit)
     p_crit.set_defaults(func=cmd_critical)
 
     p_sweep = sub.add_parser("sweep", help="branch samples over a kappa grid")

@@ -45,7 +45,6 @@ from .errors import (
 )
 from .model import RegimeCase, classify_regime, sphere_geometry, validate_params
 from .quadrature import DEFAULT_REL_TOL, _integral, eta1_closed_form
-from .solvers import DEFAULT_ROOT_TOL
 
 UNIFORM = "uniform"
 FULLY_SUPPORTED = "fully_supported"
@@ -102,9 +101,7 @@ def _branch_energy_gain_of(i0: float, i1: float, i_ent: float, d: int, m: float)
     return g1 * g2
 
 
-def branch_energy_gain(
-    eta: float, d, m: float, rel_tol: float = DEFAULT_REL_TOL
-) -> BranchEnergyGain:
+def branch_energy_gain(eta: float, d, m: float) -> BranchEnergyGain:
     """The product g1 * g2 measuring the supported branch's energy gain.
 
     g1 collects the first moment and the entropy-exponent integral,
@@ -116,23 +113,23 @@ def branch_energy_gain(
     eta = float(eta)
     if not math.isfinite(eta) or eta < 1.0:
         raise InvalidParamError(f"eta must be finite and >= 1, got {eta!r}")
-    moments = _integral(eta - 1.0, 1.0 / (m - 1.0), int(d), rel_tol)
+    moments = _integral(eta - 1.0, 1.0 / (m - 1.0), int(d), DEFAULT_REL_TOL)
     return BranchEnergyGain(eta=eta, value=_branch_energy_gain_of(*moments, int(d), m))
 
 
-def energy_fully_supported(
-    state: FullySupportedState, d, m: float, rel_tol: float = DEFAULT_REL_TOL
-) -> float:
+def energy_fully_supported(state: FullySupportedState, d, m: float) -> float:
     """Energy of a fully supported state, by direct quadrature.
 
     Also evaluated through kappa/2 - g1 g2; the two routes must agree to
     1e-8 relative or the internal state is inconsistent.  Both take the
-    moments the state carries from its solve, or compute them at rel_tol
-    when it carries none.
+    moments the state carries from its solve, or compute them at
+    DEFAULT_REL_TOL (1e-10) when it carries none.
     """
     validate_params(d, m)
     d = int(d)
-    i0, i1, i_ent = state.moments or _integral(state.eta_minus_1, 1.0 / (m - 1.0), d, rel_tol)
+    i0, i1, i_ent = state.moments or _integral(
+        state.eta_minus_1, 1.0 / (m - 1.0), d, DEFAULT_REL_TOL
+    )
     pref = (m / ((1.0 - m) * state.kappa * state.s)) ** (1.0 / (1.0 - m))
     dwd = sphere_geometry(d).area_sdm1
     entropy = dwd * pref**m * i_ent
@@ -155,9 +152,9 @@ def rho_bar_entropy_integral(d, m: float) -> float:
         raise NotIntegrableError(
             f"rho_bar is not integrable for m={m!r} >= 1 - 2/d (d={d})"
         )
+    area_sdm1 = sphere_geometry(d).area_sdm1  # raises for d >= 438 before the closed forms
     i0 = eta1_closed_form(q, 0, d)
-    i_ent = eta1_closed_form(q + 1.0, 0, d)
-    return _rho_bar_entropy_of(i0, i_ent, sphere_geometry(d).area_sdm1, m)
+    return _rho_bar_entropy_of(i0, eta1_closed_form(q + 1.0, 0, d), area_sdm1, m)
 
 
 def _rho_bar_entropy_of(i0: float, i_ent: float, area_sdm1: float, m: float) -> float:
@@ -331,13 +328,7 @@ def _kappa_c_of(
     return kappa_of(u)
 
 
-def equilibria_at(
-    kappas,
-    d,
-    m: float,
-    rel_tol: float = DEFAULT_REL_TOL,
-    root_tol: float = DEFAULT_ROOT_TOL,
-) -> list:
+def equilibria_at(kappas, d, m: float) -> list:
     """The equilibria that exist at each of kappas, with their energies.
 
     Each entry is a list of rows (branch, alpha, eta, com_norm, energy),
@@ -356,7 +347,7 @@ def equilibria_at(
     if singular:  # rho_bar, its com norm and entropy, and kappa2 are the same at every kappa
         sb, k2, alpha_bar = equilibria._singular_constants(d, m)
         ent = rho_bar_entropy_integral(d, m)
-    states = equilibria.fully_supported_states(kappas, d, m, rel_tol, root_tol)
+    states = equilibria.fully_supported_states(kappas, d, m)
     found: list = []
     for kappa, state in zip(kappas, states):
         if isinstance(state, FastSphereError) and not isinstance(state, OutOfWindowError):
@@ -366,10 +357,10 @@ def equilibria_at(
         try:
             rows = [(UNIFORM, None, None, 0.0, energy_uniform(kappa, d, m))]
             if not isinstance(state, OutOfWindowError):
-                e = energy_fully_supported(state, d, m, rel_tol)
+                e = energy_fully_supported(state, d, m)
                 rows.append((FULLY_SUPPORTED, None, state.eta, state.s, e))
             if singular:
-                roots = equilibria._alpha_roots(kappa, sb, k2, alpha_bar, m, root_tol)
+                roots = equilibria._alpha_roots(kappa, sb, k2, alpha_bar, m)
                 atoms = [(SINGULAR_UPPER, roots[-1])] if roots else []
                 if len(roots) == 2 and roots[0] < roots[1]:
                     atoms.append((SINGULAR_LOWER, roots[0]))
@@ -383,13 +374,7 @@ def equilibria_at(
     return found
 
 
-def classify_minimizer(
-    kappa: float,
-    d,
-    m: float,
-    rel_tol: float = DEFAULT_REL_TOL,
-    root_tol: float = DEFAULT_ROOT_TOL,
-) -> EnergyReport:
+def classify_minimizer(kappa: float, d, m: float) -> EnergyReport:
     """Branch energies at kappa with the global minimizer tagged.
 
     The tag always names the branch with the literally smallest computed
@@ -398,7 +383,7 @@ def classify_minimizer(
     """
     validate_params(d, m, kappa)
     kappa = float(kappa)
-    found = equilibria_at([kappa], d, m, rel_tol, root_tol)[0]
+    found = equilibria_at([kappa], d, m)[0]
     return _energy_report(kappa, found, equilibria.kappa1(d, m))
 
 

@@ -149,7 +149,7 @@ def _inverse_kappa_of(
     return scale * i1 * i0 ** (m - 2.0)
 
 
-def inverse_kappa(eta: float, d, m: float, rel_tol: float = DEFAULT_REL_TOL) -> float:
+def inverse_kappa(eta: float, d, m: float) -> float:
     """Inverse interaction strength of the fully supported branch at eta.
 
     The branch passes through shape parameter eta exactly when 1/kappa
@@ -162,17 +162,17 @@ def inverse_kappa(eta: float, d, m: float, rel_tol: float = DEFAULT_REL_TOL) -> 
     if not math.isfinite(eta) or eta < 1.0:
         raise InvalidParamError(f"eta must be finite and >= 1, got {eta!r}")
     d = int(d)
-    i0, i1, _ = _integral(eta - 1.0, _q_exponent(m), d, rel_tol)
+    i0, i1, _ = _integral(eta - 1.0, _q_exponent(m), d, DEFAULT_REL_TOL)
     return _inverse_kappa_of(eta - 1.0, i0, i1, _inverse_kappa_scale(d, m), d, m)
 
 
-def com_norm_of_eta(eta: float, d, m: float, rel_tol: float = DEFAULT_REL_TOL) -> float:
+def com_norm_of_eta(eta: float, d, m: float) -> float:
     """Centre-of-mass norm of the fully supported density at shape eta."""
     validate_params(d, m)
     eta = float(eta)
     if not math.isfinite(eta) or eta < 1.0:
         raise InvalidParamError(f"eta must be finite and >= 1, got {eta!r}")
-    i0, i1, _ = _integral(eta - 1.0, _q_exponent(m), int(d), rel_tol)
+    i0, i1, _ = _integral(eta - 1.0, _q_exponent(m), int(d), DEFAULT_REL_TOL)
     return i1 / i0
 
 
@@ -206,54 +206,37 @@ def _log_zeta_bracket(d: int, m: float) -> tuple[float, float]:
     return math.log(_zeta_floor(q, d)), math.log(ceil)
 
 
-def solve_eta(
-    kappa: float,
-    d,
-    m: float,
-    rel_tol: float = DEFAULT_REL_TOL,
-    root_tol: float = DEFAULT_ROOT_TOL,
-) -> float:
+def solve_eta(kappa: float, d, m: float) -> float:
     """Shape parameter eta of the fully supported branch at kappa.
 
     Solved as a bracketed root of inverse_kappa * kappa - 1 over
     log(eta - 1), which keeps full relative precision in eta - 1 at the
     concentration end of the branch; eta - 1 = 1e9 stands in for the
     uniform limit.  The result satisfies
-    |inverse_kappa(eta) * kappa - 1| <= root_tol.
+    |inverse_kappa(eta) * kappa - 1| <= DEFAULT_ROOT_TOL (1e-12), with the
+    integrals at DEFAULT_REL_TOL (1e-10).
     """
-    return fully_supported_state(kappa, d, m, rel_tol, root_tol).eta
+    return fully_supported_state(kappa, d, m).eta
 
 
-def fully_supported_state(
-    kappa: float,
-    d,
-    m: float,
-    rel_tol: float = DEFAULT_REL_TOL,
-    root_tol: float = DEFAULT_ROOT_TOL,
-) -> FullySupportedState:
+def fully_supported_state(kappa: float, d, m: float) -> FullySupportedState:
     """The fully supported equilibrium at kappa: fully_supported_states at [kappa].
 
     Raises the FastSphereError its solve ends with.
     """
-    return _solve_all([kappa], d, m, rel_tol, root_tol)[0]
+    return _solve_all([kappa], d, m)[0]
 
 
-def _solve_all(kappas, d, m: float, rel_tol: float, root_tol: float) -> list:
+def _solve_all(kappas, d, m: float) -> list:
     """fully_supported_states at kappas, raising the first FastSphereError among them."""
-    states = fully_supported_states(kappas, d, m, rel_tol, root_tol)
+    states = fully_supported_states(kappas, d, m)
     for state in states:
         if isinstance(state, FastSphereError):
             raise state
     return states
 
 
-def fully_supported_states(
-    kappas,
-    d,
-    m: float,
-    rel_tol: float = DEFAULT_REL_TOL,
-    root_tol: float = DEFAULT_ROOT_TOL,
-) -> list:
+def fully_supported_states(kappas, d, m: float) -> list:
     """The fully supported equilibrium at each of kappas, with the branch solves run in lockstep.
 
     Each entry is the state or the FastSphereError that kappa raises there
@@ -285,7 +268,7 @@ def fully_supported_states(
     def residuals(asks):
         zetas = [math.exp(y) for _, y in asks]
         new = [zeta for zeta in dict.fromkeys(zetas) if zeta not in moments]
-        moments.update(zip(new, _integrals(new, q, d, rel_tol)))
+        moments.update(zip(new, _integrals(new, q, d, DEFAULT_REL_TOL)))
         values = []
         for (item, _), zeta in zip(asks, zetas):
             at_zeta = moments[zeta]
@@ -303,7 +286,7 @@ def fully_supported_states(
     roots = lockstep_roots(
         residuals,
         [_log_zeta_bracket(d, m)] * len(solved),
-        residual_tol=root_tol,
+        residual_tol=DEFAULT_ROOT_TOL,
         width_tol=DEFAULT_WIDTH_TOL,
     )
     for (i, kappa), y in zip(solved, roots):
@@ -358,8 +341,8 @@ def kappa2(d, m: float) -> float:
     d = int(d)
     if m >= 1.0 - 2.0 / d:
         raise NotIntegrableError(f"kappa2 is undefined for m={m!r} >= 1 - 2/d (d={d})")
-    i0 = eta1_closed_form(_q_exponent(m), 0, d)
-    return _kappa2_of(i0, sphere_geometry(d).area_sdm1, d, m)
+    area_sdm1 = sphere_geometry(d).area_sdm1  # raises for d >= 438 before the closed form
+    return _kappa2_of(eta1_closed_form(_q_exponent(m), 0, d), area_sdm1, d, m)
 
 
 def _kappa2_of(i0: float, area_sdm1: float, d: int, m: float) -> float:
@@ -368,9 +351,9 @@ def _kappa2_of(i0: float, area_sdm1: float, d: int, m: float) -> float:
     return m / (1.0 - m) * (area_sdm1 * i0) ** (1.0 - m) * (q + d) / -q
 
 
-def kappa2_quadrature(d, m: float, rel_tol: float = DEFAULT_REL_TOL) -> float:
+def kappa2_quadrature(d, m: float) -> float:
     """kappa2 through the quadrature route, as an oracle for the closed form."""
-    return 1.0 / inverse_kappa(1.0, d, m, rel_tol)
+    return 1.0 / inverse_kappa(1.0, d, m)
 
 
 def kappa3_and_alpha_bar(d, m: float) -> tuple[float, float]:
@@ -396,12 +379,7 @@ def _fold(k2: float, sb: float, m: float) -> tuple[float, float]:
     return k3, alpha_bar
 
 
-def alpha_roots(
-    kappa: float,
-    d,
-    m: float,
-    root_tol: float = DEFAULT_ROOT_TOL,
-) -> list[float]:
+def alpha_roots(kappa: float, d, m: float) -> list[float]:
     """Atom fractions of measure-valued equilibria at kappa, ascending.
 
     Roots in (0, 1) of
@@ -413,7 +391,7 @@ def alpha_roots(
     roots straddling alpha_bar on (kappa3, kappa2), one root past kappa2.
     """
     validate_params(d, m, kappa)
-    return _alpha_roots(float(kappa), *_singular_constants(d, m), m, root_tol)
+    return _alpha_roots(float(kappa), *_singular_constants(d, m), m)
 
 
 def _singular_constants(d, m: float) -> tuple[float, float, float | None]:
@@ -431,7 +409,7 @@ def _singular_constants(d, m: float) -> tuple[float, float, float | None]:
 
 
 def _alpha_roots(
-    kappa: float, sb: float, k2: float, alpha_bar: float | None, m: float, root_tol: float
+    kappa: float, sb: float, k2: float, alpha_bar: float | None, m: float
 ) -> list[float]:
     """alpha_roots from the constants _singular_constants returns."""
 
@@ -439,13 +417,14 @@ def _alpha_roots(
         return kappa * (sb + alpha * (1.0 - sb)) - (1.0 - alpha) ** (m - 1.0) * k2 * sb
 
     scale = max(1.0, kappa)
+    residual_tol = DEFAULT_ROOT_TOL * scale
     cap = 1.0 - 1e-12  # the right side diverges at alpha = 1, root is interior
 
     if alpha_bar is None:  # CaseII
         if kappa <= k2:
             return []
         root = bracketed_root(
-            mismatch, 0.0, cap, residual_tol=root_tol * scale, width_tol=DEFAULT_WIDTH_TOL
+            mismatch, 0.0, cap, residual_tol=residual_tol, width_tol=DEFAULT_WIDTH_TOL
         )
         # kappa within rounding of kappa2 can land on the alpha = 0 boundary
         return [root] if root > 0.0 else []
@@ -456,21 +435,19 @@ def _alpha_roots(
     if gap_at_bar <= 1e-11 * scale:
         return [alpha_bar, alpha_bar]  # tangent double root at kappa3
     upper = bracketed_root(
-        mismatch, alpha_bar, cap, residual_tol=root_tol * scale, width_tol=DEFAULT_WIDTH_TOL
+        mismatch, alpha_bar, cap, residual_tol=residual_tol, width_tol=DEFAULT_WIDTH_TOL
     )
     if kappa >= k2:
         return [upper]
     lower = bracketed_root(
-        mismatch, 0.0, alpha_bar, residual_tol=root_tol * scale, width_tol=DEFAULT_WIDTH_TOL
+        mismatch, 0.0, alpha_bar, residual_tol=residual_tol, width_tol=DEFAULT_WIDTH_TOL
     )
     return [lower, upper] if lower > 0.0 else [upper]
 
 
-def singular_state(
-    kappa: float, d, m: float, root_tol: float = DEFAULT_ROOT_TOL, branch: str = "upper"
-) -> SingularState:
+def singular_state(kappa: float, d, m: float, branch: str = "upper") -> SingularState:
     """Measure-valued equilibrium at kappa on the requested branch."""
-    roots = alpha_roots(kappa, d, m, root_tol)
+    roots = alpha_roots(kappa, d, m)
     if not roots:
         raise OutOfWindowError(
             f"no measure-valued equilibrium at kappa={kappa!r} for d={d}, m={m!r}"
@@ -494,9 +471,8 @@ def singular_lambda(alpha: float, d, m: float) -> float:
     if not 0.0 <= alpha < 1.0:
         raise InvalidParamError(f"alpha must lie in [0, 1), got {alpha!r}")
     d = int(d)
-    q = _q_exponent(m)
-    i0 = eta1_closed_form(q, 0, d)
     dwd = sphere_geometry(d).area_sdm1
+    i0 = eta1_closed_form(_q_exponent(m), 0, d)
     return -(m / (1.0 - m)) * (1.0 - alpha) ** m * (dwd * i0) ** (1.0 - m)
 
 
@@ -512,8 +488,8 @@ def rho_bar_density(theta: float, d, m: float) -> float:
         raise NotIntegrableError(
             f"the regular density is not integrable for m={m!r} >= 1 - 2/d (d={d})"
         )
+    area_sdm1 = sphere_geometry(d).area_sdm1
     v = 2.0 * math.sin(0.5 * theta) ** 2  # 1 - cos(theta)
     if v == 0.0:
         return math.inf
-    i0 = eta1_closed_form(q, 0, d)
-    return v**q / (sphere_geometry(d).area_sdm1 * i0)
+    return v**q / (area_sdm1 * eta1_closed_form(q, 0, d))

@@ -157,14 +157,6 @@ class ThetaIntegralSpec:
     d: int
 
 
-def log_gamma(x: float) -> float:
-    """Natural log of Gamma(x) for x > 0."""
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise InvalidParamError(f"log_gamma requires x > 0, got {x!r}")
-    return math.lgamma(x)
-
-
 def _check_spec(eta: float, q: float, p: int, d) -> tuple[float, float, int, int]:
     d = check_dimension(d)
     eta = float(eta)

@@ -33,7 +33,6 @@ H_AT_ONE_3_025 = 0.07114234420876357
 E_UNIFORM_ZERO_KAPPA_2_05 = -7.089815403622064  # -2 sqrt(4 pi)
 I0_ETA1_Q43_D3 = 8.674295834969992  # 2^(2/3) * B(1/6, 3/2)
 I1_ETA1_Q43_D3 = 6.939436667975993
-LGAMMA_ONE_SIXTH = 1.7167334350782405
 ALPHA_AT_100K2_3_025 = 0.9983993167866583
 
 

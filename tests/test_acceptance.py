@@ -14,8 +14,6 @@ from fastsphere import energy as en
 from fastsphere import equilibria as eq
 from fastsphere import verification
 from fastsphere.cli import main
-from fastsphere.quadrature import DEFAULT_REL_TOL
-from fastsphere.solvers import DEFAULT_ROOT_TOL
 from fastsphere.model import RegimeCase, classify_regime, sphere_geometry
 
 
@@ -41,15 +39,15 @@ def test_criterion_02_kappa3_over_kappa2_ratio():
     report("criterion-02 kappa3/kappa2 ratio", f"ratio = {ratio:.6f} (0.88502 +- 1e-3)")
 
 
-def passes(check, *args):
-    """Run a verify check with the default solver tolerances, and assert it passes."""
-    result = check(*args)
+def passes(check, tol):
+    """Run a verify check against threshold tol, and assert it passes."""
+    result = check(tol)
     assert result.passed, (result.name, result.measured, result.tolerance, result.lines)
     return result
 
 
 def test_criterion_03_kappa2_dual_oracle():
-    result = passes(verification.check_kappa2_dual_oracle, 1e-8, DEFAULT_REL_TOL)
+    result = passes(verification.check_kappa2_dual_oracle, 1e-8)
     # the reported reference figure for (3, 0.25) is NOT ground truth here
     closed = eq.kappa2(3, 0.25)
     assert abs(closed - 12.4453) / closed > 0.1
@@ -63,7 +61,7 @@ def test_criterion_03_kappa2_dual_oracle():
 
 def test_criterion_04_s_bar_closed_form_vs_quadrature():
     # relative to s_bar < 1, so tighter than the absolute 1e-8 of the criterion
-    result = passes(verification.check_com_norm_closed_form, 1e-8, DEFAULT_REL_TOL)
+    result = passes(verification.check_com_norm_closed_form, 1e-8)
     report(
         "criterion-04 s_bar closed form vs quadrature",
         f"max rel diff = {result.measured:.2e} (tol 1e-8)",
@@ -71,7 +69,7 @@ def test_criterion_04_s_bar_closed_form_vs_quadrature():
 
 
 def test_criterion_05_branch_limit():
-    result = passes(verification.check_branch_limit_matches_kappa1, 1e-4, DEFAULT_REL_TOL)
+    result = passes(verification.check_branch_limit_matches_kappa1, 1e-4)
     report(
         "criterion-05 uniform-limit of the branch function",
         f"max |H*kappa1 - 1| = {result.measured:.2e} (tol 1e-4)",
@@ -80,7 +78,7 @@ def test_criterion_05_branch_limit():
 
 def test_criterion_06_branch_monotonicity():
     # tolerance 0: every step must be strict in the regime direction
-    result = passes(verification.check_branch_monotone_direction, 0.0, DEFAULT_REL_TOL)
+    result = passes(verification.check_branch_monotone_direction, 0.0)
     report(
         "criterion-06 branch-function monotonicity",
         "strict in the regime direction on 20 log-spaced eta for all five pairs; "
@@ -121,9 +119,7 @@ def test_criterion_07_branch_self_consistency():
 
 
 def test_criterion_08_slope_identities():
-    result = passes(
-        verification.check_energy_slope_identities, 1e-4, DEFAULT_REL_TOL, DEFAULT_ROOT_TOL
-    )
+    result = passes(verification.check_energy_slope_identities, 1e-4)
     report(
         "criterion-08 energy slope identities",
         f"max rel FD deviation = {result.measured:.2e} over 10 samples (tol 1e-4)",

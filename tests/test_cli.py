@@ -1,4 +1,5 @@
 import importlib.util
+import inspect
 import json
 import math
 import re
@@ -13,7 +14,7 @@ from fastsphere import energy as en
 from fastsphere import equilibria as eq
 from fastsphere import quadrature, verification
 from fastsphere.cli import main
-from fastsphere.errors import BracketFailureError
+from fastsphere.errors import BracketFailureError, InvalidParamError
 from fastsphere.model import sphere_geometry
 
 
@@ -84,6 +85,59 @@ class TestCritical:
             main(["critical", "--d", "5", "--m", "0.3", "--rel-tol", "1e-8"])
         assert exc.value.code == 2
         assert "--rel-tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--rel-tol", "--root-tol"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--d", "2", "--m", "0.5", "--kappa-min", "6", "--kappa-max", "8"],
+            ["profile", "--d", "2", "--m", "0.5", "--kappa", "8"],
+            ["verify"],
+        ],
+        ids=["sweep", "profile", "verify"],
+    )
+    def test_no_command_takes_tolerance_flags(self, capsys, argv, flag):
+        # every command runs at the one accuracy of the library
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag, "1e-8"])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+
+def test_no_public_callable_takes_a_tolerance():
+    # theta_integral alone keeps rel_tol: verify compares two accuracies with it
+    import fastsphere
+
+    taking = [
+        name
+        for name in fastsphere.__all__
+        if inspect.isfunction(obj := getattr(fastsphere, name))
+        and {"rel_tol", "root_tol"} & set(inspect.signature(obj).parameters)
+    ]
+    assert taking == ["theta_integral"]
+
+
+def test_past_double_range_nothing_builds_a_closed_form(capsys, monkeypatch):
+    # the geometry raises for d >= 438 before the exact products of the eta = 1
+    # closed form are built, which at this d would take seconds
+    calls = record_calls(monkeypatch, quadrature, "eta1_closed_form")
+    d, m = 100000, 0.1
+    for call in (
+        lambda: eq.kappa2(d, m),
+        lambda: eq.singular_lambda(0.5, d, m),
+        lambda: eq.rho_bar_density(1.0, d, m),
+        lambda: en.rho_bar_entropy_integral(d, m),
+    ):
+        with pytest.raises(InvalidParamError, match="double range"):
+            call()
+    code, out, err = run(
+        capsys,
+        "sweep", "--d", str(d), "--m", str(m),
+        "--kappa-min", "1", "--kappa-max", "2", "--steps", "2",
+    )
+    assert (code, out) == (2, "")
+    assert "double range" in err
+    assert calls == []
 
 
 class TestSweep:
@@ -190,7 +244,7 @@ class TestSweep:
         assert "error:" in err
 
     def test_unsolvable_samples_become_nan_rows(self, capsys, monkeypatch):
-        def broken(kappas, d, m, rel_tol=1e-10, root_tol=1e-12):
+        def broken(kappas, d, m):
             return [BracketFailureError("injected solver failure") for _ in kappas]
 
         monkeypatch.setattr(eq, "fully_supported_states", broken)
@@ -299,13 +353,13 @@ class TestVerifyWork:
     def test_one_branch_solve_per_pair(self, monkeypatch, check, tol, pairs):
         # the default thresholds of run_verification
         calls = record_calls(monkeypatch, eq, "fully_supported_states")
-        assert getattr(verification, check)(tol, 1e-10, 1e-12).passed
+        assert getattr(verification, check)(tol).passed
         assert [(d, m) for _, d, m, *_ in calls] == list(pairs)
 
     def test_minimizer_check_enumerates_each_grid_once(self, monkeypatch):
         at = record_calls(monkeypatch, en, "equilibria_at")
         classified = record_calls(monkeypatch, en, "classify_minimizer")
-        assert verification.check_minimizer_consistency(0.0, 1e-10, 1e-12).passed
+        assert verification.check_minimizer_consistency(0.0).passed
         assert (len(at), len(classified)) == (3, 0)
 
 
@@ -391,17 +445,12 @@ class TestVerify:
         assert "12.4453" in out  # the reported-value discrepancy note
         assert "closed form 14.05" in out
 
-    def test_loosened_tolerances_still_pass(self, capsys):
-        code, out, _ = run(capsys, "verify", "--rel-tol", "1e-1")
-        assert code == 0
-        assert "FAIL" not in out
-
     def test_sign_flip_canary_fails(self, capsys, monkeypatch):
         # a corrupted branch function must be caught by the suite
         original = eq.inverse_kappa
 
-        def flipped(eta, d, m, rel_tol=1e-10):
-            return -original(eta, d, m, rel_tol)
+        def flipped(eta, d, m):
+            return -original(eta, d, m)
 
         monkeypatch.setattr(eq, "inverse_kappa", flipped)
         code, out, _ = run(capsys, "verify")
@@ -417,26 +466,29 @@ class TestVerify:
             i0, i1, i_ent = original(zeta, q, d, rel_tol)
             return i0, i1, i_ent * (1.0 + 1e-6)
 
-        assert verification.check_eta1_quadrature_vs_closed_form(1e-8, 1e-10).passed
+        assert verification.check_eta1_quadrature_vs_closed_form(1e-8).passed
         monkeypatch.setattr(quadrature, "_integral", skewed)
-        assert not verification.check_eta1_quadrature_vs_closed_form(1e-8, 1e-10).passed
+        assert not verification.check_eta1_quadrature_vs_closed_form(1e-8).passed
 
-    def test_only_rel_tol_loosens_the_thresholds(self, capsys):
-        # --root-tol feeds the solves alone; --rel-tol above 1e-10 also loosens
-        def tolerances(*flags):
-            code, out, _ = run(capsys, "verify", *flags)
-            assert code == 0
-            return [float(t) for t in re.findall(r"\(tolerance (\S+)\)", out)]
+    def test_moment_check_takes_both_members_from_one_integral(self, monkeypatch):
+        calls = record_calls(monkeypatch, quadrature, "_integral")
+        assert verification.check_moment_bounded_by_mass(0.0).passed
+        assert len(calls) == len(set(calls)) == 25
 
-        default = tolerances()
-        assert len(default) == 20
-        assert tolerances("--root-tol", "1e-11") == default
-        assert min(tolerances("--rel-tol", "1e-8")) >= 1e-8 > min(default)
+    def test_reports_the_fixed_thresholds(self, capsys):
+        code, out, _ = run(capsys, "verify")
+        assert code == 0
+        reported = re.findall(r"^PASS (\w+): .*\(tolerance (\S+)\)", out, re.M)
+        assert [(name, float(tol)) for name, tol in reported] == list(
+            verification.THRESHOLDS.items()
+        )
 
     def test_bad_tolerance_exits_2(self, capsys):
-        code, _, err = run(capsys, "verify", "--rel-tol", "-1")
-        assert code == 2
-        assert "error:" in err
+        # the thresholds are fixed: a tolerance flag is rejected, not applied
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--rel-tol", "-1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --rel-tol" in capsys.readouterr().err
 
     def test_failure_at_one_kappa_leaves_the_other_rows(self, capsys, monkeypatch):
         argv = (

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import I0_ETA1_Q43_D3, I1_ETA1_Q43_D3, LGAMMA_ONE_SIXTH
+from conftest import I0_ETA1_Q43_D3, I1_ETA1_Q43_D3
 from conftest import mp_theta_integral, record_calls
 from fastsphere import quadrature
 from fastsphere.equilibria import _zeta_floor
@@ -21,7 +21,6 @@ from fastsphere.errors import (
 from fastsphere.quadrature import (
     ThetaIntegralSpec,
     eta1_closed_form,
-    log_gamma,
     theta_integral,
 )
 
@@ -285,7 +284,7 @@ def test_results_are_plain_floats():
 
 def test_singular_endpoint_beta_value():
     # eta = 1, q = -4/3, d = 3 equals 2^(2/3) B(1/6, 3/2)
-    beta = math.exp(log_gamma(1.0 / 6.0) + log_gamma(1.5) - log_gamma(1.0 / 6.0 + 1.5))
+    beta = math.exp(math.lgamma(1.0 / 6.0) + math.lgamma(1.5) - math.lgamma(1.0 / 6.0 + 1.5))
     expected = 2.0 ** (2.0 / 3.0) * beta
     assert expected == pytest.approx(I0_ETA1_Q43_D3, rel=1e-13)
     assert integral(1.0, -4.0 / 3.0, 0, 3) == pytest.approx(expected, rel=1e-10)
@@ -383,18 +382,6 @@ def test_closed_form_out_of_double_range_is_typed():
     for q, d in ((2000.0, 3), (-2000.0, 4001)):
         with pytest.raises(ToleranceNotMetError):
             eta1_closed_form(q, 0, d)
-
-
-def test_log_gamma_values():
-    assert log_gamma(1.0) == 0.0
-    assert log_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-13)
-    assert log_gamma(1.0 / 6.0) == pytest.approx(LGAMMA_ONE_SIXTH, rel=1e-13)
-
-
-def test_log_gamma_rejects_nonpositive():
-    for x in (0.0, -1.0, math.nan):
-        with pytest.raises(InvalidParamError):
-            log_gamma(x)
 
 
 def test_not_integrable_at_eta_one():

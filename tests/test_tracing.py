@@ -1,13 +1,16 @@
-"""The layer boundaries that perfbench/tracing.py wraps exist in the package.
+"""What perfbench/ relies on exists in the package.
 
 traced() skips a boundary the package no longer has, without a warning,
 and every metric read from its spans then reads 0; a rename or deletion
-must fail here instead.
+must fail here instead.  Likewise every argv the workloads build must
+still parse.
 """
 
 import importlib
 import sys
 from pathlib import Path
+
+from fastsphere import cli
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -39,3 +42,18 @@ def test_traced_verify_passes_with_no_cache_hit(monkeypatch):
     layers, problems = tracer.metrics(None)
     assert problems == []
     assert layers["quadrature.cache_hits"] == 0
+
+
+def test_the_parser_accepts_every_workload_argv(monkeypatch):
+    # a CLI change that would break a benchmark workload fails here first
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    argvs = [
+        workloads.sweep_argv(name, offset)
+        for name, *_ in workloads.SWEEPS
+        for offset in range(workloads.SWEEP_OFFSETS)
+    ]
+    argvs += workloads.Critical(0).argvs + [["verify"]]
+    parser = cli.build_parser()
+    assert [parser.parse_args(argv).command for argv in argvs] == [argv[0] for argv in argvs]
