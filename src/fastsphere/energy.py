@@ -39,11 +39,10 @@ from .errors import (
     BracketFailureError,
     FastSphereError,
     InvalidParamError,
-    NotIntegrableError,
     OutOfWindowError,
     WrongRegimeError,
 )
-from .model import RegimeCase, classify_regime, sphere_geometry, validate_params
+from .model import RegimeCase, sphere_geometry, validate_params
 from .quadrature import DEFAULT_REL_TOL, _integral, eta1_closed_form
 
 UNIFORM = "uniform"
@@ -109,11 +108,7 @@ def branch_energy_gain(eta: float, d, m: float) -> BranchEnergyGain:
     (kappa/2) s^2 - (1/(m-1)) int rho^m dS at eta, with kappa = kappa(eta)
     and s = s(eta) along the branch.
     """
-    validate_params(d, m)
-    eta = float(eta)
-    if not math.isfinite(eta) or eta < 1.0:
-        raise InvalidParamError(f"eta must be finite and >= 1, got {eta!r}")
-    moments = _integral(eta - 1.0, 1.0 / (m - 1.0), int(d), DEFAULT_REL_TOL)
+    eta, moments = equilibria._moments_at_eta(eta, d, m)
     return BranchEnergyGain(eta=eta, value=_branch_energy_gain_of(*moments, int(d), m))
 
 
@@ -145,21 +140,17 @@ def energy_fully_supported(state: FullySupportedState, d, m: float) -> float:
 
 def rho_bar_entropy_integral(d, m: float) -> float:
     """int rho_bar^m dS for the fixed regular density (m < 1 - 2/d), in closed form."""
-    validate_params(d, m)
-    d = int(d)
-    q = 1.0 / (m - 1.0)
-    if 2.0 * q + d <= 0.0:
-        raise NotIntegrableError(
-            f"rho_bar is not integrable for m={m!r} >= 1 - 2/d (d={d})"
-        )
-    area_sdm1 = sphere_geometry(d).area_sdm1  # raises for d >= 438 before the closed forms
-    i0 = eta1_closed_form(q, 0, d)
-    return _rho_bar_entropy_of(i0, eta1_closed_form(q + 1.0, 0, d), area_sdm1, m)
+    return _rho_bar_entropy(equilibria._rho_bar_constants(d, m), d, m)
 
 
-def _rho_bar_entropy_of(i0: float, i_ent: float, area_sdm1: float, m: float) -> float:
-    """int rho_bar^m dS from the eta = 1 integrals I(1, q, 0) and I(1, q + 1, 0)."""
-    return area_sdm1 ** (1.0 - m) * i_ent * i0 ** (-m)
+def _rho_bar_entropy(c, d, m: float) -> float:
+    """int rho_bar^m dS from the pass c of (d, m) and the eta = 1 integral I(1, q + 1, 0).
+
+    That closed form stays out of the pass, so that a CaseII critical_set
+    does not build it.
+    """
+    i_ent = eta1_closed_form(1.0 / (m - 1.0) + 1.0, 0, int(d))
+    return c.area_sdm1 ** (1.0 - m) * i_ent * c.i0 ** (-m)
 
 
 def energy_singular(alpha: float, kappa: float, d, m: float) -> float:
@@ -167,8 +158,8 @@ def energy_singular(alpha: float, kappa: float, d, m: float) -> float:
     validate_params(d, m, kappa)
     if not 0.0 < alpha < 1.0:
         raise InvalidParamError(f"alpha must lie in (0, 1), got {alpha!r}")
-    ent = rho_bar_entropy_integral(d, m)
-    return _singular_energy(alpha, kappa, ent, equilibria.s_bar(d, m), m)
+    c = equilibria._rho_bar_constants(d, m)
+    return _singular_energy(alpha, kappa, _rho_bar_entropy(c, d, m), c.s_bar, m)
 
 
 def _singular_energy(alpha: float, kappa: float, ent: float, sb: float, m: float) -> float:
@@ -337,16 +328,16 @@ def equilibria_at(kappas, d, m: float) -> list:
     FastSphereError raised there, without its traceback.  The supported
     branch is taken from equilibria.fully_supported_states, whose window
     check alone decides where it exists; the measure-valued rows from the
-    root finder of alpha_roots, fed s_bar, kappa2 and alpha_bar computed
-    once per call, where the tangent double root at kappa3 gives the upper
-    row only.
+    root finder of alpha_roots, fed s_bar, kappa2 and alpha_bar from one pass
+    of the kappa-free constants (equilibria._constants) and the entropy of
+    rho_bar, each computed once per call, where the tangent double root at
+    kappa3 gives the upper row only.
     """
-    validate_params(d, m)
+    c = equilibria._constants(d, m)
     d = int(d)
-    singular = classify_regime(d, m).tag is not RegimeCase.CASE_I
+    singular = c.regime is not RegimeCase.CASE_I
     if singular:  # rho_bar, its com norm and entropy, and kappa2 are the same at every kappa
-        sb, k2, alpha_bar = equilibria._singular_constants(d, m)
-        ent = rho_bar_entropy_integral(d, m)
+        sb, ent = c.s_bar, _rho_bar_entropy(c, d, m)
     states = equilibria.fully_supported_states(kappas, d, m)
     found: list = []
     for kappa, state in zip(kappas, states):
@@ -360,7 +351,7 @@ def equilibria_at(kappas, d, m: float) -> list:
                 e = energy_fully_supported(state, d, m)
                 rows.append((FULLY_SUPPORTED, None, state.eta, state.s, e))
             if singular:
-                roots = equilibria._alpha_roots(kappa, sb, k2, alpha_bar, m)
+                roots = equilibria._alpha_roots(kappa, c, m)
                 atoms = [(SINGULAR_UPPER, roots[-1])] if roots else []
                 if len(roots) == 2 and roots[0] < roots[1]:
                     atoms.append((SINGULAR_LOWER, roots[0]))
@@ -422,31 +413,20 @@ def _energy_report(kappa: float, found, k1: float) -> EnergyReport:
 def critical_set(d, m: float) -> CriticalSet:
     """All critical strengths for (d, m), including kappa_c where defined.
 
-    One pass: the parameters are validated and classified once, the sphere
-    geometry and the eta = 1 integrals of rho_bar computed once, and every
-    strength, kappa_c included, formed from them by the same closed forms
-    as kappa1, kappa2, s_bar, kappa3_and_alpha_bar, rho_bar_entropy_integral
-    and energy_uniform.
+    kappa1, kappa2, kappa3 and alpha_bar are read off equilibria._constants,
+    the one pass of the kappa-free constants, which equilibria_at, the branch
+    window and the measure-valued roots share.  kappa_c (CaseIII) is formed
+    from the same pass and the entropy of rho_bar.
     """
-    regime = classify_regime(d, m).tag
-    d = int(d)
-    geo = sphere_geometry(d)
-    k1 = equilibria._kappa1_of(geo.area_sd, d, m)
-    if regime is RegimeCase.CASE_I:
-        return CriticalSet(kappa1=k1)
-    q = 1.0 / (m - 1.0)
-    i0 = eta1_closed_form(q, 0, d)
-    k2 = equilibria._kappa2_of(i0, geo.area_sdm1, d, m)
-    if regime is RegimeCase.CASE_II:
-        return CriticalSet(kappa1=k1, kappa2=k2)
-    sb = equilibria._s_bar_of(d, m)
-    k3, alpha_bar = equilibria._fold(k2, sb, m)
-    ent = _rho_bar_entropy_of(i0, eta1_closed_form(q + 1.0, 0, d), geo.area_sdm1, m)
-    e_uniform_0 = geo.area_sd ** (1.0 - m) / (m - 1.0)  # energy_uniform(0, d, m)
+    c = equilibria._constants(d, m)
+    if c.regime is not RegimeCase.CASE_III:
+        return CriticalSet(kappa1=c.kappa1, kappa2=c.kappa2)  # kappa2 is None in CaseI
+    ent = _rho_bar_entropy(c, d, m)
+    e_uniform_0 = c.area_sd ** (1.0 - m) / (m - 1.0)  # energy_uniform(0, d, m)
     return CriticalSet(
-        kappa1=k1,
-        kappa2=k2,
-        kappa3=k3,
-        alpha_bar=alpha_bar,
-        kappa_c=_kappa_c_of(k1, k2, sb, alpha_bar, ent, e_uniform_0, m),
+        kappa1=c.kappa1,
+        kappa2=c.kappa2,
+        kappa3=c.kappa3,
+        alpha_bar=c.alpha_bar,
+        kappa_c=_kappa_c_of(c.kappa1, c.kappa2, c.s_bar, c.alpha_bar, ent, e_uniform_0, m),
     )

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import (
     FastSphereError,
@@ -35,7 +36,7 @@ from .errors import (
     ToleranceNotMetError,
     WrongRegimeError,
 )
-from .model import Regime, RegimeCase, classify_regime, sphere_geometry, validate_params
+from .model import RegimeCase, classify_regime, sphere_geometry, validate_params
 from .quadrature import DEFAULT_REL_TOL, _integral, _integrals, eta1_closed_form
 from .solvers import DEFAULT_ROOT_TOL, DEFAULT_WIDTH_TOL, bracketed_root, lockstep_roots
 
@@ -122,18 +123,67 @@ def uniform_state(d, m: float) -> UniformState:
     )
 
 
+class _Constants(NamedTuple):
+    """The kappa-free constants of (d, m), as _constants forms them.
+
+    The rho_bar fields, i0 to alpha_bar, are None in CaseI, where rho_bar
+    does not exist; kappa3 and alpha_bar are None in CaseII too.
+    """
+
+    regime: RegimeCase
+    area_sd: float  # |S^d|
+    area_sdm1: float  # |S^(d-1)|
+    kappa1: float
+    i0: float | None = None  # eta = 1 mass I(1, q, 0) of rho_bar
+    kappa2: float | None = None
+    s_bar: float | None = None
+    kappa3: float | None = None
+    alpha_bar: float | None = None
+
+
+def _constants(d, m: float) -> _Constants:
+    """Every kappa-free constant of (d, m), in one pass.
+
+    The parameters are validated and classified once, the sphere geometry is
+    taken once and the eta = 1 mass of rho_bar built once, in closed form;
+    every other constant is a closed form of these.
+    """
+    regime = classify_regime(d, m).tag
+    d = int(d)
+    geo = sphere_geometry(d)  # raises for d >= 438 before the closed form
+    k1 = m * (d + 1) * geo.area_sd ** (1.0 - m)
+    if regime is RegimeCase.CASE_I:
+        return _Constants(regime, geo.area_sd, geo.area_sdm1, k1)
+    q = _q_exponent(m)
+    i0 = eta1_closed_form(q, 0, d)
+    # 1 / inverse_kappa(1): at eta = 1 the moment is I1 = I0 (-q) / (q + d)
+    k2 = m / (1.0 - m) * (geo.area_sdm1 * i0) ** (1.0 - m) * (q + d) / -q
+    sb = 1.0 / ((1.0 - m) * d - 1.0)
+    if regime is RegimeCase.CASE_II:
+        return _Constants(regime, geo.area_sd, geo.area_sdm1, k1, i0, k2, sb)
+    # the tangency of kappa (s_bar + alpha (1 - s_bar)) and (1 - alpha)^(m-1) kappa2 s_bar
+    alpha_bar = (1.0 - 2.0 * sb + m * sb) / ((1.0 - sb) * (2.0 - m))
+    k3 = k2 * (1.0 - m) * sb / (1.0 - sb) * (1.0 - alpha_bar) ** (m - 2.0)
+    return _Constants(regime, geo.area_sd, geo.area_sdm1, k1, i0, k2, sb, k3, alpha_bar)
+
+
+def _rho_bar_constants(d, m: float) -> _Constants:
+    """_constants(d, m), where rho_bar exists (m < 1 - 2/d); NotIntegrableError otherwise."""
+    c = _constants(d, m)
+    if c.regime is RegimeCase.CASE_I:
+        raise NotIntegrableError(
+            f"the regular density is not integrable for m={m!r} >= 1 - 2/d (d={d})"
+        )
+    return c
+
+
 def kappa1(d, m: float) -> float:
     """Stability threshold of the uniform state: m (d+1) |S^d|^(1-m)."""
-    validate_params(d, m)
-    return _kappa1_of(sphere_geometry(d).area_sd, d, m)
+    return _constants(d, m).kappa1
 
 
-def _kappa1_of(area_sd: float, d, m: float) -> float:
-    return m * (d + 1) * area_sd ** (1.0 - m)
-
-
-def _inverse_kappa_scale(d: int, m: float) -> float:
-    return (1.0 - m) / m * sphere_geometry(d).area_sdm1 ** (m - 1.0)
+def _inverse_kappa_scale(area_sdm1: float, m: float) -> float:
+    return (1.0 - m) / m * area_sdm1 ** (m - 1.0)
 
 
 def _inverse_kappa_of(
@@ -149,6 +199,15 @@ def _inverse_kappa_of(
     return scale * i1 * i0 ** (m - 2.0)
 
 
+def _moments_at_eta(eta, d, m: float) -> tuple[float, tuple[float, float, float]]:
+    """eta as a float and the integrals (i0, i1, i_ent) there, after checking the arguments."""
+    validate_params(d, m)
+    eta = float(eta)
+    if not math.isfinite(eta) or eta < 1.0:
+        raise InvalidParamError(f"eta must be finite and >= 1, got {eta!r}")
+    return eta, _integral(eta - 1.0, _q_exponent(m), int(d), DEFAULT_REL_TOL)
+
+
 def inverse_kappa(eta: float, d, m: float) -> float:
     """Inverse interaction strength of the fully supported branch at eta.
 
@@ -157,32 +216,25 @@ def inverse_kappa(eta: float, d, m: float) -> float:
     strictly decreasing below, with limit 1/kappa1 as eta -> infinity.
     At eta = 1 it is finite only for m < 1 - 2/d.
     """
-    validate_params(d, m)
-    eta = float(eta)
-    if not math.isfinite(eta) or eta < 1.0:
-        raise InvalidParamError(f"eta must be finite and >= 1, got {eta!r}")
+    eta, (i0, i1, _) = _moments_at_eta(eta, d, m)
     d = int(d)
-    i0, i1, _ = _integral(eta - 1.0, _q_exponent(m), d, DEFAULT_REL_TOL)
-    return _inverse_kappa_of(eta - 1.0, i0, i1, _inverse_kappa_scale(d, m), d, m)
+    scale = _inverse_kappa_scale(sphere_geometry(d).area_sdm1, m)
+    return _inverse_kappa_of(eta - 1.0, i0, i1, scale, d, m)
 
 
 def com_norm_of_eta(eta: float, d, m: float) -> float:
     """Centre-of-mass norm of the fully supported density at shape eta."""
-    validate_params(d, m)
-    eta = float(eta)
-    if not math.isfinite(eta) or eta < 1.0:
-        raise InvalidParamError(f"eta must be finite and >= 1, got {eta!r}")
-    i0, i1, _ = _integral(eta - 1.0, _q_exponent(m), int(d), DEFAULT_REL_TOL)
+    _, (i0, i1, _) = _moments_at_eta(eta, d, m)
     return i1 / i0
 
 
-def _window(d: int, m: float, regime: Regime):
+def _window(c: _Constants, d: int, m: float):
     """Existence window of the fully supported branch, as a check of kappa.
 
-    The returned check(kappa) raises OutOfWindowError outside the window.
+    Its ends, kappa1 and kappa2, are read off the pass c of (d, m).  The
+    returned check(kappa) raises OutOfWindowError outside the window.
     """
-    k1 = kappa1(d, m)
-    k2 = None if regime.tag is RegimeCase.CASE_I else kappa2(d, m)
+    k1, k2 = c.kappa1, c.kappa2
     lo, hi = (k1, math.inf) if k2 is None else sorted((k1, k2))
 
     def check(kappa: float) -> None:
@@ -191,7 +243,7 @@ def _window(d: int, m: float, regime: Regime):
         if not (lo < kappa < hi or kappa == k2):
             raise OutOfWindowError(
                 f"kappa={kappa!r} outside the fully supported branch window "
-                f"({lo!r}, {hi!r}) for d={d}, m={m!r} ({regime.tag.value})"
+                f"({lo!r}, {hi!r}) for d={d}, m={m!r} ({c.regime.value})"
             )
 
     return check
@@ -248,10 +300,10 @@ def fully_supported_states(kappas, d, m: float) -> list:
     only memo of integrals), serves the zetas that several solves visit and
     the centre-of-mass norm at each root.
     """
-    validate_params(d, m)
+    c = _constants(d, m)
     d = int(d)
     q = _q_exponent(m)
-    in_window = _window(d, m, classify_regime(d, m))
+    in_window = _window(c, d, m)
     results: list = [None] * len(kappas)
     solved = []  # (index into results, kappa)
     for i, kappa in enumerate(kappas):
@@ -263,7 +315,7 @@ def fully_supported_states(kappas, d, m: float) -> list:
         else:
             solved.append((i, float(kappa)))
     moments = {}
-    scale = _inverse_kappa_scale(d, m)
+    scale = _inverse_kappa_scale(c.area_sdm1, m)
 
     def residuals(asks):
         zetas = [math.exp(y) for _, y in asks]
@@ -317,16 +369,7 @@ def fully_supported_density(
 
 def s_bar(d, m: float) -> float:
     """Centre-of-mass norm of the fixed regular density: 1 / ((1-m) d - 1)."""
-    validate_params(d, m)
-    if m >= 1.0 - 2.0 / int(d):
-        raise NotIntegrableError(
-            f"the regular density is not integrable for m={m!r} >= 1 - 2/d (d={d})"
-        )
-    return _s_bar_of(d, m)
-
-
-def _s_bar_of(d, m: float) -> float:
-    return 1.0 / ((1.0 - m) * int(d) - 1.0)
+    return _rho_bar_constants(d, m).s_bar
 
 
 def kappa2(d, m: float) -> float:
@@ -334,21 +377,12 @@ def kappa2(d, m: float) -> float:
 
     Defined for m < 1 - 2/d, where it equals 1 / inverse_kappa(1); at
     eta = 1 the moment is I1 = I0 (-q) / (q + d), so it is a closed form in
-    the mass I0 = eta1_closed_form(q, 0, d).  kappa2_quadrature evaluates
-    the same quantity through the independent quadrature route.
+    the mass I0 = eta1_closed_form(q, 0, d), formed in the pass _constants
+    that critical_set, equilibria_at and the branch window read too.
+    kappa2_quadrature evaluates the same quantity through the independent
+    quadrature route.
     """
-    validate_params(d, m)
-    d = int(d)
-    if m >= 1.0 - 2.0 / d:
-        raise NotIntegrableError(f"kappa2 is undefined for m={m!r} >= 1 - 2/d (d={d})")
-    area_sdm1 = sphere_geometry(d).area_sdm1  # raises for d >= 438 before the closed form
-    return _kappa2_of(eta1_closed_form(_q_exponent(m), 0, d), area_sdm1, d, m)
-
-
-def _kappa2_of(i0: float, area_sdm1: float, d: int, m: float) -> float:
-    """kappa2 = m/(1-m) (|S^(d-1)| I0)^(1-m) (q+d)/(-q) from the eta = 1 mass I0."""
-    q = _q_exponent(m)
-    return m / (1.0 - m) * (area_sdm1 * i0) ** (1.0 - m) * (q + d) / -q
+    return _rho_bar_constants(d, m).kappa2
 
 
 def kappa2_quadrature(d, m: float) -> float:
@@ -363,20 +397,13 @@ def kappa3_and_alpha_bar(d, m: float) -> tuple[float, float]:
     (1 - alpha)^(m-1) kappa2 s_bar; solving the tangency system gives both
     values in closed form.  CaseIII only.
     """
-    regime = classify_regime(d, m)
-    if regime.tag is not RegimeCase.CASE_III:
+    c = _constants(d, m)
+    if c.regime is not RegimeCase.CASE_III:
         raise WrongRegimeError(
             f"kappa3 exists only in case_iii (0 < m < 1 - 2/(d-1)); "
-            f"d={d}, m={m!r} is {regime.tag.value}"
+            f"d={d}, m={m!r} is {c.regime.value}"
         )
-    return _fold(kappa2(d, m), _s_bar_of(d, m), m)
-
-
-def _fold(k2: float, sb: float, m: float) -> tuple[float, float]:
-    """(kappa3, alpha_bar) from kappa2 and s_bar."""
-    alpha_bar = (1.0 - 2.0 * sb + m * sb) / ((1.0 - sb) * (2.0 - m))
-    k3 = k2 * (1.0 - m) * sb / (1.0 - sb) * (1.0 - alpha_bar) ** (m - 2.0)
-    return k3, alpha_bar
+    return c.kappa3, c.alpha_bar
 
 
 def alpha_roots(kappa: float, d, m: float) -> list[float]:
@@ -391,27 +418,12 @@ def alpha_roots(kappa: float, d, m: float) -> list[float]:
     roots straddling alpha_bar on (kappa3, kappa2), one root past kappa2.
     """
     validate_params(d, m, kappa)
-    return _alpha_roots(float(kappa), *_singular_constants(d, m), m)
+    return _alpha_roots(float(kappa), _rho_bar_constants(d, m), m)
 
 
-def _singular_constants(d, m: float) -> tuple[float, float, float | None]:
-    """(s_bar, kappa2, alpha_bar) of the measure-valued family; alpha_bar is None in CaseII."""
-    regime = classify_regime(d, m)
-    if m >= 1.0 - 2.0 / int(d):
-        raise NotIntegrableError(
-            f"measure-valued equilibria require m < 1 - 2/d; got d={d}, m={m!r}"
-        )
-    sb = _s_bar_of(d, m)
-    k2 = kappa2(d, m)
-    if regime.tag is RegimeCase.CASE_II:
-        return sb, k2, None
-    return sb, k2, _fold(k2, sb, m)[1]
-
-
-def _alpha_roots(
-    kappa: float, sb: float, k2: float, alpha_bar: float | None, m: float
-) -> list[float]:
-    """alpha_roots from the constants _singular_constants returns."""
+def _alpha_roots(kappa: float, c: _Constants, m: float) -> list[float]:
+    """alpha_roots from the pass c of (d, m), in CaseII or CaseIII."""
+    sb, k2, alpha_bar = c.s_bar, c.kappa2, c.alpha_bar
 
     def mismatch(alpha: float) -> float:
         return kappa * (sb + alpha * (1.0 - sb)) - (1.0 - alpha) ** (m - 1.0) * k2 * sb
@@ -447,7 +459,9 @@ def _alpha_roots(
 
 def singular_state(kappa: float, d, m: float, branch: str = "upper") -> SingularState:
     """Measure-valued equilibrium at kappa on the requested branch."""
-    roots = alpha_roots(kappa, d, m)
+    validate_params(d, m, kappa)
+    c = _rho_bar_constants(d, m)
+    roots = _alpha_roots(float(kappa), c, m)
     if not roots:
         raise OutOfWindowError(
             f"no measure-valued equilibrium at kappa={kappa!r} for d={d}, m={m!r}"
@@ -462,34 +476,24 @@ def singular_state(kappa: float, d, m: float, branch: str = "upper") -> Singular
         alpha = roots[0]
     else:
         raise InvalidParamError(f"branch must be 'upper' or 'lower', got {branch!r}")
-    return SingularState(kappa=float(kappa), alpha=alpha, s_bar=s_bar(d, m))
+    return SingularState(kappa=float(kappa), alpha=alpha, s_bar=c.s_bar)
 
 
 def singular_lambda(alpha: float, d, m: float) -> float:
     """Multiplier of the measure-valued state, from its unit-mass condition."""
-    validate_params(d, m)
     if not 0.0 <= alpha < 1.0:
         raise InvalidParamError(f"alpha must lie in [0, 1), got {alpha!r}")
-    d = int(d)
-    dwd = sphere_geometry(d).area_sdm1
-    i0 = eta1_closed_form(_q_exponent(m), 0, d)
-    return -(m / (1.0 - m)) * (1.0 - alpha) ** m * (dwd * i0) ** (1.0 - m)
+    c = _rho_bar_constants(d, m)
+    return -(m / (1.0 - m)) * (1.0 - alpha) ** m * (c.area_sdm1 * c.i0) ** (1.0 - m)
 
 
 def rho_bar_density(theta: float, d, m: float) -> float:
     """Pointwise value of the fixed regular density; +inf at theta = 0."""
-    validate_params(d, m)
-    d = int(d)
     theta = float(theta)
     if not 0.0 <= theta <= math.pi:
         raise InvalidParamError(f"theta must lie in [0, pi], got {theta!r}")
-    q = _q_exponent(m)
-    if 2.0 * q + d <= 0.0:
-        raise NotIntegrableError(
-            f"the regular density is not integrable for m={m!r} >= 1 - 2/d (d={d})"
-        )
-    area_sdm1 = sphere_geometry(d).area_sdm1
+    c = _rho_bar_constants(d, m)
     v = 2.0 * math.sin(0.5 * theta) ** 2  # 1 - cos(theta)
     if v == 0.0:
         return math.inf
-    return v**q / (area_sdm1 * eta1_closed_form(q, 0, d))
+    return v ** _q_exponent(m) / (c.area_sdm1 * c.i0)

@@ -123,10 +123,15 @@ def test_past_double_range_nothing_builds_a_closed_form(capsys, monkeypatch):
     calls = record_calls(monkeypatch, quadrature, "eta1_closed_form")
     d, m = 100000, 0.1
     for call in (
+        lambda: eq.s_bar(d, m),
         lambda: eq.kappa2(d, m),
+        lambda: eq.kappa3_and_alpha_bar(d, m),
+        lambda: eq.alpha_roots(10.0, d, m),
+        lambda: eq.singular_state(10.0, d, m),
         lambda: eq.singular_lambda(0.5, d, m),
         lambda: eq.rho_bar_density(1.0, d, m),
         lambda: en.rho_bar_entropy_integral(d, m),
+        lambda: en.energy_singular(0.5, 10.0, d, m),
     ):
         with pytest.raises(InvalidParamError, match="double range"):
             call()

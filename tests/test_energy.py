@@ -358,18 +358,20 @@ class TestClassifyMinimizer:
         assert report.degenerate
 
 
-def _benchmark_case_iii_pairs() -> list:
-    """The case-iii (d, m) pairs of the benchmark's critical workload, seeds 0-3."""
+def _benchmark_pairs() -> list:
+    """The (d, m) pairs of the benchmark's critical workload, seeds 0-3."""
     sys.path.insert(0, str(PERFBENCH))
     try:
         workloads = importlib.import_module("workloads")
     finally:
         sys.path.remove(str(PERFBENCH))
+    return [pair for seed in range(4) for pair in workloads.critical_pairs(seed)]
+
+
+def _benchmark_case_iii_pairs() -> list:
+    """The case-iii (d, m) pairs of the benchmark's critical workload, seeds 0-3."""
     return [
-        (d, m)
-        for seed in range(4)
-        for d, m in workloads.critical_pairs(seed)
-        if classify_regime(d, m).tag is RegimeCase.CASE_III
+        (d, m) for d, m in _benchmark_pairs() if classify_regime(d, m).tag is RegimeCase.CASE_III
     ]
 
 
@@ -383,6 +385,30 @@ class TestCriticalSetWork:
         assert len(validations) <= 2
         assert len(geometries) == 1
         assert len(closed_forms) == 2
+
+    def test_every_reader_takes_one_pass(self, monkeypatch):
+        # equilibria_at forms the kappa-free constants once for its rows and
+        # once for the branch window of fully_supported_states
+        closed_forms = record_calls(monkeypatch, quadrature, "eta1_closed_form")
+        geometries = record_calls(monkeypatch, model, "sphere_geometry")
+        regimes = record_calls(monkeypatch, model, "classify_regime")
+        en.equilibria_at([17.0], 5, 0.3)
+        assert len(closed_forms) <= 3
+        assert len(regimes) <= 2
+        # no reader does more work than when each formed its own constants:
+        # at most these (closed forms, geometries)
+        for call, (most_closed_forms, most_geometries) in (
+            (lambda: en.classify_minimizer(17.0, 5, 0.3), (4, 7)),
+            (lambda: en.critical_set(5, 0.3), (2, 1)),
+            (lambda: eq.alpha_roots(17.0, 5, 0.3), (1, 1)),
+            (lambda: eq.singular_state(17.0, 5, 0.3), (1, 1)),
+            (lambda: en.energy_singular(0.5, 17.0, 5, 0.3), (2, 1)),
+        ):
+            closed_forms.clear()
+            geometries.clear()
+            call()
+            assert len(closed_forms) <= most_closed_forms
+            assert len(geometries) <= most_geometries
 
     def test_gap_evaluations_per_kappa_c(self, monkeypatch):
         # the count includes the two checks of the bracket ends
@@ -411,6 +437,23 @@ def test_critical_set_by_regime():
     assert 0.0 < case_iii.alpha_bar < 1.0
     assert (case_iii.kappa3, case_iii.alpha_bar) == eq.kappa3_and_alpha_bar(5, 0.3)
     assert (case_iii.kappa1, case_iii.kappa2) == (eq.kappa1(5, 0.3), eq.kappa2(5, 0.3))
+    # every getter reads the same pass of the constants as critical_set, bit for bit
+    for d, m in REFERENCE_PAIRS + tuple(_benchmark_pairs()):
+        crit, constants = en.critical_set(d, m), eq._constants(d, m)
+        assert crit.regime is constants.regime
+        fields = (crit.kappa1, crit.kappa2, crit.kappa3, crit.alpha_bar)
+        assert fields == (constants.kappa1, constants.kappa2, constants.kappa3, constants.alpha_bar)
+        assert eq.kappa1(d, m) == crit.kappa1
+        if crit.regime is RegimeCase.CASE_I:
+            continue
+        assert eq.kappa2(d, m) == crit.kappa2
+        assert eq.s_bar(d, m) == constants.s_bar
+        if crit.regime is RegimeCase.CASE_III:
+            assert eq.kappa3_and_alpha_bar(d, m) == (crit.kappa3, crit.alpha_bar)
+            # kappa_c takes the entropy that rho_bar_entropy_integral returns
+            ent, e_uniform_0 = en.rho_bar_entropy_integral(d, m), en.energy_uniform(0.0, d, m)
+            args = (crit.kappa1, crit.kappa2, constants.s_bar, crit.alpha_bar, ent, e_uniform_0, m)
+            assert en._kappa_c_of(*args) == crit.kappa_c
 
 
 def test_critical_set_complete_for_case_iii():

@@ -381,8 +381,9 @@ class TestKappa3:
         assert f_slope == pytest.approx(g_slope, abs=1e-10)
 
     def test_wrong_regime(self):
-        with pytest.raises(WrongRegimeError):
-            eq.kappa3_and_alpha_bar(3, 0.25)
+        for d, m in (CASE_II, CASE_I, (3, 0.9)):
+            with pytest.raises(WrongRegimeError):
+                eq.kappa3_and_alpha_bar(d, m)
 
 
 class TestRhoBar:
@@ -409,6 +410,27 @@ class TestRhoBar:
     def test_rejects_case_i(self):
         with pytest.raises(NotIntegrableError):
             eq.rho_bar_density(1.0, 2, 0.5)
+
+
+# every reader of rho_bar, with arguments at which it would otherwise succeed
+RHO_BAR_READERS = {
+    "s_bar": lambda d, m: eq.s_bar(d, m),
+    "kappa2": lambda d, m: eq.kappa2(d, m),
+    "alpha_roots": lambda d, m: eq.alpha_roots(10.0, d, m),
+    "singular_state": lambda d, m: eq.singular_state(10.0, d, m),
+    "singular_lambda": lambda d, m: eq.singular_lambda(0.5, d, m),
+    "rho_bar_density": lambda d, m: eq.rho_bar_density(1.0, d, m),
+    "rho_bar_entropy_integral": lambda d, m: en.rho_bar_entropy_integral(d, m),
+    "energy_singular": lambda d, m: en.energy_singular(0.5, 10.0, d, m),
+}
+
+
+@pytest.mark.parametrize("d, m", [(2, 0.5), (3, 0.9)])
+@pytest.mark.parametrize("reader", RHO_BAR_READERS)
+def test_rho_bar_readers_reject_case_i(reader, d, m):
+    # rho_bar exists only for m < 1 - 2/d
+    with pytest.raises(NotIntegrableError, match="not integrable"):
+        RHO_BAR_READERS[reader](d, m)
 
 
 class TestSingularState:

@@ -3,7 +3,8 @@
 traced() skips a boundary the package no longer has, without a warning,
 and every metric read from its spans then reads 0; a rename or deletion
 must fail here instead.  Likewise every argv the workloads build must
-still parse.
+still parse, and the sweep and critical outputs must pass the workloads'
+own checks.
 """
 
 import importlib
@@ -57,3 +58,13 @@ def test_the_parser_accepts_every_workload_argv(monkeypatch):
     argvs += workloads.Critical(0).argvs + [["verify"]]
     parser = cli.build_parser()
     assert [parser.parse_args(argv).command for argv in argvs] == [argv[0] for argv in argvs]
+
+
+def test_workload_outputs_pass_their_checks(monkeypatch):
+    # a change that moves a sweep row more than 1e-10 from perfbench/ref/sweep.csv,
+    # or a critical value past its bound, fails here before the benchmark runs
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    for workload in [workloads.Sweep(seed) for seed in range(4)] + [workloads.Critical(0)]:
+        assert workload.check([unit() for unit in workload.units]) == (0, [])
