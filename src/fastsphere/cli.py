@@ -38,6 +38,17 @@ def _write(text: str, out: str | None) -> None:
             handle.write(text)
 
 
+def _write_table(header: tuple, rows, fmt: str, out: str | None) -> None:
+    """rows under header, as a JSON list of objects or as CSV (strings raw, the rest _fmt)."""
+    if fmt == "json":
+        text = json.dumps([dict(zip(header, row)) for row in rows], indent=2)
+    else:
+        lines = [",".join(header)]
+        lines.extend(",".join(v if isinstance(v, str) else _fmt(v) for v in row) for row in rows)
+        text = "\n".join(lines)
+    _write(text + "\n", out)
+
+
 def cmd_critical(args) -> int:
     crit = energy.critical_set(args.d, args.m)
     payload = {
@@ -74,27 +85,8 @@ def cmd_sweep(args) -> int:
             rows = [("uniform", math.nan, math.nan, math.nan, math.nan)]
         records.extend((kappa, *row) for row in rows)
     records.sort(key=lambda r: (r[0], r[1]))
-
-    if args.format == "json":
-        payload = [
-            {
-                "kappa": k,
-                "branch": branch,
-                "alpha": alpha,
-                "eta": eta,
-                "com_norm": com,
-                "energy": e,
-            }
-            for k, branch, alpha, eta, com, e in records
-        ]
-        _write(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        lines = ["kappa,branch,alpha,eta,com_norm,energy"]
-        for k, branch, alpha, eta, com, e in records:
-            lines.append(
-                f"{_fmt(k)},{branch},{_fmt(alpha)},{_fmt(eta)},{_fmt(com)},{_fmt(e)}"
-            )
-        _write("\n".join(lines) + "\n", args.out)
+    header = ("kappa", "branch", "alpha", "eta", "com_norm", "energy")
+    _write_table(header, records, args.format, args.out)
     if failures:
         sys.stderr.write(f"warning: {failures} kappa samples failed to solve\n")
     return 0
@@ -114,13 +106,8 @@ def cmd_profile(args) -> int:
         ]
     else:  # rho_bar, the kappa-independent regular density
         values = [equilibria.rho_bar_density(float(t), args.d, args.m) for t in thetas]
-    if args.format == "json":
-        payload = [{"theta": float(t), "density": v} for t, v in zip(thetas, values)]
-        _write(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        lines = ["theta,density"]
-        lines.extend(f"{_fmt(float(t))},{_fmt(v)}" for t, v in zip(thetas, values))
-        _write("\n".join(lines) + "\n", args.out)
+    rows = [(float(t), v) for t, v in zip(thetas, values)]
+    _write_table(("theta", "density"), rows, args.format, args.out)
     return 0
 
 

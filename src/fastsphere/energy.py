@@ -8,8 +8,9 @@ free energy of a state mu with regular density rho is
 which makes the energy of a pure atom exactly zero, the natural reference.
 The supported branch's energy is evaluated by direct quadrature and
 cross-checked against a product identity; the measure-valued energies
-take the entropy of rho_bar from its Beta-function closed form, with a
-multiplier identity as their second route.
+take the entropy of rho_bar from the pass of the (d, m) constants
+(equilibria._constants), where it is the Beta-function mass of rho_bar
+times a rational factor, with a multiplier identity as their second route.
 
 equilibria_at enumerates, for a list of strengths, every equilibrium that
 exists at each with its energy: the uniform state always, the supported
@@ -43,7 +44,7 @@ from .errors import (
     WrongRegimeError,
 )
 from .model import RegimeCase, sphere_geometry, validate_params
-from .quadrature import DEFAULT_REL_TOL, _integral, eta1_closed_form
+from .quadrature import DEFAULT_REL_TOL, _integral
 
 UNIFORM = "uniform"
 FULLY_SUPPORTED = "fully_supported"
@@ -92,9 +93,8 @@ def energy_uniform(kappa: float, d, m: float) -> float:
     return sphere_geometry(d).area_sd ** (1.0 - m) / (m - 1.0) + 0.5 * kappa
 
 
-def _branch_energy_gain_of(i0: float, i1: float, i_ent: float, d: int, m: float) -> float:
-    """g1 * g2 from the moments at eta (i_ent: exponent m/(m-1))."""
-    dwd = sphere_geometry(d).area_sdm1
+def _branch_energy_gain_of(i0: float, i1: float, i_ent: float, dwd: float, m: float) -> float:
+    """g1 * g2 from the moments at eta (i_ent: exponent m/(m-1)) and dwd = |S^(d-1)|."""
     g1 = m * i1 + 2.0 * i_ent
     g2 = 1.0 / (2.0 * (1.0 - m) * dwd ** (m - 1.0) * i0**m)
     return g1 * g2
@@ -109,7 +109,8 @@ def branch_energy_gain(eta: float, d, m: float) -> BranchEnergyGain:
     and s = s(eta) along the branch.
     """
     eta, moments = equilibria._moments_at_eta(eta, d, m)
-    return BranchEnergyGain(eta=eta, value=_branch_energy_gain_of(*moments, int(d), m))
+    dwd = sphere_geometry(d).area_sdm1
+    return BranchEnergyGain(eta=eta, value=_branch_energy_gain_of(*moments, dwd, m))
 
 
 def energy_fully_supported(state: FullySupportedState, d, m: float) -> float:
@@ -129,7 +130,7 @@ def energy_fully_supported(state: FullySupportedState, d, m: float) -> float:
     dwd = sphere_geometry(d).area_sdm1
     entropy = dwd * pref**m * i_ent
     direct = entropy / (m - 1.0) - 0.5 * state.kappa * state.s**2 + 0.5 * state.kappa
-    identity = 0.5 * state.kappa - _branch_energy_gain_of(i0, i1, i_ent, d, m)
+    identity = 0.5 * state.kappa - _branch_energy_gain_of(i0, i1, i_ent, dwd, m)
     if abs(direct - identity) > _CROSS_CHECK_TOL * max(1.0, abs(direct)):
         raise FastSphereError(
             f"energy cross-check failed at kappa={state.kappa!r}: "
@@ -140,17 +141,7 @@ def energy_fully_supported(state: FullySupportedState, d, m: float) -> float:
 
 def rho_bar_entropy_integral(d, m: float) -> float:
     """int rho_bar^m dS for the fixed regular density (m < 1 - 2/d), in closed form."""
-    return _rho_bar_entropy(equilibria._rho_bar_constants(d, m), d, m)
-
-
-def _rho_bar_entropy(c, d, m: float) -> float:
-    """int rho_bar^m dS from the pass c of (d, m) and the eta = 1 integral I(1, q + 1, 0).
-
-    That closed form stays out of the pass, so that a CaseII critical_set
-    does not build it.
-    """
-    i_ent = eta1_closed_form(1.0 / (m - 1.0) + 1.0, 0, int(d))
-    return c.area_sdm1 ** (1.0 - m) * i_ent * c.i0 ** (-m)
+    return equilibria._rho_bar_constants(d, m).ent
 
 
 def energy_singular(alpha: float, kappa: float, d, m: float) -> float:
@@ -158,14 +149,14 @@ def energy_singular(alpha: float, kappa: float, d, m: float) -> float:
     validate_params(d, m, kappa)
     if not 0.0 < alpha < 1.0:
         raise InvalidParamError(f"alpha must lie in (0, 1), got {alpha!r}")
-    c = equilibria._rho_bar_constants(d, m)
-    return _singular_energy(alpha, kappa, _rho_bar_entropy(c, d, m), c.s_bar, m)
+    return _singular_energy(alpha, kappa, equilibria._rho_bar_constants(d, m))
 
 
-def _singular_energy(alpha: float, kappa: float, ent: float, sb: float, m: float) -> float:
-    """Energy of alpha * delta + (1 - alpha) * rho_bar, given ent = int rho_bar^m dS."""
-    com = alpha + (1.0 - alpha) * sb
-    return (1.0 - alpha) ** m * ent / (m - 1.0) - 0.5 * kappa * com**2 + 0.5 * kappa
+def _singular_energy(alpha: float, kappa: float, c: equilibria._Constants) -> float:
+    """Energy of alpha * delta + (1 - alpha) * rho_bar from the pass c of (d, m)."""
+    m = c.m
+    com = alpha + (1.0 - alpha) * c.s_bar
+    return (1.0 - alpha) ** m * c.ent / (m - 1.0) - 0.5 * kappa * com**2 + 0.5 * kappa
 
 
 def delta_mixture_energy(t: float, kappa: float, d, m: float) -> float:
@@ -249,10 +240,8 @@ def _kappa_c_gap(
     return e_uniform_0 + atom + entropy, slope, atom + entropy - e_uniform_0
 
 
-def _kappa_c_of(
-    k1: float, k2: float, sb: float, alpha_bar: float, ent: float, e_uniform_0: float, m: float
-) -> float:
-    """kappa_c from the closed-form constants of a CaseIII pair.
+def _kappa_c_of(c: equilibria._Constants) -> float:
+    """kappa_c from the pass c of the constants of a CaseIII pair.
 
     Along the upper measure-valued branch, parametrized by
     u = -log(1 - alpha), the strength is explicit,
@@ -270,12 +259,14 @@ def _kappa_c_of(
     otherwise.  It stops when the step no longer moves u, or when the gap
     at u is within its own rounding error and Newton cannot go on.
     """
+    m, k1, k2, sb, ent = c.m, c.kappa1, c.kappa2, c.s_bar, c.ent
+    e_uniform_0 = c.area_sd ** (1.0 - m) / (m - 1.0)  # energy_uniform(0, d, m)
     k2sb = k2 * sb
 
     def kappa_of(u: float) -> float:
         return math.exp((1.0 - m) * u) * k2 * sb / (1.0 - math.exp(-u) * (1.0 - sb))
 
-    lo = -math.log1p(-alpha_bar)
+    lo = -math.log1p(-c.alpha_bar)
     hi = lo + 1.0  # a positive width, so the doubling ends even for u_bar ~ 0
     while kappa_of(hi) < k1:
         hi *= 2.0
@@ -328,17 +319,20 @@ def equilibria_at(kappas, d, m: float) -> list:
     FastSphereError raised there, without its traceback.  The supported
     branch is taken from equilibria.fully_supported_states, whose window
     check alone decides where it exists; the measure-valued rows from the
-    root finder of alpha_roots, fed s_bar, kappa2 and alpha_bar from one pass
-    of the kappa-free constants (equilibria._constants) and the entropy of
-    rho_bar, each computed once per call, where the tangent double root at
-    kappa3 gives the upper row only.
+    root finder of alpha_roots, where the tangent double root at kappa3
+    gives the upper row only.  One pass of the kappa-free constants
+    (equilibria._constants) is formed per call and serves the branch window,
+    the roots and the energies: s_bar, kappa2, alpha_bar and the entropy of
+    rho_bar are the same at every kappa.
     """
-    c = equilibria._constants(d, m)
-    d = int(d)
+    return _equilibria_at(equilibria._constants(d, m), kappas)
+
+
+def _equilibria_at(c: equilibria._Constants, kappas) -> list:
+    """equilibria_at at kappas, from the pass c of (d, m)."""
+    d, m = c.d, c.m
     singular = c.regime is not RegimeCase.CASE_I
-    if singular:  # rho_bar, its com norm and entropy, and kappa2 are the same at every kappa
-        sb, ent = c.s_bar, _rho_bar_entropy(c, d, m)
-    states = equilibria.fully_supported_states(kappas, d, m)
+    states = equilibria._fully_supported_states(c, kappas)
     found: list = []
     for kappa, state in zip(kappas, states):
         if isinstance(state, FastSphereError) and not isinstance(state, OutOfWindowError):
@@ -351,13 +345,13 @@ def equilibria_at(kappas, d, m: float) -> list:
                 e = energy_fully_supported(state, d, m)
                 rows.append((FULLY_SUPPORTED, None, state.eta, state.s, e))
             if singular:
-                roots = equilibria._alpha_roots(kappa, c, m)
+                roots = equilibria._alpha_roots(kappa, c)
                 atoms = [(SINGULAR_UPPER, roots[-1])] if roots else []
                 if len(roots) == 2 and roots[0] < roots[1]:
                     atoms.append((SINGULAR_LOWER, roots[0]))
                 for branch, alpha in atoms:
-                    e = _singular_energy(alpha, kappa, ent, sb, m)
-                    rows.append((branch, alpha, None, alpha + (1.0 - alpha) * sb, e))
+                    e = _singular_energy(alpha, kappa, c)
+                    rows.append((branch, alpha, None, alpha + (1.0 - alpha) * c.s_bar, e))
         except FastSphereError as exc:
             found.append(exc.with_traceback(None))
         else:
@@ -374,8 +368,8 @@ def classify_minimizer(kappa: float, d, m: float) -> EnergyReport:
     """
     validate_params(d, m, kappa)
     kappa = float(kappa)
-    found = equilibria_at([kappa], d, m)[0]
-    return _energy_report(kappa, found, equilibria.kappa1(d, m))
+    c = equilibria._constants(d, m)
+    return _energy_report(kappa, _equilibria_at(c, [kappa])[0], c.kappa1)
 
 
 def _energy_report(kappa: float, found, k1: float) -> EnergyReport:
@@ -416,17 +410,16 @@ def critical_set(d, m: float) -> CriticalSet:
     kappa1, kappa2, kappa3 and alpha_bar are read off equilibria._constants,
     the one pass of the kappa-free constants, which equilibria_at, the branch
     window and the measure-valued roots share.  kappa_c (CaseIII) is formed
-    from the same pass and the entropy of rho_bar.
+    from the same pass, whose entropy of rho_bar closes its energy gap, so
+    the call builds one closed form.
     """
     c = equilibria._constants(d, m)
     if c.regime is not RegimeCase.CASE_III:
         return CriticalSet(kappa1=c.kappa1, kappa2=c.kappa2)  # kappa2 is None in CaseI
-    ent = _rho_bar_entropy(c, d, m)
-    e_uniform_0 = c.area_sd ** (1.0 - m) / (m - 1.0)  # energy_uniform(0, d, m)
     return CriticalSet(
         kappa1=c.kappa1,
         kappa2=c.kappa2,
         kappa3=c.kappa3,
         alpha_bar=c.alpha_bar,
-        kappa_c=_kappa_c_of(c.kappa1, c.kappa2, c.s_bar, c.alpha_bar, ent, e_uniform_0, m),
+        kappa_c=_kappa_c_of(c),
     )

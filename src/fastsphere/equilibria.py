@@ -97,10 +97,6 @@ class CriticalSet:
         return RegimeCase.CASE_I if self.kappa2 is None else RegimeCase.CASE_II
 
 
-def _q_exponent(m: float) -> float:
-    return 1.0 / (m - 1.0)
-
-
 def _zeta_floor(q: float, d: int) -> float:
     """Smallest zeta whose integrand peak stays inside double range.
 
@@ -126,10 +122,13 @@ def uniform_state(d, m: float) -> UniformState:
 class _Constants(NamedTuple):
     """The kappa-free constants of (d, m), as _constants forms them.
 
-    The rho_bar fields, i0 to alpha_bar, are None in CaseI, where rho_bar
-    does not exist; kappa3 and alpha_bar are None in CaseII too.
+    The rho_bar fields, i0 to ent, are None in CaseI, where rho_bar does
+    not exist; kappa3 and alpha_bar are None in CaseII too.
     """
 
+    d: int
+    m: float
+    q: float  # 1 / (m - 1), the exponent of the branch densities
     regime: RegimeCase
     area_sd: float  # |S^d|
     area_sdm1: float  # |S^(d-1)|
@@ -137,6 +136,7 @@ class _Constants(NamedTuple):
     i0: float | None = None  # eta = 1 mass I(1, q, 0) of rho_bar
     kappa2: float | None = None
     s_bar: float | None = None
+    ent: float | None = None  # int rho_bar^m dS
     kappa3: float | None = None
     alpha_bar: float | None = None
 
@@ -145,26 +145,31 @@ def _constants(d, m: float) -> _Constants:
     """Every kappa-free constant of (d, m), in one pass.
 
     The parameters are validated and classified once, the sphere geometry is
-    taken once and the eta = 1 mass of rho_bar built once, in closed form;
-    every other constant is a closed form of these.
+    taken once and the eta = 1 mass I0 of rho_bar built once, in closed form;
+    every other constant is a closed form of these.  The private readers of
+    (d, m) take this pass alone, so each public call forms it once.
     """
     regime = classify_regime(d, m).tag
     d = int(d)
+    q = 1.0 / (m - 1.0)
     geo = sphere_geometry(d)  # raises for d >= 438 before the closed form
     k1 = m * (d + 1) * geo.area_sd ** (1.0 - m)
+    head = (d, m, q, regime, geo.area_sd, geo.area_sdm1, k1)
     if regime is RegimeCase.CASE_I:
-        return _Constants(regime, geo.area_sd, geo.area_sdm1, k1)
-    q = _q_exponent(m)
+        return _Constants(*head)
     i0 = eta1_closed_form(q, 0, d)
     # 1 / inverse_kappa(1): at eta = 1 the moment is I1 = I0 (-q) / (q + d)
     k2 = m / (1.0 - m) * (geo.area_sdm1 * i0) ** (1.0 - m) * (q + d) / -q
     sb = 1.0 / ((1.0 - m) * d - 1.0)
+    # int rho_bar^m dS = |S^(d-1)|^(1-m) I(1, q + 1, 0) I0^(-m), and the Beta recurrence
+    # B(a + 1, b) = B(a, b) a / (a + b) gives I(1, q + 1, 0) = I0 (2q + d) / (q + d)
+    ent = geo.area_sdm1 ** (1.0 - m) * (i0 * (2.0 * q + d) / (q + d)) * i0 ** (-m)
     if regime is RegimeCase.CASE_II:
-        return _Constants(regime, geo.area_sd, geo.area_sdm1, k1, i0, k2, sb)
+        return _Constants(*head, i0, k2, sb, ent)
     # the tangency of kappa (s_bar + alpha (1 - s_bar)) and (1 - alpha)^(m-1) kappa2 s_bar
     alpha_bar = (1.0 - 2.0 * sb + m * sb) / ((1.0 - sb) * (2.0 - m))
     k3 = k2 * (1.0 - m) * sb / (1.0 - sb) * (1.0 - alpha_bar) ** (m - 2.0)
-    return _Constants(regime, geo.area_sd, geo.area_sdm1, k1, i0, k2, sb, k3, alpha_bar)
+    return _Constants(*head, i0, k2, sb, ent, k3, alpha_bar)
 
 
 def _rho_bar_constants(d, m: float) -> _Constants:
@@ -205,7 +210,7 @@ def _moments_at_eta(eta, d, m: float) -> tuple[float, tuple[float, float, float]
     eta = float(eta)
     if not math.isfinite(eta) or eta < 1.0:
         raise InvalidParamError(f"eta must be finite and >= 1, got {eta!r}")
-    return eta, _integral(eta - 1.0, _q_exponent(m), int(d), DEFAULT_REL_TOL)
+    return eta, _integral(eta - 1.0, 1.0 / (m - 1.0), int(d), DEFAULT_REL_TOL)
 
 
 def inverse_kappa(eta: float, d, m: float) -> float:
@@ -228,7 +233,7 @@ def com_norm_of_eta(eta: float, d, m: float) -> float:
     return i1 / i0
 
 
-def _window(c: _Constants, d: int, m: float):
+def _window(c: _Constants):
     """Existence window of the fully supported branch, as a check of kappa.
 
     Its ends, kappa1 and kappa2, are read off the pass c of (d, m).  The
@@ -243,19 +248,18 @@ def _window(c: _Constants, d: int, m: float):
         if not (lo < kappa < hi or kappa == k2):
             raise OutOfWindowError(
                 f"kappa={kappa!r} outside the fully supported branch window "
-                f"({lo!r}, {hi!r}) for d={d}, m={m!r} ({c.regime.value})"
+                f"({lo!r}, {hi!r}) for d={c.d}, m={c.m!r} ({c.regime.value})"
             )
 
     return check
 
 
-def _log_zeta_bracket(d: int, m: float) -> tuple[float, float]:
-    """Bracket of every branch solve in log(zeta)."""
-    q = _q_exponent(m)
+def _log_zeta_bracket(c: _Constants) -> tuple[float, float]:
+    """Bracket of every branch solve of the pass c, in log(zeta)."""
     # eta^q underflows for m very close to 1; keep the uniform-limit end of
     # the bracket inside double range
-    ceil = min(_ZETA_CEIL, math.exp(620.0 / abs(q)))
-    return math.log(_zeta_floor(q, d)), math.log(ceil)
+    ceil = min(_ZETA_CEIL, math.exp(620.0 / abs(c.q)))
+    return math.log(_zeta_floor(c.q, c.d)), math.log(ceil)
 
 
 def solve_eta(kappa: float, d, m: float) -> float:
@@ -300,10 +304,13 @@ def fully_supported_states(kappas, d, m: float) -> list:
     only memo of integrals), serves the zetas that several solves visit and
     the centre-of-mass norm at each root.
     """
-    c = _constants(d, m)
-    d = int(d)
-    q = _q_exponent(m)
-    in_window = _window(c, d, m)
+    return _fully_supported_states(_constants(d, m), kappas)
+
+
+def _fully_supported_states(c: _Constants, kappas) -> list:
+    """fully_supported_states at kappas, from the pass c of (d, m)."""
+    d, m = c.d, c.m
+    in_window = _window(c)
     results: list = [None] * len(kappas)
     solved = []  # (index into results, kappa)
     for i, kappa in enumerate(kappas):
@@ -320,7 +327,7 @@ def fully_supported_states(kappas, d, m: float) -> list:
     def residuals(asks):
         zetas = [math.exp(y) for _, y in asks]
         new = [zeta for zeta in dict.fromkeys(zetas) if zeta not in moments]
-        moments.update(zip(new, _integrals(new, q, d, DEFAULT_REL_TOL)))
+        moments.update(zip(new, _integrals(new, c.q, d, DEFAULT_REL_TOL)))
         values = []
         for (item, _), zeta in zip(asks, zetas):
             at_zeta = moments[zeta]
@@ -337,7 +344,7 @@ def fully_supported_states(kappas, d, m: float) -> list:
 
     roots = lockstep_roots(
         residuals,
-        [_log_zeta_bracket(d, m)] * len(solved),
+        [_log_zeta_bracket(c)] * len(solved),
         residual_tol=DEFAULT_ROOT_TOL,
         width_tol=DEFAULT_WIDTH_TOL,
     )
@@ -418,12 +425,12 @@ def alpha_roots(kappa: float, d, m: float) -> list[float]:
     roots straddling alpha_bar on (kappa3, kappa2), one root past kappa2.
     """
     validate_params(d, m, kappa)
-    return _alpha_roots(float(kappa), _rho_bar_constants(d, m), m)
+    return _alpha_roots(float(kappa), _rho_bar_constants(d, m))
 
 
-def _alpha_roots(kappa: float, c: _Constants, m: float) -> list[float]:
+def _alpha_roots(kappa: float, c: _Constants) -> list[float]:
     """alpha_roots from the pass c of (d, m), in CaseII or CaseIII."""
-    sb, k2, alpha_bar = c.s_bar, c.kappa2, c.alpha_bar
+    m, sb, k2, alpha_bar = c.m, c.s_bar, c.kappa2, c.alpha_bar
 
     def mismatch(alpha: float) -> float:
         return kappa * (sb + alpha * (1.0 - sb)) - (1.0 - alpha) ** (m - 1.0) * k2 * sb
@@ -461,7 +468,7 @@ def singular_state(kappa: float, d, m: float, branch: str = "upper") -> Singular
     """Measure-valued equilibrium at kappa on the requested branch."""
     validate_params(d, m, kappa)
     c = _rho_bar_constants(d, m)
-    roots = _alpha_roots(float(kappa), c, m)
+    roots = _alpha_roots(float(kappa), c)
     if not roots:
         raise OutOfWindowError(
             f"no measure-valued equilibrium at kappa={kappa!r} for d={d}, m={m!r}"
@@ -496,4 +503,4 @@ def rho_bar_density(theta: float, d, m: float) -> float:
     v = 2.0 * math.sin(0.5 * theta) ** 2  # 1 - cos(theta)
     if v == 0.0:
         return math.inf
-    return v ** _q_exponent(m) / (c.area_sdm1 * c.i0)
+    return v**c.q / (c.area_sdm1 * c.i0)

@@ -249,10 +249,10 @@ class TestSweep:
         assert "error:" in err
 
     def test_unsolvable_samples_become_nan_rows(self, capsys, monkeypatch):
-        def broken(kappas, d, m):
+        def broken(c, kappas):
             return [BracketFailureError("injected solver failure") for _ in kappas]
 
-        monkeypatch.setattr(eq, "fully_supported_states", broken)
+        monkeypatch.setattr(eq, "_fully_supported_states", broken)
         code, out, err = run(
             capsys,
             "sweep", "--d", "2", "--m", "0.5",
@@ -501,16 +501,16 @@ class TestVerify:
             "--kappa-min", "6", "--kappa-max", "8", "--steps", "3",
         )
         _, clean, _ = run(capsys, *argv)
-        solve = eq.fully_supported_states
+        solve = eq._fully_supported_states
 
-        def broken_at_7(kappas, *args):
-            states = solve(kappas, *args)
+        def broken_at_7(c, kappas):
+            states = solve(c, kappas)
             return [
                 BracketFailureError("injected solver failure") if kappa == 7.0 else state
                 for kappa, state in zip(kappas, states)
             ]
 
-        monkeypatch.setattr(eq, "fully_supported_states", broken_at_7)
+        monkeypatch.setattr(eq, "_fully_supported_states", broken_at_7)
         code, out, err = run(capsys, *argv)
         assert code == 0
         assert "1 kappa samples failed" in err

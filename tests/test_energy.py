@@ -4,6 +4,7 @@ import statistics
 import sys
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -384,25 +385,31 @@ class TestCriticalSetWork:
         assert crit.kappa_c == pytest.approx(KAPPA_C_5_03, rel=1e-12)
         assert len(validations) <= 2
         assert len(geometries) == 1
-        assert len(closed_forms) == 2
+        # the entropy of rho_bar comes from the mass by the Beta recurrence
+        assert len(closed_forms) == 1
 
     def test_every_reader_takes_one_pass(self, monkeypatch):
-        # equilibria_at forms the kappa-free constants once for its rows and
-        # once for the branch window of fully_supported_states
+        # classify_minimizer and equilibria_at form the kappa-free constants
+        # once and hand them to the branch window, the roots and the energies
+        passes = record_calls(monkeypatch, eq, "_constants")
+        regimes = record_calls(monkeypatch, model, "classify_regime")
         closed_forms = record_calls(monkeypatch, quadrature, "eta1_closed_form")
         geometries = record_calls(monkeypatch, model, "sphere_geometry")
-        regimes = record_calls(monkeypatch, model, "classify_regime")
-        en.equilibria_at([17.0], 5, 0.3)
-        assert len(closed_forms) <= 3
-        assert len(regimes) <= 2
+        for call in (
+            lambda: en.classify_minimizer(17.0, 5, 0.3),
+            lambda: en.equilibria_at([17.0], 5, 0.3),
+        ):
+            for record in (passes, regimes, closed_forms):
+                record.clear()
+            call()
+            assert (len(passes), len(regimes), len(closed_forms)) == (1, 1, 1)
         # no reader does more work than when each formed its own constants:
         # at most these (closed forms, geometries)
         for call, (most_closed_forms, most_geometries) in (
-            (lambda: en.classify_minimizer(17.0, 5, 0.3), (4, 7)),
-            (lambda: en.critical_set(5, 0.3), (2, 1)),
+            (lambda: en.critical_set(5, 0.3), (1, 1)),
             (lambda: eq.alpha_roots(17.0, 5, 0.3), (1, 1)),
             (lambda: eq.singular_state(17.0, 5, 0.3), (1, 1)),
-            (lambda: en.energy_singular(0.5, 17.0, 5, 0.3), (2, 1)),
+            (lambda: en.energy_singular(0.5, 17.0, 5, 0.3), (1, 1)),
         ):
             closed_forms.clear()
             geometries.clear()
@@ -448,12 +455,45 @@ def test_critical_set_by_regime():
             continue
         assert eq.kappa2(d, m) == crit.kappa2
         assert eq.s_bar(d, m) == constants.s_bar
+        # the pass carries the entropy that rho_bar_entropy_integral returns
+        assert constants.ent == en.rho_bar_entropy_integral(d, m)
         if crit.regime is RegimeCase.CASE_III:
             assert eq.kappa3_and_alpha_bar(d, m) == (crit.kappa3, crit.alpha_bar)
-            # kappa_c takes the entropy that rho_bar_entropy_integral returns
-            ent, e_uniform_0 = en.rho_bar_entropy_integral(d, m), en.energy_uniform(0.0, d, m)
-            args = (crit.kappa1, crit.kappa2, constants.s_bar, crit.alpha_bar, ent, e_uniform_0, m)
-            assert en._kappa_c_of(*args) == crit.kappa_c
+            assert en._kappa_c_of(constants) == crit.kappa_c
+
+
+# (d, m) past the benchmark's dimensions, up to the last d whose sphere areas
+# stay in the normal double range
+LARGE_D_PAIRS = ((50, 0.1), (100, 0.5), (200, 0.45), (300, 0.3), (400, 0.5), (437, 0.2))
+
+
+class TestRhoBarEntropy:
+    def test_beta_recurrence_matches_the_closed_form(self):
+        # B(a + 1, b) = B(a, b) a / (a + b) turns I0 = I(1, q, 0) into
+        # I(1, q + 1, 0) = I0 (2q + d) / (q + d), within 3 ulp; rho_bar
+        # exists at every one of these pairs
+        for d, m in tuple(_benchmark_pairs()) + LARGE_D_PAIRS:
+            c = eq._constants(d, m)
+            recurrence = c.i0 * (2.0 * c.q + d) / (c.q + d)
+            closed_form = quadrature.eta1_closed_form(c.q + 1.0, 0, d)
+            assert recurrence == pytest.approx(closed_form, rel=6.7e-16, abs=0.0), (d, m)
+
+    def test_matches_mpmath_beta(self):
+        # int rho_bar^m dS = |S^(d-1)|^(1-m) I(1, q + 1, 0) I0^(-m), with
+        # I(1, p, 0) = 2^(p+d-1) B(p + d/2, d/2), at 40 digits
+        pairs = [(10, 0.00035), (8, 0.00052), (3, 0.25), (5, 0.3)] + _benchmark_pairs()[::70]
+        with mp.workdps(40):
+            for d, m in pairs:
+                dd, mm = mp.mpf(d), mp.mpf(m)
+                q = 1 / (mm - 1)
+
+                def mass(p):
+                    return 2 ** (p + dd - 1) * mp.beta(p + dd / 2, dd / 2)
+
+                area_sdm1 = 2 * mp.pi ** (dd / 2) / mp.gamma(dd / 2)
+                exact = area_sdm1 ** (1 - mm) * mass(q + 1) * mass(q) ** (-mm)
+                ent = en.rho_bar_entropy_integral(d, m)
+                assert abs(ent - exact) <= 3e-14 * exact, (d, m)
 
 
 def test_critical_set_complete_for_case_iii():

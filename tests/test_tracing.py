@@ -4,14 +4,15 @@ traced() skips a boundary the package no longer has, without a warning,
 and every metric read from its spans then reads 0; a rename or deletion
 must fail here instead.  Likewise every argv the workloads build must
 still parse, and the sweep and critical outputs must pass the workloads'
-own checks.
+own checks, forming the (d, m) constants once per call.
 """
 
 import importlib
 import sys
 from pathlib import Path
 
-from fastsphere import cli
+from conftest import record_calls
+from fastsphere import cli, equilibria, model, quadrature
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -68,3 +69,23 @@ def test_workload_outputs_pass_their_checks(monkeypatch):
     workloads = importlib.import_module("workloads")
     for workload in [workloads.Sweep(seed) for seed in range(4)] + [workloads.Critical(0)]:
         assert workload.check([unit() for unit in workload.units]) == (0, [])
+
+
+def test_workloads_form_one_pass_per_call(monkeypatch):
+    # each demo sweep forms the kappa-free constants once, with the eta = 1
+    # closed form where rho_bar exists (case_ii, case_iii); a critical pair
+    # builds that closed form once
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    sweep, critical = workloads.Sweep(0), workloads.Critical(0)
+    passes = record_calls(monkeypatch, equilibria, "_constants")
+    closed_forms = record_calls(monkeypatch, quadrature, "eta1_closed_form")
+    geometries = record_calls(monkeypatch, model, "sphere_geometry")
+    assert [unit()[0] for unit in sweep.units] == [0, 0, 0]
+    assert (len(passes), len(closed_forms)) == (3, 2)
+    assert len(geometries) <= 581
+    closed_forms.clear()
+    for unit in critical.units:
+        unit()
+    assert len(closed_forms) == len(critical.pairs) == 300
