@@ -58,10 +58,12 @@ from .model import (
     Regime,
     RegimeCase,
     SphereGeometry,
+    ThetaIntegralSpec,
     classify_regime,
+    eta1_closed_form,
     sphere_geometry,
+    theta_integral,
 )
-from .quadrature import ThetaIntegralSpec, eta1_closed_form, theta_integral
 from .verification import run_verification
 
 __version__ = "0.1.0"

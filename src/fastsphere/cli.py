@@ -17,8 +17,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import energy, equilibria, verification
 from .errors import FastSphereError
 
@@ -66,6 +64,8 @@ def cmd_critical(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    import numpy as np
+
     if not (0.0 < args.kappa_min < args.kappa_max) or args.steps < 2:
         raise FastSphereError(
             "sweep needs 0 < --kappa-min < --kappa-max and --steps >= 2"
@@ -93,6 +93,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_profile(args) -> int:
+    import numpy as np
+
     if args.points < 2:
         raise FastSphereError("--points must be >= 2")
     thetas = np.linspace(0.0, math.pi, args.points)

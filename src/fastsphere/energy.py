@@ -43,8 +43,7 @@ from .errors import (
     OutOfWindowError,
     WrongRegimeError,
 )
-from .model import RegimeCase, sphere_geometry, validate_params
-from .quadrature import DEFAULT_REL_TOL, _integral
+from .model import DEFAULT_REL_TOL, RegimeCase, sphere_geometry, validate_params
 
 UNIFORM = "uniform"
 FULLY_SUPPORTED = "fully_supported"
@@ -90,7 +89,12 @@ def energy_uniform(kappa: float, d, m: float) -> float:
     validate_params(d, m)
     if not math.isfinite(kappa) or kappa < 0.0:
         raise InvalidParamError(f"kappa must be >= 0, got {kappa!r}")
-    return sphere_geometry(d).area_sd ** (1.0 - m) / (m - 1.0) + 0.5 * kappa
+    return _uniform_energy(kappa, sphere_geometry(d).area_sd, m)
+
+
+def _uniform_energy(kappa: float, area_sd: float, m: float) -> float:
+    """energy_uniform from |S^d|, with kappa and (d, m) already checked."""
+    return area_sd ** (1.0 - m) / (m - 1.0) + 0.5 * kappa
 
 
 def _branch_energy_gain_of(i0: float, i1: float, i_ent: float, dwd: float, m: float) -> float:
@@ -123,9 +127,12 @@ def energy_fully_supported(state: FullySupportedState, d, m: float) -> float:
     """
     validate_params(d, m)
     d = int(d)
-    i0, i1, i_ent = state.moments or _integral(
-        state.eta_minus_1, 1.0 / (m - 1.0), d, DEFAULT_REL_TOL
-    )
+    moments = state.moments
+    if moments is None:
+        from .quadrature import _integral
+
+        moments = _integral(state.eta_minus_1, 1.0 / (m - 1.0), d, DEFAULT_REL_TOL)
+    i0, i1, i_ent = moments
     pref = (m / ((1.0 - m) * state.kappa * state.s)) ** (1.0 / (1.0 - m))
     dwd = sphere_geometry(d).area_sdm1
     entropy = dwd * pref**m * i_ent
@@ -260,7 +267,7 @@ def _kappa_c_of(c: equilibria._Constants) -> float:
     at u is within its own rounding error and Newton cannot go on.
     """
     m, k1, k2, sb, ent = c.m, c.kappa1, c.kappa2, c.s_bar, c.ent
-    e_uniform_0 = c.area_sd ** (1.0 - m) / (m - 1.0)  # energy_uniform(0, d, m)
+    e_uniform_0 = _uniform_energy(0.0, c.area_sd, m)
     k2sb = k2 * sb
 
     def kappa_of(u: float) -> float:
@@ -340,7 +347,7 @@ def _equilibria_at(c: equilibria._Constants, kappas) -> list:
             continue
         kappa = float(kappa)
         try:
-            rows = [(UNIFORM, None, None, 0.0, energy_uniform(kappa, d, m))]
+            rows = [(UNIFORM, None, None, 0.0, _uniform_energy(kappa, c.area_sd, m))]
             if not isinstance(state, OutOfWindowError):
                 e = energy_fully_supported(state, d, m)
                 rows.append((FULLY_SUPPORTED, None, state.eta, state.s, e))

@@ -36,8 +36,15 @@ from .errors import (
     ToleranceNotMetError,
     WrongRegimeError,
 )
-from .model import RegimeCase, classify_regime, sphere_geometry, validate_params
-from .quadrature import DEFAULT_REL_TOL, _integral, _integrals, eta1_closed_form
+from .model import (
+    DEFAULT_REL_TOL,
+    RegimeCase,
+    check_kappa,
+    classify_regime,
+    eta1_closed_form,
+    sphere_geometry,
+    validate_params,
+)
 from .solvers import DEFAULT_ROOT_TOL, DEFAULT_WIDTH_TOL, bracketed_root, lockstep_roots
 
 # zeta = eta - 1 ceiling standing in for the uniform limit eta -> infinity.
@@ -210,6 +217,8 @@ def _moments_at_eta(eta, d, m: float) -> tuple[float, tuple[float, float, float]
     eta = float(eta)
     if not math.isfinite(eta) or eta < 1.0:
         raise InvalidParamError(f"eta must be finite and >= 1, got {eta!r}")
+    from .quadrature import _integral
+
     return eta, _integral(eta - 1.0, 1.0 / (m - 1.0), int(d), DEFAULT_REL_TOL)
 
 
@@ -315,12 +324,16 @@ def _fully_supported_states(c: _Constants, kappas) -> list:
     solved = []  # (index into results, kappa)
     for i, kappa in enumerate(kappas):
         try:
-            validate_params(d, m, kappa)
-            in_window(float(kappa))
+            kappa = check_kappa(kappa)  # (d, m) were checked by the pass
+            in_window(kappa)
         except FastSphereError as exc:
             results[i] = exc.with_traceback(None)
         else:
-            solved.append((i, float(kappa)))
+            solved.append((i, kappa))
+    if not solved:
+        return results
+    from .quadrature import _integrals
+
     moments = {}
     scale = _inverse_kappa_scale(c.area_sdm1, m)
 

@@ -71,33 +71,30 @@ costs more than it saves.  Every panel and every per-mesh sum
 is computed in the same order in either route, so _integrals returns
 exactly what _integral would.  The solves work in log(eta - 1), so
 _integrals takes zeta > 0 only; _integral also serves eta = 1, as the
-oracle of the closed form below.
+oracle of the closed form.
 
-At eta = 1 the full integrals are Beta functions (eta1_closed_form), and
-that closed form is the primary route for every eta = 1 moment the
-package reports: the mass and entropy of rho_bar behind kappa_c, the
-measure-valued energies and multiplier.  It shares no code with the
+This module holds the numpy kernel alone, and it is the package's only
+module that imports numpy at load time.  The public front of the family
+(ThetaIntegralSpec, theta_integral, DEFAULT_REL_TOL) lives in model,
+which imports this kernel when an integral is asked for.  At eta = 1 the
+full integrals are Beta functions (model.eta1_closed_form), and that
+closed form is the primary route for every eta = 1 moment the package
+reports: the mass and entropy of rho_bar behind kappa_c, the
+measure-valued energies and multiplier.  It shares no module with this
 quadrature, which at eta = 1 serves as its independent oracle.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    FastSphereError,
-    InvalidParamError,
-    NotIntegrableError,
-    ToleranceNotMetError,
-)
-from .model import check_dimension
+from .errors import FastSphereError, ToleranceNotMetError
+from .model import _not_integrable
 
-DEFAULT_REL_TOL = 1e-10
 # The seed mesh reaches down to this fraction of the spike scale sqrt(eta - 1).
 _SPIKE_FRACTION = 0.5
 
@@ -145,31 +142,6 @@ _W_GAUSS = np.zeros(15)
 _W_GAUSS[1:7:2] = _W_GAUSS[8:14:2] = _WG[:3]
 _W_GAUSS[14] = _WG[3]
 _W_ERROR = _W_KRONROD - _W_GAUSS
-
-
-@dataclass(frozen=True)
-class ThetaIntegralSpec:
-    """One member of the polar integral family."""
-
-    eta: float
-    q: float
-    p: int
-    d: int
-
-
-def _check_spec(eta: float, q: float, p: int, d) -> tuple[float, float, int, int]:
-    d = check_dimension(d)
-    eta = float(eta)
-    q = float(q)
-    if p not in (0, 1):
-        raise InvalidParamError(f"cosine power p must be 0 or 1, got {p!r}")
-    if not math.isfinite(eta) or eta < 1.0:
-        raise InvalidParamError(f"eta must be finite and >= 1, got {eta!r}")
-    if not math.isfinite(q):
-        raise InvalidParamError(f"exponent q must be finite, got {q!r}")
-    if eta == 1.0 and 2.0 * q + d <= 0.0:
-        raise _not_integrable(q, d)
-    return eta, q, int(p), d
 
 
 def _angle_basis(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -356,13 +328,6 @@ def _seed_levels(zeta, cut: float):
     return np.maximum(exponent - (mantissa == 0.5), 0)
 
 
-def _not_integrable(q: float, d: int) -> NotIntegrableError:
-    return NotIntegrableError(
-        f"(1 - cos t)^q sin^(d-1) t diverges at t = 0 for q={q!r}, d={d}: "
-        f"need 2q + d - 1 > -1"
-    )
-
-
 def _seed_mesh(zeta: float, q: float, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Seed edges at eta = 1 + zeta, with the closed-form tail below them and its error budget."""
     cut = _seed_cut(q, d)
@@ -510,87 +475,3 @@ def _integral(zeta: float, q: float, d: int, rel_tol: float) -> tuple[float, flo
     values, errors = _kronrod_batch(lambda t: _folded_integrand(t, zeta, q, d, basis), edges)
     f = lambda t: _folded_integrand(t, zeta, q, d)
     return tuple(_refine(f, edges, values, errors, rel_tol, tail, tail_err).tolist())
-
-
-def theta_integral(spec: ThetaIntegralSpec, rel_tol: float = DEFAULT_REL_TOL) -> float:
-    """Evaluate int_0^pi (eta - cos t)^q sin^{d-1} t cos^p t dt.
-
-    Parameters
-    ----------
-    spec : ThetaIntegralSpec
-        eta >= 1, exponent q, cosine power p in {0, 1}, dimension d >= 1.
-    rel_tol : float
-        Requested relative error, 0 < rel_tol <= 1e-6.
-
-    Raises NotIntegrableError when eta = 1 and 2q + d - 1 <= -1, and
-    ToleranceNotMetError when the error estimate cannot reach rel_tol.
-    """
-    rel_tol = float(rel_tol)
-    if not 0.0 < rel_tol <= 1e-6:
-        raise InvalidParamError(f"rel_tol must lie in (0, 1e-6], got {rel_tol!r}")
-    eta, q, p, d = _check_spec(spec.eta, spec.q, spec.p, spec.d)
-    return _integral(eta - 1.0, q, d, rel_tol)[p]
-
-
-def eta1_closed_form(q: float, p: int, d) -> float:
-    """Exact Gamma-function value of the eta = 1 integral.
-
-    Substituting 1 - cos t = 2 sin^2(t/2) turns the p = 0 integral into a
-    Beta function,
-
-        I0 = 2^(q+d-1) B(a, d/2) = 2^(q+d-1) Gamma(a) Gamma(d/2) / Gamma(a + d/2),
-
-    with a = q + d/2, and writing cos t = 2 cos^2(t/2) - 1 expresses the
-    p = 1 integral as a difference of two such terms, which telescopes to
-    I0 * (-q) / (q + d).
-
-    The shift d/2 is an integer n or a half-integer n + 1/2.  For even d,
-    B(a, n) = (n-1)! / prod_{k<n} (a + k).  For odd d, a is first written
-    as a0 + j with a0 in (0, 1], and
-
-        B(a, n + 1/2) = Gamma(a0)/Gamma(a0 + 1/2) Gamma(n + 1/2)
-                        prod_{k<j} (a0 + k) / prod_{k<j+n} (a0 + 1/2 + k).
-
-    q is a dyadic rational, so every factor of the products is an exact
-    ratio of integers; the products and the power 2^(floor(q)+d-1) are
-    formed in integers and divided once, correctly rounded, and only
-    2^(q - floor(q)) and, for odd d, sqrt(pi) Gamma(a0)/Gamma(a0 + 1/2) at
-    a0 <= 1 are taken in floating point.  That keeps I0 within a few
-    rounding errors at any d, where a sum of log-Gamma terms loses eps
-    times their size.
-    """
-    _, q, p, d = _check_spec(1.0, q, p, d)
-    num, den = q.as_integer_ratio()  # den is a power of two
-    n, odd = divmod(d, 2)
-    j = max(math.ceil(q + 0.5 * d) - 1, 0) if odd else 0
-    # a0 + k = (2 num + (2 (n - j + k) + 1) den) / (2 den), and
-    # a0 + odd/2 + k = (num + (n + odd - j + k) den) / den
-    top = math.prod(2 * num + (2 * (n - j + k) + 1) * den for k in range(j))
-    bottom = math.prod(num + (n + odd - j + k) * den for k in range(j + n))
-    top *= den**n
-    scale = 2.0 ** (q - math.floor(q))
-    power = math.floor(q) + d - 1
-    if odd:
-        # Gamma(n + 1/2) = sqrt(pi) (2n - 1)!! / 2^n
-        top *= math.prod(range(1, 2 * n, 2))
-        power -= j + n
-        a0 = q + (n + 0.5 - j)
-        scale *= math.sqrt(math.pi) * math.gamma(a0) / math.gamma(a0 + 0.5)
-    else:
-        top *= math.factorial(n - 1)
-    if power >= 0:
-        top <<= power
-    else:
-        bottom <<= -power
-    try:
-        # no underflow: for q <= 0, I0 >= int_0^pi sin^(d-1) t dt (Jensen)
-        i0 = top / bottom * scale
-    except OverflowError:
-        i0 = math.inf
-    if i0 == math.inf:
-        raise ToleranceNotMetError(
-            f"eta = 1 integral leaves double range for q={q!r}, d={d}"
-        )
-    if p == 0:
-        return i0
-    return i0 * (-q) / (q + d)

@@ -6,6 +6,8 @@ loosens them; the library runs at its one accuracy (integrals to
 DEFAULT_REL_TOL, root solves to DEFAULT_ROOT_TOL).
 Checks call into the library through module attributes on purpose: the
 suite must notice if an implementation is swapped out underneath it.
+The checks that build a numpy grid or call the quadrature kernel import
+numpy or quadrature themselves, so importing the suite loads neither.
 """
 
 from __future__ import annotations
@@ -13,10 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from . import energy, equilibria, model, quadrature
-from .quadrature import DEFAULT_REL_TOL, ThetaIntegralSpec
+from . import energy, equilibria, model
+from .model import DEFAULT_REL_TOL, ThetaIntegralSpec
 
 REFERENCE_PAIRS = ((2, 0.5), (3, 0.25), (5, 0.3))
 MONOTONE_PAIRS = ((2, 0.5), (3, 0.25), (3, 0.9), (5, 0.3), (5, 0.65))
@@ -97,6 +97,8 @@ def check_geometry_consistency(tol: float) -> CheckResult:
 
 
 def check_regime_partition(tol: float) -> CheckResult:
+    import numpy as np
+
     bad = 0
     total = 0
     for d in range(1, 7):
@@ -124,6 +126,8 @@ def check_regime_partition(tol: float) -> CheckResult:
 
 
 def check_quadrature_self_consistency(tol: float) -> CheckResult:
+    import numpy as np
+
     rng = np.random.default_rng(20240817)
     worst = 0.0
     for _ in range(50):
@@ -134,13 +138,15 @@ def check_quadrature_self_consistency(tol: float) -> CheckResult:
         p = int(rng.integers(0, 2))
         d = int(rng.integers(1, 7))
         spec = ThetaIntegralSpec(eta, q, p, d)
-        tight = quadrature.theta_integral(spec, DEFAULT_REL_TOL)
-        loose = quadrature.theta_integral(spec, 1e-6)
+        tight = model.theta_integral(spec, DEFAULT_REL_TOL)
+        loose = model.theta_integral(spec, 1e-6)
         worst = max(worst, _rel(tight, loose))
     return _result("quadrature_self_consistency", worst, tol)
 
 
 def check_eta1_quadrature_vs_closed_form(tol: float) -> CheckResult:
+    from . import quadrature
+
     worst = 0.0
     for d, m in SINGULAR_PAIRS:
         q = 1.0 / (m - 1.0)
@@ -149,16 +155,18 @@ def check_eta1_quadrature_vs_closed_form(tol: float) -> CheckResult:
         # from the closed form
         quad = quadrature._integral(0.0, q, d, DEFAULT_REL_TOL)
         members = ((q, 0), (q, 1), (q + 1.0, 0))
-        closed = [quadrature.eta1_closed_form(qq, p, d) for qq, p in members]
+        closed = [model.eta1_closed_form(qq, p, d) for qq, p in members]
         worst = max(worst, *map(_rel, quad, closed))
     return _result("eta1_quadrature_vs_closed_form", worst, tol)
 
 
 def check_theta_integral_eta_monotone(tol: float) -> CheckResult:
+    import numpy as np
+
     worst = 0.0
     for q, d in ((-2.0, 2), (-4.0 / 3.0, 3), (-0.5, 5)):
         vals = [
-            quadrature.theta_integral(ThetaIntegralSpec(float(e), q, 0, d))
+            model.theta_integral(ThetaIntegralSpec(float(e), q, 0, d))
             for e in 1.0 + np.geomspace(1e-3, 100.0, 12)
         ]
         worst = max(worst, _worst_nonmonotone(vals, increasing=False))
@@ -166,6 +174,9 @@ def check_theta_integral_eta_monotone(tol: float) -> CheckResult:
 
 
 def check_moment_bounded_by_mass(tol: float) -> CheckResult:
+    import numpy as np
+    from . import quadrature
+
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(25):
@@ -179,6 +190,8 @@ def check_moment_bounded_by_mass(tol: float) -> CheckResult:
 
 
 def check_branch_monotone_direction(tol: float) -> CheckResult:
+    import numpy as np
+
     worst = 0.0
     lines = []
     for d, m in MONOTONE_PAIRS:
@@ -226,6 +239,8 @@ def check_branch_continuity(tol: float) -> CheckResult:
 
 
 def check_case_iii_com_decreasing(tol: float) -> CheckResult:
+    import numpy as np
+
     vals = [
         equilibria.com_norm_of_eta(float(e), 5, 0.3)
         for e in 1.0 + np.geomspace(1e-4, 99.0, 15)
@@ -381,6 +396,8 @@ def check_energy_comparison_steps(tol: float) -> CheckResult:
 
 
 def check_minimizer_consistency(tol: float) -> CheckResult:
+    import numpy as np
+
     mismatches = 0
     total = 0
     for d, m, lo, hi in ((2, 0.5, 4.0, 12.0), (3, 0.25, 8.0, 16.0), (5, 0.3, 15.0, 21.0)):

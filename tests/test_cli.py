@@ -12,7 +12,7 @@ from conftest import mp_kappa1, mp_kappa_c, read_sweep, record_calls
 from fastsphere import cli
 from fastsphere import energy as en
 from fastsphere import equilibria as eq
-from fastsphere import quadrature, verification
+from fastsphere import model, quadrature, verification
 from fastsphere.cli import main
 from fastsphere.errors import BracketFailureError, InvalidParamError
 from fastsphere.model import sphere_geometry
@@ -120,7 +120,7 @@ def test_no_public_callable_takes_a_tolerance():
 def test_past_double_range_nothing_builds_a_closed_form(capsys, monkeypatch):
     # the geometry raises for d >= 438 before the exact products of the eta = 1
     # closed form are built, which at this d would take seconds
-    calls = record_calls(monkeypatch, quadrature, "eta1_closed_form")
+    calls = record_calls(monkeypatch, model, "eta1_closed_form")
     d, m = 100000, 0.1
     for call in (
         lambda: eq.s_bar(d, m),
@@ -327,11 +327,20 @@ class TestSweepWork:
 
     def test_sweep_energies_call_no_integral(self, capsys, monkeypatch):
         # each root's energy takes the moments of its solve, and the singular
-        # energies take the rho_bar entropy from its closed form
+        # energies take the rho_bar entropy from its closed form.  The kernel
+        # is forbidden inside the supported energy only: the solve's own
+        # rounds send a lone zeta to _integral.
         def forbidden(*args):
             raise AssertionError("a sweep energy computed an integral")
 
-        monkeypatch.setattr(en, "_integral", forbidden)
+        original = en.energy_fully_supported
+
+        def energy_without_integral(*args):
+            with pytest.MonkeyPatch.context() as inside:
+                inside.setattr(quadrature, "_integral", forbidden)
+                return original(*args)
+
+        monkeypatch.setattr(en, "energy_fully_supported", energy_without_integral)
         code, _, err = run(
             capsys,
             "sweep", "--d", "5", "--m", "0.3",

@@ -113,7 +113,7 @@ class TestFullySupportedEnergy:
 
     def test_moment_factor_positive(self):
         # the first-moment integral entering g1 is strictly positive off eta = 1
-        from fastsphere.quadrature import ThetaIntegralSpec, theta_integral
+        from fastsphere.model import ThetaIntegralSpec, theta_integral
 
         for eta in (1.001, 1.5, 20.0):
             assert theta_integral(ThetaIntegralSpec(eta, -2.0, 1, 2)) > 0.0
@@ -259,8 +259,8 @@ class TestKappaC:
         monkeypatch.setattr(eq, "alpha_roots", forbidden)
         monkeypatch.setattr(eq, "bracketed_root", forbidden)
         monkeypatch.setattr(solvers, "bracketed_root", forbidden)
-        for module in (en, eq, quadrature):
-            monkeypatch.setattr(module, "_integral", forbidden)
+        for name in ("_integral", "_integrals"):  # every integral goes through these
+            monkeypatch.setattr(quadrature, name, forbidden)
         assert en.kappa_c(5, 0.3) == pytest.approx(KAPPA_C_5_03, rel=1e-12)
         crit = en.critical_set(12, 0.05)
         assert crit.kappa3 < crit.kappa_c < crit.kappa1
@@ -380,7 +380,7 @@ class TestCriticalSetWork:
     def test_one_pass(self, monkeypatch):
         validations = record_calls(monkeypatch, model, "validate_params")
         geometries = record_calls(monkeypatch, model, "sphere_geometry")
-        closed_forms = record_calls(monkeypatch, quadrature, "eta1_closed_form")
+        closed_forms = record_calls(monkeypatch, model, "eta1_closed_form")
         crit = en.critical_set(5, 0.3)
         assert crit.kappa_c == pytest.approx(KAPPA_C_5_03, rel=1e-12)
         assert len(validations) <= 2
@@ -393,7 +393,7 @@ class TestCriticalSetWork:
         # once and hand them to the branch window, the roots and the energies
         passes = record_calls(monkeypatch, eq, "_constants")
         regimes = record_calls(monkeypatch, model, "classify_regime")
-        closed_forms = record_calls(monkeypatch, quadrature, "eta1_closed_form")
+        closed_forms = record_calls(monkeypatch, model, "eta1_closed_form")
         geometries = record_calls(monkeypatch, model, "sphere_geometry")
         for call in (
             lambda: en.classify_minimizer(17.0, 5, 0.3),
@@ -475,7 +475,7 @@ class TestRhoBarEntropy:
         for d, m in tuple(_benchmark_pairs()) + LARGE_D_PAIRS:
             c = eq._constants(d, m)
             recurrence = c.i0 * (2.0 * c.q + d) / (c.q + d)
-            closed_form = quadrature.eta1_closed_form(c.q + 1.0, 0, d)
+            closed_form = model.eta1_closed_form(c.q + 1.0, 0, d)
             assert recurrence == pytest.approx(closed_form, rel=6.7e-16, abs=0.0), (d, m)
 
     def test_matches_mpmath_beta(self):

@@ -207,7 +207,7 @@ class TestFullySupportedStates:
         def no_integral(*args):
             raise AssertionError("the energy recomputed the moments")
 
-        monkeypatch.setattr(en, "_integral", no_integral)
+        monkeypatch.setattr(quadrature, "_integral", no_integral)
         assert [en.energy_fully_supported(s, d, m) for s in states] == expected
 
     @staticmethod

@@ -3,6 +3,9 @@
 import ast
 import inspect
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,7 +13,8 @@ import pytest
 import fastsphere
 from fastsphere.errors import FastSphereError
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "fastsphere"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "fastsphere"
 
 # valid values of every other parameter a public function of (d, m) takes
 VALID_ARGS = {
@@ -81,3 +85,89 @@ def test_every_import_is_used(path):
         return
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def _load_time_imports(tree: ast.Module):
+    """The modules named by the import statements that run when the module loads.
+
+    Relative names keep their dots; function bodies run later and are skipped.
+    """
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            if node.module:
+                yield base
+            else:
+                yield from (base + alias.name for alias in node.names)
+        else:
+            stack.extend(ast.iter_child_nodes(node))
+
+
+@pytest.mark.parametrize(
+    "path",
+    [path for path in sorted(SRC.glob("*.py")) if path.name != "quadrature.py"],
+    ids=lambda path: path.name,
+)
+def test_only_the_kernel_loads_numpy(path):
+    # numpy comes with the quadrature kernel, imported by the function that
+    # integrates or builds a grid, so `import fastsphere` and the closed
+    # forms run on the standard library
+    tree = ast.parse(path.read_text(), filename=str(path))
+    loaded = [
+        name
+        for name in _load_time_imports(tree)
+        if name.split(".")[0] == "numpy" or name in (".quadrature", "fastsphere.quadrature")
+    ]
+    assert loaded == []
+
+
+# Run in a fresh interpreter, with perfbench/ as its first argument.
+FRESH_PROCESS = """
+import sys
+
+import fastsphere
+
+assert "numpy" not in sys.modules, "import fastsphere loaded numpy"
+from fastsphere import cli
+
+assert cli.main(["critical", "--d", "5", "--m", "0.3"]) == 0
+assert "numpy" not in sys.modules, "critical loaded numpy"
+
+# what perfbench/run.py and workloads.py import, with numpy and the kernel
+# loaded after the package
+sys.path.insert(0, sys.argv[1])
+import numpy
+from fastsphere import quadrature
+import tracing
+import workloads
+
+workload = workloads.Critical(0)
+tracer = tracing.Tracer()
+with tracing.traced(tracer):
+    outputs = [workload.units[0]()]
+outputs += [unit() for unit in workload.units[1:]]
+assert workload.check(outputs) == (0, []), workload.check(outputs)[1][:3]
+assert tracer.metrics(None)[1] == []
+"""
+
+
+def test_import_and_critical_load_no_numpy():
+    # the environment perfbench/run.py gives its child interpreters
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.update(dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", FRESH_PROCESS, str(ROOT / "perfbench")],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert '"regime": "case_iii"' in proc.stdout

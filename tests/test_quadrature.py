@@ -18,7 +18,7 @@ from fastsphere.errors import (
     NotIntegrableError,
     ToleranceNotMetError,
 )
-from fastsphere.quadrature import (
+from fastsphere.model import (
     ThetaIntegralSpec,
     eta1_closed_form,
     theta_integral,

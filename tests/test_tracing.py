@@ -12,7 +12,8 @@ import sys
 from pathlib import Path
 
 from conftest import record_calls
-from fastsphere import cli, equilibria, model, quadrature
+from fastsphere import cli, equilibria, model
+from fastsphere import quadrature  # noqa: F401  loaded as perfbench/run.py loads it, for traced()
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -74,17 +75,21 @@ def test_workload_outputs_pass_their_checks(monkeypatch):
 def test_workloads_form_one_pass_per_call(monkeypatch):
     # each demo sweep forms the kappa-free constants once, with the eta = 1
     # closed form where rho_bar exists (case_ii, case_iii); a critical pair
-    # builds that closed form once
+    # builds that closed form once.  Past the 3 passes, only the energy of
+    # each of the 195 supported rows (energy_fully_supported, a public call)
+    # checks (d, m) and takes the geometry again: no per-kappa code does.
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.syspath_prepend(str(PERFBENCH))
     workloads = importlib.import_module("workloads")
     sweep, critical = workloads.Sweep(0), workloads.Critical(0)
     passes = record_calls(monkeypatch, equilibria, "_constants")
-    closed_forms = record_calls(monkeypatch, quadrature, "eta1_closed_form")
+    closed_forms = record_calls(monkeypatch, model, "eta1_closed_form")
     geometries = record_calls(monkeypatch, model, "sphere_geometry")
+    validations = record_calls(monkeypatch, model, "validate_params")
     assert [unit()[0] for unit in sweep.units] == [0, 0, 0]
     assert (len(passes), len(closed_forms)) == (3, 2)
-    assert len(geometries) <= 581
+    assert len(geometries) <= 198
+    assert len(validations) <= 198
     closed_forms.clear()
     for unit in critical.units:
         unit()
