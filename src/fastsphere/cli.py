@@ -102,12 +102,10 @@ def cmd_profile(args) -> int:
         if args.kappa is None:
             raise FastSphereError("--kappa is required for the fully_supported branch")
         state = equilibria.fully_supported_state(args.kappa, args.d, args.m)
-        values = [
-            equilibria.fully_supported_density(state, float(t), args.d, args.m)
-            for t in thetas
-        ]
+        values = [equilibria._fully_supported_density(state, float(t), args.m) for t in thetas]
     else:  # rho_bar, the kappa-independent regular density
-        values = [equilibria.rho_bar_density(float(t), args.d, args.m) for t in thetas]
+        c = equilibria._rho_bar_constants(args.d, args.m)
+        values = [equilibria._rho_bar_density(float(t), c) for t in thetas]
     rows = [(float(t), v) for t, v in zip(thetas, values)]
     _write_table(("theta", "density"), rows, args.format, args.out)
     return 0

@@ -24,14 +24,14 @@ and the measure-valued branch beyond; in the fold regime (CaseIII) the
 switch happens at the strength kappa_c where the uniform and the upper
 measure-valued energies cross.  critical_set finds it in one pass with the
 other critical strengths: along that branch kappa and the energy gap are
-closed forms of the atom fraction, and a safeguarded Newton iteration on
-the gap locates the crossing without quadrature or a general root solve.
+closed forms of the atom fraction, and the gap is convex with its minimum
+at the fold, so plain Newton from the far end locates the crossing without
+quadrature or a general root solve.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 from . import equilibria
@@ -49,6 +49,7 @@ UNIFORM = "uniform"
 FULLY_SUPPORTED = "fully_supported"
 SINGULAR_UPPER = "singular_upper"
 SINGULAR_LOWER = "singular_lower"
+_SINGULAR = {"upper": SINGULAR_UPPER, "lower": SINGULAR_LOWER}  # by equilibria's branch name
 
 # Energies (or kappa distances to a critical value) closer than this are
 # reported as a degenerate transition point rather than a strict minimizer.
@@ -231,20 +232,19 @@ def kappa_c(d, m: float) -> float:
 
 def _kappa_c_gap(
     u: float, e_uniform_0: float, k2sb: float, sb: float, ent: float, m: float
-) -> tuple[float, float, float]:
+) -> tuple[float, float]:
     """E_uniform - E_singular on the upper measure-valued branch at u = -log(1 - alpha).
 
     With kappa(u) com^2 = kappa2 s_bar (e^((1-m) u) - (1 - s_bar) e^(-m u)),
     the gap is e_uniform_0 + kappa com^2 / 2 + e^(-m u) ent / (1 - m).
-    Returns the gap, its slope in u, and the sum of the magnitudes of its
-    terms, which is its rounding error in units of eps.
+    Returns the gap and its slope in u.
     """
     rise = math.exp((1.0 - m) * u)
     rest = math.exp(-m * u)  # (1 - alpha)^m
     atom = 0.5 * k2sb * (rise - (1.0 - sb) * rest)
     entropy = rest * ent / (1.0 - m)
     slope = 0.5 * k2sb * ((1.0 - m) * rise + m * (1.0 - sb) * rest) - m * entropy
-    return e_uniform_0 + atom + entropy, slope, atom + entropy - e_uniform_0
+    return e_uniform_0 + atom + entropy, slope
 
 
 def _kappa_c_of(c: equilibria._Constants) -> float:
@@ -257,14 +257,20 @@ def _kappa_c_of(c: equilibria._Constants) -> float:
 
     rising from kappa3 at the fold u_bar = -log(1 - alpha_bar), and the
     energy gap (_kappa_c_gap) is closed form down to the entropy of rho_bar.
-    The gap grows with kappa at the strictly positive rate
-    (alpha + (1-alpha) s_bar)^2 / 2, so the crossing is unique in
-    (kappa3, kappa1).  It is found by rtsafe (Press et al., Numerical
-    Recipes, sec. 9.4) on the bracket from the fold to the first doubling
-    of u past kappa1: a Newton step on the gap where it stays inside the
-    bracket and at least halves the step before the last one, a bisection
-    otherwise.  It stops when the step no longer moves u, or when the gap
-    at u is within its own rounding error and Newton cannot go on.
+    With P = (|S^(d-1)| I0)^(1-m) / (1-m), the pass has kappa2 s_bar = m P
+    and ent = (1-m) (1-s_bar) P, so the gap is
+
+        g(u) = e0 + a e^((1-m) u) + b e^(-m u),
+        a = kappa2 s_bar / 2 > 0,   b = ent (2-m) / (2 (1-m)) > 0,
+
+    e0 the uniform energy at kappa 0: strictly convex, with g' = 0 exactly
+    at e^u = (2-m) (1-s_bar) / (1-m) = 1 / (1 - alpha_bar), the fold.  (The
+    terms as _kappa_c_gap sums them round better at small m.)  So Newton's
+    method from the far end of the bracket, the first doubling of u past
+    kappa1, where g > 0, decreases u monotonically onto the one crossing, in
+    about nine gap evaluations.  It stops at the first step that does not
+    decrease u, or whose gap is <= 0, and keeps the better of the last two
+    iterates: a step back to the right would only dither in the rounding.
     """
     m, k1, k2, sb, ent = c.m, c.kappa1, c.kappa2, c.s_bar, c.ent
     e_uniform_0 = _uniform_energy(0.0, c.area_sd, m)
@@ -278,42 +284,18 @@ def _kappa_c_of(c: equilibria._Constants) -> float:
     while kappa_of(hi) < k1:
         hi *= 2.0
     g_lo = _kappa_c_gap(lo, e_uniform_0, k2sb, sb, ent, m)[0]
-    g_hi = _kappa_c_gap(hi, e_uniform_0, k2sb, sb, ent, m)[0]
-    if not (g_lo < 0.0 < g_hi):
+    g, slope = _kappa_c_gap(hi, e_uniform_0, k2sb, sb, ent, m)
+    if not (g_lo < 0.0 < g):
         raise BracketFailureError(
             f"energy gap does not change sign on (kappa3, kappa1): "
-            f"gap(kappa3)={g_lo!r}, gap(kappa={kappa_of(hi)!r})={g_hi!r}"
+            f"gap(kappa3)={g_lo!r}, gap(kappa={kappa_of(hi)!r})={g!r}"
         )
-    u = 0.5 * (lo + hi)
-    step = before = hi - lo
-    while True:
-        g, slope, size = _kappa_c_gap(u, e_uniform_0, k2sb, sb, ent, m)
-        if g < 0.0:
-            lo = u
-        elif g > 0.0:
-            hi = u
-        else:
-            break
-        newton = u - g / slope if slope > 0.0 else math.nan
-        if newton == u:
-            break
-        noise = sys.float_info.epsilon * size
-        if lo < newton < hi and abs(newton - u) <= 0.5 * abs(before):
-            before, step = step, newton - u
-            u = newton
-        elif abs(g) <= noise:
-            # u is inside the band where the gap is rounding noise: bisecting
-            # would only grind the bracket down through it.  A bracket that
-            # lies within the band is settled by its midpoint.
-            if (hi - lo) * slope <= 4.0 * noise:
-                u = 0.5 * (lo + hi)
-            break
-        else:
-            before, step = step, 0.5 * (hi - lo)
-            mid = lo + step
-            if not lo < mid < hi:
-                break
-            u = mid
+    u = hi
+    while (newton := u - g / slope) < u:
+        g_new, slope = _kappa_c_gap(newton, e_uniform_0, k2sb, sb, ent, m)
+        if g_new <= 0.0:
+            return kappa_of(newton if -g_new < g else u)
+        u, g = newton, g_new
     return kappa_of(u)
 
 
@@ -325,9 +307,9 @@ def equilibria_at(kappas, d, m: float) -> list:
     eta on the supported row only.  Where a kappa fails, its entry is the
     FastSphereError raised there, without its traceback.  The supported
     branch is taken from equilibria.fully_supported_states, whose window
-    check alone decides where it exists; the measure-valued rows from the
-    root finder of alpha_roots, where the tangent double root at kappa3
-    gives the upper row only.  One pass of the kappa-free constants
+    check alone decides where it exists; the measure-valued rows from
+    equilibria._measure_valued_alphas, where the tangent double root at
+    kappa3 gives the upper row only.  One pass of the kappa-free constants
     (equilibria._constants) is formed per call and serves the branch window,
     the roots and the energies: s_bar, kappa2, alpha_bar and the entropy of
     rho_bar are the same at every kappa.
@@ -352,13 +334,10 @@ def _equilibria_at(c: equilibria._Constants, kappas) -> list:
                 e = energy_fully_supported(state, d, m)
                 rows.append((FULLY_SUPPORTED, None, state.eta, state.s, e))
             if singular:
-                roots = equilibria._alpha_roots(kappa, c)
-                atoms = [(SINGULAR_UPPER, roots[-1])] if roots else []
-                if len(roots) == 2 and roots[0] < roots[1]:
-                    atoms.append((SINGULAR_LOWER, roots[0]))
-                for branch, alpha in atoms:
+                for branch, alpha in equilibria._measure_valued_alphas(kappa, c).items():
+                    com = alpha + (1.0 - alpha) * c.s_bar
                     e = _singular_energy(alpha, kappa, c)
-                    rows.append((branch, alpha, None, alpha + (1.0 - alpha) * c.s_bar, e))
+                    rows.append((_SINGULAR[branch], alpha, None, com, e))
         except FastSphereError as exc:
             found.append(exc.with_traceback(None))
         else:

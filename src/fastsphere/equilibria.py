@@ -382,6 +382,11 @@ def fully_supported_density(
     theta = float(theta)
     if not 0.0 <= theta <= math.pi:
         raise InvalidParamError(f"theta must lie in [0, pi], got {theta!r}")
+    return _fully_supported_density(state, theta, m)
+
+
+def _fully_supported_density(state: FullySupportedState, theta: float, m: float) -> float:
+    """fully_supported_density at a checked theta, for a state solved at this m."""
     # -lambda - kappa s cos(theta) = kappa s (zeta + (1 - cos theta))
     base = state.kappa * state.s * (state.eta_minus_1 + 2.0 * math.sin(0.5 * theta) ** 2)
     return (m / (1.0 - m)) ** (1.0 / (1.0 - m)) * base ** (1.0 / (m - 1.0))
@@ -477,26 +482,34 @@ def _alpha_roots(kappa: float, c: _Constants) -> list[float]:
     return [lower, upper] if lower > 0.0 else [upper]
 
 
+def _measure_valued_alphas(kappa: float, c: _Constants) -> dict[str, float]:
+    """_alpha_roots by branch, "upper" first, for the branches that exist at kappa.
+
+    The tangent double root at kappa3 is the upper branch alone.
+    """
+    roots = _alpha_roots(kappa, c)
+    alphas = {"upper": roots[-1]} if roots else {}
+    if len(roots) == 2 and roots[0] < roots[1]:
+        alphas["lower"] = roots[0]
+    return alphas
+
+
 def singular_state(kappa: float, d, m: float, branch: str = "upper") -> SingularState:
     """Measure-valued equilibrium at kappa on the requested branch."""
     validate_params(d, m, kappa)
     c = _rho_bar_constants(d, m)
-    roots = _alpha_roots(float(kappa), c)
-    if not roots:
+    alphas = _measure_valued_alphas(float(kappa), c)
+    if not alphas:
         raise OutOfWindowError(
             f"no measure-valued equilibrium at kappa={kappa!r} for d={d}, m={m!r}"
         )
-    if branch == "upper":
-        alpha = roots[-1]
-    elif branch == "lower":
-        if len(roots) < 2:
-            raise OutOfWindowError(
-                f"no lower measure-valued branch at kappa={kappa!r} for d={d}, m={m!r}"
-            )
-        alpha = roots[0]
-    else:
+    if branch not in ("upper", "lower"):
         raise InvalidParamError(f"branch must be 'upper' or 'lower', got {branch!r}")
-    return SingularState(kappa=float(kappa), alpha=alpha, s_bar=c.s_bar)
+    if branch not in alphas:
+        raise OutOfWindowError(
+            f"no lower measure-valued branch at kappa={kappa!r} for d={d}, m={m!r}"
+        )
+    return SingularState(kappa=float(kappa), alpha=alphas[branch], s_bar=c.s_bar)
 
 
 def singular_lambda(alpha: float, d, m: float) -> float:
@@ -512,7 +525,11 @@ def rho_bar_density(theta: float, d, m: float) -> float:
     theta = float(theta)
     if not 0.0 <= theta <= math.pi:
         raise InvalidParamError(f"theta must lie in [0, pi], got {theta!r}")
-    c = _rho_bar_constants(d, m)
+    return _rho_bar_density(theta, _rho_bar_constants(d, m))
+
+
+def _rho_bar_density(theta: float, c: _Constants) -> float:
+    """rho_bar_density at a checked theta, from the pass c of (d, m)."""
     v = 2.0 * math.sin(0.5 * theta) ** 2  # 1 - cos(theta)
     if v == 0.0:
         return math.inf

@@ -2,13 +2,16 @@ import importlib.util
 import inspect
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import mp_kappa1, mp_kappa_c, read_sweep, record_calls
+from conftest import KAPPA_C_5_03, mp_kappa1, mp_kappa_c, read_sweep, record_calls
 from fastsphere import cli
 from fastsphere import energy as en
 from fastsphere import equilibria as eq
@@ -389,6 +392,27 @@ class TestDemoSweeps:
             assert (tmp_path / name).read_bytes() == (DEMOS / name).read_bytes(), name
 
 
+# the demos that only print; bifurcation_diagram.py rewrites the demo CSVs
+READ_ONLY_DEMOS = ("regime_map.py", "ground_state_switch.py", "density_profiles.py")
+
+
+@pytest.mark.parametrize("demo", READ_ONLY_DEMOS)
+def test_read_only_demo_runs(demo):
+    env = dict(os.environ, PYTHONPATH=str(DEMOS.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-B", str(DEMOS / demo)],
+        cwd=DEMOS.parent,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout
+    if demo == "ground_state_switch.py":
+        assert f"  kappa_c = {KAPPA_C_5_03:.6f}   ground state switches" in proc.stdout.splitlines()
+
+
 class TestParser:
     def test_main_builds_its_parser_once(self, capsys, monkeypatch):
         build = cli.build_parser
@@ -442,6 +466,26 @@ class TestProfile:
         weighted = dens * np.sin(theta) ** 4
         trapezoid = 0.5 * np.sum((weighted[1:] + weighted[:-1]) * np.diff(theta))
         assert dwd * trapezoid == pytest.approx(1.0, abs=1e-2)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--d", "5", "--m", "0.3", "--branch", "rho_bar"),
+            ("--branch", "fully_supported", "--d", "2", "--m", "0.5", "--kappa", "12"),
+        ],
+    )
+    def test_forms_its_pass_once(self, capsys, monkeypatch, argv):
+        # one pass of the (d, m) constants for all 200 thetas, not one per theta
+        passes = record_calls(monkeypatch, eq, "_constants")
+        geometries = record_calls(monkeypatch, model, "sphere_geometry")
+        closed_forms = record_calls(monkeypatch, model, "eta1_closed_form")
+        validations = record_calls(monkeypatch, model, "validate_params")
+        code, out, _ = run(capsys, "profile", *argv)
+        assert code == 0 and len(out.splitlines()) == 201
+        assert len(passes) == 1
+        assert len(geometries) == 1
+        assert len(closed_forms) <= 1
+        assert len(validations) <= 2
 
     def test_out_of_window_prints_interval(self, capsys):
         code, _, err = run(

@@ -171,6 +171,10 @@ class TestSingularEnergy:
         )
 
 
+# the small-m pairs of the kappa_c oracle, where the gap's entropies nearly cancel
+SMALL_M_PAIRS = ((10, 0.00035051991165634474), (8, 0.0005204527127321834))
+
+
 class TestKappaC:
     def test_located_between_fold_and_kappa1(self):
         k3, _ = eq.kappa3_and_alpha_bar(5, 0.3)
@@ -200,7 +204,7 @@ class TestKappaC:
         kc = en.kappa_c(d, m)
         assert kc == pytest.approx(mp_kappa_c(d, m), rel=1e-9)
 
-    @pytest.mark.parametrize("d, m", [(10, 0.00035051991165634474), (8, 0.0005204527127321834)])
+    @pytest.mark.parametrize("d, m", SMALL_M_PAIRS)
     def test_matches_mpmath_oracle_at_small_m(self, d, m):
         # the uniform and rho_bar entropies nearly cancel in the energy gap,
         # so kappa_c magnifies their rounding by about 1/m
@@ -494,6 +498,30 @@ class TestRhoBarEntropy:
                 exact = area_sdm1 ** (1 - mm) * mass(q + 1) * mass(q) ** (-mm)
                 ent = en.rho_bar_entropy_integral(d, m)
                 assert abs(ent - exact) <= 3e-14 * exact, (d, m)
+
+
+@pytest.mark.parametrize("d, m", _benchmark_case_iii_pairs() + list(LARGE_D_PAIRS + SMALL_M_PAIRS))
+def test_kappa_c_newton_descends_the_convex_gap(monkeypatch, d, m):
+    gap = en._kappa_c_gap
+    calls = record_calls(monkeypatch, en, "_kappa_c_gap")
+    en.kappa_c(d, m)
+    us, args = [call[0] for call in calls], calls[0][1:]
+    lo, hi = us[:2]  # the checks of the bracket ends: the fold, the far end
+    # Newton starts at the far end and u only decreases from there
+    g, slope = gap(hi, *args)
+    assert us[2] == hi - g / slope
+    assert all(a > b for a, b in zip(us[1:], us[2:]))
+    # every iterate but the last lies right of the crossing
+    assert all(gap(u, *args)[0] > 0.0 for u in us[1:-1])
+    # the minimum of the gap is the fold: its slope there is zero within
+    # rounding of its terms
+    _, k2sb, sb, ent, _ = args
+    rise, rest = math.exp((1.0 - m) * lo), math.exp(-m * lo)
+    size = 0.5 * k2sb * ((1.0 - m) * rise + m * (1.0 - sb) * rest) + m * rest * ent / (1.0 - m)
+    assert abs(gap(lo, *args)[1]) <= 1e-14 * size
+    # and the gap is convex over the bracket
+    slopes = [gap(float(u), *args)[1] for u in np.linspace(lo, hi, 50)]
+    assert all(a < b for a, b in zip(slopes, slopes[1:]))
 
 
 def test_critical_set_complete_for_case_iii():

@@ -452,3 +452,22 @@ class TestSingularState:
         with pytest.raises(OutOfWindowError):
             eq.singular_state(18.5, 5, 0.3, branch="lower")
 
+    def test_fold_has_the_upper_state_only(self):
+        # the tangent double root at kappa3 is one state, as equilibria_at reports it
+        k3, alpha_bar = eq.kappa3_and_alpha_bar(*CASE_III)
+        assert eq.singular_state(k3, *CASE_III).alpha == alpha_bar
+        with pytest.raises(OutOfWindowError, match="no lower measure-valued branch"):
+            eq.singular_state(k3, *CASE_III, branch="lower")
+
+    @pytest.mark.parametrize("kappa", [15.0, KAPPA3_5_03, 16.5, 18.5])
+    def test_branches_are_those_equilibria_at_reports(self, kappa):
+        (rows,) = en.equilibria_at([kappa], *CASE_III)
+        reported = {row[0]: row[1] for row in rows if row[0].startswith("singular_")}
+        found = {}
+        for branch in ("upper", "lower"):
+            try:
+                found["singular_" + branch] = eq.singular_state(kappa, *CASE_III, branch).alpha
+            except OutOfWindowError:
+                pass
+        assert found == reported
+
