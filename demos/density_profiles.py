@@ -12,10 +12,10 @@ import math
 
 import numpy as np
 
-from fastsphere import fully_supported_density, fully_supported_state, kappa1
+from fastsphere import critical_set, fully_supported_density, fully_supported_state
 
 D, M = 2, 0.5
-k1 = kappa1(D, M)
+k1 = critical_set(D, M).kappa1
 print(f"d={D}, m={M}: branch exists above kappa1 = {k1:.6f}\n")
 print(f"{'kappa':>10} {'eta':>12} {'com norm s':>12} {'rho(0)':>12} "
       f"{'rho(pi)':>12} {'contrast':>10}")

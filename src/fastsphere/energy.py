@@ -59,19 +59,6 @@ _CROSS_CHECK_TOL = 1e-8
 
 
 @dataclass(frozen=True)
-class BranchEnergyGain:
-    """Energy advantage of the supported branch over the uniform state.
-
-    value equals E[uniform] - E[branch] - (1/(m-1)) |S^d|^(1-m), i.e. the
-    eta-dependent part of the energy difference; it is the product of the
-    two factors g1 (entropy-weighted moments) and g2 (normalization).
-    """
-
-    eta: float
-    value: float
-
-
-@dataclass(frozen=True)
 class EnergyReport:
     """Branch energies at one kappa and the tag of the smallest."""
 
@@ -99,23 +86,16 @@ def _uniform_energy(kappa: float, area_sd: float, m: float) -> float:
 
 
 def _branch_energy_gain_of(i0: float, i1: float, i_ent: float, dwd: float, m: float) -> float:
-    """g1 * g2 from the moments at eta (i_ent: exponent m/(m-1)) and dwd = |S^(d-1)|."""
+    """The supported branch's energy gain g1 * g2 from the moments at eta; dwd = |S^(d-1)|.
+
+    g1 collects the first moment and the entropy-exponent integral i_ent
+    (exponent m/(m-1)), g2 the normalization; along the branch their
+    product is (kappa/2) s^2 - (1/(m-1)) int rho^m dS, the eta-dependent
+    part of E[uniform] - E[branch].
+    """
     g1 = m * i1 + 2.0 * i_ent
     g2 = 1.0 / (2.0 * (1.0 - m) * dwd ** (m - 1.0) * i0**m)
     return g1 * g2
-
-
-def branch_energy_gain(eta: float, d, m: float) -> BranchEnergyGain:
-    """The product g1 * g2 measuring the supported branch's energy gain.
-
-    g1 collects the first moment and the entropy-exponent integral,
-    g2 the normalization; their product equals
-    (kappa/2) s^2 - (1/(m-1)) int rho^m dS at eta, with kappa = kappa(eta)
-    and s = s(eta) along the branch.
-    """
-    eta, moments = equilibria._moments_at_eta(eta, d, m)
-    dwd = sphere_geometry(d).area_sdm1
-    return BranchEnergyGain(eta=eta, value=_branch_energy_gain_of(*moments, dwd, m))
 
 
 def energy_fully_supported(state: FullySupportedState, d, m: float) -> float:
@@ -147,11 +127,6 @@ def energy_fully_supported(state: FullySupportedState, d, m: float) -> float:
     return direct
 
 
-def rho_bar_entropy_integral(d, m: float) -> float:
-    """int rho_bar^m dS for the fixed regular density (m < 1 - 2/d), in closed form."""
-    return equilibria._rho_bar_constants(d, m).ent
-
-
 def energy_singular(alpha: float, kappa: float, d, m: float) -> float:
     """Energy of alpha * delta + (1 - alpha) * rho_bar at strength kappa."""
     validate_params(d, m, kappa)
@@ -165,56 +140,6 @@ def _singular_energy(alpha: float, kappa: float, c: equilibria._Constants) -> fl
     m = c.m
     com = alpha + (1.0 - alpha) * c.s_bar
     return (1.0 - alpha) ** m * c.ent / (m - 1.0) - 0.5 * kappa * com**2 + 0.5 * kappa
-
-
-def delta_mixture_energy(t: float, kappa: float, d, m: float) -> float:
-    """Energy of (1-t) delta + (t/|S^d|) dS; equal to 0 at t = 0.
-
-    The one-sided derivative at t = 0+ is -infinity, which is what rules
-    out the pure atom as a minimizer.
-    """
-    validate_params(d, m)
-    if not math.isfinite(kappa) or kappa < 0.0:
-        raise InvalidParamError(f"kappa must be >= 0, got {kappa!r}")
-    if not 0.0 <= t < 1.0:
-        raise InvalidParamError(f"t must lie in [0, 1), got {t!r}")
-    area = sphere_geometry(d).area_sd
-    return t**m * area ** (1.0 - m) / (m - 1.0) - 0.5 * kappa * (1.0 - t) ** 2 + 0.5 * kappa
-
-
-def linear_trial_rayleigh(d) -> float:
-    """Rayleigh quotient of the linear trial perturbation <x, e>.
-
-    The numerator and denominator both reduce to the second cosine moment
-    M = |S^{d-1}| int cos^2 sin^{d-1}, evaluated here through sine-power
-    integrals, so the quotient is 1/M = (d+1)/|S^d|.
-    """
-    geo = sphere_geometry(d)
-
-    def sine_power(k: int) -> float:
-        return math.sqrt(math.pi) * math.exp(
-            math.lgamma(0.5 * (k + 1)) - math.lgamma(0.5 * k + 1.0)
-        )
-
-    moment = geo.area_sdm1 * (sine_power(int(d) - 1) - sine_power(int(d) + 1))
-    return 1.0 / moment
-
-
-def second_variation_gap(kappa: float, d, m: float) -> float:
-    """kappa1 - kappa; positive exactly when the uniform state is stable.
-
-    The threshold comes from minimizing the Rayleigh quotient of zero-mean
-    perturbations; the linear trial function attains the minimum
-    (d+1)/|S^d|, which is confirmed against the geometry constants here.
-    """
-    validate_params(d, m, kappa)
-    trial = linear_trial_rayleigh(d)
-    expected = (int(d) + 1) / sphere_geometry(d).area_sd
-    if abs(trial - expected) > 1e-12 * expected:
-        raise FastSphereError(
-            f"trial Rayleigh quotient {trial!r} disagrees with (d+1)/|S^d| {expected!r}"
-        )
-    return equilibria.kappa1(d, m) - kappa
 
 
 def kappa_c(d, m: float) -> float:

@@ -11,14 +11,16 @@ function of the polar angle theta alone.  Three families exist:
   the regular density rho_bar is fixed by (d, m) alone and only the atom
   fraction alpha responds to kappa.  These exist only for m < 1 - 2/d.
 
-The fully supported branch is the level set inverse_kappa(eta) = 1/kappa
-of a scalar function that is strictly monotone in eta away from the
-degenerate threshold m = 1 - 2/(d-1), so every solve here is a bracketed
-scalar root find.  Internally the branch is tracked through
-zeta = eta - 1 (solved in log space): everything observable varies like a
-fractional power of zeta near the concentration end, so eta itself, a
-double glued to 1, would wash out the branch exactly where the handoff to
-the measure-valued family happens.
+The fully supported branch passes through shape eta exactly when 1/kappa
+equals _inverse_kappa_of there, a ratio of the mass and moment integrals
+at eta that is strictly monotone in eta away from the degenerate
+threshold m = 1 - 2/(d-1), so every solve here is a bracketed scalar
+root find.  (Its quadrature route at a given eta, like every second
+route, lives with its check in verification.)  Internally the branch is
+tracked through zeta = eta - 1 (solved in log space): everything
+observable varies like a fractional power of zeta near the concentration
+end, so eta itself, a double glued to 1, would wash out the branch
+exactly where the handoff to the measure-valued family happens.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .errors import (
     NotIntegrableError,
     OutOfWindowError,
     ToleranceNotMetError,
-    WrongRegimeError,
 )
 from .model import (
     DEFAULT_REL_TOL,
@@ -49,14 +50,6 @@ from .solvers import DEFAULT_ROOT_TOL, DEFAULT_WIDTH_TOL, bracketed_root, lockst
 
 # zeta = eta - 1 ceiling standing in for the uniform limit eta -> infinity.
 _ZETA_CEIL = 1e9
-
-
-@dataclass(frozen=True)
-class UniformState:
-    """The isotropic state 1/|S^d| with its multiplier."""
-
-    density_value: float
-    lambda_uni: float
 
 
 @dataclass(frozen=True)
@@ -117,15 +110,6 @@ def _zeta_floor(q: float, d: int) -> float:
     return 1e-280
 
 
-def uniform_state(d, m: float) -> UniformState:
-    validate_params(d, m)
-    area = sphere_geometry(d).area_sd
-    return UniformState(
-        density_value=1.0 / area,
-        lambda_uni=(m / (m - 1.0)) * area ** (1.0 - m),
-    )
-
-
 class _Constants(NamedTuple):
     """The kappa-free constants of (d, m), as _constants forms them.
 
@@ -165,7 +149,7 @@ def _constants(d, m: float) -> _Constants:
     if regime is RegimeCase.CASE_I:
         return _Constants(*head)
     i0 = eta1_closed_form(q, 0, d)
-    # 1 / inverse_kappa(1): at eta = 1 the moment is I1 = I0 (-q) / (q + d)
+    # 1 / _inverse_kappa_of at eta = 1, where the moment is I1 = I0 (-q) / (q + d)
     k2 = m / (1.0 - m) * (geo.area_sdm1 * i0) ** (1.0 - m) * (q + d) / -q
     sb = 1.0 / ((1.0 - m) * d - 1.0)
     # int rho_bar^m dS = |S^(d-1)|^(1-m) I(1, q + 1, 0) I0^(-m), and the Beta recurrence
@@ -189,11 +173,6 @@ def _rho_bar_constants(d, m: float) -> _Constants:
     return c
 
 
-def kappa1(d, m: float) -> float:
-    """Stability threshold of the uniform state: m (d+1) |S^d|^(1-m)."""
-    return _constants(d, m).kappa1
-
-
 def _inverse_kappa_scale(area_sdm1: float, m: float) -> float:
     return (1.0 - m) / m * area_sdm1 ** (m - 1.0)
 
@@ -201,7 +180,11 @@ def _inverse_kappa_scale(area_sdm1: float, m: float) -> float:
 def _inverse_kappa_of(
     zeta: float, i0: float, i1: float, scale: float, d: int, m: float
 ) -> float:
-    """inverse_kappa at eta = 1 + zeta from the mass and moment integrals there."""
+    """1/kappa of the supported branch at eta = 1 + zeta, from the mass i0 and moment i1 there.
+
+    Strictly increasing in eta for m > 1 - 2/(d-1), strictly decreasing
+    below, with limit 1/kappa1 as eta -> infinity.
+    """
     # a subnormal i0 has already lost the relative precision asked for
     if not sys.float_info.min <= i0 < math.inf:
         raise ToleranceNotMetError(
@@ -209,37 +192,6 @@ def _inverse_kappa_of(
             f"m={m!r} (i0={i0!r})"
         )
     return scale * i1 * i0 ** (m - 2.0)
-
-
-def _moments_at_eta(eta, d, m: float) -> tuple[float, tuple[float, float, float]]:
-    """eta as a float and the integrals (i0, i1, i_ent) there, after checking the arguments."""
-    validate_params(d, m)
-    eta = float(eta)
-    if not math.isfinite(eta) or eta < 1.0:
-        raise InvalidParamError(f"eta must be finite and >= 1, got {eta!r}")
-    from .quadrature import _integral
-
-    return eta, _integral(eta - 1.0, 1.0 / (m - 1.0), int(d), DEFAULT_REL_TOL)
-
-
-def inverse_kappa(eta: float, d, m: float) -> float:
-    """Inverse interaction strength of the fully supported branch at eta.
-
-    The branch passes through shape parameter eta exactly when 1/kappa
-    equals this value.  Strictly increasing in eta for m > 1 - 2/(d-1),
-    strictly decreasing below, with limit 1/kappa1 as eta -> infinity.
-    At eta = 1 it is finite only for m < 1 - 2/d.
-    """
-    eta, (i0, i1, _) = _moments_at_eta(eta, d, m)
-    d = int(d)
-    scale = _inverse_kappa_scale(sphere_geometry(d).area_sdm1, m)
-    return _inverse_kappa_of(eta - 1.0, i0, i1, scale, d, m)
-
-
-def com_norm_of_eta(eta: float, d, m: float) -> float:
-    """Centre-of-mass norm of the fully supported density at shape eta."""
-    _, (i0, i1, _) = _moments_at_eta(eta, d, m)
-    return i1 / i0
 
 
 def _window(c: _Constants):
@@ -269,19 +221,6 @@ def _log_zeta_bracket(c: _Constants) -> tuple[float, float]:
     # the bracket inside double range
     ceil = min(_ZETA_CEIL, math.exp(620.0 / abs(c.q)))
     return math.log(_zeta_floor(c.q, c.d)), math.log(ceil)
-
-
-def solve_eta(kappa: float, d, m: float) -> float:
-    """Shape parameter eta of the fully supported branch at kappa.
-
-    Solved as a bracketed root of inverse_kappa * kappa - 1 over
-    log(eta - 1), which keeps full relative precision in eta - 1 at the
-    concentration end of the branch; eta - 1 = 1e9 stands in for the
-    uniform limit.  The result satisfies
-    |inverse_kappa(eta) * kappa - 1| <= DEFAULT_ROOT_TOL (1e-12), with the
-    integrals at DEFAULT_REL_TOL (1e-10).
-    """
-    return fully_supported_state(kappa, d, m).eta
 
 
 def fully_supported_state(kappa: float, d, m: float) -> FullySupportedState:
@@ -397,40 +336,6 @@ def s_bar(d, m: float) -> float:
     return _rho_bar_constants(d, m).s_bar
 
 
-def kappa2(d, m: float) -> float:
-    """Transition strength between supported and measure-valued equilibria.
-
-    Defined for m < 1 - 2/d, where it equals 1 / inverse_kappa(1); at
-    eta = 1 the moment is I1 = I0 (-q) / (q + d), so it is a closed form in
-    the mass I0 = eta1_closed_form(q, 0, d), formed in the pass _constants
-    that critical_set, equilibria_at and the branch window read too.
-    kappa2_quadrature evaluates the same quantity through the independent
-    quadrature route.
-    """
-    return _rho_bar_constants(d, m).kappa2
-
-
-def kappa2_quadrature(d, m: float) -> float:
-    """kappa2 through the quadrature route, as an oracle for the closed form."""
-    return 1.0 / inverse_kappa(1.0, d, m)
-
-
-def kappa3_and_alpha_bar(d, m: float) -> tuple[float, float]:
-    """Fold point of the measure-valued pair and its atom fraction.
-
-    At kappa3 the line kappa (s_bar + alpha (1 - s_bar)) is tangent to
-    (1 - alpha)^(m-1) kappa2 s_bar; solving the tangency system gives both
-    values in closed form.  CaseIII only.
-    """
-    c = _constants(d, m)
-    if c.regime is not RegimeCase.CASE_III:
-        raise WrongRegimeError(
-            f"kappa3 exists only in case_iii (0 < m < 1 - 2/(d-1)); "
-            f"d={d}, m={m!r} is {c.regime.value}"
-        )
-    return c.kappa3, c.alpha_bar
-
-
 def alpha_roots(kappa: float, d, m: float) -> list[float]:
     """Atom fractions of measure-valued equilibria at kappa, ascending.
 
@@ -496,6 +401,8 @@ def _measure_valued_alphas(kappa: float, c: _Constants) -> dict[str, float]:
 
 def singular_state(kappa: float, d, m: float, branch: str = "upper") -> SingularState:
     """Measure-valued equilibrium at kappa on the requested branch."""
+    if branch not in ("upper", "lower"):
+        raise InvalidParamError(f"branch must be 'upper' or 'lower', got {branch!r}")
     validate_params(d, m, kappa)
     c = _rho_bar_constants(d, m)
     alphas = _measure_valued_alphas(float(kappa), c)
@@ -503,21 +410,11 @@ def singular_state(kappa: float, d, m: float, branch: str = "upper") -> Singular
         raise OutOfWindowError(
             f"no measure-valued equilibrium at kappa={kappa!r} for d={d}, m={m!r}"
         )
-    if branch not in ("upper", "lower"):
-        raise InvalidParamError(f"branch must be 'upper' or 'lower', got {branch!r}")
     if branch not in alphas:
         raise OutOfWindowError(
             f"no lower measure-valued branch at kappa={kappa!r} for d={d}, m={m!r}"
         )
     return SingularState(kappa=float(kappa), alpha=alphas[branch], s_bar=c.s_bar)
-
-
-def singular_lambda(alpha: float, d, m: float) -> float:
-    """Multiplier of the measure-valued state, from its unit-mass condition."""
-    if not 0.0 <= alpha < 1.0:
-        raise InvalidParamError(f"alpha must lie in [0, 1), got {alpha!r}")
-    c = _rho_bar_constants(d, m)
-    return -(m / (1.0 - m)) * (1.0 - alpha) ** m * (c.area_sdm1 * c.i0) ** (1.0 - m)
 
 
 def rho_bar_density(theta: float, d, m: float) -> float:

@@ -68,18 +68,6 @@ class SphereGeometry:
     area_sdm1: float  # |S^{d-1}| = d * w_d, w_d the volume of the unit d-ball
 
 
-@dataclass(frozen=True)
-class ModelParams:
-    """Validated (d, m, kappa) triple."""
-
-    d: int
-    m: float
-    kappa: float
-
-    def __post_init__(self) -> None:
-        validate_params(self.d, self.m, self.kappa)
-
-
 def check_dimension(d) -> int:
     if isinstance(d, bool) or not math.isfinite(float(d)) or int(d) != d or d < 1:
         raise InvalidParamError(f"dimension d must be an integer >= 1, got {d!r}")

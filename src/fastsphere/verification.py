@@ -1,5 +1,13 @@
 """Self-verification suite: every module invariant as a runnable check.
 
+The suite also holds the package's second routes, each beside the check
+that holds it against the library's one accessor: 1/kappa(eta) and the
+centre-of-mass norm at shape eta by quadrature (kappa2 is the inverse of
+the first at eta = 1), the supported branch's energy gain at moments
+integrated here, the multiplier of the measure-valued states, the energy
+of an atom spread towards the uniform state, and the Rayleigh quotient of
+the linear trial perturbation.
+
 Each check computes a worst-case measured error and compares it against
 its threshold in THRESHOLDS.  The thresholds are fixed, and nothing
 loosens them; the library runs at its one accuracy (integrals to
@@ -83,6 +91,59 @@ def _worst_nonmonotone(values, increasing: bool) -> float:
         if step <= 0.0:
             worst = max(worst, -step, 1e-300)
     return worst
+
+
+def _moments(eta: float, d: int, m: float) -> tuple[float, float, float]:
+    """The integrals (i0, i1, i_ent) of the supported branch at shape eta, by quadrature."""
+    from . import quadrature
+
+    return quadrature._integral(eta - 1.0, 1.0 / (m - 1.0), d, DEFAULT_REL_TOL)
+
+
+def _inverse_kappa(eta: float, d: int, m: float) -> float:
+    """1/kappa of the supported branch at shape eta, through the ratio the branch solve reads."""
+    i0, i1, _ = _moments(eta, d, m)
+    scale = equilibria._inverse_kappa_scale(model.sphere_geometry(d).area_sdm1, m)
+    return equilibria._inverse_kappa_of(eta - 1.0, i0, i1, scale, d, m)
+
+
+def _com_norm(eta: float, d: int, m: float) -> float:
+    """Centre-of-mass norm of the supported density at shape eta, by quadrature."""
+    i0, i1, _ = _moments(eta, d, m)
+    return i1 / i0
+
+
+def _branch_energy_gain(eta: float, d: int, m: float) -> float:
+    """energy._branch_energy_gain_of at shape eta, from moments integrated here, not a solve's."""
+    dwd = model.sphere_geometry(d).area_sdm1
+    return energy._branch_energy_gain_of(*_moments(eta, d, m), dwd, m)
+
+
+def _delta_mixture_energy(t: float, kappa: float, d: int, m: float) -> float:
+    """Energy of (1 - t) delta + (t / |S^d|) dS; 0 at t = 0, the pure atom.
+
+    The one-sided derivative at t = 0+ is -infinity, which is what rules
+    out the pure atom as a minimizer.
+    """
+    area = model.sphere_geometry(d).area_sd
+    return t**m * area ** (1.0 - m) / (m - 1.0) - 0.5 * kappa * (1.0 - t) ** 2 + 0.5 * kappa
+
+
+def _trial_rayleigh(d: int) -> float:
+    """Rayleigh quotient of the linear trial perturbation <x, e> of the uniform state.
+
+    The numerator and denominator both reduce to the second cosine moment
+    M = |S^(d-1)| int cos^2 sin^(d-1), evaluated here through sine-power
+    integrals, so the quotient is 1/M = (d+1)/|S^d|, the minimum over
+    zero-mean perturbations that sets kappa1.
+    """
+
+    def sine_power(k: int) -> float:
+        return math.sqrt(math.pi) * math.exp(
+            math.lgamma(0.5 * (k + 1)) - math.lgamma(0.5 * k + 1.0)
+        )
+
+    return 1.0 / (model.sphere_geometry(d).area_sdm1 * (sine_power(d - 1) - sine_power(d + 1)))
 
 
 def check_geometry_consistency(tol: float) -> CheckResult:
@@ -197,7 +258,7 @@ def check_branch_monotone_direction(tol: float) -> CheckResult:
     for d, m in MONOTONE_PAIRS:
         increasing = m > 1.0 - 2.0 / (d - 1) if d >= 2 else True
         vals = [
-            equilibria.inverse_kappa(float(e), d, m)
+            _inverse_kappa(float(e), d, m)
             for e in 1.0 + np.geomspace(1e-3, 1e4 - 1.0, 20)
         ]
         bad = _worst_nonmonotone(vals, increasing)
@@ -212,7 +273,7 @@ def check_branch_monotone_direction(tol: float) -> CheckResult:
 def check_branch_limit_matches_kappa1(tol: float) -> CheckResult:
     worst = 0.0
     for d, m in MONOTONE_PAIRS:
-        prod = equilibria.inverse_kappa(1e6, d, m) * equilibria.kappa1(d, m)
+        prod = _inverse_kappa(1e6, d, m) * energy.critical_set(d, m).kappa1
         worst = max(worst, abs(prod - 1.0))
     return _result("branch_limit_matches_kappa1", worst, tol)
 
@@ -221,10 +282,10 @@ def check_branch_continuity(tol: float) -> CheckResult:
     worst = 0.0
     lines = []
     for d, m in REFERENCE_PAIRS:
-        k1 = equilibria.kappa1(d, m)
-        tag = model.classify_regime(d, m).tag
+        crit = energy.critical_set(d, m)
+        k1, tag = crit.kappa1, crit.regime
         birth = k1 * (1.0 - 1e-6) if tag is model.RegimeCase.CASE_III else k1 * (1.0 + 1e-6)
-        kappas = [birth] if tag is model.RegimeCase.CASE_I else [birth, equilibria.kappa2(d, m)]
+        kappas = [birth] if tag is model.RegimeCase.CASE_I else [birth, crit.kappa2]
         states = equilibria._solve_all(kappas, d, m)
         s_birth = states[0].s
         worst = max(worst, s_birth)
@@ -232,7 +293,7 @@ def check_branch_continuity(tol: float) -> CheckResult:
         if tag is not model.RegimeCase.CASE_I:
             sb = equilibria.s_bar(d, m)
             # the eta = 1 end through the quadrature route, not the solve's moments
-            s_at_k2 = equilibria.com_norm_of_eta(states[1].eta, d, m)
+            s_at_k2 = _com_norm(states[1].eta, d, m)
             worst = max(worst, abs(s_at_k2 - sb))
             lines.append(f"(d={d}, m={m}): |s(kappa2) - s_bar| = {abs(s_at_k2 - sb):.3e}")
     return _result("branch_continuity", worst, tol, lines=lines)
@@ -242,7 +303,7 @@ def check_case_iii_com_decreasing(tol: float) -> CheckResult:
     import numpy as np
 
     vals = [
-        equilibria.com_norm_of_eta(float(e), 5, 0.3)
+        _com_norm(float(e), 5, 0.3)
         for e in 1.0 + np.geomspace(1e-4, 99.0, 15)
     ]
     worst = _worst_nonmonotone(vals, increasing=False)
@@ -252,16 +313,18 @@ def check_case_iii_com_decreasing(tol: float) -> CheckResult:
 def check_singular_multiplier_relation(tol: float) -> CheckResult:
     worst = 0.0
     samples = []
-    k2_ii = equilibria.kappa2(3, 0.25)
+    k2_ii = energy.critical_set(3, 0.25).kappa2
     for factor in (1.2, 2.0, 5.0):
         samples.append((3, 0.25, factor * k2_ii, "upper"))
-    k2_iii = equilibria.kappa2(5, 0.3)
+    k2_iii = energy.critical_set(5, 0.3).kappa2
     samples.append((5, 0.3, 0.97 * k2_iii, "upper"))
     samples.append((5, 0.3, 0.97 * k2_iii, "lower"))
     samples.append((5, 0.3, 1.05 * k2_iii, "upper"))
     for d, m, kappa, branch in samples:
         state = equilibria.singular_state(kappa, d, m, branch)
-        lam = equilibria.singular_lambda(state.alpha, d, m)
+        # the multiplier from the unit mass of (1 - alpha) rho_bar
+        c = equilibria._constants(d, m)
+        lam = -(m / (1.0 - m)) * (1.0 - state.alpha) ** m * (c.area_sdm1 * c.i0) ** (1.0 - m)
         lhs = -lam / (1.0 - state.alpha)
         rhs = kappa * (state.alpha + (1.0 - state.alpha) * state.s_bar)
         worst = max(worst, _rel(lhs, rhs))
@@ -269,7 +332,7 @@ def check_singular_multiplier_relation(tol: float) -> CheckResult:
 
 
 def check_singular_alpha_saturates(tol: float) -> CheckResult:
-    alpha = equilibria.alpha_roots(100.0 * equilibria.kappa2(3, 0.25), 3, 0.25)[-1]
+    alpha = equilibria.alpha_roots(100.0 * energy.critical_set(3, 0.25).kappa2, 3, 0.25)[-1]
     return _result("singular_alpha_saturates", 1.0 - alpha, tol, detail=f"alpha = {alpha:.6f}")
 
 
@@ -277,8 +340,8 @@ def check_kappa2_dual_oracle(tol: float) -> CheckResult:
     worst = 0.0
     lines = []
     for d, m in ((3, 0.25), (4, 0.2), (5, 0.3)):
-        closed = equilibria.kappa2(d, m)
-        quad = equilibria.kappa2_quadrature(d, m)
+        closed = energy.critical_set(d, m).kappa2
+        quad = 1.0 / _inverse_kappa(1.0, d, m)
         worst = max(worst, _rel(closed, quad))
         note = ""
         if (d, m) == (3, 0.25):
@@ -297,7 +360,7 @@ def check_com_norm_closed_form(tol: float) -> CheckResult:
     worst = 0.0
     for d, m in SINGULAR_PAIRS:
         closed = equilibria.s_bar(d, m)
-        ratio = equilibria.com_norm_of_eta(1.0, d, m)
+        ratio = _com_norm(1.0, d, m)
         worst = max(worst, _rel(closed, ratio))
     return _result("com_norm_closed_form", worst, tol)
 
@@ -311,10 +374,9 @@ def check_energy_two_route_agreement(tol: float) -> CheckResult:
     ):
         for state in equilibria._solve_all(kappas, d, m):
             direct = energy.energy_fully_supported(state, d, m)
-            gain = energy.branch_energy_gain(state.eta, d, m).value
-            identity = 0.5 * state.kappa - gain
+            identity = 0.5 * state.kappa - _branch_energy_gain(state.eta, d, m)
             worst = max(worst, abs(direct - identity) / max(1.0, abs(direct)))
-    for d, m, kappa in ((3, 0.25, 2.0 * equilibria.kappa2(3, 0.25)), (5, 0.3, 18.5)):
+    for d, m, kappa in ((3, 0.25, 2.0 * energy.critical_set(3, 0.25).kappa2), (5, 0.3, 18.5)):
         alpha = equilibria.alpha_roots(kappa, d, m)[-1]
         direct = energy.energy_singular(alpha, kappa, d, m)
         sb = equilibria.s_bar(d, m)
@@ -329,7 +391,7 @@ def check_energy_two_route_agreement(tol: float) -> CheckResult:
 def check_energy_slope_identities(tol: float) -> CheckResult:
     worst = 0.0
     d, m = 3, 0.25
-    k2 = equilibria.kappa2(d, m)
+    k2 = energy.critical_set(d, m).kappa2
     sb = equilibria.s_bar(d, m)
     for factor in (1.2, 1.6, 2.0, 3.0, 5.0):
         kappa = factor * k2
@@ -348,7 +410,7 @@ def check_energy_slope_identities(tol: float) -> CheckResult:
     states = equilibria._solve_all(kappas, 2, 0.5)
 
     def gain(state):
-        return energy.branch_energy_gain(state.eta, 2, 0.5).value
+        return _branch_energy_gain(state.eta, 2, 0.5)
 
     for kappa, below, above, state in zip(grid, states[0::3], states[1::3], states[2::3]):
         fd = (gain(above) - gain(below)) / (2.0 * 1e-5 * kappa)
@@ -426,7 +488,7 @@ def check_minimizer_consistency(tol: float) -> CheckResult:
 def check_reference_energies(tol: float) -> CheckResult:
     worst = 0.0
     for kappa in (1.0, 5.0, 100.0):
-        worst = max(worst, abs(energy.delta_mixture_energy(0.0, kappa, 2, 0.5)))
+        worst = max(worst, abs(_delta_mixture_energy(0.0, kappa, 2, 0.5)))
         worst = max(
             worst,
             abs(
@@ -441,13 +503,11 @@ def check_reference_energies(tol: float) -> CheckResult:
 def check_uniform_stability_threshold(tol: float) -> CheckResult:
     worst = 0.0
     for d, m in REFERENCE_PAIRS:
-        k1 = equilibria.kappa1(d, m)
-        if not energy.second_variation_gap(0.95 * k1, d, m) > 0.0:
+        # the second variation along the minimizing trial has the sign of kappa1 - kappa
+        k1 = energy.critical_set(d, m).kappa1
+        if not (k1 - 0.95 * k1 > 0.0 and k1 - 1.05 * k1 < 0.0):
             worst = 1.0
-        if not energy.second_variation_gap(1.05 * k1, d, m) < 0.0:
-            worst = 1.0
-        trial = energy.linear_trial_rayleigh(d)
-        worst = max(worst, _rel(trial, (d + 1) / model.sphere_geometry(d).area_sd))
+        worst = max(worst, _rel(_trial_rayleigh(d), (d + 1) / model.sphere_geometry(d).area_sd))
     return _result("uniform_stability_threshold", worst, tol)
 
 

@@ -25,15 +25,15 @@ def test_criterion_01_kappa1_reproduction():
     published = {(2, 0.5): 5.3174, (3, 0.25): 9.3648, (5, 0.3): 19.9199}
     worst = 0.0
     for (d, m), expected in published.items():
-        got = eq.kappa1(d, m)
+        got = en.critical_set(d, m).kappa1
         worst = max(worst, abs(got - expected))
         assert got == pytest.approx(expected, abs=5e-4)
     report("criterion-01 kappa1 reproduction", f"max |deviation| = {worst:.2e} (tol 5e-4)")
 
 
 def test_criterion_02_kappa3_over_kappa2_ratio():
-    k3, _ = eq.kappa3_and_alpha_bar(5, 0.3)
-    ratio = k3 / eq.kappa2(5, 0.3)
+    crit = en.critical_set(5, 0.3)
+    ratio = crit.kappa3 / crit.kappa2
     assert ratio == pytest.approx(0.88502, abs=1e-3)
     assert ratio == pytest.approx(15.8088 / 17.8623, abs=1e-3)
     report("criterion-02 kappa3/kappa2 ratio", f"ratio = {ratio:.6f} (0.88502 +- 1e-3)")
@@ -49,7 +49,7 @@ def passes(check, tol):
 def test_criterion_03_kappa2_dual_oracle():
     result = passes(verification.check_kappa2_dual_oracle, 1e-8)
     # the reported reference figure for (3, 0.25) is NOT ground truth here
-    closed = eq.kappa2(3, 0.25)
+    closed = en.critical_set(3, 0.25).kappa2
     assert abs(closed - 12.4453) / closed > 0.1
     report(
         "criterion-03 kappa2 dual-oracle consistency",
@@ -90,15 +90,14 @@ def test_criterion_07_branch_self_consistency():
     worst_mass = 0.0
     worst_moment = 0.0
     for d, m in ((2, 0.5), (3, 0.25), (5, 0.3)):
-        k1 = eq.kappa1(d, m)
+        crit = en.critical_set(d, m)
+        k1, k2 = crit.kappa1, crit.kappa2
         tag = classify_regime(d, m).tag
         if tag is RegimeCase.CASE_I:
             grid = np.linspace(1.05 * k1, 3.0 * k1, 10)
         elif tag is RegimeCase.CASE_II:
-            k2 = eq.kappa2(d, m)
             grid = np.linspace(k1 + 0.05 * (k2 - k1), k2 - 0.05 * (k2 - k1), 10)
         else:
-            k2 = eq.kappa2(d, m)
             grid = np.linspace(k2 + 0.05 * (k1 - k2), k1 - 0.05 * (k1 - k2), 10)
         q = 1.0 / (m - 1.0)
         dwd = sphere_geometry(d).area_sdm1
@@ -153,22 +152,22 @@ def test_criterion_09_global_minimizer_classification():
         ]
         transitions[(d, m)] = switches
 
-    k1 = eq.kappa1(2, 0.5)
+    k1 = en.critical_set(2, 0.5).kappa1
     (lo, hi, a, b), = transitions[(2, 0.5)]
     assert a == "uniform" and b == "fully_supported" and lo < k1 < hi
 
-    k1 = eq.kappa1(3, 0.25)
-    k2 = eq.kappa2(3, 0.25)
+    crit = en.critical_set(3, 0.25)
+    k1, k2 = crit.kappa1, crit.kappa2
     first, second = transitions[(3, 0.25)]
     assert first[2] == "uniform" and first[3] == "fully_supported" and first[0] < k1 < first[1]
     assert second[2] == "fully_supported" and second[3] == "singular_upper"
     assert second[0] < k2 < second[1]
 
     kc = en.kappa_c(5, 0.3)
-    k3, _ = eq.kappa3_and_alpha_bar(5, 0.3)
+    crit = en.critical_set(5, 0.3)
     (lo, hi, a, b), = transitions[(5, 0.3)]
     assert a == "uniform" and b == "singular_upper" and lo < kc < hi
-    assert k3 < kc < eq.kappa1(5, 0.3)
+    assert crit.kappa3 < kc < crit.kappa1
     report(
         "criterion-09 global minimizer classification",
         "tags equal the energy argmin on all 150 grid points; transitions bracket "
@@ -191,7 +190,7 @@ def test_criterion_10_bifurcation_diagram_shape(tmp_path):
          "--steps", "73"],
     )
     fs = [(r["kappa"], r["com_norm"]) for r in rows if r["branch"] == "fully_supported"]
-    k1 = eq.kappa1(2, 0.5)
+    k1 = en.critical_set(2, 0.5).kappa1
     assert min(k for k, _ in fs) > k1
     coms = [c for _, c in fs]
     assert coms == sorted(coms)
@@ -204,7 +203,7 @@ def test_criterion_10_bifurcation_diagram_shape(tmp_path):
         ["sweep", "--d", "3", "--m", "0.25", "--kappa-min", "9", "--kappa-max", "18",
          "--steps", "91"],
     )
-    k2 = eq.kappa2(3, 0.25)
+    k2 = en.critical_set(3, 0.25).kappa2
     supported = [r["kappa"] for r in rows if r["branch"] == "fully_supported"]
     singular = [r["kappa"] for r in rows if r["branch"] == "singular_upper"]
     assert max(supported) < k2 <= min(singular)
@@ -217,8 +216,8 @@ def test_criterion_10_bifurcation_diagram_shape(tmp_path):
         ["sweep", "--d", "5", "--m", "0.3", "--kappa-min", "15", "--kappa-max", "21",
          "--steps", "241"],
     )
-    k3, _ = eq.kappa3_and_alpha_bar(5, 0.3)
-    k2 = eq.kappa2(5, 0.3)
+    crit = en.critical_set(5, 0.3)
+    k3, k2 = crit.kappa3, crit.kappa2
     lower = [(r["kappa"], r["com_norm"]) for r in rows if r["branch"] == "singular_lower"]
     upper = [r["kappa"] for r in rows if r["branch"] == "singular_upper"]
     assert min(k for k, _ in lower) >= k3 and max(k for k, _ in lower) < k2

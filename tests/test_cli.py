@@ -126,14 +126,11 @@ def test_past_double_range_nothing_builds_a_closed_form(capsys, monkeypatch):
     calls = record_calls(monkeypatch, model, "eta1_closed_form")
     d, m = 100000, 0.1
     for call in (
+        lambda: en.critical_set(d, m),
         lambda: eq.s_bar(d, m),
-        lambda: eq.kappa2(d, m),
-        lambda: eq.kappa3_and_alpha_bar(d, m),
         lambda: eq.alpha_roots(10.0, d, m),
         lambda: eq.singular_state(10.0, d, m),
-        lambda: eq.singular_lambda(0.5, d, m),
         lambda: eq.rho_bar_density(1.0, d, m),
-        lambda: en.rho_bar_entropy_integral(d, m),
         lambda: en.energy_singular(0.5, 10.0, d, m),
     ):
         with pytest.raises(InvalidParamError, match="double range"):
@@ -170,7 +167,8 @@ class TestSweep:
         )
         assert code == 0
         rows = read_sweep(out)
-        k1, k2 = eq.kappa1(3, 0.25), eq.kappa2(3, 0.25)
+        crit = en.critical_set(3, 0.25)
+        k1, k2 = crit.kappa1, crit.kappa2
         supported = [r["kappa"] for r in rows if r["branch"] == "fully_supported"]
         singular = [r["kappa"] for r in rows if r["branch"] == "singular_upper"]
         assert max(supported) < k2 <= min(singular)
@@ -185,14 +183,13 @@ class TestSweep:
         )
         assert code == 0
         rows = read_sweep(out)
-        crit = {"k1": eq.kappa1(5, 0.3), "k2": eq.kappa2(5, 0.3)}
-        k3, _ = eq.kappa3_and_alpha_bar(5, 0.3)
+        crit = en.critical_set(5, 0.3)
         lower = [r["kappa"] for r in rows if r["branch"] == "singular_lower"]
         upper = [r["kappa"] for r in rows if r["branch"] == "singular_upper"]
         supported = [r["kappa"] for r in rows if r["branch"] == "fully_supported"]
-        assert min(lower) >= k3 and max(lower) < crit["k2"]
-        assert min(upper) >= k3
-        assert min(supported) > crit["k2"] and max(supported) < crit["k1"]
+        assert min(lower) >= crit.kappa3 and max(lower) < crit.kappa2
+        assert min(upper) >= crit.kappa3
+        assert min(supported) > crit.kappa2 and max(supported) < crit.kappa1
 
     def test_com_norm_identity_and_uniform_rows(self, capsys):
         code, out, _ = run(
@@ -269,7 +266,7 @@ class TestSweep:
     @pytest.mark.parametrize("d, m", [(3, 0.25), (5, 0.3)])
     def test_supported_row_at_kappa2(self, capsys, d, m):
         # the branch window is closed at kappa2, where eta = 1
-        k2 = eq.kappa2(d, m)
+        k2 = en.critical_set(d, m).kappa2
         code, out, _ = run(
             capsys,
             "sweep", "--d", str(d), "--m", str(m),
@@ -429,7 +426,7 @@ class TestParser:
 
 class TestProfile:
     def test_flat_near_branch_birth(self, capsys):
-        kappa = eq.kappa1(2, 0.5) * 1.000001
+        kappa = en.critical_set(2, 0.5).kappa1 * 1.000001
         code, out, _ = run(
             capsys,
             "profile", "--d", "2", "--m", "0.5",
@@ -504,13 +501,14 @@ class TestVerify:
         assert "closed form 14.05" in out
 
     def test_sign_flip_canary_fails(self, capsys, monkeypatch):
-        # a corrupted branch function must be caught by the suite
-        original = eq.inverse_kappa
+        # a corrupted branch function, which the branch solve and the
+        # checks both read, must be caught by the suite
+        original = eq._inverse_kappa_of
 
-        def flipped(eta, d, m):
-            return -original(eta, d, m)
+        def flipped(*args):
+            return -original(*args)
 
-        monkeypatch.setattr(eq, "inverse_kappa", flipped)
+        monkeypatch.setattr(eq, "_inverse_kappa_of", flipped)
         code, out, _ = run(capsys, "verify")
         assert code == 1
         assert "FAIL" in out

@@ -21,7 +21,7 @@ from conftest import (
 )
 from fastsphere import energy as en
 from fastsphere import equilibria as eq
-from fastsphere import model, quadrature, solvers
+from fastsphere import model, quadrature, solvers, verification
 from fastsphere.errors import (
     BracketFailureError,
     FastSphereError,
@@ -47,41 +47,41 @@ class TestEnergyUniform:
             )
 
 
+# the energy of (1 - t) delta + (t / |S^d|) dS, verify's route to the atom's reference energy
+delta_mixture_energy = verification._delta_mixture_energy
+
+
 class TestDeltaMixture:
     def test_pure_atom_energy_is_zero(self):
         for kappa in (0.5, 5.0, 100.0):
-            assert en.delta_mixture_energy(0.0, kappa, 2, 0.5) == 0.0
+            assert delta_mixture_energy(0.0, kappa, 2, 0.5) == 0.0
 
     @pytest.mark.parametrize("d, m", REFERENCE_PAIRS)
     def test_small_spread_lowers_the_energy(self, d, m):
-        assert en.delta_mixture_energy(1e-6, 100.0, d, m) < 0.0
+        assert delta_mixture_energy(1e-6, 100.0, d, m) < 0.0
 
     def test_one_sided_slope_diverges(self):
         h = 1e-12
-        slope = (en.delta_mixture_energy(h, 10.0, 2, 0.5) - 0.0) / h
+        slope = (delta_mixture_energy(h, 10.0, 2, 0.5) - 0.0) / h
         assert slope < -1e6
-
-    def test_rejects_t_out_of_range(self):
-        with pytest.raises(InvalidParamError):
-            en.delta_mixture_energy(1.0, 1.0, 2, 0.5)
 
 
 class TestSecondVariation:
     def test_signs_around_kappa1(self):
-        assert en.second_variation_gap(5.0, 2, 0.5) > 0.0  # stable
-        assert en.second_variation_gap(6.0, 2, 0.5) < 0.0  # unstable
+        # the uniform state is stable below kappa1, unstable above
+        assert 5.0 < en.critical_set(2, 0.5).kappa1 < 6.0
 
     def test_linear_trial_attains_the_infimum(self):
         for d in (1, 2, 3, 5, 8):
             expected = (d + 1) / sphere_geometry(d).area_sd
-            assert en.linear_trial_rayleigh(d) == pytest.approx(expected, rel=1e-13)
+            assert verification._trial_rayleigh(d) == pytest.approx(expected, rel=1e-13)
 
 
 class TestFullySupportedEnergy:
     def test_two_routes_agree(self):
         state = eq.fully_supported_state(11.0, 3, 0.25)
         direct = en.energy_fully_supported(state, 3, 0.25)
-        identity = 0.5 * state.kappa - en.branch_energy_gain(state.eta, 3, 0.25).value
+        identity = 0.5 * state.kappa - verification._branch_energy_gain(state.eta, 3, 0.25)
         assert direct == pytest.approx(identity, abs=1e-8)
 
     def test_gain_matches_definition_by_quadrature(self):
@@ -91,12 +91,12 @@ class TestFullySupportedEnergy:
             lambda t: eq.fully_supported_density(state, t, d, m) ** m, d, nodes=500
         )
         direct_gain = 0.5 * state.kappa * state.s**2 - entropy / (m - 1.0)
-        assert en.branch_energy_gain(state.eta, d, m).value == pytest.approx(
+        assert verification._branch_energy_gain(state.eta, d, m) == pytest.approx(
             direct_gain, abs=1e-8
         )
 
     def test_branch_birth_energy(self):
-        k1 = eq.kappa1(2, 0.5)
+        k1 = en.critical_set(2, 0.5).kappa1
         kappa = k1 * (1.0 + 1e-6)
         state = eq.fully_supported_state(kappa, 2, 0.5)
         assert en.energy_fully_supported(state, 2, 0.5) == pytest.approx(
@@ -122,7 +122,7 @@ class TestFullySupportedEnergy:
 class TestSingularEnergy:
     def test_slope_identity(self):
         d, m = 3, 0.25
-        kappa = 2.0 * eq.kappa2(d, m)
+        kappa = 2.0 * en.critical_set(d, m).kappa2
         sb = eq.s_bar(d, m)
         h = 1e-5 * kappa
 
@@ -138,10 +138,10 @@ class TestSingularEnergy:
 
     def test_entropy_identity_along_branch(self):
         d, m = 3, 0.25
-        kappa = 1.7 * eq.kappa2(d, m)
+        kappa = 1.7 * en.critical_set(d, m).kappa2
         alpha = eq.alpha_roots(kappa, d, m)[-1]
         sb = eq.s_bar(d, m)
-        ent = en.rho_bar_entropy_integral(d, m)
+        ent = eq._constants(d, m).ent
         lhs = m / (m - 1.0) * (1.0 - alpha) ** (m - 1.0) * ent
         rhs = -kappa * (1.0 - sb) * (alpha + (1.0 - alpha) * sb)
         assert lhs == pytest.approx(rhs, abs=1e-8)
@@ -177,16 +177,16 @@ SMALL_M_PAIRS = ((10, 0.00035051991165634474), (8, 0.0005204527127321834))
 
 class TestKappaC:
     def test_located_between_fold_and_kappa1(self):
-        k3, _ = eq.kappa3_and_alpha_bar(5, 0.3)
-        k1 = eq.kappa1(5, 0.3)
+        crit = en.critical_set(5, 0.3)
+        k3, k1 = crit.kappa3, crit.kappa1
         kc = en.kappa_c(5, 0.3)
         assert k3 < kc < k1
         assert kc == pytest.approx(KAPPA_C_5_03, rel=1e-12)
 
     def test_signs_at_the_bracket_ends(self):
         d, m = 5, 0.3
-        k3, _ = eq.kappa3_and_alpha_bar(d, m)
-        k1 = eq.kappa1(d, m)
+        crit = en.critical_set(d, m)
+        k3, k1 = crit.kappa3, crit.kappa1
         near_fold = k3 * (1.0 + 1e-9)
         alpha = eq.alpha_roots(near_fold, d, m)[-1]
         assert en.energy_uniform(near_fold, d, m) < en.energy_singular(
@@ -234,11 +234,10 @@ class TestKappaC:
     def test_large_d_inside_fold_window(self, d, m):
         # the upper atom fraction at kappa1 lies beyond 1 - 1e-12 here, so
         # a bracket through alpha_roots cannot reach kappa1
-        k3, _ = eq.kappa3_and_alpha_bar(d, m)
-        k1 = eq.kappa1(d, m)
+        crit = en.critical_set(d, m)
+        k3, k1 = crit.kappa3, crit.kappa1
         kc = en.kappa_c(d, m)
         assert k3 < kc < k1
-        crit = en.critical_set(d, m)
         assert crit.kappa_c == kc
         assert crit.kappa3 < crit.kappa_c < crit.kappa1
 
@@ -269,7 +268,6 @@ class TestKappaC:
         crit = en.critical_set(12, 0.05)
         assert crit.kappa3 < crit.kappa_c < crit.kappa1
         assert math.isfinite(en.energy_singular(0.5, 17.0, 5, 0.3))
-        assert eq.singular_lambda(0.5, 5, 0.3) < 0.0
         assert eq.rho_bar_density(1.0, 5, 0.3) > 0.0
 
 
@@ -286,10 +284,10 @@ class TestEquilibriaAt:
         )
 
     def test_fold_gives_the_upper_row_only(self):
-        k3, alpha_bar = eq.kappa3_and_alpha_bar(*CASE_III)
-        (found,) = en.equilibria_at([k3], *CASE_III)
+        crit = en.critical_set(*CASE_III)
+        (found,) = en.equilibria_at([crit.kappa3], *CASE_III)
         assert [row[0] for row in found] == ["uniform", "singular_upper"]
-        assert found[1][1] == pytest.approx(alpha_bar, abs=1e-5)
+        assert found[1][1] == pytest.approx(crit.alpha_bar, abs=1e-5)
 
     def test_branch_failure_fails_its_kappa(self, monkeypatch):
         alpha_roots = eq._alpha_roots
@@ -315,8 +313,8 @@ class TestClassifyMinimizer:
         assert report.e_fully_supported < report.e_uniform
 
     def test_case_ii_sequence(self):
-        k1 = eq.kappa1(3, 0.25)
-        k2 = eq.kappa2(3, 0.25)
+        crit = en.critical_set(3, 0.25)
+        k1, k2 = crit.kappa1, crit.kappa2
         assert en.classify_minimizer(0.5 * (k1 + k2), 3, 0.25).minimizer == "fully_supported"
         assert en.classify_minimizer(k2 * 1.2, 3, 0.25).minimizer == "singular_upper"
 
@@ -325,7 +323,8 @@ class TestClassifyMinimizer:
         assert en.classify_minimizer(kc - 0.05, 5, 0.3).minimizer == "uniform"
         assert en.classify_minimizer(kc + 0.05, 5, 0.3).minimizer == "singular_upper"
         # at kappa1 the measure-valued branch already won (kappa_c < kappa1)
-        assert en.classify_minimizer(eq.kappa1(5, 0.3), 5, 0.3).minimizer == "singular_upper"
+        k1 = en.critical_set(5, 0.3).kappa1
+        assert en.classify_minimizer(k1, 5, 0.3).minimizer == "singular_upper"
 
     def test_tag_is_argmin_of_populated_energies(self):
         for d, m, kappa in ((2, 0.5, 7.0), (3, 0.25, 15.0), (5, 0.3, 16.5), (5, 0.3, 19.0)):
@@ -351,13 +350,13 @@ class TestClassifyMinimizer:
         # the supported-branch moments turn subnormal near the clamped
         # uniform-limit end of the bracket: a typed error, not OverflowError
         try:
-            report = en.classify_minimizer(3.0 * eq.kappa1(d, m), d, m)
+            report = en.classify_minimizer(3.0 * en.critical_set(d, m).kappa1, d, m)
         except FastSphereError:
             return
         assert math.isfinite(report.e_fully_supported)
 
     def test_degenerate_flag_at_branch_birth(self):
-        k1 = eq.kappa1(2, 0.5)
+        k1 = en.critical_set(2, 0.5).kappa1
         report = en.classify_minimizer(k1, 2, 0.5)
         assert report.minimizer == "uniform"
         assert report.degenerate
@@ -446,23 +445,16 @@ def test_critical_set_by_regime():
     assert case_iii.regime is RegimeCase.CASE_III
     assert case_iii.kappa3 < case_iii.kappa2 < case_iii.kappa1
     assert 0.0 < case_iii.alpha_bar < 1.0
-    assert (case_iii.kappa3, case_iii.alpha_bar) == eq.kappa3_and_alpha_bar(5, 0.3)
-    assert (case_iii.kappa1, case_iii.kappa2) == (eq.kappa1(5, 0.3), eq.kappa2(5, 0.3))
-    # every getter reads the same pass of the constants as critical_set, bit for bit
+    # critical_set and every getter read the same pass of the constants, bit for bit
     for d, m in REFERENCE_PAIRS + tuple(_benchmark_pairs()):
         crit, constants = en.critical_set(d, m), eq._constants(d, m)
         assert crit.regime is constants.regime
         fields = (crit.kappa1, crit.kappa2, crit.kappa3, crit.alpha_bar)
         assert fields == (constants.kappa1, constants.kappa2, constants.kappa3, constants.alpha_bar)
-        assert eq.kappa1(d, m) == crit.kappa1
         if crit.regime is RegimeCase.CASE_I:
             continue
-        assert eq.kappa2(d, m) == crit.kappa2
         assert eq.s_bar(d, m) == constants.s_bar
-        # the pass carries the entropy that rho_bar_entropy_integral returns
-        assert constants.ent == en.rho_bar_entropy_integral(d, m)
         if crit.regime is RegimeCase.CASE_III:
-            assert eq.kappa3_and_alpha_bar(d, m) == (crit.kappa3, crit.alpha_bar)
             assert en._kappa_c_of(constants) == crit.kappa_c
 
 
@@ -496,7 +488,7 @@ class TestRhoBarEntropy:
 
                 area_sdm1 = 2 * mp.pi ** (dd / 2) / mp.gamma(dd / 2)
                 exact = area_sdm1 ** (1 - mm) * mass(q + 1) * mass(q) ** (-mm)
-                ent = en.rho_bar_entropy_integral(d, m)
+                ent = eq._constants(d, m).ent
                 assert abs(ent - exact) <= 3e-14 * exact, (d, m)
 
 

@@ -22,14 +22,13 @@ from conftest import (
 )
 from fastsphere import energy as en
 from fastsphere import equilibria as eq
-from fastsphere import quadrature
+from fastsphere import quadrature, verification
 from fastsphere.errors import (
     BracketFailureError,
     FastSphereError,
     InvalidParamError,
     NotIntegrableError,
     OutOfWindowError,
-    WrongRegimeError,
 )
 from fastsphere.model import sphere_geometry
 
@@ -39,65 +38,70 @@ class TestKappa1:
         "pair, published", [(CASE_I, 5.3174), (CASE_II, 9.3648), (CASE_III, 19.9199)]
     )
     def test_published_figures(self, pair, published):
-        assert eq.kappa1(*pair) == pytest.approx(published, abs=5e-4)
+        assert en.critical_set(*pair).kappa1 == pytest.approx(published, abs=5e-4)
 
     def test_frozen_oracle_values(self):
         for pair, value in KAPPA1.items():
-            assert eq.kappa1(*pair) == pytest.approx(value, rel=1e-13)
+            assert en.critical_set(*pair).kappa1 == pytest.approx(value, rel=1e-13)
 
 
 def test_uniform_state():
-    state = eq.uniform_state(2, 0.5)
-    area = sphere_geometry(2).area_sd
-    assert state.density_value * area == pytest.approx(1.0, rel=1e-15)
-    assert state.lambda_uni == pytest.approx(0.5 / (0.5 - 1.0) * area**0.5, rel=1e-14)
+    # the uniform row is the density 1/|S^d|: no centre of mass, and the
+    # energy of that density by quadrature
+    d, m, kappa = 2, 0.5, 8.0
+    (rows,) = en.equilibria_at([kappa], d, m)
+    area = sphere_geometry(d).area_sd
+    entropy = sphere_average(lambda t: (1.0 / area) ** m, d)
+    energy = entropy / (m - 1.0) + 0.5 * kappa
+    assert rows[0] == pytest.approx(("uniform", None, None, 0.0, energy), rel=1e-14)
 
 
 class TestInverseKappa:
     def test_limit_recovers_kappa1(self):
         for d, m in REFERENCE_PAIRS:
-            prod = eq.inverse_kappa(1e6, d, m) * eq.kappa1(d, m)
+            prod = verification._inverse_kappa(1e6, d, m) * en.critical_set(d, m).kappa1
             assert prod == pytest.approx(1.0, abs=1e-4)
 
     def test_value_at_one(self):
-        assert eq.inverse_kappa(1.0, 3, 0.25) == pytest.approx(H_AT_ONE_3_025, rel=1e-10)
+        assert verification._inverse_kappa(1.0, 3, 0.25) == pytest.approx(H_AT_ONE_3_025, rel=1e-10)
 
     def test_sampled_monotonicity_case_ii(self):
-        vals = [eq.inverse_kappa(eta, 3, 0.25) for eta in (1.5, 3.0, 10.0)]
+        vals = [verification._inverse_kappa(eta, 3, 0.25) for eta in (1.5, 3.0, 10.0)]
         assert vals[0] < vals[1] < vals[2]
 
     def test_not_integrable_at_one_in_case_i(self):
         with pytest.raises(NotIntegrableError):
-            eq.inverse_kappa(1.0, 2, 0.5)
+            verification._inverse_kappa(1.0, 2, 0.5)
 
     def test_strictly_positive(self):
         for eta in (1.01, 2.0, 50.0):
-            assert eq.inverse_kappa(eta, 5, 0.3) > 0.0
+            assert verification._inverse_kappa(eta, 5, 0.3) > 0.0
 
 
 class TestComNorm:
     def test_uniform_limit_vanishes(self):
-        assert abs(eq.com_norm_of_eta(1e8, 3, 0.25)) <= 1e-6
+        assert abs(verification._com_norm(1e8, 3, 0.25)) <= 1e-6
 
     def test_matches_s_bar_at_one(self):
-        assert eq.com_norm_of_eta(1.0, 3, 0.25) == pytest.approx(0.8, rel=1e-10)
-        assert eq.com_norm_of_eta(1.0, 5, 0.3) == pytest.approx(0.4, rel=1e-10)
+        assert verification._com_norm(1.0, 3, 0.25) == pytest.approx(0.8, rel=1e-10)
+        assert verification._com_norm(1.0, 5, 0.3) == pytest.approx(0.4, rel=1e-10)
 
 
 class TestSolveEta:
     def test_residual_contract(self):
-        kappa = 2.0 * eq.kappa1(2, 0.5)
-        eta = eq.solve_eta(kappa, 2, 0.5)
-        assert abs(eq.inverse_kappa(eta, 2, 0.5) * kappa - 1.0) <= 1e-12
+        kappa = 2.0 * en.critical_set(2, 0.5).kappa1
+        eta = eq.fully_supported_state(kappa, 2, 0.5).eta
+        assert abs(verification._inverse_kappa(eta, 2, 0.5) * kappa - 1.0) <= 1e-12
         assert eta == pytest.approx(1.0822297321986727, rel=1e-10)
 
     def test_eta_one_at_kappa2(self):
         for d, m in (CASE_II, CASE_III):
-            assert eq.solve_eta(eq.kappa2(d, m), d, m) == pytest.approx(1.0, abs=1e-9)
+            state = eq.fully_supported_state(en.critical_set(d, m).kappa2, d, m)
+            assert state.eta == pytest.approx(1.0, abs=1e-9)
 
     def test_branch_birth_is_uniform_like(self):
-        k1 = eq.kappa1(2, 0.5)
-        assert eq.solve_eta(k1 * (1.0 + 1e-6), 2, 0.5) > 1e2
+        k1 = en.critical_set(2, 0.5).kappa1
+        assert eq.fully_supported_state(k1 * (1.0 + 1e-6), 2, 0.5).eta > 1e2
 
     @pytest.mark.parametrize(
         "d, m, kappa",
@@ -112,7 +116,7 @@ class TestSolveEta:
     )
     def test_out_of_window(self, d, m, kappa):
         with pytest.raises(OutOfWindowError):
-            eq.solve_eta(kappa, d, m)
+            eq.fully_supported_state(kappa, d, m)
 
 
 class TestFullySupportedState:
@@ -135,7 +139,7 @@ class TestFullySupportedState:
         assert state.eta > 1.0
 
     def test_birth_from_uniform(self):
-        k1 = eq.kappa1(2, 0.5)
+        k1 = en.critical_set(2, 0.5).kappa1
         state = eq.fully_supported_state(k1 * (1.0 + 1e-6), 2, 0.5)
         assert state.s <= 1e-2
         uniform = 1.0 / sphere_geometry(2).area_sd
@@ -259,7 +263,7 @@ class TestSBar:
         assert eq.s_bar(5, 0.3) == pytest.approx(0.4, rel=1e-14)
 
     def test_quadrature_cross_check(self):
-        assert eq.s_bar(4, 0.2) == pytest.approx(eq.com_norm_of_eta(1.0, 4, 0.2), abs=1e-8)
+        assert eq.s_bar(4, 0.2) == pytest.approx(verification._com_norm(1.0, 4, 0.2), abs=1e-8)
 
     def test_rejects_case_i(self):
         with pytest.raises(NotIntegrableError):
@@ -268,31 +272,31 @@ class TestSBar:
 
 class TestKappa2:
     def test_dual_oracle_consistency(self):
+        # the closed form against 1 / (1/kappa) at eta = 1 by quadrature
         for d, m in ((3, 0.25), (4, 0.2), (5, 0.3)):
-            closed = eq.kappa2(d, m)
-            quad = eq.kappa2_quadrature(d, m)
-            assert closed == pytest.approx(quad, rel=1e-8)
+            quad = 1.0 / verification._inverse_kappa(1.0, d, m)
+            assert en.critical_set(d, m).kappa2 == pytest.approx(quad, rel=1e-8)
 
     def test_frozen_values(self):
         for pair, value in KAPPA2.items():
-            assert eq.kappa2(*pair) == pytest.approx(value, rel=1e-12)
+            assert en.critical_set(*pair).kappa2 == pytest.approx(value, rel=1e-12)
 
     def test_published_value_case_iii(self):
         # the published 17.8623 for (5, 0.3) agrees with both oracles
-        assert eq.kappa2(5, 0.3) == pytest.approx(17.8623, abs=5e-4)
+        assert en.critical_set(5, 0.3).kappa2 == pytest.approx(17.8623, abs=5e-4)
 
     def test_published_value_case_ii_disagrees(self):
         # the published 12.4453 for (3, 0.25) does not; both oracles sit near 14.056
-        assert abs(eq.kappa2(3, 0.25) - 12.4453) > 1.0
+        assert abs(en.critical_set(3, 0.25).kappa2 - 12.4453) > 1.0
 
     def test_diverges_at_upper_threshold(self):
-        values = [eq.kappa2(3, 1.0 / 3.0 - 10.0**-k) for k in (2, 3, 4, 5)]
+        values = [en.critical_set(3, 1.0 / 3.0 - 10.0**-k).kappa2 for k in (2, 3, 4, 5)]
         assert values == sorted(values)
         assert values[-1] > 10.0 * values[0]
 
     def test_rejects_case_i(self):
-        with pytest.raises(NotIntegrableError):
-            eq.kappa2(2, 0.5)
+        # no handoff to the measure-valued family where rho_bar does not exist
+        assert en.critical_set(2, 0.5).kappa2 is None
 
     @pytest.mark.parametrize("d, m", [(5, 0.3), (12, 0.05), (80, 0.3), (200, 0.5), (200, 0.9)])
     def test_matches_40_digit_value(self, d, m):
@@ -303,16 +307,17 @@ class TestKappa2:
             i0 = 2 ** (q + dd - 1) * mp.beta(q + dd / 2, dd / 2)
             area_sdm1 = 2 * mp.pi ** (dd / 2) / mp.gamma(dd / 2)
             want = mm / (1 - mm) * (area_sdm1 * i0) ** (1 - mm) * (q + dd) / -q
-        assert eq.kappa2(d, m) == pytest.approx(float(want), rel=4e-15, abs=0.0)
+        assert en.critical_set(d, m).kappa2 == pytest.approx(float(want), rel=4e-15, abs=0.0)
 
 
 class TestAlphaRoots:
     def test_case_iii_below_fold_empty(self):
-        k3, _ = eq.kappa3_and_alpha_bar(5, 0.3)
+        k3 = en.critical_set(5, 0.3).kappa3
         assert eq.alpha_roots(k3 * 0.99, 5, 0.3) == []
 
     def test_case_iii_tangent_double_root(self):
-        k3, alpha_bar = eq.kappa3_and_alpha_bar(5, 0.3)
+        crit = en.critical_set(5, 0.3)
+        k3, alpha_bar = crit.kappa3, crit.alpha_bar
         roots = eq.alpha_roots(k3, 5, 0.3)
         assert len(roots) == 2
         for root in roots:
@@ -320,31 +325,31 @@ class TestAlphaRoots:
         assert alpha_bar == pytest.approx(0.32 / 1.02, rel=1e-12)
 
     def test_case_iii_fold_pair(self):
-        k3, alpha_bar = eq.kappa3_and_alpha_bar(5, 0.3)
+        alpha_bar = en.critical_set(5, 0.3).alpha_bar
         lower, upper = eq.alpha_roots(16.5, 5, 0.3)
         assert 0.0 < lower < alpha_bar < upper < 1.0
 
     def test_case_iii_single_past_kappa2(self):
         roots = eq.alpha_roots(18.5, 5, 0.3)
         assert len(roots) == 1
-        _, alpha_bar = eq.kappa3_and_alpha_bar(5, 0.3)
+        alpha_bar = en.critical_set(5, 0.3).alpha_bar
         assert roots[0] > alpha_bar
 
     def test_case_ii_root_vanishes_at_kappa2(self):
-        k2 = eq.kappa2(3, 0.25)
+        k2 = en.critical_set(3, 0.25).kappa2
         assert eq.alpha_roots(k2, 3, 0.25) == []
         assert eq.alpha_roots(k2 * 0.999, 3, 0.25) == []
         (root,) = eq.alpha_roots(k2 * (1.0 + 1e-10), 3, 0.25)
         assert 0.0 < root < 1e-6
 
     def test_case_ii_saturates(self):
-        (root,) = eq.alpha_roots(100.0 * eq.kappa2(3, 0.25), 3, 0.25)
+        (root,) = eq.alpha_roots(100.0 * en.critical_set(3, 0.25).kappa2, 3, 0.25)
         assert root > 0.99
         assert root == pytest.approx(ALPHA_AT_100K2_3_025, rel=1e-9)
 
     def test_roots_solve_the_equation(self):
         sb = eq.s_bar(5, 0.3)
-        k2 = eq.kappa2(5, 0.3)
+        k2 = en.critical_set(5, 0.3).kappa2
         for kappa in (16.5, 18.5):
             for alpha in eq.alpha_roots(kappa, 5, 0.3):
                 lhs = kappa * (sb + alpha * (1.0 - sb))
@@ -358,21 +363,22 @@ class TestAlphaRoots:
 
 class TestKappa3:
     def test_frozen_values(self):
-        k3, alpha_bar = eq.kappa3_and_alpha_bar(5, 0.3)
+        crit = en.critical_set(5, 0.3)
+        k3, alpha_bar = crit.kappa3, crit.alpha_bar
         assert k3 == pytest.approx(KAPPA3_5_03, rel=1e-12)
         assert alpha_bar == pytest.approx(ALPHA_BAR_5_03, rel=1e-12)
 
     def test_ratio_matches_published_figures(self):
-        k3, _ = eq.kappa3_and_alpha_bar(5, 0.3)
-        ratio = k3 / eq.kappa2(5, 0.3)
+        crit = en.critical_set(5, 0.3)
+        ratio = crit.kappa3 / crit.kappa2
         assert ratio == pytest.approx(0.88502, abs=1e-3)
         assert ratio == pytest.approx(15.8088 / 17.8623, abs=1e-4)
 
     def test_tangency_identities(self):
         d, m = 5, 0.3
-        k3, alpha_bar = eq.kappa3_and_alpha_bar(d, m)
+        crit = en.critical_set(d, m)
+        k3, alpha_bar, k2 = crit.kappa3, crit.alpha_bar, crit.kappa2
         sb = eq.s_bar(d, m)
-        k2 = eq.kappa2(d, m)
         f_val = k3 * (sb + alpha_bar * (1.0 - sb))
         g_val = (1.0 - alpha_bar) ** (m - 1.0) * k2 * sb
         assert f_val == pytest.approx(g_val, abs=1e-10)
@@ -381,9 +387,10 @@ class TestKappa3:
         assert f_slope == pytest.approx(g_slope, abs=1e-10)
 
     def test_wrong_regime(self):
+        # the fold exists in case iii only
         for d, m in (CASE_II, CASE_I, (3, 0.9)):
-            with pytest.raises(WrongRegimeError):
-                eq.kappa3_and_alpha_bar(d, m)
+            crit = en.critical_set(d, m)
+            assert (crit.kappa3, crit.alpha_bar) == (None, None)
 
 
 class TestRhoBar:
@@ -415,12 +422,9 @@ class TestRhoBar:
 # every reader of rho_bar, with arguments at which it would otherwise succeed
 RHO_BAR_READERS = {
     "s_bar": lambda d, m: eq.s_bar(d, m),
-    "kappa2": lambda d, m: eq.kappa2(d, m),
     "alpha_roots": lambda d, m: eq.alpha_roots(10.0, d, m),
     "singular_state": lambda d, m: eq.singular_state(10.0, d, m),
-    "singular_lambda": lambda d, m: eq.singular_lambda(0.5, d, m),
     "rho_bar_density": lambda d, m: eq.rho_bar_density(1.0, d, m),
-    "rho_bar_entropy_integral": lambda d, m: en.rho_bar_entropy_integral(d, m),
     "energy_singular": lambda d, m: en.energy_singular(0.5, 10.0, d, m),
 }
 
@@ -441,7 +445,9 @@ class TestSingularState:
             (5, 0.3, 16.5, "lower"),
         ):
             state = eq.singular_state(kappa, d, m, branch=branch)
-            lam = eq.singular_lambda(state.alpha, d, m)
+            # the multiplier from the unit mass of (1 - alpha) rho_bar
+            c = eq._constants(d, m)
+            lam = -(m / (1.0 - m)) * (1.0 - state.alpha) ** m * (c.area_sdm1 * c.i0) ** (1.0 - m)
             lhs = -lam / (1.0 - state.alpha)
             rhs = kappa * (state.alpha + (1.0 - state.alpha) * state.s_bar)
             assert lhs == pytest.approx(rhs, rel=1e-10)
@@ -452,9 +458,16 @@ class TestSingularState:
         with pytest.raises(OutOfWindowError):
             eq.singular_state(18.5, 5, 0.3, branch="lower")
 
+    def test_bad_branch_fails_before_the_solve(self):
+        # below kappa3 no measure-valued state exists, and the branch name
+        # is still the error reported
+        with pytest.raises(InvalidParamError, match="branch must be"):
+            eq.singular_state(10.0, *CASE_III, "middle")
+
     def test_fold_has_the_upper_state_only(self):
         # the tangent double root at kappa3 is one state, as equilibria_at reports it
-        k3, alpha_bar = eq.kappa3_and_alpha_bar(*CASE_III)
+        crit = en.critical_set(*CASE_III)
+        k3, alpha_bar = crit.kappa3, crit.alpha_bar
         assert eq.singular_state(k3, *CASE_III).alpha == alpha_bar
         with pytest.raises(OutOfWindowError, match="no lower measure-valued branch"):
             eq.singular_state(k3, *CASE_III, branch="lower")

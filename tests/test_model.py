@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from fastsphere.errors import InvalidParamError, ThresholdDegenerateError
 from fastsphere.model import (
-    ModelParams,
     RegimeCase,
     classify_regime,
     sphere_geometry,
@@ -103,15 +102,6 @@ def test_threshold_exclusion_zone(d, m):
 def test_invalid_params_rejected(d, m, kappa):
     with pytest.raises(InvalidParamError):
         validate_params(d, m, kappa)
-
-
-def test_model_params_dataclass_validates():
-    params = ModelParams(d=3, m=0.25, kappa=11.0)
-    assert params.d == 3
-    with pytest.raises(InvalidParamError):
-        ModelParams(d=3, m=0.25, kappa=-1.0)
-    with pytest.raises(ThresholdDegenerateError):
-        ModelParams(d=4, m=0.5, kappa=1.0)
 
 
 @given(

@@ -20,10 +20,8 @@ SRC = ROOT / "src" / "fastsphere"
 VALID_ARGS = {
     "kappa": 18.0,
     "kappas": [18.0],
-    "eta": 1.5,
     "alpha": 0.5,
     "theta": 1.0,
-    "t": 0.5,
     "branch": "upper",
 }
 BAD_D = [(d, 0.3) for d in (0, -3, 2.5, True, math.nan, math.inf)]
@@ -85,6 +83,31 @@ def test_every_import_is_used(path):
         return
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def test_every_public_definition_has_a_caller():
+    # a public top-level function or class is exported, called from the
+    # package, or a verify check that run_verification looks up by name
+    from fastsphere.verification import THRESHOLDS
+
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    referenced = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for name, tree in trees.items()
+        if name != "__init__.py"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    kept = set(fastsphere.__all__) | referenced | {"check_" + name for name in THRESHOLDS}
+    unused = [
+        f"{name}:{node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in kept
+    ]
+    assert unused == []
 
 
 def _load_time_imports(tree: ast.Module):
