@@ -6,6 +6,11 @@ Four subcommands: ``critical`` (JSON table of critical strengths),
 Output is plain data for external plotting tools; repeated runs with
 identical flags produce byte-identical files.
 
+A call parses its flags in one argparse pass, with the parser of the
+command it names, and writes JSON through the standard library's C
+encoder; both keep every output byte of the top-level parser and of
+``json.dumps(..., indent=2)``.
+
 Exit codes: 0 success, 1 verification failure, 2 usage or parameter error.
 """
 
@@ -36,10 +41,26 @@ def _write(text: str, out: str | None) -> None:
             handle.write(text)
 
 
+def _json(obj, pad: str = "") -> str:
+    """json.dumps(obj, indent=2), byte for byte, for a flat object or a list of them.
+
+    With indent set, json.dumps runs the pure-Python encoder; the separators
+    alone lay out a flat object's lines in the C encoder.  pad is the
+    indent of the line that holds obj.
+    """
+    if not obj:
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        inner = pad + "  "
+        body = json.dumps(obj, separators=(",\n" + inner, ": "))[1:-1]
+        return "{\n" + inner + body + "\n" + pad + "}"
+    return "[\n  " + ",\n  ".join(_json(row, "  ") for row in obj) + "\n]"
+
+
 def _write_table(header: tuple, rows, fmt: str, out: str | None) -> None:
     """rows under header, as a JSON list of objects or as CSV (strings raw, the rest _fmt)."""
     if fmt == "json":
-        text = json.dumps([dict(zip(header, row)) for row in rows], indent=2)
+        text = _json([dict(zip(header, row)) for row in rows])
     else:
         lines = [",".join(header)]
         lines.extend(",".join(v if isinstance(v, str) else _fmt(v) for v in row) for row in rows)
@@ -59,7 +80,7 @@ def cmd_critical(args) -> int:
         "alpha_bar": crit.alpha_bar,
         "kappa_c": crit.kappa_c,
     }
-    _write(json.dumps(payload, indent=2) + "\n", args.out)
+    _write(_json(payload) + "\n", args.out)
     return 0
 
 
@@ -133,6 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
         "free energy on the unit sphere.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # main parses a command's flags with that command's parser alone
+    parser._commands = sub.choices
 
     p_crit = sub.add_parser("critical", help="critical interaction strengths as JSON")
     _add_common(p_crit)
@@ -168,12 +191,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The parser main uses, built once per process."""
+    """The parser main uses, built once per process.
+
+    Its ``_commands`` maps each command to that command's parser.
+    """
     return build_parser()
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    """Run one ``fastsphere`` command; argv defaults to ``sys.argv[1:]``.
+
+    When argv starts with a command, its flags are parsed by that command's
+    parser alone: one argparse pass, where the top-level parser would run
+    two, with the same namespace (``command`` included), messages and exit
+    codes.  Any other argv goes to the top-level parser.
+    """
+    parser = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser._commands.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        args, extra = command.parse_known_args(argv[1:])
+        if extra:
+            parser.error("unrecognized arguments: " + " ".join(extra))
+        args.command = argv[0]
     try:
         return args.func(args)
     except FastSphereError as exc:

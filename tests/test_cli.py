@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 import inspect
 import json
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import KAPPA_C_5_03, mp_kappa1, mp_kappa_c, read_sweep, record_calls
 from fastsphere import cli
@@ -410,7 +412,76 @@ def test_read_only_demo_runs(demo):
         assert f"  kappa_c = {KAPPA_C_5_03:.6f}   ground state switches" in proc.stdout.splitlines()
 
 
+# per command: a valid call, and the index in it of a required flag (None: it has none)
+PARSE_CALLS = {
+    "critical": (["critical", "--d", "2", "--m", "0.5"], 1),
+    "sweep": (
+        ["sweep", "--d", "2", "--m", "0.5", "--kappa-min", "4", "--kappa-max", "6", "--steps", "3"],
+        5,
+    ),
+    "profile": (["profile", "--d", "2", "--m", "0.5", "--kappa", "8", "--points", "5"], 3),
+    "verify": (["verify"], None),
+}
+
+
+def _parse_argvs():
+    """(argv, whether it parses) for the valid calls, help and usage errors."""
+    cases = []
+    for command, (valid, required) in PARSE_CALLS.items():
+        cases += [("valid", valid, True), ("help", [command, "-h"], False)]
+        if required is not None:
+            cases.append(("missing-flag", valid[:required] + valid[required + 2:], False))
+        cases += [
+            ("bad-type", [command, "--d", "x", *valid[3:]], False),
+            ("unknown-flag", [*valid, "--rel-tol", "1e-8"], False),
+            ("extra-positional", [*valid, "extra"], False),
+        ]
+    cases = [(f"{argv[0]}-{case}", argv, parses) for case, argv, parses in cases]
+    cases += [("no-command", [], False), ("unknown-command", ["bogus"], False), ("help", ["-h"], False)]
+    return [pytest.param(argv, parses, id=case) for case, argv, parses in cases]
+
+
+def _outcome(capsys, call, argv):
+    try:
+        code = call(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _two_pass(argv):
+    args = cli.build_parser().parse_args(argv)
+    return args.func(args)
+
+
 class TestParser:
+    @pytest.fixture
+    def namespaces(self, monkeypatch):
+        """The vars of every namespace a command is run with, by either route."""
+        seen = []
+
+        def recorded(command, args):
+            seen.append(dict(vars(args)))
+            return command(args)
+
+        for name in ("cmd_critical", "cmd_sweep", "cmd_profile", "cmd_verify"):
+            monkeypatch.setattr(cli, name, functools.partial(recorded, getattr(cli, name)))
+        cli._parser.cache_clear()
+        yield seen
+        cli._parser.cache_clear()
+
+    @pytest.mark.parametrize(("argv", "parses"), _parse_argvs())
+    def test_main_parses_as_the_top_level_parser(self, capsys, namespaces, argv, parses):
+        # main parses a command's flags with its parser alone; the top-level
+        # parser, which re-enters that parser, is the reference
+        expected = _outcome(capsys, _two_pass, argv)
+        expected_namespaces = namespaces[:]
+        namespaces.clear()
+        assert _outcome(capsys, main, argv) == expected
+        assert namespaces == expected_namespaces
+        assert [ns["command"] for ns in namespaces] == argv[:1] * parses
+
     def test_main_builds_its_parser_once(self, capsys, monkeypatch):
         build = cli.build_parser
         built = record_calls(monkeypatch, cli, "build_parser")
@@ -422,6 +493,24 @@ class TestParser:
             cli._parser.cache_clear()
         assert built == [()]
         assert build() is not build()
+
+
+FLAT_OBJECTS = st.dictionaries(
+    st.text(), st.one_of(st.integers(), st.floats(), st.none(), st.text())
+)
+
+
+@given(st.one_of(FLAT_OBJECTS, st.lists(FLAT_OBJECTS)))
+def test_json_writer_matches_indented_dumps(obj):
+    # non-finite floats, empty objects and one-row tables included
+    assert cli._json(obj) == json.dumps(obj, indent=2)
+
+
+def test_critical_payload_with_nulls_matches_indented_dumps(capsys):
+    code, out, _ = run(capsys, "critical", "--d", "2", "--m", "0.5")
+    payload = json.loads(out)
+    assert (code, payload["kappa3"], payload["alpha_bar"], payload["kappa_c"]) == (0, None, None, None)
+    assert out == json.dumps(payload, indent=2) + "\n"
 
 
 class TestProfile:

@@ -3,10 +3,12 @@
 traced() skips a boundary the package no longer has, without a warning,
 and every metric read from its spans then reads 0; a rename or deletion
 must fail here instead.  Likewise every argv the workloads build must
-still parse, and the sweep and critical outputs must pass the workloads'
-own checks, forming the (d, m) constants once per call.
+still parse, through main in one argparse pass, and the sweep and critical
+outputs must pass the workloads' own checks, forming the (d, m) constants
+once per call.
 """
 
+import argparse
 import importlib
 import sys
 from pathlib import Path
@@ -58,8 +60,29 @@ def test_the_parser_accepts_every_workload_argv(monkeypatch):
         for offset in range(workloads.SWEEP_OFFSETS)
     ]
     argvs += workloads.Critical(0).argvs + [["verify"]]
-    parser = cli.build_parser()
-    assert [parser.parse_args(argv).command for argv in argvs] == [argv[0] for argv in argvs]
+    seen = []
+    for name in ("cmd_critical", "cmd_sweep", "cmd_verify"):
+        monkeypatch.setattr(cli, name, lambda args: seen.append(vars(args)) or 0)
+    cli._parser.cache_clear()
+    try:
+        parser = cli.build_parser()
+        expected = [vars(parser.parse_args(argv)) for argv in argvs]
+        assert [ns["command"] for ns in expected] == [argv[0] for argv in argvs]
+        # main's route: the same namespaces, in one argparse pass per call
+        passes = []
+        parse = argparse.ArgumentParser._parse_known_args
+
+        def counted(self, *args, **kwargs):
+            passes.append(self.prog)
+            return parse(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "_parse_known_args", counted)
+        for argv in argvs:
+            passes.clear()
+            assert (cli.main(argv), passes) == (0, [f"fastsphere {argv[0]}"])
+    finally:
+        cli._parser.cache_clear()
+    assert seen == expected
 
 
 def test_workload_outputs_pass_their_checks(monkeypatch):
