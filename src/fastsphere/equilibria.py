@@ -250,7 +250,9 @@ def fully_supported_states(kappas, d, m: float) -> list:
     (quadrature._integrals, which sends a lone zeta to _integral).  A memo
     of the moments at every zeta met, kept for this call only (the package's
     only memo of integrals), serves the zetas that several solves visit and
-    the centre-of-mass norm at each root.
+    the centre-of-mass norm at each root.  Next to it, for this call only
+    too, the rounds share one table of the seed panels that deep zetas take
+    from eta = 1 (quadrature._Eta1Rungs).
     """
     return _fully_supported_states(_constants(d, m), kappas)
 
@@ -271,15 +273,16 @@ def _fully_supported_states(c: _Constants, kappas) -> list:
             solved.append((i, kappa))
     if not solved:
         return results
-    from .quadrature import _integrals
+    from .quadrature import _Eta1Rungs, _integrals
 
     moments = {}
+    rungs = _Eta1Rungs(c.q, d)
     scale = _inverse_kappa_scale(c.area_sdm1, m)
 
     def residuals(asks):
         zetas = [math.exp(y) for _, y in asks]
         new = [zeta for zeta in dict.fromkeys(zetas) if zeta not in moments]
-        moments.update(zip(new, _integrals(new, c.q, d, DEFAULT_REL_TOL)))
+        moments.update(zip(new, _integrals(new, c.q, d, DEFAULT_REL_TOL, rungs)))
         values = []
         for (item, _), zeta in zip(asks, zetas):
             at_zeta = moments[zeta]

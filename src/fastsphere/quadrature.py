@@ -58,20 +58,40 @@ at every zeta, so a table of them (_ladder) is built on first use, down to
 the deepest level a seed can reach, and every seed panel takes its basis
 from it by index; only the panels that refinement bisects compute it.
 
-A batch of a few panels costs mostly fixed numpy overhead, so the branch
-solves, run in lockstep, take their integrals from _integrals.  For many
-zetas (a sweep) _seed_pass lays their seed meshes end to end, alternately
-upwards and downwards so that neighbours share an edge, with each panel's
-ladder index and zeta found by index arithmetic (no Python loop per
-mesh), and integrates up to _BATCH_NODES nodes in one batch; one gather
-puts every downward mesh back in increasing order for its sums, and only
-the few seeds that miss the tolerance are refined one by one.  A lone
-zeta (a single solve) goes to _integral, because on one mesh that layout
-costs more than it saves.  Every panel and every per-mesh sum
-is computed in the same order in either route, so _integrals returns
-exactly what _integral would.  The solves work in log(eta - 1), so
-_integrals takes zeta > 0 only; _integral also serves eta = 1, as the
-oracle of the closed form.
+The branch solves run towards eta = 1 and bracket zeta from a floor as
+low as 1e-280, so many seeds are deep, and their upper panels are
+exactly those of eta = 1.  At a node the integrand reads zeta only
+through a1 = zeta + v and a2 = (2 + zeta) - v, with v = 1 - cos t.  If,
+at every node of a ladder panel, zeta is below half the gap from v to
+the next double, and zeta < 2^-52, then fl(zeta + v) = v and
+fl(2 + zeta) = 2, so every later operation is the one at zeta = 0, and
+the panel's Kronrod value and |K15 - G7| estimate are bit for bit its
+eta = 1 ones.  The ladder holds that threshold per panel (free_below);
+it grows with the panel, so the free panels of a seed are a top suffix
+of it, found by one searchsorted.
+
+The branch solves, run in lockstep, take their integrals from _integrals,
+which integrates the seed meshes of many zetas together and computes only
+the panels below each free suffix.  It sorts the zetas, so that
+neighbours have similar suffixes, and _seed_pass lays the computed panels
+end to end, alternately upwards and downwards so that neighbours share an
+edge (the two meshes of a pair are cut at the same panel), with each
+panel's ladder index and zeta found by index arithmetic (no Python loop
+per mesh).  It integrates up to _BATCH_NODES computed nodes in one batch
+and takes the free panels from a table of the eta = 1 panels
+(_Eta1Rungs), filled in one batch down to the lowest free panel the call
+uses; a caller with many calls at one (q, d), such as a branch solve,
+shares one table between them.  A full batch costs mostly its nodes, not
+its fixed numpy overhead, so the free panels are the saving.  One gather
+puts every full seed back in increasing order for its sums, and only the
+few seeds that miss the tolerance are refined one by one, each from its
+full seed.  A lone zeta (a single solve) goes to _integral, because on
+one mesh that layout costs more than it saves.  Every panel and every
+per-mesh sum is computed in the same order in either route, and every
+free panel equals its computed value, so _integrals returns exactly what
+_integral would.  The solves work in log(eta - 1), so _integrals takes
+zeta > 0 only; _integral also serves eta = 1, as the oracle of the
+closed form.
 
 This module holds the numpy kernel alone, and it is the package's only
 module that imports numpy at load time.  The public front of the family
@@ -350,13 +370,17 @@ class _Ladder(NamedTuple):
     Panel i < depth is the dyadic panel [pi/2 * 2^(i - depth), pi/2 *
     2^(i + 1 - depth)], so the n dyadic panels of a seed are the slice
     [depth - n, depth) in increasing order; panel depth + n is the bottom
-    panel [0, pi/2 * 2^-n] of a zeta > 0 seed with n levels.
+    panel [0, pi/2 * 2^-n] of a zeta > 0 seed with n levels.  free_below[i]
+    is the smallest of 2^-52 and half the spacing of 1 - cos t at the nodes
+    of dyadic panel i: at any zeta below it the panel integrates as at
+    zeta = 0.  It grows with i, so those panels are a top suffix of a seed.
     """
 
     depth: int
     lo: np.ndarray  # lower edge of every panel
     hi: np.ndarray  # upper edge of every panel
     basis: tuple  # _angle_basis at every node, each part of shape (panels, 15)
+    free_below: np.ndarray  # per dyadic panel
 
 
 @lru_cache(maxsize=1)
@@ -373,26 +397,65 @@ def _ladder() -> _Ladder:
     basis = np.empty((2, lo.size, _NODES.size))
     for k in range(0, lo.size, 64):  # a few panels at a time, to keep the build small
         basis[:, k : k + 64] = _angle_basis(_panel_nodes(lo[k : k + 64], hi[k : k + 64])[1])
-    for table in (lo, hi, basis):  # shared by every caller
+    free_below = np.minimum(0.5 * np.spacing(basis[0, :depth]).min(axis=1), 2.0**-52)
+    for table in (lo, hi, basis, free_below):  # shared by every caller
         table.setflags(write=False)
-    return _Ladder(depth, lo, hi, tuple(basis))
+    return _Ladder(depth, lo, hi, tuple(basis), free_below)
 
 
-def _seed_pass(zeta: np.ndarray, levels: np.ndarray, q: float, d: int):
+def _free_panels(zeta, levels):
+    """Number of free panels, the top suffix a seed takes from eta = 1, of each seed."""
+    ladder = _ladder()
+    return np.minimum(ladder.depth - np.searchsorted(ladder.free_below, zeta, "right"), levels)
+
+
+class _Eta1Rungs:
+    """Kronrod values and estimates of the top dyadic panels at zeta = 0, for one (q, d).
+
+    The panels [top, depth) are filled, and fill extends them downwards in
+    one batch.  Its callers fill only the free panels of the seeds they
+    integrate, so the table computes nothing those seeds would not.
+    """
+
+    def __init__(self, q: float, d: int):
+        depth = _ladder().depth
+        self.q, self.d, self.top = q, d, depth
+        self.values = np.empty((3, depth))
+        self.errors = np.empty((3, depth))
+
+    def fill(self, low: int) -> None:
+        """Fill the panels [low, depth)."""
+        if low >= self.top:
+            return
+        ladder = _ladder()
+        span = slice(low, self.top)
+        basis = [part[span] for part in ladder.basis]
+        edges = np.append(ladder.lo[span], ladder.hi[self.top - 1])
+        self.values[:, span], self.errors[:, span] = _kronrod_batch(
+            lambda t: _folded_integrand(t, 0.0, self.q, self.d, basis), edges
+        )
+        self.top = low
+
+
+def _seed_pass(zeta: np.ndarray, levels: np.ndarray, free, rungs: _Eta1Rungs):
     """One Gauss-Kronrod batch over the seed meshes of zeta > 0, which have the given levels.
 
-    The meshes are laid end to end as one edge array, alternately upwards
-    and downwards from the first, so that neighbours share their end edge,
-    pi/2 or 0.  Each node takes its zeta and its angle-only basis by index
-    from the ladder table.
+    free is the number of free panels of each mesh, which come from rungs,
+    filled down to them.  Only the other panels are
+    computed: the bottom panel and the dyadic panels [depth - levels,
+    depth - free).  They are laid end to end as one edge array, alternately
+    upwards and downwards from the first, so that neighbours share their
+    end edge, 0 or the top edge of a pair, whose two meshes must have the
+    same number of free panels.  Each node takes its zeta and its
+    angle-only basis by index from the ladder table.
 
-    Returns the Kronrod values and estimates of every mesh's panels, mesh
-    after mesh and each in increasing order, and the first panel and the
-    number of panels of each mesh.
+    Returns the Kronrod values and estimates of every mesh's full seed,
+    mesh after mesh and each in increasing order, and the first panel and
+    the number of panels of each mesh.
     """
     ladder = _ladder()
     depth = ladder.depth
-    panels = levels + 1  # the bottom panel, then the dyadic ones
+    panels = levels + 1 - free  # the bottom panel, then the computed dyadic ones
     starts = np.cumsum(panels) - panels
     mesh = np.repeat(np.arange(zeta.size), panels)  # mesh of each laid panel
     at = np.arange(mesh.size) - starts[mesh]  # its place in its mesh, as laid
@@ -406,50 +469,82 @@ def _seed_pass(zeta: np.ndarray, levels: np.ndarray, q: float, d: int):
     zeta_col = zeta[mesh][:, None]
     basis = [part.take(panel, 0) for part in ladder.basis]
     values, errors = _kronrod_batch(
-        lambda t: _folded_integrand(t, zeta_col, q, d, basis), edges
+        lambda t: _folded_integrand(t, zeta_col, rungs.q, rungs.d, basis), edges
     )
     order = starts[mesh] + rank
-    return values[:, order], errors[:, order], starts, panels
+    values, errors = values[:, order], errors[:, order]
+    if not free.any():  # these are the full seeds
+        return values, errors, starts, panels
+    # each full seed is two runs of columns: its computed panels, then its
+    # free ones from the table
+    run_from = np.empty(2 * zeta.size, dtype=np.intp)
+    run_from[0::2], run_from[1::2] = starts, panel.size + depth - free
+    run_size = np.empty_like(run_from)
+    run_size[0::2], run_size[1::2] = panels, free
+    run_to = np.cumsum(run_size) - run_size
+    gather = np.repeat(run_from - run_to, run_size) + np.arange(run_to[-1] + run_size[-1])
+    values = np.concatenate((values, rungs.values), axis=1)[:, gather]
+    errors = np.concatenate((errors, rungs.errors), axis=1)[:, gather]
+    return values, errors, run_to[0::2], levels + 1
 
 
-def _integrals(zetas, q: float, d: int, rel_tol: float) -> list:
+def _integrals(zetas, q: float, d: int, rel_tol: float, rungs: _Eta1Rungs | None = None) -> list:
     """_integral at each of zetas, all > 0, with all the seed meshes integrated together.
 
     Each entry is the (i0, i1, i_ent) tuple or the FastSphereError that zeta
     raises, without a traceback.  A lone zeta goes to _integral.  Otherwise
-    the seed meshes are cut into batches of at most _BATCH_NODES nodes, and
-    each batch is one _seed_pass; a seed that misses rel_tol is refined on
-    its own, from its batch values.
+    the zetas are sorted, so that neighbouring meshes have similar numbers
+    of free panels, and each pair of neighbours takes the smaller of the
+    two.  The meshes are cut into batches of at most _BATCH_NODES computed
+    nodes (a pair at least), and each batch is one _seed_pass; a seed that
+    misses rel_tol is refined on its own, from its full seed values.  The
+    free panels come from rungs, the eta = 1 table of (q, d), which a
+    caller may share between calls with the same q and d.
     """
     if len(zetas) == 1:
         try:
             return [_integral(zetas[0], q, d, rel_tol)]
         except FastSphereError as exc:
             return [exc.with_traceback(None)]
-    zeta = np.array(zetas, dtype=float)
-    results = []
+    asked = np.array(zetas, dtype=float)
+    by_size = np.argsort(asked, kind="stable")
+    zeta = asked[by_size]
     levels = _seed_levels(zeta, _seed_cut(q, d))
-    ends = np.cumsum(levels + 1)  # in panels
+    rungs = _Eta1Rungs(q, d) if rungs is None else rungs
+    free = np.zeros_like(levels)
+    ladder = _ladder()
+    if zeta[0] < ladder.free_below[-1]:  # else not even the top panel is free
+        free = _free_panels(zeta, levels)
+        # the two meshes of a pair share their top edge
+        free[0:-1:2] = free[1::2] = np.minimum(free[0:-1:2], free[1::2])
+        rungs.fill(ladder.depth - int(free.max()))
+    ends = np.cumsum(levels + 1 - free)  # in computed panels
+    results = [None] * zeta.size
     first = 0
     while first < zeta.size:
         room = (ends[first - 1] if first else 0) + _BATCH_NODES // _NODES.size
-        last = max(int(np.searchsorted(ends, room, "right")), first + 1)
+        last = int(np.searchsorted(ends, room, "right"))
+        if last < zeta.size:  # cut between two pairs, after one at least
+            last = min(max(last - (last - first) % 2, first + 2), zeta.size)
         batch = zeta[first:last]
-        values, errors, starts, panels = _seed_pass(batch, levels[first:last], q, d)
+        values, errors, starts, panels = _seed_pass(
+            batch, levels[first:last], free[first:last], rungs
+        )
         totals = _run_sums(values, starts)
         err = _run_sums(errors, starts)
         met = ((err <= rel_tol * np.abs(totals)).all(axis=0) & (panels <= _MAX_PANELS)).tolist()
         for k, total in enumerate(totals.T.tolist()):
             if met[k]:
-                results.append(tuple(total))
-                continue
-            span = slice(starts[k], starts[k] + panels[k])
-            try:
-                results.append(
-                    _refine_seed(float(batch[k]), q, d, rel_tol, values[:, span], errors[:, span])
-                )
-            except FastSphereError as exc:
-                results.append(exc.with_traceback(None))
+                result = tuple(total)
+            else:
+                span = slice(starts[k], starts[k] + panels[k])
+                try:
+                    result = _refine_seed(
+                        float(batch[k]), q, d, rel_tol, values[:, span], errors[:, span]
+                    )
+                except FastSphereError as exc:
+                    result = exc.with_traceback(None)
+            results[by_size[first + k]] = result
         first = last
     return results
 

@@ -1,4 +1,5 @@
 import functools
+import gc
 import importlib.util
 import inspect
 import json
@@ -317,6 +318,11 @@ class TestSweepWork:
     def test_lockstep_solves_share_their_batches(
         self, capsys, monkeypatch, d, m, lo, hi, per_kappa_batches
     ):
+        # and the integrand nodes of the sweep when every seed panel was
+        # computed, with the share of them it may take now that the upper
+        # panels of deep seeds come from eta = 1.  Most seed panels of
+        # (5, 0.3) lie at zeta > 1e-10, where no panel is free.
+        full_seed_nodes, node_share = {(5, 0.3): (47190, 0.8), (3, 0.25): (167850, 0.65)}[d, m]
         batches = record_calls(monkeypatch, quadrature, "_kronrod_batch")
         code, _, err = run(
             capsys,
@@ -325,6 +331,35 @@ class TestSweepWork:
         )
         assert code == 0 and err == ""
         assert len(batches) <= per_kappa_batches / 4
+        nodes = sum(15 * (bounds.size - 1) for _, bounds in batches)
+        assert nodes <= node_share * full_seed_nodes
+
+    def test_one_eta1_table_per_solve_and_none_kept(self, capsys, monkeypatch):
+        # each branch solve call fills its own eta = 1 table in one batch,
+        # and no table outlives the call
+        solve, fill, builds = eq._fully_supported_states, quadrature._Eta1Rungs.fill, []
+
+        def counted_solve(*args):
+            builds.append(0)
+            return solve(*args)
+
+        def counted_fill(rungs, low):
+            top = rungs.top
+            fill(rungs, low)
+            builds[-1] += rungs.top != top
+
+        monkeypatch.setattr(eq, "_fully_supported_states", counted_solve)
+        monkeypatch.setattr(quadrature._Eta1Rungs, "fill", counted_fill)
+        for d, m, lo, hi in ((5, 0.3, 15, 22), (3, 0.25, 8, 20), (2, 0.5, 4, 16)):
+            code, _, err = run(
+                capsys,
+                "sweep", "--d", str(d), "--m", str(m),
+                "--kappa-min", str(lo), "--kappa-max", str(hi), "--steps", "41",
+            )
+            assert code == 0 and err == ""
+        assert builds == [1, 1, 1]
+        gc.collect()
+        assert not any(isinstance(obj, quadrature._Eta1Rungs) for obj in gc.get_objects())
 
 
     def test_sweep_energies_call_no_integral(self, capsys, monkeypatch):

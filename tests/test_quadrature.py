@@ -197,37 +197,84 @@ LADDER_CASES = [
     (3, 0.25, [1e-120, 0.0]),
     (4, 0.4999, [2e-6, 0.0, 0.0, 0.0]),
     (8, 0.74999, [0.0]),
+    # deep and shallow zetas around the free panels, at d = 1, and at
+    # q = -10 with a steep integrand above a cutoff of 4 levels
+    (1, 0.3, [1e-150, 1e-40, 2e-17, 1e-12]),
+    (40, 0.9, [1e-200, 1e-35, 1e-18, 1e-8, 0.5]),
 ]
+
+
+def seed_passes_match_the_seed_meshes(monkeypatch, q, d, zetas):
+    """Check the seed passes of _integrals over zetas against each seed mesh on its own.
+
+    The computed panels of each mesh are laid as its lowest seed panels,
+    with no panel between the meshes; every panel value and estimate,
+    computed or taken from the eta = 1 table, equals that of the seed mesh
+    integrated on its own, bit for bit; and so do the results.  Returns the
+    number of free panels of every mesh, in the order the passes laid them.
+    """
+    passes = record_calls(monkeypatch, quadrature, "_seed_pass")
+    batched = quadrature._integrals(zetas, q, d, 1e-10)
+    monkeypatch.undo()
+    assert [r if type(r) is tuple else type(r) for r in batched] == [
+        seed_reference(z, q, d)[3] for z in zetas
+    ]
+    assert passes
+    all_free = []
+    for args in passes:
+        laid = record_calls(monkeypatch, quadrature, "_kronrod_batch")
+        values, errors, starts, panels = quadrature._seed_pass(*args)
+        monkeypatch.undo()
+        ((_, edges),) = laid
+        zeta, levels, free, _ = args
+        computed = levels + 1 - free
+        assert edges.size == computed.sum() + 1  # no panel between the meshes
+        first = np.cumsum(computed) - computed
+        for k, z in enumerate(zeta.tolist()):
+            ref_edges, ref_values, ref_errors, _ = seed_reference(z, q, d)
+            mesh = edges[first[k] : first[k] + computed[k] + 1]
+            assert np.array_equal(np.sort(mesh), ref_edges[: computed[k] + 1])
+            span = slice(starts[k], starts[k] + panels[k])
+            assert np.array_equal(values[:, span], ref_values)
+            assert np.array_equal(errors[:, span], ref_errors)
+        all_free += free.tolist()
+    return all_free
 
 
 @pytest.mark.parametrize("d, m, zetas", LADDER_CASES)
 def test_ladder_seed_pass_matches_the_seed_mesh(monkeypatch, d, m, zetas):
-    # edges, panel values and estimates gathered from the ladder table equal
-    # those of each seed mesh integrated on its own, bit for bit, and so do
-    # the results of _integral and _integrals
+    # _integral is its seed mesh at every zeta; the batched route takes
+    # zeta > 0 only, and a lone zeta is laid twice so that a pass runs
     q = 1.0 / (m - 1.0)
     for z in zetas:
         assert outcome(lambda: quadrature._integral(z, q, d, 1e-10)) == seed_reference(z, q, d)[3]
-    zetas = [z for z in zetas if z > 0.0]  # the batched route takes zeta > 0 only
+    zetas = [z for z in zetas if z > 0.0]
     if not zetas:
         return
-    zeta = np.array(zetas)
-    levels = quadrature._seed_levels(zeta, quadrature._seed_cut(q, d))
-    laid = record_calls(monkeypatch, quadrature, "_kronrod_batch")
-    values, errors, starts, panels = quadrature._seed_pass(zeta, levels, q, d)
-    monkeypatch.undo()
-    ((_, edges),) = laid
-    assert edges.size == panels.sum() + 1  # no panel between the meshes
-    for k, z in enumerate(zetas):
-        ref_edges, ref_values, ref_errors, _ = seed_reference(z, q, d)
-        assert np.array_equal(np.sort(edges[starts[k] : starts[k] + panels[k] + 1]), ref_edges)
-        span = slice(starts[k], starts[k] + panels[k])
-        assert np.array_equal(values[:, span], ref_values)
-        assert np.array_equal(errors[:, span], ref_errors)
-    batched = quadrature._integrals(zetas, q, d, 1e-10)
-    assert [r if type(r) is tuple else type(r) for r in batched] == [
-        seed_reference(z, q, d)[3] for z in zetas
-    ]
+    laid = zetas if len(zetas) > 1 else zetas * 2
+    free = seed_passes_match_the_seed_meshes(monkeypatch, q, d, laid)
+    # the top panel is free below 2^-55 (its nodes have 1 - cos t > 1/4),
+    # for a pair of meshes when both zetas are
+    assert (max(free) > 0) == (sorted(laid)[1] < 2.0**-55)
+
+
+@pytest.mark.parametrize("below_top", [1, 30, 200])
+def test_seed_panels_at_their_free_threshold(monkeypatch, below_top):
+    # a panel is taken from the eta = 1 table strictly below its threshold;
+    # at it, and one ulp above, it is computed, and either way its values
+    # are those of the seed mesh bit for bit
+    q, d = 1.0 / (0.5 - 1.0), 2
+    ladder = quadrature._ladder()
+    rung = ladder.depth - below_top
+    at = float(ladder.free_below[rung])
+    below = math.nextafter(at, 0.0)
+    zetas = [math.nextafter(below, 0.0), below, at, math.nextafter(at, math.inf)]
+    levels = quadrature._seed_levels(np.array(zetas), 0.0)
+    assert (levels >= below_top).all()  # the panel is in every seed
+    expected = [below_top, below_top, below_top - 1, below_top - 1]
+    assert quadrature._free_panels(np.array(zetas), levels).tolist() == expected
+    # sorted and paired as listed: the first pair takes the panel from the table
+    assert seed_passes_match_the_seed_meshes(monkeypatch, q, d, zetas[::-1]) == expected
 
 
 @pytest.mark.parametrize("k", [0, 1, 7, 40, 300])
@@ -253,15 +300,17 @@ def test_batched_seeds_that_miss_the_tolerance_are_refined_exactly(monkeypatch):
 
 
 def test_ladder_table_is_built_on_first_use_and_small():
+    # and no eta = 1 table exists before an integral is asked for
     code = (
-        "import fastsphere.cli, fastsphere.quadrature as q; "
-        "print(q._ladder.cache_info().currsize)"
+        "import gc, fastsphere.cli, fastsphere.quadrature as q; "
+        "print(q._ladder.cache_info().currsize, "
+        "sum(isinstance(o, q._Eta1Rungs) for o in gc.get_objects()))"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert out.stdout.strip() == "0"
+    assert out.stdout.strip() == "0 0"
     ladder = quadrature._ladder()
-    size = ladder.lo.nbytes + ladder.hi.nbytes + sum(part.nbytes for part in ladder.basis)
+    size = sum(part.nbytes for part in (ladder.lo, ladder.hi, *ladder.basis, ladder.free_below))
     assert size < 0.5e6
     assert ladder.depth == int(quadrature._seed_levels(5e-324, 0.0))
 
