@@ -43,7 +43,7 @@ from .errors import (
     OutOfWindowError,
     WrongRegimeError,
 )
-from .model import DEFAULT_REL_TOL, RegimeCase, sphere_geometry, validate_params
+from .model import RegimeCase, sphere_geometry, validate_params
 
 UNIFORM = "uniform"
 FULLY_SUPPORTED = "fully_supported"
@@ -112,7 +112,7 @@ def energy_fully_supported(state: FullySupportedState, d, m: float) -> float:
     if moments is None:
         from .quadrature import _integral
 
-        moments = _integral(state.eta_minus_1, 1.0 / (m - 1.0), d, DEFAULT_REL_TOL)
+        moments = _integral(state.eta_minus_1, 1.0 / (m - 1.0), d)
     i0, i1, i_ent = moments
     pref = (m / ((1.0 - m) * state.kappa * state.s)) ** (1.0 / (1.0 - m))
     dwd = sphere_geometry(d).area_sdm1

@@ -38,7 +38,6 @@ from .errors import (
     ToleranceNotMetError,
 )
 from .model import (
-    DEFAULT_REL_TOL,
     RegimeCase,
     check_kappa,
     classify_regime,
@@ -46,7 +45,7 @@ from .model import (
     sphere_geometry,
     validate_params,
 )
-from .solvers import DEFAULT_ROOT_TOL, DEFAULT_WIDTH_TOL, bracketed_root, lockstep_roots
+from .solvers import DEFAULT_ROOT_TOL, bracketed_root, lockstep_roots
 
 # zeta = eta - 1 ceiling standing in for the uniform limit eta -> infinity.
 _ZETA_CEIL = 1e9
@@ -282,7 +281,7 @@ def _fully_supported_states(c: _Constants, kappas) -> list:
     def residuals(asks):
         zetas = [math.exp(y) for _, y in asks]
         new = [zeta for zeta in dict.fromkeys(zetas) if zeta not in moments]
-        moments.update(zip(new, _integrals(new, c.q, d, DEFAULT_REL_TOL, rungs)))
+        moments.update(zip(new, _integrals(new, rungs)))
         values = []
         for (item, _), zeta in zip(asks, zetas):
             at_zeta = moments[zeta]
@@ -297,12 +296,7 @@ def _fully_supported_states(c: _Constants, kappas) -> list:
                 values.append(inverse * solved[item][1] - 1.0)
         return values
 
-    roots = lockstep_roots(
-        residuals,
-        [_log_zeta_bracket(c)] * len(solved),
-        residual_tol=DEFAULT_ROOT_TOL,
-        width_tol=DEFAULT_WIDTH_TOL,
-    )
+    roots = lockstep_roots(residuals, [_log_zeta_bracket(c)] * len(solved))
     for (i, kappa), y in zip(solved, roots):
         if isinstance(y, FastSphereError):
             results[i] = y
@@ -368,9 +362,7 @@ def _alpha_roots(kappa: float, c: _Constants) -> list[float]:
     if alpha_bar is None:  # CaseII
         if kappa <= k2:
             return []
-        root = bracketed_root(
-            mismatch, 0.0, cap, residual_tol=residual_tol, width_tol=DEFAULT_WIDTH_TOL
-        )
+        root = bracketed_root(mismatch, 0.0, cap, residual_tol=residual_tol)
         # kappa within rounding of kappa2 can land on the alpha = 0 boundary
         return [root] if root > 0.0 else []
 
@@ -379,14 +371,10 @@ def _alpha_roots(kappa: float, c: _Constants) -> list[float]:
         return []
     if gap_at_bar <= 1e-11 * scale:
         return [alpha_bar, alpha_bar]  # tangent double root at kappa3
-    upper = bracketed_root(
-        mismatch, alpha_bar, cap, residual_tol=residual_tol, width_tol=DEFAULT_WIDTH_TOL
-    )
+    upper = bracketed_root(mismatch, alpha_bar, cap, residual_tol=residual_tol)
     if kappa >= k2:
         return [upper]
-    lower = bracketed_root(
-        mismatch, 0.0, alpha_bar, residual_tol=residual_tol, width_tol=DEFAULT_WIDTH_TOL
-    )
+    lower = bracketed_root(mismatch, 0.0, alpha_bar, residual_tol=residual_tol)
     return [lower, upper] if lower > 0.0 else [upper]
 
 

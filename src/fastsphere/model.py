@@ -15,7 +15,7 @@ Every equilibrium condition reduces to the polar integral family
     I(eta, q, p, d) = int_0^pi (eta - cos t)^q  sin^{d-1} t  cos^p t  dt,
 
 whose public front lives here too: ThetaIntegralSpec, theta_integral and
-its default accuracy DEFAULT_REL_TOL, and eta1_closed_form, the Beta
+its one accuracy DEFAULT_REL_TOL, and eta1_closed_form, the Beta
 function value at eta = 1.  Like sphere_geometry it is a Gamma-function
 closed form on the standard library, so the closed forms and the critical
 strengths built from them load no numpy.  theta_integral imports the numpy
@@ -41,7 +41,7 @@ from .errors import (
 # branch function is constant in eta and every bracketing argument fails,
 # so nearby values are refused rather than guessed at.
 THRESHOLD_TOL = 1e-9
-# The relative accuracy of the package's integrals, and theta_integral's default.
+# The relative accuracy of every integral of the package, theta_integral's included.
 DEFAULT_REL_TOL = 1e-10
 
 
@@ -188,26 +188,18 @@ def _not_integrable(q: float, d: int) -> NotIntegrableError:
     )
 
 
-def theta_integral(spec: ThetaIntegralSpec, rel_tol: float = DEFAULT_REL_TOL) -> float:
-    """Evaluate int_0^pi (eta - cos t)^q sin^{d-1} t cos^p t dt.
+def theta_integral(spec: ThetaIntegralSpec) -> float:
+    """Evaluate int_0^pi (eta - cos t)^q sin^{d-1} t cos^p t dt to DEFAULT_REL_TOL.
 
-    Parameters
-    ----------
-    spec : ThetaIntegralSpec
-        eta >= 1, exponent q, cosine power p in {0, 1}, dimension d >= 1.
-    rel_tol : float
-        Requested relative error, 0 < rel_tol <= 1e-6.
-
-    Raises NotIntegrableError when eta = 1 and 2q + d - 1 <= -1, and
-    ToleranceNotMetError when the error estimate cannot reach rel_tol.
+    spec holds eta >= 1, the exponent q, the cosine power p in {0, 1} and
+    the dimension d >= 1.  Raises NotIntegrableError when eta = 1 and
+    2q + d - 1 <= -1, and ToleranceNotMetError when the error estimate
+    cannot reach DEFAULT_REL_TOL or the integrand leaves double range.
     """
-    rel_tol = float(rel_tol)
-    if not 0.0 < rel_tol <= 1e-6:
-        raise InvalidParamError(f"rel_tol must lie in (0, 1e-6], got {rel_tol!r}")
     eta, q, p, d = _check_spec(spec.eta, spec.q, spec.p, spec.d)
     from .quadrature import _integral  # the numpy kernel, loaded on first use
 
-    return _integral(eta - 1.0, q, d, rel_tol)[p]
+    return _integral(eta - 1.0, q, d)[p]
 
 
 def eta1_closed_form(q: float, p: int, d) -> float:

@@ -44,12 +44,13 @@ added in closed form (exact to a relative O(theta_c^2) correction that
 joins the error budget).
 
 All panels are integrated by a Gauss-Kronrod 7/15 rule with |K15 - G7|
-error estimates, and each component must meet the requested relative
-tolerance of its own total.  While one misses it, every panel whose
-estimate exceeds its equal share of that component's budget is marked,
-and the whole contiguous span from the first to the last marked panel is
-bisected in one batch.  The seed mesh usually meets the tolerance at once,
-so one integral costs about one batch.
+error estimates, and each component must meet the package's one
+accuracy, DEFAULT_REL_TOL, relative to its own total.  While one misses
+it, every panel whose estimate exceeds its equal share of that
+component's budget is marked, and the whole contiguous span from the
+first to the last marked panel is bisected in one batch.  The seed mesh
+usually meets the tolerance at once, so one integral costs about one
+batch.
 
 Every seed panel is a rung of one dyadic ladder: [pi/2 * 2^-(k+1), pi/2 *
 2^-k], or a bottom panel [0, pi/2 * 2^-n].  Its nodes, and everything the
@@ -70,28 +71,29 @@ eta = 1 ones.  The ladder holds that threshold per panel (free_below);
 it grows with the panel, so the free panels of a seed are a top suffix
 of it, found by one searchsorted.
 
-The branch solves, run in lockstep, take their integrals from _integrals,
-which integrates the seed meshes of many zetas together and computes only
-the panels below each free suffix.  It sorts the zetas, so that
-neighbours have similar suffixes, and _seed_pass lays the computed panels
-end to end, alternately upwards and downwards so that neighbours share an
-edge (the two meshes of a pair are cut at the same panel), with each
-panel's ladder index and zeta found by index arithmetic (no Python loop
-per mesh).  It integrates up to _BATCH_NODES computed nodes in one batch
-and takes the free panels from a table of the eta = 1 panels
-(_Eta1Rungs), filled in one batch down to the lowest free panel the call
-uses; a caller with many calls at one (q, d), such as a branch solve,
-shares one table between them.  A full batch costs mostly its nodes, not
-its fixed numpy overhead, so the free panels are the saving.  One gather
-puts every full seed back in increasing order for its sums, and only the
-few seeds that miss the tolerance are refined one by one, each from its
-full seed.  A lone zeta (a single solve) goes to _integral, because on
-one mesh that layout costs more than it saves.  Every panel and every
-per-mesh sum is computed in the same order in either route, and every
-free panel equals its computed value, so _integrals returns exactly what
-_integral would.  The solves work in log(eta - 1), so _integrals takes
-zeta > 0 only; _integral also serves eta = 1, as the oracle of the
-closed form.
+The branch solves, run in lockstep, take their integrals from
+_integrals, which integrates the seed meshes of many zetas together and
+computes only the panels below each free suffix.  It sorts the zetas, so
+that neighbours have similar suffixes, and _seed_pass lays the computed
+panels end to end, alternately upwards and downwards so that neighbours
+share an edge (the two meshes of a pair are cut at the same panel), with
+each panel's ladder index and zeta found by index arithmetic (no Python
+loop per mesh).  It integrates up to _BATCH_NODES computed nodes in one
+batch and takes the free panels from a table of the eta = 1 panels of
+one (q, d) (_Eta1Rungs), filled in one batch down to the lowest free
+panel the call uses.  That table is also where _integrals reads q and d,
+so every panel of a call is of one (q, d); a caller with many calls at
+one (q, d), such as a branch solve, shares one table between them.  A
+full batch costs mostly its nodes, not its fixed numpy overhead, so the
+free panels are the saving.  One gather puts every full seed back in
+increasing order for its sums, and only the few seeds that miss the
+tolerance are refined one by one, each from its full seed.  A lone zeta
+(a single solve) goes to _integral, because on one mesh that layout
+costs more than it saves.  Every panel and every per-mesh sum is
+computed in the same order in either route, and every free panel equals
+its computed value, so _integrals returns exactly what _integral would.
+The solves work in log(eta - 1), so _integrals takes zeta > 0 only;
+_integral also serves eta = 1, as the oracle of the closed form.
 
 This module holds the numpy kernel alone, and it is the package's only
 module that imports numpy at load time.  The public front of the family
@@ -113,7 +115,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import FastSphereError, ToleranceNotMetError
-from .model import _not_integrable
+from .model import DEFAULT_REL_TOL, _not_integrable
 
 # The seed mesh reaches down to this fraction of the spike scale sqrt(eta - 1).
 _SPIKE_FRACTION = 0.5
@@ -273,33 +275,32 @@ def _refine(
     edges: np.ndarray,
     values: np.ndarray,
     errors: np.ndarray,
-    rel_tol: float,
     offset: np.ndarray,
     err_floor: np.ndarray,
 ) -> np.ndarray:
     """Adaptive Gauss-Kronrod refinement of all components over the seed mesh.
 
     values and errors are the seed panels' Kronrod values and estimates.
-    Each component must meet rel_tol relative to its own total.  While one
-    misses, every panel whose estimate exceeds its equal share of a missing
-    component's budget is marked, and the contiguous span from the first to
-    the last marked panel is bisected in one batch.  offset is the
+    Each component must meet DEFAULT_REL_TOL relative to its own total.
+    While one misses, every panel whose estimate exceeds its equal share of
+    a missing component's budget is marked, and the contiguous span from
+    the first to the last marked panel is bisected in one batch.  offset is the
     closed-form endpoint tail that joins each total, and err_floor its
     irreducible share of each error budget.
     """
     while True:
         total = offset + _run_sums(values, [0])[:, 0]
         err = err_floor + _run_sums(errors, [0])[:, 0]
-        missing = ~(err <= rel_tol * np.abs(total))
+        missing = ~(err <= DEFAULT_REL_TOL * np.abs(total))
         if values.shape[1] > _MAX_PANELS:
             raise ToleranceNotMetError(
                 f"adaptive quadrature stalled at estimated relative error "
                 f"{_worst(err, total):.3e} after {values.shape[1]} panels "
-                f"(target {rel_tol:.1e})"
+                f"(target {DEFAULT_REL_TOL:.1e})"
             )
         if not missing.any():
             return total
-        budget = rel_tol * np.abs(total) - err_floor
+        budget = DEFAULT_REL_TOL * np.abs(total) - err_floor
         share = np.where(missing, budget / values.shape[1], np.inf)
         marked = np.flatnonzero((errors > share[:, None]).any(axis=0))
         span = edges[marked[0] : marked[-1] + 2] if marked.size else edges[:0]
@@ -307,11 +308,11 @@ def _refine(
         splits = (span[:-1] < mid) & (mid < span[1:])
         if not ((share > 0.0).all() and mid.size and splits.all()):
             # No panel can reduce the budget: either the budget is used up
-            # (by the analytic tail, or rel_tol * total underflowed) or the
+            # (by the analytic tail, or the budget underflowed) or the
             # marked panels sit at floating point resolution.
             raise ToleranceNotMetError(
                 f"adaptive quadrature hit its resolution floor at estimated "
-                f"relative error {_worst(err, total):.3e} (target {rel_tol:.1e})"
+                f"relative error {_worst(err, total):.3e} (target {DEFAULT_REL_TOL:.1e})"
             )
         sub = np.empty(span.size + mid.size)
         sub[0::2] = span
@@ -488,29 +489,29 @@ def _seed_pass(zeta: np.ndarray, levels: np.ndarray, free, rungs: _Eta1Rungs):
     return values, errors, run_to[0::2], levels + 1
 
 
-def _integrals(zetas, q: float, d: int, rel_tol: float, rungs: _Eta1Rungs | None = None) -> list:
+def _integrals(zetas, rungs: _Eta1Rungs) -> list:
     """_integral at each of zetas, all > 0, with all the seed meshes integrated together.
 
+    q and d are those of rungs, the eta = 1 table the free panels come
+    from, which a caller may share between calls with the same q and d.
     Each entry is the (i0, i1, i_ent) tuple or the FastSphereError that zeta
     raises, without a traceback.  A lone zeta goes to _integral.  Otherwise
     the zetas are sorted, so that neighbouring meshes have similar numbers
     of free panels, and each pair of neighbours takes the smaller of the
     two.  The meshes are cut into batches of at most _BATCH_NODES computed
     nodes (a pair at least), and each batch is one _seed_pass; a seed that
-    misses rel_tol is refined on its own, from its full seed values.  The
-    free panels come from rungs, the eta = 1 table of (q, d), which a
-    caller may share between calls with the same q and d.
+    misses DEFAULT_REL_TOL is refined on its own, from its full seed values.
     """
+    q, d = rungs.q, rungs.d
     if len(zetas) == 1:
         try:
-            return [_integral(zetas[0], q, d, rel_tol)]
+            return [_integral(zetas[0], q, d)]
         except FastSphereError as exc:
             return [exc.with_traceback(None)]
     asked = np.array(zetas, dtype=float)
     by_size = np.argsort(asked, kind="stable")
     zeta = asked[by_size]
     levels = _seed_levels(zeta, _seed_cut(q, d))
-    rungs = _Eta1Rungs(q, d) if rungs is None else rungs
     free = np.zeros_like(levels)
     ladder = _ladder()
     if zeta[0] < ladder.free_below[-1]:  # else not even the top panel is free
@@ -532,7 +533,8 @@ def _integrals(zetas, q: float, d: int, rel_tol: float, rungs: _Eta1Rungs | None
         )
         totals = _run_sums(values, starts)
         err = _run_sums(errors, starts)
-        met = ((err <= rel_tol * np.abs(totals)).all(axis=0) & (panels <= _MAX_PANELS)).tolist()
+        within = (err <= DEFAULT_REL_TOL * np.abs(totals)).all(axis=0)
+        met = (within & (panels <= _MAX_PANELS)).tolist()
         for k, total in enumerate(totals.T.tolist()):
             if met[k]:
                 result = tuple(total)
@@ -540,7 +542,7 @@ def _integrals(zetas, q: float, d: int, rel_tol: float, rungs: _Eta1Rungs | None
                 span = slice(starts[k], starts[k] + panels[k])
                 try:
                     result = _refine_seed(
-                        float(batch[k]), q, d, rel_tol, values[:, span], errors[:, span]
+                        float(batch[k]), q, d, values[:, span], errors[:, span]
                     )
                 except FastSphereError as exc:
                     result = exc.with_traceback(None)
@@ -549,14 +551,14 @@ def _integrals(zetas, q: float, d: int, rel_tol: float, rungs: _Eta1Rungs | None
     return results
 
 
-def _refine_seed(zeta: float, q: float, d: int, rel_tol: float, values, errors) -> tuple:
+def _refine_seed(zeta: float, q: float, d: int, values, errors) -> tuple:
     """_refine from the seed mesh at zeta, given its panels' values and estimates."""
     edges, tail, tail_err = _seed_mesh(zeta, q, d)
     f = lambda t: _folded_integrand(t, zeta, q, d)
-    return tuple(_refine(f, edges, values, errors, rel_tol, tail, tail_err).tolist())
+    return tuple(_refine(f, edges, values, errors, tail, tail_err).tolist())
 
 
-def _integral(zeta: float, q: float, d: int, rel_tol: float) -> tuple[float, float, float]:
+def _integral(zeta: float, q: float, d: int) -> tuple[float, float, float]:
     """(I(eta, q, 0), I(eta, q, 1), I(eta, q + 1, 0)) at eta = 1 + zeta, computed on every call."""
     edges, tail, tail_err = _seed_mesh(zeta, q, d)
     # one mesh needs none of _seed_pass's layout, whose index arithmetic
@@ -567,6 +569,15 @@ def _integral(zeta: float, q: float, d: int, rel_tol: float) -> tuple[float, flo
     if zeta > 0.0:
         panel[0] = ladder.depth + edges.size - 2
     basis = [part.take(panel, 0) for part in ladder.basis]
-    values, errors = _kronrod_batch(lambda t: _folded_integrand(t, zeta, q, d, basis), edges)
+    seed = lambda t: _folded_integrand(t, zeta, q, d, basis)
     f = lambda t: _folded_integrand(t, zeta, q, d)
-    return tuple(_refine(f, edges, values, errors, rel_tol, tail, tail_err).tolist())
+    try:
+        # an overflow leaves a non-finite panel that no refinement removes; the
+        # branch solves never get there, as their zeta floor keeps the peak in range
+        with np.errstate(over="raise"):
+            values, errors = _kronrod_batch(seed, edges)
+            return tuple(_refine(f, edges, values, errors, tail, tail_err).tolist())
+    except FloatingPointError:
+        raise ToleranceNotMetError(
+            f"the integrand leaves double range at eta - 1 = {zeta!r}, q = {q!r}, d = {d}"
+        ) from None

@@ -13,6 +13,11 @@ asks one batch residual per round for the values of every unfinished
 solve, so a caller whose residual is cheaper in bulk (a batch of
 quadratures) pays its fixed costs once per round instead of once per
 evaluation; each solve takes exactly the steps bracketed_root would.
+
+Every solve stops once its bracket is DEFAULT_WIDTH_TOL wide, or once a
+residual is within DEFAULT_ROOT_TOL of zero.  The residual stop is the one
+tolerance a caller may set, on bracketed_root alone, for a residual
+measured on another scale (the atom fractions take it times max(1, kappa)).
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ DEFAULT_WIDTH_TOL = 1e-13  # on the bracket width
 _MAX_ITER = 200
 
 
-def _root_steps(lo, hi, residual_tol, width_tol):
+def _root_steps(lo, hi, residual_tol):
     """The bracketed_root iteration: yields each x, is sent f(x), returns the root."""
     if not lo < hi:
         raise BracketFailureError(f"empty bracket [{lo!r}, {hi!r}]")
@@ -45,7 +50,7 @@ def _root_steps(lo, hi, residual_tol, width_tol):
     force_bisect = False
     for _ in range(_MAX_ITER):
         width = hi - lo
-        if width <= width_tol:
+        if width <= DEFAULT_WIDTH_TOL:
             break
         # secant through the bracket endpoints, safeguarded towards bisection;
         # two consecutive one-sided updates force a bisection step next, so
@@ -74,21 +79,14 @@ def _root_steps(lo, hi, residual_tol, width_tol):
     return lo if abs(f_lo) <= abs(f_hi) else hi
 
 
-def bracketed_root(
-    f,
-    lo: float,
-    hi: float,
-    *,
-    residual_tol: float = DEFAULT_ROOT_TOL,
-    width_tol: float = DEFAULT_WIDTH_TOL,
-) -> float:
-    """Root of f in [lo, hi], to |f| <= residual_tol or width <= width_tol.
+def bracketed_root(f, lo: float, hi: float, *, residual_tol: float = DEFAULT_ROOT_TOL) -> float:
+    """Root of f in [lo, hi], to |f| <= residual_tol or width <= DEFAULT_WIDTH_TOL.
 
     f(lo) and f(hi) must have opposite signs (an endpoint already within
     residual_tol counts as the root).  Raises BracketFailureError when no
     sign change exists.
     """
-    steps = _root_steps(lo, hi, residual_tol, width_tol)
+    steps = _root_steps(lo, hi, residual_tol)
     fx = None
     while True:
         try:
@@ -98,14 +96,8 @@ def bracketed_root(
         fx = f(x)
 
 
-def lockstep_roots(
-    residuals,
-    brackets,
-    *,
-    residual_tol: float = DEFAULT_ROOT_TOL,
-    width_tol: float = DEFAULT_WIDTH_TOL,
-) -> list:
-    """bracketed_root on every (lo, hi) of brackets, solved side by side.
+def lockstep_roots(residuals, brackets) -> list:
+    """bracketed_root at its default tolerances on every (lo, hi) of brackets, side by side.
 
     Each round, residuals([(item, x), ...]) is called once with the next
     point of every unfinished solve (item indexes brackets) and returns the
@@ -116,7 +108,7 @@ def lockstep_roots(
     """
     results: list = [None] * len(brackets)
     running = [
-        (item, _root_steps(lo, hi, residual_tol, width_tol), None)
+        (item, _root_steps(lo, hi, DEFAULT_ROOT_TOL), None)
         for item, (lo, hi) in enumerate(brackets)
     ]
     while running:

@@ -111,7 +111,6 @@ class TestCritical:
 
 
 def test_no_public_callable_takes_a_tolerance():
-    # theta_integral alone keeps rel_tol: verify compares two accuracies with it
     import fastsphere
 
     taking = [
@@ -120,7 +119,23 @@ def test_no_public_callable_takes_a_tolerance():
         if inspect.isfunction(obj := getattr(fastsphere, name))
         and {"rel_tol", "root_tol"} & set(inspect.signature(obj).parameters)
     ]
-    assert taking == ["theta_integral"]
+    assert taking == []
+
+
+def test_kernel_and_solvers_take_no_accuracy():
+    # the integrals run at DEFAULT_REL_TOL and the brackets close to
+    # DEFAULT_WIDTH_TOL; only bracketed_root's residual stop is set by a caller
+    from fastsphere import solvers
+
+    taking = [
+        f"{module.__name__}.{name}"
+        for module in (quadrature, solvers)
+        for name, obj in vars(module).items()
+        if inspect.isfunction(obj) and obj.__module__ == module.__name__
+        and {"rel_tol", "width_tol"} & set(inspect.signature(obj).parameters)
+    ]
+    assert taking == []
+    assert list(inspect.signature(solvers.lockstep_roots).parameters) == ["residuals", "brackets"]
 
 
 def test_past_double_range_nothing_builds_a_closed_form(capsys, monkeypatch):
@@ -642,13 +657,28 @@ class TestVerify:
         # closed form, so verify must hold it against the quadrature too
         original = quadrature._integral
 
-        def skewed(zeta, q, d, rel_tol):
-            i0, i1, i_ent = original(zeta, q, d, rel_tol)
+        def skewed(zeta, q, d):
+            i0, i1, i_ent = original(zeta, q, d)
             return i0, i1, i_ent * (1.0 + 1e-6)
 
         assert verification.check_eta1_quadrature_vs_closed_form(1e-8).passed
         monkeypatch.setattr(quadrature, "_integral", skewed)
         assert not verification.check_eta1_quadrature_vs_closed_form(1e-8).passed
+
+    @pytest.mark.parametrize("member", [0, 1], ids=["mass", "moment"])
+    def test_quadrature_check_holds_moment_against_mass(self, monkeypatch, member):
+        # the by-parts route compares two members of the kernel at different
+        # (q, d), so a skew of either one alone must show
+        original = quadrature._integral
+
+        def skewed(*args):
+            moments = list(original(*args))
+            moments[member] *= 1.0 + 1e-6
+            return tuple(moments)
+
+        assert verification.check_quadrature_self_consistency(1e-8).passed
+        monkeypatch.setattr(quadrature, "_integral", skewed)
+        assert not verification.check_quadrature_self_consistency(1e-8).passed
 
     def test_moment_check_takes_both_members_from_one_integral(self, monkeypatch):
         calls = record_calls(monkeypatch, quadrature, "_integral")

@@ -206,7 +206,7 @@ class TestFullySupportedStates:
         ]
         q = 1.0 / (m - 1.0)
         for state in states:
-            assert state.moments == quadrature._integral(state.eta_minus_1, q, d, 1e-10)
+            assert state.moments == quadrature._integral(state.eta_minus_1, q, d)
 
         def no_integral(*args):
             raise AssertionError("the energy recomputed the moments")

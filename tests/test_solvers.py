@@ -7,12 +7,12 @@ from fastsphere.solvers import bracketed_root, lockstep_roots
 
 
 def test_simple_root():
-    root = bracketed_root(math.cos, 0.0, 3.0, residual_tol=1e-14, width_tol=1e-14)
+    root = bracketed_root(math.cos, 0.0, 3.0, residual_tol=1e-14)
     assert root == pytest.approx(math.pi / 2.0, abs=1e-12)
 
 
 def test_root_at_endpoint_returned():
-    assert bracketed_root(lambda x: x, 0.0, 1.0, residual_tol=1e-14, width_tol=1e-14) == 0.0
+    assert bracketed_root(lambda x: x, 0.0, 1.0, residual_tol=1e-14) == 0.0
 
 
 def test_no_sign_change_raises():
@@ -28,13 +28,13 @@ def test_empty_bracket_raises():
 def test_hard_one_sided_function_converges():
     # secant alone would crawl on this; the forced bisection keeps it fast
     f = lambda x: x**9 - 1e-6
-    root = bracketed_root(f, 0.0, 2.0, residual_tol=0.0, width_tol=1e-15)
+    root = bracketed_root(f, 0.0, 2.0, residual_tol=0.0)
     assert root == pytest.approx((1e-6) ** (1.0 / 9.0), rel=1e-9)
 
 
 def test_width_stop_on_discontinuous_sign_change():
     f = lambda x: -1.0 if x < 1.0 else 1.0
-    root = bracketed_root(f, 0.0, 2.0, residual_tol=1e-30, width_tol=1e-12)
+    root = bracketed_root(f, 0.0, 2.0, residual_tol=1e-30)
     assert root == pytest.approx(1.0, abs=1e-11)
 
 
@@ -48,23 +48,23 @@ def test_no_one_sided_creep_on_wide_convex_bracket():
         evals += 1
         return math.exp(x / 100.0) - 1.001
 
-    root = bracketed_root(f, -600.0, 20.0, residual_tol=1e-13, width_tol=1e-13)
+    root = bracketed_root(f, -600.0, 20.0, residual_tol=1e-13)
     assert abs(f(root)) <= 1e-13
     assert root == pytest.approx(100.0 * math.log(1.001), abs=1e-8)
     assert evals < 150
 
 
-# (f, lo, hi, residual_tol, width_tol): the problems above, solved side by side
+# (f, lo, hi): the problems above, solved side by side
 PROBLEMS = [
-    (math.cos, 0.0, 3.0, 1e-14, 1e-14),
-    (lambda x: x, 0.0, 1.0, 1e-14, 1e-14),
-    (lambda x: x**9 - 1e-6, 0.0, 2.0, 0.0, 1e-15),
-    (lambda x: -1.0 if x < 1.0 else 1.0, 0.0, 2.0, 1e-30, 1e-12),
-    (lambda x: math.exp(x / 100.0) - 1.001, -600.0, 20.0, 1e-13, 1e-13),
+    (math.cos, 0.0, 3.0),
+    (lambda x: x, 0.0, 1.0),
+    (lambda x: x**9 - 1e-6, 0.0, 2.0),
+    (lambda x: -1.0 if x < 1.0 else 1.0, 0.0, 2.0),
+    (lambda x: math.exp(x / 100.0) - 1.001, -600.0, 20.0),
 ]
 
 
-def lockstep(fs, brackets, **tols):
+def lockstep(fs, brackets):
     """lockstep_roots over per-item residuals, recording each round's asks."""
     rounds = []
 
@@ -78,14 +78,13 @@ def lockstep(fs, brackets, **tols):
                 values.append(exc)
         return values
 
-    return lockstep_roots(residuals, brackets, **tols), rounds
+    return lockstep_roots(residuals, brackets), rounds
 
 
-@pytest.mark.parametrize("f, lo, hi, residual_tol, width_tol", PROBLEMS)
-def test_lockstep_matches_bracketed_root(f, lo, hi, residual_tol, width_tol):
-    tols = dict(residual_tol=residual_tol, width_tol=width_tol)
-    roots, rounds = lockstep([f, f], [(lo, hi), (lo, hi)], **tols)
-    assert roots == [bracketed_root(f, lo, hi, **tols)] * 2
+@pytest.mark.parametrize("f, lo, hi", PROBLEMS, ids=["cos", "endpoint", "ninth", "step", "convex"])
+def test_lockstep_matches_bracketed_root(f, lo, hi):
+    roots, rounds = lockstep([f, f], [(lo, hi), (lo, hi)])
+    assert roots == [bracketed_root(f, lo, hi)] * 2
     # one residual call per round serves both solves
     assert all(len(asks) == 2 for asks in rounds)
 
@@ -93,9 +92,8 @@ def test_lockstep_matches_bracketed_root(f, lo, hi, residual_tol, width_tol):
 def test_lockstep_runs_different_problems_together():
     fs = [p[0] for p in PROBLEMS[2:]]
     brackets = [(p[1], p[2]) for p in PROBLEMS[2:]]
-    tols = dict(residual_tol=1e-13, width_tol=1e-14)
-    roots, _ = lockstep(fs, brackets, **tols)
-    assert roots == [bracketed_root(f, lo, hi, **tols) for f, (lo, hi) in zip(fs, brackets)]
+    roots, _ = lockstep(fs, brackets)
+    assert roots == [bracketed_root(f, lo, hi) for f, (lo, hi) in zip(fs, brackets)]
 
 
 def test_lockstep_failures_stay_with_their_item():
