@@ -48,7 +48,11 @@ error estimates, and each component must meet the package's one
 accuracy, DEFAULT_REL_TOL, relative to its own total.  While one misses
 it, every panel whose estimate exceeds its equal share of that
 component's budget is marked, and the whole contiguous span from the
-first to the last marked panel is bisected in one batch.  The seed mesh
+first to the last marked panel is bisected.  One routine, _refine, does
+this for one mesh or many: each round lays the spans of every mesh that
+still misses end to end, alternately upwards and downwards, and bisects
+them all in one batch, with a bridge panel, whose values are dropped,
+between two spans that share no end edge.  The seed mesh
 usually meets the tolerance at once, so one integral costs about one
 batch.
 
@@ -73,8 +77,9 @@ of it, found by one searchsorted.
 
 The branch solves, run in lockstep, take their integrals from
 _integrals, which integrates the seed meshes of many zetas together and
-computes only the panels below each free suffix.  It sorts the zetas, so
-that neighbours have similar suffixes, and _seed_pass lays the computed
+computes only the panels below each free suffix.  Where some seed has a
+free panel it sorts the zetas, so that neighbours have similar suffixes
+(with none, the order asked serves as well), and _seed_pass lays the computed
 panels end to end, alternately upwards and downwards so that neighbours
 share an edge (the two meshes of a pair are cut at the same panel), with
 each panel's ladder index and zeta found by index arithmetic (no Python
@@ -86,8 +91,9 @@ so every panel of a call is of one (q, d); a caller with many calls at
 one (q, d), such as a branch solve, shares one table between them.  A
 full batch costs mostly its nodes, not its fixed numpy overhead, so the
 free panels are the saving.  One gather puts every full seed back in
-increasing order for its sums, and only the few seeds that miss the
-tolerance are refined one by one, each from its full seed.  A lone zeta
+increasing order for its sums, and the seeds of a pass that miss the
+tolerance are refined together from their full seeds, so a round of
+their refinement costs one batch however many seeds it bisects.  A lone zeta
 (a single solve) goes to _integral, because on one mesh that layout
 costs more than it saves.  Every panel and every per-mesh sum is
 computed in the same order in either route, and every free panel equals
@@ -109,7 +115,9 @@ quadrature, which at eta = 1 serves as its independent oracle.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -270,58 +278,131 @@ def _worst(err: np.ndarray, total: np.ndarray) -> float:
     return max(e / max(abs(t), 1e-300) for e, t in zip(err.tolist(), total.tolist()))
 
 
-def _refine(
-    f,
-    edges: np.ndarray,
-    values: np.ndarray,
-    errors: np.ndarray,
-    offset: np.ndarray,
-    err_floor: np.ndarray,
-) -> np.ndarray:
-    """Adaptive Gauss-Kronrod refinement of all components over the seed mesh.
+def _gather(runs) -> np.ndarray:
+    """The indices of the runs (start, size), run after run."""
+    offsets, sizes, at = [], [], 0
+    for start, size in runs:
+        offsets.append(start - at)
+        sizes.append(size)
+        at += size
+    return np.repeat(offsets, sizes) + np.arange(at)
 
-    values and errors are the seed panels' Kronrod values and estimates.
-    Each component must meet DEFAULT_REL_TOL relative to its own total.
-    While one misses, every panel whose estimate exceeds its equal share of
-    a missing component's budget is marked, and the contiguous span from
-    the first to the last marked panel is bisected in one batch.  offset is the
-    closed-form endpoint tail that joins each total, and err_floor its
-    irreducible share of each error budget.
+
+def _refine(zeta, q, d, table, begin: list, tail, tail_err) -> list:
+    """Adaptive Gauss-Kronrod refinement of meshes at eta = 1 + zeta, one batch per round.
+
+    Every mesh has the same q and d.  table holds one column per panel,
+    mesh k's from begin[k] to the next start, in increasing order: rows
+    0-2 are its Kronrod values, 3-5 their estimates, 6 and 7 its lower and
+    upper edge.  tail[:, k] is mesh k's closed-form endpoint tail, which
+    joins each total, and tail_err[:, k] the tail's irreducible share of
+    each error budget.  Each component must meet DEFAULT_REL_TOL relative
+    to its own total.  While one misses, every panel whose estimate
+    exceeds its equal share of a missing component's budget is marked, and
+    the contiguous span from the first to the last marked panel is
+    bisected.  Each round bisects the spans of all the meshes that still
+    miss in one batch, laid end to end; two spans that share no end edge
+    are joined by a bridge panel whose values are dropped.  A mesh's
+    panels and sums do not depend on the other meshes, so each ends as it
+    would on its own.
+
+    Returns each mesh's (i0, i1, i_ent), or the ToleranceNotMetError it
+    ends in, without a traceback.
     """
+    results = [None] * zeta.size
+    live = list(range(zeta.size))  # the place in zeta of each mesh still refined
+    sizes = [b - a for a, b in zip(begin, begin[1:] + [table.shape[1]])]
     while True:
-        total = offset + _run_sums(values, [0])[:, 0]
-        err = err_floor + _run_sums(errors, [0])[:, 0]
-        missing = ~(err <= DEFAULT_REL_TOL * np.abs(total))
-        if values.shape[1] > _MAX_PANELS:
-            raise ToleranceNotMetError(
-                f"adaptive quadrature stalled at estimated relative error "
-                f"{_worst(err, total):.3e} after {values.shape[1]} panels "
-                f"(target {DEFAULT_REL_TOL:.1e})"
-            )
-        if not missing.any():
-            return total
-        budget = DEFAULT_REL_TOL * np.abs(total) - err_floor
-        share = np.where(missing, budget / values.shape[1], np.inf)
-        marked = np.flatnonzero((errors > share[:, None]).any(axis=0))
-        span = edges[marked[0] : marked[-1] + 2] if marked.size else edges[:0]
-        mid = 0.5 * (span[:-1] + span[1:])
-        splits = (span[:-1] < mid) & (mid < span[1:])
-        if not ((share > 0.0).all() and mid.size and splits.all()):
+        sums = _run_sums(table[:6], begin)
+        total, err = tail + sums[:3], tail_err + sums[3:]
+        bound = DEFAULT_REL_TOL * np.abs(total)
+        missing = ~(err <= bound)
+        grow = []
+        for k, miss in enumerate(missing.any(axis=0).tolist()):
+            if sizes[k] > _MAX_PANELS:
+                results[live[k]] = ToleranceNotMetError(
+                    f"adaptive quadrature stalled at estimated relative error "
+                    f"{_worst(err[:, k], total[:, k]):.3e} after {sizes[k]} panels "
+                    f"(target {DEFAULT_REL_TOL:.1e})"
+                )
+            elif miss:
+                grow.append(k)
+            else:
+                results[live[k]] = tuple(total[:, k].tolist())
+        if not grow:
+            return results
+        panels = np.array(sizes)
+        share = np.where(missing, (bound - tail_err) / panels, np.inf)
+        positive = (share > 0.0).all(axis=0).tolist()
+        marked = (table[3:6] > share.repeat(panels, axis=1)).any(axis=0).nonzero()[0].tolist()
+        lo, hi = table[6], table[7]
+        mid = 0.5 * (lo + hi)
+        # the panels at floating point resolution, which no bisection splits
+        splits = (lo < mid) & (mid < hi)
+        whole = [] if splits.all() else (~splits).nonzero()[0].tolist()
+        keep, spans = [], []  # the meshes bisected now, and their first and last marked panel
+        for k in grow:
+            # the marked panels of mesh k are marked[a:b]
+            a, b = bisect_left(marked, begin[k]), bisect_left(marked, begin[k] + sizes[k])
+            if positive[k] and a < b:
+                first, last = marked[a], marked[b - 1]
+                if bisect_left(whole, first) == bisect_right(whole, last):
+                    keep.append(k)
+                    spans.append((first, last))
+                    continue
             # No panel can reduce the budget: either the budget is used up
             # (by the analytic tail, or the budget underflowed) or the
             # marked panels sit at floating point resolution.
-            raise ToleranceNotMetError(
+            results[live[k]] = ToleranceNotMetError(
                 f"adaptive quadrature hit its resolution floor at estimated "
-                f"relative error {_worst(err, total):.3e} (target {DEFAULT_REL_TOL:.1e})"
+                f"relative error {_worst(err[:, k], total[:, k]):.3e} "
+                f"(target {DEFAULT_REL_TOL:.1e})"
             )
-        sub = np.empty(span.size + mid.size)
-        sub[0::2] = span
-        sub[1::2] = mid
-        vals, errs = _kronrod_batch(f, sub)
-        lo, hi = marked[0], marked[0] + mid.size
-        edges = np.concatenate((edges[:lo], sub, edges[hi + 1 :]))
-        values = np.concatenate((values[:, :lo], vals, values[:, hi:]), axis=1)
-        errors = np.concatenate((errors[:, :lo], errs, errors[:, hi:]), axis=1)
+        if not keep:
+            return results
+        if len(keep) < len(live):
+            zeta, live = zeta[keep], [live[k] for k in keep]
+            tail, tail_err = tail[:, keep], tail_err[:, keep]
+        cuts = np.empty(2 * lo.size)  # each panel's lower edge and midpoint
+        cuts[0::2], cuts[1::2] = lo, mid
+        # the spans' edges end to end, alternately upwards and downwards as
+        # in _seed_pass: a span that starts where the one before it ends
+        # shares that edge, and any other two are joined by a bridge panel,
+        # which takes the zeta of the span laid before it
+        laid, counts, feet, at = [], [], [], 0
+        for r, (first, last) in enumerate(spans):
+            lower, top = cuts[2 * first : 2 * last + 2], hi[last : last + 1]
+            edges = [lower, top] if r % 2 == 0 else [top, lower[::-1]]
+            shared = r > 0 and edges[0][0] == laid[-1][-1]
+            if shared:
+                edges[0] = edges[0][1:]
+            elif r > 0:
+                counts[-1] += 1
+            feet.append(at - shared)  # the batch column where the span's halves start
+            at += 2 * (last - first) + 3 - shared
+            laid += edges
+            counts.append(2 * (last + 1 - first))
+        laid = np.concatenate(laid)
+        zeta_col = zeta.repeat(counts)[:, None]
+        vals, errs = _kronrod_batch(lambda t: _folded_integrand(t, zeta_col, q, d), laid)
+        below, above = laid[:-1], laid[1:]
+        new = np.concatenate(
+            (vals, errs, np.minimum(below, above)[None], np.maximum(below, above)[None])
+        )
+        # each mesh again: its panels below the span, the span's halves, its panels above it
+        parts, sizes_kept = [], []
+        for r, (k, (first, last), foot) in enumerate(zip(keep, spans, feet)):
+            span = last + 1 - first
+            halves = new[:, foot : foot + 2 * span]
+            parts += [
+                table[:, begin[k] : first],
+                halves if r % 2 == 0 else halves[:, ::-1],
+                table[:, last + 1 : begin[k] + sizes[k]],
+            ]
+            sizes_kept.append(sizes[k] + span)
+        table = np.concatenate(parts, axis=1)
+        sizes = sizes_kept
+        begin = list(accumulate(sizes[:-1], initial=0))
 
 
 def _eta1_cutoff(q: float, d: int) -> float:
@@ -350,7 +431,10 @@ def _seed_levels(zeta, cut: float):
 
 
 def _seed_mesh(zeta: float, q: float, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Seed edges at eta = 1 + zeta, with the closed-form tail below them and its error budget."""
+    """Seed edges at eta = 1 + zeta, with the closed-form tail below them and its error budget.
+
+    The tail and its budget are columns, one mesh's as _refine takes them.
+    """
     cut = _seed_cut(q, d)
     if zeta == 0.0 and cut == 0.0:
         raise _not_integrable(q, d)
@@ -359,10 +443,11 @@ def _seed_mesh(zeta: float, q: float, d: int) -> tuple[np.ndarray, np.ndarray, n
         # below the spike the integrand is analytic: one panel down to 0
         edges = np.ldexp(_HALF_PI, np.arange(-n - 1, 1))
         edges[0] = 0.0
-        return edges, np.zeros(3), np.zeros(3)
+        return edges, np.zeros((3, 1)), np.zeros((3, 1))
     edges = np.ldexp(_HALF_PI, np.arange(-n, 1))
     # the tail joins at the actual lowest panel edge, not the nominal cut
-    return (edges, *_eta1_tail(q, d, float(edges[0])))
+    tail, tail_err = _eta1_tail(q, d, float(edges[0]))
+    return edges, tail[:, None], tail_err[:, None]
 
 
 class _Ladder(NamedTuple):
@@ -495,12 +580,14 @@ def _integrals(zetas, rungs: _Eta1Rungs) -> list:
     q and d are those of rungs, the eta = 1 table the free panels come
     from, which a caller may share between calls with the same q and d.
     Each entry is the (i0, i1, i_ent) tuple or the FastSphereError that zeta
-    raises, without a traceback.  A lone zeta goes to _integral.  Otherwise
-    the zetas are sorted, so that neighbouring meshes have similar numbers
-    of free panels, and each pair of neighbours takes the smaller of the
-    two.  The meshes are cut into batches of at most _BATCH_NODES computed
-    nodes (a pair at least), and each batch is one _seed_pass; a seed that
-    misses DEFAULT_REL_TOL is refined on its own, from its full seed values.
+    raises, without a traceback.  A lone zeta goes to _integral.  Where
+    some seed has a free panel, the zetas are sorted, so that neighbouring
+    meshes have similar numbers of free panels, and each pair of neighbours
+    takes the smaller of the two; otherwise they stay in the order asked.
+    The meshes are cut into batches of at most _BATCH_NODES computed nodes
+    (a pair at least), and each batch is one _seed_pass.  The seeds of a
+    pass that miss DEFAULT_REL_TOL are refined together by one _refine
+    from their full seed values.
     """
     q, d = rungs.q, rungs.d
     if len(zetas) == 1:
@@ -508,17 +595,18 @@ def _integrals(zetas, rungs: _Eta1Rungs) -> list:
             return [_integral(zetas[0], q, d)]
         except FastSphereError as exc:
             return [exc.with_traceback(None)]
-    asked = np.array(zetas, dtype=float)
-    by_size = np.argsort(asked, kind="stable")
-    zeta = asked[by_size]
-    levels = _seed_levels(zeta, _seed_cut(q, d))
-    free = np.zeros_like(levels)
+    zeta = np.array(zetas, dtype=float)
     ladder = _ladder()
-    if zeta[0] < ladder.free_below[-1]:  # else not even the top panel is free
+    levels = _seed_levels(zeta, _seed_cut(q, d))
+    if min(zetas) < ladder.free_below[-1]:  # else not even the top panel is free
+        order = np.argsort(zeta, kind="stable")
+        zeta, levels = zeta[order], levels[order]
         free = _free_panels(zeta, levels)
         # the two meshes of a pair share their top edge
         free[0:-1:2] = free[1::2] = np.minimum(free[0:-1:2], free[1::2])
         rungs.fill(ladder.depth - int(free.max()))
+    else:
+        order, free = range(zeta.size), np.zeros_like(levels)
     ends = np.cumsum(levels + 1 - free)  # in computed panels
     results = [None] * zeta.size
     first = 0
@@ -527,35 +615,36 @@ def _integrals(zetas, rungs: _Eta1Rungs) -> list:
         last = int(np.searchsorted(ends, room, "right"))
         if last < zeta.size:  # cut between two pairs, after one at least
             last = min(max(last - (last - first) % 2, first + 2), zeta.size)
-        batch = zeta[first:last]
         values, errors, starts, panels = _seed_pass(
-            batch, levels[first:last], free[first:last], rungs
+            zeta[first:last], levels[first:last], free[first:last], rungs
         )
         totals = _run_sums(values, starts)
         err = _run_sums(errors, starts)
         within = (err <= DEFAULT_REL_TOL * np.abs(totals)).all(axis=0)
         met = (within & (panels <= _MAX_PANELS)).tolist()
+        miss = []
         for k, total in enumerate(totals.T.tolist()):
             if met[k]:
-                result = tuple(total)
+                results[order[first + k]] = tuple(total)
             else:
-                span = slice(starts[k], starts[k] + panels[k])
-                try:
-                    result = _refine_seed(
-                        float(batch[k]), q, d, values[:, span], errors[:, span]
-                    )
-                except FastSphereError as exc:
-                    result = exc.with_traceback(None)
-            results[by_size[first + k]] = result
+                miss.append(k)
+        if miss:
+            n = levels[first:last][miss]
+            cols = _gather(zip(starts[miss].tolist(), panels[miss].tolist()))
+            # the seeds' panels in the ladder: the bottom one, then the dyadic ones
+            panel = _gather(zip((ladder.depth - n - 1).tolist(), (n + 1).tolist()))
+            begin = list(accumulate((n[:-1] + 1).tolist(), initial=0))
+            panel[begin] = ladder.depth + n
+            table = np.concatenate(
+                (values[:, cols], errors[:, cols], ladder.lo[None, panel], ladder.hi[None, panel])
+            )
+            del values, errors  # the pass's full seeds, freed before the refinement
+            tail = np.zeros((3, len(miss)))
+            refined = _refine(zeta[first:last][miss], q, d, table, begin, tail, tail)
+            for k, result in zip(miss, refined):
+                results[order[first + k]] = result
         first = last
     return results
-
-
-def _refine_seed(zeta: float, q: float, d: int, values, errors) -> tuple:
-    """_refine from the seed mesh at zeta, given its panels' values and estimates."""
-    edges, tail, tail_err = _seed_mesh(zeta, q, d)
-    f = lambda t: _folded_integrand(t, zeta, q, d)
-    return tuple(_refine(f, edges, values, errors, tail, tail_err).tolist())
 
 
 def _integral(zeta: float, q: float, d: int) -> tuple[float, float, float]:
@@ -570,14 +659,17 @@ def _integral(zeta: float, q: float, d: int) -> tuple[float, float, float]:
         panel[0] = ladder.depth + edges.size - 2
     basis = [part.take(panel, 0) for part in ladder.basis]
     seed = lambda t: _folded_integrand(t, zeta, q, d, basis)
-    f = lambda t: _folded_integrand(t, zeta, q, d)
     try:
         # an overflow leaves a non-finite panel that no refinement removes; the
         # branch solves never get there, as their zeta floor keeps the peak in range
         with np.errstate(over="raise"):
             values, errors = _kronrod_batch(seed, edges)
-            return tuple(_refine(f, edges, values, errors, tail, tail_err).tolist())
+            table = np.concatenate((values, errors, edges[None, :-1], edges[None, 1:]))
+            (result,) = _refine(np.array([zeta]), q, d, table, [0], tail, tail_err)
     except FloatingPointError:
         raise ToleranceNotMetError(
             f"the integrand leaves double range at eta - 1 = {zeta!r}, q = {q!r}, d = {d}"
         ) from None
+    if isinstance(result, FastSphereError):
+        raise result
+    return result

@@ -338,6 +338,10 @@ class TestSweepWork:
         # panels of deep seeds come from eta = 1.  Most seed panels of
         # (5, 0.3) lie at zeta > 1e-10, where no panel is free.
         full_seed_nodes, node_share = {(5, 0.3): (47190, 0.8), (3, 0.25): (167850, 0.65)}[d, m]
+        # and the batches of the lockstep sweep when each seed that missed
+        # the tolerance was refined in batches of its own, with the share
+        # of them it may take now that a pass's seeds are refined together
+        one_by_one_batches, batch_share = {(5, 0.3): 65, (3, 0.25): 55}[d, m], 0.93
         batches = record_calls(monkeypatch, quadrature, "_kronrod_batch")
         code, _, err = run(
             capsys,
@@ -346,6 +350,7 @@ class TestSweepWork:
         )
         assert code == 0 and err == ""
         assert len(batches) <= per_kappa_batches / 4
+        assert len(batches) <= batch_share * one_by_one_batches
         nodes = sum(15 * (bounds.size - 1) for _, bounds in batches)
         assert nodes <= node_share * full_seed_nodes
 

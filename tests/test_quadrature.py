@@ -170,7 +170,11 @@ def seed_reference(zeta, q, d):
     values, errors = quadrature._kronrod_batch(f, edges)
 
     def refined():
-        return tuple(quadrature._refine(f, edges, values, errors, tail, tail_err).tolist())
+        table = np.concatenate((values, errors, edges[None, :-1], edges[None, 1:]))
+        (result,) = quadrature._refine(np.array([zeta]), q, d, table, [0], tail, tail_err)
+        if isinstance(result, FastSphereError):
+            raise result
+        return result
 
     return edges, values, errors, outcome(refined)
 
@@ -290,14 +294,74 @@ def test_seed_levels_at_a_power_of_two(k):
     assert int(quadrature._seed_levels(np.array([zeta, 0.0]), 1e-3)[1]) == 11  # the cutoff
 
 
-def test_batched_seeds_that_miss_the_tolerance_are_refined_exactly(monkeypatch):
+def refine_rounds(call):
+    """What call returns, with a [meshes, batches] pair for each _refine it makes.
+
+    meshes is the number of meshes the _refine was given, and batches the
+    Gauss-Kronrod batches it integrated.
+    """
+    refine, batch, record, inside = quadrature._refine, quadrature._kronrod_batch, [], []
+
+    def counted_refine(zeta, *args):
+        record.append([zeta.size, 0])
+        inside.append(True)
+        try:
+            return refine(zeta, *args)
+        finally:
+            inside.pop()
+
+    def counted_batch(f, bounds):
+        if inside:
+            record[-1][1] += 1
+        return batch(f, bounds)
+
+    quadrature._refine, quadrature._kronrod_batch = counted_refine, counted_batch
+    try:
+        return call(), record
+    finally:
+        quadrature._refine, quadrature._kronrod_batch = refine, batch
+
+
+def rounds_alone(zeta, q, d):
+    """The refinement rounds of the mesh at zeta refined on its own, by _integral."""
+    _, ((_, rounds),) = refine_rounds(lambda: outcome(lambda: quadrature._integral(zeta, q, d)))
+    return rounds
+
+
+def test_batched_seeds_that_miss_the_tolerance_are_refined_exactly():
+    # every seed of the pass that misses the tolerance is refined in one
+    # _refine, in one Gauss-Kronrod batch per round, bit for bit as on its own
     q, d = 1.0 / (0.5 - 1.0), 2
     zetas = [float(z) for z in np.geomspace(1e-12, 1e3, 40)]
-    refined = record_calls(monkeypatch, quadrature, "_refine")
-    batched = quadrature._integrals(zetas, quadrature._Eta1Rungs(q, d))
-    monkeypatch.undo()
-    assert len(refined) >= 5
+    rungs = quadrature._Eta1Rungs(q, d)
+    batched, rounds = refine_rounds(lambda: quadrature._integrals(zetas, rungs))
+    needed = [rounds_alone(z, q, d) for z in zetas]
+    assert rounds == [[sum(n > 0 for n in needed), max(needed)]]
+    assert rounds[0][0] >= 5
     assert batched == [seed_reference(z, q, d)[3] for z in zetas]
+
+
+def test_batched_refinement_goes_on_past_a_seed_that_fails(monkeypatch):
+    # at d = 40, m = 0.9 the seeds need 2 or 3 rounds: one at zeta <= 0.1
+    # has 5 panels, then 7 and 9; one at zeta = 1 has 3, then 4 and 6; one
+    # at zeta >= 10 has 1, then 2, 4 and 6.  With at most 6 panels the
+    # first fail after one round, while the others go on to their second
+    # and third, still one batch per round for all the meshes left
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 6)
+    q, d = 1.0 / (0.9 - 1.0), 40
+    zetas = [1e-3, 1.0, 100.0, 0.1, 1e4]
+    rungs = quadrature._Eta1Rungs(q, d)
+    batched, rounds = refine_rounds(lambda: quadrature._integrals(zetas, rungs))
+    assert rounds == [[5, 3]]
+    for zeta, result in zip(zetas, batched):
+        if zeta < 1.0:
+            assert type(result) is ToleranceNotMetError and result.__traceback__ is None
+            assert "after 7 panels" in str(result)
+            with pytest.raises(ToleranceNotMetError) as exc:
+                quadrature._integral(zeta, q, d)
+            assert str(exc.value) == str(result)
+        else:
+            assert result == quadrature._integral(zeta, q, d)
 
 
 def test_ladder_table_is_built_on_first_use_and_small():

@@ -49,6 +49,23 @@ def test_traced_verify_passes_with_no_cache_hit(monkeypatch):
     assert layers["quadrature.cache_hits"] == 0
 
 
+def test_traced_sweep_cross_checks_hold(monkeypatch):
+    # the branch solves integrate through _integrals, whose seed passes and
+    # refinement rounds must all run through _kronrod_batch for the trace
+    # to count their panels: every integrand node lies in a traced batch
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    workload = importlib.import_module("workloads").Sweep(0)
+    tracer = tracing.Tracer()
+    with tracing.traced(tracer):
+        outputs = [unit() for unit in workload.units]
+    assert workload.check(outputs) == (0, [])
+    layers, problems = tracer.metrics(None)
+    assert problems == []
+    assert layers["quadrature.integrand_nodes"] > 0
+
+
 def test_the_parser_accepts_every_workload_argv(monkeypatch):
     # a CLI change that would break a benchmark workload fails here first
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
