@@ -38,10 +38,12 @@ half the spike scale.  Below that edge the integrand is analytic for
 eta > 1, and one more panel reaches down to 0; for eta - 1 >= pi^2 that
 leaves the single panel [0, pi/2].  Where the eta = 1 integral converges
 (2q + d > 0) the edges never go below the cutoff theta_c under which the
-eta = 1 integrand holds less than 1e-18 of its total, and for eta > 1 even
-less, however narrow the spike.  At eta = 1 the piece below theta_c is
-added in closed form (exact to a relative O(theta_c^2) correction that
-joins the error budget).
+singular part of the eta = 1 integrand holds less than 1e-18 of its
+total, and for eta > 1 even less, however narrow the spike.  At eta = 1
+with q < 0, where the integrand is singular at 0, the piece below theta_c
+takes the bottom panel's place in closed form (exact to a relative
+O(theta_c^2) correction that joins the error budget); with q >= 0 the
+integrand is bounded, and the bottom panel stays.
 
 All panels are integrated by a Gauss-Kronrod 7/15 rule with |K15 - G7|
 error estimates, and each component must meet the package's one
@@ -52,16 +54,18 @@ first to the last marked panel is bisected.  One routine, _refine, does
 this for one mesh or many: each round lays the spans of every mesh that
 still misses end to end, alternately upwards and downwards, and bisects
 them all in one batch, with a bridge panel, whose values are dropped,
-between two spans that share no end edge.  The seed mesh
-usually meets the tolerance at once, so one integral costs about one
+between two spans that share no end edge.  Every seed goes to _refine
+whole, so its first round is the module's one test of the tolerance.
+The seed mesh usually meets it at once, so one integral costs about one
 batch.
 
 Every seed panel is a rung of one dyadic ladder: [pi/2 * 2^-(k+1), pi/2 *
-2^-k], or a bottom panel [0, pi/2 * 2^-n].  Its nodes, and everything the
-integrand needs of the angle alone (1 - cos t and log sin t), are the same
-at every zeta, so a table of them (_ladder) is built on first use, down to
-the deepest level a seed can reach, and every seed panel takes its basis
-from it by index; only the panels that refinement bisects compute it.
+2^-k], or a bottom panel [0, pi/2 * 2^-n].  Its edges, its nodes, and
+everything the integrand needs of the angle alone (1 - cos t and log
+sin t), are the same at every zeta, so a table of them (_ladder) is
+built on first use, down to the deepest level a seed can reach; a seed
+is a slice of it, read by index, and only the panels that refinement
+bisects compute their basis.
 
 The branch solves run towards eta = 1 and bracket zeta from a floor as
 low as 1e-280, so many seeds are deep, and their upper panels are
@@ -90,10 +94,12 @@ panel the call uses.  That table is also where _integrals reads q and d,
 so every panel of a call is of one (q, d); a caller with many calls at
 one (q, d), such as a branch solve, shares one table between them.  A
 full batch costs mostly its nodes, not its fixed numpy overhead, so the
-free panels are the saving.  One gather puts every full seed back in
-increasing order for its sums, and the seeds of a pass that miss the
-tolerance are refined together from their full seeds, so a round of
-their refinement costs one batch however many seeds it bisects.  A lone zeta
+free panels are the saving.  The pass and the eta = 1 table hold their
+panels in _refine's rows, and one gather puts every full seed back in
+increasing order; the pass then goes whole to _refine, which returns the
+seeds that meet the tolerance and refines the others together, so a
+round of their refinement costs one batch however many seeds it
+bisects.  A lone zeta
 (a single solve) goes to _integral, because on one mesh that layout
 costs more than it saves.  Every panel and every per-mesh sum is
 computed in the same order in either route, and every free panel equals
@@ -265,27 +271,8 @@ def _eta1_tail(q: float, d: int, cut: float) -> tuple[np.ndarray, np.ndarray]:
     return np.array(values), np.array(errors)
 
 
-def _run_sums(panels: np.ndarray, starts) -> np.ndarray:
-    """Sums over the runs of panels (columns) that begin at starts, one column per run.
-
-    Each run is summed on its own and in the same order wherever it sits,
-    so the totals of a mesh do not depend on the meshes batched with it.
-    """
-    return np.add.reduceat(panels, starts, axis=1)
-
-
 def _worst(err: np.ndarray, total: np.ndarray) -> float:
     return max(e / max(abs(t), 1e-300) for e, t in zip(err.tolist(), total.tolist()))
-
-
-def _gather(runs) -> np.ndarray:
-    """The indices of the runs (start, size), run after run."""
-    offsets, sizes, at = [], [], 0
-    for start, size in runs:
-        offsets.append(start - at)
-        sizes.append(size)
-        at += size
-    return np.repeat(offsets, sizes) + np.arange(at)
 
 
 def _refine(zeta, q, d, table, begin: list, tail, tail_err) -> list:
@@ -313,7 +300,9 @@ def _refine(zeta, q, d, table, begin: list, tail, tail_err) -> list:
     live = list(range(zeta.size))  # the place in zeta of each mesh still refined
     sizes = [b - a for a, b in zip(begin, begin[1:] + [table.shape[1]])]
     while True:
-        sums = _run_sums(table[:6], begin)
+        # each mesh's run of panels is summed on its own and in the same order
+        # wherever it sits, so its totals do not depend on the other meshes
+        sums = np.add.reduceat(table[:6], begin, axis=1)
         total, err = tail + sums[:3], tail_err + sums[3:]
         bound = DEFAULT_REL_TOL * np.abs(total)
         missing = ~(err <= bound)
@@ -405,18 +394,17 @@ def _refine(zeta, q, d, table, begin: list, tail, tail_err) -> list:
         begin = list(accumulate(sizes[:-1], initial=0))
 
 
-def _eta1_cutoff(q: float, d: int) -> float:
-    """Angle below which the eta = 1 integrand holds under 1e-18 of its total (2q + d > 0)."""
+def _seed_cut(q: float, d: int) -> float:
+    """Lowest angle a seed mesh needs at any zeta: the eta = 1 cutoff where 2q + d > 0, else 0."""
+    if 2.0 * q + d <= 0.0:
+        return 0.0
+    # below the cutoff the singular part of the eta = 1 integrand holds under
+    # 1e-18 of its total, and for eta > 1 less still, so no finer dyadic
+    # panel is needed: one bottom panel reaches 0, or at eta = 1 with q < 0
+    # the closed-form tail takes its place
     cut = _HALF_PI * math.exp(-18.0 * math.log(10.0) / (2.0 * q + d))
     # the floor keeps 2 sin^2(t/2) fully precise where it IS the integrand
     return min(max(cut, _MIN_CUT), _HALF_PI / 16.0)
-
-
-def _seed_cut(q: float, d: int) -> float:
-    """Lowest angle a seed mesh needs at any zeta: the eta = 1 cutoff where 2q + d > 0, else 0."""
-    # what the eta = 1 integrand leaves below the cutoff is negligible, and
-    # for eta > 1 it is smaller still
-    return _eta1_cutoff(q, d) if 2.0 * q + d > 0.0 else 0.0
 
 
 def _seed_levels(zeta, cut: float):
@@ -430,33 +418,14 @@ def _seed_levels(zeta, cut: float):
     return np.maximum(exponent - (mantissa == 0.5), 0)
 
 
-def _seed_mesh(zeta: float, q: float, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Seed edges at eta = 1 + zeta, with the closed-form tail below them and its error budget.
-
-    The tail and its budget are columns, one mesh's as _refine takes them.
-    """
-    cut = _seed_cut(q, d)
-    if zeta == 0.0 and cut == 0.0:
-        raise _not_integrable(q, d)
-    n = int(_seed_levels(zeta, cut))
-    if zeta > 0.0:
-        # below the spike the integrand is analytic: one panel down to 0
-        edges = np.ldexp(_HALF_PI, np.arange(-n - 1, 1))
-        edges[0] = 0.0
-        return edges, np.zeros((3, 1)), np.zeros((3, 1))
-    edges = np.ldexp(_HALF_PI, np.arange(-n, 1))
-    # the tail joins at the actual lowest panel edge, not the nominal cut
-    tail, tail_err = _eta1_tail(q, d, float(edges[0]))
-    return edges, tail[:, None], tail_err[:, None]
-
-
 class _Ladder(NamedTuple):
     """Every panel a seed mesh can hold, with the angle-only basis at its nodes.
 
     Panel i < depth is the dyadic panel [pi/2 * 2^(i - depth), pi/2 *
     2^(i + 1 - depth)], so the n dyadic panels of a seed are the slice
     [depth - n, depth) in increasing order; panel depth + n is the bottom
-    panel [0, pi/2 * 2^-n] of a zeta > 0 seed with n levels.  free_below[i]
+    panel [0, pi/2 * 2^-n] of a seed with n levels (none at eta = 1 with
+    q < 0, where the closed-form tail takes its place).  free_below[i]
     is the smallest of 2^-52 and half the spacing of 1 - cos t at the nodes
     of dyadic panel i: at any zeta below it the panel integrates as at
     zeta = 0.  It grows with i, so those panels are a top suffix of a seed.
@@ -496,18 +465,20 @@ def _free_panels(zeta, levels):
 
 
 class _Eta1Rungs:
-    """Kronrod values and estimates of the top dyadic panels at zeta = 0, for one (q, d).
+    """The top dyadic panels at zeta = 0, for one (q, d), as rows of _refine's table.
 
-    The panels [top, depth) are filled, and fill extends them downwards in
-    one batch.  Its callers fill only the free panels of the seeds they
-    integrate, so the table computes nothing those seeds would not.
+    Column i is ladder panel i: rows 0-5 its Kronrod values and estimates,
+    rows 6 and 7 its edges.  The panels [top, depth) are filled, and fill
+    extends them downwards in one batch.  Its callers fill only the free
+    panels of the seeds they integrate, so the table computes nothing those
+    seeds would not.
     """
 
     def __init__(self, q: float, d: int):
-        depth = _ladder().depth
-        self.q, self.d, self.top = q, d, depth
-        self.values = np.empty((3, depth))
-        self.errors = np.empty((3, depth))
+        ladder = _ladder()
+        self.q, self.d, self.top = q, d, ladder.depth
+        self.table = np.empty((8, ladder.depth))
+        self.table[6], self.table[7] = ladder.lo[: ladder.depth], ladder.hi[: ladder.depth]
 
     def fill(self, low: int) -> None:
         """Fill the panels [low, depth)."""
@@ -517,7 +488,7 @@ class _Eta1Rungs:
         span = slice(low, self.top)
         basis = [part[span] for part in ladder.basis]
         edges = np.append(ladder.lo[span], ladder.hi[self.top - 1])
-        self.values[:, span], self.errors[:, span] = _kronrod_batch(
+        self.table[:3, span], self.table[3:6, span] = _kronrod_batch(
             lambda t: _folded_integrand(t, 0.0, self.q, self.d, basis), edges
         )
         self.top = low
@@ -535,9 +506,9 @@ def _seed_pass(zeta: np.ndarray, levels: np.ndarray, free, rungs: _Eta1Rungs):
     same number of free panels.  Each node takes its zeta and its
     angle-only basis by index from the ladder table.
 
-    Returns the Kronrod values and estimates of every mesh's full seed,
-    mesh after mesh and each in increasing order, and the first panel and
-    the number of panels of each mesh.
+    Returns every mesh's full seed as _refine takes it: the table of its
+    panels, mesh after mesh and each in increasing order, and the first
+    column of each mesh.
     """
     ladder = _ladder()
     depth = ladder.depth
@@ -557,21 +528,18 @@ def _seed_pass(zeta: np.ndarray, levels: np.ndarray, free, rungs: _Eta1Rungs):
     values, errors = _kronrod_batch(
         lambda t: _folded_integrand(t, zeta_col, rungs.q, rungs.d, basis), edges
     )
-    order = starts[mesh] + rank
-    values, errors = values[:, order], errors[:, order]
+    table = np.concatenate((values, errors, lo[None], hi[None]))[:, starts[mesh] + rank]
     if not free.any():  # these are the full seeds
-        return values, errors, starts, panels
+        return table, starts.tolist()
     # each full seed is two runs of columns: its computed panels, then its
-    # free ones from the table
+    # free ones from rungs
     run_from = np.empty(2 * zeta.size, dtype=np.intp)
     run_from[0::2], run_from[1::2] = starts, panel.size + depth - free
     run_size = np.empty_like(run_from)
     run_size[0::2], run_size[1::2] = panels, free
     run_to = np.cumsum(run_size) - run_size
     gather = np.repeat(run_from - run_to, run_size) + np.arange(run_to[-1] + run_size[-1])
-    values = np.concatenate((values, rungs.values), axis=1)[:, gather]
-    errors = np.concatenate((errors, rungs.errors), axis=1)[:, gather]
-    return values, errors, run_to[0::2], levels + 1
+    return np.concatenate((table, rungs.table), axis=1)[:, gather], run_to[0::2].tolist()
 
 
 def _integrals(zetas, rungs: _Eta1Rungs) -> list:
@@ -585,9 +553,9 @@ def _integrals(zetas, rungs: _Eta1Rungs) -> list:
     meshes have similar numbers of free panels, and each pair of neighbours
     takes the smaller of the two; otherwise they stay in the order asked.
     The meshes are cut into batches of at most _BATCH_NODES computed nodes
-    (a pair at least), and each batch is one _seed_pass.  The seeds of a
-    pass that miss DEFAULT_REL_TOL are refined together by one _refine
-    from their full seed values.
+    (a pair at least), and each batch is one _seed_pass, whose full seeds
+    go whole to one _refine: it returns those that meet DEFAULT_REL_TOL
+    and refines the others together.
     """
     q, d = rungs.q, rungs.d
     if len(zetas) == 1:
@@ -615,56 +583,42 @@ def _integrals(zetas, rungs: _Eta1Rungs) -> list:
         last = int(np.searchsorted(ends, room, "right"))
         if last < zeta.size:  # cut between two pairs, after one at least
             last = min(max(last - (last - first) % 2, first + 2), zeta.size)
-        values, errors, starts, panels = _seed_pass(
-            zeta[first:last], levels[first:last], free[first:last], rungs
-        )
-        totals = _run_sums(values, starts)
-        err = _run_sums(errors, starts)
-        within = (err <= DEFAULT_REL_TOL * np.abs(totals)).all(axis=0)
-        met = (within & (panels <= _MAX_PANELS)).tolist()
-        miss = []
-        for k, total in enumerate(totals.T.tolist()):
-            if met[k]:
-                results[order[first + k]] = tuple(total)
-            else:
-                miss.append(k)
-        if miss:
-            n = levels[first:last][miss]
-            cols = _gather(zip(starts[miss].tolist(), panels[miss].tolist()))
-            # the seeds' panels in the ladder: the bottom one, then the dyadic ones
-            panel = _gather(zip((ladder.depth - n - 1).tolist(), (n + 1).tolist()))
-            begin = list(accumulate((n[:-1] + 1).tolist(), initial=0))
-            panel[begin] = ladder.depth + n
-            table = np.concatenate(
-                (values[:, cols], errors[:, cols], ladder.lo[None, panel], ladder.hi[None, panel])
-            )
-            del values, errors  # the pass's full seeds, freed before the refinement
-            tail = np.zeros((3, len(miss)))
-            refined = _refine(zeta[first:last][miss], q, d, table, begin, tail, tail)
-            for k, result in zip(miss, refined):
-                results[order[first + k]] = result
+        table, begin = _seed_pass(zeta[first:last], levels[first:last], free[first:last], rungs)
+        tail = np.zeros((3, last - first))
+        for k, result in enumerate(_refine(zeta[first:last], q, d, table, begin, tail, tail)):
+            results[order[first + k]] = result
         first = last
     return results
 
 
 def _integral(zeta: float, q: float, d: int) -> tuple[float, float, float]:
     """(I(eta, q, 0), I(eta, q, 1), I(eta, q + 1, 0)) at eta = 1 + zeta, computed on every call."""
-    edges, tail, tail_err = _seed_mesh(zeta, q, d)
+    cut = _seed_cut(q, d)
+    if zeta == 0.0 and cut == 0.0:
+        raise _not_integrable(q, d)
     # one mesh needs none of _seed_pass's layout, whose index arithmetic
     # would cost more than the integrand here: its panels in the ladder are
-    # the bottom one (zeta > 0), then the dyadic ones, in increasing order
+    # the bottom one, then the n dyadic ones, in increasing order
     ladder = _ladder()
-    panel = np.arange(ladder.depth + 1 - edges.size, ladder.depth)
-    if zeta > 0.0:
-        panel[0] = ladder.depth + edges.size - 2
+    n = int(_seed_levels(zeta, cut))
+    panel = np.arange(ladder.depth - n - 1, ladder.depth)
+    tail = tail_err = np.zeros((3, 1))
+    if zeta > 0.0 or q >= 0.0:
+        panel[0] = ladder.depth + n
+    else:
+        # at eta = 1 with q < 0 the integrand is singular at 0, and the
+        # closed-form tail takes the place of the bottom panel
+        panel = panel[1:]
+        tail, tail_err = (part[:, None] for part in _eta1_tail(q, d, float(ladder.lo[panel[0]])))
+    lo, hi = ladder.lo[panel], ladder.hi[panel]
     basis = [part.take(panel, 0) for part in ladder.basis]
     seed = lambda t: _folded_integrand(t, zeta, q, d, basis)
     try:
         # an overflow leaves a non-finite panel that no refinement removes; the
         # branch solves never get there, as their zeta floor keeps the peak in range
         with np.errstate(over="raise"):
-            values, errors = _kronrod_batch(seed, edges)
-            table = np.concatenate((values, errors, edges[None, :-1], edges[None, 1:]))
+            values, errors = _kronrod_batch(seed, np.append(lo, hi[-1]))
+            table = np.concatenate((values, errors, lo[None], hi[None]))
             (result,) = _refine(np.array([zeta]), q, d, table, [0], tail, tail_err)
     except FloatingPointError:
         raise ToleranceNotMetError(

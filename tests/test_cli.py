@@ -644,6 +644,11 @@ class TestVerify:
         assert "12.4453" in out  # the reported-value discrepancy note
         assert "closed form 14.05" in out
 
+    def test_report_is_reproduced_byte_for_byte(self, tmp_path):
+        # demos/verify.txt is written by `fastsphere verify --out demos/verify.txt`
+        assert main(["verify", "--out", str(tmp_path / "verify.txt")]) == 0
+        assert (tmp_path / "verify.txt").read_bytes() == (DEMOS / "verify.txt").read_bytes()
+
     def test_sign_flip_canary_fails(self, capsys, monkeypatch):
         # a corrupted branch function, which the branch solve and the
         # checks both read, must be caught by the suite

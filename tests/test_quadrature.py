@@ -100,8 +100,7 @@ def test_seed_stops_at_the_eta_one_cutoff(d, m, zeta, levels):
     # below the eta = 1 cutoff the integrand holds under 1e-18 of its total,
     # so the dyadic seed stops there however far below it sqrt(zeta) lies
     q = 1.0 / (m - 1.0)
-    edges, _, _ = quadrature._seed_mesh(zeta, q, d)
-    assert edges.size - 2 == levels  # dyadic levels below pi/2, plus [0, first edge]
+    assert int(quadrature._seed_levels(zeta, quadrature._seed_cut(q, d))) == levels
     moments = quadrature._integral(zeta, q, d)
     for value, (qq, p) in zip(moments, ((q, 0), (q, 1), (q + 1.0, 0))):
         assert value == pytest.approx(eta1_closed_form(qq, p, d), rel=1e-12)
@@ -160,12 +159,24 @@ def test_one_zeta_takes_the_single_mesh_kernel(monkeypatch):
 
 
 def seed_reference(zeta, q, d):
-    """The seed of zeta as _seed_mesh defines it, integrated with the basis computed at its nodes.
+    """The seed of zeta built apart from the ladder, integrated with the basis computed at its nodes.
 
-    Returns the edges, the panel values and estimates of the one batch, and
-    the (i0, i1, i_ent) that _refine makes of them, or the type of its error.
+    Its n levels have the dyadic edges pi/2 * 2^-k, k = n, ..., 0, and one
+    bottom panel reaches down to 0, except at eta = 1 with q < 0, where the
+    closed-form tail below pi/2 * 2^-n takes its place.  Returns the edges,
+    the panel values and estimates of the one batch, and the (i0, i1,
+    i_ent) that _refine makes of them, or the type of its error.
     """
-    edges, tail, tail_err = quadrature._seed_mesh(zeta, q, d)
+    cut = quadrature._seed_cut(q, d)
+    if zeta == 0.0 and cut == 0.0:
+        raise NotIntegrableError(f"no eta = 1 seed at q={q!r}, d={d}")
+    n = int(quadrature._seed_levels(zeta, cut))
+    edges = np.ldexp(quadrature._HALF_PI, np.arange(-n, 1))
+    tail = tail_err = np.zeros((3, 1))
+    if zeta > 0.0 or q >= 0.0:
+        edges = np.concatenate(([0.0], edges))
+    else:
+        tail, tail_err = (part[:, None] for part in quadrature._eta1_tail(q, d, float(edges[0])))
     f = lambda t: quadrature._folded_integrand(t, zeta, q, d)
     values, errors = quadrature._kronrod_batch(f, edges)
 
@@ -213,10 +224,11 @@ def seed_passes_match_the_seed_meshes(monkeypatch, q, d, zetas):
     """Check the seed passes of _integrals over zetas against each seed mesh on its own.
 
     The computed panels of each mesh are laid as its lowest seed panels,
-    with no panel between the meshes; every panel value and estimate,
-    computed or taken from the eta = 1 table, equals that of the seed mesh
-    integrated on its own, bit for bit; and so do the results.  Returns the
-    number of free panels of every mesh, in the order the passes laid them.
+    with no panel between the meshes; every row of every panel of the
+    pass's table (value, estimate and edges), computed or taken from the
+    eta = 1 table, equals that of the seed mesh integrated on its own, bit
+    for bit; and so do the results.  Returns the number of free panels of
+    every mesh, in the order the passes laid them.
     """
     passes = record_calls(monkeypatch, quadrature, "_seed_pass")
     batched = quadrature._integrals(zetas, quadrature._Eta1Rungs(q, d))
@@ -228,20 +240,21 @@ def seed_passes_match_the_seed_meshes(monkeypatch, q, d, zetas):
     all_free = []
     for args in passes:
         laid = record_calls(monkeypatch, quadrature, "_kronrod_batch")
-        values, errors, starts, panels = quadrature._seed_pass(*args)
+        table, begin = quadrature._seed_pass(*args)
         monkeypatch.undo()
         ((_, edges),) = laid
         zeta, levels, free, _ = args
         computed = levels + 1 - free
         assert edges.size == computed.sum() + 1  # no panel between the meshes
         first = np.cumsum(computed) - computed
+        assert begin == (np.cumsum(levels + 1) - levels - 1).tolist()
+        assert table.shape == (8, (levels + 1).sum())
         for k, z in enumerate(zeta.tolist()):
             ref_edges, ref_values, ref_errors, _ = seed_reference(z, q, d)
             mesh = edges[first[k] : first[k] + computed[k] + 1]
             assert np.array_equal(np.sort(mesh), ref_edges[: computed[k] + 1])
-            span = slice(starts[k], starts[k] + panels[k])
-            assert np.array_equal(values[:, span], ref_values)
-            assert np.array_equal(errors[:, span], ref_errors)
+            ref_table = np.concatenate((ref_values, ref_errors, [ref_edges[:-1]], [ref_edges[1:]]))
+            assert np.array_equal(table[:, begin[k] : begin[k] + levels[k] + 1], ref_table)
         all_free += free.tolist()
     return all_free
 
@@ -329,15 +342,16 @@ def rounds_alone(zeta, q, d):
 
 
 def test_batched_seeds_that_miss_the_tolerance_are_refined_exactly():
-    # every seed of the pass that misses the tolerance is refined in one
-    # _refine, in one Gauss-Kronrod batch per round, bit for bit as on its own
+    # the whole seed pass goes to one _refine, which refines every seed that
+    # misses the tolerance in one Gauss-Kronrod batch per round, bit for bit
+    # as on its own
     q, d = 1.0 / (0.5 - 1.0), 2
     zetas = [float(z) for z in np.geomspace(1e-12, 1e3, 40)]
     rungs = quadrature._Eta1Rungs(q, d)
     batched, rounds = refine_rounds(lambda: quadrature._integrals(zetas, rungs))
     needed = [rounds_alone(z, q, d) for z in zetas]
-    assert rounds == [[sum(n > 0 for n in needed), max(needed)]]
-    assert rounds[0][0] >= 5
+    assert rounds == [[len(zetas), max(needed)]]
+    assert sum(n > 0 for n in needed) >= 5
     assert batched == [seed_reference(z, q, d)[3] for z in zetas]
 
 
@@ -431,6 +445,17 @@ def test_closed_form_matches_near_integrability_threshold(d, m, p):
     q = 1.0 / (m - 1.0)
     assert 0.0 < 2.0 * q + d < 0.05
     assert integral(1.0, q, p, d) == pytest.approx(eta1_closed_form(q, p, d), rel=1e-10)
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+@pytest.mark.parametrize("q", [0.0, 0.25, 0.5, 1.0, 2.0, 3.0, 5.0])
+def test_bounded_integrand_at_eta_one_matches_closed_form(q, d):
+    # with q >= 0 nothing is singular at t = 0: the seed keeps its bottom
+    # panel, and no closed-form tail (whose budget alone would exceed the
+    # tolerance) joins it; at q = 0 the moment is exactly 0
+    for p in (0, 1):
+        expected = eta1_closed_form(q, p, d)
+        assert integral(1.0, q, p, d) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def mp_eta1(q: float, p: int, d: int) -> float:
