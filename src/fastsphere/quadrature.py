@@ -51,21 +51,21 @@ accuracy, DEFAULT_REL_TOL, relative to its own total.  While one misses
 it, every panel whose estimate exceeds its equal share of that
 component's budget is marked, and the whole contiguous span from the
 first to the last marked panel is bisected.  One routine, _refine, does
-this for one mesh or many: each round lays the spans of every mesh that
-still misses end to end, alternately upwards and downwards, and bisects
-them all in one batch, with a bridge panel, whose values are dropped,
-between two spans that share no end edge.  Every seed goes to _refine
+this for one mesh or many: each round lays the halves of every span of
+the meshes that still miss as one increasing run of edges, the runs end
+to end, and bisects them all in one batch; the panel that joins two runs
+is a bridge, whose values are dropped.  Every seed goes to _refine
 whole, so its first round is the module's one test of the tolerance.
 The seed mesh usually meets it at once, so one integral costs about one
 batch.
 
 Every seed panel is a rung of one dyadic ladder: [pi/2 * 2^-(k+1), pi/2 *
-2^-k], or a bottom panel [0, pi/2 * 2^-n].  Its edges, its nodes, and
-everything the integrand needs of the angle alone (1 - cos t and log
-sin t), are the same at every zeta, so a table of them (_ladder) is
-built on first use, down to the deepest level a seed can reach; a seed
-is a slice of it, read by index, and only the panels that refinement
-bisects compute their basis.
+2^-k], or a bottom panel [0, pi/2 * 2^-n].  Its edges, and everything
+the integrand needs of the angle alone at its nodes (1 - cos t and
+log sin t, its input), are the same at every zeta, so a table of them
+(_ladder) is built on first use, down to the deepest level a seed can
+reach; a seed is a slice of it, read by index, and only the halves that
+refinement bisects build their nodes and compute their basis.
 
 The branch solves run towards eta = 1 and bracket zeta from a floor as
 low as 1e-280, so many seeds are deep, and their upper panels are
@@ -187,18 +187,17 @@ def _angle_basis(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return v, np.log(np.sin(theta))
 
 
-def _folded_integrand(theta: np.ndarray, zeta, q: float, d: int, basis=None) -> np.ndarray:
+def _folded_integrand(v, log_sin, zeta, q: float, d: int) -> np.ndarray:
     """Folded mass, moment and entropy integrands on (0, pi/2] at eta = 1 + zeta.
 
+    v and log_sin are _angle_basis at the nodes, one entry per node.
     Returns the integrands of I(eta, q, 0), I(eta, q, 1) and I(eta, q + 1, 0)
     stacked along a new leading axis, all three from one set of sin, log
     and exp values.  Parametrized by zeta = eta - 1 so callers tracking the
     branch close to eta = 1 keep full relative precision; zeta is a float or
-    an array that broadcasts against theta (one zeta per node).  theta must
-    not contain 0 where zeta = 0.  basis is _angle_basis(theta) when the
-    caller already has it (the seed ladder does).
+    an array that broadcasts against v (one zeta per node).  No node may be
+    0 where zeta = 0.
     """
-    v, log_sin = _angle_basis(theta) if basis is None else basis
     cos_t = 1.0 - v
     a1 = zeta + v
     a2 = (2.0 + zeta) - v
@@ -223,24 +222,24 @@ def _folded_integrand(theta: np.ndarray, zeta, q: float, d: int, basis=None) -> 
     return out
 
 
-def _panel_nodes(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Half widths of the panels [a, b] (either way round) and their 15 nodes, one row each."""
-    h = 0.5 * np.abs(b - a)
-    return h, (0.5 * (b + a))[:, None] + h[:, None] * _NODES
+def _panel_nodes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The 15 nodes of each panel [a, b] (either way round), one row each."""
+    return (0.5 * (b + a))[:, None] + (0.5 * np.abs(b - a))[:, None] * _NODES
 
 
 def _kronrod_batch(f, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Kronrod values and |K15 - G7| estimates for consecutive panels.
 
-    bounds is an array of n + 1 panel edges, increasing or decreasing (a
-    panel is the same either way); one call to f covers all 15 n nodes.  f
-    returns its components stacked along a leading axis, and so do the two
-    (components, n) results.  Each panel's sums run over its own 15 nodes in
-    a fixed order (a BLAS matrix-vector product would not keep to one), so
-    its values do not depend on the other panels of the batch.
+    bounds is an array of n + 1 panel edges, of which only the half widths
+    are read.  f() returns the integrand at the 15 n nodes of those panels,
+    from the angle basis its caller holds for them, with its components
+    stacked along a leading axis, and so do the two (components, n)
+    results.  Each panel's sums run over its own
+    15 nodes in a fixed order (a BLAS matrix-vector product would not keep
+    to one), so its values do not depend on the other panels of the batch.
     """
-    h, nodes = _panel_nodes(bounds[:-1], bounds[1:])
-    fv = f(nodes)
+    h = 0.5 * np.abs(bounds[1:] - bounds[:-1])
+    fv = f()
     kronrod = np.einsum("...j,j->...", fv, _W_KRONROD)
     return h * kronrod, h * np.abs(np.einsum("...j,j->...", fv, _W_ERROR))
 
@@ -288,10 +287,11 @@ def _refine(zeta, q, d, table, begin: list, tail, tail_err) -> list:
     exceeds its equal share of a missing component's budget is marked, and
     the contiguous span from the first to the last marked panel is
     bisected.  Each round bisects the spans of all the meshes that still
-    miss in one batch, laid end to end; two spans that share no end edge
-    are joined by a bridge panel whose values are dropped.  A mesh's
-    panels and sums do not depend on the other meshes, so each ends as it
-    would on its own.
+    miss in one batch: each span's halves are one increasing run of
+    edges, and the runs are laid end to end, so the panel that joins two
+    runs is a bridge, whose values are dropped.  A mesh's panels and sums
+    do not depend on the other meshes, so each ends as it would on its
+    own.
 
     Returns each mesh's (i0, i1, i_ent), or the ToleranceNotMetError it
     ends in, without a traceback.
@@ -354,38 +354,25 @@ def _refine(zeta, q, d, table, begin: list, tail, tail_err) -> list:
             tail, tail_err = tail[:, keep], tail_err[:, keep]
         cuts = np.empty(2 * lo.size)  # each panel's lower edge and midpoint
         cuts[0::2], cuts[1::2] = lo, mid
-        # the spans' edges end to end, alternately upwards and downwards as
-        # in _seed_pass: a span that starts where the one before it ends
-        # shares that edge, and any other two are joined by a bridge panel,
-        # which takes the zeta of the span laid before it
-        laid, counts, feet, at = [], [], [], 0
-        for r, (first, last) in enumerate(spans):
-            lower, top = cuts[2 * first : 2 * last + 2], hi[last : last + 1]
-            edges = [lower, top] if r % 2 == 0 else [top, lower[::-1]]
-            shared = r > 0 and edges[0][0] == laid[-1][-1]
-            if shared:
-                edges[0] = edges[0][1:]
-            elif r > 0:
-                counts[-1] += 1
-            feet.append(at - shared)  # the batch column where the span's halves start
-            at += 2 * (last - first) + 3 - shared
-            laid += edges
-            counts.append(2 * (last + 1 - first))
+        # each span's halves as one increasing run of edges, the runs end to
+        # end; the panel that joins two runs is a bridge, which takes the zeta
+        # of the run before it and whose columns are dropped
+        laid, counts = [], []
+        for first, last in spans:
+            laid += [cuts[2 * first : 2 * last + 2], hi[last : last + 1]]
+            counts.append(2 * (last - first) + 3)  # the span's halves and the bridge after them
         laid = np.concatenate(laid)
-        zeta_col = zeta.repeat(counts)[:, None]
-        vals, errs = _kronrod_batch(lambda t: _folded_integrand(t, zeta_col, q, d), laid)
-        below, above = laid[:-1], laid[1:]
-        new = np.concatenate(
-            (vals, errs, np.minimum(below, above)[None], np.maximum(below, above)[None])
-        )
+        v, log_sin = _angle_basis(_panel_nodes(laid[:-1], laid[1:]))
+        zeta_col = zeta.repeat(counts)[:-1, None]
+        vals, errs = _kronrod_batch(lambda: _folded_integrand(v, log_sin, zeta_col, q, d), laid)
+        new = np.concatenate((vals, errs, laid[None, :-1], laid[None, 1:]))
         # each mesh again: its panels below the span, the span's halves, its panels above it
         parts, sizes_kept = [], []
-        for r, (k, (first, last), foot) in enumerate(zip(keep, spans, feet)):
+        for k, (first, last), foot in zip(keep, spans, accumulate(counts, initial=0)):
             span = last + 1 - first
-            halves = new[:, foot : foot + 2 * span]
             parts += [
                 table[:, begin[k] : first],
-                halves if r % 2 == 0 else halves[:, ::-1],
+                new[:, foot : foot + 2 * span],
                 table[:, last + 1 : begin[k] + sizes[k]],
             ]
             sizes_kept.append(sizes[k] + span)
@@ -419,7 +406,7 @@ def _seed_levels(zeta, cut: float):
 
 
 class _Ladder(NamedTuple):
-    """Every panel a seed mesh can hold, with the angle-only basis at its nodes.
+    """Every panel a seed mesh can hold, with the integrand's angle basis at its nodes.
 
     Panel i < depth is the dyadic panel [pi/2 * 2^(i - depth), pi/2 *
     2^(i + 1 - depth)], so the n dyadic panels of a seed are the slice
@@ -429,6 +416,7 @@ class _Ladder(NamedTuple):
     is the smallest of 2^-52 and half the spacing of 1 - cos t at the nodes
     of dyadic panel i: at any zeta below it the panel integrates as at
     zeta = 0.  It grows with i, so those panels are a top suffix of a seed.
+    The nodes themselves are not kept: the basis is all a seed batch reads.
     """
 
     depth: int
@@ -451,7 +439,7 @@ def _ladder() -> _Ladder:
     hi = np.concatenate((tops[1:], tops[::-1]))
     basis = np.empty((2, lo.size, _NODES.size))
     for k in range(0, lo.size, 64):  # a few panels at a time, to keep the build small
-        basis[:, k : k + 64] = _angle_basis(_panel_nodes(lo[k : k + 64], hi[k : k + 64])[1])
+        basis[:, k : k + 64] = _angle_basis(_panel_nodes(lo[k : k + 64], hi[k : k + 64]))
     free_below = np.minimum(0.5 * np.spacing(basis[0, :depth]).min(axis=1), 2.0**-52)
     for table in (lo, hi, basis, free_below):  # shared by every caller
         table.setflags(write=False)
@@ -486,10 +474,10 @@ class _Eta1Rungs:
             return
         ladder = _ladder()
         span = slice(low, self.top)
-        basis = [part[span] for part in ladder.basis]
+        v, log_sin = (part[span] for part in ladder.basis)
         edges = np.append(ladder.lo[span], ladder.hi[self.top - 1])
         self.table[:3, span], self.table[3:6, span] = _kronrod_batch(
-            lambda t: _folded_integrand(t, 0.0, self.q, self.d, basis), edges
+            lambda: _folded_integrand(v, log_sin, 0.0, self.q, self.d), edges
         )
         self.top = low
 
@@ -503,8 +491,8 @@ def _seed_pass(zeta: np.ndarray, levels: np.ndarray, free, rungs: _Eta1Rungs):
     depth - free).  They are laid end to end as one edge array, alternately
     upwards and downwards from the first, so that neighbours share their
     end edge, 0 or the top edge of a pair, whose two meshes must have the
-    same number of free panels.  Each node takes its zeta and its
-    angle-only basis by index from the ladder table.
+    same number of free panels.  Each node takes its zeta and its angle
+    basis by index from the ladder table, so the pass builds no nodes.
 
     Returns every mesh's full seed as _refine takes it: the table of its
     panels, mesh after mesh and each in increasing order, and the first
@@ -524,9 +512,9 @@ def _seed_pass(zeta: np.ndarray, levels: np.ndarray, free, rungs: _Eta1Rungs):
     lo, hi = ladder.lo[panel], ladder.hi[panel]
     edges = np.concatenate((lo[:1], np.where(upward, hi, lo)))
     zeta_col = zeta[mesh][:, None]
-    basis = [part.take(panel, 0) for part in ladder.basis]
+    v, log_sin = (part.take(panel, 0) for part in ladder.basis)
     values, errors = _kronrod_batch(
-        lambda t: _folded_integrand(t, zeta_col, rungs.q, rungs.d, basis), edges
+        lambda: _folded_integrand(v, log_sin, zeta_col, rungs.q, rungs.d), edges
     )
     table = np.concatenate((values, errors, lo[None], hi[None]))[:, starts[mesh] + rank]
     if not free.any():  # these are the full seeds
@@ -611,8 +599,8 @@ def _integral(zeta: float, q: float, d: int) -> tuple[float, float, float]:
         panel = panel[1:]
         tail, tail_err = (part[:, None] for part in _eta1_tail(q, d, float(ladder.lo[panel[0]])))
     lo, hi = ladder.lo[panel], ladder.hi[panel]
-    basis = [part.take(panel, 0) for part in ladder.basis]
-    seed = lambda t: _folded_integrand(t, zeta, q, d, basis)
+    v, log_sin = (part.take(panel, 0) for part in ladder.basis)
+    seed = lambda: _folded_integrand(v, log_sin, zeta, q, d)
     try:
         # an overflow leaves a non-finite panel that no refinement removes; the
         # branch solves never get there, as their zeta floor keeps the peak in range

@@ -354,6 +354,50 @@ class TestSweepWork:
         nodes = sum(15 * (bounds.size - 1) for _, bounds in batches)
         assert nodes <= node_share * full_seed_nodes
 
+    def test_only_refinement_builds_nodes(self, capsys, monkeypatch):
+        # a seed pass, an eta = 1 table and the seed of a lone _integral read
+        # the angle basis of their panels from the ladder; only a refinement
+        # batch builds the nodes of its halves, once per batch
+        quadrature._ladder()  # its one-time build computes nodes too
+        within, log = ["sweep"], []
+
+        def entered(name, function):
+            def call(*args):
+                within.append(name)
+                try:
+                    return function(*args)
+                finally:
+                    within.pop()
+
+            return call
+
+        def logged(name, function):
+            def call(*args):
+                log.append((within[-1], name))
+                return function(*args)
+
+            return call
+
+        for name in ("_refine", "_seed_pass", "_integral"):
+            monkeypatch.setattr(quadrature, name, entered(name, getattr(quadrature, name)))
+        fill = quadrature._Eta1Rungs.fill
+        monkeypatch.setattr(quadrature._Eta1Rungs, "fill", entered("fill", fill))
+        for name in ("_panel_nodes", "_kronrod_batch"):
+            monkeypatch.setattr(quadrature, name, logged(name, getattr(quadrature, name)))
+        code, _, err = run(
+            capsys,
+            "sweep", "--d", "3", "--m", "0.25",
+            "--kappa-min", "8", "--kappa-max", "20", "--steps", "41",
+        )
+        assert code == 0 and err == ""
+        calls = {}
+        for where, name in log:
+            calls.setdefault(where, []).append(name)
+        assert set(calls) == {"_refine", "_seed_pass", "fill", "_integral"}
+        refined = calls.pop("_refine")
+        assert refined == ["_panel_nodes", "_kronrod_batch"] * (len(refined) // 2)
+        assert all(set(names) == {"_kronrod_batch"} for names in calls.values())
+
     def test_one_eta1_table_per_solve_and_none_kept(self, capsys, monkeypatch):
         # each branch solve call fills its own eta = 1 table in one batch,
         # and no table outlives the call

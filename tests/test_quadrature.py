@@ -177,7 +177,8 @@ def seed_reference(zeta, q, d):
         edges = np.concatenate(([0.0], edges))
     else:
         tail, tail_err = (part[:, None] for part in quadrature._eta1_tail(q, d, float(edges[0])))
-    f = lambda t: quadrature._folded_integrand(t, zeta, q, d)
+    v, log_sin = quadrature._angle_basis(quadrature._panel_nodes(edges[:-1], edges[1:]))
+    f = lambda: quadrature._folded_integrand(v, log_sin, zeta, q, d)
     values, errors = quadrature._kronrod_batch(f, edges)
 
     def refined():
@@ -307,11 +308,12 @@ def test_seed_levels_at_a_power_of_two(k):
     assert int(quadrature._seed_levels(np.array([zeta, 0.0]), 1e-3)[1]) == 11  # the cutoff
 
 
-def refine_rounds(call):
+def refine_rounds(call, laid=None):
     """What call returns, with a [meshes, batches] pair for each _refine it makes.
 
     meshes is the number of meshes the _refine was given, and batches the
-    Gauss-Kronrod batches it integrated.
+    Gauss-Kronrod batches it integrated.  If laid is a list, the edges of
+    each of those batches are appended to it.
     """
     refine, batch, record, inside = quadrature._refine, quadrature._kronrod_batch, [], []
 
@@ -326,6 +328,8 @@ def refine_rounds(call):
     def counted_batch(f, bounds):
         if inside:
             record[-1][1] += 1
+            if laid is not None:
+                laid.append(bounds)
         return batch(f, bounds)
 
     quadrature._refine, quadrature._kronrod_batch = counted_refine, counted_batch
@@ -335,23 +339,32 @@ def refine_rounds(call):
         quadrature._refine, quadrature._kronrod_batch = refine, batch
 
 
-def rounds_alone(zeta, q, d):
-    """The refinement rounds of the mesh at zeta refined on its own, by _integral."""
-    _, ((_, rounds),) = refine_rounds(lambda: outcome(lambda: quadrature._integral(zeta, q, d)))
-    return rounds
+def runs_alone(zeta, q, d):
+    """The edges of each refinement round of the mesh at zeta refined on its own, by _integral."""
+    laid = []
+    refine_rounds(lambda: outcome(lambda: quadrature._integral(zeta, q, d)), laid)
+    return laid
 
 
 def test_batched_seeds_that_miss_the_tolerance_are_refined_exactly():
     # the whole seed pass goes to one _refine, which refines every seed that
     # misses the tolerance in one Gauss-Kronrod batch per round, bit for bit
-    # as on its own
+    # as on its own.  A round lays each span's halves as the increasing run
+    # of edges the mesh lays on its own, the runs end to end in mesh order,
+    # so two neighbours are joined by one bridge panel
     q, d = 1.0 / (0.5 - 1.0), 2
     zetas = [float(z) for z in np.geomspace(1e-12, 1e3, 40)]
     rungs = quadrature._Eta1Rungs(q, d)
-    batched, rounds = refine_rounds(lambda: quadrature._integrals(zetas, rungs))
-    needed = [rounds_alone(z, q, d) for z in zetas]
-    assert rounds == [[len(zetas), max(needed)]]
-    assert sum(n > 0 for n in needed) >= 5
+    laid = []
+    batched, rounds = refine_rounds(lambda: quadrature._integrals(zetas, rungs), laid)
+    alone = [runs_alone(z, q, d) for z in zetas]
+    assert rounds == [[len(zetas), max(map(len, alone))]]
+    assert sum(len(runs) > 0 for runs in alone) >= 5
+    for j, edges in enumerate(laid):
+        runs = [mesh[j] for mesh in alone if len(mesh) > j]
+        assert all((np.diff(run) > 0).all() for run in runs)
+        assert edges.size - 1 == sum(run.size - 1 for run in runs) + len(runs) - 1
+        assert np.array_equal(edges, np.concatenate(runs))
     assert batched == [seed_reference(z, q, d)[3] for z in zetas]
 
 
