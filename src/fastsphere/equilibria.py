@@ -227,16 +227,10 @@ def fully_supported_state(kappa: float, d, m: float) -> FullySupportedState:
 
     Raises the FastSphereError its solve ends with.
     """
-    return _solve_all([kappa], d, m)[0]
-
-
-def _solve_all(kappas, d, m: float) -> list:
-    """fully_supported_states at kappas, raising the first FastSphereError among them."""
-    states = fully_supported_states(kappas, d, m)
-    for state in states:
-        if isinstance(state, FastSphereError):
-            raise state
-    return states
+    (state,) = fully_supported_states([kappa], d, m)
+    if isinstance(state, FastSphereError):
+        raise state
+    return state
 
 
 def fully_supported_states(kappas, d, m: float) -> list:

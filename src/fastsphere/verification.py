@@ -8,6 +8,21 @@ integrated here, the multiplier of the measure-valued states, the energy
 of an atom spread towards the uniform state, and the Rayleigh quotient of
 the linear trial perturbation.
 
+Five checks read the supported branch of the reference pairs:
+branch_continuity, energy_two_route_agreement, energy_slope_identities,
+energy_comparison_steps and minimizer_consistency.  Their kappas are
+collected into one grid per pair (_pair_grid), and within one
+run_verification the pair is enumerated once, by one energy.equilibria_at
+call over its whole grid, on the first read; every check takes its kappas'
+entries from it, and the enumerations are dropped when the run ends.  A
+check called on its own enumerates its own kappas.  Sharing changes no
+number: a lockstep branch solve does not depend on the other kappas of its
+call, nor a kappa's roots and energies, so each check still reads the
+states it would solve alone, and keeps its own second routes and verdict.
+The shared enumeration also finds the measure-valued roots at every kappa
+of the grid, and in a run a kappa whose entry is an error fails every
+check that reads it.
+
 Each check computes a worst-case measured error and compares it against
 its threshold in THRESHOLDS.  The thresholds are fixed, and nothing
 loosens them; the library runs at its one accuracy (integrals to
@@ -21,9 +36,11 @@ numpy or quadrature themselves, so importing the suite loads neither.
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 from . import energy, equilibria, model
+from .errors import FastSphereError, OutOfWindowError
 from .model import ThetaIntegralSpec
 
 REFERENCE_PAIRS = ((2, 0.5), (3, 0.25), (5, 0.3))
@@ -32,6 +49,27 @@ SINGULAR_PAIRS = ((3, 0.25), (4, 0.45), (4, 0.2), (5, 0.3), (6, 0.35))
 # Published reference figure for kappa2 at (3, 0.25); both internal oracles
 # disagree with it, so it is reported but never asserted against.
 REPORTED_KAPPA2_D3_M025 = 12.4453
+
+# The kappas at which the branch checks read the supported branch, by
+# reference pair; _continuity_kappas and _minimizer_kappas give the rest.
+_TWO_ROUTE_KAPPAS = {
+    (2, 0.5): (6.0, 8.0, 12.0),
+    (3, 0.25): (10.0, 11.0, 13.0),
+    (5, 0.3): (17.9, 18.6, 19.5),
+}
+_COMPARISON_KAPPAS = {
+    (2, 0.5): (6.0, 8.0, 10.0, 12.0),
+    (3, 0.25): (9.6, 10.5, 11.5, 12.5),
+    (5, 0.3): (17.9, 18.4, 19.0, 19.6),
+}
+_SLOPE_PAIR, _SLOPE_GRID = (2, 0.5), (6.0, 7.0, 8.0, 10.0, 12.0)
+_SLOPE_KAPPAS = tuple(k + side * 1e-5 * k for k in _SLOPE_GRID for side in (-1.0, 1.0, 0.0))
+_MINIMIZER_SPANS = {(2, 0.5): (4.0, 12.0), (3, 0.25): (8.0, 16.0), (5, 0.3): (15.0, 21.0)}
+
+# The equilibria_at entries of each reference pair over its _pair_grid, by
+# kappa, during one run_verification (filled on a pair's first read); None
+# outside a run, where each check enumerates its own kappas.
+_run_entries: ContextVar[dict | None] = ContextVar("_run_entries", default=None)
 
 
 # The pass threshold of each check, in report order.
@@ -144,6 +182,57 @@ def _trial_rayleigh(d: int) -> float:
         )
 
     return 1.0 / (model.sphere_geometry(d).area_sdm1 * (sine_power(d - 1) - sine_power(d + 1)))
+
+
+def _continuity_kappas(d: int, m: float) -> list[float]:
+    """branch_continuity's kappas: the branch birth, and kappa2 where the branch ends there."""
+    crit = energy.critical_set(d, m)
+    k1, tag = crit.kappa1, crit.regime
+    birth = k1 * (1.0 - 1e-6) if tag is model.RegimeCase.CASE_III else k1 * (1.0 + 1e-6)
+    return [birth] if tag is model.RegimeCase.CASE_I else [birth, crit.kappa2]
+
+
+def _minimizer_kappas(d: int, m: float) -> list[float]:
+    import numpy as np
+
+    return [float(kappa) for kappa in np.linspace(*_MINIMIZER_SPANS[d, m], 9)]
+
+
+def _pair_grid(d: int, m: float) -> list[float]:
+    """Every kappa at which a branch check reads the supported branch of (d, m), ascending."""
+    kappas = {
+        *_continuity_kappas(d, m),
+        *_TWO_ROUTE_KAPPAS[d, m],
+        *_COMPARISON_KAPPAS[d, m],
+        *_minimizer_kappas(d, m),
+    }
+    if (d, m) == _SLOPE_PAIR:
+        kappas.update(_SLOPE_KAPPAS)
+    return sorted(kappas)
+
+
+def _equilibria(d: int, m: float, kappas) -> list:
+    """energy.equilibria_at(kappas, d, m), from the pair's enumeration during a run."""
+    entries = _run_entries.get()
+    if entries is None:
+        return energy.equilibria_at(kappas, d, m)
+    if (d, m) not in entries:
+        grid = _pair_grid(d, m)
+        entries[d, m] = dict(zip(grid, energy.equilibria_at(grid, d, m)))
+    return [entries[d, m][kappa] for kappa in kappas]
+
+
+def _supported(d: int, m: float, kappas) -> list[tuple[float, float, float]]:
+    """(eta, s, energy) of the supported branch at each of kappas; raises where it has none."""
+    found = []
+    for kappa, entry in zip(kappas, _equilibria(d, m, kappas)):
+        if isinstance(entry, FastSphereError):
+            raise entry
+        rows = [row[2:] for row in entry if row[0] == energy.FULLY_SUPPORTED]
+        if not rows:
+            raise OutOfWindowError(f"no supported branch at kappa={kappa!r} for d={d}, m={m!r}")
+        found.append(rows[0])
+    return found
 
 
 def check_geometry_consistency(tol: float) -> CheckResult:
@@ -283,18 +372,13 @@ def check_branch_continuity(tol: float) -> CheckResult:
     worst = 0.0
     lines = []
     for d, m in REFERENCE_PAIRS:
-        crit = energy.critical_set(d, m)
-        k1, tag = crit.kappa1, crit.regime
-        birth = k1 * (1.0 - 1e-6) if tag is model.RegimeCase.CASE_III else k1 * (1.0 + 1e-6)
-        kappas = [birth] if tag is model.RegimeCase.CASE_I else [birth, crit.kappa2]
-        states = equilibria._solve_all(kappas, d, m)
-        s_birth = states[0].s
+        (_, s_birth, _), *end = _supported(d, m, _continuity_kappas(d, m))
         worst = max(worst, s_birth)
         lines.append(f"(d={d}, m={m}): s at branch birth {s_birth:.3e}")
-        if tag is not model.RegimeCase.CASE_I:
+        if end:
             sb = equilibria.s_bar(d, m)
             # the eta = 1 end through the quadrature route, not the solve's moments
-            s_at_k2 = _com_norm(states[1].eta, d, m)
+            s_at_k2 = _com_norm(end[0][0], d, m)
             worst = max(worst, abs(s_at_k2 - sb))
             lines.append(f"(d={d}, m={m}): |s(kappa2) - s_bar| = {abs(s_at_k2 - sb):.3e}")
     return _result("branch_continuity", worst, tol, lines=lines)
@@ -368,14 +452,9 @@ def check_com_norm_closed_form(tol: float) -> CheckResult:
 
 def check_energy_two_route_agreement(tol: float) -> CheckResult:
     worst = 0.0
-    for d, m, kappas in (
-        (2, 0.5, (6.0, 8.0, 12.0)),
-        (3, 0.25, (10.0, 11.0, 13.0)),
-        (5, 0.3, (17.9, 18.6, 19.5)),
-    ):
-        for state in equilibria._solve_all(kappas, d, m):
-            direct = energy.energy_fully_supported(state, d, m)
-            identity = 0.5 * state.kappa - _branch_energy_gain(state.eta, d, m)
+    for (d, m), kappas in _TWO_ROUTE_KAPPAS.items():
+        for kappa, (eta, _, direct) in zip(kappas, _supported(d, m, kappas)):
+            identity = 0.5 * kappa - _branch_energy_gain(eta, d, m)
             worst = max(worst, abs(direct - identity) / max(1.0, abs(direct)))
     for d, m, kappa in ((3, 0.25, 2.0 * energy.critical_set(3, 0.25).kappa2), (5, 0.3, 18.5)):
         alpha = equilibria.alpha_roots(kappa, d, m)[-1]
@@ -406,16 +485,14 @@ def check_energy_slope_identities(tol: float) -> CheckResult:
         alpha = equilibria.alpha_roots(kappa, d, m)[-1]
         analytic = 0.5 * (alpha + (1.0 - alpha) * sb) ** 2
         worst = max(worst, _rel(fd, analytic))
-    grid = (6.0, 7.0, 8.0, 10.0, 12.0)
-    kappas = [k + side * 1e-5 * k for k in grid for side in (-1.0, 1.0, 0.0)]
-    states = equilibria._solve_all(kappas, 2, 0.5)
-
-    def gain(state):
-        return _branch_energy_gain(state.eta, 2, 0.5)
-
-    for kappa, below, above, state in zip(grid, states[0::3], states[1::3], states[2::3]):
-        fd = (gain(above) - gain(below)) / (2.0 * 1e-5 * kappa)
-        worst = max(worst, _rel(fd, 0.5 * state.s * state.s))
+    d, m = _SLOPE_PAIR
+    states = _supported(d, m, _SLOPE_KAPPAS)
+    for kappa, (eta_below, _, _), (eta_above, _, _), (_, s, _) in zip(
+        _SLOPE_GRID, states[0::3], states[1::3], states[2::3]
+    ):
+        gain_above = _branch_energy_gain(eta_above, d, m)
+        fd = (gain_above - _branch_energy_gain(eta_below, d, m)) / (2.0 * 1e-5 * kappa)
+        worst = max(worst, _rel(fd, 0.5 * s * s))
     return _result("energy_slope_identities", worst, tol)
 
 
@@ -423,15 +500,8 @@ def check_energy_comparison_steps(tol: float) -> CheckResult:
     worst = 0.0
     lines = []
     supported = {}  # (d, m): the grid and its supported-branch energies
-    for d, m, grid in (
-        (2, 0.5, (6.0, 8.0, 10.0, 12.0)),
-        (3, 0.25, (9.6, 10.5, 11.5, 12.5)),
-        (5, 0.3, (17.9, 18.4, 19.0, 19.6)),
-    ):
-        e_fs = [
-            energy.energy_fully_supported(state, d, m)
-            for state in equilibria._solve_all(grid, d, m)
-        ]
+    for (d, m), grid in _COMPARISON_KAPPAS.items():
+        e_fs = [e for _, _, e in _supported(d, m, grid)]
         supported[d, m] = grid, e_fs
         vals = [energy.energy_uniform(k, d, m) - e for k, e in zip(grid, e_fs)]
         bad = _worst_nonmonotone(vals, increasing=True)
@@ -459,14 +529,12 @@ def check_energy_comparison_steps(tol: float) -> CheckResult:
 
 
 def check_minimizer_consistency(tol: float) -> CheckResult:
-    import numpy as np
-
     mismatches = 0
     total = 0
-    for d, m, lo, hi in ((2, 0.5, 4.0, 12.0), (3, 0.25, 8.0, 16.0), (5, 0.3, 15.0, 21.0)):
+    for d, m in _MINIMIZER_SPANS:
         crit = energy.critical_set(d, m)
-        grid = [float(kappa) for kappa in np.linspace(lo, hi, 9)]
-        for kappa, found in zip(grid, energy.equilibria_at(grid, d, m)):
+        grid = _minimizer_kappas(d, m)
+        for kappa, found in zip(grid, _equilibria(d, m, grid)):
             report = energy._energy_report(kappa, found, crit.kappa1)
             if crit.kappa_c is not None:
                 expected = energy.UNIFORM if kappa < crit.kappa_c else energy.SINGULAR_UPPER
@@ -516,22 +584,28 @@ def run_verification() -> list[CheckResult]:
     """Run every check against its threshold, in the order of THRESHOLDS.
 
     Each check_* is looked up as a module global when it runs, so a
-    wrapped or swapped-in check is the one that runs.
+    wrapped or swapped-in check is the one that runs.  The branch checks
+    share one enumeration per reference pair (_equilibria), kept for
+    this run only, so every run starts cold.
     """
     results = []
-    for name, tol in THRESHOLDS.items():
-        try:
-            results.append(globals()["check_" + name](tol))
-        except Exception as exc:  # a crashed check is a failed check
-            results.append(
-                CheckResult(
-                    name=name,
-                    passed=False,
-                    measured=math.inf,
-                    tolerance=0.0,
-                    detail=f"{type(exc).__name__}: {exc}",
+    run = _run_entries.set({})
+    try:
+        for name, tol in THRESHOLDS.items():
+            try:
+                results.append(globals()["check_" + name](tol))
+            except Exception as exc:  # a crashed check is a failed check
+                results.append(
+                    CheckResult(
+                        name=name,
+                        passed=False,
+                        measured=math.inf,
+                        tolerance=0.0,
+                        detail=f"{type(exc).__name__}: {exc}",
+                    )
                 )
-            )
+    finally:
+        _run_entries.reset(run)
     return results
 
 

@@ -20,7 +20,7 @@ from fastsphere import energy as en
 from fastsphere import equilibria as eq
 from fastsphere import model, quadrature, verification
 from fastsphere.cli import main
-from fastsphere.errors import BracketFailureError, InvalidParamError
+from fastsphere.errors import BracketFailureError, FastSphereError, InvalidParamError
 from fastsphere.model import sphere_geometry
 
 
@@ -466,16 +466,80 @@ class TestVerifyWork:
         ],
     )
     def test_one_branch_solve_per_pair(self, monkeypatch, check, tol, pairs):
-        # the default thresholds of run_verification
-        calls = record_calls(monkeypatch, eq, "fully_supported_states")
+        # the default thresholds of run_verification; a check called on its
+        # own enumerates each pair it reads once, over its own kappas
+        calls = record_calls(monkeypatch, en, "equilibria_at")
         assert getattr(verification, check)(tol).passed
-        assert [(d, m) for _, d, m, *_ in calls] == list(pairs)
+        assert [(d, m) for _, d, m in calls] == list(pairs)
 
     def test_minimizer_check_enumerates_each_grid_once(self, monkeypatch):
         at = record_calls(monkeypatch, en, "equilibria_at")
         classified = record_calls(monkeypatch, en, "classify_minimizer")
         assert verification.check_minimizer_consistency(0.0).passed
         assert (len(at), len(classified)) == (3, 0)
+
+    def test_one_enumeration_per_pair_per_run(self, monkeypatch):
+        # the branch checks of a run share one lockstep solve per reference
+        # pair, over every kappa any of them reads there (13 solves when each
+        # check ran its own); the next run in the process solves them again
+        solves = record_calls(monkeypatch, eq, "_fully_supported_states")
+        for _ in range(2):
+            assert all(r.passed for r in verification.run_verification())
+            assert [(c.d, c.m, list(kappas)) for c, kappas in solves] == [
+                (d, m, verification._pair_grid(d, m)) for d, m in verification.REFERENCE_PAIRS
+            ]
+            assert [len(kappas) for _, kappas in solves] == [20, 15, 16]
+            solves.clear()
+        assert verification._run_entries.get() is None
+
+    def test_sharing_couples_no_verdict(self, monkeypatch):
+        checks = (
+            "branch_continuity",
+            "energy_two_route_agreement",
+            "energy_slope_identities",
+            "energy_comparison_steps",
+            "minimizer_consistency",
+        )
+        ran = {r.name: r for r in verification.run_verification()}
+        at = record_calls(monkeypatch, en, "equilibria_at")
+        for name in checks:
+            alone = getattr(verification, "check_" + name)(verification.THRESHOLDS[name])
+            assert alone == ran[name]
+        own = [(d, m, list(kappas)) for kappas, d, m in at]
+        # in reverse order, the last branch check enumerates each pair
+        monkeypatch.setattr(
+            verification, "THRESHOLDS", dict(reversed(verification.THRESHOLDS.items()))
+        )
+        reversed_run = verification.run_verification()
+        assert [r.name for r in reversed_run] == list(reversed(ran))
+        assert {r.name: r for r in reversed_run} == ran
+
+        def solved(kappas, d, m):
+            return [
+                (type(state), str(state))
+                if isinstance(state, FastSphereError)
+                else (state.eta_minus_1, state.s, state.moments)
+                for state in eq.fully_supported_states(kappas, d, m)
+            ]
+
+        # each check's own kappas solve bit for bit as in its pair's whole grid
+        for d, m in verification.REFERENCE_PAIRS:
+            grid = verification._pair_grid(d, m)
+            whole = dict(zip(grid, solved(grid, d, m)))
+            reads = [kappas for dd, mm, kappas in own if (dd, mm) == (d, m)]
+            assert len(reads) == 4 + ((d, m) == (2, 0.5))
+            for kappas in reads:
+                assert solved(kappas, d, m) == [whole[kappa] for kappa in kappas]
+
+    def test_verify_shares_its_rounds_and_batches(self, monkeypatch):
+        # one run's solver rounds, Gauss-Kronrod batches and integrand nodes:
+        # 567, 1170 and 326,085 when each branch check ran its own solves
+        rounds = record_calls(monkeypatch, quadrature, "_integrals")
+        batches = record_calls(monkeypatch, quadrature, "_kronrod_batch")
+        assert all(r.passed for r in verification.run_verification())
+        assert len(rounds) <= 160
+        assert len(batches) <= 760
+        assert sum(15 * (bounds.size - 1) for _, bounds in batches) <= 215_000
 
 
 class TestDemoSweeps:
