@@ -44,7 +44,6 @@ from .model import (
     Regime,
     RegimeCase,
     SphereGeometry,
-    ThetaIntegralSpec,
     classify_regime,
     eta1_closed_form,
     sphere_geometry,
@@ -67,7 +66,6 @@ __all__ = [
     "RegimeCase",
     "SingularState",
     "SphereGeometry",
-    "ThetaIntegralSpec",
     "ThresholdDegenerateError",
     "ToleranceNotMetError",
     "WrongRegimeError",

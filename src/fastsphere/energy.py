@@ -43,7 +43,7 @@ from .errors import (
     OutOfWindowError,
     WrongRegimeError,
 )
-from .model import RegimeCase, sphere_geometry, validate_params
+from .model import RegimeCase, check_kappa, sphere_geometry, validate_params
 
 UNIFORM = "uniform"
 FULLY_SUPPORTED = "fully_supported"
@@ -129,10 +129,11 @@ def energy_fully_supported(state: FullySupportedState, d, m: float) -> float:
 
 def energy_singular(alpha: float, kappa: float, d, m: float) -> float:
     """Energy of alpha * delta + (1 - alpha) * rho_bar at strength kappa."""
-    validate_params(d, m, kappa)
+    c = equilibria._rho_bar_constants(d, m)
+    kappa = check_kappa(kappa)
     if not 0.0 < alpha < 1.0:
         raise InvalidParamError(f"alpha must lie in (0, 1), got {alpha!r}")
-    return _singular_energy(alpha, kappa, equilibria._rho_bar_constants(d, m))
+    return _singular_energy(alpha, kappa, c)
 
 
 def _singular_energy(alpha: float, kappa: float, c: equilibria._Constants) -> float:
@@ -277,9 +278,8 @@ def classify_minimizer(kappa: float, d, m: float) -> EnergyReport:
     energy; ties within 1e-12, and kappa within 1e-12 of the branch birth
     at kappa1, are flagged degenerate with the runner-up recorded.
     """
-    validate_params(d, m, kappa)
-    kappa = float(kappa)
     c = equilibria._constants(d, m)
+    kappa = check_kappa(kappa)
     return _energy_report(kappa, _equilibria_at(c, [kappa])[0], c.kappa1)
 
 

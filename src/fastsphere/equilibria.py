@@ -309,10 +309,15 @@ def fully_supported_density(
 ) -> float:
     """Pointwise density of the fully supported state at polar angle theta."""
     validate_params(d, m)
+    return _fully_supported_density(state, _check_theta(theta), m)
+
+
+def _check_theta(theta) -> float:
+    """theta as a float, after checking it lies in [0, pi]."""
     theta = float(theta)
     if not 0.0 <= theta <= math.pi:
         raise InvalidParamError(f"theta must lie in [0, pi], got {theta!r}")
-    return _fully_supported_density(state, theta, m)
+    return theta
 
 
 def _fully_supported_density(state: FullySupportedState, theta: float, m: float) -> float:
@@ -338,8 +343,8 @@ def alpha_roots(kappa: float, d, m: float) -> list[float]:
     below kappa3, a tangent double root at kappa3 (returned twice), two
     roots straddling alpha_bar on (kappa3, kappa2), one root past kappa2.
     """
-    validate_params(d, m, kappa)
-    return _alpha_roots(float(kappa), _rho_bar_constants(d, m))
+    c = _rho_bar_constants(d, m)
+    return _alpha_roots(check_kappa(kappa), c)
 
 
 def _alpha_roots(kappa: float, c: _Constants) -> list[float]:
@@ -386,11 +391,11 @@ def _measure_valued_alphas(kappa: float, c: _Constants) -> dict[str, float]:
 
 def singular_state(kappa: float, d, m: float, branch: str = "upper") -> SingularState:
     """Measure-valued equilibrium at kappa on the requested branch."""
+    c = _rho_bar_constants(d, m)
+    kappa = check_kappa(kappa)
     if branch not in ("upper", "lower"):
         raise InvalidParamError(f"branch must be 'upper' or 'lower', got {branch!r}")
-    validate_params(d, m, kappa)
-    c = _rho_bar_constants(d, m)
-    alphas = _measure_valued_alphas(float(kappa), c)
+    alphas = _measure_valued_alphas(kappa, c)
     if not alphas:
         raise OutOfWindowError(
             f"no measure-valued equilibrium at kappa={kappa!r} for d={d}, m={m!r}"
@@ -399,15 +404,13 @@ def singular_state(kappa: float, d, m: float, branch: str = "upper") -> Singular
         raise OutOfWindowError(
             f"no lower measure-valued branch at kappa={kappa!r} for d={d}, m={m!r}"
         )
-    return SingularState(kappa=float(kappa), alpha=alphas[branch], s_bar=c.s_bar)
+    return SingularState(kappa=kappa, alpha=alphas[branch], s_bar=c.s_bar)
 
 
 def rho_bar_density(theta: float, d, m: float) -> float:
     """Pointwise value of the fixed regular density; +inf at theta = 0."""
-    theta = float(theta)
-    if not 0.0 <= theta <= math.pi:
-        raise InvalidParamError(f"theta must lie in [0, pi], got {theta!r}")
-    return _rho_bar_density(theta, _rho_bar_constants(d, m))
+    c = _rho_bar_constants(d, m)
+    return _rho_bar_density(_check_theta(theta), c)
 
 
 def _rho_bar_density(theta: float, c: _Constants) -> float:

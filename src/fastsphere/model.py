@@ -8,16 +8,17 @@ combines a fast-diffusion entropy with exponent 0 < m < 1 and a quadratic
 
 split (0, 1) into three ranges with qualitatively different equilibrium
 branches.  For d in {1, 2} only the top range exists, and for d = 3 the
-bottom range is empty.
+bottom range is empty.  A public call checks (d, m), by validate_params,
+before kappa (check_kappa), so of two faults it reports the one in (d, m).
 
 Every equilibrium condition reduces to the polar integral family
 
     I(eta, q, p, d) = int_0^pi (eta - cos t)^q  sin^{d-1} t  cos^p t  dt,
 
-whose public front lives here too: ThetaIntegralSpec, theta_integral and
-its one accuracy DEFAULT_REL_TOL, and eta1_closed_form, the Beta
-function value at eta = 1.  Like sphere_geometry it is a Gamma-function
-closed form on the standard library, so the closed forms and the critical
+whose public front lives here too: theta_integral(eta, q, p, d) and its
+one accuracy DEFAULT_REL_TOL, and eta1_closed_form, the Beta function
+value at eta = 1.  Like sphere_geometry it is a Gamma-function closed
+form on the standard library, so the closed forms and the critical
 strengths built from them load no numpy.  theta_integral imports the numpy
 kernel (quadrature) when it is called; the closed form shares no module
 with that quadrature, which at eta = 1 is its independent oracle.
@@ -74,26 +75,22 @@ def check_dimension(d) -> int:
     return int(d)
 
 
-def validate_params(d, m: float, kappa: float | None = None) -> None:
-    """Check the full parameter invariants, including threshold exclusion."""
+def validate_params(d, m: float) -> tuple[float, float | None]:
+    """Check (d, m), and the exclusion zone around both regime thresholds.
+
+    Returns the thresholds (1 - 2/d, 1 - 2/(d-1)), the second None for d = 1.
+    """
     d = check_dimension(d)
     m = float(m)
     if not math.isfinite(m) or not 0.0 < m < 1.0:
         raise InvalidParamError(f"diffusion exponent m must lie in (0, 1), got {m!r}")
-    thr_high = 1.0 - 2.0 / d
-    if abs(m - thr_high) < THRESHOLD_TOL:
-        raise ThresholdDegenerateError(
-            f"m={m!r} is within {THRESHOLD_TOL} of the threshold 1 - 2/d = {thr_high!r}"
-        )
-    if d >= 2:
-        thr_low = 1.0 - 2.0 / (d - 1)
-        if abs(m - thr_low) < THRESHOLD_TOL:
+    thresholds = (1.0 - 2.0 / d, None if d == 1 else 1.0 - 2.0 / (d - 1))
+    for name, thr in zip(("1 - 2/d", "1 - 2/(d-1)"), thresholds):
+        if thr is not None and abs(m - thr) < THRESHOLD_TOL:
             raise ThresholdDegenerateError(
-                f"m={m!r} is within {THRESHOLD_TOL} of the threshold "
-                f"1 - 2/(d-1) = {thr_low!r}"
+                f"m={m!r} is within {THRESHOLD_TOL} of the threshold {name} = {thr!r}"
             )
-    if kappa is not None:
-        check_kappa(kappa)
+    return thresholds
 
 
 def check_kappa(kappa) -> float:
@@ -114,11 +111,8 @@ def classify_regime(d, m: float) -> Regime:
     Raises ThresholdDegenerateError within ``THRESHOLD_TOL`` of a threshold
     and InvalidParamError off the admissible ranges.
     """
-    validate_params(d, m)
-    d = int(d)
+    thr_high, thr_low = validate_params(d, m)
     m = float(m)
-    thr_high = 1.0 - 2.0 / d
-    thr_low = None if d == 1 else 1.0 - 2.0 / (d - 1)
     if m > thr_high:
         tag = RegimeCase.CASE_I
     elif thr_low is not None and m > thr_low:
@@ -156,16 +150,6 @@ def _area_from_lgamma(n: int) -> float:
     return 2.0 * math.exp(0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n))
 
 
-@dataclass(frozen=True)
-class ThetaIntegralSpec:
-    """One member of the polar integral family."""
-
-    eta: float
-    q: float
-    p: int
-    d: int
-
-
 def _check_spec(eta: float, q: float, p: int, d) -> tuple[float, float, int, int]:
     d = check_dimension(d)
     eta = float(eta)
@@ -188,15 +172,15 @@ def _not_integrable(q: float, d: int) -> NotIntegrableError:
     )
 
 
-def theta_integral(spec: ThetaIntegralSpec) -> float:
+def theta_integral(eta: float, q: float, p: int, d) -> float:
     """Evaluate int_0^pi (eta - cos t)^q sin^{d-1} t cos^p t dt to DEFAULT_REL_TOL.
 
-    spec holds eta >= 1, the exponent q, the cosine power p in {0, 1} and
-    the dimension d >= 1.  Raises NotIntegrableError when eta = 1 and
+    Takes eta >= 1, the exponent q, the cosine power p in {0, 1} and the
+    dimension d >= 1.  Raises NotIntegrableError when eta = 1 and
     2q + d - 1 <= -1, and ToleranceNotMetError when the error estimate
     cannot reach DEFAULT_REL_TOL or the integrand leaves double range.
     """
-    eta, q, p, d = _check_spec(spec.eta, spec.q, spec.p, spec.d)
+    eta, q, p, d = _check_spec(eta, q, p, d)
     from .quadrature import _integral  # the numpy kernel, loaded on first use
 
     return _integral(eta - 1.0, q, d)[p]

@@ -109,7 +109,7 @@ _integral also serves eta = 1, as the oracle of the closed form.
 
 This module holds the numpy kernel alone, and it is the package's only
 module that imports numpy at load time.  The public front of the family
-(ThetaIntegralSpec, theta_integral, DEFAULT_REL_TOL) lives in model,
+(theta_integral(eta, q, p, d), DEFAULT_REL_TOL) lives in model,
 which imports this kernel when an integral is asked for.  At eta = 1 the
 full integrals are Beta functions (model.eta1_closed_form), and that
 closed form is the primary route for every eta = 1 moment the package
@@ -231,12 +231,15 @@ def _kronrod_batch(f, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Kronrod values and |K15 - G7| estimates for consecutive panels.
 
     bounds is an array of n + 1 panel edges, of which only the half widths
-    are read.  f() returns the integrand at the 15 n nodes of those panels,
-    from the angle basis its caller holds for them, with its components
-    stacked along a leading axis, and so do the two (components, n)
-    results.  Each panel's sums run over its own
-    15 nodes in a fixed order (a BLAS matrix-vector product would not keep
-    to one), so its values do not depend on the other panels of the batch.
+    are read.  perfbench/tracing.py counts a batch as len(bounds) - 1 panels
+    and checks 15 integrand nodes per panel, so the panels of a batch must
+    join: that is why _seed_pass lays its meshes alternately upwards and
+    downwards and a refinement round adds bridge panels between its runs.
+    f() returns the integrand at the 15 n nodes, from the angle basis its
+    caller holds for them, components stacked along a leading axis, as are
+    the two (components, n) results.  Each panel's sums run over its own 15
+    nodes in a fixed order (a BLAS matrix-vector product would not keep to
+    one), so its values do not depend on the other panels of the batch.
     """
     h = 0.5 * np.abs(bounds[1:] - bounds[:-1])
     fv = f()

@@ -41,7 +41,6 @@ from dataclasses import dataclass, field
 
 from . import energy, equilibria, model
 from .errors import FastSphereError, OutOfWindowError
-from .model import ThetaIntegralSpec
 
 REFERENCE_PAIRS = ((2, 0.5), (3, 0.25), (5, 0.3))
 MONOTONE_PAIRS = ((2, 0.5), (3, 0.25), (3, 0.9), (5, 0.3), (5, 0.65))
@@ -289,8 +288,8 @@ def check_quadrature_self_consistency(tol: float) -> CheckResult:
         # sin^(d-1) t cos t = (sin^d t / d)', so by parts, for eta > 1,
         # I(eta, q, 1, d) = -(q/d) I(eta, q - 1, 0, d + 2): the expm1-folded
         # moment against a positive integrand at another (q, d), on another mesh
-        moment = model.theta_integral(ThetaIntegralSpec(eta, q, 1, d))
-        mass = model.theta_integral(ThetaIntegralSpec(eta, q - 1.0, 0, d + 2))
+        moment = model.theta_integral(eta, q, 1, d)
+        mass = model.theta_integral(eta, q - 1.0, 0, d + 2)
         worst = max(worst, _rel(moment, -q / d * mass))
     return _result("quadrature_self_consistency", worst, tol)
 
@@ -317,7 +316,7 @@ def check_theta_integral_eta_monotone(tol: float) -> CheckResult:
     worst = 0.0
     for q, d in ((-2.0, 2), (-4.0 / 3.0, 3), (-0.5, 5)):
         vals = [
-            model.theta_integral(ThetaIntegralSpec(float(e), q, 0, d))
+            model.theta_integral(float(e), q, 0, d)
             for e in 1.0 + np.geomspace(1e-3, 100.0, 12)
         ]
         worst = max(worst, _worst_nonmonotone(vals, increasing=False))

@@ -113,10 +113,10 @@ class TestFullySupportedEnergy:
 
     def test_moment_factor_positive(self):
         # the first-moment integral entering g1 is strictly positive off eta = 1
-        from fastsphere.model import ThetaIntegralSpec, theta_integral
+        from fastsphere.model import theta_integral
 
         for eta in (1.001, 1.5, 20.0):
-            assert theta_integral(ThetaIntegralSpec(eta, -2.0, 1, 2)) > 0.0
+            assert theta_integral(eta, -2.0, 1, 2) > 0.0
 
 
 class TestSingularEnergy:

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from fastsphere.errors import InvalidParamError, ThresholdDegenerateError
 from fastsphere.model import (
     RegimeCase,
+    check_kappa,
     classify_regime,
     sphere_geometry,
     validate_params,
@@ -100,8 +101,31 @@ def test_threshold_exclusion_zone(d, m):
      (2, 0.5, -3.0), (2.5, 0.5, 1.0), (2, math.nan, 1.0)],
 )
 def test_invalid_params_rejected(d, m, kappa):
+    # each case has one fault: validate_params rejects one in (d, m) and
+    # admits the rest, check_kappa one in kappa
+    if kappa > 0.0:
+        with pytest.raises(InvalidParamError):
+            validate_params(d, m)
+        assert check_kappa(kappa) == kappa
+    else:
+        validate_params(d, m)
+        with pytest.raises(InvalidParamError):
+            check_kappa(kappa)
+
+
+def test_validate_params_returns_the_thresholds():
+    # the one definition of 1 - 2/d and 1 - 2/(d-1), which classify_regime reads
+    assert validate_params(5, 0.3) == (1.0 - 2.0 / 5, 1.0 - 2.0 / 4)
+    assert validate_params(1, 0.3) == (-1.0, None)
+    for d, m in ((1, 0.5), (2, 0.3), (5, 0.3), (7, 0.7)):
+        regime = classify_regime(d, m)
+        assert (regime.threshold_high, regime.threshold_low) == validate_params(d, m)
+
+
+@pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf, -1e-300])
+def test_invalid_kappa_rejected(kappa):
     with pytest.raises(InvalidParamError):
-        validate_params(d, m, kappa)
+        check_kappa(kappa)
 
 
 @given(

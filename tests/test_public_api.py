@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import fastsphere
-from fastsphere.errors import FastSphereError
+from fastsphere.errors import FastSphereError, InvalidParamError, NotIntegrableError
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "fastsphere"
@@ -27,14 +27,37 @@ VALID_ARGS = {
 BAD_D = [(d, 0.3) for d in (0, -3, 2.5, True, math.nan, math.inf)]
 # off (0, 1), or on one of the thresholds 1 - 2/d and 1 - 2/(d-1) of d = 5
 BAD_M = [(5, m) for m in (0.0, 1.0, -0.1, 1.5, math.nan, math.inf, 1.0 - 2.0 / 5, 1.0 - 2.0 / 4)]
-# eta1_closed_form takes (q, p, d), which its own tests cover
+# a kappa every call that takes one rejects (energy_uniform admits kappa = 0)
+BAD_KAPPA = -1.0
+# eta1_closed_form takes (q, p, d) and theta_integral (eta, q, p, d), which
+# their own tests cover
 TAKING_D = [
     name
     for name in fastsphere.__all__
     if inspect.isfunction(getattr(fastsphere, name))
     and "d" in inspect.signature(getattr(fastsphere, name)).parameters
-    and name != "eta1_closed_form"
+    and name not in ("eta1_closed_form", "theta_integral")
 ]
+TAKING_KAPPA = [
+    name
+    for name in TAKING_D
+    if {"kappa", "kappas"} & set(inspect.signature(getattr(fastsphere, name)).parameters)
+]
+
+
+def _other_args(func, **values) -> dict:
+    """Valid values of every parameter of func but d and m, updated by values."""
+    args = dict(VALID_ARGS, **values)
+    return {key: args[key] for key in inspect.signature(func).parameters if key not in ("d", "m")}
+
+
+def _rejects_kappa(func, kwargs) -> bool:
+    try:
+        result = func(**kwargs)
+    except InvalidParamError:
+        return True
+    # a call over a list of kappas returns each kappa's error as its entry
+    return "kappas" in kwargs and isinstance(result[0], InvalidParamError)
 
 
 @pytest.fixture(scope="module")
@@ -48,17 +71,39 @@ def test_every_public_call_rejects_bad_d_and_m(name, state):
     # reader it hands them to
     func = getattr(fastsphere, name)
     params = inspect.signature(func).parameters
-    args = dict(VALID_ARGS, state=state)
+    kwargs = _other_args(func, state=state)
     accepted = []
     for d, m in BAD_D + (BAD_M if "m" in params else []):
-        kwargs = {key: args[key] for key in params if key not in ("d", "m")}
-        kwargs.update({"d": d, "m": m} if "m" in params else {"d": d})
         try:
-            func(**kwargs)
+            func(**kwargs, **({"d": d, "m": m} if "m" in params else {"d": d}))
         except FastSphereError:
             continue
         accepted.append((d, m))
+    if name in TAKING_KAPPA:
+        # and one bad kappa at a valid (d, m)
+        bad = _other_args(func, kappa=BAD_KAPPA, kappas=[BAD_KAPPA], state=state)
+        if not _rejects_kappa(func, dict(bad, d=5, m=0.3)):
+            accepted.append(("kappa", BAD_KAPPA))
     assert accepted == []
+
+
+@pytest.mark.parametrize("name", TAKING_KAPPA)
+def test_of_two_faults_the_one_in_d_and_m_is_reported(name):
+    # (d, m) are checked before kappa, by every call; in case i the
+    # measure-valued calls report first that rho_bar does not exist there
+    func = getattr(fastsphere, name)
+    bad = _other_args(func, kappa=BAD_KAPPA, kappas=[BAD_KAPPA])
+    with pytest.raises(InvalidParamError, match="diffusion exponent"):
+        func(**bad, d=5, m=1.5)
+    if name in ("alpha_roots", "singular_state", "energy_singular"):
+        with pytest.raises(NotIntegrableError, match="regular density"):
+            func(**bad, d=2, m=0.5)
+
+
+def test_theta_integral_takes_plain_numbers():
+    # the polar integral takes its four numbers; no spec object is exported
+    assert list(inspect.signature(fastsphere.theta_integral).parameters) == ["eta", "q", "p", "d"]
+    assert len(fastsphere.__all__) == 34 and "ThetaIntegralSpec" not in fastsphere.__all__
 
 
 def _top_level_imports(tree: ast.Module) -> set:

@@ -18,15 +18,7 @@ from fastsphere.errors import (
     NotIntegrableError,
     ToleranceNotMetError,
 )
-from fastsphere.model import (
-    ThetaIntegralSpec,
-    eta1_closed_form,
-    theta_integral,
-)
-
-
-def integral(eta, q, p, d):
-    return theta_integral(ThetaIntegralSpec(eta, q, p, d))
+from fastsphere.model import eta1_closed_form, theta_integral as integral
 
 
 def test_trivial_values():
@@ -549,8 +541,9 @@ def test_invalid_spec_rejected():
         integral(0.5, -1.0, 0, 2)
     with pytest.raises(InvalidParamError):
         integral(2.0, -1.0, 2, 2)
-    with pytest.raises(InvalidParamError):
-        integral(2.0, -1.0, 0, 0)
+    for d in (0, -3, 2.5, True, math.nan, math.inf):
+        with pytest.raises(InvalidParamError):
+            integral(2.0, -1.0, 0, d)
 
 
 def test_tolerance_not_met_when_budget_exhausted(monkeypatch):
