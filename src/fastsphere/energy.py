@@ -43,7 +43,7 @@ from .errors import (
     OutOfWindowError,
     WrongRegimeError,
 )
-from .model import RegimeCase, check_kappa, sphere_geometry, validate_params
+from .model import RegimeCase, _real, check_kappa, sphere_geometry, validate_params
 
 UNIFORM = "uniform"
 FULLY_SUPPORTED = "fully_supported"
@@ -75,6 +75,7 @@ class EnergyReport:
 def energy_uniform(kappa: float, d, m: float) -> float:
     """Energy of the uniform state: (1/(m-1)) |S^d|^(1-m) + kappa/2."""
     validate_params(d, m)
+    kappa = _real(kappa, "kappa must be >= 0")
     if not math.isfinite(kappa) or kappa < 0.0:
         raise InvalidParamError(f"kappa must be >= 0, got {kappa!r}")
     return _uniform_energy(kappa, sphere_geometry(d).area_sd, m)
@@ -131,6 +132,7 @@ def energy_singular(alpha: float, kappa: float, d, m: float) -> float:
     """Energy of alpha * delta + (1 - alpha) * rho_bar at strength kappa."""
     c = equilibria._rho_bar_constants(d, m)
     kappa = check_kappa(kappa)
+    alpha = _real(alpha, "alpha must lie in (0, 1)")
     if not 0.0 < alpha < 1.0:
         raise InvalidParamError(f"alpha must lie in (0, 1), got {alpha!r}")
     return _singular_energy(alpha, kappa, c)

@@ -275,7 +275,7 @@ def _fully_supported_states(c: _Constants, kappas) -> list:
     def residuals(asks):
         zetas = [math.exp(y) for _, y in asks]
         new = [zeta for zeta in dict.fromkeys(zetas) if zeta not in moments]
-        moments.update(zip(new, _integrals(new, rungs)))
+        moments.update(zip(new, _integrals(new, c.q, d, rungs)))
         values = []
         for (item, _), zeta in zip(asks, zetas):
             at_zeta = moments[zeta]

@@ -69,9 +69,19 @@ class SphereGeometry:
     area_sdm1: float  # |S^{d-1}| = d * w_d, w_d the volume of the unit d-ball
 
 
+def _real(value, rule: str) -> float:
+    """float(value); a value it cannot read raises InvalidParamError(f"{rule}, got {value!r}")."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidParamError(f"{rule}, got {value!r}") from None
+
+
 def check_dimension(d) -> int:
-    if isinstance(d, bool) or not math.isfinite(float(d)) or int(d) != d or d < 1:
-        raise InvalidParamError(f"dimension d must be an integer >= 1, got {d!r}")
+    rule = "dimension d must be an integer >= 1"
+    real = _real(d, rule)
+    if isinstance(d, bool) or not math.isfinite(real) or int(real) != d or d < 1:
+        raise InvalidParamError(f"{rule}, got {d!r}")
     return int(d)
 
 
@@ -81,7 +91,7 @@ def validate_params(d, m: float) -> tuple[float, float | None]:
     Returns the thresholds (1 - 2/d, 1 - 2/(d-1)), the second None for d = 1.
     """
     d = check_dimension(d)
-    m = float(m)
+    m = _real(m, "diffusion exponent m must lie in (0, 1)")
     if not math.isfinite(m) or not 0.0 < m < 1.0:
         raise InvalidParamError(f"diffusion exponent m must lie in (0, 1), got {m!r}")
     thresholds = (1.0 - 2.0 / d, None if d == 1 else 1.0 - 2.0 / (d - 1))
@@ -95,7 +105,7 @@ def validate_params(d, m: float) -> tuple[float, float | None]:
 
 def check_kappa(kappa) -> float:
     """kappa as a float, after checking it is finite and > 0."""
-    kappa = float(kappa)
+    kappa = _real(kappa, "interaction strength kappa must be > 0")
     if not math.isfinite(kappa) or kappa <= 0.0:
         raise InvalidParamError(f"interaction strength kappa must be > 0, got {kappa!r}")
     return kappa
@@ -152,8 +162,8 @@ def _area_from_lgamma(n: int) -> float:
 
 def _check_spec(eta: float, q: float, p: int, d) -> tuple[float, float, int, int]:
     d = check_dimension(d)
-    eta = float(eta)
-    q = float(q)
+    eta = _real(eta, "eta must be finite and >= 1")
+    q = _real(q, "exponent q must be finite")
     if p not in (0, 1):
         raise InvalidParamError(f"cosine power p must be 0 or 1, got {p!r}")
     if not math.isfinite(eta) or eta < 1.0:

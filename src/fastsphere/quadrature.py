@@ -79,33 +79,35 @@ eta = 1 ones.  The ladder holds that threshold per panel (free_below);
 it grows with the panel, so the free panels of a seed are a top suffix
 of it, found by one searchsorted.
 
-The branch solves, run in lockstep, take their integrals from
-_integrals, which integrates the seed meshes of many zetas together and
-computes only the panels below each free suffix.  Where some seed has a
-free panel it sorts the zetas, so that neighbours have similar suffixes
-(with none, the order asked serves as well), and _seed_pass lays the computed
-panels end to end, alternately upwards and downwards so that neighbours
-share an edge (the two meshes of a pair are cut at the same panel), with
-each panel's ladder index and zeta found by index arithmetic (no Python
-loop per mesh).  It integrates up to _BATCH_NODES computed nodes in one
-batch and takes the free panels from a table of the eta = 1 panels of
-one (q, d) (_Eta1Rungs), filled in one batch down to the lowest free
-panel the call uses.  That table is also where _integrals reads q and d,
-so every panel of a call is of one (q, d); a caller with many calls at
-one (q, d), such as a branch solve, shares one table between them.  A
-full batch costs mostly its nodes, not its fixed numpy overhead, so the
-free panels are the saving.  The pass and the eta = 1 table hold their
-panels in _refine's rows, and one gather puts every full seed back in
-increasing order; the pass then goes whole to _refine, which returns the
-seeds that meet the tolerance and refines the others together, so a
-round of their refinement costs one batch however many seeds it
-bisects.  A lone zeta
-(a single solve) goes to _integral, because on one mesh that layout
-costs more than it saves.  Every panel and every per-mesh sum is
-computed in the same order in either route, and every free panel equals
-its computed value, so _integrals returns exactly what _integral would.
-The solves work in log(eta - 1), so _integrals takes zeta > 0 only;
-_integral also serves eta = 1, as the oracle of the closed form.
+_integrals integrates the seed meshes of many zetas together, and each
+mesh carries its own (q, d), as it carries its own zeta: the integrand
+reads q and d per node where they differ, and as numbers where the call
+has one (q, d), which spares it the per-node columns.  The branch
+solves, run in lockstep, send it one (q, d) and many zetas; verify's
+checks send it all the meshes of a check, at many (q, d).  _seed_pass
+lays the computed panels end to end, alternately upwards and downwards
+so that neighbours share an edge (the two meshes of a pair are cut at
+the same panel), with each panel's ladder index, zeta, q and d found by
+index arithmetic (no Python loop per mesh).  It integrates up to
+_BATCH_NODES computed nodes in one batch.  A call of one (q, d) may also
+pass a table of its eta = 1 panels (_Eta1Rungs), filled in one batch
+down to the lowest free panel the call uses, and a caller with many
+calls at that (q, d), such as a branch solve, shares one table between
+them.  Then only the panels below each free suffix are computed, and
+where some seed has a free panel the zetas are sorted, so that
+neighbours have similar suffixes.  A full batch costs mostly its nodes,
+not its fixed numpy overhead, so the free panels are the saving.  The
+pass and the eta = 1 table hold their panels in _refine's rows, and one
+gather puts every full seed back in increasing order; the pass then
+goes whole to _refine, which returns the seeds that meet the tolerance
+and refines the others together, so a round of their refinement costs
+one batch however many seeds it bisects.  A lone zeta (a single solve)
+goes to _integral, because on one mesh that layout costs more than it
+saves.  Every panel and every per-mesh sum is computed in the same order
+in either route, and every free panel equals its computed value, so
+_integrals returns exactly what _integral would, with or without the
+table.  The solves work in log(eta - 1), so _integrals takes zeta > 0
+only; _integral also serves eta = 1, as the oracle of the closed form.
 
 This module holds the numpy kernel alone, and it is the package's only
 module that imports numpy at load time.  The public front of the family
@@ -187,16 +189,17 @@ def _angle_basis(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return v, np.log(np.sin(theta))
 
 
-def _folded_integrand(v, log_sin, zeta, q: float, d: int) -> np.ndarray:
+def _folded_integrand(v, log_sin, zeta, q, d) -> np.ndarray:
     """Folded mass, moment and entropy integrands on (0, pi/2] at eta = 1 + zeta.
 
     v and log_sin are _angle_basis at the nodes, one entry per node.
     Returns the integrands of I(eta, q, 0), I(eta, q, 1) and I(eta, q + 1, 0)
     stacked along a new leading axis, all three from one set of sin, log
     and exp values.  Parametrized by zeta = eta - 1 so callers tracking the
-    branch close to eta = 1 keep full relative precision; zeta is a float or
-    an array that broadcasts against v (one zeta per node).  No node may be
-    0 where zeta = 0.
+    branch close to eta = 1 keep full relative precision.  zeta, q and d
+    are each a number or an array that broadcasts against v (one value per
+    node); an array gives every node the same operations as a number, so
+    the values do not change.  No node may be 0 where zeta = 0.
     """
     cos_t = 1.0 - v
     a1 = zeta + v
@@ -208,7 +211,10 @@ def _folded_integrand(v, log_sin, zeta, q: float, d: int) -> np.ndarray:
     # close to 1 (and the plain log difference would cancel).
     z = -2.0 * cos_t / a2
     y = q * np.where(z > -0.5, np.log1p(np.maximum(z, -0.75)), log_a1 - log_a2)
-    log_weight = (d - 1) * log_sin if d > 1 else 0.0
+    if isinstance(d, np.ndarray):  # d = 1 has no weight, even where log_sin is -inf
+        log_weight = np.where(d > 1, log_sin, 0.0) * (d - 1)
+    else:
+        log_weight = (d - 1) * log_sin if d > 1 else 0.0
     e1 = np.exp(q * log_a1 + log_weight)
     e2 = np.exp(q * log_a2 + log_weight)
     del z, log_a1, log_a2, log_weight  # lowers the peak memory of a full batch
@@ -277,24 +283,38 @@ def _worst(err: np.ndarray, total: np.ndarray) -> float:
     return max(e / max(abs(t), 1e-300) for e, t in zip(err.tolist(), total.tolist()))
 
 
+def _at(x, index):
+    """x at index, where x is an array of one value per mesh; a number shared by all is itself."""
+    return x[index] if isinstance(x, np.ndarray) else x
+
+
+def _column(x, counts):
+    """x at each panel laid for the meshes, counts[k] of them for mesh k, for the integrand.
+
+    A number shared by every mesh stays itself; an array of one value per
+    mesh becomes a column, one row per panel.
+    """
+    return x.repeat(counts)[:, None] if isinstance(x, np.ndarray) else x
+
+
 def _refine(zeta, q, d, table, begin: list, tail, tail_err) -> list:
     """Adaptive Gauss-Kronrod refinement of meshes at eta = 1 + zeta, one batch per round.
 
-    Every mesh has the same q and d.  table holds one column per panel,
-    mesh k's from begin[k] to the next start, in increasing order: rows
-    0-2 are its Kronrod values, 3-5 their estimates, 6 and 7 its lower and
-    upper edge.  tail[:, k] is mesh k's closed-form endpoint tail, which
+    zeta holds one value per mesh; q and d are numbers shared by every mesh
+    or, like zeta, arrays of one per mesh.  table holds one column per
+    panel, mesh k's from begin[k] to the next start, in increasing order:
+    rows 0-2 are its Kronrod values, 3-5 their estimates, 6 and 7 its lower
+    and upper edge.  tail[:, k] is mesh k's closed-form endpoint tail, which
     joins each total, and tail_err[:, k] the tail's irreducible share of
-    each error budget.  Each component must meet DEFAULT_REL_TOL relative
-    to its own total.  While one misses, every panel whose estimate
-    exceeds its equal share of a missing component's budget is marked, and
-    the contiguous span from the first to the last marked panel is
-    bisected.  Each round bisects the spans of all the meshes that still
-    miss in one batch: each span's halves are one increasing run of
-    edges, and the runs are laid end to end, so the panel that joins two
-    runs is a bridge, whose values are dropped.  A mesh's panels and sums
-    do not depend on the other meshes, so each ends as it would on its
-    own.
+    each error budget.  Each component must meet DEFAULT_REL_TOL relative to
+    its own total.  While one misses, every panel whose estimate exceeds its
+    equal share of a missing component's budget is marked, and the
+    contiguous span from the first to the last marked panel is bisected.
+    Each round bisects the spans of all the meshes that still miss in one
+    batch: each span's halves are one increasing run of edges, and the runs
+    are laid end to end, so the panel that joins two runs is a bridge, whose
+    values are dropped.  A mesh's panels and sums do not depend on the other
+    meshes, so each ends as it would on its own.
 
     Returns each mesh's (i0, i1, i_ent), or the ToleranceNotMetError it
     ends in, without a traceback.
@@ -353,21 +373,23 @@ def _refine(zeta, q, d, table, begin: list, tail, tail_err) -> list:
         if not keep:
             return results
         if len(keep) < len(live):
-            zeta, live = zeta[keep], [live[k] for k in keep]
+            zeta, q, d = (_at(x, keep) for x in (zeta, q, d))
+            live = [live[k] for k in keep]
             tail, tail_err = tail[:, keep], tail_err[:, keep]
         cuts = np.empty(2 * lo.size)  # each panel's lower edge and midpoint
         cuts[0::2], cuts[1::2] = lo, mid
         # each span's halves as one increasing run of edges, the runs end to
-        # end; the panel that joins two runs is a bridge, which takes the zeta
-        # of the run before it and whose columns are dropped
+        # end; the panel that joins two runs is a bridge, which takes the
+        # zeta, q and d of the run before it and whose columns are dropped
         laid, counts = [], []
         for first, last in spans:
             laid += [cuts[2 * first : 2 * last + 2], hi[last : last + 1]]
             counts.append(2 * (last - first) + 3)  # the span's halves and the bridge after them
+        counts[-1] -= 1  # the last run has no bridge
         laid = np.concatenate(laid)
         v, log_sin = _angle_basis(_panel_nodes(laid[:-1], laid[1:]))
-        zeta_col = zeta.repeat(counts)[:-1, None]
-        vals, errs = _kronrod_batch(lambda: _folded_integrand(v, log_sin, zeta_col, q, d), laid)
+        cols = [_column(x, counts) for x in (zeta, q, d)]
+        vals, errs = _kronrod_batch(lambda: _folded_integrand(v, log_sin, *cols), laid)
         new = np.concatenate((vals, errs, laid[None, :-1], laid[None, 1:]))
         # each mesh again: its panels below the span, the span's halves, its panels above it
         parts, sizes_kept = [], []
@@ -485,17 +507,19 @@ class _Eta1Rungs:
         self.top = low
 
 
-def _seed_pass(zeta: np.ndarray, levels: np.ndarray, free, rungs: _Eta1Rungs):
+def _seed_pass(zeta: np.ndarray, q, d, levels: np.ndarray, free, rungs: _Eta1Rungs | None):
     """One Gauss-Kronrod batch over the seed meshes of zeta > 0, which have the given levels.
 
-    free is the number of free panels of each mesh, which come from rungs,
-    filled down to them.  Only the other panels are
-    computed: the bottom panel and the dyadic panels [depth - levels,
-    depth - free).  They are laid end to end as one edge array, alternately
-    upwards and downwards from the first, so that neighbours share their
-    end edge, 0 or the top edge of a pair, whose two meshes must have the
-    same number of free panels.  Each node takes its zeta and its angle
-    basis by index from the ladder table, so the pass builds no nodes.
+    q and d are numbers shared by every mesh or arrays of one per mesh.
+    free is the number of free panels of each mesh, which come from
+    rungs, filled down to them; where no mesh has one, rungs is not read
+    (None will do).  Only the other panels are computed: the bottom panel
+    and the dyadic panels [depth - levels, depth - free).  They are laid
+    end to end as one edge array, alternately upwards and downwards from
+    the first, so that neighbours share their end edge, 0 or the top edge
+    of a pair, whose two meshes must have the same number of free panels.
+    Each node takes its zeta, q and d and its angle basis by index, so the
+    pass builds no nodes.
 
     Returns every mesh's full seed as _refine takes it: the table of its
     panels, mesh after mesh and each in increasing order, and the first
@@ -514,11 +538,9 @@ def _seed_pass(zeta: np.ndarray, levels: np.ndarray, free, rungs: _Eta1Rungs):
     panel = np.where(rank == 0, depth + n, depth - n + rank - 1)
     lo, hi = ladder.lo[panel], ladder.hi[panel]
     edges = np.concatenate((lo[:1], np.where(upward, hi, lo)))
-    zeta_col = zeta[mesh][:, None]
+    cols = [_column(x, panels) for x in (zeta, q, d)]
     v, log_sin = (part.take(panel, 0) for part in ladder.basis)
-    values, errors = _kronrod_batch(
-        lambda: _folded_integrand(v, log_sin, zeta_col, rungs.q, rungs.d), edges
-    )
+    values, errors = _kronrod_batch(lambda: _folded_integrand(v, log_sin, *cols), edges)
     table = np.concatenate((values, errors, lo[None], hi[None]))[:, starts[mesh] + rank]
     if not free.any():  # these are the full seeds
         return table, starts.tolist()
@@ -533,31 +555,39 @@ def _seed_pass(zeta: np.ndarray, levels: np.ndarray, free, rungs: _Eta1Rungs):
     return np.concatenate((table, rungs.table), axis=1)[:, gather], run_to[0::2].tolist()
 
 
-def _integrals(zetas, rungs: _Eta1Rungs) -> list:
+def _integrals(zetas, q, d, rungs: _Eta1Rungs | None = None) -> list:
     """_integral at each of zetas, all > 0, with all the seed meshes integrated together.
 
-    q and d are those of rungs, the eta = 1 table the free panels come
-    from, which a caller may share between calls with the same q and d.
-    Each entry is the (i0, i1, i_ent) tuple or the FastSphereError that zeta
-    raises, without a traceback.  A lone zeta goes to _integral.  Where
-    some seed has a free panel, the zetas are sorted, so that neighbouring
-    meshes have similar numbers of free panels, and each pair of neighbours
-    takes the smaller of the two; otherwise they stay in the order asked.
-    The meshes are cut into batches of at most _BATCH_NODES computed nodes
-    (a pair at least), and each batch is one _seed_pass, whose full seeds
-    go whole to one _refine: it returns those that meet DEFAULT_REL_TOL
-    and refines the others together.
+    q and d are numbers shared by every zeta, or sequences of one per
+    zeta.  rungs is the eta = 1 table of the free panels at a shared
+    (q, d), which a caller may share between calls at that q and d;
+    without it every panel is computed, and since a free panel equals its
+    computed value, no result changes.  Each entry is the (i0, i1, i_ent)
+    tuple or the FastSphereError that zeta raises, without a traceback;
+    unlike _integral, the batch has no guard against an integrand that
+    leaves double range.  A lone zeta goes to _integral.  Where rungs
+    gives some seed a free panel, the zetas are sorted, so that
+    neighbouring meshes have similar numbers of free panels, and each pair
+    of neighbours takes the smaller of the two; otherwise they stay in the
+    order asked.  The meshes are cut into batches of at most _BATCH_NODES
+    computed nodes (a pair at least), and each batch is one _seed_pass,
+    whose full seeds go whole to one _refine: it returns those that meet
+    DEFAULT_REL_TOL and refines the others together.
     """
-    q, d = rungs.q, rungs.d
     if len(zetas) == 1:
         try:
-            return [_integral(zetas[0], q, d)]
+            return [_integral(zetas[0], *(x if np.isscalar(x) else x[0] for x in (q, d)))]
         except FastSphereError as exc:
             return [exc.with_traceback(None)]
     zeta = np.array(zetas, dtype=float)
+    if not np.isscalar(q):  # one (q, d) per zeta, as arrays
+        q, d = np.array(q, dtype=float), np.array(d)
+        cut = np.array([_seed_cut(*mesh) for mesh in zip(q.tolist(), d.tolist())])
+    else:
+        cut = _seed_cut(q, d)
     ladder = _ladder()
-    levels = _seed_levels(zeta, _seed_cut(q, d))
-    if min(zetas) < ladder.free_below[-1]:  # else not even the top panel is free
+    levels = _seed_levels(zeta, cut)
+    if rungs is not None and min(zetas) < ladder.free_below[-1]:  # else no panel is free
         order = np.argsort(zeta, kind="stable")
         zeta, levels = zeta[order], levels[order]
         free = _free_panels(zeta, levels)
@@ -574,9 +604,11 @@ def _integrals(zetas, rungs: _Eta1Rungs) -> list:
         last = int(np.searchsorted(ends, room, "right"))
         if last < zeta.size:  # cut between two pairs, after one at least
             last = min(max(last - (last - first) % 2, first + 2), zeta.size)
-        table, begin = _seed_pass(zeta[first:last], levels[first:last], free[first:last], rungs)
+        batch = slice(first, last)
+        meshes = (zeta[batch], _at(q, batch), _at(d, batch))
+        table, begin = _seed_pass(*meshes, levels[batch], free[batch], rungs)
         tail = np.zeros((3, last - first))
-        for k, result in enumerate(_refine(zeta[first:last], q, d, table, begin, tail, tail)):
+        for k, result in enumerate(_refine(*meshes, table, begin, tail, tail)):
             results[order[first + k]] = result
         first = last
     return results

@@ -23,6 +23,19 @@ The shared enumeration also finds the measure-valued roots at every kappa
 of the grid, and in a run a kappa whose entry is an error fails every
 check that reads it.
 
+Every check that integrates at eta > 1 sends all its meshes, each with
+its own (eta, q, d), to one quadrature._integrals batch (_integrals,
+_branch_moments): quadrature_self_consistency, theta_integral_eta_monotone,
+moment_bounded_by_mass, branch_monotone_direction,
+branch_limit_matches_kappa1, case_iii_com_decreasing, and the branch
+energy gains of energy_two_route_agreement and energy_slope_identities.
+A mesh's values do not depend on the other meshes of its batch, so each
+is what quadrature._integral gives it alone.  _integral itself (_moments)
+serves what the batch does not take: eta = 1, where the quadrature is the
+independent oracle of the closed form (eta1_quadrature_vs_closed_form,
+kappa2_dual_oracle, com_norm_closed_form), and branch_continuity's read
+of the branch at kappa2, one mesh in each of two pairs.
+
 Each check computes a worst-case measured error and compares it against
 its threshold in THRESHOLDS.  The thresholds are fixed, and nothing
 loosens them; the library runs at its one accuracy (integrals to
@@ -130,18 +143,27 @@ def _worst_nonmonotone(values, increasing: bool) -> float:
     return worst
 
 
+def _integrals(meshes) -> list[tuple[float, float, float]]:
+    """(I(eta, q, 0, d), I(eta, q, 1, d), I(eta, q + 1, 0, d)) at each (eta, q, d) of meshes.
+
+    Every eta is > 1, and all the meshes are integrated in one kernel
+    batch; raises the first error, in the order of meshes.
+    """
+    from . import quadrature
+
+    etas, qs, ds = zip(*meshes)
+    found = quadrature._integrals([eta - 1.0 for eta in etas], list(qs), list(ds))
+    for entry in found:
+        if isinstance(entry, FastSphereError):
+            raise entry
+    return found
+
+
 def _moments(eta: float, d: int, m: float) -> tuple[float, float, float]:
     """The integrals (i0, i1, i_ent) of the supported branch at shape eta, by quadrature."""
     from . import quadrature
 
     return quadrature._integral(eta - 1.0, 1.0 / (m - 1.0), d)
-
-
-def _inverse_kappa(eta: float, d: int, m: float) -> float:
-    """1/kappa of the supported branch at shape eta, through the ratio the branch solve reads."""
-    i0, i1, _ = _moments(eta, d, m)
-    scale = equilibria._inverse_kappa_scale(model.sphere_geometry(d).area_sdm1, m)
-    return equilibria._inverse_kappa_of(eta - 1.0, i0, i1, scale, d, m)
 
 
 def _com_norm(eta: float, d: int, m: float) -> float:
@@ -150,10 +172,31 @@ def _com_norm(eta: float, d: int, m: float) -> float:
     return i1 / i0
 
 
-def _branch_energy_gain(eta: float, d: int, m: float) -> float:
-    """energy._branch_energy_gain_of at shape eta, from moments integrated here, not a solve's."""
+def _branch_moments(shapes) -> list[tuple[float, float, float]]:
+    """_moments at each (eta, d, m) of shapes, all eta > 1, from one kernel batch."""
+    return _integrals([(eta, 1.0 / (m - 1.0), d) for eta, d, m in shapes])
+
+
+def _inverse_kappa(eta: float, d: int, m: float, moments=None) -> float:
+    """1/kappa of the supported branch at shape eta, through the ratio the branch solve reads.
+
+    moments are the (i0, i1, i_ent) at eta where the caller integrated them,
+    by default _moments(eta, d, m).
+    """
+    i0, i1, _ = _moments(eta, d, m) if moments is None else moments
+    scale = equilibria._inverse_kappa_scale(model.sphere_geometry(d).area_sdm1, m)
+    return equilibria._inverse_kappa_of(eta - 1.0, i0, i1, scale, d, m)
+
+
+def _branch_energy_gain(eta: float, d: int, m: float, moments=None) -> float:
+    """energy._branch_energy_gain_of at shape eta, from moments integrated here, not a solve's.
+
+    moments are as _inverse_kappa takes them.
+    """
     dwd = model.sphere_geometry(d).area_sdm1
-    return energy._branch_energy_gain_of(*_moments(eta, d, m), dwd, m)
+    return energy._branch_energy_gain_of(
+        *(_moments(eta, d, m) if moments is None else moments), dwd, m
+    )
 
 
 def _delta_mixture_energy(t: float, kappa: float, d: int, m: float) -> float:
@@ -278,7 +321,7 @@ def check_quadrature_self_consistency(tol: float) -> CheckResult:
     import numpy as np
 
     rng = np.random.default_rng(20240817)
-    worst = 0.0
+    meshes = []
     for _ in range(50):
         eta = float(np.exp(rng.uniform(np.log(1.001), np.log(50.0))))
         m = float(rng.uniform(0.05, 0.95))
@@ -288,8 +331,10 @@ def check_quadrature_self_consistency(tol: float) -> CheckResult:
         # sin^(d-1) t cos t = (sin^d t / d)', so by parts, for eta > 1,
         # I(eta, q, 1, d) = -(q/d) I(eta, q - 1, 0, d + 2): the expm1-folded
         # moment against a positive integrand at another (q, d), on another mesh
-        moment = model.theta_integral(eta, q, 1, d)
-        mass = model.theta_integral(eta, q - 1.0, 0, d + 2)
+        meshes += [(eta, q, d), (eta, q - 1.0, d + 2)]
+    found = _integrals(meshes)
+    worst = 0.0
+    for (_, q, d), (_, moment, _), (mass, _, _) in zip(meshes[0::2], found[0::2], found[1::2]):
         worst = max(worst, _rel(moment, -q / d * mass))
     return _result("quadrature_self_consistency", worst, tol)
 
@@ -313,28 +358,29 @@ def check_eta1_quadrature_vs_closed_form(tol: float) -> CheckResult:
 def check_theta_integral_eta_monotone(tol: float) -> CheckResult:
     import numpy as np
 
+    etas = [float(e) for e in 1.0 + np.geomspace(1e-3, 100.0, 12)]
+    specs = ((-2.0, 2), (-4.0 / 3.0, 3), (-0.5, 5))
+    found = _integrals([(eta, q, d) for q, d in specs for eta in etas])
     worst = 0.0
-    for q, d in ((-2.0, 2), (-4.0 / 3.0, 3), (-0.5, 5)):
-        vals = [
-            model.theta_integral(float(e), q, 0, d)
-            for e in 1.0 + np.geomspace(1e-3, 100.0, 12)
-        ]
+    for row in range(0, len(found), len(etas)):
+        vals = [mass for mass, _, _ in found[row : row + len(etas)]]
         worst = max(worst, _worst_nonmonotone(vals, increasing=False))
     return _result("theta_integral_eta_monotone", worst, tol)
 
 
 def check_moment_bounded_by_mass(tol: float) -> CheckResult:
     import numpy as np
-    from . import quadrature
 
     rng = np.random.default_rng(7)
-    worst = 0.0
+    meshes = []
     for _ in range(25):
         eta = float(np.exp(rng.uniform(np.log(1.0 + 1e-9), np.log(30.0))))
         m = float(rng.uniform(0.05, 0.95))
         q = 1.0 / (m - 1.0)
         d = int(rng.integers(1, 7))
-        i0, i1, _ = quadrature._integral(eta - 1.0, q, d)
+        meshes.append((eta, q, d))
+    worst = 0.0
+    for i0, i1, _ in _integrals(meshes):
         worst = max(worst, max(abs(i1) / i0 - 1.0, 0.0))
     return _result("moment_bounded_by_mass", worst, tol)
 
@@ -342,15 +388,15 @@ def check_moment_bounded_by_mass(tol: float) -> CheckResult:
 def check_branch_monotone_direction(tol: float) -> CheckResult:
     import numpy as np
 
+    etas = [float(e) for e in 1.0 + np.geomspace(1e-3, 1e4 - 1.0, 20)]
+    shapes = [(eta, d, m) for d, m in MONOTONE_PAIRS for eta in etas]
+    found = _branch_moments(shapes)
+    inverse = [_inverse_kappa(*shape, moments) for shape, moments in zip(shapes, found)]
     worst = 0.0
     lines = []
-    for d, m in MONOTONE_PAIRS:
+    for row, (d, m) in zip(range(0, len(inverse), len(etas)), MONOTONE_PAIRS):
         increasing = m > 1.0 - 2.0 / (d - 1) if d >= 2 else True
-        vals = [
-            _inverse_kappa(float(e), d, m)
-            for e in 1.0 + np.geomspace(1e-3, 1e4 - 1.0, 20)
-        ]
-        bad = _worst_nonmonotone(vals, increasing)
+        bad = _worst_nonmonotone(inverse[row : row + len(etas)], increasing)
         worst = max(worst, bad)
         lines.append(
             f"(d={d}, m={m}): {'increasing' if increasing else 'decreasing'}, "
@@ -360,9 +406,10 @@ def check_branch_monotone_direction(tol: float) -> CheckResult:
 
 
 def check_branch_limit_matches_kappa1(tol: float) -> CheckResult:
+    found = _branch_moments([(1e6, d, m) for d, m in MONOTONE_PAIRS])
     worst = 0.0
-    for d, m in MONOTONE_PAIRS:
-        prod = _inverse_kappa(1e6, d, m) * energy.critical_set(d, m).kappa1
+    for (d, m), moments in zip(MONOTONE_PAIRS, found):
+        prod = _inverse_kappa(1e6, d, m, moments) * energy.critical_set(d, m).kappa1
         worst = max(worst, abs(prod - 1.0))
     return _result("branch_limit_matches_kappa1", worst, tol)
 
@@ -386,10 +433,8 @@ def check_branch_continuity(tol: float) -> CheckResult:
 def check_case_iii_com_decreasing(tol: float) -> CheckResult:
     import numpy as np
 
-    vals = [
-        _com_norm(float(e), 5, 0.3)
-        for e in 1.0 + np.geomspace(1e-4, 99.0, 15)
-    ]
+    shapes = [(float(e), 5, 0.3) for e in 1.0 + np.geomspace(1e-4, 99.0, 15)]
+    vals = [i1 / i0 for i0, i1, _ in _branch_moments(shapes)]
     worst = _worst_nonmonotone(vals, increasing=False)
     return _result("case_iii_com_decreasing", worst, tol)
 
@@ -450,11 +495,16 @@ def check_com_norm_closed_form(tol: float) -> CheckResult:
 
 
 def check_energy_two_route_agreement(tol: float) -> CheckResult:
+    rows = [  # the shape, kappa and energy of each supported state
+        ((eta, d, m), kappa, direct)
+        for (d, m), kappas in _TWO_ROUTE_KAPPAS.items()
+        for kappa, (eta, _, direct) in zip(kappas, _supported(d, m, kappas))
+    ]
+    found = _branch_moments([shape for shape, _, _ in rows])
     worst = 0.0
-    for (d, m), kappas in _TWO_ROUTE_KAPPAS.items():
-        for kappa, (eta, _, direct) in zip(kappas, _supported(d, m, kappas)):
-            identity = 0.5 * kappa - _branch_energy_gain(eta, d, m)
-            worst = max(worst, abs(direct - identity) / max(1.0, abs(direct)))
+    for (shape, kappa, direct), moments in zip(rows, found):
+        identity = 0.5 * kappa - _branch_energy_gain(*shape, moments)
+        worst = max(worst, abs(direct - identity) / max(1.0, abs(direct)))
     for d, m, kappa in ((3, 0.25, 2.0 * energy.critical_set(3, 0.25).kappa2), (5, 0.3, 18.5)):
         alpha = equilibria.alpha_roots(kappa, d, m)[-1]
         direct = energy.energy_singular(alpha, kappa, d, m)
@@ -486,11 +536,14 @@ def check_energy_slope_identities(tol: float) -> CheckResult:
         worst = max(worst, _rel(fd, analytic))
     d, m = _SLOPE_PAIR
     states = _supported(d, m, _SLOPE_KAPPAS)
-    for kappa, (eta_below, _, _), (eta_above, _, _), (_, s, _) in zip(
-        _SLOPE_GRID, states[0::3], states[1::3], states[2::3]
+    # each grid kappa's shapes below and above it, side by side
+    sides = [(state[0], d, m) for pair in zip(states[0::3], states[1::3]) for state in pair]
+    found = _branch_moments(sides)
+    gains = [_branch_energy_gain(*shape, moments) for shape, moments in zip(sides, found)]
+    for kappa, gain_below, gain_above, (_, s, _) in zip(
+        _SLOPE_GRID, gains[0::2], gains[1::2], states[2::3]
     ):
-        gain_above = _branch_energy_gain(eta_above, d, m)
-        fd = (gain_above - _branch_energy_gain(eta_below, d, m)) / (2.0 * 1e-5 * kappa)
+        fd = (gain_above - gain_below) / (2.0 * 1e-5 * kappa)
         worst = max(worst, _rel(fd, 0.5 * s * s))
     return _result("energy_slope_identities", worst, tol)
 

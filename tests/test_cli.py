@@ -532,14 +532,51 @@ class TestVerifyWork:
                 assert solved(kappas, d, m) == [whole[kappa] for kappa in kappas]
 
     def test_verify_shares_its_rounds_and_batches(self, monkeypatch):
-        # one run's solver rounds, Gauss-Kronrod batches and integrand nodes:
-        # 567, 1170 and 326,085 when each branch check ran its own solves
+        # one run's solver rounds and batched checks, Gauss-Kronrod batches
+        # and integrand nodes: 567, 1170 and 326,085 when each branch check
+        # ran its own solves, and 701 batches while each check integrated
+        # one mesh at a time
         rounds = record_calls(monkeypatch, quadrature, "_integrals")
         batches = record_calls(monkeypatch, quadrature, "_kronrod_batch")
         assert all(r.passed for r in verification.run_verification())
         assert len(rounds) <= 160
-        assert len(batches) <= 760
+        assert len(batches) <= 400
         assert sum(15 * (bounds.size - 1) for _, bounds in batches) <= 215_000
+
+    def test_verify_integrates_its_grids_in_batches(self, monkeypatch):
+        # each check that integrates at eta > 1 sends all its meshes to one
+        # _integrals call; _integral is left the eta = 1 oracles, the two
+        # reads of branch_continuity and the lone zetas of the branch solves
+        # (324 calls when each mesh took its own)
+        batched = {
+            "quadrature_self_consistency": [100],
+            "theta_integral_eta_monotone": [36],
+            "moment_bounded_by_mass": [25],
+            "branch_monotone_direction": [100],
+            "branch_limit_matches_kappa1": [5],
+            "case_iii_com_decreasing": [15],
+            "energy_two_route_agreement": [9],
+            "energy_slope_identities": [10],
+        }
+        singles = record_calls(monkeypatch, quadrature, "_integral")
+        rounds = record_calls(monkeypatch, quadrature, "_integrals")
+        meshes = {}  # the meshes of each _integrals call of each check
+
+        def counted(check, name, tol):
+            first = len(rounds)
+            try:
+                return check(tol)
+            finally:
+                meshes[name] = [len(zetas) for zetas, *_ in rounds[first:]]
+
+        for name in verification.THRESHOLDS:
+            check = getattr(verification, "check_" + name)
+            monkeypatch.setattr(
+                verification, "check_" + name, functools.partial(counted, check, name)
+            )
+        assert all(r.passed for r in verification.run_verification())
+        assert {name: meshes[name] for name in batched} == batched
+        assert len(singles) <= 25
 
 
 class TestDemoSweeps:
@@ -787,21 +824,33 @@ class TestVerify:
     def test_quadrature_check_holds_moment_against_mass(self, monkeypatch, member):
         # the by-parts route compares two members of the kernel at different
         # (q, d), so a skew of either one alone must show
-        original = quadrature._integral
+        original = quadrature._integrals
 
         def skewed(*args):
-            moments = list(original(*args))
-            moments[member] *= 1.0 + 1e-6
-            return tuple(moments)
+            found = [list(moments) for moments in original(*args)]
+            for moments in found:
+                moments[member] *= 1.0 + 1e-6
+            return [tuple(moments) for moments in found]
 
         assert verification.check_quadrature_self_consistency(1e-8).passed
-        monkeypatch.setattr(quadrature, "_integral", skewed)
+        monkeypatch.setattr(quadrature, "_integrals", skewed)
         assert not verification.check_quadrature_self_consistency(1e-8).passed
 
     def test_moment_check_takes_both_members_from_one_integral(self, monkeypatch):
-        calls = record_calls(monkeypatch, quadrature, "_integral")
+        # 25 distinct meshes in one batch; with each moment set to its own
+        # entry's mass the check passes, and fails one part in 1e6 above it
+        calls = record_calls(monkeypatch, quadrature, "_integrals")
         assert verification.check_moment_bounded_by_mass(0.0).passed
-        assert len(calls) == len(set(calls)) == 25
+        ((zetas, qs, ds),) = calls
+        assert len(set(zip(zetas, qs, ds))) == len(zetas) == 25
+        original = quadrature._integrals
+        for skew, passes in ((1.0, True), (1.0 + 1e-6, False)):
+            monkeypatch.setattr(
+                quadrature,
+                "_integrals",
+                lambda *args: [(i0, skew * i0, i_ent) for i0, _, i_ent in original(*args)],
+            )
+            assert verification.check_moment_bounded_by_mass(0.0).passed is passes
 
     def test_reports_the_fixed_thresholds(self, capsys):
         code, out, _ = run(capsys, "verify")

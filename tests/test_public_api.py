@@ -24,11 +24,17 @@ VALID_ARGS = {
     "theta": 1.0,
     "branch": "upper",
 }
-BAD_D = [(d, 0.3) for d in (0, -3, 2.5, True, math.nan, math.inf)]
+# values float() cannot read, which every check rejects as it rejects a bad number
+NOT_NUMBERS = (None, "x", 10**400)
+BAD_D = [(d, 0.3) for d in (0, -3, 2.5, True, math.nan, math.inf, *NOT_NUMBERS)]
 # off (0, 1), or on one of the thresholds 1 - 2/d and 1 - 2/(d-1) of d = 5
-BAD_M = [(5, m) for m in (0.0, 1.0, -0.1, 1.5, math.nan, math.inf, 1.0 - 2.0 / 5, 1.0 - 2.0 / 4)]
-# a kappa every call that takes one rejects (energy_uniform admits kappa = 0)
-BAD_KAPPA = -1.0
+BAD_M = [
+    (5, m)
+    for m in (0.0, 1.0, -0.1, 1.5, math.nan, math.inf, 1.0 - 2.0 / 5, 1.0 - 2.0 / 4, *NOT_NUMBERS)
+]
+# kappas every call that takes one rejects (energy_uniform admits kappa = 0)
+BAD_KAPPAS = (-1.0, *NOT_NUMBERS)
+BAD_KAPPA = BAD_KAPPAS[0]
 # eta1_closed_form takes (q, p, d) and theta_integral (eta, q, p, d), which
 # their own tests cover
 TAKING_D = [
@@ -79,12 +85,21 @@ def test_every_public_call_rejects_bad_d_and_m(name, state):
         except FastSphereError:
             continue
         accepted.append((d, m))
-    if name in TAKING_KAPPA:
-        # and one bad kappa at a valid (d, m)
-        bad = _other_args(func, kappa=BAD_KAPPA, kappas=[BAD_KAPPA], state=state)
+    for kappa in BAD_KAPPAS if name in TAKING_KAPPA else ():
+        # and each bad kappa at a valid (d, m)
+        bad = _other_args(func, kappa=kappa, kappas=[kappa], state=state)
         if not _rejects_kappa(func, dict(bad, d=5, m=0.3)):
-            accepted.append(("kappa", BAD_KAPPA))
+            accepted.append(("kappa", kappa))
     assert accepted == []
+
+
+def test_the_energies_read_kappa_and_alpha_as_check_kappa_does():
+    # through float(), as every kappa-taking call reads kappa
+    assert fastsphere.energy_uniform("17", 5, 0.3) == fastsphere.energy_uniform(17.0, 5, 0.3)
+    assert fastsphere.energy_singular("0.5", "17", 5, 0.3) == fastsphere.energy_singular(
+        0.5, 17.0, 5, 0.3
+    )
+    assert fastsphere.energy_uniform(0, 5, 0.3) == fastsphere.energy_uniform(0.0, 5, 0.3)
 
 
 @pytest.mark.parametrize("name", TAKING_KAPPA)

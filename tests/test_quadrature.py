@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import I0_ETA1_Q43_D3, I1_ETA1_Q43_D3
 from conftest import mp_theta_integral, record_calls
-from fastsphere import quadrature
+from fastsphere import quadrature, verification
 from fastsphere.equilibria import _zeta_floor
 from fastsphere.errors import (
     FastSphereError,
@@ -99,11 +99,23 @@ def test_seed_stops_at_the_eta_one_cutoff(d, m, zeta, levels):
 
 
 def batched_and_scalar(q, d, zetas):
-    """The outcomes of quadrature._integrals over zetas and of _integral at each (see outcome)."""
-    batched = quadrature._integrals(zetas, quadrature._Eta1Rungs(q, d))
+    """The outcomes of quadrature._integrals over zetas and of _integral at each.
+
+    q and d are numbers, batched with their eta = 1 table, or lists of one
+    per zeta, batched without one.  An outcome is the (i0, i1, i_ent)
+    tuple, or the type and message of the error.
+    """
+    rungs = None if isinstance(q, list) else quadrature._Eta1Rungs(q, d)
+    batched = quadrature._integrals(zetas, q, d, rungs)
     assert all(r.__traceback__ is None for r in batched if isinstance(r, FastSphereError))
-    scalar = [outcome(lambda: quadrature._integral(zeta, q, d)) for zeta in zetas]
-    return [r if type(r) is tuple else type(r) for r in batched], scalar
+    specs = zip(q, d) if isinstance(q, list) else [(q, d)] * len(zetas)
+    scalar = []
+    for zeta, spec in zip(zetas, specs):
+        try:
+            scalar.append(quadrature._integral(zeta, *spec))
+        except FastSphereError as exc:
+            scalar.append((type(exc), str(exc)))
+    return [r if type(r) is tuple else (type(r), str(r)) for r in batched], scalar
 
 
 def eta1_integral_is_its_seed_mesh(q, d):
@@ -112,8 +124,51 @@ def eta1_integral_is_its_seed_mesh(q, d):
     assert outcome(lambda: quadrature._integral(0.0, q, d)) == reference
 
 
-@pytest.mark.parametrize("d, m", [(2, 0.5), (3, 0.25), (5, 0.3), (8, 0.74999)])
-def test_batched_integrals_equal_the_scalar_kernel(d, m):
+def self_consistency_meshes(monkeypatch):
+    """The zetas, qs and ds of verify's quadrature_self_consistency: (q, d) and (q - 1, d + 2)."""
+    calls = record_calls(monkeypatch, quadrature, "_integrals")
+    verification.check_quadrature_self_consistency(1e-8)
+    monkeypatch.undo()
+    ((zetas, qs, ds),) = calls
+    return zetas, qs, ds
+
+
+def spread_meshes(monkeypatch):
+    """zeta from 1e-9 to 1e4 at six (q, d), d = 1 and q >= 0 among them, neighbours apart."""
+    specs = [(0.5, 1), (1.0 / (0.3 - 1.0), 1), (0.0, 3), (2.0, 2), (-1.5, 3), (-10.0 / 7.0, 5)]
+    zetas, qs, ds = zip(*((float(z), q, d) for z in np.geomspace(1e-9, 1e4, 25) for q, d in specs))
+    return list(zetas), list(qs), list(ds)
+
+
+# the meshes of a batch of many (q, d), the panel budget it runs with (None:
+# the module's), and the fewest seed passes it needs
+MIXED = {
+    "verify": (self_consistency_meshes, None, 1),
+    "spread": (spread_meshes, None, 2),
+    # the deep seeds fail, each on its own, the shallow ones pass
+    "spread-failing": (spread_meshes, 12, 2),
+}
+
+
+@pytest.mark.parametrize(
+    "d, m",
+    [(2, 0.5), (3, 0.25), (5, 0.3), (8, 0.74999)]
+    + [pytest.param("mixed", case, id=f"mixed-{case}") for case in MIXED],
+)
+def test_batched_integrals_equal_the_scalar_kernel(monkeypatch, d, m):
+    if d == "mixed":
+        # every mesh with its own (q, d); each outcome, value or error
+        # message, is _integral's
+        meshes, max_panels, fewest_passes = MIXED[m]
+        zetas, qs, ds = meshes(monkeypatch)
+        if max_panels:
+            monkeypatch.setattr(quadrature, "_MAX_PANELS", max_panels)
+        passes = record_calls(monkeypatch, quadrature, "_seed_pass")
+        batched, scalar = batched_and_scalar(qs, ds, zetas)
+        assert batched == scalar and len(passes) >= fewest_passes
+        failed = {r[0] for r in batched if isinstance(r[0], type)}
+        assert failed == ({ToleranceNotMetError} if max_panels else set())
+        return
     # many seed meshes per batch, several batches, a repeated zeta
     q = 1.0 / (m - 1.0)
     zetas = [float(z) for z in np.geomspace(_zeta_floor(q, d), 1e9, 60)]
@@ -129,7 +184,10 @@ def test_batched_integrals_fail_item_by_item(monkeypatch):
     q, d = 1.0 / (0.3 - 1.0), 5
     batched, scalar = batched_and_scalar(q, d, [1e-30, 2.0, 1e-3, 1e9, 1e-200])
     assert batched == scalar
-    assert {r if type(r) is type else tuple for r in batched} == {tuple, ToleranceNotMetError}
+    assert {r[0] if isinstance(r[0], type) else float for r in batched} == {
+        float,
+        ToleranceNotMetError,
+    }
     eta1_integral_is_its_seed_mesh(q, d)
 
 
@@ -140,12 +198,12 @@ def test_one_zeta_takes_the_single_mesh_kernel(monkeypatch):
     calls = record_calls(monkeypatch, quadrature, "_integral")
     passes = record_calls(monkeypatch, quadrature, "_seed_pass")
     rungs = quadrature._Eta1Rungs(q, d)
-    assert quadrature._integrals([3.3e-4], rungs) == [integral(3.3e-4, q, d)]
+    assert quadrature._integrals([3.3e-4], q, d, rungs) == [integral(3.3e-4, q, d)]
     assert calls == [(3.3e-4, q, d)] and passes == []
-    quadrature._integrals([1e-3, 3.3e-4, 2.0], rungs)
+    quadrature._integrals([1e-3, 3.3e-4, 2.0], q, d, rungs)
     assert len(calls) == 1 and len(passes) == 1
     monkeypatch.setattr(quadrature, "_MAX_PANELS", 2)
-    (failed,) = quadrature._integrals([1e-30], rungs)
+    (failed,) = quadrature._integrals([1e-30], q, d, rungs)
     assert type(failed) is ToleranceNotMetError and failed.__traceback__ is None
     assert len(calls) == 2 and len(passes) == 1
 
@@ -224,7 +282,7 @@ def seed_passes_match_the_seed_meshes(monkeypatch, q, d, zetas):
     every mesh, in the order the passes laid them.
     """
     passes = record_calls(monkeypatch, quadrature, "_seed_pass")
-    batched = quadrature._integrals(zetas, quadrature._Eta1Rungs(q, d))
+    batched = quadrature._integrals(zetas, q, d, quadrature._Eta1Rungs(q, d))
     monkeypatch.undo()
     assert [r if type(r) is tuple else type(r) for r in batched] == [
         seed_reference(z, q, d)[3] for z in zetas
@@ -236,7 +294,7 @@ def seed_passes_match_the_seed_meshes(monkeypatch, q, d, zetas):
         table, begin = quadrature._seed_pass(*args)
         monkeypatch.undo()
         ((_, edges),) = laid
-        zeta, levels, free, _ = args
+        zeta, _, _, levels, free, _ = args
         computed = levels + 1 - free
         assert edges.size == computed.sum() + 1  # no panel between the meshes
         first = np.cumsum(computed) - computed
@@ -348,7 +406,7 @@ def test_batched_seeds_that_miss_the_tolerance_are_refined_exactly():
     zetas = [float(z) for z in np.geomspace(1e-12, 1e3, 40)]
     rungs = quadrature._Eta1Rungs(q, d)
     laid = []
-    batched, rounds = refine_rounds(lambda: quadrature._integrals(zetas, rungs), laid)
+    batched, rounds = refine_rounds(lambda: quadrature._integrals(zetas, q, d, rungs), laid)
     alone = [runs_alone(z, q, d) for z in zetas]
     assert rounds == [[len(zetas), max(map(len, alone))]]
     assert sum(len(runs) > 0 for runs in alone) >= 5
@@ -370,7 +428,7 @@ def test_batched_refinement_goes_on_past_a_seed_that_fails(monkeypatch):
     q, d = 1.0 / (0.9 - 1.0), 40
     zetas = [1e-3, 1.0, 100.0, 0.1, 1e4]
     rungs = quadrature._Eta1Rungs(q, d)
-    batched, rounds = refine_rounds(lambda: quadrature._integrals(zetas, rungs))
+    batched, rounds = refine_rounds(lambda: quadrature._integrals(zetas, q, d, rungs))
     assert rounds == [[5, 3]]
     for zeta, result in zip(zetas, batched):
         if zeta < 1.0:
@@ -541,9 +599,15 @@ def test_invalid_spec_rejected():
         integral(0.5, -1.0, 0, 2)
     with pytest.raises(InvalidParamError):
         integral(2.0, -1.0, 2, 2)
-    for d in (0, -3, 2.5, True, math.nan, math.inf):
+    for d in (0, -3, 2.5, True, math.nan, math.inf, None, "x"):
         with pytest.raises(InvalidParamError):
             integral(2.0, -1.0, 0, d)
+    for bad in (None, "x"):  # eta and q as float() cannot read them
+        for args in ((bad, -1.0, 0, 2), (2.0, bad, 0, 2)):
+            with pytest.raises(InvalidParamError):
+                integral(*args)
+        with pytest.raises(InvalidParamError):
+            eta1_closed_form(bad, 0, 2)
 
 
 def test_tolerance_not_met_when_budget_exhausted(monkeypatch):
