@@ -81,21 +81,19 @@ of it, found by one searchsorted.
 
 _integrals integrates the seed meshes of many zetas together, and each
 mesh carries its own (q, d), as it carries its own zeta: the integrand
-reads q and d per node where they differ, and as numbers where the call
-has one (q, d), which spares it the per-node columns.  The branch
-solves, run in lockstep, send it one (q, d) and many zetas; verify's
-checks send it all the meshes of a check, at many (q, d).  _seed_pass
-lays the computed panels end to end, alternately upwards and downwards
-so that neighbours share an edge (the two meshes of a pair are cut at
-the same panel), with each panel's ladder index, zeta, q and d found by
-index arithmetic (no Python loop per mesh).  It integrates up to
-_BATCH_NODES computed nodes in one batch.  A call of one (q, d) may also
-pass a table of its eta = 1 panels (_Eta1Rungs), filled in one batch
-down to the lowest free panel the call uses, and a caller with many
-calls at that (q, d), such as a branch solve, shares one table between
-them.  Then only the panels below each free suffix are computed, and
-where some seed has a free panel the zetas are sorted, so that
-neighbours have similar suffixes.  A full batch costs mostly its nodes,
+reads zeta, q and d at every node (_at_nodes).  The branch solves, run
+in lockstep, send it one (q, d) and many zetas; verify's checks send it
+all the meshes of a check, at many (q, d).  _seed_pass lays the computed
+panels end to end, alternately upwards and downwards so that neighbours
+share an edge (the two meshes of a pair are cut at the same panel), with
+each panel's ladder index, zeta, q and d found by index arithmetic (no
+Python loop per mesh).  It integrates up to _BATCH_NODES computed nodes
+in one batch.  A call of one (q, d) may also pass a table of its eta = 1
+panels (_Eta1Rungs), filled in one batch down to the lowest free panel
+the call uses, and a caller with many calls at that (q, d), such as a
+branch solve, shares one table between them.  Then only the panels below
+each free suffix are computed, and where some seed has a free panel the
+zetas are sorted, so that neighbours have similar suffixes.  A full batch costs mostly its nodes,
 not its fixed numpy overhead, so the free panels are the saving.  The
 pass and the eta = 1 table hold their panels in _refine's rows, and one
 gather puts every full seed back in increasing order; the pass then
@@ -106,8 +104,11 @@ goes to _integral, because on one mesh that layout costs more than it
 saves.  Every panel and every per-mesh sum is computed in the same order
 in either route, and every free panel equals its computed value, so
 _integrals returns exactly what _integral would, with or without the
-table.  The solves work in log(eta - 1), so _integrals takes zeta > 0
-only; _integral also serves eta = 1, as the oracle of the closed form.
+table.  Both integrate under a guard against an integrand that leaves
+double range, and a batch that does is integrated again mesh by mesh,
+so that each mesh ends in _integral's error or its values.  The solves
+work in log(eta - 1), so _integrals takes zeta > 0 only; _integral also
+serves eta = 1, as the oracle of the closed form.
 
 This module holds the numpy kernel alone, and it is the package's only
 module that imports numpy at load time.  The public front of the family
@@ -211,10 +212,8 @@ def _folded_integrand(v, log_sin, zeta, q, d) -> np.ndarray:
     # close to 1 (and the plain log difference would cancel).
     z = -2.0 * cos_t / a2
     y = q * np.where(z > -0.5, np.log1p(np.maximum(z, -0.75)), log_a1 - log_a2)
-    if isinstance(d, np.ndarray):  # d = 1 has no weight, even where log_sin is -inf
-        log_weight = np.where(d > 1, log_sin, 0.0) * (d - 1)
-    else:
-        log_weight = (d - 1) * log_sin if d > 1 else 0.0
+    # d = 1 has no weight, even where log_sin is -inf
+    log_weight = np.where(d > 1, log_sin, 0.0) * (d - 1)
     e1 = np.exp(q * log_a1 + log_weight)
     e2 = np.exp(q * log_a2 + log_weight)
     del z, log_a1, log_a2, log_weight  # lowers the peak memory of a full batch
@@ -283,38 +282,35 @@ def _worst(err: np.ndarray, total: np.ndarray) -> float:
     return max(e / max(abs(t), 1e-300) for e, t in zip(err.tolist(), total.tolist()))
 
 
-def _at(x, index):
-    """x at index, where x is an array of one value per mesh; a number shared by all is itself."""
-    return x[index] if isinstance(x, np.ndarray) else x
+def _at_nodes(meshes, panels) -> list:
+    """Each array of meshes, one value per mesh, at every node of panels[k] panels of mesh k.
 
-
-def _column(x, counts):
-    """x at each panel laid for the meshes, counts[k] of them for mesh k, for the integrand.
-
-    A number shared by every mesh stays itself; an array of one value per
-    mesh becomes a column, one row per panel.
+    One float row per panel, as the integrand takes its nodes.  Full rows,
+    not a column to broadcast, keep every operation of the integrand
+    contiguous, and floats spare it a cast.
     """
-    return x.repeat(counts)[:, None] if isinstance(x, np.ndarray) else x
+    nodes = np.asarray(panels) * _NODES.size
+    return [x.astype(float).repeat(nodes).reshape(-1, _NODES.size) for x in meshes]
 
 
 def _refine(zeta, q, d, table, begin: list, tail, tail_err) -> list:
     """Adaptive Gauss-Kronrod refinement of meshes at eta = 1 + zeta, one batch per round.
 
-    zeta holds one value per mesh; q and d are numbers shared by every mesh
-    or, like zeta, arrays of one per mesh.  table holds one column per
-    panel, mesh k's from begin[k] to the next start, in increasing order:
-    rows 0-2 are its Kronrod values, 3-5 their estimates, 6 and 7 its lower
-    and upper edge.  tail[:, k] is mesh k's closed-form endpoint tail, which
-    joins each total, and tail_err[:, k] the tail's irreducible share of
-    each error budget.  Each component must meet DEFAULT_REL_TOL relative to
-    its own total.  While one misses, every panel whose estimate exceeds its
-    equal share of a missing component's budget is marked, and the
-    contiguous span from the first to the last marked panel is bisected.
-    Each round bisects the spans of all the meshes that still miss in one
-    batch: each span's halves are one increasing run of edges, and the runs
-    are laid end to end, so the panel that joins two runs is a bridge, whose
-    values are dropped.  A mesh's panels and sums do not depend on the other
-    meshes, so each ends as it would on its own.
+    zeta, q and d are arrays of one value per mesh.  table holds one
+    column per panel, mesh k's from begin[k] to the next start, in
+    increasing order: rows 0-2 are its Kronrod values, 3-5 their
+    estimates, 6 and 7 its lower and upper edge.  tail[:, k] is mesh k's
+    closed-form endpoint tail, which joins each total, and tail_err[:, k]
+    the tail's irreducible share of each error budget.  Each component
+    must meet DEFAULT_REL_TOL relative to its own total.  While one misses,
+    every panel whose estimate exceeds its equal share of a missing
+    component's budget is marked, and the contiguous span from the first
+    to the last marked panel is bisected.  Each round bisects the spans of
+    all the meshes that still miss in one batch: each span's halves are
+    one increasing run of edges, and the runs are laid end to end, so the
+    panel that joins two runs is a bridge, whose values are dropped.  A
+    mesh's panels and sums do not depend on the other meshes, so each ends
+    as it would on its own.
 
     Returns each mesh's (i0, i1, i_ent), or the ToleranceNotMetError it
     ends in, without a traceback.
@@ -373,7 +369,7 @@ def _refine(zeta, q, d, table, begin: list, tail, tail_err) -> list:
         if not keep:
             return results
         if len(keep) < len(live):
-            zeta, q, d = (_at(x, keep) for x in (zeta, q, d))
+            zeta, q, d = zeta[keep], q[keep], d[keep]
             live = [live[k] for k in keep]
             tail, tail_err = tail[:, keep], tail_err[:, keep]
         cuts = np.empty(2 * lo.size)  # each panel's lower edge and midpoint
@@ -388,8 +384,8 @@ def _refine(zeta, q, d, table, begin: list, tail, tail_err) -> list:
         counts[-1] -= 1  # the last run has no bridge
         laid = np.concatenate(laid)
         v, log_sin = _angle_basis(_panel_nodes(laid[:-1], laid[1:]))
-        cols = [_column(x, counts) for x in (zeta, q, d)]
-        vals, errs = _kronrod_batch(lambda: _folded_integrand(v, log_sin, *cols), laid)
+        at_nodes = _at_nodes((zeta, q, d), counts)
+        vals, errs = _kronrod_batch(lambda: _folded_integrand(v, log_sin, *at_nodes), laid)
         new = np.concatenate((vals, errs, laid[None, :-1], laid[None, 1:]))
         # each mesh again: its panels below the span, the span's halves, its panels above it
         parts, sizes_kept = [], []
@@ -406,6 +402,7 @@ def _refine(zeta, q, d, table, begin: list, tail, tail_err) -> list:
         begin = list(accumulate(sizes[:-1], initial=0))
 
 
+@lru_cache(maxsize=64)  # the meshes of most _integrals calls share one (q, d)
 def _seed_cut(q: float, d: int) -> float:
     """Lowest angle a seed mesh needs at any zeta: the eta = 1 cutoff where 2q + d > 0, else 0."""
     if 2.0 * q + d <= 0.0:
@@ -507,17 +504,17 @@ class _Eta1Rungs:
         self.top = low
 
 
-def _seed_pass(zeta: np.ndarray, q, d, levels: np.ndarray, free, rungs: _Eta1Rungs | None):
+def _seed_pass(zeta, q, d, levels: np.ndarray, free, rungs: _Eta1Rungs | None):
     """One Gauss-Kronrod batch over the seed meshes of zeta > 0, which have the given levels.
 
-    q and d are numbers shared by every mesh or arrays of one per mesh.
-    free is the number of free panels of each mesh, which come from
-    rungs, filled down to them; where no mesh has one, rungs is not read
-    (None will do).  Only the other panels are computed: the bottom panel
-    and the dyadic panels [depth - levels, depth - free).  They are laid
-    end to end as one edge array, alternately upwards and downwards from
-    the first, so that neighbours share their end edge, 0 or the top edge
-    of a pair, whose two meshes must have the same number of free panels.
+    q and d are, like zeta, arrays of one value per mesh.  free is the
+    number of free panels of each mesh, which come from rungs, filled down
+    to them; where no mesh has one, rungs is not read (None will do).
+    Only the other panels are computed: the bottom panel and the dyadic
+    panels [depth - levels, depth - free).  They are laid end to end as
+    one edge array, alternately upwards and downwards from the first, so
+    that neighbours share their end edge, 0 or the top edge of a pair,
+    whose two meshes must have the same number of free panels.
     Each node takes its zeta, q and d and its angle basis by index, so the
     pass builds no nodes.
 
@@ -538,9 +535,9 @@ def _seed_pass(zeta: np.ndarray, q, d, levels: np.ndarray, free, rungs: _Eta1Run
     panel = np.where(rank == 0, depth + n, depth - n + rank - 1)
     lo, hi = ladder.lo[panel], ladder.hi[panel]
     edges = np.concatenate((lo[:1], np.where(upward, hi, lo)))
-    cols = [_column(x, panels) for x in (zeta, q, d)]
+    at_nodes = _at_nodes((zeta, q, d), panels)
     v, log_sin = (part.take(panel, 0) for part in ladder.basis)
-    values, errors = _kronrod_batch(lambda: _folded_integrand(v, log_sin, *cols), edges)
+    values, errors = _kronrod_batch(lambda: _folded_integrand(v, log_sin, *at_nodes), edges)
     table = np.concatenate((values, errors, lo[None], hi[None]))[:, starts[mesh] + rank]
     if not free.any():  # these are the full seeds
         return table, starts.tolist()
@@ -563,33 +560,27 @@ def _integrals(zetas, q, d, rungs: _Eta1Rungs | None = None) -> list:
     (q, d), which a caller may share between calls at that q and d;
     without it every panel is computed, and since a free panel equals its
     computed value, no result changes.  Each entry is the (i0, i1, i_ent)
-    tuple or the FastSphereError that zeta raises, without a traceback;
-    unlike _integral, the batch has no guard against an integrand that
-    leaves double range.  A lone zeta goes to _integral.  Where rungs
-    gives some seed a free panel, the zetas are sorted, so that
-    neighbouring meshes have similar numbers of free panels, and each pair
-    of neighbours takes the smaller of the two; otherwise they stay in the
-    order asked.  The meshes are cut into batches of at most _BATCH_NODES
-    computed nodes (a pair at least), and each batch is one _seed_pass,
-    whose full seeds go whole to one _refine: it returns those that meet
-    DEFAULT_REL_TOL and refines the others together.
+    tuple or the FastSphereError that zeta raises, without a traceback.
+    A lone zeta goes to _integral.  Where rungs gives some seed a free
+    panel, the zetas are sorted, so that neighbouring meshes have similar
+    numbers of free panels, and each pair of neighbours takes the smaller
+    of the two; otherwise they stay in the order asked.  The meshes are cut
+    into batches of at most _BATCH_NODES computed nodes (a pair at least),
+    and each batch is one _seed_pass, whose full seeds go whole to one
+    _refine: it returns those that meet DEFAULT_REL_TOL and refines the
+    others together.  A batch whose integrand leaves double range is
+    integrated again mesh by mesh, so that each mesh ends as on its own.
     """
-    if len(zetas) == 1:
-        try:
-            return [_integral(zetas[0], *(x if np.isscalar(x) else x[0] for x in (q, d)))]
-        except FastSphereError as exc:
-            return [exc.with_traceback(None)]
     zeta = np.array(zetas, dtype=float)
-    if not np.isscalar(q):  # one (q, d) per zeta, as arrays
-        q, d = np.array(q, dtype=float), np.array(d)
-        cut = np.array([_seed_cut(*mesh) for mesh in zip(q.tolist(), d.tolist())])
-    else:
-        cut = _seed_cut(q, d)
+    q, d = np.full(zeta.shape, q, dtype=float), np.full(zeta.shape, d)
+    if zeta.size == 1:
+        return _one_by_one(zeta, q, d)
     ladder = _ladder()
+    cut = np.fromiter(map(_seed_cut, q.tolist(), d.tolist()), float, zeta.size)
     levels = _seed_levels(zeta, cut)
     if rungs is not None and min(zetas) < ladder.free_below[-1]:  # else no panel is free
         order = np.argsort(zeta, kind="stable")
-        zeta, levels = zeta[order], levels[order]
+        zeta, q, d, levels = zeta[order], q[order], d[order], levels[order]
         free = _free_panels(zeta, levels)
         # the two meshes of a pair share their top edge
         free[0:-1:2] = free[1::2] = np.minimum(free[0:-1:2], free[1::2])
@@ -604,14 +595,30 @@ def _integrals(zetas, q, d, rungs: _Eta1Rungs | None = None) -> list:
         last = int(np.searchsorted(ends, room, "right"))
         if last < zeta.size:  # cut between two pairs, after one at least
             last = min(max(last - (last - first) % 2, first + 2), zeta.size)
-        batch = slice(first, last)
-        meshes = (zeta[batch], _at(q, batch), _at(d, batch))
-        table, begin = _seed_pass(*meshes, levels[batch], free[batch], rungs)
-        tail = np.zeros((3, last - first))
-        for k, result in enumerate(_refine(*meshes, table, begin, tail, tail)):
+        batch = (zeta[first:last], q[first:last], d[first:last])
+        try:
+            # as in _integral, an overflow would leave a non-finite panel
+            with np.errstate(over="raise"):
+                table, begin = _seed_pass(*batch, levels[first:last], free[first:last], rungs)
+                tail = np.zeros((3, last - first))
+                found = _refine(*batch, table, begin, tail, tail)
+        except FloatingPointError:
+            found = _one_by_one(*batch)
+        for k, result in enumerate(found):
             results[order[first + k]] = result
         first = last
     return results
+
+
+def _one_by_one(zeta: np.ndarray, q: np.ndarray, d: np.ndarray) -> list:
+    """_integral at each mesh: its (i0, i1, i_ent) or its FastSphereError, without a traceback."""
+    found = []
+    for mesh in zip(zeta.tolist(), q.tolist(), d.tolist()):
+        try:
+            found.append(_integral(*mesh))
+        except FastSphereError as exc:
+            found.append(exc.with_traceback(None))
+    return found
 
 
 def _integral(zeta: float, q: float, d: int) -> tuple[float, float, float]:
@@ -642,7 +649,8 @@ def _integral(zeta: float, q: float, d: int) -> tuple[float, float, float]:
         with np.errstate(over="raise"):
             values, errors = _kronrod_batch(seed, np.append(lo, hi[-1]))
             table = np.concatenate((values, errors, lo[None], hi[None]))
-            (result,) = _refine(np.array([zeta]), q, d, table, [0], tail, tail_err)
+            mesh = (np.array([x]) for x in (zeta, q, d))
+            (result,) = _refine(*mesh, table, [0], tail, tail_err)
     except FloatingPointError:
         raise ToleranceNotMetError(
             f"the integrand leaves double range at eta - 1 = {zeta!r}, q = {q!r}, d = {d}"

@@ -30,11 +30,14 @@ moment_bounded_by_mass, branch_monotone_direction,
 branch_limit_matches_kappa1, case_iii_com_decreasing, and the branch
 energy gains of energy_two_route_agreement and energy_slope_identities.
 A mesh's values do not depend on the other meshes of its batch, so each
-is what quadrature._integral gives it alone.  _integral itself (_moments)
-serves what the batch does not take: eta = 1, where the quadrature is the
-independent oracle of the closed form (eta1_quadrature_vs_closed_form,
-kappa2_dual_oracle, com_norm_closed_form), and branch_continuity's read
-of the branch at kappa2, one mesh in each of two pairs.
+is what quadrature._integral gives it alone.  These checks test the
+kernel, not the public model.theta_integral; theta_integral_eta_monotone
+also reads one of its values through theta_integral, which must be the
+batch's bit for bit.  _integral itself (_moments) serves what the batch
+does not take: eta = 1, where the quadrature is the independent oracle of
+the closed form (eta1_quadrature_vs_closed_form, kappa2_dual_oracle,
+com_norm_closed_form), and branch_continuity's read of the branch at
+kappa2, one mesh in each of two pairs.
 
 Each check computes a worst-case measured error and compares it against
 its threshold in THRESHOLDS.  The thresholds are fixed, and nothing
@@ -177,26 +180,21 @@ def _branch_moments(shapes) -> list[tuple[float, float, float]]:
     return _integrals([(eta, 1.0 / (m - 1.0), d) for eta, d, m in shapes])
 
 
-def _inverse_kappa(eta: float, d: int, m: float, moments=None) -> float:
+def _inverse_kappa(eta: float, d: int, m: float, moments) -> float:
     """1/kappa of the supported branch at shape eta, through the ratio the branch solve reads.
 
-    moments are the (i0, i1, i_ent) at eta where the caller integrated them,
-    by default _moments(eta, d, m).
+    moments are the (i0, i1, i_ent) at eta, integrated here (_moments,
+    _branch_moments), not a solve's.
     """
-    i0, i1, _ = _moments(eta, d, m) if moments is None else moments
+    i0, i1, _ = moments
     scale = equilibria._inverse_kappa_scale(model.sphere_geometry(d).area_sdm1, m)
     return equilibria._inverse_kappa_of(eta - 1.0, i0, i1, scale, d, m)
 
 
-def _branch_energy_gain(eta: float, d: int, m: float, moments=None) -> float:
-    """energy._branch_energy_gain_of at shape eta, from moments integrated here, not a solve's.
-
-    moments are as _inverse_kappa takes them.
-    """
+def _branch_energy_gain(moments, d: int, m: float) -> float:
+    """energy._branch_energy_gain_of at the moments of a shape, as _inverse_kappa takes them."""
     dwd = model.sphere_geometry(d).area_sdm1
-    return energy._branch_energy_gain_of(
-        *(_moments(eta, d, m) if moments is None else moments), dwd, m
-    )
+    return energy._branch_energy_gain_of(*moments, dwd, m)
 
 
 def _delta_mixture_energy(t: float, kappa: float, d: int, m: float) -> float:
@@ -361,7 +359,10 @@ def check_theta_integral_eta_monotone(tol: float) -> CheckResult:
     etas = [float(e) for e in 1.0 + np.geomspace(1e-3, 100.0, 12)]
     specs = ((-2.0, 2), (-4.0 / 3.0, 3), (-0.5, 5))
     found = _integrals([(eta, q, d) for q, d in specs for eta in etas])
-    worst = 0.0
+    # the grid reads the kernel batch; one value read through the public
+    # theta_integral must be the batch's, bit for bit
+    (q, d), eta = specs[0], etas[0]
+    worst = _rel(model.theta_integral(eta, q, 0, d), found[0][0])
     for row in range(0, len(found), len(etas)):
         vals = [mass for mass, _, _ in found[row : row + len(etas)]]
         worst = max(worst, _worst_nonmonotone(vals, increasing=False))
@@ -470,7 +471,7 @@ def check_kappa2_dual_oracle(tol: float) -> CheckResult:
     lines = []
     for d, m in ((3, 0.25), (4, 0.2), (5, 0.3)):
         closed = energy.critical_set(d, m).kappa2
-        quad = 1.0 / _inverse_kappa(1.0, d, m)
+        quad = 1.0 / _inverse_kappa(1.0, d, m, _moments(1.0, d, m))
         worst = max(worst, _rel(closed, quad))
         note = ""
         if (d, m) == (3, 0.25):
@@ -502,8 +503,8 @@ def check_energy_two_route_agreement(tol: float) -> CheckResult:
     ]
     found = _branch_moments([shape for shape, _, _ in rows])
     worst = 0.0
-    for (shape, kappa, direct), moments in zip(rows, found):
-        identity = 0.5 * kappa - _branch_energy_gain(*shape, moments)
+    for ((_, d, m), kappa, direct), moments in zip(rows, found):
+        identity = 0.5 * kappa - _branch_energy_gain(moments, d, m)
         worst = max(worst, abs(direct - identity) / max(1.0, abs(direct)))
     for d, m, kappa in ((3, 0.25, 2.0 * energy.critical_set(3, 0.25).kappa2), (5, 0.3, 18.5)):
         alpha = equilibria.alpha_roots(kappa, d, m)[-1]
@@ -539,7 +540,7 @@ def check_energy_slope_identities(tol: float) -> CheckResult:
     # each grid kappa's shapes below and above it, side by side
     sides = [(state[0], d, m) for pair in zip(states[0::3], states[1::3]) for state in pair]
     found = _branch_moments(sides)
-    gains = [_branch_energy_gain(*shape, moments) for shape, moments in zip(sides, found)]
+    gains = [_branch_energy_gain(moments, d, m) for moments in found]
     for kappa, gain_below, gain_above, (_, s, _) in zip(
         _SLOPE_GRID, gains[0::2], gains[1::2], states[2::3]
     ):

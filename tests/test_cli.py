@@ -546,7 +546,8 @@ class TestVerifyWork:
     def test_verify_integrates_its_grids_in_batches(self, monkeypatch):
         # each check that integrates at eta > 1 sends all its meshes to one
         # _integrals call; _integral is left the eta = 1 oracles, the two
-        # reads of branch_continuity and the lone zetas of the branch solves
+        # reads of branch_continuity, the one theta_integral read of
+        # theta_integral_eta_monotone and the lone zetas of the branch solves
         # (324 calls when each mesh took its own)
         batched = {
             "quadrature_self_consistency": [100],
@@ -835,6 +836,18 @@ class TestVerify:
         assert verification.check_quadrature_self_consistency(1e-8).passed
         monkeypatch.setattr(quadrature, "_integrals", skewed)
         assert not verification.check_quadrature_self_consistency(1e-8).passed
+
+    def test_eta_monotone_check_reads_the_public_theta_integral(self, monkeypatch):
+        # the grid is integrated in one kernel batch; a fault in the public
+        # front, here one ulp on its value, must still fail the check
+        original = model.theta_integral
+        calls = record_calls(monkeypatch, model, "theta_integral")
+        assert verification.check_theta_integral_eta_monotone(0.0).passed
+        assert len(calls) == 1
+        monkeypatch.setattr(
+            model, "theta_integral", lambda *args: math.nextafter(original(*args), math.inf)
+        )
+        assert not verification.check_theta_integral_eta_monotone(0.0).passed
 
     def test_moment_check_takes_both_members_from_one_integral(self, monkeypatch):
         # 25 distinct meshes in one batch; with each moment set to its own

@@ -81,7 +81,9 @@ class TestFullySupportedEnergy:
     def test_two_routes_agree(self):
         state = eq.fully_supported_state(11.0, 3, 0.25)
         direct = en.energy_fully_supported(state, 3, 0.25)
-        identity = 0.5 * state.kappa - verification._branch_energy_gain(state.eta, 3, 0.25)
+        identity = 0.5 * state.kappa - verification._branch_energy_gain(
+            verification._moments(state.eta, 3, 0.25), 3, 0.25
+        )
         assert direct == pytest.approx(identity, abs=1e-8)
 
     def test_gain_matches_definition_by_quadrature(self):
@@ -91,9 +93,8 @@ class TestFullySupportedEnergy:
             lambda t: eq.fully_supported_density(state, t, d, m) ** m, d, nodes=500
         )
         direct_gain = 0.5 * state.kappa * state.s**2 - entropy / (m - 1.0)
-        assert verification._branch_energy_gain(state.eta, d, m) == pytest.approx(
-            direct_gain, abs=1e-8
-        )
+        gain = verification._branch_energy_gain(verification._moments(state.eta, d, m), d, m)
+        assert gain == pytest.approx(direct_gain, abs=1e-8)
 
     def test_branch_birth_energy(self):
         k1 = en.critical_set(2, 0.5).kappa1

@@ -56,26 +56,31 @@ def test_uniform_state():
     assert rows[0] == pytest.approx(("uniform", None, None, 0.0, energy), rel=1e-14)
 
 
+def inverse_kappa(eta, d, m):
+    """1/kappa of the supported branch at eta, from moments integrated on their own mesh."""
+    return verification._inverse_kappa(eta, d, m, verification._moments(eta, d, m))
+
+
 class TestInverseKappa:
     def test_limit_recovers_kappa1(self):
         for d, m in REFERENCE_PAIRS:
-            prod = verification._inverse_kappa(1e6, d, m) * en.critical_set(d, m).kappa1
+            prod = inverse_kappa(1e6, d, m) * en.critical_set(d, m).kappa1
             assert prod == pytest.approx(1.0, abs=1e-4)
 
     def test_value_at_one(self):
-        assert verification._inverse_kappa(1.0, 3, 0.25) == pytest.approx(H_AT_ONE_3_025, rel=1e-10)
+        assert inverse_kappa(1.0, 3, 0.25) == pytest.approx(H_AT_ONE_3_025, rel=1e-10)
 
     def test_sampled_monotonicity_case_ii(self):
-        vals = [verification._inverse_kappa(eta, 3, 0.25) for eta in (1.5, 3.0, 10.0)]
+        vals = [inverse_kappa(eta, 3, 0.25) for eta in (1.5, 3.0, 10.0)]
         assert vals[0] < vals[1] < vals[2]
 
     def test_not_integrable_at_one_in_case_i(self):
         with pytest.raises(NotIntegrableError):
-            verification._inverse_kappa(1.0, 2, 0.5)
+            inverse_kappa(1.0, 2, 0.5)
 
     def test_strictly_positive(self):
         for eta in (1.01, 2.0, 50.0):
-            assert verification._inverse_kappa(eta, 5, 0.3) > 0.0
+            assert inverse_kappa(eta, 5, 0.3) > 0.0
 
 
 class TestComNorm:
@@ -91,7 +96,7 @@ class TestSolveEta:
     def test_residual_contract(self):
         kappa = 2.0 * en.critical_set(2, 0.5).kappa1
         eta = eq.fully_supported_state(kappa, 2, 0.5).eta
-        assert abs(verification._inverse_kappa(eta, 2, 0.5) * kappa - 1.0) <= 1e-12
+        assert abs(inverse_kappa(eta, 2, 0.5) * kappa - 1.0) <= 1e-12
         assert eta == pytest.approx(1.0822297321986727, rel=1e-10)
 
     def test_eta_one_at_kappa2(self):
@@ -274,7 +279,7 @@ class TestKappa2:
     def test_dual_oracle_consistency(self):
         # the closed form against 1 / (1/kappa) at eta = 1 by quadrature
         for d, m in ((3, 0.25), (4, 0.2), (5, 0.3)):
-            quad = 1.0 / verification._inverse_kappa(1.0, d, m)
+            quad = 1.0 / inverse_kappa(1.0, d, m)
             assert en.critical_set(d, m).kappa2 == pytest.approx(quad, rel=1e-8)
 
     def test_frozen_values(self):

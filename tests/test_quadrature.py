@@ -140,13 +140,26 @@ def spread_meshes(monkeypatch):
     return list(zetas), list(qs), list(ds)
 
 
+def spiked_meshes(monkeypatch):
+    """Two meshes whose integrand leaves double range (q = -200 at zeta = 1e-300)."""
+    return [1e-300, 1e-300], [-200.0, -200.0], [3, 3]
+
+
+def spiked_among_others(monkeypatch):
+    """The spiked meshes of spiked_meshes between two that integrate."""
+    return [1e-300, 0.5, 2.0, 1e-300], [-200.0, -1.0, 0.5, -200.0], [3, 3, 1, 3]
+
+
 # the meshes of a batch of many (q, d), the panel budget it runs with (None:
-# the module's), and the fewest seed passes it needs
+# the module's), the fewest seed passes it needs, and whether some fail
 MIXED = {
-    "verify": (self_consistency_meshes, None, 1),
-    "spread": (spread_meshes, None, 2),
+    "verify": (self_consistency_meshes, None, 1, False),
+    "spread": (spread_meshes, None, 2, False),
     # the deep seeds fail, each on its own, the shallow ones pass
-    "spread-failing": (spread_meshes, 12, 2),
+    "spread-failing": (spread_meshes, 12, 2, True),
+    # an overflow stops the batch, and each mesh then ends as on its own
+    "spiked": (spiked_meshes, None, 1, True),
+    "spiked-among-others": (spiked_among_others, None, 1, True),
 }
 
 
@@ -159,7 +172,7 @@ def test_batched_integrals_equal_the_scalar_kernel(monkeypatch, d, m):
     if d == "mixed":
         # every mesh with its own (q, d); each outcome, value or error
         # message, is _integral's
-        meshes, max_panels, fewest_passes = MIXED[m]
+        meshes, max_panels, fewest_passes, fails = MIXED[m]
         zetas, qs, ds = meshes(monkeypatch)
         if max_panels:
             monkeypatch.setattr(quadrature, "_MAX_PANELS", max_panels)
@@ -167,7 +180,7 @@ def test_batched_integrals_equal_the_scalar_kernel(monkeypatch, d, m):
         batched, scalar = batched_and_scalar(qs, ds, zetas)
         assert batched == scalar and len(passes) >= fewest_passes
         failed = {r[0] for r in batched if isinstance(r[0], type)}
-        assert failed == ({ToleranceNotMetError} if max_panels else set())
+        assert failed == ({ToleranceNotMetError} if fails else set())
         return
     # many seed meshes per batch, several batches, a repeated zeta
     q = 1.0 / (m - 1.0)
@@ -233,7 +246,8 @@ def seed_reference(zeta, q, d):
 
     def refined():
         table = np.concatenate((values, errors, edges[None, :-1], edges[None, 1:]))
-        (result,) = quadrature._refine(np.array([zeta]), q, d, table, [0], tail, tail_err)
+        mesh = (np.array([x]) for x in (zeta, q, d))
+        (result,) = quadrature._refine(*mesh, table, [0], tail, tail_err)
         if isinstance(result, FastSphereError):
             raise result
         return result
