@@ -242,35 +242,40 @@ def equilibria_at(kappas, d, m: float) -> list:
     the roots and the energies: s_bar, kappa2, alpha_bar and the entropy of
     rho_bar are the same at every kappa.
     """
-    return _equilibria_at(equilibria._constants(d, m), kappas)
+    return _equilibria_at([(equilibria._constants(d, m), kappas)])[0]
 
 
-def _equilibria_at(c: equilibria._Constants, kappas) -> list:
-    """equilibria_at at kappas, from the pass c of (d, m)."""
-    d, m = c.d, c.m
-    singular = c.regime is not RegimeCase.CASE_I
-    states = equilibria._fully_supported_states(c, kappas)
-    found: list = []
-    for kappa, state in zip(kappas, states):
-        if isinstance(state, FastSphereError) and not isinstance(state, OutOfWindowError):
-            found.append(state)
-            continue
-        kappa = float(kappa)
-        try:
-            rows = [(UNIFORM, None, None, 0.0, _uniform_energy(kappa, c.area_sd, m))]
-            if not isinstance(state, OutOfWindowError):
-                e = energy_fully_supported(state, d, m)
-                rows.append((FULLY_SUPPORTED, None, state.eta, state.s, e))
-            if singular:
-                for branch, alpha in equilibria._measure_valued_alphas(kappa, c).items():
-                    com = alpha + (1.0 - alpha) * c.s_bar
-                    e = _singular_energy(alpha, kappa, c)
-                    rows.append((_SINGULAR[branch], alpha, None, com, e))
-        except FastSphereError as exc:
-            found.append(exc.with_traceback(None))
-        else:
-            found.append(rows)
+def _equilibria_at(requests) -> list:
+    """equilibria_at for each (c, kappas) of requests, c a pass of (d, m): one list per request.
+
+    The supported branches of every request are solved in one lockstep
+    (equilibria._fully_supported_states), and each entry is the one
+    equilibria_at gives at its kappa alone.
+    """
+    found = []
+    for (c, kappas), states in zip(requests, equilibria._fully_supported_states(requests)):
+        found.append([_rows_at(kappa, state, c) for kappa, state in zip(kappas, states)])
     return found
+
+
+def _rows_at(kappa, state, c: equilibria._Constants):
+    """The equilibria_at entry at kappa, given the supported state or error solved there."""
+    if isinstance(state, FastSphereError) and not isinstance(state, OutOfWindowError):
+        return state
+    kappa = float(kappa)
+    try:
+        rows = [(UNIFORM, None, None, 0.0, _uniform_energy(kappa, c.area_sd, c.m))]
+        if not isinstance(state, OutOfWindowError):
+            e = energy_fully_supported(state, c.d, c.m)
+            rows.append((FULLY_SUPPORTED, None, state.eta, state.s, e))
+        if c.regime is not RegimeCase.CASE_I:
+            for branch, alpha in equilibria._measure_valued_alphas(kappa, c).items():
+                com = alpha + (1.0 - alpha) * c.s_bar
+                e = _singular_energy(alpha, kappa, c)
+                rows.append((_SINGULAR[branch], alpha, None, com, e))
+    except FastSphereError as exc:
+        return exc.with_traceback(None)
+    return rows
 
 
 def classify_minimizer(kappa: float, d, m: float) -> EnergyReport:
@@ -282,7 +287,7 @@ def classify_minimizer(kappa: float, d, m: float) -> EnergyReport:
     """
     c = equilibria._constants(d, m)
     kappa = check_kappa(kappa)
-    return _energy_report(kappa, _equilibria_at(c, [kappa])[0], c.kappa1)
+    return _energy_report(kappa, _equilibria_at([(c, [kappa])])[0][0], c.kappa1)
 
 
 def _energy_report(kappa: float, found, k1: float) -> EnergyReport:

@@ -238,67 +238,77 @@ def fully_supported_states(kappas, d, m: float) -> list:
 
     Each entry is the state or the FastSphereError that kappa raises there
     (without its traceback); a solve does not depend on the other kappas,
-    so its state is the one fully_supported_state gives.  Each solver round
-    evaluates the integrals of every unfinished solve together
-    (quadrature._integrals, which sends a lone zeta to _integral).  A memo
-    of the moments at every zeta met, kept for this call only (the package's
-    only memo of integrals), serves the zetas that several solves visit and
-    the centre-of-mass norm at each root.  Next to it, for this call only
-    too, the rounds share one table of the seed panels that deep zetas take
-    from eta = 1 (quadrature._Eta1Rungs).
+    so its state is the one fully_supported_state gives.
     """
-    return _fully_supported_states(_constants(d, m), kappas)
+    return _fully_supported_states([(_constants(d, m), kappas)])[0]
 
 
-def _fully_supported_states(c: _Constants, kappas) -> list:
-    """fully_supported_states at kappas, from the pass c of (d, m)."""
-    d, m = c.d, c.m
-    in_window = _window(c)
-    results: list = [None] * len(kappas)
-    solved = []  # (index into results, kappa)
-    for i, kappa in enumerate(kappas):
-        try:
-            kappa = check_kappa(kappa)  # (d, m) were checked by the pass
-            in_window(kappa)
-        except FastSphereError as exc:
-            results[i] = exc.with_traceback(None)
-        else:
-            solved.append((i, kappa))
-    if not solved:
+def _fully_supported_states(requests) -> list:
+    """fully_supported_states for each (c, kappas) of requests, c a pass of (d, m), in one lockstep.
+
+    Returns one list of entries per request.  Every solve carries its own
+    pass: q, d, m, the scale of 1/kappa, the window and the bracket.  Each
+    solver round evaluates the integrals of every unfinished solve, of any
+    request, together (quadrature._integrals, which sends a lone zeta to
+    _integral).  A memo of the moments at every (zeta, q, d) met, kept for
+    this call only (the package's only memo of integrals), serves the zetas
+    that several solves visit and the centre-of-mass norm at each root.
+    Next to it, for this call only too, the rounds share one table per
+    (q, d) of the seed panels that deep zetas take from eta = 1
+    (quadrature._Eta1Rungs).  A solve does not depend on the other solves
+    of its round, so each request's entries are those it gets alone.
+    """
+    results = [[None] * len(kappas) for _, kappas in requests]
+    solves, places, brackets = [], [], []  # each solve's kappa and pass, its entry, its bracket
+    for (c, kappas), entries in zip(requests, results):
+        in_window, bracket = _window(c), _log_zeta_bracket(c)
+        solve = ((c.q, c.d), c.m, _inverse_kappa_scale(c.area_sdm1, c.m))
+        for i, kappa in enumerate(kappas):
+            try:
+                kappa = check_kappa(kappa)  # (d, m) were checked by the pass
+                in_window(kappa)
+            except FastSphereError as exc:
+                entries[i] = exc.with_traceback(None)
+            else:
+                solves.append((kappa, *solve))
+                places.append((entries, i))
+                brackets.append(bracket)
+    if not solves:
         return results
-    from .quadrature import _Eta1Rungs, _integrals
+    from .quadrature import _integrals
 
-    moments = {}
-    rungs = _Eta1Rungs(c.q, d)
-    scale = _inverse_kappa_scale(c.area_sdm1, m)
+    moments, tables = {}, {}
 
     def residuals(asks):
-        zetas = [math.exp(y) for _, y in asks]
-        new = [zeta for zeta in dict.fromkeys(zetas) if zeta not in moments]
-        moments.update(zip(new, _integrals(new, c.q, d, rungs)))
+        keys = [(math.exp(y), solves[item][1]) for item, y in asks]  # (zeta, (q, d))
+        new = [key for key in dict.fromkeys(keys) if key not in moments]
+        if new:
+            zetas, specs = zip(*new)
+            moments.update(zip(new, _integrals(zetas, *zip(*specs), tables)))
         values = []
-        for (item, _), zeta in zip(asks, zetas):
-            at_zeta = moments[zeta]
+        for (item, _), key in zip(asks, keys):
+            at_zeta = moments[key]
             if isinstance(at_zeta, FastSphereError):
                 values.append(at_zeta)
                 continue
+            kappa, (_, d), m, scale = solves[item]
             try:
-                inverse = _inverse_kappa_of(zeta, at_zeta[0], at_zeta[1], scale, d, m)
+                inverse = _inverse_kappa_of(key[0], at_zeta[0], at_zeta[1], scale, d, m)
             except FastSphereError as exc:
                 values.append(exc.with_traceback(None))
             else:
-                values.append(inverse * solved[item][1] - 1.0)
+                values.append(inverse * kappa - 1.0)
         return values
 
-    roots = lockstep_roots(residuals, [_log_zeta_bracket(c)] * len(solved))
-    for (i, kappa), y in zip(solved, roots):
+    roots = lockstep_roots(residuals, brackets)
+    for (kappa, spec, _, _), (entries, i), y in zip(solves, places, roots):
         if isinstance(y, FastSphereError):
-            results[i] = y
+            entries[i] = y
             continue
         zeta = math.exp(y)
-        at_root = moments[zeta]
+        at_root = moments[zeta, spec]
         eta, s = 1.0 + zeta, at_root[1] / at_root[0]
-        results[i] = FullySupportedState(
+        entries[i] = FullySupportedState(
             kappa=kappa, eta=eta, s=s, lambda_=-kappa * s * eta, eta_minus_1=zeta, moments=at_root
         )
     return results

@@ -81,30 +81,33 @@ of it, found by one searchsorted.
 
 _integrals integrates the seed meshes of many zetas together, and each
 mesh carries its own (q, d), as it carries its own zeta: the integrand
-reads zeta, q and d at every node (_at_nodes).  The branch solves, run
-in lockstep, send it one (q, d) and many zetas; verify's checks send it
-all the meshes of a check, at many (q, d).  _seed_pass lays the computed
-panels end to end, alternately upwards and downwards so that neighbours
-share an edge (the two meshes of a pair are cut at the same panel), with
-each panel's ladder index, zeta, q and d found by index arithmetic (no
-Python loop per mesh).  It integrates up to _BATCH_NODES computed nodes
-in one batch.  A call of one (q, d) may also pass a table of its eta = 1
-panels (_Eta1Rungs), filled in one batch down to the lowest free panel
-the call uses, and a caller with many calls at that (q, d), such as a
-branch solve, shares one table between them.  Then only the panels below
-each free suffix are computed, and where some seed has a free panel the
-zetas are sorted, so that neighbours have similar suffixes.  A full batch costs mostly its nodes,
-not its fixed numpy overhead, so the free panels are the saving.  The
-pass and the eta = 1 table hold their panels in _refine's rows, and one
-gather puts every full seed back in increasing order; the pass then
-goes whole to _refine, which returns the seeds that meet the tolerance
-and refines the others together, so a round of their refinement costs
-one batch however many seeds it bisects.  A lone zeta (a single solve)
-goes to _integral, because on one mesh that layout costs more than it
-saves.  Every panel and every per-mesh sum is computed in the same order
-in either route, and every free panel equals its computed value, so
-_integrals returns exactly what _integral would, with or without the
-table.  Both integrate under a guard against an integrand that leaves
+reads zeta, q and d at every node (_at_nodes).  The branch solves, run in
+lockstep, send it the zetas of every unfinished solve, each at the (q, d)
+of its solve's pass of (d, m); verify's checks send it all the meshes of
+a check, at many (q, d).  _seed_pass lays the computed panels end to end,
+alternately upwards and downwards so that neighbours share an edge (the
+two meshes of a pair are cut at the same panel), with each panel's ladder
+index, zeta, q and d found by index arithmetic (no Python loop per mesh).
+It integrates up to _BATCH_NODES computed nodes in one batch.  A call may
+also pass a dict of eta = 1 tables keyed by (q, d) (_Eta1Rungs); the call
+adds the table of each of its (q, d) and fills it in one batch down to
+the lowest free panel of its meshes, and a caller with
+many calls, such as a lockstep of branch solves, shares the tables
+between them.  Then only the panels below each free suffix are computed,
+and where some seed may have a free panel the meshes are sorted by their
+(q, d), then by zeta, so that neighbours mostly share a table and have
+similar suffixes; a call of one (q, d) is sorted by zeta alone.  A full
+batch costs mostly its nodes, not its fixed numpy overhead, so the free
+panels are the saving.  The pass and the eta = 1 tables hold their
+panels in _refine's rows, and one gather puts every full seed back in
+increasing order; the pass then goes whole to _refine, which returns the
+seeds that meet the tolerance and refines the others together, so a
+round of their refinement costs one batch however many seeds it bisects.
+A lone zeta (a single solve) goes to _integral, because on one mesh that
+layout costs more than it saves.  Every panel and every per-mesh sum is
+computed in the same order in either route, and every free panel equals
+its computed value, so _integrals returns exactly what _integral would,
+with or without the tables.  Both integrate under a guard against an integrand that leaves
 double range, and a batch that does is integrated again mesh by mesh,
 so that each mesh ends in _integral's error or its values.  The solves
 work in log(eta - 1), so _integrals takes zeta > 0 only; _integral also
@@ -202,28 +205,38 @@ def _folded_integrand(v, log_sin, zeta, q, d) -> np.ndarray:
     node); an array gives every node the same operations as a number, so
     the values do not change.  No node may be 0 where zeta = 0.
     """
+    out = np.empty((3,) + v.shape)
     cos_t = 1.0 - v
     a1 = zeta + v
     a2 = (2.0 + zeta) - v
-    log_a1 = np.log(a1)
-    log_a2 = np.log(a2)
+    # e1 and e2 are formed in the buffers of log a1 and log a2, the moment in z's
+    e1, e2 = np.log(a1), np.log(a2)
     # log(a1/a2) two ways: 1 + z with z = -2 cos(t)/a2 is exact algebra but
     # loses v once cos(t) rounds to 1, so it is only used where the ratio is
     # close to 1 (and the plain log difference would cancel).
-    z = -2.0 * cos_t / a2
-    y = q * np.where(z > -0.5, np.log1p(np.maximum(z, -0.75)), log_a1 - log_a2)
+    z = np.multiply(-2.0, cos_t)
+    z /= a2
+    y = e1 - e2
+    np.log1p(z, out=y, where=z > -0.5)
+    y *= q
     # d = 1 has no weight, even where log_sin is -inf
-    log_weight = np.where(d > 1, log_sin, 0.0) * (d - 1)
-    e1 = np.exp(q * log_a1 + log_weight)
-    e2 = np.exp(q * log_a2 + log_weight)
-    del z, log_a1, log_a2, log_weight  # lowers the peak memory of a full batch
-    # a1^q dwarfs a2^q where y > 700; expm1 would overflow there
-    moment = np.where(y > 700.0, e1 - e2, e2 * np.expm1(np.minimum(y, 700.0)))
-    # written into one array: stacking fresh temporaries costs several times more
-    out = np.empty((3,) + e1.shape)
+    log_weight = np.where(d > 1, log_sin, 0.0)
+    log_weight *= d - 1
+    for e in (e1, e2):
+        np.multiply(q, e, out=e)
+        e += log_weight
+        np.exp(e, out=e)
+    # a1^q dwarfs a2^q where y > 700; expm1 would overflow there, and it
+    # runs at every node so that an overflow of the product still shows
+    moment = np.minimum(y, 700.0, out=z)
+    np.expm1(moment, out=moment)
+    moment *= e2
+    np.subtract(e1, e2, out=moment, where=y > 700.0)
     np.add(e1, e2, out=out[0])
     np.multiply(moment, cos_t, out=out[1])
-    np.add(e1 * a1, e2 * a2, out=out[2])
+    a1 *= e1
+    a2 *= e2
+    np.add(a1, a2, out=out[2])
     return out
 
 
@@ -282,15 +295,16 @@ def _worst(err: np.ndarray, total: np.ndarray) -> float:
     return max(e / max(abs(t), 1e-300) for e, t in zip(err.tolist(), total.tolist()))
 
 
-def _at_nodes(meshes, panels) -> list:
+def _at_nodes(meshes, panels) -> np.ndarray:
     """Each array of meshes, one value per mesh, at every node of panels[k] panels of mesh k.
 
-    One float row per panel, as the integrand takes its nodes.  Full rows,
-    not a column to broadcast, keep every operation of the integrand
-    contiguous, and floats spare it a cast.
+    The arrays are stacked as floats and expanded by one repeat: entry j is
+    meshes[j] with one row per panel, as the integrand takes its nodes.
+    Full rows, not a column to broadcast, keep every operation of the
+    integrand contiguous, and floats spare it a cast.
     """
     nodes = np.asarray(panels) * _NODES.size
-    return [x.astype(float).repeat(nodes).reshape(-1, _NODES.size) for x in meshes]
+    return np.array(meshes, dtype=float).repeat(nodes, axis=1).reshape(len(meshes), -1, _NODES.size)
 
 
 def _refine(zeta, q, d, table, begin: list, tail, tail_err) -> list:
@@ -325,7 +339,7 @@ def _refine(zeta, q, d, table, begin: list, tail, tail_err) -> list:
         total, err = tail + sums[:3], tail_err + sums[3:]
         bound = DEFAULT_REL_TOL * np.abs(total)
         missing = ~(err <= bound)
-        grow = []
+        grow, totals = [], total.T.tolist()
         for k, miss in enumerate(missing.any(axis=0).tolist()):
             if sizes[k] > _MAX_PANELS:
                 results[live[k]] = ToleranceNotMetError(
@@ -336,7 +350,7 @@ def _refine(zeta, q, d, table, begin: list, tail, tail_err) -> list:
             elif miss:
                 grow.append(k)
             else:
-                results[live[k]] = tuple(total[:, k].tolist())
+                results[live[k]] = tuple(totals[k])
         if not grow:
             return results
         panels = np.array(sizes)
@@ -504,12 +518,14 @@ class _Eta1Rungs:
         self.top = low
 
 
-def _seed_pass(zeta, q, d, levels: np.ndarray, free, rungs: _Eta1Rungs | None):
+def _seed_pass(zeta, q, d, levels: np.ndarray, free, eta1, base):
     """One Gauss-Kronrod batch over the seed meshes of zeta > 0, which have the given levels.
 
     q and d are, like zeta, arrays of one value per mesh.  free is the
-    number of free panels of each mesh, which come from rungs, filled down
-    to them; where no mesh has one, rungs is not read (None will do).
+    number of free panels of each mesh, which come from eta1, the rows of
+    the call's eta = 1 tables (_Eta1Rungs.table) taken side by side, mesh
+    k's from column base[k] on, each filled down to the free panels of its
+    meshes; where no mesh has one, eta1 is not read (None will do).
     Only the other panels are computed: the bottom panel and the dyadic
     panels [depth - levels, depth - free).  They are laid end to end as
     one edge array, alternately upwards and downwards from the first, so
@@ -542,31 +558,33 @@ def _seed_pass(zeta, q, d, levels: np.ndarray, free, rungs: _Eta1Rungs | None):
     if not free.any():  # these are the full seeds
         return table, starts.tolist()
     # each full seed is two runs of columns: its computed panels, then its
-    # free ones from rungs
+    # free ones from its eta = 1 table
     run_from = np.empty(2 * zeta.size, dtype=np.intp)
-    run_from[0::2], run_from[1::2] = starts, panel.size + depth - free
+    run_from[0::2], run_from[1::2] = starts, panel.size + base + depth - free
     run_size = np.empty_like(run_from)
     run_size[0::2], run_size[1::2] = panels, free
     run_to = np.cumsum(run_size) - run_size
     gather = np.repeat(run_from - run_to, run_size) + np.arange(run_to[-1] + run_size[-1])
-    return np.concatenate((table, rungs.table), axis=1)[:, gather], run_to[0::2].tolist()
+    return np.concatenate((table, *eta1), axis=1)[:, gather], run_to[0::2].tolist()
 
 
-def _integrals(zetas, q, d, rungs: _Eta1Rungs | None = None) -> list:
+def _integrals(zetas, q, d, tables: dict | None = None) -> list:
     """_integral at each of zetas, all > 0, with all the seed meshes integrated together.
 
     q and d are numbers shared by every zeta, or sequences of one per
-    zeta.  rungs is the eta = 1 table of the free panels at a shared
-    (q, d), which a caller may share between calls at that q and d;
-    without it every panel is computed, and since a free panel equals its
-    computed value, no result changes.  Each entry is the (i0, i1, i_ent)
-    tuple or the FastSphereError that zeta raises, without a traceback.
-    A lone zeta goes to _integral.  Where rungs gives some seed a free
-    panel, the zetas are sorted, so that neighbouring meshes have similar
-    numbers of free panels, and each pair of neighbours takes the smaller
-    of the two; otherwise they stay in the order asked.  The meshes are cut
-    into batches of at most _BATCH_NODES computed nodes (a pair at least),
-    and each batch is one _seed_pass, whose full seeds go whole to one
+    zeta.  tables maps a (q, d) to its eta = 1 table of free panels
+    (_Eta1Rungs), which the call adds and fills down to the free panels of
+    its meshes, so a caller may share them between calls; without it every
+    panel is computed, and since a free panel equals its computed value,
+    no result changes.  Each entry is the (i0, i1, i_ent) tuple or the
+    FastSphereError that zeta raises, without a traceback.  A lone zeta
+    goes to _integral.  Where some seed may have a free panel, the meshes
+    are sorted by their (q, d), in the order first met, then by zeta, so
+    that neighbouring meshes mostly share a table and have similar numbers
+    of free panels, and each pair of neighbours takes the smaller of the
+    two; otherwise they stay in the order asked.  The meshes are cut into
+    batches of at most _BATCH_NODES computed nodes (a pair at least), and
+    each batch is one _seed_pass, whose full seeds go whole to one
     _refine: it returns those that meet DEFAULT_REL_TOL and refines the
     others together.  A batch whose integrand leaves double range is
     integrated again mesh by mesh, so that each mesh ends as on its own.
@@ -576,17 +594,25 @@ def _integrals(zetas, q, d, rungs: _Eta1Rungs | None = None) -> list:
     if zeta.size == 1:
         return _one_by_one(zeta, q, d)
     ladder = _ladder()
-    cut = np.fromiter(map(_seed_cut, q.tolist(), d.tolist()), float, zeta.size)
-    levels = _seed_levels(zeta, cut)
-    if rungs is not None and min(zetas) < ladder.free_below[-1]:  # else no panel is free
-        order = np.argsort(zeta, kind="stable")
-        zeta, q, d, levels = zeta[order], q[order], d[order], levels[order]
+    qs, ds = q.tolist(), d.tolist()
+    levels = _seed_levels(zeta, np.fromiter(map(_seed_cut, qs, ds), float, zeta.size))
+    order, eta1 = range(zeta.size), None
+    free, base = np.zeros_like(levels), np.zeros_like(levels)
+    if tables is not None and min(zetas) < ladder.free_below[-1]:  # else no panel is free
+        keys = {spec: k for k, spec in enumerate(dict.fromkeys(zip(qs, ds)))}  # as first met
+        group = np.fromiter(map(keys.get, zip(qs, ds)), np.intp, zeta.size)
+        order = np.lexsort((zeta, group))
+        zeta, q, d, levels, group = zeta[order], q[order], d[order], levels[order], group[order]
+        order = order.tolist()
         free = _free_panels(zeta, levels)
         # the two meshes of a pair share their top edge
         free[0:-1:2] = free[1::2] = np.minimum(free[0:-1:2], free[1::2])
-        rungs.fill(ladder.depth - int(free.max()))
-    else:
-        order, free = range(zeta.size), np.zeros_like(levels)
+        eta1, base = [], ladder.depth * group  # the table of each key, side by side
+        for k, spec in enumerate(keys):
+            if spec not in tables:
+                tables[spec] = _Eta1Rungs(*spec)
+            tables[spec].fill(ladder.depth - int(free[group == k].max()))
+            eta1.append(tables[spec].table)
     ends = np.cumsum(levels + 1 - free)  # in computed panels
     results = [None] * zeta.size
     first = 0
@@ -595,17 +621,19 @@ def _integrals(zetas, q, d, rungs: _Eta1Rungs | None = None) -> list:
         last = int(np.searchsorted(ends, room, "right"))
         if last < zeta.size:  # cut between two pairs, after one at least
             last = min(max(last - (last - first) % 2, first + 2), zeta.size)
-        batch = (zeta[first:last], q[first:last], d[first:last])
+        span = slice(first, last)
+        batch = (zeta[span], q[span], d[span])
+        laid = (levels[span], free[span], eta1, base[span])
         try:
             # as in _integral, an overflow would leave a non-finite panel
             with np.errstate(over="raise"):
-                table, begin = _seed_pass(*batch, levels[first:last], free[first:last], rungs)
+                table, begin = _seed_pass(*batch, *laid)
                 tail = np.zeros((3, last - first))
                 found = _refine(*batch, table, begin, tail, tail)
         except FloatingPointError:
             found = _one_by_one(*batch)
-        for k, result in enumerate(found):
-            results[order[first + k]] = result
+        for k, result in zip(order[span], found):
+            results[k] = result
         first = last
     return results
 

@@ -12,16 +12,15 @@ Five checks read the supported branch of the reference pairs:
 branch_continuity, energy_two_route_agreement, energy_slope_identities,
 energy_comparison_steps and minimizer_consistency.  Their kappas are
 collected into one grid per pair (_pair_grid), and within one
-run_verification the pair is enumerated once, by one energy.equilibria_at
-call over its whole grid, on the first read; every check takes its kappas'
-entries from it, and the enumerations are dropped when the run ends.  A
+run_verification the three pairs are enumerated together, by one
+energy._equilibria_at call (one lockstep branch solve) over their whole
+grids, on the first read of any pair; every check takes its kappas'
+entries from it, and the enumeration is dropped when the run ends.  A
 check called on its own enumerates its own kappas.  Sharing changes no
-number: a lockstep branch solve does not depend on the other kappas of its
-call, nor a kappa's roots and energies, so each check still reads the
-states it would solve alone, and keeps its own second routes and verdict.
-The shared enumeration also finds the measure-valued roots at every kappa
-of the grid, and in a run a kappa whose entry is an error fails every
-check that reads it.
+number: a lockstep branch solve does not depend on the other solves of
+its call, so each check still reads the states it would solve alone.  In
+a run, a kappa whose entry is an error fails every check that reads it,
+and an enumeration that raises fails each check that asks for it.
 
 Every check that integrates at eta > 1 sends all its meshes, each with
 its own (eta, q, d), to one quadrature._integrals batch (_integrals,
@@ -81,9 +80,8 @@ _SLOPE_PAIR, _SLOPE_GRID = (2, 0.5), (6.0, 7.0, 8.0, 10.0, 12.0)
 _SLOPE_KAPPAS = tuple(k + side * 1e-5 * k for k in _SLOPE_GRID for side in (-1.0, 1.0, 0.0))
 _MINIMIZER_SPANS = {(2, 0.5): (4.0, 12.0), (3, 0.25): (8.0, 16.0), (5, 0.3): (15.0, 21.0)}
 
-# The equilibria_at entries of each reference pair over its _pair_grid, by
-# kappa, during one run_verification (filled on a pair's first read); None
-# outside a run, where each check enumerates its own kappas.
+# Each reference pair's equilibria_at entries over its _pair_grid, by kappa,
+# during one run_verification; None outside a run.
 _run_entries: ContextVar[dict | None] = ContextVar("_run_entries", default=None)
 
 
@@ -252,13 +250,15 @@ def _pair_grid(d: int, m: float) -> list[float]:
 
 
 def _equilibria(d: int, m: float, kappas) -> list:
-    """energy.equilibria_at(kappas, d, m), from the pair's enumeration during a run."""
+    """energy.equilibria_at(kappas, d, m), from the run's one enumeration of every pair."""
     entries = _run_entries.get()
     if entries is None:
         return energy.equilibria_at(kappas, d, m)
-    if (d, m) not in entries:
-        grid = _pair_grid(d, m)
-        entries[d, m] = dict(zip(grid, energy.equilibria_at(grid, d, m)))
+    if not entries:
+        grids = {pair: _pair_grid(*pair) for pair in REFERENCE_PAIRS}
+        requests = [(equilibria._constants(*pair), grid) for pair, grid in grids.items()]
+        for pair, found in zip(grids, energy._equilibria_at(requests)):
+            entries[pair] = dict(zip(grids[pair], found))
     return [entries[d, m][kappa] for kappa in kappas]
 
 

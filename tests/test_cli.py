@@ -267,8 +267,9 @@ class TestSweep:
         assert "error:" in err
 
     def test_unsolvable_samples_become_nan_rows(self, capsys, monkeypatch):
-        def broken(c, kappas):
-            return [BracketFailureError("injected solver failure") for _ in kappas]
+        def broken(requests):
+            failure = BracketFailureError("injected solver failure")
+            return [[failure] * len(kappas) for _, kappas in requests]
 
         monkeypatch.setattr(eq, "_fully_supported_states", broken)
         code, out, err = run(
@@ -479,17 +480,22 @@ class TestVerifyWork:
         assert (len(at), len(classified)) == (3, 0)
 
     def test_one_enumeration_per_pair_per_run(self, monkeypatch):
-        # the branch checks of a run share one lockstep solve per reference
-        # pair, over every kappa any of them reads there (13 solves when each
-        # check ran its own); the next run in the process solves them again
+        # the branch checks of a run share one lockstep solve, over every
+        # kappa any of them reads at each reference pair (13 solves when each
+        # check ran its own, 3 when each pair did); the next run in the
+        # process solves them again
         solves = record_calls(monkeypatch, eq, "_fully_supported_states")
+        locksteps = record_calls(monkeypatch, eq, "lockstep_roots")
         for _ in range(2):
             assert all(r.passed for r in verification.run_verification())
-            assert [(c.d, c.m, list(kappas)) for c, kappas in solves] == [
+            ((requests,),) = solves
+            assert [(c.d, c.m, list(kappas)) for c, kappas in requests] == [
                 (d, m, verification._pair_grid(d, m)) for d, m in verification.REFERENCE_PAIRS
             ]
-            assert [len(kappas) for _, kappas in solves] == [20, 15, 16]
+            assert [len(kappas) for _, kappas in requests] == [20, 15, 16]
+            assert len(locksteps) == 1
             solves.clear()
+            locksteps.clear()
         assert verification._run_entries.get() is None
 
     def test_sharing_couples_no_verdict(self, monkeypatch):
@@ -534,13 +540,14 @@ class TestVerifyWork:
     def test_verify_shares_its_rounds_and_batches(self, monkeypatch):
         # one run's solver rounds and batched checks, Gauss-Kronrod batches
         # and integrand nodes: 567, 1170 and 326,085 when each branch check
-        # ran its own solves, and 701 batches while each check integrated
-        # one mesh at a time
+        # ran its own solves, 701 batches while each check integrated one
+        # mesh at a time, and 154 rounds and 260 batches while each reference
+        # pair ran its own lockstep solve (62 and 122 in one lockstep)
         rounds = record_calls(monkeypatch, quadrature, "_integrals")
         batches = record_calls(monkeypatch, quadrature, "_kronrod_batch")
         assert all(r.passed for r in verification.run_verification())
-        assert len(rounds) <= 160
-        assert len(batches) <= 400
+        assert len(rounds) <= 70
+        assert len(batches) <= 130
         assert sum(15 * (bounds.size - 1) for _, bounds in batches) <= 215_000
 
     def test_verify_integrates_its_grids_in_batches(self, monkeypatch):
@@ -590,6 +597,18 @@ class TestDemoSweeps:
         for name, sweep in module.SWEEPS.items():
             assert main(module.sweep_argv(sweep, tmp_path / name)) == 0
             assert (tmp_path / name).read_bytes() == (DEMOS / name).read_bytes(), name
+
+
+def test_python_m_runs_the_command_line(capsys):
+    # python -m fastsphere is the fastsphere command: the bytes cli.main writes
+    argv = ["critical", "--d", "5", "--m", "0.3"]
+    env = dict(os.environ, PYTHONPATH=str(DEMOS.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fastsphere", *argv], capture_output=True, env=env, timeout=120
+    )
+    code, out, err = run(capsys, *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode())
+    assert code == 0 and out
 
 
 # the demos that only print; bifurcation_diagram.py rewrites the demo CSVs
@@ -888,12 +907,13 @@ class TestVerify:
         _, clean, _ = run(capsys, *argv)
         solve = eq._fully_supported_states
 
-        def broken_at_7(c, kappas):
-            states = solve(c, kappas)
-            return [
+        def broken_at_7(requests):
+            ((_, kappas),) = requests
+            (states,) = solve(requests)
+            return [[
                 BracketFailureError("injected solver failure") if kappa == 7.0 else state
                 for kappa, state in zip(kappas, states)
-            ]
+            ]]
 
         monkeypatch.setattr(eq, "_fully_supported_states", broken_at_7)
         code, out, err = run(capsys, *argv)

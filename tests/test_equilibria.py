@@ -18,6 +18,7 @@ from conftest import (
     KAPPA3_5_03,
     REFERENCE_PAIRS,
     mp_theta_integral,
+    record_calls,
     sphere_average,
 )
 from fastsphere import energy as en
@@ -218,6 +219,28 @@ class TestFullySupportedStates:
 
         monkeypatch.setattr(quadrature, "_integral", no_integral)
         assert [en.energy_fully_supported(s, d, m) for s in states] == expected
+
+    def test_one_lockstep_gives_each_request_its_own_entries(self, monkeypatch):
+        # the passes of several (d, m) solved in one lockstep, one of them
+        # twice: each request's entries are, bit for bit, those of its own
+        # call, states and errors alike (bad kappas, kappas out of the window)
+        def entries(found):
+            return [
+                (type(s), str(s), s.__traceback__)
+                if isinstance(s, FastSphereError)
+                else (s, s.moments)
+                for s in found
+            ]
+
+        requests = [(eq._constants(d, m), self.grid(d, m)) for d, m in REFERENCE_PAIRS]
+        requests.append((eq._constants(*REFERENCE_PAIRS[0]), [8.0, "x", 2.0, 6.0]))
+        locksteps = record_calls(monkeypatch, eq, "lockstep_roots")
+        together = eq._fully_supported_states(requests)
+        assert len(locksteps) == 1
+        alone = [eq._fully_supported_states([request])[0] for request in requests]
+        assert [entries(found) for found in together] == [entries(found) for found in alone]
+        kinds = {type(s) for found in together for s in found}
+        assert kinds == {eq.FullySupportedState, InvalidParamError, OutOfWindowError}
 
     @staticmethod
     def one_at_a_time(kappas, d, m):

@@ -98,15 +98,13 @@ def test_seed_stops_at_the_eta_one_cutoff(d, m, zeta, levels):
         assert value == pytest.approx(eta1_closed_form(qq, p, d), rel=1e-12)
 
 
-def batched_and_scalar(q, d, zetas):
-    """The outcomes of quadrature._integrals over zetas and of _integral at each.
+def batched_and_scalar(q, d, zetas, tables):
+    """The outcomes of quadrature._integrals over zetas, given tables, and of _integral at each.
 
-    q and d are numbers, batched with their eta = 1 table, or lists of one
-    per zeta, batched without one.  An outcome is the (i0, i1, i_ent)
-    tuple, or the type and message of the error.
+    q and d are numbers, or lists of one per zeta.  An outcome is the (i0,
+    i1, i_ent) tuple, or the type and message of the error.
     """
-    rungs = None if isinstance(q, list) else quadrature._Eta1Rungs(q, d)
-    batched = quadrature._integrals(zetas, q, d, rungs)
+    batched = quadrature._integrals(zetas, q, d, tables)
     assert all(r.__traceback__ is None for r in batched if isinstance(r, FastSphereError))
     specs = zip(q, d) if isinstance(q, list) else [(q, d)] * len(zetas)
     scalar = []
@@ -140,6 +138,18 @@ def spread_meshes(monkeypatch):
     return list(zetas), list(qs), list(ds)
 
 
+def deep_meshes(monkeypatch):
+    """zeta from each (q, d)'s branch floor to 1e-3 at five (q, d), neighbours apart.
+
+    The deep seeds of every (q, d) take free panels.
+    """
+    specs = [(-2.0, 2), (-4.0 / 3.0, 3), (1.0 / (0.3 - 1.0), 5), (0.5, 1), (1.0 / (0.45 - 1.0), 4)]
+    grids = [np.geomspace(_zeta_floor(q, d), 1e-3, 15) for q, d in specs]
+    meshes = [(float(z), q, d) for row in zip(*grids) for z, (q, d) in zip(row, specs)]
+    zetas, qs, ds = zip(*meshes)
+    return list(zetas), list(qs), list(ds)
+
+
 def spiked_meshes(monkeypatch):
     """Two meshes whose integrand leaves double range (q = -200 at zeta = 1e-300)."""
     return [1e-300, 1e-300], [-200.0, -200.0], [3, 3]
@@ -151,15 +161,18 @@ def spiked_among_others(monkeypatch):
 
 
 # the meshes of a batch of many (q, d), the panel budget it runs with (None:
-# the module's), the fewest seed passes it needs, and whether some fail
+# the module's), the fewest seed passes it needs, whether some fail, and the
+# fewest (q, d) whose eta = 1 tables the call fills (None: it is given none)
 MIXED = {
-    "verify": (self_consistency_meshes, None, 1, False),
-    "spread": (spread_meshes, None, 2, False),
+    "verify": (self_consistency_meshes, None, 1, False, None),
+    "spread": (spread_meshes, None, 2, False, None),
     # the deep seeds fail, each on its own, the shallow ones pass
-    "spread-failing": (spread_meshes, 12, 2, True),
+    "spread-failing": (spread_meshes, 12, 2, True, None),
     # an overflow stops the batch, and each mesh then ends as on its own
-    "spiked": (spiked_meshes, None, 1, True),
-    "spiked-among-others": (spiked_among_others, None, 1, True),
+    "spiked": (spiked_meshes, None, 1, True, None),
+    "spiked-among-others": (spiked_among_others, None, 1, True, None),
+    # every (q, d) takes free panels from its own table, in one call
+    "eta1-tables": (deep_meshes, None, 1, False, 5),
 }
 
 
@@ -172,21 +185,28 @@ def test_batched_integrals_equal_the_scalar_kernel(monkeypatch, d, m):
     if d == "mixed":
         # every mesh with its own (q, d); each outcome, value or error
         # message, is _integral's
-        meshes, max_panels, fewest_passes, fails = MIXED[m]
+        meshes, max_panels, fewest_passes, fails, filled = MIXED[m]
         zetas, qs, ds = meshes(monkeypatch)
         if max_panels:
             monkeypatch.setattr(quadrature, "_MAX_PANELS", max_panels)
         passes = record_calls(monkeypatch, quadrature, "_seed_pass")
-        batched, scalar = batched_and_scalar(qs, ds, zetas)
+        tables = None if filled is None else {}
+        batched, scalar = batched_and_scalar(qs, ds, zetas, tables)
         assert batched == scalar and len(passes) >= fewest_passes
         failed = {r[0] for r in batched if isinstance(r[0], type)}
         assert failed == ({ToleranceNotMetError} if fails else set())
+        if filled is not None:
+            depth = quadrature._ladder().depth
+            assert set(tables) <= set(zip(qs, ds))
+            assert sum(rungs.top < depth for rungs in tables.values()) >= filled
+            # the free panels of a pass come from the tables of several (q, d)
+            assert any(np.unique(args[6][args[4] > 0]).size > 1 for args in passes)
         return
     # many seed meshes per batch, several batches, a repeated zeta
     q = 1.0 / (m - 1.0)
     zetas = [float(z) for z in np.geomspace(_zeta_floor(q, d), 1e9, 60)]
     zetas[31:31] = [3.3e-4, 3.3e-4]
-    batched, scalar = batched_and_scalar(q, d, zetas)
+    batched, scalar = batched_and_scalar(q, d, zetas, {})
     assert batched == scalar
     eta1_integral_is_its_seed_mesh(q, d)
 
@@ -195,7 +215,7 @@ def test_batched_integrals_fail_item_by_item(monkeypatch):
     # with a tiny panel budget the deep seeds fail, the shallow ones pass
     monkeypatch.setattr(quadrature, "_MAX_PANELS", 12)
     q, d = 1.0 / (0.3 - 1.0), 5
-    batched, scalar = batched_and_scalar(q, d, [1e-30, 2.0, 1e-3, 1e9, 1e-200])
+    batched, scalar = batched_and_scalar(q, d, [1e-30, 2.0, 1e-3, 1e9, 1e-200], {})
     assert batched == scalar
     assert {r[0] if isinstance(r[0], type) else float for r in batched} == {
         float,
@@ -210,7 +230,7 @@ def test_one_zeta_takes_the_single_mesh_kernel(monkeypatch):
     integral = quadrature._integral
     calls = record_calls(monkeypatch, quadrature, "_integral")
     passes = record_calls(monkeypatch, quadrature, "_seed_pass")
-    rungs = quadrature._Eta1Rungs(q, d)
+    rungs = {}
     assert quadrature._integrals([3.3e-4], q, d, rungs) == [integral(3.3e-4, q, d)]
     assert calls == [(3.3e-4, q, d)] and passes == []
     quadrature._integrals([1e-3, 3.3e-4, 2.0], q, d, rungs)
@@ -296,7 +316,7 @@ def seed_passes_match_the_seed_meshes(monkeypatch, q, d, zetas):
     every mesh, in the order the passes laid them.
     """
     passes = record_calls(monkeypatch, quadrature, "_seed_pass")
-    batched = quadrature._integrals(zetas, q, d, quadrature._Eta1Rungs(q, d))
+    batched = quadrature._integrals(zetas, q, d, {})
     monkeypatch.undo()
     assert [r if type(r) is tuple else type(r) for r in batched] == [
         seed_reference(z, q, d)[3] for z in zetas
@@ -308,7 +328,7 @@ def seed_passes_match_the_seed_meshes(monkeypatch, q, d, zetas):
         table, begin = quadrature._seed_pass(*args)
         monkeypatch.undo()
         ((_, edges),) = laid
-        zeta, _, _, levels, free, _ = args
+        zeta, _, _, levels, free, _, _ = args
         computed = levels + 1 - free
         assert edges.size == computed.sum() + 1  # no panel between the meshes
         first = np.cumsum(computed) - computed
@@ -418,9 +438,8 @@ def test_batched_seeds_that_miss_the_tolerance_are_refined_exactly():
     # so two neighbours are joined by one bridge panel
     q, d = 1.0 / (0.5 - 1.0), 2
     zetas = [float(z) for z in np.geomspace(1e-12, 1e3, 40)]
-    rungs = quadrature._Eta1Rungs(q, d)
     laid = []
-    batched, rounds = refine_rounds(lambda: quadrature._integrals(zetas, q, d, rungs), laid)
+    batched, rounds = refine_rounds(lambda: quadrature._integrals(zetas, q, d, {}), laid)
     alone = [runs_alone(z, q, d) for z in zetas]
     assert rounds == [[len(zetas), max(map(len, alone))]]
     assert sum(len(runs) > 0 for runs in alone) >= 5
@@ -441,8 +460,7 @@ def test_batched_refinement_goes_on_past_a_seed_that_fails(monkeypatch):
     monkeypatch.setattr(quadrature, "_MAX_PANELS", 6)
     q, d = 1.0 / (0.9 - 1.0), 40
     zetas = [1e-3, 1.0, 100.0, 0.1, 1e4]
-    rungs = quadrature._Eta1Rungs(q, d)
-    batched, rounds = refine_rounds(lambda: quadrature._integrals(zetas, q, d, rungs))
+    batched, rounds = refine_rounds(lambda: quadrature._integrals(zetas, q, d, {}))
     assert rounds == [[5, 3]]
     for zeta, result in zip(zetas, batched):
         if zeta < 1.0:
