@@ -249,13 +249,12 @@ def _fully_supported_states(requests) -> list:
     Returns one list of entries per request.  Every solve carries its own
     pass: q, d, m, the scale of 1/kappa, the window and the bracket.  Each
     solver round evaluates the integrals of every unfinished solve, of any
-    request, together (quadrature._integrals, which sends a lone zeta to
-    _integral).  A memo of the moments at every (zeta, q, d) met, kept for
-    this call only (the package's only memo of integrals), serves the zetas
-    that several solves visit and the centre-of-mass norm at each root.
-    Next to it, for this call only too, the rounds share one table per
-    (q, d) of the seed panels that deep zetas take from eta = 1
-    (quadrature._Eta1Rungs).  A solve does not depend on the other solves
+    request, together (quadrature._integrals, a lone zeta as well).  A
+    memo of the moments at every (zeta, q, d) met, kept for this call only
+    (the package's only memo of integrals), serves the zetas that several
+    solves visit and the centre-of-mass norm at each root.  Next to it, for
+    this call only too, every round shares one table per (q, d) of the
+    seed panels that deep zetas take from eta = 1 (quadrature._Eta1Rungs).  A solve does not depend on the other solves
     of its round, so each request's entries are those it gets alone.
     """
     results = [[None] * len(kappas) for _, kappas in requests]

@@ -24,7 +24,7 @@ near the endpoint cannot overflow halfway through a product.
 
 Every caller needs the same three members at one eta: the mass
 I(eta, q, 0, d), the moment I(eta, q, 1, d) and the entropy integral
-I(eta, q + 1, 0, d).  One kernel, _integral, returns all three from a
+I(eta, q + 1, 0, d).  One kernel, _integrals, returns all three from a
 single adaptive mesh.  The integrand evaluates the three folded profiles
 from shared sin, log and exp values (the entropy profile is the mass
 profile's two halves times eta -+ cos t), and each Gauss-Kronrod batch
@@ -79,20 +79,22 @@ eta = 1 ones.  The ladder holds that threshold per panel (free_below);
 it grows with the panel, so the free panels of a seed are a top suffix
 of it, found by one searchsorted.
 
-_integrals integrates the seed meshes of many zetas together, and each
-mesh carries its own (q, d), as it carries its own zeta: the integrand
-reads zeta, q and d at every node (_at_nodes).  The branch solves, run in
-lockstep, send it the zetas of every unfinished solve, each at the (q, d)
-of its solve's pass of (d, m); verify's checks send it all the meshes of
-a check, at many (q, d).  _seed_pass lays the computed panels end to end,
-alternately upwards and downwards so that neighbours share an edge (the
-two meshes of a pair are cut at the same panel), with each panel's ladder
-index, zeta, q and d found by index arithmetic (no Python loop per mesh).
-It integrates up to _BATCH_NODES computed nodes in one batch.  A call may
-also pass a dict of eta = 1 tables keyed by (q, d) (_Eta1Rungs); the call
-adds the table of each of its (q, d) and fills it in one batch down to
-the lowest free panel of its meshes, and a caller with
-many calls, such as a lockstep of branch solves, shares the tables
+_integrals integrates the seed meshes of many zetas together, eta = 1
+included, and each mesh carries its own (q, d), as it carries its own
+zeta: the integrand reads zeta, q and d at every node (_at_nodes).  The
+branch solves, run in lockstep, send it the zetas of every unfinished
+solve, each at the (q, d) of its solve's pass of (d, m); verify's checks
+send it all the meshes of a check; _integral is its one-mesh call that
+raises.  _seed_pass lays the computed panels end to end, alternately
+upwards and downwards so that neighbours share an edge (the two meshes
+of a pair are cut at the same panel), with each panel's ladder index,
+zeta, q and d found by index arithmetic (no Python loop per mesh), and
+integrates up to _BATCH_NODES computed nodes in one batch; at eta = 1
+with q < 0 the bottom panel is laid to join its neighbours at 0, and
+dropped.  A call may also pass a dict of eta = 1 tables keyed by (q, d)
+(_Eta1Rungs); the call adds the table of each of its (q, d) and fills it
+in one batch down to the lowest free panel of its meshes, and a caller
+with many calls, such as a lockstep of branch solves, shares the tables
 between them.  Then only the panels below each free suffix are computed,
 and where some seed may have a free panel the meshes are sorted by their
 (q, d), then by zeta, so that neighbours mostly share a table and have
@@ -103,15 +105,12 @@ panels in _refine's rows, and one gather puts every full seed back in
 increasing order; the pass then goes whole to _refine, which returns the
 seeds that meet the tolerance and refines the others together, so a
 round of their refinement costs one batch however many seeds it bisects.
-A lone zeta (a single solve) goes to _integral, because on one mesh that
-layout costs more than it saves.  Every panel and every per-mesh sum is
-computed in the same order in either route, and every free panel equals
-its computed value, so _integrals returns exactly what _integral would,
-with or without the tables.  Both integrate under a guard against an integrand that leaves
-double range, and a batch that does is integrated again mesh by mesh,
-so that each mesh ends in _integral's error or its values.  The solves
-work in log(eta - 1), so _integrals takes zeta > 0 only; _integral also
-serves eta = 1, as the oracle of the closed form.
+Every panel and every per-mesh sum is computed in the same order
+wherever its mesh sits, and every free panel equals its computed value,
+so each mesh ends as it would alone, with or without the tables.  Each
+batch, its table fills included, runs under a guard against an integrand
+that leaves double range, and one that does is integrated again mesh by
+mesh.
 
 This module holds the numpy kernel alone, and it is the package's only
 module that imports numpy at load time.  The public front of the family
@@ -447,8 +446,8 @@ class _Ladder(NamedTuple):
     Panel i < depth is the dyadic panel [pi/2 * 2^(i - depth), pi/2 *
     2^(i + 1 - depth)], so the n dyadic panels of a seed are the slice
     [depth - n, depth) in increasing order; panel depth + n is the bottom
-    panel [0, pi/2 * 2^-n] of a seed with n levels (none at eta = 1 with
-    q < 0, where the closed-form tail takes its place).  free_below[i]
+    panel [0, pi/2 * 2^-n] of a seed with n levels (dropped at eta = 1
+    with q < 0, where the closed-form tail takes its place).  free_below[i]
     is the smallest of 2^-52 and half the spacing of 1 - cos t at the nodes
     of dyadic panel i: at any zeta below it the panel integrates as at
     zeta = 0.  It grows with i, so those panels are a top suffix of a seed.
@@ -505,7 +504,7 @@ class _Eta1Rungs:
         self.table[6], self.table[7] = ladder.lo[: ladder.depth], ladder.hi[: ladder.depth]
 
     def fill(self, low: int) -> None:
-        """Fill the panels [low, depth)."""
+        """Fill the panels [low, depth); an overflow, under its caller's guard, writes nothing."""
         if low >= self.top:
             return
         ladder = _ladder()
@@ -519,7 +518,7 @@ class _Eta1Rungs:
 
 
 def _seed_pass(zeta, q, d, levels: np.ndarray, free, eta1, base):
-    """One Gauss-Kronrod batch over the seed meshes of zeta > 0, which have the given levels.
+    """One Gauss-Kronrod batch over the seed meshes of zeta >= 0, which have the given levels.
 
     q and d are, like zeta, arrays of one value per mesh.  free is the
     number of free panels of each mesh, which come from eta1, the rows of
@@ -532,11 +531,14 @@ def _seed_pass(zeta, q, d, levels: np.ndarray, free, eta1, base):
     that neighbours share their end edge, 0 or the top edge of a pair,
     whose two meshes must have the same number of free panels.
     Each node takes its zeta, q and d and its angle basis by index, so the
-    pass builds no nodes.
+    pass builds no nodes.  At eta = 1 with q < 0 the closed-form tail below
+    the lowest dyadic edge takes the bottom panel's place: that panel is
+    laid, so that the meshes join at 0, with the basis of the panel above
+    it (nearer 0 the integrand can overflow), and dropped.
 
     Returns every mesh's full seed as _refine takes it: the table of its
-    panels, mesh after mesh and each in increasing order, and the first
-    column of each mesh.
+    panels, mesh after mesh and each in increasing order, the first column
+    of each mesh, and each mesh's tail and the tail's error budget.
     """
     ladder = _ladder()
     depth = ladder.depth
@@ -551,59 +553,82 @@ def _seed_pass(zeta, q, d, levels: np.ndarray, free, eta1, base):
     panel = np.where(rank == 0, depth + n, depth - n + rank - 1)
     lo, hi = ladder.lo[panel], ladder.hi[panel]
     edges = np.concatenate((lo[:1], np.where(upward, hi, lo)))
+    columns = starts[mesh] + rank  # the laid column of each panel of the full seeds
+    kept, begin = panels, starts  # the computed panels of each seed, and its first column
+    tail, tail_err = np.zeros((2, 3, zeta.size))
+    if not zeta.all():
+        tailed = (zeta == 0.0) & (q < 0.0)
+        panel = np.where(tailed[mesh] & (rank == 0), depth - n, panel)
+        columns = columns[~tailed[mesh] | (at > 0)]
+        kept = panels - tailed
+        begin = np.cumsum(kept) - kept
+        for k in tailed.nonzero()[0].tolist():
+            low = float(ladder.lo[depth - levels[k]])  # the lowest dyadic edge
+            tail[:, k], tail_err[:, k] = _eta1_tail(q[k].item(), d[k].item(), low)
     at_nodes = _at_nodes((zeta, q, d), panels)
     v, log_sin = (part.take(panel, 0) for part in ladder.basis)
     values, errors = _kronrod_batch(lambda: _folded_integrand(v, log_sin, *at_nodes), edges)
-    table = np.concatenate((values, errors, lo[None], hi[None]))[:, starts[mesh] + rank]
+    table = np.concatenate((values, errors, lo[None], hi[None]))[:, columns]
     if not free.any():  # these are the full seeds
-        return table, starts.tolist()
+        return table, begin.tolist(), tail, tail_err
     # each full seed is two runs of columns: its computed panels, then its
     # free ones from its eta = 1 table
     run_from = np.empty(2 * zeta.size, dtype=np.intp)
-    run_from[0::2], run_from[1::2] = starts, panel.size + base + depth - free
+    run_from[0::2], run_from[1::2] = begin, columns.size + base + depth - free
     run_size = np.empty_like(run_from)
-    run_size[0::2], run_size[1::2] = panels, free
+    run_size[0::2], run_size[1::2] = kept, free
     run_to = np.cumsum(run_size) - run_size
     gather = np.repeat(run_from - run_to, run_size) + np.arange(run_to[-1] + run_size[-1])
-    return np.concatenate((table, *eta1), axis=1)[:, gather], run_to[0::2].tolist()
+    table = np.concatenate((table, *eta1), axis=1)[:, gather]
+    return table, run_to[0::2].tolist(), tail, tail_err
 
 
 def _integrals(zetas, q, d, tables: dict | None = None) -> list:
-    """_integral at each of zetas, all > 0, with all the seed meshes integrated together.
+    """I(eta, q, 0), I(eta, q, 1) and I(eta, q + 1, 0) at eta = 1 + zeta, for each of zetas (>= 0).
 
     q and d are numbers shared by every zeta, or sequences of one per
-    zeta.  tables maps a (q, d) to its eta = 1 table of free panels
-    (_Eta1Rungs), which the call adds and fills down to the free panels of
-    its meshes, so a caller may share them between calls; without it every
-    panel is computed, and since a free panel equals its computed value,
-    no result changes.  Each entry is the (i0, i1, i_ent) tuple or the
-    FastSphereError that zeta raises, without a traceback.  A lone zeta
-    goes to _integral.  Where some seed may have a free panel, the meshes
-    are sorted by their (q, d), in the order first met, then by zeta, so
-    that neighbouring meshes mostly share a table and have similar numbers
-    of free panels, and each pair of neighbours takes the smaller of the
-    two; otherwise they stay in the order asked.  The meshes are cut into
-    batches of at most _BATCH_NODES computed nodes (a pair at least), and
-    each batch is one _seed_pass, whose full seeds go whole to one
-    _refine: it returns those that meet DEFAULT_REL_TOL and refines the
-    others together.  A batch whose integrand leaves double range is
-    integrated again mesh by mesh, so that each mesh ends as on its own.
+    zeta.  All the seed meshes are integrated together.  tables maps a
+    (q, d) to its eta = 1 table of free panels (_Eta1Rungs), which the call
+    adds and fills down to the free panels of its meshes, so a caller may
+    share them between calls; without it every panel is computed, and
+    since a free panel equals its computed value, no result changes.  Each
+    entry is the (i0, i1, i_ent) tuple or the FastSphereError the mesh ends
+    in, without a traceback (at eta = 1 with 2q + d <= 0, where the
+    integral diverges, model's NotIntegrableError).  Where some seed
+    may have a free panel, the meshes are sorted by their (q, d), in the
+    order first met, then by zeta, so that neighbouring meshes mostly share
+    a table and have similar numbers of free panels, and each pair of
+    neighbours takes the smaller of the two; otherwise they stay in the
+    order asked.  The meshes are cut into batches of at most _BATCH_NODES
+    computed nodes (a pair at least), and each batch is one _seed_pass,
+    whose full seeds go whole to one _refine: it returns those that meet
+    DEFAULT_REL_TOL and refines the others together.  A batch whose
+    integrand leaves double range, its tables' fills included, is
+    integrated again mesh by mesh, and a lone mesh that does ends in a
+    ToleranceNotMetError.
     """
     zeta = np.array(zetas, dtype=float)
     q, d = np.full(zeta.shape, q, dtype=float), np.full(zeta.shape, d)
-    if zeta.size == 1:
-        return _one_by_one(zeta, q, d)
     ladder = _ladder()
-    qs, ds = q.tolist(), d.tolist()
-    levels = _seed_levels(zeta, np.fromiter(map(_seed_cut, qs, ds), float, zeta.size))
-    order, eta1 = range(zeta.size), None
+    cut = np.fromiter(map(_seed_cut, q.tolist(), d.tolist()), float, zeta.size)
+    results = [None] * zeta.size
+    order = np.arange(zeta.size)
+    if not zeta.all():  # some mesh is at eta = 1, whose integral needs a cut (2q + d > 0)
+        for k in ((zeta == 0.0) & (cut == 0.0)).nonzero()[0].tolist():
+            results[k] = _not_integrable(q[k].item(), d[k].item())
+        order = ((zeta > 0.0) | (cut > 0.0)).nonzero()[0]
+        zeta, q, d, cut = zeta[order], q[order], d[order], cut[order]
+        if not zeta.size:
+            return results
+    levels = _seed_levels(zeta, cut)
+    eta1, fills = None, []  # each (q, d)'s eta = 1 table, and the lowest panel it fills
     free, base = np.zeros_like(levels), np.zeros_like(levels)
-    if tables is not None and min(zetas) < ladder.free_below[-1]:  # else no panel is free
-        keys = {spec: k for k, spec in enumerate(dict.fromkeys(zip(qs, ds)))}  # as first met
-        group = np.fromiter(map(keys.get, zip(qs, ds)), np.intp, zeta.size)
-        order = np.lexsort((zeta, group))
-        zeta, q, d, levels, group = zeta[order], q[order], d[order], levels[order], group[order]
-        order = order.tolist()
+    if tables is not None and zeta.min() < ladder.free_below[-1]:  # else no panel is free
+        specs = list(zip(q.tolist(), d.tolist()))
+        keys = {spec: k for k, spec in enumerate(dict.fromkeys(specs))}  # as first met
+        group = np.fromiter(map(keys.get, specs), np.intp, zeta.size)
+        sort = np.lexsort((zeta, group))
+        order, zeta, q, d, levels, group = (x[sort] for x in (order, zeta, q, d, levels, group))
         free = _free_panels(zeta, levels)
         # the two meshes of a pair share their top edge
         free[0:-1:2] = free[1::2] = np.minimum(free[0:-1:2], free[1::2])
@@ -611,10 +636,10 @@ def _integrals(zetas, q, d, tables: dict | None = None) -> list:
         for k, spec in enumerate(keys):
             if spec not in tables:
                 tables[spec] = _Eta1Rungs(*spec)
-            tables[spec].fill(ladder.depth - int(free[group == k].max()))
+            fills.append((tables[spec], ladder.depth - int(free[group == k].max())))
             eta1.append(tables[spec].table)
+    order = order.tolist()
     ends = np.cumsum(levels + 1 - free)  # in computed panels
-    results = [None] * zeta.size
     first = 0
     while first < zeta.size:
         room = (ends[first - 1] if first else 0) + _BATCH_NODES // _NODES.size
@@ -623,66 +648,34 @@ def _integrals(zetas, q, d, tables: dict | None = None) -> list:
             last = min(max(last - (last - first) % 2, first + 2), zeta.size)
         span = slice(first, last)
         batch = (zeta[span], q[span], d[span])
-        laid = (levels[span], free[span], eta1, base[span])
         try:
-            # as in _integral, an overflow would leave a non-finite panel
+            # an overflow leaves a non-finite panel that no refinement removes;
+            # the branch solves never get there, as their zeta floor keeps the
+            # peak in range
             with np.errstate(over="raise"):
-                table, begin = _seed_pass(*batch, *laid)
-                tail = np.zeros((3, last - first))
-                found = _refine(*batch, table, begin, tail, tail)
+                for rungs, low in fills:  # no-ops once done
+                    rungs.fill(low)
+                laid = (levels[span], free[span], eta1, base[span])
+                found = _refine(*batch, *_seed_pass(*batch, *laid))
         except FloatingPointError:
-            found = _one_by_one(*batch)
+            meshes = list(zip(*(x.tolist() for x in batch)))
+            if len(meshes) > 1:
+                found = [_integrals([z], qq, dd, tables)[0] for z, qq, dd in meshes]
+            else:
+                message = "the integrand leaves double range at eta - 1 = {!r}, q = {!r}, d = {}"
+                found = [ToleranceNotMetError(message.format(*meshes[0]))]
         for k, result in zip(order[span], found):
             results[k] = result
         first = last
     return results
 
 
-def _one_by_one(zeta: np.ndarray, q: np.ndarray, d: np.ndarray) -> list:
-    """_integral at each mesh: its (i0, i1, i_ent) or its FastSphereError, without a traceback."""
-    found = []
-    for mesh in zip(zeta.tolist(), q.tolist(), d.tolist()):
-        try:
-            found.append(_integral(*mesh))
-        except FastSphereError as exc:
-            found.append(exc.with_traceback(None))
-    return found
-
-
 def _integral(zeta: float, q: float, d: int) -> tuple[float, float, float]:
-    """(I(eta, q, 0), I(eta, q, 1), I(eta, q + 1, 0)) at eta = 1 + zeta, computed on every call."""
-    cut = _seed_cut(q, d)
-    if zeta == 0.0 and cut == 0.0:
-        raise _not_integrable(q, d)
-    # one mesh needs none of _seed_pass's layout, whose index arithmetic
-    # would cost more than the integrand here: its panels in the ladder are
-    # the bottom one, then the n dyadic ones, in increasing order
-    ladder = _ladder()
-    n = int(_seed_levels(zeta, cut))
-    panel = np.arange(ladder.depth - n - 1, ladder.depth)
-    tail = tail_err = np.zeros((3, 1))
-    if zeta > 0.0 or q >= 0.0:
-        panel[0] = ladder.depth + n
-    else:
-        # at eta = 1 with q < 0 the integrand is singular at 0, and the
-        # closed-form tail takes the place of the bottom panel
-        panel = panel[1:]
-        tail, tail_err = (part[:, None] for part in _eta1_tail(q, d, float(ladder.lo[panel[0]])))
-    lo, hi = ladder.lo[panel], ladder.hi[panel]
-    v, log_sin = (part.take(panel, 0) for part in ladder.basis)
-    seed = lambda: _folded_integrand(v, log_sin, zeta, q, d)
-    try:
-        # an overflow leaves a non-finite panel that no refinement removes; the
-        # branch solves never get there, as their zeta floor keeps the peak in range
-        with np.errstate(over="raise"):
-            values, errors = _kronrod_batch(seed, np.append(lo, hi[-1]))
-            table = np.concatenate((values, errors, lo[None], hi[None]))
-            mesh = (np.array([x]) for x in (zeta, q, d))
-            (result,) = _refine(*mesh, table, [0], tail, tail_err)
-    except FloatingPointError:
-        raise ToleranceNotMetError(
-            f"the integrand leaves double range at eta - 1 = {zeta!r}, q = {q!r}, d = {d}"
-        ) from None
+    """(I(eta, q, 0), I(eta, q, 1), I(eta, q + 1, 0)) at eta = 1 + zeta: _integrals of one mesh.
+
+    Computed on every call; raises the error the mesh ends in.
+    """
+    (result,) = _integrals([zeta], q, d)
     if isinstance(result, FastSphereError):
         raise result
     return result

@@ -22,21 +22,22 @@ its call, so each check still reads the states it would solve alone.  In
 a run, a kappa whose entry is an error fails every check that reads it,
 and an enumeration that raises fails each check that asks for it.
 
-Every check that integrates at eta > 1 sends all its meshes, each with
-its own (eta, q, d), to one quadrature._integrals batch (_integrals,
-_branch_moments): quadrature_self_consistency, theta_integral_eta_monotone,
-moment_bounded_by_mass, branch_monotone_direction,
-branch_limit_matches_kappa1, case_iii_com_decreasing, and the branch
-energy gains of energy_two_route_agreement and energy_slope_identities.
-A mesh's values do not depend on the other meshes of its batch, so each
-is what quadrature._integral gives it alone.  These checks test the
-kernel, not the public model.theta_integral; theta_integral_eta_monotone
-also reads one of its values through theta_integral, which must be the
-batch's bit for bit.  _integral itself (_moments) serves what the batch
-does not take: eta = 1, where the quadrature is the independent oracle of
-the closed form (eta1_quadrature_vs_closed_form, kappa2_dual_oracle,
-com_norm_closed_form), and branch_continuity's read of the branch at
-kappa2, one mesh in each of two pairs.
+Every check that integrates sends all its meshes, each with its own
+(eta, q, d), to one quadrature._integrals batch (_integrals,
+_branch_moments): quadrature_self_consistency,
+theta_integral_eta_monotone, moment_bounded_by_mass,
+branch_monotone_direction, branch_limit_matches_kappa1,
+case_iii_com_decreasing, the branch energy gains of
+energy_two_route_agreement and energy_slope_identities, and at eta = 1,
+where the quadrature is the independent oracle of the closed form,
+eta1_quadrature_vs_closed_form, kappa2_dual_oracle, com_norm_closed_form
+and branch_continuity's reads of the branch at kappa2.  A mesh's values
+do not depend on the other meshes of its batch, so each is what the
+kernel gives it alone.  These checks test the kernel, not the public
+model.theta_integral; theta_integral_eta_monotone also reads one of its
+values through theta_integral, a one-mesh call of the same kernel, which
+must be the batch's bit for bit: it pins the public front's mapping of
+its arguments onto the kernel's.
 
 Each check computes a worst-case measured error and compares it against
 its threshold in THRESHOLDS.  The thresholds are fixed, and nothing
@@ -147,7 +148,7 @@ def _worst_nonmonotone(values, increasing: bool) -> float:
 def _integrals(meshes) -> list[tuple[float, float, float]]:
     """(I(eta, q, 0, d), I(eta, q, 1, d), I(eta, q + 1, 0, d)) at each (eta, q, d) of meshes.
 
-    Every eta is > 1, and all the meshes are integrated in one kernel
+    Every eta is >= 1, and all the meshes are integrated in one kernel
     batch; raises the first error, in the order of meshes.
     """
     from . import quadrature
@@ -160,29 +161,19 @@ def _integrals(meshes) -> list[tuple[float, float, float]]:
     return found
 
 
-def _moments(eta: float, d: int, m: float) -> tuple[float, float, float]:
-    """The integrals (i0, i1, i_ent) of the supported branch at shape eta, by quadrature."""
-    from . import quadrature
-
-    return quadrature._integral(eta - 1.0, 1.0 / (m - 1.0), d)
-
-
-def _com_norm(eta: float, d: int, m: float) -> float:
-    """Centre-of-mass norm of the supported density at shape eta, by quadrature."""
-    i0, i1, _ = _moments(eta, d, m)
-    return i1 / i0
-
-
 def _branch_moments(shapes) -> list[tuple[float, float, float]]:
-    """_moments at each (eta, d, m) of shapes, all eta > 1, from one kernel batch."""
+    """The integrals (i0, i1, i_ent) of the supported branch at each (eta, d, m) of shapes.
+
+    Every eta is >= 1; they come from one kernel batch.
+    """
     return _integrals([(eta, 1.0 / (m - 1.0), d) for eta, d, m in shapes])
 
 
 def _inverse_kappa(eta: float, d: int, m: float, moments) -> float:
     """1/kappa of the supported branch at shape eta, through the ratio the branch solve reads.
 
-    moments are the (i0, i1, i_ent) at eta, integrated here (_moments,
-    _branch_moments), not a solve's.
+    moments are the (i0, i1, i_ent) at eta, integrated here
+    (_branch_moments), not a solve's.
     """
     i0, i1, _ = moments
     scale = equilibria._inverse_kappa_scale(model.sphere_geometry(d).area_sdm1, m)
@@ -338,15 +329,13 @@ def check_quadrature_self_consistency(tol: float) -> CheckResult:
 
 
 def check_eta1_quadrature_vs_closed_form(tol: float) -> CheckResult:
-    from . import quadrature
-
     worst = 0.0
-    for d, m in SINGULAR_PAIRS:
+    # the fused kernel's three members: mass, moment, and the entropy
+    # integral at exponent q + 1 that kappa_c and the singular energies take
+    # from the closed form
+    found = _branch_moments([(1.0, d, m) for d, m in SINGULAR_PAIRS])
+    for (d, m), quad in zip(SINGULAR_PAIRS, found):
         q = 1.0 / (m - 1.0)
-        # the fused kernel's three members: mass, moment, and the entropy
-        # integral at exponent q + 1 that kappa_c and the singular energies take
-        # from the closed form
-        quad = quadrature._integral(0.0, q, d)
         members = ((q, 0), (q, 1), (q + 1.0, 0))
         closed = [model.eta1_closed_form(qq, p, d) for qq, p in members]
         worst = max(worst, *map(_rel, quad, closed))
@@ -416,18 +405,20 @@ def check_branch_limit_matches_kappa1(tol: float) -> CheckResult:
 
 
 def check_branch_continuity(tol: float) -> CheckResult:
+    states = {(d, m): _supported(d, m, _continuity_kappas(d, m)) for d, m in REFERENCE_PAIRS}
+    # the shape at kappa2 of each pair whose branch ends there, integrated by
+    # the quadrature route, not with the solve's moments
+    ends = [(found[1][0], d, m) for (d, m), found in states.items() if len(found) > 1]
+    com = {(d, m): i1 / i0 for (_, d, m), (i0, i1, _) in zip(ends, _branch_moments(ends))}
     worst = 0.0
     lines = []
-    for d, m in REFERENCE_PAIRS:
-        (_, s_birth, _), *end = _supported(d, m, _continuity_kappas(d, m))
+    for (d, m), ((_, s_birth, _), *_) in states.items():
         worst = max(worst, s_birth)
         lines.append(f"(d={d}, m={m}): s at branch birth {s_birth:.3e}")
-        if end:
-            sb = equilibria.s_bar(d, m)
-            # the eta = 1 end through the quadrature route, not the solve's moments
-            s_at_k2 = _com_norm(end[0][0], d, m)
-            worst = max(worst, abs(s_at_k2 - sb))
-            lines.append(f"(d={d}, m={m}): |s(kappa2) - s_bar| = {abs(s_at_k2 - sb):.3e}")
+        if (d, m) in com:
+            gap = abs(com[d, m] - equilibria.s_bar(d, m))
+            worst = max(worst, gap)
+            lines.append(f"(d={d}, m={m}): |s(kappa2) - s_bar| = {gap:.3e}")
     return _result("branch_continuity", worst, tol, lines=lines)
 
 
@@ -467,11 +458,12 @@ def check_singular_alpha_saturates(tol: float) -> CheckResult:
 
 
 def check_kappa2_dual_oracle(tol: float) -> CheckResult:
+    pairs = ((3, 0.25), (4, 0.2), (5, 0.3))
     worst = 0.0
     lines = []
-    for d, m in ((3, 0.25), (4, 0.2), (5, 0.3)):
+    for (d, m), moments in zip(pairs, _branch_moments([(1.0, d, m) for d, m in pairs])):
         closed = energy.critical_set(d, m).kappa2
-        quad = 1.0 / _inverse_kappa(1.0, d, m, _moments(1.0, d, m))
+        quad = 1.0 / _inverse_kappa(1.0, d, m, moments)
         worst = max(worst, _rel(closed, quad))
         note = ""
         if (d, m) == (3, 0.25):
@@ -488,10 +480,9 @@ def check_kappa2_dual_oracle(tol: float) -> CheckResult:
 
 def check_com_norm_closed_form(tol: float) -> CheckResult:
     worst = 0.0
-    for d, m in SINGULAR_PAIRS:
-        closed = equilibria.s_bar(d, m)
-        ratio = _com_norm(1.0, d, m)
-        worst = max(worst, _rel(closed, ratio))
+    found = _branch_moments([(1.0, d, m) for d, m in SINGULAR_PAIRS])
+    for (d, m), (i0, i1, _) in zip(SINGULAR_PAIRS, found):
+        worst = max(worst, _rel(equilibria.s_bar(d, m), i1 / i0))
     return _result("com_norm_closed_form", worst, tol)
 
 

@@ -356,9 +356,9 @@ class TestSweepWork:
         assert nodes <= node_share * full_seed_nodes
 
     def test_only_refinement_builds_nodes(self, capsys, monkeypatch):
-        # a seed pass, an eta = 1 table and the seed of a lone _integral read
-        # the angle basis of their panels from the ladder; only a refinement
-        # batch builds the nodes of its halves, once per batch
+        # a seed pass and an eta = 1 table read the angle basis of their
+        # panels from the ladder; only a refinement batch builds the nodes of
+        # its halves, once per batch
         quadrature._ladder()  # its one-time build computes nodes too
         within, log = ["sweep"], []
 
@@ -379,7 +379,7 @@ class TestSweepWork:
 
             return call
 
-        for name in ("_refine", "_seed_pass", "_integral"):
+        for name in ("_refine", "_seed_pass"):
             monkeypatch.setattr(quadrature, name, entered(name, getattr(quadrature, name)))
         fill = quadrature._Eta1Rungs.fill
         monkeypatch.setattr(quadrature._Eta1Rungs, "fill", entered("fill", fill))
@@ -394,7 +394,7 @@ class TestSweepWork:
         calls = {}
         for where, name in log:
             calls.setdefault(where, []).append(name)
-        assert set(calls) == {"_refine", "_seed_pass", "fill", "_integral"}
+        assert set(calls) == {"_refine", "_seed_pass", "fill"}
         refined = calls.pop("_refine")
         assert refined == ["_panel_nodes", "_kronrod_batch"] * (len(refined) // 2)
         assert all(set(names) == {"_kronrod_batch"} for names in calls.values())
@@ -430,8 +430,9 @@ class TestSweepWork:
     def test_sweep_energies_call_no_integral(self, capsys, monkeypatch):
         # each root's energy takes the moments of its solve, and the singular
         # energies take the rho_bar entropy from its closed form.  The kernel
-        # is forbidden inside the supported energy only: the solve's own
-        # rounds send a lone zeta to _integral.
+        # is forbidden inside the supported energy, and its one-mesh face
+        # _integral throughout: the solve's rounds, a lone zeta included,
+        # call _integrals.
         def forbidden(*args):
             raise AssertionError("a sweep energy computed an integral")
 
@@ -439,10 +440,11 @@ class TestSweepWork:
 
         def energy_without_integral(*args):
             with pytest.MonkeyPatch.context() as inside:
-                inside.setattr(quadrature, "_integral", forbidden)
+                inside.setattr(quadrature, "_integrals", forbidden)
                 return original(*args)
 
         monkeypatch.setattr(en, "energy_fully_supported", energy_without_integral)
+        monkeypatch.setattr(quadrature, "_integral", forbidden)
         code, _, err = run(
             capsys,
             "sweep", "--d", "5", "--m", "0.3",
@@ -541,28 +543,33 @@ class TestVerifyWork:
         # one run's solver rounds and batched checks, Gauss-Kronrod batches
         # and integrand nodes: 567, 1170 and 326,085 when each branch check
         # ran its own solves, 701 batches while each check integrated one
-        # mesh at a time, and 154 rounds and 260 batches while each reference
-        # pair ran its own lockstep solve (62 and 122 in one lockstep)
+        # mesh at a time, 154 rounds and 260 batches while each reference
+        # pair ran its own lockstep solve (62 and 122 in one lockstep), and
+        # 122 batches while each eta = 1 mesh took its own (67 and 111 now)
         rounds = record_calls(monkeypatch, quadrature, "_integrals")
         batches = record_calls(monkeypatch, quadrature, "_kronrod_batch")
         assert all(r.passed for r in verification.run_verification())
         assert len(rounds) <= 70
-        assert len(batches) <= 130
+        assert len(batches) <= 115
         assert sum(15 * (bounds.size - 1) for _, bounds in batches) <= 215_000
 
     def test_verify_integrates_its_grids_in_batches(self, monkeypatch):
-        # each check that integrates at eta > 1 sends all its meshes to one
-        # _integrals call; _integral is left the eta = 1 oracles, the two
-        # reads of branch_continuity, the one theta_integral read of
-        # theta_integral_eta_monotone and the lone zetas of the branch solves
-        # (324 calls when each mesh took its own)
+        # each check that integrates sends all its meshes, eta = 1 included,
+        # to one _integrals call; _integral is left the one theta_integral
+        # read of theta_integral_eta_monotone, itself a one-mesh _integrals
+        # call (324 _integral calls when each mesh took its own, 18 while
+        # the eta = 1 oracles, branch_continuity's reads and the lone zetas
+        # of the branch solves took it)
         batched = {
             "quadrature_self_consistency": [100],
-            "theta_integral_eta_monotone": [36],
+            "eta1_quadrature_vs_closed_form": [5],
+            "theta_integral_eta_monotone": [36, 1],
             "moment_bounded_by_mass": [25],
             "branch_monotone_direction": [100],
             "branch_limit_matches_kappa1": [5],
             "case_iii_com_decreasing": [15],
+            "kappa2_dual_oracle": [3],
+            "com_norm_closed_form": [5],
             "energy_two_route_agreement": [9],
             "energy_slope_identities": [10],
         }
@@ -584,7 +591,10 @@ class TestVerifyWork:
             )
         assert all(r.passed for r in verification.run_verification())
         assert {name: meshes[name] for name in batched} == batched
-        assert len(singles) <= 25
+        # branch_continuity's call comes after the lockstep rounds of the
+        # reference pairs, which its first read starts
+        assert meshes["branch_continuity"][-1] == 2
+        assert len(singles) == 1
 
 
 class TestDemoSweeps:
@@ -830,14 +840,13 @@ class TestVerify:
     def test_eta1_check_covers_the_entropy_member(self, monkeypatch):
         # kappa_c and the singular energies take I(1, q + 1, 0) from the
         # closed form, so verify must hold it against the quadrature too
-        original = quadrature._integral
+        original = quadrature._integrals
 
-        def skewed(zeta, q, d):
-            i0, i1, i_ent = original(zeta, q, d)
-            return i0, i1, i_ent * (1.0 + 1e-6)
+        def skewed(*args):
+            return [(i0, i1, i_ent * (1.0 + 1e-6)) for i0, i1, i_ent in original(*args)]
 
         assert verification.check_eta1_quadrature_vs_closed_form(1e-8).passed
-        monkeypatch.setattr(quadrature, "_integral", skewed)
+        monkeypatch.setattr(quadrature, "_integrals", skewed)
         assert not verification.check_eta1_quadrature_vs_closed_form(1e-8).passed
 
     @pytest.mark.parametrize("member", [0, 1], ids=["mass", "moment"])

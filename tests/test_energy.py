@@ -82,7 +82,7 @@ class TestFullySupportedEnergy:
         state = eq.fully_supported_state(11.0, 3, 0.25)
         direct = en.energy_fully_supported(state, 3, 0.25)
         identity = 0.5 * state.kappa - verification._branch_energy_gain(
-            verification._moments(state.eta, 3, 0.25), 3, 0.25
+            verification._branch_moments([(state.eta, 3, 0.25)])[0], 3, 0.25
         )
         assert direct == pytest.approx(identity, abs=1e-8)
 
@@ -93,7 +93,9 @@ class TestFullySupportedEnergy:
             lambda t: eq.fully_supported_density(state, t, d, m) ** m, d, nodes=500
         )
         direct_gain = 0.5 * state.kappa * state.s**2 - entropy / (m - 1.0)
-        gain = verification._branch_energy_gain(verification._moments(state.eta, d, m), d, m)
+        gain = verification._branch_energy_gain(
+            verification._branch_moments([(state.eta, d, m)])[0], d, m
+        )
         assert gain == pytest.approx(direct_gain, abs=1e-8)
 
     def test_branch_birth_energy(self):

@@ -57,9 +57,21 @@ def test_uniform_state():
     assert rows[0] == pytest.approx(("uniform", None, None, 0.0, energy), rel=1e-14)
 
 
+def moments(eta, d, m):
+    """The integrals (i0, i1, i_ent) of the supported branch at eta, by verify's quadrature."""
+    (found,) = verification._branch_moments([(eta, d, m)])
+    return found
+
+
 def inverse_kappa(eta, d, m):
     """1/kappa of the supported branch at eta, from moments integrated on their own mesh."""
-    return verification._inverse_kappa(eta, d, m, verification._moments(eta, d, m))
+    return verification._inverse_kappa(eta, d, m, moments(eta, d, m))
+
+
+def com_norm(eta, d, m):
+    """Centre-of-mass norm of the supported density at eta, by verify's quadrature."""
+    i0, i1, _ = moments(eta, d, m)
+    return i1 / i0
 
 
 class TestInverseKappa:
@@ -86,11 +98,11 @@ class TestInverseKappa:
 
 class TestComNorm:
     def test_uniform_limit_vanishes(self):
-        assert abs(verification._com_norm(1e8, 3, 0.25)) <= 1e-6
+        assert abs(com_norm(1e8, 3, 0.25)) <= 1e-6
 
     def test_matches_s_bar_at_one(self):
-        assert verification._com_norm(1.0, 3, 0.25) == pytest.approx(0.8, rel=1e-10)
-        assert verification._com_norm(1.0, 5, 0.3) == pytest.approx(0.4, rel=1e-10)
+        assert com_norm(1.0, 3, 0.25) == pytest.approx(0.8, rel=1e-10)
+        assert com_norm(1.0, 5, 0.3) == pytest.approx(0.4, rel=1e-10)
 
 
 class TestSolveEta:
@@ -291,7 +303,7 @@ class TestSBar:
         assert eq.s_bar(5, 0.3) == pytest.approx(0.4, rel=1e-14)
 
     def test_quadrature_cross_check(self):
-        assert eq.s_bar(4, 0.2) == pytest.approx(verification._com_norm(1.0, 4, 0.2), abs=1e-8)
+        assert eq.s_bar(4, 0.2) == pytest.approx(com_norm(1.0, 4, 0.2), abs=1e-8)
 
     def test_rejects_case_i(self):
         with pytest.raises(NotIntegrableError):

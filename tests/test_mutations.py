@@ -13,7 +13,8 @@ import dataclasses
 
 import pytest
 
-from fastsphere import energy, equilibria, verification
+from fastsphere import energy, equilibria, quadrature, verification
+from fastsphere.errors import FastSphereError
 
 SKEW = 1.0 + 1e-6
 
@@ -30,9 +31,40 @@ def skewed_critical_set(field):
     return critical_set
 
 
-def skewed_s_bar():
-    original = equilibria.s_bar
-    return lambda d, m: original(d, m) * SKEW
+def skewed_value(home, name):
+    """home.<name> with its value times SKEW."""
+    original = getattr(home, name)
+    return lambda *args: original(*args) * SKEW
+
+
+def skewed_states(field):
+    """equilibria._fully_supported_states with one field of every supported state times SKEW."""
+    original = equilibria._fully_supported_states
+
+    def skew(state):
+        if isinstance(state, FastSphereError):
+            return state
+        return dataclasses.replace(state, **{field: getattr(state, field) * SKEW})
+
+    return lambda requests: [list(map(skew, entries)) for entries in original(requests)]
+
+
+def skewed_alpha_roots():
+    """equilibria._alpha_roots with every root times SKEW."""
+    original = equilibria._alpha_roots
+    return lambda kappa, c: [alpha * SKEW for alpha in original(kappa, c)]
+
+
+def skewed_moments(members):
+    """quadrature._integrals with the given members of each (i0, i1, i_ent) times SKEW."""
+    original = quadrature._integrals
+
+    def skew(entry):
+        if isinstance(entry, FastSphereError):
+            return entry
+        return tuple(x * SKEW if k in members else x for k, x in enumerate(entry))
+
+    return lambda *args: list(map(skew, original(*args)))
 
 
 # row: (module, name, the skewed function, the checks that fail)
@@ -57,8 +89,68 @@ ROWS = {
     "s_bar": (
         equilibria,
         "s_bar",
-        skewed_s_bar,
+        lambda: skewed_value(equilibria, "s_bar"),
         {"com_norm_closed_form", "energy_two_route_agreement"},
+    ),
+    "supported-s": (
+        equilibria,
+        "_fully_supported_states",
+        lambda: skewed_states("s"),
+        {
+            "branch_continuity",
+            "energy_comparison_steps",
+            "energy_slope_identities",
+            "energy_two_route_agreement",
+            "minimizer_consistency",
+        },
+    ),
+    "supported-eta": (
+        equilibria,
+        "_fully_supported_states",
+        lambda: skewed_states("eta"),
+        {"branch_continuity", "energy_two_route_agreement"},
+    ),
+    # a gap: item 19(b) (the multiplier's unit-mass route) closes it
+    "supported-lambda_": (
+        equilibria, "_fully_supported_states", lambda: skewed_states("lambda_"), set()
+    ),
+    "alpha_roots": (
+        equilibria,
+        "_alpha_roots",
+        skewed_alpha_roots,
+        {"energy_two_route_agreement", "singular_multiplier_relation"},
+    ),
+    "energy_uniform": (
+        energy,
+        "energy_uniform",
+        lambda: skewed_value(energy, "energy_uniform"),
+        {"reference_energies"},
+    ),
+    "energy_singular": (
+        energy,
+        "energy_singular",
+        lambda: skewed_value(energy, "energy_singular"),
+        {"energy_two_route_agreement"},
+    ),
+    "energy_fully_supported": (
+        energy,
+        "energy_fully_supported",
+        lambda: skewed_value(energy, "energy_fully_supported"),
+        {"energy_two_route_agreement"},
+    ),
+    # every integral of the package, the eta = 1 oracles and theta_integral's
+    # included, goes through _integrals; the ratio i1 / i0 stays as it was
+    "moments": (
+        quadrature,
+        "_integrals",
+        lambda: skewed_moments({0, 1, 2}),
+        {"branch_continuity", "eta1_quadrature_vs_closed_form", "kappa2_dual_oracle"},
+    ),
+    "moments-i_ent": (
+        quadrature,
+        "_integrals",
+        lambda: skewed_moments({2}),
+        {"eta1_quadrature_vs_closed_form"},
     ),
 }
 

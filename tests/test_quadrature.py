@@ -117,9 +117,18 @@ def batched_and_scalar(q, d, zetas, tables):
 
 
 def eta1_integral_is_its_seed_mesh(q, d):
-    """_integral at eta = 1, which the batched route never takes, equals its seed mesh alone."""
+    """_integral at eta = 1 equals its seed mesh alone."""
     reference = outcome(lambda: seed_reference(0.0, q, d)[3])
     assert outcome(lambda: quadrature._integral(0.0, q, d)) == reference
+
+
+def seed_outcome(zeta, q, d):
+    """seed_reference's outcome, a ToleranceNotMetError where the integrand leaves double range."""
+    try:
+        with np.errstate(over="raise"):
+            return outcome(lambda: seed_reference(zeta, q, d)[3])
+    except FloatingPointError:
+        return ToleranceNotMetError
 
 
 def self_consistency_meshes(monkeypatch):
@@ -160,19 +169,44 @@ def spiked_among_others(monkeypatch):
     return [1e-300, 0.5, 2.0, 1e-300], [-200.0, -1.0, 0.5, -200.0], [3, 3, 1, 3]
 
 
+def eta1_among_others(monkeypatch):
+    """eta = 1 meshes between deep and shallow ones, and a mesh at eta = 1 that diverges.
+
+    At q < 0 a closed-form tail takes the bottom panel's place, at q >= 0
+    (d = 1 among them) the bottom panel stays; the last mesh has 2q + d <= 0.
+    """
+    specs = [(-4.0 / 3.0, 3), (0.5, 1), (1.0 / (0.3 - 1.0), 5), (0.0, 3), (-0.4, 1), (2.0, 2)]
+    meshes = [(z, q, d) for z in (0.0, 1e-150, 0.0, 3.3e-4, 0.0, 2.0) for q, d in specs]
+    zetas, qs, ds = zip(*meshes, (0.0, -2.0, 2))
+    return list(zetas), list(qs), list(ds)
+
+
+def eta1_overflowing(monkeypatch):
+    """Two meshes whose eta = 1 table fill leaves double range (q = -2, d = 2 at zeta = 1e-250)."""
+    return [1e-250, 1e-250], [-2.0, -2.0], [2, 2]
+
+
 # the meshes of a batch of many (q, d), the panel budget it runs with (None:
-# the module's), the fewest seed passes it needs, whether some fail, and the
-# fewest (q, d) whose eta = 1 tables the call fills (None: it is given none)
+# the module's), the fewest seed passes it needs, the errors some end in,
+# and the fewest (q, d) whose eta = 1 tables the call fills (None: it is
+# given none)
 MIXED = {
-    "verify": (self_consistency_meshes, None, 1, False, None),
-    "spread": (spread_meshes, None, 2, False, None),
+    "verify": (self_consistency_meshes, None, 1, set(), None),
+    "spread": (spread_meshes, None, 2, set(), None),
     # the deep seeds fail, each on its own, the shallow ones pass
-    "spread-failing": (spread_meshes, 12, 2, True, None),
+    "spread-failing": (spread_meshes, 12, 2, {ToleranceNotMetError}, None),
     # an overflow stops the batch, and each mesh then ends as on its own
-    "spiked": (spiked_meshes, None, 1, True, None),
-    "spiked-among-others": (spiked_among_others, None, 1, True, None),
+    "spiked": (spiked_meshes, None, 1, {ToleranceNotMetError}, None),
+    "spiked-among-others": (spiked_among_others, None, 1, {ToleranceNotMetError}, None),
     # every (q, d) takes free panels from its own table, in one call
-    "eta1-tables": (deep_meshes, None, 1, False, 5),
+    "eta1-tables": (deep_meshes, None, 1, set(), 5),
+    # eta = 1 in the batch: each mesh ends as on its own, with and without
+    # the tables, from which an eta = 1 mesh takes all its dyadic panels
+    "eta1": (eta1_among_others, None, 1, {NotIntegrableError}, None),
+    "eta1-with-tables": (eta1_among_others, None, 1, {NotIntegrableError}, 5),
+    # the fill of the eta = 1 table overflows: it runs under the batch's
+    # guard, fills nothing, and each mesh ends in the double range error
+    "eta1-table-overflow": (eta1_overflowing, None, 1, {ToleranceNotMetError}, 0),
 }
 
 
@@ -184,7 +218,7 @@ MIXED = {
 def test_batched_integrals_equal_the_scalar_kernel(monkeypatch, d, m):
     if d == "mixed":
         # every mesh with its own (q, d); each outcome, value or error
-        # message, is _integral's
+        # message, is that of its one-mesh call, and of its seed mesh alone
         meshes, max_panels, fewest_passes, fails, filled = MIXED[m]
         zetas, qs, ds = meshes(monkeypatch)
         if max_panels:
@@ -194,13 +228,18 @@ def test_batched_integrals_equal_the_scalar_kernel(monkeypatch, d, m):
         batched, scalar = batched_and_scalar(qs, ds, zetas, tables)
         assert batched == scalar and len(passes) >= fewest_passes
         failed = {r[0] for r in batched if isinstance(r[0], type)}
-        assert failed == ({ToleranceNotMetError} if fails else set())
-        if filled is not None:
+        assert failed == fails
+        assert [r[0] if isinstance(r[0], type) else r for r in batched] == [
+            seed_outcome(*mesh) for mesh in zip(zetas, qs, ds)
+        ]
+        if filled:
             depth = quadrature._ladder().depth
             assert set(tables) <= set(zip(qs, ds))
             assert sum(rungs.top < depth for rungs in tables.values()) >= filled
             # the free panels of a pass come from the tables of several (q, d)
             assert any(np.unique(args[6][args[4] > 0]).size > 1 for args in passes)
+        elif filled == 0:
+            assert all(rungs.top == quadrature._ladder().depth for rungs in tables.values())
         return
     # many seed meshes per batch, several batches, a repeated zeta
     q = 1.0 / (m - 1.0)
@@ -224,21 +263,28 @@ def test_batched_integrals_fail_item_by_item(monkeypatch):
     eta1_integral_is_its_seed_mesh(q, d)
 
 
-def test_one_zeta_takes_the_single_mesh_kernel(monkeypatch):
-    # one mesh needs none of _seed_pass's layout; several zetas never call _integral
+def test_one_zeta_takes_a_seed_pass_and_the_shared_tables(monkeypatch):
+    # a lone zeta is laid by _seed_pass like many, and a deep one takes its
+    # free panels from the eta = 1 table of a dict its caller shares
     q, d = 1.0 / (0.25 - 1.0), 3
-    integral = quadrature._integral
-    calls = record_calls(monkeypatch, quadrature, "_integral")
+    depth = quadrature._ladder().depth
     passes = record_calls(monkeypatch, quadrature, "_seed_pass")
     rungs = {}
-    assert quadrature._integrals([3.3e-4], q, d, rungs) == [integral(3.3e-4, q, d)]
-    assert calls == [(3.3e-4, q, d)] and passes == []
-    quadrature._integrals([1e-3, 3.3e-4, 2.0], q, d, rungs)
-    assert len(calls) == 1 and len(passes) == 1
+    (deep,) = quadrature._integrals([1e-120], q, d, rungs)
+    ((_, _, _, levels, free, eta1, _),) = passes
+    assert 0 < free[0] <= levels[0] and eta1 == [rungs[q, d].table]
+    top = rungs[q, d].top
+    assert top == depth - free[0]
+    assert deep == quadrature._integral(1e-120, q, d) == seed_reference(1e-120, q, d)[3]
+    # the next call finds the table filled down to its free panels
+    filled = rungs[q, d].table[:, top:].copy()
+    assert quadrature._integrals([1e-120], q, d, rungs) == [deep]
+    assert len(passes) == 3 and passes[2][4][0] == free[0]
+    assert rungs[q, d].top == top and np.array_equal(rungs[q, d].table[:, top:], filled)
     monkeypatch.setattr(quadrature, "_MAX_PANELS", 2)
     (failed,) = quadrature._integrals([1e-30], q, d, rungs)
     assert type(failed) is ToleranceNotMetError and failed.__traceback__ is None
-    assert len(calls) == 2 and len(passes) == 1
+    assert len(passes) == 4
 
 
 def seed_reference(zeta, q, d):
@@ -292,8 +338,8 @@ LADDER_CASES = [
     # the spike stays inside double range), next to the shallowest
     (3, 0.34, [5e-324, 1e9, 1e-300]),
     (1, 0.3, [1e-200, 3.3e-4, 0.7, 1e6]),  # d = 1: no sin weight
-    # eta = 1 (on the ladder in _integral only) next to the deep seeds its
-    # cutoff stops; 2q + d from 2.1 down to 3e-4
+    # eta = 1 next to the deep seeds its cutoff stops; 2q + d from 2.1
+    # down to 3e-4
     (5, 0.3, [1e-40, 11.9, 0.0, 0.0]),
     (3, 0.25, [1e-120, 0.0]),
     (4, 0.4999, [2e-6, 0.0, 0.0, 0.0]),
@@ -302,6 +348,10 @@ LADDER_CASES = [
     # q = -10 with a steep integrand above a cutoff of 4 levels
     (1, 0.3, [1e-150, 1e-40, 2e-17, 1e-12]),
     (40, 0.9, [1e-200, 1e-35, 1e-18, 1e-8, 0.5]),
+    # 2q + d = 1e-3 at d = 1105: the integrand leaves double range at the
+    # nodes of the bottom panel, which an eta = 1 seed lays and drops, but
+    # not at those of its lowest dyadic panel, whose basis they read
+    (1105, 1.0 - 2.0 / 1104.999, [0.0]),
 ]
 
 
@@ -325,35 +375,40 @@ def seed_passes_match_the_seed_meshes(monkeypatch, q, d, zetas):
     all_free = []
     for args in passes:
         laid = record_calls(monkeypatch, quadrature, "_kronrod_batch")
-        table, begin = quadrature._seed_pass(*args)
+        table, begin, tail, tail_err = quadrature._seed_pass(*args)
         monkeypatch.undo()
         ((_, edges),) = laid
         zeta, _, _, levels, free, _, _ = args
         computed = levels + 1 - free
         assert edges.size == computed.sum() + 1  # no panel between the meshes
         first = np.cumsum(computed) - computed
-        assert begin == (np.cumsum(levels + 1) - levels - 1).tolist()
-        assert table.shape == (8, (levels + 1).sum())
+        # at eta = 1 with q < 0 the bottom panel is laid, and then dropped
+        sizes = levels + 1 - ((zeta == 0.0) & (q < 0.0))
+        assert begin == (np.cumsum(sizes) - sizes).tolist()
+        assert table.shape == (8, sizes.sum())
         for k, z in enumerate(zeta.tolist()):
             ref_edges, ref_values, ref_errors, _ = seed_reference(z, q, d)
             mesh = edges[first[k] : first[k] + computed[k] + 1]
-            assert np.array_equal(np.sort(mesh), ref_edges[: computed[k] + 1])
+            full = np.concatenate(([0.0], ref_edges[ref_edges > 0.0]))
+            assert np.array_equal(np.sort(mesh), full[: computed[k] + 1])
             ref_table = np.concatenate((ref_values, ref_errors, [ref_edges[:-1]], [ref_edges[1:]]))
-            assert np.array_equal(table[:, begin[k] : begin[k] + levels[k] + 1], ref_table)
+            assert np.array_equal(table[:, begin[k] : begin[k] + sizes[k]], ref_table)
+            if sizes[k] == levels[k]:
+                ref_tail = quadrature._eta1_tail(q, d, float(ref_edges[0]))
+                assert np.array_equal(np.stack((tail[:, k], tail_err[:, k])), ref_tail)
+            else:
+                assert not tail[:, k].any() and not tail_err[:, k].any()
         all_free += free.tolist()
     return all_free
 
 
 @pytest.mark.parametrize("d, m, zetas", LADDER_CASES)
 def test_ladder_seed_pass_matches_the_seed_mesh(monkeypatch, d, m, zetas):
-    # _integral is its seed mesh at every zeta; the batched route takes
-    # zeta > 0 only, and a lone zeta is laid twice so that a pass runs
+    # _integral is its seed mesh at every zeta, eta = 1 included, and so is
+    # each mesh of a seed pass; a lone zeta is laid twice so that a pair is
     q = 1.0 / (m - 1.0)
     for z in zetas:
         assert outcome(lambda: quadrature._integral(z, q, d)) == seed_reference(z, q, d)[3]
-    zetas = [z for z in zetas if z > 0.0]
-    if not zetas:
-        return
     laid = zetas if len(zetas) > 1 else zetas * 2
     free = seed_passes_match_the_seed_meshes(monkeypatch, q, d, laid)
     # the top panel is free below 2^-55 (its nodes have 1 - cos t > 1/4),
