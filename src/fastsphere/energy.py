@@ -15,8 +15,10 @@ times a rational factor, with a multiplier identity as their second route.
 equilibria_at enumerates, for a list of strengths, every equilibrium that
 exists at each with its energy: the uniform state always, the supported
 branch wherever equilibria's window admits it (closed at kappa2), and the
-measure-valued pair wherever alpha_roots finds it.  classify_minimizer
-(one kappa) and the sweep command (a grid) both read their rows from it.
+measure-valued pair wherever alpha_roots finds it.  An entry is built
+from the supported state solved at its kappa (_rows_at), so the sweep
+command (a grid), classify_minimizer (one kappa) and verify's minimizer
+check (the states of its own solve) read the same rows.
 
 The minimizer map follows the energy comparisons: the uniform state below
 kappa1, the supported branch up to the handoff at kappa2 where one exists,
@@ -234,28 +236,18 @@ def equilibria_at(kappas, d, m: float) -> list:
     the uniform row first; alpha is set on the measure-valued rows only and
     eta on the supported row only.  Where a kappa fails, its entry is the
     FastSphereError raised there, without its traceback.  The supported
-    branch is taken from equilibria.fully_supported_states, whose window
-    check alone decides where it exists; the measure-valued rows from
+    branch is taken from one lockstep solve over kappas
+    (equilibria._fully_supported_states), whose window check alone decides
+    where it exists; the measure-valued rows from
     equilibria._measure_valued_alphas, where the tangent double root at
     kappa3 gives the upper row only.  One pass of the kappa-free constants
     (equilibria._constants) is formed per call and serves the branch window,
     the roots and the energies: s_bar, kappa2, alpha_bar and the entropy of
     rho_bar are the same at every kappa.
     """
-    return _equilibria_at([(equilibria._constants(d, m), kappas)])[0]
-
-
-def _equilibria_at(requests) -> list:
-    """equilibria_at for each (c, kappas) of requests, c a pass of (d, m): one list per request.
-
-    The supported branches of every request are solved in one lockstep
-    (equilibria._fully_supported_states), and each entry is the one
-    equilibria_at gives at its kappa alone.
-    """
-    found = []
-    for (c, kappas), states in zip(requests, equilibria._fully_supported_states(requests)):
-        found.append([_rows_at(kappa, state, c) for kappa, state in zip(kappas, states)])
-    return found
+    c = equilibria._constants(d, m)
+    (states,) = equilibria._fully_supported_states([(c, kappas)])
+    return [_rows_at(kappa, state, c) for kappa, state in zip(kappas, states)]
 
 
 def _rows_at(kappa, state, c: equilibria._Constants):
@@ -287,7 +279,8 @@ def classify_minimizer(kappa: float, d, m: float) -> EnergyReport:
     """
     c = equilibria._constants(d, m)
     kappa = check_kappa(kappa)
-    return _energy_report(kappa, _equilibria_at([(c, [kappa])])[0][0], c.kappa1)
+    ((state,),) = equilibria._fully_supported_states([(c, [kappa])])
+    return _energy_report(kappa, _rows_at(kappa, state, c), c.kappa1)
 
 
 def _energy_report(kappa: float, found, k1: float) -> EnergyReport:

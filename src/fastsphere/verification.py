@@ -12,15 +12,18 @@ Five checks read the supported branch of the reference pairs:
 branch_continuity, energy_two_route_agreement, energy_slope_identities,
 energy_comparison_steps and minimizer_consistency.  Their kappas are
 collected into one grid per pair (_pair_grid), and within one
-run_verification the three pairs are enumerated together, by one
-energy._equilibria_at call (one lockstep branch solve) over their whole
-grids, on the first read of any pair; every check takes its kappas'
-entries from it, and the enumeration is dropped when the run ends.  A
-check called on its own enumerates its own kappas.  Sharing changes no
+run_verification the three pairs' supported states are solved together,
+by one equilibria._fully_supported_states call (one lockstep) over their
+whole grids, on the first read of any pair (_states); every check takes
+its kappas' states from it, and they are dropped when the run ends.  A
+check called on its own solves its own kappas.  Sharing changes no
 number: a lockstep branch solve does not depend on the other solves of
-its call, so each check still reads the states it would solve alone.  In
-a run, a kappa whose entry is an error fails every check that reads it,
-and an enumeration that raises fails each check that asks for it.
+its call, so each check still reads the states it would solve alone.
+Each read takes its states' energies from energy.energy_fully_supported,
+whose two routes must agree; only minimizer_consistency builds equilibria
+rows (energy._rows_at), measure-valued roots included, at its own kappas.
+In a run, a kappa whose state is an error fails every check that reads
+it, and a solve that raises fails each check that asks for it.
 
 Every check that integrates sends all its meshes, each with its own
 (eta, q, d), to one quadrature._integrals batch (_integrals,
@@ -56,7 +59,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 from . import energy, equilibria, model
-from .errors import FastSphereError, OutOfWindowError
+from .errors import FastSphereError
 
 REFERENCE_PAIRS = ((2, 0.5), (3, 0.25), (5, 0.3))
 MONOTONE_PAIRS = ((2, 0.5), (3, 0.25), (3, 0.9), (5, 0.3), (5, 0.65))
@@ -81,8 +84,8 @@ _SLOPE_PAIR, _SLOPE_GRID = (2, 0.5), (6.0, 7.0, 8.0, 10.0, 12.0)
 _SLOPE_KAPPAS = tuple(k + side * 1e-5 * k for k in _SLOPE_GRID for side in (-1.0, 1.0, 0.0))
 _MINIMIZER_SPANS = {(2, 0.5): (4.0, 12.0), (3, 0.25): (8.0, 16.0), (5, 0.3): (15.0, 21.0)}
 
-# Each reference pair's equilibria_at entries over its _pair_grid, by kappa,
-# during one run_verification; None outside a run.
+# Each reference pair's fully_supported_states entries over its _pair_grid,
+# by kappa, during one run_verification; None outside a run.
 _run_entries: ContextVar[dict | None] = ContextVar("_run_entries", default=None)
 
 
@@ -240,29 +243,26 @@ def _pair_grid(d: int, m: float) -> list[float]:
     return sorted(kappas)
 
 
-def _equilibria(d: int, m: float, kappas) -> list:
-    """energy.equilibria_at(kappas, d, m), from the run's one enumeration of every pair."""
+def _states(d: int, m: float, kappas) -> list:
+    """equilibria.fully_supported_states(kappas, d, m); in a run, from its one lockstep."""
     entries = _run_entries.get()
     if entries is None:
-        return energy.equilibria_at(kappas, d, m)
+        return equilibria.fully_supported_states(kappas, d, m)
     if not entries:
         grids = {pair: _pair_grid(*pair) for pair in REFERENCE_PAIRS}
         requests = [(equilibria._constants(*pair), grid) for pair, grid in grids.items()]
-        for pair, found in zip(grids, energy._equilibria_at(requests)):
-            entries[pair] = dict(zip(grids[pair], found))
+        for (pair, grid), found in zip(grids.items(), equilibria._fully_supported_states(requests)):
+            entries[pair] = dict(zip(grid, found))
     return [entries[d, m][kappa] for kappa in kappas]
 
 
 def _supported(d: int, m: float, kappas) -> list[tuple[float, float, float]]:
-    """(eta, s, energy) of the supported branch at each of kappas; raises where it has none."""
+    """(eta, s, energy) of the supported branch at each of kappas; raises an entry's error."""
     found = []
-    for kappa, entry in zip(kappas, _equilibria(d, m, kappas)):
-        if isinstance(entry, FastSphereError):
-            raise entry
-        rows = [row[2:] for row in entry if row[0] == energy.FULLY_SUPPORTED]
-        if not rows:
-            raise OutOfWindowError(f"no supported branch at kappa={kappa!r} for d={d}, m={m!r}")
-        found.append(rows[0])
+    for state in _states(d, m, kappas):
+        if isinstance(state, FastSphereError):
+            raise state
+        found.append((state.eta, state.s, energy.energy_fully_supported(state, d, m)))
     return found
 
 
@@ -576,10 +576,10 @@ def check_minimizer_consistency(tol: float) -> CheckResult:
     mismatches = 0
     total = 0
     for d, m in _MINIMIZER_SPANS:
-        crit = energy.critical_set(d, m)
+        crit, c = energy.critical_set(d, m), equilibria._constants(d, m)
         grid = _minimizer_kappas(d, m)
-        for kappa, found in zip(grid, _equilibria(d, m, grid)):
-            report = energy._energy_report(kappa, found, crit.kappa1)
+        for kappa, state in zip(grid, _states(d, m, grid)):
+            report = energy._energy_report(kappa, energy._rows_at(kappa, state, c), crit.kappa1)
             if crit.kappa_c is not None:
                 expected = energy.UNIFORM if kappa < crit.kappa_c else energy.SINGULAR_UPPER
             elif crit.kappa2 is not None:
@@ -629,7 +629,7 @@ def run_verification() -> list[CheckResult]:
 
     Each check_* is looked up as a module global when it runs, so a
     wrapped or swapped-in check is the one that runs.  The branch checks
-    share one enumeration per reference pair (_equilibria), kept for
+    share one lockstep solve of the reference pairs (_states), kept for
     this run only, so every run starts cold.
     """
     results = []

@@ -454,6 +454,15 @@ class TestSweepWork:
 
 
 class TestVerifyWork:
+    # the checks that read the supported branch of the reference pairs
+    BRANCH_CHECKS = (
+        "branch_continuity",
+        "energy_two_route_agreement",
+        "energy_slope_identities",
+        "energy_comparison_steps",
+        "minimizer_consistency",
+    )
+
     def test_verify_never_solves_one_kappa_at_a_time(self, monkeypatch):
         calls = record_calls(monkeypatch, eq, "fully_supported_state")
         assert all(r.passed for r in verification.run_verification())
@@ -470,16 +479,51 @@ class TestVerifyWork:
     )
     def test_one_branch_solve_per_pair(self, monkeypatch, check, tol, pairs):
         # the default thresholds of run_verification; a check called on its
-        # own enumerates each pair it reads once, over its own kappas
-        calls = record_calls(monkeypatch, en, "equilibria_at")
+        # own solves the supported branch of each pair it reads once, over
+        # its own kappas
+        calls = record_calls(monkeypatch, eq, "fully_supported_states")
         assert getattr(verification, check)(tol).passed
         assert [(d, m) for _, d, m in calls] == list(pairs)
 
     def test_minimizer_check_enumerates_each_grid_once(self, monkeypatch):
-        at = record_calls(monkeypatch, en, "equilibria_at")
+        # one solve over each pair's grid, and its rows built from those
+        # states, not one classify_minimizer per kappa
+        solves = record_calls(monkeypatch, eq, "fully_supported_states")
         classified = record_calls(monkeypatch, en, "classify_minimizer")
         assert verification.check_minimizer_consistency(0.0).passed
-        assert (len(at), len(classified)) == (3, 0)
+        assert [(d, m, list(kappas)) for kappas, d, m in solves] == [
+            (d, m, verification._minimizer_kappas(d, m)) for d, m in verification._MINIMIZER_SPANS
+        ]
+        assert classified == []
+
+    def test_branch_checks_solve_measure_valued_roots_at_minimizer_kappas_only(
+        self, monkeypatch
+    ):
+        # the branch checks read supported states; only minimizer_consistency
+        # builds equilibria rows, with their measure-valued roots, at its own
+        # grid kappas of the case_ii and case_iii pairs (18 calls; 31 when
+        # every kappa of those pairs' whole grids got its rows)
+        roots = record_calls(monkeypatch, eq, "_measure_valued_alphas")
+        read = []  # (d, m, kappa) of each call within a branch check
+
+        def counted(check, tol):
+            first = len(roots)
+            try:
+                return check(tol)
+            finally:
+                read.extend((c.d, c.m, kappa) for kappa, c in roots[first:])
+
+        for name in self.BRANCH_CHECKS:
+            check = getattr(verification, "check_" + name)
+            monkeypatch.setattr(verification, "check_" + name, functools.partial(counted, check))
+        assert all(r.passed for r in verification.run_verification())
+        assert read == [
+            (d, m, kappa)
+            for d, m in verification._MINIMIZER_SPANS
+            if model.classify_regime(d, m).tag is not model.RegimeCase.CASE_I
+            for kappa in verification._minimizer_kappas(d, m)
+        ]
+        assert len(read) == 18
 
     def test_one_enumeration_per_pair_per_run(self, monkeypatch):
         # the branch checks of a run share one lockstep solve, over every
@@ -501,20 +545,13 @@ class TestVerifyWork:
         assert verification._run_entries.get() is None
 
     def test_sharing_couples_no_verdict(self, monkeypatch):
-        checks = (
-            "branch_continuity",
-            "energy_two_route_agreement",
-            "energy_slope_identities",
-            "energy_comparison_steps",
-            "minimizer_consistency",
-        )
         ran = {r.name: r for r in verification.run_verification()}
-        at = record_calls(monkeypatch, en, "equilibria_at")
-        for name in checks:
+        at = record_calls(monkeypatch, eq, "fully_supported_states")
+        for name in self.BRANCH_CHECKS:
             alone = getattr(verification, "check_" + name)(verification.THRESHOLDS[name])
             assert alone == ran[name]
         own = [(d, m, list(kappas)) for kappas, d, m in at]
-        # in reverse order, the last branch check enumerates each pair
+        # in reverse order, the last branch check solves each pair
         monkeypatch.setattr(
             verification, "THRESHOLDS", dict(reversed(verification.THRESHOLDS.items()))
         )

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from conftest import record_calls
-from fastsphere import cli, equilibria, model
+from fastsphere import cli, equilibria, model, verification
 from fastsphere import quadrature  # noqa: F401  loaded as perfbench/run.py loads it, for traced()
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -31,6 +31,16 @@ def test_every_trace_boundary_exists(monkeypatch):
         if not callable(getattr(importlib.import_module(f"fastsphere.{module}"), name, None))
     ]
     assert missing == []
+
+
+def test_every_traced_verify_check_is_a_check_in_report_order(monkeypatch):
+    # perfbench traces verification.check_<name> and reports a time per name
+    # of VERIFY_CHECKS; a check replaced under another name must fail here,
+    # not read 0
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    traced = importlib.import_module("workloads").VERIFY_CHECKS
+    assert [name for name in verification.THRESHOLDS if name in traced] == list(traced)
 
 
 def test_traced_verify_passes_with_no_cache_hit(monkeypatch):
