@@ -70,16 +70,8 @@ def _write_table(header: tuple, rows, fmt: str, out: str | None) -> None:
 
 def cmd_critical(args) -> int:
     crit = energy.critical_set(args.d, args.m)
-    payload = {
-        "d": args.d,
-        "m": args.m,
-        "regime": crit.regime.value,
-        "kappa1": crit.kappa1,
-        "kappa2": crit.kappa2,
-        "kappa3": crit.kappa3,
-        "alpha_bar": crit.alpha_bar,
-        "kappa_c": crit.kappa_c,
-    }
+    # the keys after regime are CriticalSet's fields, in their declared order
+    payload = {"d": args.d, "m": args.m, "regime": crit.regime.value, **vars(crit)}
     _write(_json(payload) + "\n", args.out)
     return 0
 
@@ -87,9 +79,9 @@ def cmd_critical(args) -> int:
 def cmd_sweep(args) -> int:
     import numpy as np
 
-    if not (0.0 < args.kappa_min < args.kappa_max) or args.steps < 2:
+    if not (0.0 < args.kappa_min < args.kappa_max < math.inf) or args.steps < 2:
         raise FastSphereError(
-            "sweep needs 0 < --kappa-min < --kappa-max and --steps >= 2"
+            "sweep needs 0 < --kappa-min < --kappa-max < inf and --steps >= 2"
         )
     if args.log_grid:
         grid = np.geomspace(args.kappa_min, args.kappa_max, args.steps)

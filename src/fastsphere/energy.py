@@ -6,9 +6,10 @@ free energy of a state mu with regular density rho is
     E[mu] = (1/(m-1)) int rho^m dS  -  (kappa/2) |c_mu|^2  +  kappa/2,
 
 which makes the energy of a pure atom exactly zero, the natural reference.
-The supported branch's energy is evaluated by direct quadrature and
-cross-checked against a product identity; the measure-valued energies
-take the entropy of rho_bar from the pass of the (d, m) constants
+The supported branch's energy is E[mu] at its density's entropy integral,
+cross-checked against a product identity; both routes read the moments
+the state carries from its solve.  The measure-valued energies take the
+entropy of rho_bar from the pass of the (d, m) constants
 (equilibria._constants), where it is the Beta-function mass of rho_bar
 times a rational factor, with a multiplier identity as their second route.
 
@@ -102,7 +103,7 @@ def _branch_energy_gain_of(i0: float, i1: float, i_ent: float, dwd: float, m: fl
 
 
 def energy_fully_supported(state: FullySupportedState, d, m: float) -> float:
-    """Energy of a fully supported state, by direct quadrature.
+    """Energy of a fully supported state: E[mu] at its density's entropy integral.
 
     Also evaluated through kappa/2 - g1 g2; the two routes must agree to
     1e-8 relative or the internal state is inconsistent.  Both take the

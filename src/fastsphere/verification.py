@@ -4,9 +4,9 @@ The suite also holds the package's second routes, each beside the check
 that holds it against the library's one accessor: 1/kappa(eta) and the
 centre-of-mass norm at shape eta by quadrature (kappa2 is the inverse of
 the first at eta = 1), the supported branch's energy gain at moments
-integrated here, the multiplier of the measure-valued states, the energy
-of an atom spread towards the uniform state, and the Rayleigh quotient of
-the linear trial perturbation.
+integrated here, the multiplier of the measure-valued states, and kappa1
+from the Rayleigh quotient of the linear trial perturbation, where the
+second variation of the energy at the uniform state changes sign.
 
 Five checks read the supported branch of the reference pairs:
 branch_continuity, energy_two_route_agreement, energy_slope_identities,
@@ -42,10 +42,11 @@ values through theta_integral, a one-mesh call of the same kernel, which
 must be the batch's bit for bit: it pins the public front's mapping of
 its arguments onto the kernel's.
 
-Each check computes a worst-case measured error and compares it against
-its threshold in THRESHOLDS.  The thresholds are fixed, and nothing
-loosens them; the library runs at its one accuracy (integrals to
-DEFAULT_REL_TOL, root solves to DEFAULT_ROOT_TOL).
+Each check measures the worst of its errors (_worst) and passes when that
+is at most its threshold in THRESHOLDS; a NaN error is the worst, so it
+fails its check.  The thresholds are fixed, and nothing loosens them;
+the library runs at its one accuracy (integrals to DEFAULT_REL_TOL, root
+solves to DEFAULT_ROOT_TOL).
 Checks call into the library through module attributes on purpose: the
 suite must notice if an implementation is swapped out underneath it.
 The checks that build a numpy grid or call the quadrature kernel import
@@ -139,12 +140,17 @@ def _rel(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
 
+def _worst(*errors: float) -> float:
+    """The largest of errors, or NaN if any is NaN (max alone would drop a NaN after the first)."""
+    return math.nan if any(map(math.isnan, errors)) else max(errors)
+
+
 def _worst_nonmonotone(values, increasing: bool) -> float:
     worst = 0.0
     for prev, cur in zip(values, values[1:]):
         step = cur - prev if increasing else prev - cur
-        if step <= 0.0:
-            worst = max(worst, -step, 1e-300)
+        if not step > 0.0:
+            worst = _worst(worst, -step, 1e-300)
     return worst
 
 
@@ -187,16 +193,6 @@ def _branch_energy_gain(moments, d: int, m: float) -> float:
     """energy._branch_energy_gain_of at the moments of a shape, as _inverse_kappa takes them."""
     dwd = model.sphere_geometry(d).area_sdm1
     return energy._branch_energy_gain_of(*moments, dwd, m)
-
-
-def _delta_mixture_energy(t: float, kappa: float, d: int, m: float) -> float:
-    """Energy of (1 - t) delta + (t / |S^d|) dS; 0 at t = 0, the pure atom.
-
-    The one-sided derivative at t = 0+ is -infinity, which is what rules
-    out the pure atom as a minimizer.
-    """
-    area = model.sphere_geometry(d).area_sd
-    return t**m * area ** (1.0 - m) / (m - 1.0) - 0.5 * kappa * (1.0 - t) ** 2 + 0.5 * kappa
 
 
 def _trial_rayleigh(d: int) -> float:
@@ -273,7 +269,7 @@ def check_geometry_consistency(tol: float) -> CheckResult:
         # independent route to |S^{d-1}|: the surface-area formula one
         # dimension down (2 pi^{d/2} / Gamma(d/2), valid down to d = 1)
         direct = 2.0 * math.pi ** (0.5 * d) / math.gamma(0.5 * d)
-        worst = max(worst, _rel(geo.area_sdm1, direct))
+        worst = _worst(worst, _rel(geo.area_sdm1, direct))
     return _result("geometry_consistency", worst, tol)
 
 
@@ -324,7 +320,7 @@ def check_quadrature_self_consistency(tol: float) -> CheckResult:
     found = _integrals(meshes)
     worst = 0.0
     for (_, q, d), (_, moment, _), (mass, _, _) in zip(meshes[0::2], found[0::2], found[1::2]):
-        worst = max(worst, _rel(moment, -q / d * mass))
+        worst = _worst(worst, _rel(moment, -q / d * mass))
     return _result("quadrature_self_consistency", worst, tol)
 
 
@@ -338,7 +334,7 @@ def check_eta1_quadrature_vs_closed_form(tol: float) -> CheckResult:
         q = 1.0 / (m - 1.0)
         members = ((q, 0), (q, 1), (q + 1.0, 0))
         closed = [model.eta1_closed_form(qq, p, d) for qq, p in members]
-        worst = max(worst, *map(_rel, quad, closed))
+        worst = _worst(worst, *map(_rel, quad, closed))
     return _result("eta1_quadrature_vs_closed_form", worst, tol)
 
 
@@ -354,7 +350,7 @@ def check_theta_integral_eta_monotone(tol: float) -> CheckResult:
     worst = _rel(model.theta_integral(eta, q, 0, d), found[0][0])
     for row in range(0, len(found), len(etas)):
         vals = [mass for mass, _, _ in found[row : row + len(etas)]]
-        worst = max(worst, _worst_nonmonotone(vals, increasing=False))
+        worst = _worst(worst, _worst_nonmonotone(vals, increasing=False))
     return _result("theta_integral_eta_monotone", worst, tol)
 
 
@@ -371,7 +367,7 @@ def check_moment_bounded_by_mass(tol: float) -> CheckResult:
         meshes.append((eta, q, d))
     worst = 0.0
     for i0, i1, _ in _integrals(meshes):
-        worst = max(worst, max(abs(i1) / i0 - 1.0, 0.0))
+        worst = _worst(worst, abs(i1) / i0 - 1.0)
     return _result("moment_bounded_by_mass", worst, tol)
 
 
@@ -387,7 +383,7 @@ def check_branch_monotone_direction(tol: float) -> CheckResult:
     for row, (d, m) in zip(range(0, len(inverse), len(etas)), MONOTONE_PAIRS):
         increasing = m > 1.0 - 2.0 / (d - 1) if d >= 2 else True
         bad = _worst_nonmonotone(inverse[row : row + len(etas)], increasing)
-        worst = max(worst, bad)
+        worst = _worst(worst, bad)
         lines.append(
             f"(d={d}, m={m}): {'increasing' if increasing else 'decreasing'}, "
             f"worst violation {bad:.3e}"
@@ -400,7 +396,7 @@ def check_branch_limit_matches_kappa1(tol: float) -> CheckResult:
     worst = 0.0
     for (d, m), moments in zip(MONOTONE_PAIRS, found):
         prod = _inverse_kappa(1e6, d, m, moments) * energy.critical_set(d, m).kappa1
-        worst = max(worst, abs(prod - 1.0))
+        worst = _worst(worst, abs(prod - 1.0))
     return _result("branch_limit_matches_kappa1", worst, tol)
 
 
@@ -413,11 +409,11 @@ def check_branch_continuity(tol: float) -> CheckResult:
     worst = 0.0
     lines = []
     for (d, m), ((_, s_birth, _), *_) in states.items():
-        worst = max(worst, s_birth)
+        worst = _worst(worst, s_birth)
         lines.append(f"(d={d}, m={m}): s at branch birth {s_birth:.3e}")
         if (d, m) in com:
             gap = abs(com[d, m] - equilibria.s_bar(d, m))
-            worst = max(worst, gap)
+            worst = _worst(worst, gap)
             lines.append(f"(d={d}, m={m}): |s(kappa2) - s_bar| = {gap:.3e}")
     return _result("branch_continuity", worst, tol, lines=lines)
 
@@ -448,7 +444,7 @@ def check_singular_multiplier_relation(tol: float) -> CheckResult:
         lam = -(m / (1.0 - m)) * (1.0 - state.alpha) ** m * (c.area_sdm1 * c.i0) ** (1.0 - m)
         lhs = -lam / (1.0 - state.alpha)
         rhs = kappa * (state.alpha + (1.0 - state.alpha) * state.s_bar)
-        worst = max(worst, _rel(lhs, rhs))
+        worst = _worst(worst, _rel(lhs, rhs))
     return _result("singular_multiplier_relation", worst, tol)
 
 
@@ -464,7 +460,7 @@ def check_kappa2_dual_oracle(tol: float) -> CheckResult:
     for (d, m), moments in zip(pairs, _branch_moments([(1.0, d, m) for d, m in pairs])):
         closed = energy.critical_set(d, m).kappa2
         quad = 1.0 / _inverse_kappa(1.0, d, m, moments)
-        worst = max(worst, _rel(closed, quad))
+        worst = _worst(worst, _rel(closed, quad))
         note = ""
         if (d, m) == (3, 0.25):
             off = _rel(closed, REPORTED_KAPPA2_D3_M025)
@@ -482,7 +478,7 @@ def check_com_norm_closed_form(tol: float) -> CheckResult:
     worst = 0.0
     found = _branch_moments([(1.0, d, m) for d, m in SINGULAR_PAIRS])
     for (d, m), (i0, i1, _) in zip(SINGULAR_PAIRS, found):
-        worst = max(worst, _rel(equilibria.s_bar(d, m), i1 / i0))
+        worst = _worst(worst, _rel(equilibria.s_bar(d, m), i1 / i0))
     return _result("com_norm_closed_form", worst, tol)
 
 
@@ -496,7 +492,7 @@ def check_energy_two_route_agreement(tol: float) -> CheckResult:
     worst = 0.0
     for ((_, d, m), kappa, direct), moments in zip(rows, found):
         identity = 0.5 * kappa - _branch_energy_gain(moments, d, m)
-        worst = max(worst, abs(direct - identity) / max(1.0, abs(direct)))
+        worst = _worst(worst, abs(direct - identity) / max(1.0, abs(direct)))
     for d, m, kappa in ((3, 0.25, 2.0 * energy.critical_set(3, 0.25).kappa2), (5, 0.3, 18.5)):
         alpha = equilibria.alpha_roots(kappa, d, m)[-1]
         direct = energy.energy_singular(alpha, kappa, d, m)
@@ -505,7 +501,7 @@ def check_energy_two_route_agreement(tol: float) -> CheckResult:
         identity = (
             -kappa * (1.0 - sb) * com * (1.0 - alpha) / m - 0.5 * kappa * com**2 + 0.5 * kappa
         )
-        worst = max(worst, abs(direct - identity) / max(1.0, abs(direct)))
+        worst = _worst(worst, abs(direct - identity) / max(1.0, abs(direct)))
     return _result("energy_two_route_agreement", worst, tol)
 
 
@@ -525,7 +521,7 @@ def check_energy_slope_identities(tol: float) -> CheckResult:
         fd = (gap(kappa + h) - gap(kappa - h)) / (2.0 * h)
         alpha = equilibria.alpha_roots(kappa, d, m)[-1]
         analytic = 0.5 * (alpha + (1.0 - alpha) * sb) ** 2
-        worst = max(worst, _rel(fd, analytic))
+        worst = _worst(worst, _rel(fd, analytic))
     d, m = _SLOPE_PAIR
     states = _supported(d, m, _SLOPE_KAPPAS)
     # each grid kappa's shapes below and above it, side by side
@@ -536,7 +532,7 @@ def check_energy_slope_identities(tol: float) -> CheckResult:
         _SLOPE_GRID, gains[0::2], gains[1::2], states[2::3]
     ):
         fd = (gain_above - gain_below) / (2.0 * 1e-5 * kappa)
-        worst = max(worst, _rel(fd, 0.5 * s * s))
+        worst = _worst(worst, _rel(fd, 0.5 * s * s))
     return _result("energy_slope_identities", worst, tol)
 
 
@@ -549,7 +545,7 @@ def check_energy_comparison_steps(tol: float) -> CheckResult:
         supported[d, m] = grid, e_fs
         vals = [energy.energy_uniform(k, d, m) - e for k, e in zip(grid, e_fs)]
         bad = _worst_nonmonotone(vals, increasing=True)
-        worst = max(worst, bad)
+        worst = _worst(worst, bad)
         lines.append(f"supported-branch gap increasing for (d={d}, m={m}): worst {bad:.2e}")
 
     d, m = 5, 0.3
@@ -558,8 +554,8 @@ def check_energy_comparison_steps(tol: float) -> CheckResult:
         margin = energy.energy_singular(lower, kappa, d, m) - energy.energy_singular(
             upper, kappa, d, m
         )
-        if margin <= 0.0:
-            worst = max(worst, -margin, 1e-300)
+        if not margin > 0.0:
+            worst = _worst(worst, -margin, 1e-300)
     lines.append("lower measure-valued branch never beats the upper one on the fold")
 
     vals = []
@@ -567,7 +563,7 @@ def check_energy_comparison_steps(tol: float) -> CheckResult:
         upper = equilibria.alpha_roots(kappa, d, m)[-1]
         vals.append(e - energy.energy_singular(upper, kappa, d, m))
     bad = _worst_nonmonotone(vals, increasing=True)
-    worst = max(worst, bad)
+    worst = _worst(worst, bad)
     lines.append(f"supported-vs-singular gap increasing on (kappa2, kappa1): worst {bad:.2e}")
     return _result("energy_comparison_steps", worst, tol, lines=lines)
 
@@ -601,26 +597,19 @@ def check_minimizer_consistency(tol: float) -> CheckResult:
 def check_reference_energies(tol: float) -> CheckResult:
     worst = 0.0
     for kappa in (1.0, 5.0, 100.0):
-        worst = max(worst, abs(_delta_mixture_energy(0.0, kappa, 2, 0.5)))
-        worst = max(
-            worst,
-            abs(
-                energy.energy_uniform(kappa, 3, 0.25)
-                - energy.energy_uniform(0.0, 3, 0.25)
-                - 0.5 * kappa
-            ),
-        )
+        gap = energy.energy_uniform(kappa, 3, 0.25) - energy.energy_uniform(0.0, 3, 0.25)
+        worst = _worst(worst, abs(gap - 0.5 * kappa))
     return _result("reference_energies", worst, tol)
 
 
 def check_uniform_stability_threshold(tol: float) -> CheckResult:
     worst = 0.0
     for d, m in REFERENCE_PAIRS:
-        # the second variation along the minimizing trial has the sign of kappa1 - kappa
-        k1 = energy.critical_set(d, m).kappa1
-        if not (k1 - 0.95 * k1 > 0.0 and k1 - 1.05 * k1 < 0.0):
-            worst = 1.0
-        worst = max(worst, _rel(_trial_rayleigh(d), (d + 1) / model.sphere_geometry(d).area_sd))
+        # along <x, e> at rho0 = 1/|S^d| the second variation of the energy is
+        # m rho0^(m-2) M - kappa M^2, with M = 1/_trial_rayleigh(d): it vanishes
+        # at kappa1 = m (d + 1) |S^d|^(1-m), the library's closed form
+        kappa1 = m * model.sphere_geometry(d).area_sd ** (2.0 - m) * _trial_rayleigh(d)
+        worst = _worst(worst, _rel(kappa1, energy.critical_set(d, m).kappa1))
     return _result("uniform_stability_threshold", worst, tol)
 
 

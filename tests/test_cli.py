@@ -266,6 +266,17 @@ class TestSweep:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("grid", [[], ["--log-grid"]])
+    def test_infinite_kappa_max_exits_2(self, capsys, grid):
+        # numpy's grids would turn the bound into a NaN kappa under a RuntimeWarning
+        code, out, err = run(
+            capsys,
+            "sweep", "--d", "2", "--m", "0.5",
+            "--kappa-min", "4", "--kappa-max", "inf", "--steps", "3", *grid,
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+
     def test_unsolvable_samples_become_nan_rows(self, capsys, monkeypatch):
         def broken(requests):
             failure = BracketFailureError("injected solver failure")

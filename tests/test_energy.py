@@ -47,25 +47,6 @@ class TestEnergyUniform:
             )
 
 
-# the energy of (1 - t) delta + (t / |S^d|) dS, verify's route to the atom's reference energy
-delta_mixture_energy = verification._delta_mixture_energy
-
-
-class TestDeltaMixture:
-    def test_pure_atom_energy_is_zero(self):
-        for kappa in (0.5, 5.0, 100.0):
-            assert delta_mixture_energy(0.0, kappa, 2, 0.5) == 0.0
-
-    @pytest.mark.parametrize("d, m", REFERENCE_PAIRS)
-    def test_small_spread_lowers_the_energy(self, d, m):
-        assert delta_mixture_energy(1e-6, 100.0, d, m) < 0.0
-
-    def test_one_sided_slope_diverges(self):
-        h = 1e-12
-        slope = (delta_mixture_energy(h, 10.0, 2, 0.5) - 0.0) / h
-        assert slope < -1e6
-
-
 class TestSecondVariation:
     def test_signs_around_kappa1(self):
         # the uniform state is stable below kappa1, unstable above
