@@ -78,9 +78,10 @@ class EnergyReport:
 def energy_uniform(kappa: float, d, m: float) -> float:
     """Energy of the uniform state: (1/(m-1)) |S^d|^(1-m) + kappa/2."""
     validate_params(d, m)
-    kappa = _real(kappa, "kappa must be >= 0")
+    rule = "kappa must be finite and >= 0"
+    kappa = _real(kappa, rule)
     if not math.isfinite(kappa) or kappa < 0.0:
-        raise InvalidParamError(f"kappa must be >= 0, got {kappa!r}")
+        raise InvalidParamError(f"{rule}, got {kappa!r}")
     return _uniform_energy(kappa, sphere_geometry(d).area_sd, m)
 
 

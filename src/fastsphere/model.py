@@ -105,9 +105,10 @@ def validate_params(d, m: float) -> tuple[float, float | None]:
 
 def check_kappa(kappa) -> float:
     """kappa as a float, after checking it is finite and > 0."""
-    kappa = _real(kappa, "interaction strength kappa must be > 0")
+    rule = "interaction strength kappa must be finite and > 0"
+    kappa = _real(kappa, rule)
     if not math.isfinite(kappa) or kappa <= 0.0:
-        raise InvalidParamError(f"interaction strength kappa must be > 0, got {kappa!r}")
+        raise InvalidParamError(f"{rule}, got {kappa!r}")
     return kappa
 
 

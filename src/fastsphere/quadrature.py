@@ -107,10 +107,10 @@ seeds that meet the tolerance and refines the others together, so a
 round of their refinement costs one batch however many seeds it bisects.
 Every panel and every per-mesh sum is computed in the same order
 wherever its mesh sits, and every free panel equals its computed value,
-so each mesh ends as it would alone, with or without the tables.  Each
-batch, its table fills included, runs under a guard against an integrand
-that leaves double range, and one that does is integrated again mesh by
-mesh.
+so each mesh ends as it would alone, with or without the tables.  A
+panel whose integrand leaves double range is not finite, and _refine ends
+the meshes that hold it: a table column ends exactly those that read it,
+each of which would overflow on its own.
 
 This module holds the numpy kernel alone, and it is the package's only
 module that imports numpy at load time.  The public front of the family
@@ -225,8 +225,8 @@ def _folded_integrand(v, log_sin, zeta, q, d) -> np.ndarray:
         np.multiply(q, e, out=e)
         e += log_weight
         np.exp(e, out=e)
-    # a1^q dwarfs a2^q where y > 700; expm1 would overflow there, and it
-    # runs at every node so that an overflow of the product still shows
+    # a1^q dwarfs a2^q where y > 700, and expm1 would overflow there; where
+    # the capped product overflows, so does e1, which the mass shows
     moment = np.minimum(y, 700.0, out=z)
     np.expm1(moment, out=moment)
     moment *= e2
@@ -322,8 +322,9 @@ def _refine(zeta, q, d, table, begin: list, tail, tail_err) -> list:
     all the meshes that still miss in one batch: each span's halves are
     one increasing run of edges, and the runs are laid end to end, so the
     panel that joins two runs is a bridge, whose values are dropped.  A
-    mesh's panels and sums do not depend on the other meshes, so each ends
-    as it would on its own.
+    mesh whose panel sums are not finite (its integrand left double range)
+    ends at once.  A mesh's panels and sums do not depend on the other
+    meshes, so each ends as it would on its own.
 
     Returns each mesh's (i0, i1, i_ent), or the ToleranceNotMetError it
     ends in, without a traceback.
@@ -335,12 +336,19 @@ def _refine(zeta, q, d, table, begin: list, tail, tail_err) -> list:
         # each mesh's run of panels is summed on its own and in the same order
         # wherever it sits, so its totals do not depend on the other meshes
         sums = np.add.reduceat(table[:6], begin, axis=1)
+        in_range = np.isfinite(sums).all(axis=0)
         total, err = tail + sums[:3], tail_err + sums[3:]
         bound = DEFAULT_REL_TOL * np.abs(total)
-        missing = ~(err <= bound)
+        # a mesh out of range ends before its budget (inf - inf if its tail overflowed)
+        missing = ~(err <= bound) & in_range
         grow, totals = [], total.T.tolist()
-        for k, miss in enumerate(missing.any(axis=0).tolist()):
-            if sizes[k] > _MAX_PANELS:
+        for k, (fits, miss) in enumerate(zip(in_range.tolist(), missing.any(axis=0).tolist())):
+            if not fits:
+                results[live[k]] = ToleranceNotMetError(
+                    f"the integrand leaves double range at eta - 1 = {zeta[k].item()!r}, "
+                    f"q = {q[k].item()!r}, d = {d[k].item()}"
+                )
+            elif sizes[k] > _MAX_PANELS:
                 results[live[k]] = ToleranceNotMetError(
                     f"adaptive quadrature stalled at estimated relative error "
                     f"{_worst(err[:, k], total[:, k]):.3e} after {sizes[k]} panels "
@@ -353,7 +361,7 @@ def _refine(zeta, q, d, table, begin: list, tail, tail_err) -> list:
         if not grow:
             return results
         panels = np.array(sizes)
-        share = np.where(missing, (bound - tail_err) / panels, np.inf)
+        share = np.subtract(bound, tail_err, np.full_like(bound, np.inf), where=missing) / panels
         positive = (share > 0.0).all(axis=0).tolist()
         marked = (table[3:6] > share.repeat(panels, axis=1)).any(axis=0).nonzero()[0].tolist()
         lo, hi = table[6], table[7]
@@ -504,7 +512,7 @@ class _Eta1Rungs:
         self.table[6], self.table[7] = ladder.lo[: ladder.depth], ladder.hi[: ladder.depth]
 
     def fill(self, low: int) -> None:
-        """Fill the panels [low, depth); an overflow, under its caller's guard, writes nothing."""
+        """Fill the panels [low, depth); a panel whose integrand overflows is left non-finite."""
         if low >= self.top:
             return
         ladder = _ladder()
@@ -602,10 +610,10 @@ def _integrals(zetas, q, d, tables: dict | None = None) -> list:
     order asked.  The meshes are cut into batches of at most _BATCH_NODES
     computed nodes (a pair at least), and each batch is one _seed_pass,
     whose full seeds go whole to one _refine: it returns those that meet
-    DEFAULT_REL_TOL and refines the others together.  A batch whose
-    integrand leaves double range, its tables' fills included, is
-    integrated again mesh by mesh, and a lone mesh that does ends in a
-    ToleranceNotMetError.
+    DEFAULT_REL_TOL and refines the others together.  The table fills and
+    the batches run with overflow ignored: a mesh whose integrand leaves
+    double range, in its own panels or in the table columns it reads, ends
+    in _refine's ToleranceNotMetError.
     """
     zeta = np.array(zetas, dtype=float)
     q, d = np.full(zeta.shape, q, dtype=float), np.full(zeta.shape, d)
@@ -641,32 +649,22 @@ def _integrals(zetas, q, d, tables: dict | None = None) -> list:
     order = order.tolist()
     ends = np.cumsum(levels + 1 - free)  # in computed panels
     first = 0
-    while first < zeta.size:
-        room = (ends[first - 1] if first else 0) + _BATCH_NODES // _NODES.size
-        last = int(np.searchsorted(ends, room, "right"))
-        if last < zeta.size:  # cut between two pairs, after one at least
-            last = min(max(last - (last - first) % 2, first + 2), zeta.size)
-        span = slice(first, last)
-        batch = (zeta[span], q[span], d[span])
-        try:
-            # an overflow leaves a non-finite panel that no refinement removes;
-            # the branch solves never get there, as their zeta floor keeps the
-            # peak in range
-            with np.errstate(over="raise"):
-                for rungs, low in fills:  # no-ops once done
-                    rungs.fill(low)
-                laid = (levels[span], free[span], eta1, base[span])
-                found = _refine(*batch, *_seed_pass(*batch, *laid))
-        except FloatingPointError:
-            meshes = list(zip(*(x.tolist() for x in batch)))
-            if len(meshes) > 1:
-                found = [_integrals([z], qq, dd, tables)[0] for z, qq, dd in meshes]
-            else:
-                message = "the integrand leaves double range at eta - 1 = {!r}, q = {!r}, d = {}"
-                found = [ToleranceNotMetError(message.format(*meshes[0]))]
-        for k, result in zip(order[span], found):
-            results[k] = result
-        first = last
+    # an overflow leaves a non-finite panel, which ends its mesh in _refine;
+    # the branch solves never get there, as their zeta floor keeps the peak in range
+    with np.errstate(over="ignore"):
+        for rungs, low in fills:
+            rungs.fill(low)
+        while first < zeta.size:
+            room = (ends[first - 1] if first else 0) + _BATCH_NODES // _NODES.size
+            last = int(np.searchsorted(ends, room, "right"))
+            if last < zeta.size:  # cut between two pairs, after one at least
+                last = min(max(last - (last - first) % 2, first + 2), zeta.size)
+            span = slice(first, last)
+            batch = (zeta[span], q[span], d[span])
+            laid = (levels[span], free[span], eta1, base[span])
+            for k, result in zip(order[span], _refine(*batch, *_seed_pass(*batch, *laid))):
+                results[k] = result
+            first = last
     return results
 
 

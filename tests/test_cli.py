@@ -859,6 +859,20 @@ class TestProfile:
         assert "window" in err and "5.317" in err
 
 
+def test_non_finite_kappa_is_named_as_such(capsys):
+    # inf is > 0, so the rule names finiteness too, as eta's does
+    for kappa in (math.inf, -math.inf, math.nan):
+        with pytest.raises(InvalidParamError, match=r"kappa must be finite and > 0, got"):
+            model.check_kappa(kappa)
+    with pytest.raises(InvalidParamError, match=r"kappa must be finite and >= 0, got inf"):
+        en.energy_uniform(math.inf, 5, 0.3)
+    code, out, err = run(
+        capsys, "profile", "--d", "2", "--m", "0.5", "--kappa", "inf", "--points", "3"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: interaction strength kappa must be finite and > 0, got inf\n"
+
+
 class TestVerify:
     def test_default_run_passes(self, capsys):
         code, out, _ = run(capsys, "verify")

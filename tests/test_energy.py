@@ -49,8 +49,24 @@ class TestEnergyUniform:
 
 class TestSecondVariation:
     def test_signs_around_kappa1(self):
-        # the uniform state is stable below kappa1, unstable above
-        assert 5.0 < en.critical_set(2, 0.5).kappa1 < 6.0
+        # the uniform state is stable below kappa1, unstable above: the
+        # perturbation rho0 (1 + eps cos theta) raises E below kappa1 and
+        # lowers it above, by about 1e-6 at eps = 1e-2, far above rounding
+        eps = 1e-2
+        for d, m in (CASE_I, CASE_II, CASE_III, (3, 0.9)):
+            rho0 = 1.0 / sphere_geometry(d).area_sd
+            kappa1 = en.critical_set(d, m).kappa1
+
+            def energy(rho, kappa):
+                entropy = sphere_average(lambda t: rho(t) ** m, d)
+                com = sphere_average(lambda t: math.cos(t) * rho(t), d)
+                return entropy / (m - 1.0) - 0.5 * kappa * com**2 + 0.5 * kappa
+
+            def gain(kappa):
+                perturbed = energy(lambda t: rho0 * (1.0 + eps * math.cos(t)), kappa)
+                return perturbed - energy(lambda t: rho0, kappa)
+
+            assert gain(0.95 * kappa1) > 0.0 > gain(1.05 * kappa1), (d, m)
 
     def test_linear_trial_attains_the_infimum(self):
         for d in (1, 2, 3, 5, 8):

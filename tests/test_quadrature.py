@@ -98,14 +98,19 @@ def test_seed_stops_at_the_eta_one_cutoff(d, m, zeta, levels):
         assert value == pytest.approx(eta1_closed_form(qq, p, d), rel=1e-12)
 
 
-def batched_and_scalar(q, d, zetas, tables):
-    """The outcomes of quadrature._integrals over zetas, given tables, and of _integral at each.
+def batched_outcomes(q, d, zetas, tables):
+    """The outcomes of quadrature._integrals over zetas, given tables.
 
     q and d are numbers, or lists of one per zeta.  An outcome is the (i0,
     i1, i_ent) tuple, or the type and message of the error.
     """
     batched = quadrature._integrals(zetas, q, d, tables)
     assert all(r.__traceback__ is None for r in batched if isinstance(r, FastSphereError))
+    return [r if type(r) is tuple else (type(r), str(r)) for r in batched]
+
+
+def scalar_outcomes(q, d, zetas):
+    """The outcomes of quadrature._integral at each of zetas, as batched_outcomes gives them."""
     specs = zip(q, d) if isinstance(q, list) else [(q, d)] * len(zetas)
     scalar = []
     for zeta, spec in zip(zetas, specs):
@@ -113,7 +118,12 @@ def batched_and_scalar(q, d, zetas, tables):
             scalar.append(quadrature._integral(zeta, *spec))
         except FastSphereError as exc:
             scalar.append((type(exc), str(exc)))
-    return [r if type(r) is tuple else (type(r), str(r)) for r in batched], scalar
+    return scalar
+
+
+def batched_and_scalar(q, d, zetas, tables):
+    """batched_outcomes and scalar_outcomes of the same zetas."""
+    return batched_outcomes(q, d, zetas, tables), scalar_outcomes(q, d, zetas)
 
 
 def eta1_integral_is_its_seed_mesh(q, d):
@@ -186,27 +196,44 @@ def eta1_overflowing(monkeypatch):
     return [1e-250, 1e-250], [-2.0, -2.0], [2, 2]
 
 
+def overflow_then_lone_mesh(monkeypatch):
+    """eta1_overflowing's meshes, then eleven at q = -1.5, d = 2, the last batched alone."""
+    zetas = [1e-250, 1e-250] + [float(z) for z in np.geomspace(1e-220, 1e-20, 11)]
+    return zetas, [-2.0, -2.0] + [-1.5] * 11, [2, 2] + [2] * 11
+
+
+def eta1_tail_overflowing(monkeypatch):
+    """Two eta = 1 meshes whose integrand and closed-form tail overflow, and one that refines."""
+    return [0.0, 0.5, 0.0], [-1500.0] * 3, [3100] * 3
+
+
 # the meshes of a batch of many (q, d), the panel budget it runs with (None:
-# the module's), the fewest seed passes it needs, the errors some end in,
+# the module's), the seed passes the call makes, the errors some end in,
 # and the fewest (q, d) whose eta = 1 tables the call fills (None: it is
 # given none)
 MIXED = {
     "verify": (self_consistency_meshes, None, 1, set(), None),
-    "spread": (spread_meshes, None, 2, set(), None),
+    "spread": (spread_meshes, None, 3, set(), None),
     # the deep seeds fail, each on its own, the shallow ones pass
-    "spread-failing": (spread_meshes, 12, 2, {ToleranceNotMetError}, None),
-    # an overflow stops the batch, and each mesh then ends as on its own
+    "spread-failing": (spread_meshes, 12, 3, {ToleranceNotMetError}, None),
+    # an overflow ends its mesh, as on its own, and no other: one pass per batch
     "spiked": (spiked_meshes, None, 1, {ToleranceNotMetError}, None),
-    "spiked-among-others": (spiked_among_others, None, 1, {ToleranceNotMetError}, None),
+    "spiked-among-others": (spiked_among_others, None, 2, {ToleranceNotMetError}, None),
     # every (q, d) takes free panels from its own table, in one call
-    "eta1-tables": (deep_meshes, None, 1, set(), 5),
+    "eta1-tables": (deep_meshes, None, 3, set(), 5),
     # eta = 1 in the batch: each mesh ends as on its own, with and without
     # the tables, from which an eta = 1 mesh takes all its dyadic panels
-    "eta1": (eta1_among_others, None, 1, {NotIntegrableError}, None),
+    "eta1": (eta1_among_others, None, 6, {NotIntegrableError}, None),
     "eta1-with-tables": (eta1_among_others, None, 1, {NotIntegrableError}, 5),
-    # the fill of the eta = 1 table overflows: it runs under the batch's
-    # guard, fills nothing, and each mesh ends in the double range error
-    "eta1-table-overflow": (eta1_overflowing, None, 1, {ToleranceNotMetError}, 0),
+    # the fill of the eta = 1 table overflows: it leaves non-finite columns,
+    # and each mesh, which reads them, ends in the double range error
+    "eta1-table-overflow": (eta1_overflowing, None, 1, {ToleranceNotMetError}, 1),
+    # the overflowing fill ends its own meshes and no mesh of a later batch,
+    # even one batched alone
+    "lone-after-table-overflow": (overflow_then_lone_mesh, None, 2, {ToleranceNotMetError}, 2),
+    # the tail's error budget is infinite: the meshes end before any share of
+    # it is formed, while their neighbour goes on to refine
+    "eta1-tail-overflow": (eta1_tail_overflowing, None, 1, {ToleranceNotMetError}, None),
 }
 
 
@@ -219,14 +246,15 @@ def test_batched_integrals_equal_the_scalar_kernel(monkeypatch, d, m):
     if d == "mixed":
         # every mesh with its own (q, d); each outcome, value or error
         # message, is that of its one-mesh call, and of its seed mesh alone
-        meshes, max_panels, fewest_passes, fails, filled = MIXED[m]
+        meshes, max_panels, seed_passes, fails, filled = MIXED[m]
         zetas, qs, ds = meshes(monkeypatch)
         if max_panels:
             monkeypatch.setattr(quadrature, "_MAX_PANELS", max_panels)
         passes = record_calls(monkeypatch, quadrature, "_seed_pass")
         tables = None if filled is None else {}
-        batched, scalar = batched_and_scalar(qs, ds, zetas, tables)
-        assert batched == scalar and len(passes) >= fewest_passes
+        batched = batched_outcomes(qs, ds, zetas, tables)
+        assert len(passes) == seed_passes
+        assert batched == scalar_outcomes(qs, ds, zetas)
         failed = {r[0] for r in batched if isinstance(r[0], type)}
         assert failed == fails
         assert [r[0] if isinstance(r[0], type) else r for r in batched] == [
@@ -237,9 +265,18 @@ def test_batched_integrals_equal_the_scalar_kernel(monkeypatch, d, m):
             assert set(tables) <= set(zip(qs, ds))
             assert sum(rungs.top < depth for rungs in tables.values()) >= filled
             # the free panels of a pass come from the tables of several (q, d)
-            assert any(np.unique(args[6][args[4] > 0]).size > 1 for args in passes)
-        elif filled == 0:
-            assert all(rungs.top == quadrature._ladder().depth for rungs in tables.values())
+            assert filled == 1 or any(np.unique(args[6][args[4] > 0]).size > 1 for args in passes)
+        if m == "eta1-table-overflow":
+            # the filled table holds the non-finite columns; a mesh at about
+            # the (2, 0.5) branch floor takes free panels from its finite
+            # ones alone, and ends as it does with no tables
+            rungs = tables[-2.0, 2]
+            assert (~np.isfinite(rungs.table[:6, rungs.top :])).any(axis=0).sum() == 47
+            passes.clear()
+            (shallow,) = quadrature._integrals([1e-200], -2.0, 2, tables)
+            ((_, _, _, _, free, _, _),) = passes
+            assert free[0] > 0 and np.isfinite(rungs.table[:6, depth - free[0] :]).all()
+            assert shallow == quadrature._integral(1e-200, -2.0, 2)
         return
     # many seed meshes per batch, several batches, a repeated zeta
     q = 1.0 / (m - 1.0)
