@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -249,19 +250,23 @@ def _fully_supported_states(requests) -> list:
     Returns one list of entries per request.  Every solve carries its own
     pass: q, d, m, the scale of 1/kappa, the window and the bracket.  Each
     solver round evaluates the integrals of every unfinished solve, of any
-    request, together (quadrature._integrals, a lone zeta as well).  A
-    memo of the moments at every (zeta, q, d) met, kept for this call only
-    (the package's only memo of integrals), serves the zetas that several
-    solves visit and the centre-of-mass norm at each root.  Next to it, for
-    this call only too, every round shares one table per (q, d) of the
-    seed panels that deep zetas take from eta = 1 (quadrature._Eta1Rungs).  A solve does not depend on the other solves
+    request, together (quadrature._integrals, a lone zeta as well), the new
+    zetas of each pass in one group at its (q, d).  A memo per pass, one
+    dict of the moments at every zeta met at its (q, d), kept for this call
+    only (the package's only memo of integrals), serves the zetas that
+    several solves visit and the centre-of-mass norm at each root.  Next
+    to it, for this call only too, every round shares one table per (q, d)
+    of the seed panels that deep zetas take from eta = 1
+    (quadrature._Eta1Rungs).  A solve does not depend on the other solves
     of its round, so each request's entries are those it gets alone.
     """
     results = [[None] * len(kappas) for _, kappas in requests]
     solves, places, brackets = [], [], []  # each solve's kappa and pass, its entry, its bracket
+    memos = {}  # each (q, d)'s moments, by zeta
     for (c, kappas), entries in zip(requests, results):
         in_window, bracket = _window(c), _log_zeta_bracket(c)
-        solve = ((c.q, c.d), c.m, _inverse_kappa_scale(c.area_sdm1, c.m))
+        spec = (c.q, c.d)
+        solve = (spec, memos.setdefault(spec, {}), c.m, _inverse_kappa_scale(c.area_sdm1, c.m))
         for i, kappa in enumerate(kappas):
             try:
                 kappa = check_kappa(kappa)  # (d, m) were checked by the pass
@@ -276,23 +281,35 @@ def _fully_supported_states(requests) -> list:
         return results
     from .quadrature import _integrals
 
-    moments, tables = {}, {}
+    tables = {}
 
     def residuals(asks):
-        keys = [(math.exp(y), solves[item][1]) for item, y in asks]  # (zeta, (q, d))
-        new = [key for key in dict.fromkeys(keys) if key not in moments]
+        zetas = [math.exp(y) for _, y in asks]
+        new = defaultdict(dict)  # the new zetas of each (q, d), in the order first met
+        for (item, _), zeta in zip(asks, zetas):
+            _, spec, memo, _, _ = solves[item]
+            if zeta not in memo:
+                new[spec][zeta] = None
         if new:
-            zetas, specs = zip(*new)
-            moments.update(zip(new, _integrals(zetas, *zip(*specs), tables)))
+            asked = [zeta for fresh in new.values() for zeta in fresh]
+            # a round of one (q, d) hands it over as numbers, which the kernel
+            # takes as one group without reading a (q, d) per zeta
+            if len(new) == 1:
+                q, d = next(iter(new))
+            else:
+                q, d = zip(*(spec for spec, fresh in new.items() for _ in fresh))
+            found = iter(_integrals(asked, q, d, tables))
+            for spec, fresh in new.items():
+                memos[spec].update(zip(fresh, found))
         values = []
-        for (item, _), key in zip(asks, keys):
-            at_zeta = moments[key]
+        for (item, _), zeta in zip(asks, zetas):
+            kappa, (_, d), memo, m, scale = solves[item]
+            at_zeta = memo[zeta]
             if isinstance(at_zeta, FastSphereError):
                 values.append(at_zeta)
                 continue
-            kappa, (_, d), m, scale = solves[item]
             try:
-                inverse = _inverse_kappa_of(key[0], at_zeta[0], at_zeta[1], scale, d, m)
+                inverse = _inverse_kappa_of(zeta, at_zeta[0], at_zeta[1], scale, d, m)
             except FastSphereError as exc:
                 values.append(exc.with_traceback(None))
             else:
@@ -300,12 +317,12 @@ def _fully_supported_states(requests) -> list:
         return values
 
     roots = lockstep_roots(residuals, brackets)
-    for (kappa, spec, _, _), (entries, i), y in zip(solves, places, roots):
+    for (kappa, _, memo, _, _), (entries, i), y in zip(solves, places, roots):
         if isinstance(y, FastSphereError):
             entries[i] = y
             continue
         zeta = math.exp(y)
-        at_root = moments[zeta, spec]
+        at_root = memo[zeta]
         eta, s = 1.0 + zeta, at_root[1] / at_root[0]
         entries[i] = FullySupportedState(
             kappa=kappa, eta=eta, s=s, lambda_=-kappa * s * eta, eta_minus_1=zeta, moments=at_root

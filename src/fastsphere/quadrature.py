@@ -80,15 +80,18 @@ it grows with the panel, so the free panels of a seed are a top suffix
 of it, found by one searchsorted.
 
 _integrals integrates the seed meshes of many zetas together, eta = 1
-included, and each mesh carries its own (q, d), as it carries its own
-zeta: the integrand reads zeta, q and d at every node (_at_nodes).  The
-branch solves, run in lockstep, send it the zetas of every unfinished
-solve, each at the (q, d) of its solve's pass of (d, m); verify's checks
-send it all the meshes of a check; _integral is its one-mesh call that
-raises.  _seed_pass lays the computed panels end to end, alternately
-upwards and downwards so that neighbours share an edge (the two meshes
-of a pair are cut at the same panel), with each panel's ladder index,
-zeta, q and d found by index arithmetic (no Python loop per mesh), and
+included.  It groups its meshes by (q, d) once and pays each group's
+share of the set-up once: its seed cut, its eta = 1 table, and the q and
+d of a batch whose meshes all share them, which reach the integrand as
+numbers (_at_nodes), as a lone mesh's zeta does; only a batch that mixes
+(q, d) gives every node its own.  The branch solves, run in lockstep,
+send it the zetas of every unfinished solve, one group per pass of
+(d, m), so a sweep's batches each hold one (q, d); verify's checks send
+it all the meshes of a check, at up to 100 (q, d); _integral is its
+one-mesh call that raises.  _seed_pass lays the computed panels end to
+end, alternately upwards and downwards so that neighbours share an edge
+(the two meshes of a pair are cut at the same panel), with each panel's
+ladder index found by index arithmetic (no Python loop per mesh), and
 integrates up to _BATCH_NODES computed nodes in one batch; at eta = 1
 with q < 0 the bottom panel is laid to join its neighbours at 0, and
 dropped.  A call may also pass a dict of eta = 1 tables keyed by (q, d)
@@ -97,20 +100,21 @@ in one batch down to the lowest free panel of its meshes, and a caller
 with many calls, such as a lockstep of branch solves, shares the tables
 between them.  Then only the panels below each free suffix are computed,
 and where some seed may have a free panel the meshes are sorted by their
-(q, d), then by zeta, so that neighbours mostly share a table and have
+group, then by zeta, so that neighbours mostly share a table and have
 similar suffixes; a call of one (q, d) is sorted by zeta alone.  A full
 batch costs mostly its nodes, not its fixed numpy overhead, so the free
 panels are the saving.  The pass and the eta = 1 tables hold their
 panels in _refine's rows, and one gather puts every full seed back in
-increasing order; the pass then goes whole to _refine, which returns the
-seeds that meet the tolerance and refines the others together, so a
-round of their refinement costs one batch however many seeds it bisects.
-Every panel and every per-mesh sum is computed in the same order
-wherever its mesh sits, and every free panel equals its computed value,
-so each mesh ends as it would alone, with or without the tables.  A
-panel whose integrand leaves double range is not finite, and _refine ends
-the meshes that hold it: a table column ends exactly those that read it,
-each of which would overflow on its own.
+increasing order; the pass then goes whole to _refine, which settles
+the seeds that meet the tolerance in one step and refines the others
+together, so a round of their refinement costs one batch however many
+seeds it bisects.  Every panel and every per-mesh sum is computed in the
+same order wherever its mesh sits, every free panel equals its computed
+value, and the integrand does the same operations on a number as on an
+array of it, so each mesh ends as it would alone, with or without the
+tables.  A panel whose integrand leaves double range is not finite, and
+_refine ends the meshes that hold it: a table column ends exactly those
+that read it, each of which would overflow on its own.
 
 This module holds the numpy kernel alone, and it is the package's only
 module that imports numpy at load time.  The public front of the family
@@ -128,7 +132,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, starmap
 from typing import NamedTuple
 
 import numpy as np
@@ -294,37 +298,54 @@ def _worst(err: np.ndarray, total: np.ndarray) -> float:
     return max(e / max(abs(t), 1e-300) for e, t in zip(err.tolist(), total.tolist()))
 
 
-def _at_nodes(meshes, panels) -> np.ndarray:
-    """Each array of meshes, one value per mesh, at every node of panels[k] panels of mesh k.
+def _at_nodes(values, panels) -> list:
+    """Each of values at every node of panels[k] panels of mesh k, as the integrand takes it.
 
-    The arrays are stacked as floats and expanded by one repeat: entry j is
-    meshes[j] with one row per panel, as the integrand takes its nodes.
-    Full rows, not a column to broadcast, keep every operation of the
-    integrand contiguous, and floats spare it a cast.
+    A value is one number that every mesh shares, or an array of one per
+    mesh.  A value every mesh shares reaches the integrand as a number: a
+    number stays one, and so does an array of one mesh.  Any other array is
+    expanded as floats to one row per panel: full rows, not a column to
+    broadcast, keep every operation of the integrand contiguous, and floats
+    spare it a cast.
     """
-    nodes = np.asarray(panels) * _NODES.size
-    return np.array(meshes, dtype=float).repeat(nodes, axis=1).reshape(len(meshes), -1, _NODES.size)
+    at_nodes, nodes = [], np.multiply(panels, _NODES.size)
+    for value in values:
+        if isinstance(value, np.ndarray):
+            if value.size == 1:
+                value = value.item()
+            else:
+                value = value.astype(float, copy=False).repeat(nodes).reshape(-1, _NODES.size)
+        at_nodes.append(value)
+    return at_nodes
+
+
+def _of_mesh(value, k):
+    """Mesh k's value, as a number: value is one number for every mesh, or an array of one per mesh."""
+    return value.item(k) if isinstance(value, np.ndarray) else value
 
 
 def _refine(zeta, q, d, table, begin: list, tail, tail_err) -> list:
     """Adaptive Gauss-Kronrod refinement of meshes at eta = 1 + zeta, one batch per round.
 
-    zeta, q and d are arrays of one value per mesh.  table holds one
-    column per panel, mesh k's from begin[k] to the next start, in
-    increasing order: rows 0-2 are its Kronrod values, 3-5 their
-    estimates, 6 and 7 its lower and upper edge.  tail[:, k] is mesh k's
-    closed-form endpoint tail, which joins each total, and tail_err[:, k]
-    the tail's irreducible share of each error budget.  Each component
-    must meet DEFAULT_REL_TOL relative to its own total.  While one misses,
-    every panel whose estimate exceeds its equal share of a missing
-    component's budget is marked, and the contiguous span from the first
-    to the last marked panel is bisected.  Each round bisects the spans of
-    all the meshes that still miss in one batch: each span's halves are
-    one increasing run of edges, and the runs are laid end to end, so the
-    panel that joins two runs is a bridge, whose values are dropped.  A
-    mesh whose panel sums are not finite (its integrand left double range)
-    ends at once.  A mesh's panels and sums do not depend on the other
-    meshes, so each ends as it would on its own.
+    zeta is an array of one value per mesh; q and d are each one number
+    that every mesh shares, or such an array.  table holds one column per
+    panel, mesh k's from begin[k] to the next start, in increasing order:
+    rows 0-2 are its Kronrod values, 3-5 their estimates, 6 and 7 its
+    lower and upper edge.  tail[:, k] is mesh k's closed-form endpoint
+    tail, which joins each total, and tail_err[:, k] the tail's irreducible
+    share of each error budget.  Each component must meet DEFAULT_REL_TOL
+    relative to its own total.  The meshes that meet it are settled in one
+    step; a round tests one by one only the meshes that miss, stall or
+    overflow.  While one misses, every panel whose estimate exceeds its
+    equal share of a missing component's budget is marked, and the
+    contiguous span from the first to the last marked panel is bisected.
+    Each round bisects the spans of all the meshes that still miss in one
+    batch: each span's halves are one increasing run of edges, and the runs
+    are laid end to end, so the panel that joins two runs is a bridge,
+    whose values are dropped.  A mesh whose panel sums are not finite (its
+    integrand left double range) ends at once, and so does one of more
+    than _MAX_PANELS panels.  A mesh's panels and sums do not depend on the
+    other meshes, so each ends as it would on its own.
 
     Returns each mesh's (i0, i1, i_ent), or the ToleranceNotMetError it
     ends in, without a traceback.
@@ -339,14 +360,19 @@ def _refine(zeta, q, d, table, begin: list, tail, tail_err) -> list:
         in_range = np.isfinite(sums).all(axis=0)
         total, err = tail + sums[:3], tail_err + sums[3:]
         bound = DEFAULT_REL_TOL * np.abs(total)
-        # a mesh out of range ends before its budget (inf - inf if its tail overflowed)
-        missing = ~(err <= bound) & in_range
-        grow, totals = [], total.T.tolist()
-        for k, (fits, miss) in enumerate(zip(in_range.tolist(), missing.any(axis=0).tolist())):
-            if not fits:
+        meets = err <= bound
+        panels = np.array(sizes)
+        # the meshes that meet the tolerance, settled in one step
+        settled = in_range & (panels <= _MAX_PANELS) & meets.all(axis=0)
+        totals = list(zip(*total.tolist()))  # each mesh's (i0, i1, i_ent)
+        for k in settled.nonzero()[0].tolist():
+            results[live[k]] = totals[k]
+        grow, fits = [], in_range.tolist()
+        for k in (~settled).nonzero()[0].tolist():
+            if not fits[k]:
                 results[live[k]] = ToleranceNotMetError(
-                    f"the integrand leaves double range at eta - 1 = {zeta[k].item()!r}, "
-                    f"q = {q[k].item()!r}, d = {d[k].item()}"
+                    f"the integrand leaves double range at eta - 1 = {zeta.item(k)!r}, "
+                    f"q = {_of_mesh(q, k)!r}, d = {_of_mesh(d, k)}"
                 )
             elif sizes[k] > _MAX_PANELS:
                 results[live[k]] = ToleranceNotMetError(
@@ -354,13 +380,12 @@ def _refine(zeta, q, d, table, begin: list, tail, tail_err) -> list:
                     f"{_worst(err[:, k], total[:, k]):.3e} after {sizes[k]} panels "
                     f"(target {DEFAULT_REL_TOL:.1e})"
                 )
-            elif miss:
-                grow.append(k)
             else:
-                results[live[k]] = tuple(totals[k])
+                grow.append(k)
         if not grow:
             return results
-        panels = np.array(sizes)
+        # a mesh out of range ends before its budget (inf - inf if its tail overflowed)
+        missing = ~meets & in_range
         share = np.subtract(bound, tail_err, np.full_like(bound, np.inf), where=missing) / panels
         positive = (share > 0.0).all(axis=0).tolist()
         marked = (table[3:6] > share.repeat(panels, axis=1)).any(axis=0).nonzero()[0].tolist()
@@ -390,8 +415,8 @@ def _refine(zeta, q, d, table, begin: list, tail, tail_err) -> list:
         if not keep:
             return results
         if len(keep) < len(live):
-            zeta, q, d = zeta[keep], q[keep], d[keep]
-            live = [live[k] for k in keep]
+            zeta, live = zeta[keep], [live[k] for k in keep]
+            q, d = (x[keep] if isinstance(x, np.ndarray) else x for x in (q, d))
             tail, tail_err = tail[:, keep], tail_err[:, keep]
         cuts = np.empty(2 * lo.size)  # each panel's lower edge and midpoint
         cuts[0::2], cuts[1::2] = lo, mid
@@ -528,21 +553,23 @@ class _Eta1Rungs:
 def _seed_pass(zeta, q, d, levels: np.ndarray, free, eta1, base):
     """One Gauss-Kronrod batch over the seed meshes of zeta >= 0, which have the given levels.
 
-    q and d are, like zeta, arrays of one value per mesh.  free is the
-    number of free panels of each mesh, which come from eta1, the rows of
-    the call's eta = 1 tables (_Eta1Rungs.table) taken side by side, mesh
-    k's from column base[k] on, each filled down to the free panels of its
-    meshes; where no mesh has one, eta1 is not read (None will do).
+    zeta is an array of one value per mesh; q and d are each one number
+    that every mesh shares, or such an array.  free is the number of free
+    panels of each mesh, which come from eta1, the rows of the call's
+    eta = 1 tables (_Eta1Rungs.table) taken side by side, mesh k's from
+    column base[k] on, each filled down to the free panels of its meshes;
+    where no mesh has one, eta1 is not read (None will do).
     Only the other panels are computed: the bottom panel and the dyadic
     panels [depth - levels, depth - free).  They are laid end to end as
     one edge array, alternately upwards and downwards from the first, so
     that neighbours share their end edge, 0 or the top edge of a pair,
     whose two meshes must have the same number of free panels.
-    Each node takes its zeta, q and d and its angle basis by index, so the
-    pass builds no nodes.  At eta = 1 with q < 0 the closed-form tail below
-    the lowest dyadic edge takes the bottom panel's place: that panel is
-    laid, so that the meshes join at 0, with the basis of the panel above
-    it (nearer 0 the integrand can overflow), and dropped.
+    Each node takes its angle basis by index, and its zeta, q and d as
+    _at_nodes gives them, so the pass builds no nodes.  At eta = 1 with
+    q < 0 the closed-form tail below the lowest dyadic edge takes the
+    bottom panel's place: that panel is laid, so that the meshes join at 0,
+    with the basis of the panel above it (nearer 0 the integrand can
+    overflow), and dropped.
 
     Returns every mesh's full seed as _refine takes it: the table of its
     panels, mesh after mesh and each in increasing order, the first column
@@ -572,7 +599,7 @@ def _seed_pass(zeta, q, d, levels: np.ndarray, free, eta1, base):
         begin = np.cumsum(kept) - kept
         for k in tailed.nonzero()[0].tolist():
             low = float(ladder.lo[depth - levels[k]])  # the lowest dyadic edge
-            tail[:, k], tail_err[:, k] = _eta1_tail(q[k].item(), d[k].item(), low)
+            tail[:, k], tail_err[:, k] = _eta1_tail(_of_mesh(q, k), _of_mesh(d, k), low)
     at_nodes = _at_nodes((zeta, q, d), panels)
     v, log_sin = (part.take(panel, 0) for part in ladder.basis)
     values, errors = _kronrod_batch(lambda: _folded_integrand(v, log_sin, *at_nodes), edges)
@@ -595,59 +622,74 @@ def _integrals(zetas, q, d, tables: dict | None = None) -> list:
     """I(eta, q, 0), I(eta, q, 1) and I(eta, q + 1, 0) at eta = 1 + zeta, for each of zetas (>= 0).
 
     q and d are numbers shared by every zeta, or sequences of one per
-    zeta.  All the seed meshes are integrated together.  tables maps a
-    (q, d) to its eta = 1 table of free panels (_Eta1Rungs), which the call
-    adds and fills down to the free panels of its meshes, so a caller may
-    share them between calls; without it every panel is computed, and
-    since a free panel equals its computed value, no result changes.  Each
-    entry is the (i0, i1, i_ent) tuple or the FastSphereError the mesh ends
-    in, without a traceback (at eta = 1 with 2q + d <= 0, where the
-    integral diverges, model's NotIntegrableError).  Where some seed
-    may have a free panel, the meshes are sorted by their (q, d), in the
-    order first met, then by zeta, so that neighbouring meshes mostly share
-    a table and have similar numbers of free panels, and each pair of
-    neighbours takes the smaller of the two; otherwise they stay in the
-    order asked.  The meshes are cut into batches of at most _BATCH_NODES
-    computed nodes (a pair at least), and each batch is one _seed_pass,
-    whose full seeds go whole to one _refine: it returns those that meet
-    DEFAULT_REL_TOL and refines the others together.  The table fills and
-    the batches run with overflow ignored: a mesh whose integrand leaves
-    double range, in its own panels or in the table columns it reads, ends
-    in _refine's ToleranceNotMetError.
+    zeta.  The meshes are grouped by their (q, d) once, in the order first
+    met: numbers make one group.  Each group takes its seed cut and its
+    eta = 1 table once, and every batch of meshes that share one (q, d)
+    hands it to the integrand as numbers.  All the seed meshes are
+    integrated together.  tables maps a (q, d) to its eta = 1 table of
+    free panels (_Eta1Rungs), which the call adds and fills down to the
+    free panels of its meshes, so a caller may share them between calls;
+    without it every panel is computed, and since a free panel equals its
+    computed value, no result changes.  Returns one entry per zeta, in the
+    order asked: the (i0, i1, i_ent) tuple or the FastSphereError the mesh
+    ends in, without a traceback (at eta = 1 with 2q + d <= 0, where the
+    integral diverges, model's NotIntegrableError).  Where some seed may
+    have a free panel, the meshes are sorted by their group, then by zeta,
+    so that neighbouring meshes mostly share a table and have similar
+    numbers of free panels, and each pair of neighbours takes the smaller
+    of the two; otherwise they stay in the order asked.  The meshes are
+    cut into batches of at most _BATCH_NODES computed nodes (a pair at
+    least), and each batch is one _seed_pass, whose full seeds go whole to
+    one _refine: it returns those that meet DEFAULT_REL_TOL and refines the
+    others together.  The table fills and the batches run with overflow
+    ignored: a mesh whose integrand leaves double range, in its own panels
+    or in the table columns it reads, ends in _refine's
+    ToleranceNotMetError.
     """
     zeta = np.array(zetas, dtype=float)
-    q, d = np.full(zeta.shape, q, dtype=float), np.full(zeta.shape, d)
+    # a concrete type test: np.isscalar's abstract one costs microseconds a call
+    if isinstance(q, (int, float)) and isinstance(d, (int, float)):
+        specs, group = [(float(q), d)], np.zeros(zeta.size, np.intp)
+    else:
+        q, d = np.full(zeta.shape, q, dtype=float), np.full(zeta.shape, d)
+        index = {}  # each (q, d) met, and its group
+        each = (index.setdefault(spec, len(index)) for spec in zip(q.tolist(), d.tolist()))
+        group = np.fromiter(each, np.intp, zeta.size)
+        specs = list(index)
     ladder = _ladder()
-    cut = np.fromiter(map(_seed_cut, q.tolist(), d.tolist()), float, zeta.size)
+    cut = np.fromiter(starmap(_seed_cut, specs), float, len(specs))[group]
     results = [None] * zeta.size
     order = np.arange(zeta.size)
     if not zeta.all():  # some mesh is at eta = 1, whose integral needs a cut (2q + d > 0)
         for k in ((zeta == 0.0) & (cut == 0.0)).nonzero()[0].tolist():
-            results[k] = _not_integrable(q[k].item(), d[k].item())
+            results[k] = _not_integrable(*specs[group[k]])
         order = ((zeta > 0.0) | (cut > 0.0)).nonzero()[0]
-        zeta, q, d, cut = zeta[order], q[order], d[order], cut[order]
-        if not zeta.size:
-            return results
+        zeta, cut = zeta[order], cut[order]
+        # the groups left, in the order first met
+        kept = np.bincount(group[order], minlength=len(specs)).nonzero()[0]
+        group = np.searchsorted(kept, group[order])
+        specs = [specs[k] for k in kept.tolist()]
     levels = _seed_levels(zeta, cut)
-    eta1, fills = None, []  # each (q, d)'s eta = 1 table, and the lowest panel it fills
+    eta1, fills = None, []  # each group's eta = 1 table, and the lowest panel it fills
     free, base = np.zeros_like(levels), np.zeros_like(levels)
-    if tables is not None and zeta.min() < ladder.free_below[-1]:  # else no panel is free
-        specs = list(zip(q.tolist(), d.tolist()))
-        keys = {spec: k for k, spec in enumerate(dict.fromkeys(specs))}  # as first met
-        group = np.fromiter(map(keys.get, specs), np.intp, zeta.size)
+    # where zeta is above the largest free_below, no panel is free
+    if tables is not None and zeta.min(initial=math.inf) < ladder.free_below[-1]:
         sort = np.lexsort((zeta, group))
-        order, zeta, q, d, levels, group = (x[sort] for x in (order, zeta, q, d, levels, group))
+        order, zeta, levels, group = (x[sort] for x in (order, zeta, levels, group))
         free = _free_panels(zeta, levels)
         # the two meshes of a pair share their top edge
         free[0:-1:2] = free[1::2] = np.minimum(free[0:-1:2], free[1::2])
-        eta1, base = [], ladder.depth * group  # the table of each key, side by side
-        for k, spec in enumerate(keys):
+        eta1, base = [], ladder.depth * group  # the table of each group, side by side
+        for k, spec in enumerate(specs):
             if spec not in tables:
                 tables[spec] = _Eta1Rungs(*spec)
             fills.append((tables[spec], ladder.depth - int(free[group == k].max())))
             eta1.append(tables[spec].table)
-    order = order.tolist()
+    places = order.tolist()
     ends = np.cumsum(levels + 1 - free)  # in computed panels
+    # the last mesh of each run of one group; a batch that holds none of
+    # them before its own last mesh shares one (q, d)
+    changes = (group[1:] != group[:-1]).nonzero()[0].tolist()
     first = 0
     # an overflow leaves a non-finite panel, which ends its mesh in _refine;
     # the branch solves never get there, as their zeta floor keeps the peak in range
@@ -660,9 +702,13 @@ def _integrals(zetas, q, d, tables: dict | None = None) -> list:
             if last < zeta.size:  # cut between two pairs, after one at least
                 last = min(max(last - (last - first) % 2, first + 2), zeta.size)
             span = slice(first, last)
-            batch = (zeta[span], q[span], d[span])
+            if bisect_left(changes, first) == bisect_left(changes, last - 1):
+                spec = specs[group[first]]
+            else:  # only a call of one (q, d) per mesh mixes them, each mesh its own
+                spec = q[order[span]], d[order[span]]
+            batch = (zeta[span], *spec)
             laid = (levels[span], free[span], eta1, base[span])
-            for k, result in zip(order[span], _refine(*batch, *_seed_pass(*batch, *laid))):
+            for k, result in zip(places[span], _refine(*batch, *_seed_pass(*batch, *laid))):
                 results[k] = result
             first = last
     return results

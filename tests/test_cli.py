@@ -645,16 +645,53 @@ class TestVerifyWork:
         assert len(singles) == 1
 
 
+def run_demo_sweeps(out_dir):
+    """Run the three bifurcation diagrams of demos/bifurcation_diagram.py into out_dir; their names."""
+    demo = DEMOS / "bifurcation_diagram.py"
+    spec = importlib.util.spec_from_file_location("bifurcation_diagram", demo)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    for name, sweep in module.SWEEPS.items():
+        assert main(module.sweep_argv(sweep, out_dir / name)) == 0
+    return list(module.SWEEPS)
+
+
 class TestDemoSweeps:
     def test_demo_csvs_are_reproduced_byte_for_byte(self, tmp_path):
-        # the three bifurcation diagrams of demos/bifurcation_diagram.py
-        demo = DEMOS / "bifurcation_diagram.py"
-        spec = importlib.util.spec_from_file_location("bifurcation_diagram", demo)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        for name, sweep in module.SWEEPS.items():
-            assert main(module.sweep_argv(sweep, tmp_path / name)) == 0
+        for name in run_demo_sweeps(tmp_path):
             assert (tmp_path / name).read_bytes() == (DEMOS / name).read_bytes(), name
+
+
+class TestWorkLedger:
+    # The kernel's work on the seed-0 demo sweeps and on verify: _integrals
+    # calls, Gauss-Kronrod batches and integrand nodes, counted at the
+    # kernel's own functions.  A change that moves the work updates these
+    # pins and names the change.
+    KERNEL = ("_integrals", "_kronrod_batch", "_folded_integrand")
+
+    def ledger(self, monkeypatch, work):
+        """(calls, batches, nodes) of work(), and the integrand's arguments at every call."""
+        calls = {name: record_calls(monkeypatch, quadrature, name) for name in self.KERNEL}
+        work()
+        integrands = calls["_folded_integrand"]
+        nodes = sum(v.size for v, *_ in integrands)
+        assert nodes == 15 * sum(bounds.size - 1 for _, bounds in calls["_kronrod_batch"])
+        return (len(calls["_integrals"]), len(calls["_kronrod_batch"]), nodes), integrands
+
+    def test_demo_sweeps(self, monkeypatch, tmp_path):
+        counts, integrands = self.ledger(monkeypatch, lambda: run_demo_sweeps(tmp_path))
+        assert counts == (151, 218, 807_045)
+        # every batch of a sweep holds one pass, whose q and d reach the
+        # integrand as numbers
+        assert all(type(q) is float and type(d) is int for *_, q, d in integrands)
+
+    def test_verify(self, monkeypatch):
+        work = lambda: all(r.passed for r in verification.run_verification())
+        counts, integrands = self.ledger(monkeypatch, work)
+        assert counts == (67, 111, 200_835)
+        # a batch of meshes at several (q, d) gives every node its own q and d
+        mixed = [(v, q, d) for v, _, _, q, d in integrands if isinstance(q, np.ndarray)]
+        assert mixed and all(q.shape == d.shape == v.shape for v, q, d in mixed)
 
 
 def test_python_m_runs_the_command_line(capsys):

@@ -597,6 +597,46 @@ def test_results_are_plain_floats():
     assert all(type(x) is float for x in quadrature._integral(0.0, -1.3, 3))
 
 
+@pytest.mark.parametrize("tables", [None, {}], ids=["no-tables", "tables"])
+def test_an_empty_call_has_no_entry(tables):
+    # a round of grouped meshes can hold a pass with no new zeta; with or
+    # without tables, an empty call returns no entry and adds no table
+    assert quadrature._integrals([], -2.0, 2, tables) == []
+    assert quadrature._integrals([], [], [], tables) == []
+    assert not tables
+
+
+def test_integrand_takes_numbers_and_per_node_arrays_alike():
+    # zeta, q and d as numbers or as one value per node give the integrand
+    # the same operations, so the same bits, signed zeros included: at
+    # zeta = 0, at d = 1, at nodes where y > 700 caps expm1 and on both
+    # sides of the z > -0.5 mask of log1p
+    theta = np.geomspace(1e-30, math.pi / 2.0, 8 * 15).reshape(8, 15)
+    v, log_sin = quadrature._angle_basis(theta)
+    reached = set()
+    for zeta in (0.0, 1e-12, 0.3, 5.0):
+        for q, d in ((-10.0, 40), (-4.0 / 3.0, 3), (-2.0, 1), (0.5, 1), (2.0, 2)):
+            per_node = (np.full(v.shape, x, dtype=float) for x in (zeta, q, d))
+            with np.errstate(over="ignore"):
+                numbers = quadrature._folded_integrand(v, log_sin, zeta, q, d)
+                arrays = quadrature._folded_integrand(v, log_sin, *per_node)
+            assert np.array_equal(numbers.view(np.uint64), arrays.view(np.uint64)), (zeta, q, d)
+            z = -2.0 * (1.0 - v) / ((2.0 + zeta) - v)
+            y = q * (np.log(zeta + v) - np.log((2.0 + zeta) - v))
+            reached |= {
+                name
+                for name, hit in (
+                    ("zeta = 0", zeta == 0.0),
+                    ("d = 1", d == 1),
+                    ("y > 700", (y > 700.0).any()),
+                    ("z <= -0.5", (z <= -0.5).any()),
+                    ("z > -0.5", (z > -0.5).any()),
+                )
+                if hit
+            }
+    assert reached == {"zeta = 0", "d = 1", "y > 700", "z <= -0.5", "z > -0.5"}
+
+
 def test_singular_endpoint_beta_value():
     # eta = 1, q = -4/3, d = 3 equals 2^(2/3) B(1/6, 3/2)
     beta = math.exp(math.lgamma(1.0 / 6.0) + math.lgamma(1.5) - math.lgamma(1.0 / 6.0 + 1.5))
