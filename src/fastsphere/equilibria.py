@@ -173,6 +173,9 @@ def _rho_bar_constants(d, m: float) -> _Constants:
     return c
 
 
+_SMALLEST_NORMAL = sys.float_info.min
+
+
 def _inverse_kappa_scale(area_sdm1: float, m: float) -> float:
     return (1.0 - m) / m * area_sdm1 ** (m - 1.0)
 
@@ -186,7 +189,7 @@ def _inverse_kappa_of(
     below, with limit 1/kappa1 as eta -> infinity.
     """
     # a subnormal i0 has already lost the relative precision asked for
-    if not sys.float_info.min <= i0 < math.inf:
+    if not _SMALLEST_NORMAL <= i0 < math.inf:
         raise ToleranceNotMetError(
             f"mass integral left double range at eta = 1 + {zeta!r} for d={d}, "
             f"m={m!r} (i0={i0!r})"
@@ -266,7 +269,7 @@ def _fully_supported_states(requests) -> list:
     for (c, kappas), entries in zip(requests, results):
         in_window, bracket = _window(c), _log_zeta_bracket(c)
         spec = (c.q, c.d)
-        solve = (spec, memos.setdefault(spec, {}), c.m, _inverse_kappa_scale(c.area_sdm1, c.m))
+        solve = (c.d, c.m, _inverse_kappa_scale(c.area_sdm1, c.m), spec, memos.setdefault(spec, {}))
         for i, kappa in enumerate(kappas):
             try:
                 kappa = check_kappa(kappa)  # (d, m) were checked by the pass
@@ -281,13 +284,13 @@ def _fully_supported_states(requests) -> list:
         return results
     from .quadrature import _integrals
 
-    tables = {}
+    tables, exp = {}, math.exp
 
     def residuals(asks):
-        zetas = [math.exp(y) for _, y in asks]
+        zetas = [exp(y) for _, y in asks]
         new = defaultdict(dict)  # the new zetas of each (q, d), in the order first met
         for (item, _), zeta in zip(asks, zetas):
-            _, spec, memo, _, _ = solves[item]
+            _, _, _, _, spec, memo = solves[item]
             if zeta not in memo:
                 new[spec][zeta] = None
         if new:
@@ -303,7 +306,7 @@ def _fully_supported_states(requests) -> list:
                 memos[spec].update(zip(fresh, found))
         values = []
         for (item, _), zeta in zip(asks, zetas):
-            kappa, (_, d), memo, m, scale = solves[item]
+            kappa, d, m, scale, _, memo = solves[item]
             at_zeta = memo[zeta]
             if isinstance(at_zeta, FastSphereError):
                 values.append(at_zeta)
@@ -317,7 +320,7 @@ def _fully_supported_states(requests) -> list:
         return values
 
     roots = lockstep_roots(residuals, brackets)
-    for (kappa, _, memo, _, _), (entries, i), y in zip(solves, places, roots):
+    for (kappa, *_, memo), (entries, i), y in zip(solves, places, roots):
         if isinstance(y, FastSphereError):
             entries[i] = y
             continue

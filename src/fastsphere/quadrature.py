@@ -80,41 +80,47 @@ it grows with the panel, so the free panels of a seed are a top suffix
 of it, found by one searchsorted.
 
 _integrals integrates the seed meshes of many zetas together, eta = 1
-included.  It groups its meshes by (q, d) once and pays each group's
-share of the set-up once: its seed cut, its eta = 1 table, and the q and
-d of a batch whose meshes all share them, which reach the integrand as
-numbers (_at_nodes), as a lone mesh's zeta does; only a batch that mixes
-(q, d) gives every node its own.  The branch solves, run in lockstep,
-send it the zetas of every unfinished solve, one group per pass of
-(d, m), so a sweep's batches each hold one (q, d); verify's checks send
-it all the meshes of a check, at up to 100 (q, d); _integral is its
-one-mesh call that raises.  _seed_pass lays the computed panels end to
-end, alternately upwards and downwards so that neighbours share an edge
-(the two meshes of a pair are cut at the same panel), with each panel's
-ladder index found by index arithmetic (no Python loop per mesh), and
-integrates up to _BATCH_NODES computed nodes in one batch; at eta = 1
-with q < 0 the bottom panel is laid to join its neighbours at 0, and
-dropped.  A call may also pass a dict of eta = 1 tables keyed by (q, d)
-(_Eta1Rungs); the call adds the table of each of its (q, d) and fills it
-in one batch down to the lowest free panel of its meshes, and a caller
-with many calls, such as a lockstep of branch solves, shares the tables
-between them.  Then only the panels below each free suffix are computed,
-and where some seed may have a free panel the meshes are sorted by their
-group, then by zeta, so that neighbours mostly share a table and have
-similar suffixes; a call of one (q, d) is sorted by zeta alone.  A full
-batch costs mostly its nodes, not its fixed numpy overhead, so the free
-panels are the saving.  The pass and the eta = 1 tables hold their
-panels in _refine's rows, and one gather puts every full seed back in
-increasing order; the pass then goes whole to _refine, which settles
-the seeds that meet the tolerance in one step and refines the others
-together, so a round of their refinement costs one batch however many
-seeds it bisects.  Every panel and every per-mesh sum is computed in the
-same order wherever its mesh sits, every free panel equals its computed
-value, and the integrand does the same operations on a number as on an
-array of it, so each mesh ends as it would alone, with or without the
-tables.  A panel whose integrand leaves double range is not finite, and
-_refine ends the meshes that hold it: a table column ends exactly those
-that read it, each of which would overflow on its own.
+included.  It groups its meshes by (q, d) once: one comparison of
+neighbours finds the runs of one (q, d), and one dict lookup per run
+(not per zeta) joins the runs of a (q, d) into its group.  Each group
+pays its share of the set-up once per call: its seed cut, its eta = 1
+table, and the q and d of a batch whose meshes all share them, which
+reach the integrand as numbers (_at_nodes), as a lone mesh's zeta does;
+only a batch that mixes (q, d) gives every node its own.  The branch
+solves, run in lockstep, send it the zetas of every unfinished solve,
+each pass of (d, m) as one run, so a sweep's batches each hold one
+(q, d); verify's checks send it all the meshes of a check, at up to 100
+(q, d); _integral is its one-mesh call that raises.  _seed_pass lays the
+computed panels end to end, alternately upwards and downwards so that
+neighbours share an edge (the two meshes of a pair are cut at the same
+panel), with each panel's ladder index linear in its column within its
+mesh (index arithmetic, no Python loop per mesh), and integrates up to
+_BATCH_NODES computed nodes in one batch; at eta = 1 with q < 0 the
+bottom panel is laid to join its neighbours at 0, and dropped.  A call
+may also pass a dict of eta = 1 tables keyed by (q, d) (_Eta1Rungs); the
+call adds the table of each of its (q, d) and fills it in one batch down
+to the lowest free panel of its meshes, and a caller with many calls,
+such as a lockstep of branch solves, shares the tables between them.
+Then only the panels below each free suffix are computed, and where some
+seed may have a free panel the meshes are sorted by their group, then by
+zeta, so that neighbours mostly share a table and have similar suffixes.
+A full batch costs mostly its nodes, not its fixed numpy overhead, so
+the free panels are the saving.  The pass and the eta = 1 tables hold
+their panels in _refine's rows, and one gather from the computed panels
+and the filled suffixes of the tables, read in place, puts every full
+seed in increasing order; the pass then goes whole to _refine.  When
+every seed meets the tolerance, as in most rounds of a sweep, _refine
+returns their totals at once; otherwise it settles those that do in one
+step and refines the others together, so a round of their refinement
+costs one batch however many seeds it bisects.  The results of the
+batches are put back in the order asked once, at the end.  Every panel
+and every per-mesh sum is computed in the same order wherever its mesh
+sits, every free panel equals its computed value, and the integrand does
+the same operations on a number as on an array of it, so each mesh ends
+as it would alone, with or without the tables.  A panel whose integrand
+leaves double range is not finite, and _refine ends the meshes that hold
+it: a table column ends exactly those that read it, each of which would
+overflow on its own.
 
 This module holds the numpy kernel alone, and it is the package's only
 module that imports numpy at load time.  The public front of the family
@@ -132,7 +138,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
-from itertools import accumulate, starmap
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -187,6 +193,7 @@ _W_GAUSS = np.zeros(15)
 _W_GAUSS[1:7:2] = _W_GAUSS[8:14:2] = _WG[:3]
 _W_GAUSS[14] = _WG[3]
 _W_ERROR = _W_KRONROD - _W_GAUSS
+_W_RULES = np.stack((_W_KRONROD, _W_ERROR))
 
 
 def _angle_basis(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -208,12 +215,14 @@ def _folded_integrand(v, log_sin, zeta, q, d) -> np.ndarray:
     node); an array gives every node the same operations as a number, so
     the values do not change.  No node may be 0 where zeta = 0.
     """
+    # until they take the integrands, the rows of out hold log a1 (and e1,
+    # formed in its buffer as e2 is in log a2's), cos t and the weight of a
+    # number d; the moment is formed in z's buffer
     out = np.empty((3,) + v.shape)
-    cos_t = 1.0 - v
+    cos_t = np.subtract(1.0, v, out=out[1])
     a1 = zeta + v
     a2 = (2.0 + zeta) - v
-    # e1 and e2 are formed in the buffers of log a1 and log a2, the moment in z's
-    e1, e2 = np.log(a1), np.log(a2)
+    e1, e2 = np.log(a1, out=out[0]), np.log(a2)
     # log(a1/a2) two ways: 1 + z with z = -2 cos(t)/a2 is exact algebra but
     # loses v once cos(t) rounds to 1, so it is only used where the ratio is
     # close to 1 (and the plain log difference would cancel).
@@ -223,8 +232,11 @@ def _folded_integrand(v, log_sin, zeta, q, d) -> np.ndarray:
     np.log1p(z, out=y, where=z > -0.5)
     y *= q
     # d = 1 has no weight, even where log_sin is -inf
-    log_weight = np.where(d > 1, log_sin, 0.0)
-    log_weight *= d - 1
+    if isinstance(d, np.ndarray):
+        log_weight = np.where(d > 1, log_sin, 0.0)
+        log_weight *= d - 1
+    else:  # the same product, without the select
+        log_weight = np.multiply(log_sin, d - 1, out=out[2]) if d > 1 else 0.0
     for e in (e1, e2):
         np.multiply(q, e, out=e)
         e += log_weight
@@ -235,11 +247,11 @@ def _folded_integrand(v, log_sin, zeta, q, d) -> np.ndarray:
     np.expm1(moment, out=moment)
     moment *= e2
     np.subtract(e1, e2, out=moment, where=y > 700.0)
-    np.add(e1, e2, out=out[0])
     np.multiply(moment, cos_t, out=out[1])
     a1 *= e1
     a2 *= e2
     np.add(a1, a2, out=out[2])
+    e1 += e2
     return out
 
 
@@ -263,9 +275,8 @@ def _kronrod_batch(f, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     one), so its values do not depend on the other panels of the batch.
     """
     h = 0.5 * np.abs(bounds[1:] - bounds[:-1])
-    fv = f()
-    kronrod = np.einsum("...j,j->...", fv, _W_KRONROD)
-    return h * kronrod, h * np.abs(np.einsum("...j,j->...", fv, _W_ERROR))
+    kronrod, error = np.einsum("...j,kj->k...", f(), _W_RULES)
+    return h * kronrod, h * np.abs(error)
 
 
 def _eta1_tail(q: float, d: int, cut: float) -> tuple[np.ndarray, np.ndarray]:
@@ -324,60 +335,63 @@ def _of_mesh(value, k):
     return value.item(k) if isinstance(value, np.ndarray) else value
 
 
-def _refine(zeta, q, d, table, begin: list, tail, tail_err) -> list:
+def _refine(zeta, q, d, table, sizes, tail, tail_err) -> list:
     """Adaptive Gauss-Kronrod refinement of meshes at eta = 1 + zeta, one batch per round.
 
     zeta is an array of one value per mesh; q and d are each one number
     that every mesh shares, or such an array.  table holds one column per
-    panel, mesh k's from begin[k] to the next start, in increasing order:
+    panel, mesh after mesh, mesh k's sizes[k] panels in increasing order:
     rows 0-2 are its Kronrod values, 3-5 their estimates, 6 and 7 its
     lower and upper edge.  tail[:, k] is mesh k's closed-form endpoint
     tail, which joins each total, and tail_err[:, k] the tail's irreducible
     share of each error budget.  Each component must meet DEFAULT_REL_TOL
-    relative to its own total.  The meshes that meet it are settled in one
-    step; a round tests one by one only the meshes that miss, stall or
-    overflow.  While one misses, every panel whose estimate exceeds its
-    equal share of a missing component's budget is marked, and the
-    contiguous span from the first to the last marked panel is bisected.
-    Each round bisects the spans of all the meshes that still miss in one
-    batch: each span's halves are one increasing run of edges, and the runs
-    are laid end to end, so the panel that joins two runs is a bridge,
-    whose values are dropped.  A mesh whose panel sums are not finite (its
-    integrand left double range) ends at once, and so does one of more
-    than _MAX_PANELS panels.  A mesh's panels and sums do not depend on the
-    other meshes, so each ends as it would on its own.
+    relative to its own total.  When every mesh meets it at once, as most
+    seeds do, the call returns their totals straight away; otherwise a
+    round settles the meshes that meet it in one step and tests one by one
+    only those that miss, stall or overflow.  While one misses, every panel
+    whose estimate exceeds its equal share of a missing component's budget
+    is marked, and the contiguous span from the first to the last marked
+    panel is bisected.  Each round bisects the spans of all the meshes that
+    still miss in one batch: each span's halves are one increasing run of
+    edges, and the runs are laid end to end, so the panel that joins two
+    runs is a bridge, whose values are dropped.  A mesh whose panel sums
+    are not finite (its integrand left double range) ends at once, and so
+    does one of more than _MAX_PANELS panels.  A mesh's panels and sums do
+    not depend on the other meshes, so each ends as it would on its own.
 
     Returns each mesh's (i0, i1, i_ent), or the ToleranceNotMetError it
     ends in, without a traceback.
     """
     results = [None] * zeta.size
-    live = list(range(zeta.size))  # the place in zeta of each mesh still refined
-    sizes = [b - a for a, b in zip(begin, begin[1:] + [table.shape[1]])]
+    live = range(zeta.size)  # the place in results of each mesh still refined
     while True:
         # each mesh's run of panels is summed on its own and in the same order
         # wherever it sits, so its totals do not depend on the other meshes
+        begin = sizes.cumsum() - sizes
         sums = np.add.reduceat(table[:6], begin, axis=1)
         in_range = np.isfinite(sums).all(axis=0)
         total, err = tail + sums[:3], tail_err + sums[3:]
         bound = DEFAULT_REL_TOL * np.abs(total)
         meets = err <= bound
-        panels = np.array(sizes)
-        # the meshes that meet the tolerance, settled in one step
-        settled = in_range & (panels <= _MAX_PANELS) & meets.all(axis=0)
+        # the meshes that meet the tolerance, settled in one step: at once
+        # when they are all the meshes of the call
+        settled = in_range & (sizes <= _MAX_PANELS) & meets.all(axis=0)
         totals = list(zip(*total.tolist()))  # each mesh's (i0, i1, i_ent)
+        if len(live) == len(results) and settled.all():
+            return totals
         for k in settled.nonzero()[0].tolist():
             results[live[k]] = totals[k]
-        grow, fits = [], in_range.tolist()
+        grow, fits, panels = [], in_range.tolist(), sizes.tolist()
         for k in (~settled).nonzero()[0].tolist():
             if not fits[k]:
                 results[live[k]] = ToleranceNotMetError(
                     f"the integrand leaves double range at eta - 1 = {zeta.item(k)!r}, "
                     f"q = {_of_mesh(q, k)!r}, d = {_of_mesh(d, k)}"
                 )
-            elif sizes[k] > _MAX_PANELS:
+            elif panels[k] > _MAX_PANELS:
                 results[live[k]] = ToleranceNotMetError(
                     f"adaptive quadrature stalled at estimated relative error "
-                    f"{_worst(err[:, k], total[:, k]):.3e} after {sizes[k]} panels "
+                    f"{_worst(err[:, k], total[:, k]):.3e} after {panels[k]} panels "
                     f"(target {DEFAULT_REL_TOL:.1e})"
                 )
             else:
@@ -386,18 +400,19 @@ def _refine(zeta, q, d, table, begin: list, tail, tail_err) -> list:
             return results
         # a mesh out of range ends before its budget (inf - inf if its tail overflowed)
         missing = ~meets & in_range
-        share = np.subtract(bound, tail_err, np.full_like(bound, np.inf), where=missing) / panels
+        share = np.subtract(bound, tail_err, np.full_like(bound, np.inf), where=missing) / sizes
         positive = (share > 0.0).all(axis=0).tolist()
-        marked = (table[3:6] > share.repeat(panels, axis=1)).any(axis=0).nonzero()[0].tolist()
+        marked = (table[3:6] > share.repeat(sizes, axis=1)).any(axis=0).nonzero()[0].tolist()
         lo, hi = table[6], table[7]
         mid = 0.5 * (lo + hi)
         # the panels at floating point resolution, which no bisection splits
         splits = (lo < mid) & (mid < hi)
         whole = [] if splits.all() else (~splits).nonzero()[0].tolist()
+        begin = begin.tolist()
         keep, spans = [], []  # the meshes bisected now, and their first and last marked panel
         for k in grow:
             # the marked panels of mesh k are marked[a:b]
-            a, b = bisect_left(marked, begin[k]), bisect_left(marked, begin[k] + sizes[k])
+            a, b = bisect_left(marked, begin[k]), bisect_left(marked, begin[k] + panels[k])
             if positive[k] and a < b:
                 first, last = marked[a], marked[b - 1]
                 if bisect_left(whole, first) == bisect_right(whole, last):
@@ -434,21 +449,18 @@ def _refine(zeta, q, d, table, begin: list, tail, tail_err) -> list:
         vals, errs = _kronrod_batch(lambda: _folded_integrand(v, log_sin, *at_nodes), laid)
         new = np.concatenate((vals, errs, laid[None, :-1], laid[None, 1:]))
         # each mesh again: its panels below the span, the span's halves, its panels above it
-        parts, sizes_kept = [], []
+        parts, grown = [], []
         for k, (first, last), foot in zip(keep, spans, accumulate(counts, initial=0)):
             span = last + 1 - first
             parts += [
                 table[:, begin[k] : first],
                 new[:, foot : foot + 2 * span],
-                table[:, last + 1 : begin[k] + sizes[k]],
+                table[:, last + 1 : begin[k] + panels[k]],
             ]
-            sizes_kept.append(sizes[k] + span)
-        table = np.concatenate(parts, axis=1)
-        sizes = sizes_kept
-        begin = list(accumulate(sizes[:-1], initial=0))
+            grown.append(panels[k] + span)
+        table, sizes = np.concatenate(parts, axis=1), np.array(grown)
 
 
-@lru_cache(maxsize=64)  # the meshes of most _integrals calls share one (q, d)
 def _seed_cut(q: float, d: int) -> float:
     """Lowest angle a seed mesh needs at any zeta: the eta = 1 cutoff where 2q + d > 0, else 0."""
     if 2.0 * q + d <= 0.0:
@@ -517,7 +529,7 @@ def _ladder() -> _Ladder:
 def _free_panels(zeta, levels):
     """Number of free panels, the top suffix a seed takes from eta = 1, of each seed."""
     ladder = _ladder()
-    return np.minimum(ladder.depth - np.searchsorted(ladder.free_below, zeta, "right"), levels)
+    return np.minimum(ladder.depth - ladder.free_below.searchsorted(zeta, "right"), levels)
 
 
 class _Eta1Rungs:
@@ -555,67 +567,72 @@ def _seed_pass(zeta, q, d, levels: np.ndarray, free, eta1, base):
 
     zeta is an array of one value per mesh; q and d are each one number
     that every mesh shares, or such an array.  free is the number of free
-    panels of each mesh, which come from eta1, the rows of the call's
-    eta = 1 tables (_Eta1Rungs.table) taken side by side, mesh k's from
-    column base[k] on, each filled down to the free panels of its meshes;
-    where no mesh has one, eta1 is not read (None will do).
-    Only the other panels are computed: the bottom panel and the dyadic
-    panels [depth - levels, depth - free).  They are laid end to end as
-    one edge array, alternately upwards and downwards from the first, so
+    panels of each mesh, which come from eta1, the filled suffixes of the
+    call's eta = 1 tables (_Eta1Rungs.table) taken side by side: mesh k's
+    from column base[k] on.  Where no mesh has a free panel eta1 may be
+    empty.  Only the other panels are computed: the bottom panel and the
+    dyadic panels [depth - levels, depth - free).  They are laid end to end
+    as one edge array, alternately upwards and downwards from the first, so
     that neighbours share their end edge, 0 or the top edge of a pair,
-    whose two meshes must have the same number of free panels.
-    Each node takes its angle basis by index, and its zeta, q and d as
-    _at_nodes gives them, so the pass builds no nodes.  At eta = 1 with
-    q < 0 the closed-form tail below the lowest dyadic edge takes the
-    bottom panel's place: that panel is laid, so that the meshes join at 0,
-    with the basis of the panel above it (nearer 0 the integrand can
-    overflow), and dropped.
+    whose two meshes must have the same number of free panels.  Each laid
+    panel's ladder index is one linear run per mesh, found by index
+    arithmetic (no Python loop per mesh); each node takes its angle basis
+    by that index, and its zeta, q and d as _at_nodes gives them, so the
+    pass builds no nodes.  At eta = 1 with q < 0 the closed-form tail below
+    the lowest dyadic edge takes the bottom panel's place: that panel is
+    laid, so that the meshes join at 0, with the basis of the panel above
+    it (nearer 0 the integrand can overflow), and dropped.
 
     Returns every mesh's full seed as _refine takes it: the table of its
-    panels, mesh after mesh and each in increasing order, the first column
-    of each mesh, and each mesh's tail and the tail's error budget.
+    panels, mesh after mesh and each in increasing order, gathered in one
+    step from the computed panels and the free ones; the number of panels
+    of each mesh; and each mesh's tail and the tail's error budget.
     """
     ladder = _ladder()
-    depth = ladder.depth
-    panels = levels + 1 - free  # the bottom panel, then the computed dyadic ones
-    starts = np.cumsum(panels) - panels
-    mesh = np.repeat(np.arange(zeta.size), panels)  # mesh of each laid panel
-    at = np.arange(mesh.size) - starts[mesh]  # its place in its mesh, as laid
-    upward = mesh % 2 == 0
-    # the place in increasing order; the map is its own inverse
-    rank = np.where(upward, at, panels[mesh] - 1 - at)
-    n = levels[mesh]
-    panel = np.where(rank == 0, depth + n, depth - n + rank - 1)
-    lo, hi = ladder.lo[panel], ladder.hi[panel]
-    edges = np.concatenate((lo[:1], np.where(upward, hi, lo)))
-    columns = starts[mesh] + rank  # the laid column of each panel of the full seeds
-    kept, begin = panels, starts  # the computed panels of each seed, and its first column
-    tail, tail_err = np.zeros((2, 3, zeta.size))
+    depth, size = ladder.depth, zeta.size
+    laid = levels + 1 - free  # the bottom panel, then the computed dyadic ones
+    last = laid.cumsum() - 1  # the laid column of each mesh's last panel
+    first = last + 1 - laid
+    step = np.ones(size, np.intp)  # 1 for a mesh laid upwards, -1 downwards
+    step[1::2] = -1
+    up = step > 0
+    # each laid panel's ladder index is linear in its column, the bottom
+    # panel taking the index below the lowest dyadic one ...
+    panel = (np.where(up, -first, last) + (depth - 1 - levels)).repeat(laid)
+    sign = step.repeat(laid)
+    panel += sign * np.arange(panel.size)
+    # ... until its own index replaces it
+    bottom = np.where(up, first, last)
+    panel[bottom] = depth + levels
+    lo, hi = ladder.lo.take(panel), ladder.hi.take(panel)
+    edges = np.concatenate((lo[:1], np.where(sign > 0, hi, lo)))
+    kept = laid  # the computed panels of each seed
+    tail, tail_err = np.zeros((2, 3, size))
     if not zeta.all():
         tailed = (zeta == 0.0) & (q < 0.0)
-        panel = np.where(tailed[mesh] & (rank == 0), depth - n, panel)
-        columns = columns[~tailed[mesh] | (at > 0)]
-        kept = panels - tailed
-        begin = np.cumsum(kept) - kept
+        panel[bottom[tailed]] = depth - levels[tailed]
+        kept = laid - tailed
+        bottom += tailed * step  # the lowest panel kept
         for k in tailed.nonzero()[0].tolist():
             low = float(ladder.lo[depth - levels[k]])  # the lowest dyadic edge
             tail[:, k], tail_err[:, k] = _eta1_tail(_of_mesh(q, k), _of_mesh(d, k), low)
-    at_nodes = _at_nodes((zeta, q, d), panels)
+    at_nodes = _at_nodes((zeta, q, d), laid)
     v, log_sin = (part.take(panel, 0) for part in ladder.basis)
     values, errors = _kronrod_batch(lambda: _folded_integrand(v, log_sin, *at_nodes), edges)
-    table = np.concatenate((values, errors, lo[None], hi[None]))[:, columns]
-    if not free.any():  # these are the full seeds
-        return table, begin.tolist(), tail, tail_err
-    # each full seed is two runs of columns: its computed panels, then its
-    # free ones from its eta = 1 table
-    run_from = np.empty(2 * zeta.size, dtype=np.intp)
-    run_from[0::2], run_from[1::2] = begin, columns.size + base + depth - free
-    run_size = np.empty_like(run_from)
-    run_size[0::2], run_size[1::2] = kept, free
-    run_to = np.cumsum(run_size) - run_size
-    gather = np.repeat(run_from - run_to, run_size) + np.arange(run_to[-1] + run_size[-1])
-    table = np.concatenate((table, *eta1), axis=1)[:, gather]
-    return table, run_to[0::2].tolist(), tail, tail_err
+    # each full seed is its computed panels in increasing order, a run up or
+    # down their laid columns, then its free ones, a run up eta1 past them
+    table = np.concatenate((values, errors, lo[None], hi[None]))
+    start, stride, length = bottom, step, kept  # each run's first column, step and length
+    if eta1:
+        runs = np.ones((3, size, 2), np.intp)
+        runs[:, :, 0] = start, stride, length
+        runs[0, :, 1], runs[2, :, 1] = panel.size + base, free
+        start, stride, length = runs.reshape(3, -1)
+        table = np.concatenate((table, *eta1), axis=1)
+    to = length.cumsum() - length  # each run's first column in the full seeds
+    gather = (start - stride * to).repeat(length) + stride.repeat(length) * np.arange(length.sum())
+    table = table.take(gather, 1)
+    return table, kept + free, tail, tail_err
 
 
 def _integrals(zetas, q, d, tables: dict | None = None) -> list:
@@ -623,94 +640,105 @@ def _integrals(zetas, q, d, tables: dict | None = None) -> list:
 
     q and d are numbers shared by every zeta, or sequences of one per
     zeta.  The meshes are grouped by their (q, d) once, in the order first
-    met: numbers make one group.  Each group takes its seed cut and its
-    eta = 1 table once, and every batch of meshes that share one (q, d)
-    hands it to the integrand as numbers.  All the seed meshes are
-    integrated together.  tables maps a (q, d) to its eta = 1 table of
-    free panels (_Eta1Rungs), which the call adds and fills down to the
-    free panels of its meshes, so a caller may share them between calls;
-    without it every panel is computed, and since a free panel equals its
-    computed value, no result changes.  Returns one entry per zeta, in the
-    order asked: the (i0, i1, i_ent) tuple or the FastSphereError the mesh
-    ends in, without a traceback (at eta = 1 with 2q + d <= 0, where the
-    integral diverges, model's NotIntegrableError).  Where some seed may
-    have a free panel, the meshes are sorted by their group, then by zeta,
-    so that neighbouring meshes mostly share a table and have similar
-    numbers of free panels, and each pair of neighbours takes the smaller
-    of the two; otherwise they stay in the order asked.  The meshes are
-    cut into batches of at most _BATCH_NODES computed nodes (a pair at
-    least), and each batch is one _seed_pass, whose full seeds go whole to
-    one _refine: it returns those that meet DEFAULT_REL_TOL and refines the
-    others together.  The table fills and the batches run with overflow
-    ignored: a mesh whose integrand leaves double range, in its own panels
-    or in the table columns it reads, ends in _refine's
-    ToleranceNotMetError.
+    met: one comparison of neighbours finds the runs of one (q, d), and a
+    dict joins the runs of each (q, d); numbers make one group.  Each group
+    takes its seed cut and its eta = 1 table once per call, and every batch
+    of meshes that share one (q, d) hands it to the integrand as numbers.
+    All the seed meshes are integrated together.  tables maps a (q, d) to
+    its eta = 1 table of free panels (_Eta1Rungs), which the call adds and
+    fills down to the free panels of its meshes, so a caller may share
+    them between calls; without it every panel is computed, and since a
+    free panel equals its computed value, no result changes.  Returns one
+    entry per zeta, in the order asked: the (i0, i1, i_ent) tuple or the
+    FastSphereError the mesh ends in, without a traceback (at eta = 1 with
+    2q + d <= 0, where the integral diverges, model's NotIntegrableError).
+    Where some seed may have a free panel, the meshes are sorted by their
+    group, then by zeta, so that neighbouring meshes mostly share a table
+    and have similar numbers of free panels, and each pair of neighbours
+    takes the smaller of the two; otherwise they stay in the order asked.
+    The meshes are cut into batches of at most _BATCH_NODES computed nodes
+    (a pair at least), and each batch is one _seed_pass, whose full seeds
+    go whole to one _refine: it returns those that meet DEFAULT_REL_TOL
+    and refines the others together.  The batches' results are joined in
+    their order and put back in the order asked once.  The table fills
+    and the batches run with overflow ignored: a mesh whose integrand
+    leaves double range, in its own panels or in the table columns it
+    reads, ends in _refine's ToleranceNotMetError.
     """
     zeta = np.array(zetas, dtype=float)
+    size = zeta.size
     # a concrete type test: np.isscalar's abstract one costs microseconds a call
     if isinstance(q, (int, float)) and isinstance(d, (int, float)):
-        specs, group = [(float(q), d)], np.zeros(zeta.size, np.intp)
+        specs, group = [(float(q), d)], np.zeros(size, np.intp)
     else:
-        q, d = np.full(zeta.shape, q, dtype=float), np.full(zeta.shape, d)
-        index = {}  # each (q, d) met, and its group
-        each = (index.setdefault(spec, len(index)) for spec in zip(q.tolist(), d.tolist()))
-        group = np.fromiter(each, np.intp, zeta.size)
-        specs = list(index)
+        q, d = np.full(size, q, dtype=float), np.full(size, d)
+        opens = np.ones(size, bool)  # where a run of one (q, d) begins
+        opens[1:] = (q[1:] != q[:-1]) | (d[1:] != d[:-1])
+        # each (q, d) met, and its group
+        index, runs = {}, zip(q[opens].tolist(), d[opens].tolist())
+        group = np.array([index.setdefault(run, len(index)) for run in runs], np.intp)
+        group, specs = group[opens.cumsum() - 1], list(index)
     ladder = _ladder()
-    cut = np.fromiter(starmap(_seed_cut, specs), float, len(specs))[group]
-    results = [None] * zeta.size
-    order = np.arange(zeta.size)
-    if not zeta.all():  # some mesh is at eta = 1, whose integral needs a cut (2q + d > 0)
+    cut = np.array([_seed_cut(*spec) for spec in specs])[group]
+    results, order = [None] * size, None  # order: the place asked of each mesh, once they move
+    floor = zeta.min(initial=math.inf)
+    if not floor > 0.0:  # some mesh is at eta = 1, whose integral needs a cut (2q + d > 0)
         for k in ((zeta == 0.0) & (cut == 0.0)).nonzero()[0].tolist():
             results[k] = _not_integrable(*specs[group[k]])
         order = ((zeta > 0.0) | (cut > 0.0)).nonzero()[0]
-        zeta, cut = zeta[order], cut[order]
-        # the groups left, in the order first met
-        kept = np.bincount(group[order], minlength=len(specs)).nonzero()[0]
-        group = np.searchsorted(kept, group[order])
-        specs = [specs[k] for k in kept.tolist()]
+        zeta, cut, group = zeta[order], cut[order], group[order]
+        floor = zeta.min(initial=math.inf)
     levels = _seed_levels(zeta, cut)
-    eta1, fills = None, []  # each group's eta = 1 table, and the lowest panel it fills
-    free, base = np.zeros_like(levels), np.zeros_like(levels)
-    # where zeta is above the largest free_below, no panel is free
-    if tables is not None and zeta.min(initial=math.inf) < ladder.free_below[-1]:
-        sort = np.lexsort((zeta, group))
-        order, zeta, levels, group = (x[sort] for x in (order, zeta, levels, group))
-        free = _free_panels(zeta, levels)
-        # the two meshes of a pair share their top edge
-        free[0:-1:2] = free[1::2] = np.minimum(free[0:-1:2], free[1::2])
-        eta1, base = [], ladder.depth * group  # the table of each group, side by side
-        for k, spec in enumerate(specs):
-            if spec not in tables:
-                tables[spec] = _Eta1Rungs(*spec)
-            fills.append((tables[spec], ladder.depth - int(free[group == k].max())))
-            eta1.append(tables[spec].table)
-    places = order.tolist()
-    ends = np.cumsum(levels + 1 - free)  # in computed panels
-    # the last mesh of each run of one group; a batch that holds none of
-    # them before its own last mesh shares one (q, d)
-    changes = (group[1:] != group[:-1]).nonzero()[0].tolist()
-    first = 0
+    free = base = np.zeros(zeta.size, np.intp)
+    eta1 = []  # the filled suffixes of the eta = 1 tables, side by side
     # an overflow leaves a non-finite panel, which ends its mesh in _refine;
     # the branch solves never get there, as their zeta floor keeps the peak in range
     with np.errstate(over="ignore"):
-        for rungs, low in fills:
-            rungs.fill(low)
+        # where zeta is above the largest free_below, no panel is free
+        if tables is not None and floor < ladder.free_below[-1]:
+            sort = np.lexsort((zeta, group))
+            order = sort if order is None else order[sort]
+            zeta, levels, group = zeta[sort], levels[sort], group[sort]
+            free = _free_panels(zeta, levels)
+            # the two meshes of a pair share their top edge
+            free[0:-1:2] = free[1::2] = np.minimum(free[0:-1:2], free[1::2])
+        # the last mesh of each run of one group
+        changes = (group[1:] != group[:-1]).nonzero()[0].tolist() if len(specs) > 1 else []
+        if free.any():
+            # each run's table, filled down to its lowest free panel; the free
+            # panels of each of its meshes end where its suffix ends in eta1
+            opens, depth, width = [0] + [k + 1 for k in changes], ladder.depth, 0
+            shift = np.zeros(len(specs), np.intp)
+            for k, low in zip(opens, (depth - np.maximum.reduceat(free, opens)).tolist()):
+                spec = specs[group[k]]
+                if spec not in tables:
+                    tables[spec] = _Eta1Rungs(*spec)
+                tables[spec].fill(low)
+                eta1.append(tables[spec].table[:, low:])
+                shift[group[k]] = width + depth - low
+                width += depth - low
+            base = shift[group] - free
+        ends = (levels + 1 - free).cumsum().tolist()  # in computed panels
+        done, first = [], 0
         while first < zeta.size:
             room = (ends[first - 1] if first else 0) + _BATCH_NODES // _NODES.size
-            last = int(np.searchsorted(ends, room, "right"))
+            last = bisect_right(ends, room)
             if last < zeta.size:  # cut between two pairs, after one at least
                 last = min(max(last - (last - first) % 2, first + 2), zeta.size)
             span = slice(first, last)
+            # a batch in which no run ends before its last mesh shares one (q, d)
             if bisect_left(changes, first) == bisect_left(changes, last - 1):
                 spec = specs[group[first]]
             else:  # only a call of one (q, d) per mesh mixes them, each mesh its own
-                spec = q[order[span]], d[order[span]]
+                mixed = span if order is None else order[span]
+                spec = q[mixed], d[mixed]
             batch = (zeta[span], *spec)
-            laid = (levels[span], free[span], eta1, base[span])
-            for k, result in zip(places[span], _refine(*batch, *_seed_pass(*batch, *laid))):
-                results[k] = result
+            done += _refine(*batch, *_seed_pass(*batch, levels[span], free[span], eta1, base[span]))
             first = last
+    if order is None:
+        return done
+    for k, result in zip(order.tolist(), done):
+        results[k] = result
     return results
 
 

@@ -108,25 +108,25 @@ def lockstep_roots(residuals, brackets) -> list:
     """
     results: list = [None] * len(brackets)
     running = [
-        (item, _root_steps(lo, hi, DEFAULT_ROOT_TOL), None)
-        for item, (lo, hi) in enumerate(brackets)
+        (item, _root_steps(lo, hi, DEFAULT_ROOT_TOL)) for item, (lo, hi) in enumerate(brackets)
     ]
+    values = [None] * len(running)  # the residual at each running solve's last point
     while running:
-        asks = []
-        for item, steps, fx in running:
+        asks, asking = [], []  # the next point of each unfinished solve, and the solve
+        for solve, fx in zip(running, values, strict=True):
+            item, steps = solve
+            if isinstance(fx, FastSphereError):
+                results[item] = fx.with_traceback(None)
+                continue
             try:
-                asks.append((item, steps, steps.send(fx)))
+                asks.append((item, steps.send(fx)))
             except StopIteration as done:
                 results[item] = done.value
             except FastSphereError as exc:
                 results[item] = exc.with_traceback(None)
+            else:
+                asking.append(solve)
         if not asks:
             break
-        values = residuals([(item, x) for item, _, x in asks])
-        running = []
-        for (item, steps, _), fx in zip(asks, values, strict=True):
-            if isinstance(fx, FastSphereError):
-                results[item] = fx.with_traceback(None)
-            else:
-                running.append((item, steps, fx))
+        values, running = residuals(asks), asking
     return results

@@ -207,6 +207,12 @@ def eta1_tail_overflowing(monkeypatch):
     return [0.0, 0.5, 0.0], [-1500.0] * 3, [3100] * 3
 
 
+def read_tables(free, eta1, base):
+    """The place in eta1 of the table each mesh of a seed pass takes its free panels from."""
+    ends = np.cumsum([suffix.shape[1] for suffix in eta1])
+    return np.searchsorted(ends, base[free > 0], "right").tolist()
+
+
 # the meshes of a batch of many (q, d), the panel budget it runs with (None:
 # the module's), the seed passes the call makes, the errors some end in,
 # and the fewest (q, d) whose eta = 1 tables the call fills (None: it is
@@ -265,7 +271,7 @@ def test_batched_integrals_equal_the_scalar_kernel(monkeypatch, d, m):
             assert set(tables) <= set(zip(qs, ds))
             assert sum(rungs.top < depth for rungs in tables.values()) >= filled
             # the free panels of a pass come from the tables of several (q, d)
-            assert filled == 1 or any(np.unique(args[6][args[4] > 0]).size > 1 for args in passes)
+            assert filled == 1 or any(len(set(read_tables(*args[4:]))) > 1 for args in passes)
         if m == "eta1-table-overflow":
             # the filled table holds the non-finite columns; a mesh at about
             # the (2, 0.5) branch floor takes free panels from its finite
@@ -308,10 +314,12 @@ def test_one_zeta_takes_a_seed_pass_and_the_shared_tables(monkeypatch):
     passes = record_calls(monkeypatch, quadrature, "_seed_pass")
     rungs = {}
     (deep,) = quadrature._integrals([1e-120], q, d, rungs)
-    ((_, _, _, levels, free, eta1, _),) = passes
-    assert 0 < free[0] <= levels[0] and eta1 == [rungs[q, d].table]
+    ((_, _, _, levels, free, eta1, base),) = passes
     top = rungs[q, d].top
-    assert top == depth - free[0]
+    assert top == depth - free[0] and 0 < free[0] <= levels[0] and base[0] == 0
+    # the pass reads the filled suffix of the table, in place
+    assert len(eta1) == 1 and np.shares_memory(eta1[0], rungs[q, d].table)
+    assert np.array_equal(eta1[0], rungs[q, d].table[:, top:])
     assert deep == quadrature._integral(1e-120, q, d) == seed_reference(1e-120, q, d)[3]
     # the next call finds the table filled down to its free panels
     filled = rungs[q, d].table[:, top:].copy()
@@ -350,7 +358,7 @@ def seed_reference(zeta, q, d):
     def refined():
         table = np.concatenate((values, errors, edges[None, :-1], edges[None, 1:]))
         mesh = (np.array([x]) for x in (zeta, q, d))
-        (result,) = quadrature._refine(*mesh, table, [0], tail, tail_err)
+        (result,) = quadrature._refine(*mesh, table, np.array([table.shape[1]]), tail, tail_err)
         if isinstance(result, FastSphereError):
             raise result
         return result
@@ -412,7 +420,7 @@ def seed_passes_match_the_seed_meshes(monkeypatch, q, d, zetas):
     all_free = []
     for args in passes:
         laid = record_calls(monkeypatch, quadrature, "_kronrod_batch")
-        table, begin, tail, tail_err = quadrature._seed_pass(*args)
+        table, panels, tail, tail_err = quadrature._seed_pass(*args)
         monkeypatch.undo()
         ((_, edges),) = laid
         zeta, _, _, levels, free, _, _ = args
@@ -421,8 +429,9 @@ def seed_passes_match_the_seed_meshes(monkeypatch, q, d, zetas):
         first = np.cumsum(computed) - computed
         # at eta = 1 with q < 0 the bottom panel is laid, and then dropped
         sizes = levels + 1 - ((zeta == 0.0) & (q < 0.0))
-        assert begin == (np.cumsum(sizes) - sizes).tolist()
+        assert panels.tolist() == sizes.tolist()
         assert table.shape == (8, sizes.sum())
+        begin = np.cumsum(sizes) - sizes
         for k, z in enumerate(zeta.tolist()):
             ref_edges, ref_values, ref_errors, _ = seed_reference(z, q, d)
             mesh = edges[first[k] : first[k] + computed[k] + 1]
@@ -595,6 +604,70 @@ def test_one_integral_serves_all_three_moments(monkeypatch):
 def test_results_are_plain_floats():
     assert type(integral(2.5, -1.3, 1, 3)) is float
     assert all(type(x) is float for x in quadrature._integral(0.0, -1.3, 3))
+
+
+def as_bits(outcome):
+    """An _integrals entry as its bits: the doubles of (i0, i1, i_ent), or the error's type and message."""
+    if isinstance(outcome, FastSphereError):
+        return type(outcome), str(outcome)
+    return tuple(np.array(outcome).view(np.uint64).tolist())
+
+
+# (q, d) of a sweep pass, a deep spike with no eta = 1 cutoff (2q + d < 0:
+# eta = 1 diverges), q >= 0 at d = 1 and d = 2, meshes that refine for
+# several rounds (d = 40), and q = -200, whose integrand leaves double
+# range near eta = 1 (as does the eta = 1 table of (-2, 2) below 1e-240)
+BATCH_SPECS = [
+    (-2.0, 2),
+    (1.0 / (0.25 - 1.0), 3),
+    (1.0 / (0.34 - 1.0), 3),
+    (0.5, 1),
+    (2.0, 2),
+    (1.0 / (0.9 - 1.0), 40),
+    (-200.0, 3),
+]
+ZETAS = st.one_of(st.just(0.0), st.floats(-280.0, 4.0).map(lambda e: 10.0**e))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from(BATCH_SPECS), ZETAS), min_size=1, max_size=14),
+    st.booleans(),
+    st.booleans(),
+)
+def test_every_batch_is_each_mesh_alone(meshes, runs, shared):
+    # a batch of meshes at any (q, d), in runs of one (q, d) as a lockstep
+    # sends them or mixed, gives each mesh the bits of its one-mesh call,
+    # with or without eta = 1 tables, fresh or filled by an earlier call
+    if runs:
+        meshes.sort(key=lambda mesh: BATCH_SPECS.index(mesh[0]))
+    specs, zetas = zip(*meshes)
+    qs, ds = (list(x) for x in zip(*specs))
+    alone = [as_bits(*quadrature._integrals([zeta], q, d)) for (q, d), zeta in meshes]
+    tables = {} if shared else None
+    for _ in range(2 if shared else 1):
+        assert [as_bits(r) for r in quadrature._integrals(list(zetas), qs, ds, tables)] == alone
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(st.floats(-60.0, 0.0), min_size=1, max_size=40, unique=True),
+    st.sampled_from(BATCH_SPECS),
+    ZETAS,
+)
+def test_a_kronrod_batch_is_each_panel_alone(exponents, spec, zeta):
+    # each panel's values and estimates in a batch of joined panels, laid up
+    # and down, are those of the panel integrated on its own, bit for bit
+    edges = quadrature._HALF_PI * 2.0 ** np.sort(exponents)  # in (0, pi/2]
+    edges = np.concatenate(([0.0], edges, edges[-2::-1], [0.0]))  # up, then down again
+    v, log_sin = quadrature._angle_basis(quadrature._panel_nodes(edges[:-1], edges[1:]))
+    with np.errstate(over="ignore"):
+        batch = quadrature._kronrod_batch(lambda: quadrature._folded_integrand(v, log_sin, zeta, *spec), edges)
+        for k in range(edges.size - 1):
+            f = lambda: quadrature._folded_integrand(v[k : k + 1], log_sin[k : k + 1], zeta, *spec)
+            one = quadrature._kronrod_batch(f, edges[k : k + 2])
+            for part, alone in zip(batch, one):
+                assert np.array_equal(part[:, k].view(np.uint64), alone[:, 0].view(np.uint64))
 
 
 @pytest.mark.parametrize("tables", [None, {}], ids=["no-tables", "tables"])
