@@ -115,7 +115,8 @@ def cmd_profile(args) -> int:
         if args.kappa is None:
             raise FastSphereError("--kappa is required for the fully_supported branch")
         state = equilibria.fully_supported_state(args.kappa, args.d, args.m)
-        values = [equilibria._fully_supported_density(state, float(t), args.m) for t in thetas]
+        shape = state.kappa, state.s, state.eta_minus_1
+        values = [equilibria._fully_supported_density(*shape, float(t), args.m) for t in thetas]
     else:  # rho_bar, the kappa-independent regular density
         c = equilibria._rho_bar_constants(args.d, args.m)
         values = [equilibria._rho_bar_density(float(t), c) for t in thetas]

@@ -77,7 +77,7 @@ class EnergyReport:
 
 def energy_uniform(kappa: float, d, m: float) -> float:
     """Energy of the uniform state: (1/(m-1)) |S^d|^(1-m) + kappa/2."""
-    validate_params(d, m)
+    d, m, _, _ = validate_params(d, m)
     rule = "kappa must be finite and >= 0"
     kappa = _real(kappa, rule)
     if not math.isfinite(kappa) or kappa < 0.0:
@@ -109,24 +109,26 @@ def energy_fully_supported(state: FullySupportedState, d, m: float) -> float:
     Also evaluated through kappa/2 - g1 g2; the two routes must agree to
     1e-8 relative or the internal state is inconsistent.  Both take the
     moments the state carries from its solve, or compute them at
-    DEFAULT_REL_TOL (1e-10) when it carries none.
+    DEFAULT_REL_TOL (1e-10) when it carries none.  The state's kappa, s
+    and eta_minus_1 are checked first (equilibria._check_state), so a
+    hand-built state with a field out of range raises InvalidParamError.
     """
-    validate_params(d, m)
-    d = int(d)
+    d, m, _, _ = validate_params(d, m)
+    kappa, s, zeta = equilibria._check_state(state)
     moments = state.moments
     if moments is None:
         from .quadrature import _integral
 
-        moments = _integral(state.eta_minus_1, 1.0 / (m - 1.0), d)
+        moments = _integral(zeta, 1.0 / (m - 1.0), d)
     i0, i1, i_ent = moments
-    pref = (m / ((1.0 - m) * state.kappa * state.s)) ** (1.0 / (1.0 - m))
+    pref = (m / ((1.0 - m) * kappa * s)) ** (1.0 / (1.0 - m))
     dwd = sphere_geometry(d).area_sdm1
     entropy = dwd * pref**m * i_ent
-    direct = entropy / (m - 1.0) - 0.5 * state.kappa * state.s**2 + 0.5 * state.kappa
-    identity = 0.5 * state.kappa - _branch_energy_gain_of(i0, i1, i_ent, dwd, m)
+    direct = entropy / (m - 1.0) - 0.5 * kappa * s**2 + 0.5 * kappa
+    identity = 0.5 * kappa - _branch_energy_gain_of(i0, i1, i_ent, dwd, m)
     if abs(direct - identity) > _CROSS_CHECK_TOL * max(1.0, abs(direct)):
         raise FastSphereError(
-            f"energy cross-check failed at kappa={state.kappa!r}: "
+            f"energy cross-check failed at kappa={kappa!r}: "
             f"direct={direct!r}, identity route={identity!r}"
         )
     return direct

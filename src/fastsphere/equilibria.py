@@ -40,6 +40,7 @@ from .errors import (
 )
 from .model import (
     RegimeCase,
+    _real,
     check_kappa,
     classify_regime,
     eta1_closed_form,
@@ -135,13 +136,14 @@ class _Constants(NamedTuple):
 def _constants(d, m: float) -> _Constants:
     """Every kappa-free constant of (d, m), in one pass.
 
-    The parameters are validated and classified once, the sphere geometry is
-    taken once and the eta = 1 mass I0 of rho_bar built once, in closed form;
-    every other constant is a closed form of these.  The private readers of
+    The parameters are validated and classified once, and every constant is
+    formed at the int d and float m they were checked as; the sphere
+    geometry is taken once and the eta = 1 mass I0 of rho_bar built once,
+    in closed form; every other constant is a closed form of these.  The private readers of
     (d, m) take this pass alone, so each public call forms it once.
     """
     regime = classify_regime(d, m).tag
-    d = int(d)
+    d, m = int(d), float(m)
     q = 1.0 / (m - 1.0)
     geo = sphere_geometry(d)  # raises for d >= 438 before the closed form
     k1 = m * (d + 1) * geo.area_sd ** (1.0 - m)
@@ -168,7 +170,7 @@ def _rho_bar_constants(d, m: float) -> _Constants:
     c = _constants(d, m)
     if c.regime is RegimeCase.CASE_I:
         raise NotIntegrableError(
-            f"the regular density is not integrable for m={m!r} >= 1 - 2/d (d={d})"
+            f"the regular density is not integrable for m={c.m!r} >= 1 - 2/d (d={c.d})"
         )
     return c
 
@@ -253,11 +255,12 @@ def _fully_supported_states(requests) -> list:
     Returns one list of entries per request.  Every solve carries its own
     pass: q, d, m, the scale of 1/kappa, the window and the bracket.  Each
     solver round evaluates the integrals of every unfinished solve, of any
-    request, together (quadrature._integrals, a lone zeta as well), the new
-    zetas of each pass in one group at its (q, d).  A memo per pass, one
-    dict of the moments at every zeta met at its (q, d), kept for this call
-    only (the package's only memo of integrals), serves the zetas that
-    several solves visit and the centre-of-mass norm at each root.  Next
+    request, in one quadrature._integrals call (a lone zeta as well), which
+    takes the round's new zetas grouped by the (q, d) of their pass as the
+    round collects them.  A memo per pass, one dict of the moments at every
+    zeta met at its (q, d), kept for this call only (the package's only
+    memo of integrals), serves the zetas that several solves visit and the
+    centre-of-mass norm at each root.  Next
     to it, for this call only too, every round shares one table per (q, d)
     of the seed panels that deep zetas take from eta = 1
     (quadrature._Eta1Rungs).  A solve does not depend on the other solves
@@ -294,14 +297,7 @@ def _fully_supported_states(requests) -> list:
             if zeta not in memo:
                 new[spec][zeta] = None
         if new:
-            asked = [zeta for fresh in new.values() for zeta in fresh]
-            # a round of one (q, d) hands it over as numbers, which the kernel
-            # takes as one group without reading a (q, d) per zeta
-            if len(new) == 1:
-                q, d = next(iter(new))
-            else:
-                q, d = zip(*(spec for spec, fresh in new.items() for _ in fresh))
-            found = iter(_integrals(asked, q, d, tables))
+            found = iter(_integrals(new, tables))
             for spec, fresh in new.items():
                 memos[spec].update(zip(fresh, found))
         values = []
@@ -336,9 +332,32 @@ def _fully_supported_states(requests) -> list:
 def fully_supported_density(
     state: FullySupportedState, theta: float, d, m: float
 ) -> float:
-    """Pointwise density of the fully supported state at polar angle theta."""
-    validate_params(d, m)
-    return _fully_supported_density(state, _check_theta(theta), m)
+    """Pointwise density of the fully supported state at polar angle theta.
+
+    The state's fields are checked first (_check_state), so a hand-built
+    state with a field out of range raises InvalidParamError.
+    """
+    _, m, _, _ = validate_params(d, m)
+    kappa, s, zeta = _check_state(state)
+    return _fully_supported_density(kappa, s, zeta, _check_theta(theta), m)
+
+
+def _check_state(state: FullySupportedState) -> tuple[float, float, float]:
+    """The kappa, s and eta_minus_1 of a state, as floats, after checking each.
+
+    A bad field raises InvalidParamError naming it; every solved state
+    passes, and the functions that take a state compute with these values.
+    """
+    kappa = check_kappa(state.kappa)
+    rule = "centre-of-mass norm s must lie in (0, 1)"
+    s = _real(state.s, rule)
+    if not 0.0 < s < 1.0:
+        raise InvalidParamError(f"{rule}, got {s!r}")
+    rule = "eta_minus_1 must be finite and >= 0"
+    zeta = _real(state.eta_minus_1, rule)
+    if not (math.isfinite(zeta) and zeta >= 0.0):
+        raise InvalidParamError(f"{rule}, got {zeta!r}")
+    return kappa, s, zeta
 
 
 def _check_theta(theta) -> float:
@@ -349,10 +368,10 @@ def _check_theta(theta) -> float:
     return theta
 
 
-def _fully_supported_density(state: FullySupportedState, theta: float, m: float) -> float:
-    """fully_supported_density at a checked theta, for a state solved at this m."""
+def _fully_supported_density(kappa: float, s: float, zeta: float, theta: float, m: float) -> float:
+    """fully_supported_density at a checked theta, from the checked kappa, s and zeta of a state."""
     # -lambda - kappa s cos(theta) = kappa s (zeta + (1 - cos theta))
-    base = state.kappa * state.s * (state.eta_minus_1 + 2.0 * math.sin(0.5 * theta) ** 2)
+    base = kappa * s * (zeta + 2.0 * math.sin(0.5 * theta) ** 2)
     return (m / (1.0 - m)) ** (1.0 / (1.0 - m)) * base ** (1.0 / (m - 1.0))
 
 
@@ -427,11 +446,11 @@ def singular_state(kappa: float, d, m: float, branch: str = "upper") -> Singular
     alphas = _measure_valued_alphas(kappa, c)
     if not alphas:
         raise OutOfWindowError(
-            f"no measure-valued equilibrium at kappa={kappa!r} for d={d}, m={m!r}"
+            f"no measure-valued equilibrium at kappa={kappa!r} for d={c.d}, m={c.m!r}"
         )
     if branch not in alphas:
         raise OutOfWindowError(
-            f"no lower measure-valued branch at kappa={kappa!r} for d={d}, m={m!r}"
+            f"no lower measure-valued branch at kappa={kappa!r} for d={c.d}, m={c.m!r}"
         )
     return SingularState(kappa=kappa, alpha=alphas[branch], s_bar=c.s_bar)
 

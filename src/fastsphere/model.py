@@ -9,7 +9,8 @@ combines a fast-diffusion entropy with exponent 0 < m < 1 and a quadratic
 split (0, 1) into three ranges with qualitatively different equilibrium
 branches.  For d in {1, 2} only the top range exists, and for d = 3 the
 bottom range is empty.  A public call checks (d, m), by validate_params,
-before kappa (check_kappa), so of two faults it reports the one in (d, m).
+before kappa (check_kappa), so of two faults it reports the one in (d, m),
+and computes with the int d and float m that validate_params returns.
 
 Every equilibrium condition reduces to the polar integral family
 
@@ -85,10 +86,11 @@ def check_dimension(d) -> int:
     return int(d)
 
 
-def validate_params(d, m: float) -> tuple[float, float | None]:
+def validate_params(d, m: float) -> tuple[int, float, float, float | None]:
     """Check (d, m), and the exclusion zone around both regime thresholds.
 
-    Returns the thresholds (1 - 2/d, 1 - 2/(d-1)), the second None for d = 1.
+    Returns d as an int and m as a float, and the thresholds (1 - 2/d,
+    1 - 2/(d-1)), the second None for d = 1.
     """
     d = check_dimension(d)
     m = _real(m, "diffusion exponent m must lie in (0, 1)")
@@ -100,7 +102,7 @@ def validate_params(d, m: float) -> tuple[float, float | None]:
             raise ThresholdDegenerateError(
                 f"m={m!r} is within {THRESHOLD_TOL} of the threshold {name} = {thr!r}"
             )
-    return thresholds
+    return (d, m, *thresholds)
 
 
 def check_kappa(kappa) -> float:
@@ -122,8 +124,7 @@ def classify_regime(d, m: float) -> Regime:
     Raises ThresholdDegenerateError within ``THRESHOLD_TOL`` of a threshold
     and InvalidParamError off the admissible ranges.
     """
-    thr_high, thr_low = validate_params(d, m)
-    m = float(m)
+    _, m, thr_high, thr_low = validate_params(d, m)
     if m > thr_high:
         tag = RegimeCase.CASE_I
     elif thr_low is not None and m > thr_low:

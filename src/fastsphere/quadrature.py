@@ -80,16 +80,16 @@ it grows with the panel, so the free panels of a seed are a top suffix
 of it, found by one searchsorted.
 
 _integrals integrates the seed meshes of many zetas together, eta = 1
-included.  It groups its meshes by (q, d) once: one comparison of
-neighbours finds the runs of one (q, d), and one dict lookup per run
-(not per zeta) joins the runs of a (q, d) into its group.  Each group
-pays its share of the set-up once per call: its seed cut, its eta = 1
-table, and the q and d of a batch whose meshes all share them, which
-reach the integrand as numbers (_at_nodes), as a lone mesh's zeta does;
-only a batch that mixes (q, d) gives every node its own.  The branch
-solves, run in lockstep, send it the zetas of every unfinished solve,
-each pass of (d, m) as one run, so a sweep's batches each hold one
-(q, d); verify's checks send it all the meshes of a check, at up to 100
+included.  Its callers hand them over grouped, as a dict from each
+(q, d) to its zetas, and the entries come back group after group.  Each
+group pays its share of the set-up once per call: its seed cut, its
+eta = 1 table, and the q and d of a batch whose meshes all share them,
+which reach the integrand as numbers (_at_nodes), as a lone mesh's zeta
+does; only a batch that spans groups gives every node the (q, d) of its
+mesh's group.  The branch solves, run in lockstep, send it the new zetas
+of every unfinished solve grouped by the (q, d) of their pass of (d, m),
+so a sweep's batches each hold one (q, d); verify's checks send it all
+the meshes of a check, grouped from their (eta, q, d), at up to 100
 (q, d); _integral is its one-mesh call that raises.  _seed_pass lays the
 computed panels end to end, alternately upwards and downwards so that
 neighbours share an edge (the two meshes of a pair are cut at the same
@@ -138,7 +138,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import NamedTuple
 
 import numpy as np
@@ -635,49 +635,40 @@ def _seed_pass(zeta, q, d, levels: np.ndarray, free, eta1, base):
     return table, kept + free, tail, tail_err
 
 
-def _integrals(zetas, q, d, tables: dict | None = None) -> list:
-    """I(eta, q, 0), I(eta, q, 1) and I(eta, q + 1, 0) at eta = 1 + zeta, for each of zetas (>= 0).
+def _integrals(groups: dict, tables: dict | None = None) -> list:
+    """I(eta, q, 0), I(eta, q, 1) and I(eta, q + 1, 0) at eta = 1 + zeta, for each zeta of groups.
 
-    q and d are numbers shared by every zeta, or sequences of one per
-    zeta.  The meshes are grouped by their (q, d) once, in the order first
-    met: one comparison of neighbours finds the runs of one (q, d), and a
-    dict joins the runs of each (q, d); numbers make one group.  Each group
-    takes its seed cut and its eta = 1 table once per call, and every batch
-    of meshes that share one (q, d) hands it to the integrand as numbers.
-    All the seed meshes are integrated together.  tables maps a (q, d) to
-    its eta = 1 table of free panels (_Eta1Rungs), which the call adds and
-    fills down to the free panels of its meshes, so a caller may share
-    them between calls; without it every panel is computed, and since a
-    free panel equals its computed value, no result changes.  Returns one
-    entry per zeta, in the order asked: the (i0, i1, i_ent) tuple or the
-    FastSphereError the mesh ends in, without a traceback (at eta = 1 with
-    2q + d <= 0, where the integral diverges, model's NotIntegrableError).
-    Where some seed may have a free panel, the meshes are sorted by their
-    group, then by zeta, so that neighbouring meshes mostly share a table
-    and have similar numbers of free panels, and each pair of neighbours
-    takes the smaller of the two; otherwise they stay in the order asked.
-    The meshes are cut into batches of at most _BATCH_NODES computed nodes
-    (a pair at least), and each batch is one _seed_pass, whose full seeds
-    go whole to one _refine: it returns those that meet DEFAULT_REL_TOL
-    and refines the others together.  The batches' results are joined in
-    their order and put back in the order asked once.  The table fills
-    and the batches run with overflow ignored: a mesh whose integrand
-    leaves double range, in its own panels or in the table columns it
-    reads, ends in _refine's ToleranceNotMetError.
+    groups maps each (q, d) to its zetas (>= 0), one group; the call's
+    work is the number of zetas over all groups.  Each group takes its seed
+    cut and its eta = 1 table once per call, and a batch of meshes of one
+    group hands its (q, d) to the integrand as numbers; a batch that spans
+    groups gives each mesh the (q, d) of its group.  The groups stay whole
+    and in order.  All the seed meshes are integrated together.  tables
+    maps a (q, d) to its eta = 1 table of free panels (_Eta1Rungs), which
+    the call adds and fills down to the free panels of its meshes, so a
+    caller may share them between calls; without it every panel is
+    computed, and since a free panel equals its computed value, no result
+    changes.  Returns one entry per zeta, group after group and in each
+    group's order: the (i0, i1, i_ent) tuple or the FastSphereError the
+    mesh ends in, without a traceback (at eta = 1 with 2q + d <= 0, where
+    the integral diverges, model's NotIntegrableError).  Where some seed
+    may have a free panel, the meshes of each group are sorted by zeta, so
+    that neighbouring meshes mostly share a table and have similar numbers
+    of free panels, and each pair of neighbours takes the smaller of the
+    two; otherwise they stay in the order asked.  The meshes are cut into
+    batches of at most _BATCH_NODES computed nodes (a pair at least), and
+    each batch is one _seed_pass, whose full seeds go whole to one
+    _refine: it returns those that meet DEFAULT_REL_TOL and refines the
+    others together.  The batches' results are joined in their order and
+    put back in the order asked once.  The table fills and the batches run
+    with overflow ignored: a mesh whose integrand leaves double range, in
+    its own panels or in the table columns it reads, ends in _refine's
+    ToleranceNotMetError.
     """
-    zeta = np.array(zetas, dtype=float)
+    specs = list(groups)
+    group = np.arange(len(specs)).repeat([len(zetas) for zetas in groups.values()])
+    zeta = np.fromiter(chain.from_iterable(groups.values()), float, group.size)
     size = zeta.size
-    # a concrete type test: np.isscalar's abstract one costs microseconds a call
-    if isinstance(q, (int, float)) and isinstance(d, (int, float)):
-        specs, group = [(float(q), d)], np.zeros(size, np.intp)
-    else:
-        q, d = np.full(size, q, dtype=float), np.full(size, d)
-        opens = np.ones(size, bool)  # where a run of one (q, d) begins
-        opens[1:] = (q[1:] != q[:-1]) | (d[1:] != d[:-1])
-        # each (q, d) met, and its group
-        index, runs = {}, zip(q[opens].tolist(), d[opens].tolist())
-        group = np.array([index.setdefault(run, len(index)) for run in runs], np.intp)
-        group, specs = group[opens.cumsum() - 1], list(index)
     ladder = _ladder()
     cut = np.array([_seed_cut(*spec) for spec in specs])[group]
     results, order = [None] * size, None  # order: the place asked of each mesh, once they move
@@ -702,12 +693,12 @@ def _integrals(zetas, q, d, tables: dict | None = None) -> list:
             free = _free_panels(zeta, levels)
             # the two meshes of a pair share their top edge
             free[0:-1:2] = free[1::2] = np.minimum(free[0:-1:2], free[1::2])
-        # the last mesh of each run of one group
-        changes = (group[1:] != group[:-1]).nonzero()[0].tolist() if len(specs) > 1 else []
         if free.any():
-            # each run's table, filled down to its lowest free panel; the free
+            # each group's table, filled down to its lowest free panel; the free
             # panels of each of its meshes end where its suffix ends in eta1
-            opens, depth, width = [0] + [k + 1 for k in changes], ladder.depth, 0
+            # each group's first mesh, as the groups stay whole and in order
+            opens = [0] + [k + 1 for k in (group[1:] != group[:-1]).nonzero()[0].tolist()]
+            depth, width = ladder.depth, 0
             shift = np.zeros(len(specs), np.intp)
             for k, low in zip(opens, (depth - np.maximum.reduceat(free, opens)).tolist()):
                 spec = specs[group[k]]
@@ -726,12 +717,13 @@ def _integrals(zetas, q, d, tables: dict | None = None) -> list:
             if last < zeta.size:  # cut between two pairs, after one at least
                 last = min(max(last - (last - first) % 2, first + 2), zeta.size)
             span = slice(first, last)
-            # a batch in which no run ends before its last mesh shares one (q, d)
-            if bisect_left(changes, first) == bisect_left(changes, last - 1):
+            # the groups stay whole and in order, so a batch whose ends are of
+            # one group is of one (q, d)
+            if group[first] == group[last - 1]:
                 spec = specs[group[first]]
-            else:  # only a call of one (q, d) per mesh mixes them, each mesh its own
-                mixed = span if order is None else order[span]
-                spec = q[mixed], d[mixed]
+            else:  # each mesh takes the (q, d) of its group
+                qs, ds = zip(*specs)
+                spec = np.array(qs, float)[group[span]], np.array(ds)[group[span]]
             batch = (zeta[span], *spec)
             done += _refine(*batch, *_seed_pass(*batch, levels[span], free[span], eta1, base[span]))
             first = last
@@ -743,11 +735,11 @@ def _integrals(zetas, q, d, tables: dict | None = None) -> list:
 
 
 def _integral(zeta: float, q: float, d: int) -> tuple[float, float, float]:
-    """(I(eta, q, 0), I(eta, q, 1), I(eta, q + 1, 0)) at eta = 1 + zeta: _integrals of one mesh.
+    """(I(eta, q, 0), I(eta, q, 1), I(eta, q + 1, 0)) at eta = 1 + zeta: _integrals of one zeta.
 
     Computed on every call; raises the error the mesh ends in.
     """
-    (result,) = _integrals([zeta], q, d)
+    (result,) = _integrals({(q, d): [zeta]})
     if isinstance(result, FastSphereError):
         raise result
     return result

@@ -27,7 +27,8 @@ it, and a solve that raises fails each check that asks for it.
 
 Every check that integrates sends all its meshes, each with its own
 (eta, q, d), to one quadrature._integrals batch (_integrals,
-_branch_moments): quadrature_self_consistency,
+_branch_moments), which takes them grouped by (q, d), and reads their
+entries back in mesh order: quadrature_self_consistency,
 theta_integral_eta_monotone, moment_bounded_by_mass,
 branch_monotone_direction, branch_limit_matches_kappa1,
 case_iii_com_decreasing, the branch energy gains of
@@ -99,7 +100,7 @@ THRESHOLDS = {
     "theta_integral_eta_monotone": 0.0,
     "moment_bounded_by_mass": 0.0,
     "branch_monotone_direction": 0.0,
-    "branch_limit_matches_kappa1": 1e-4,
+    "branch_limit_matches_kappa1": 1e-9,
     "branch_continuity": 1e-2,
     "case_iii_com_decreasing": 0.0,
     "singular_multiplier_relation": 1e-10,
@@ -125,7 +126,9 @@ class CheckResult:
     lines: list[str] = field(default_factory=list)
 
 
-def _result(name, measured, tolerance, detail="", lines=None):
+def _result(name, measured, detail="", lines=None):
+    """The result of check name, which passes when measured is at most its THRESHOLDS entry."""
+    tolerance = THRESHOLDS[name]
     return CheckResult(
         name=name,
         passed=bool(measured <= tolerance),
@@ -158,12 +161,17 @@ def _integrals(meshes) -> list[tuple[float, float, float]]:
     """(I(eta, q, 0, d), I(eta, q, 1, d), I(eta, q + 1, 0, d)) at each (eta, q, d) of meshes.
 
     Every eta is >= 1, and all the meshes are integrated in one kernel
-    batch; raises the first error, in the order of meshes.
+    batch, grouped by (q, d) in the order met; returns the entries in the
+    order of meshes, and raises the first error in that order.
     """
     from . import quadrature
 
-    etas, qs, ds = zip(*meshes)
-    found = quadrature._integrals([eta - 1.0 for eta in etas], list(qs), list(ds))
+    groups = {}  # the zetas of each (q, d), in the order met
+    for eta, q, d in meshes:
+        groups.setdefault((q, d), []).append(eta - 1.0)
+    found = iter(quadrature._integrals(groups))
+    entries = {spec: iter([next(found) for _ in zetas]) for spec, zetas in groups.items()}
+    found = [next(entries[q, d]) for _, q, d in meshes]
     for entry in found:
         if isinstance(entry, FastSphereError):
             raise entry
@@ -262,7 +270,7 @@ def _supported(d: int, m: float, kappas) -> list[tuple[float, float, float]]:
     return found
 
 
-def check_geometry_consistency(tol: float) -> CheckResult:
+def check_geometry_consistency() -> CheckResult:
     worst = 0.0
     for d in range(1, 11):
         geo = model.sphere_geometry(d)
@@ -270,10 +278,10 @@ def check_geometry_consistency(tol: float) -> CheckResult:
         # dimension down (2 pi^{d/2} / Gamma(d/2), valid down to d = 1)
         direct = 2.0 * math.pi ** (0.5 * d) / math.gamma(0.5 * d)
         worst = _worst(worst, _rel(geo.area_sdm1, direct))
-    return _result("geometry_consistency", worst, tol)
+    return _result("geometry_consistency", worst)
 
 
-def check_regime_partition(tol: float) -> CheckResult:
+def check_regime_partition() -> CheckResult:
     import numpy as np
 
     bad = 0
@@ -299,10 +307,10 @@ def check_regime_partition(tol: float) -> CheckResult:
             )
             if [in_i, in_ii, in_iii].count(True) != 1 or tag is not expected:
                 bad += 1
-    return _result("regime_partition", bad, tol, detail=f"{total} (d, m) samples")
+    return _result("regime_partition", bad, detail=f"{total} (d, m) samples")
 
 
-def check_quadrature_self_consistency(tol: float) -> CheckResult:
+def check_quadrature_self_consistency() -> CheckResult:
     import numpy as np
 
     rng = np.random.default_rng(20240817)
@@ -321,10 +329,10 @@ def check_quadrature_self_consistency(tol: float) -> CheckResult:
     worst = 0.0
     for (_, q, d), (_, moment, _), (mass, _, _) in zip(meshes[0::2], found[0::2], found[1::2]):
         worst = _worst(worst, _rel(moment, -q / d * mass))
-    return _result("quadrature_self_consistency", worst, tol)
+    return _result("quadrature_self_consistency", worst)
 
 
-def check_eta1_quadrature_vs_closed_form(tol: float) -> CheckResult:
+def check_eta1_quadrature_vs_closed_form() -> CheckResult:
     worst = 0.0
     # the fused kernel's three members: mass, moment, and the entropy
     # integral at exponent q + 1 that kappa_c and the singular energies take
@@ -335,10 +343,10 @@ def check_eta1_quadrature_vs_closed_form(tol: float) -> CheckResult:
         members = ((q, 0), (q, 1), (q + 1.0, 0))
         closed = [model.eta1_closed_form(qq, p, d) for qq, p in members]
         worst = _worst(worst, *map(_rel, quad, closed))
-    return _result("eta1_quadrature_vs_closed_form", worst, tol)
+    return _result("eta1_quadrature_vs_closed_form", worst)
 
 
-def check_theta_integral_eta_monotone(tol: float) -> CheckResult:
+def check_theta_integral_eta_monotone() -> CheckResult:
     import numpy as np
 
     etas = [float(e) for e in 1.0 + np.geomspace(1e-3, 100.0, 12)]
@@ -351,10 +359,10 @@ def check_theta_integral_eta_monotone(tol: float) -> CheckResult:
     for row in range(0, len(found), len(etas)):
         vals = [mass for mass, _, _ in found[row : row + len(etas)]]
         worst = _worst(worst, _worst_nonmonotone(vals, increasing=False))
-    return _result("theta_integral_eta_monotone", worst, tol)
+    return _result("theta_integral_eta_monotone", worst)
 
 
-def check_moment_bounded_by_mass(tol: float) -> CheckResult:
+def check_moment_bounded_by_mass() -> CheckResult:
     import numpy as np
 
     rng = np.random.default_rng(7)
@@ -368,10 +376,10 @@ def check_moment_bounded_by_mass(tol: float) -> CheckResult:
     worst = 0.0
     for i0, i1, _ in _integrals(meshes):
         worst = _worst(worst, abs(i1) / i0 - 1.0)
-    return _result("moment_bounded_by_mass", worst, tol)
+    return _result("moment_bounded_by_mass", worst)
 
 
-def check_branch_monotone_direction(tol: float) -> CheckResult:
+def check_branch_monotone_direction() -> CheckResult:
     import numpy as np
 
     etas = [float(e) for e in 1.0 + np.geomspace(1e-3, 1e4 - 1.0, 20)]
@@ -388,19 +396,19 @@ def check_branch_monotone_direction(tol: float) -> CheckResult:
             f"(d={d}, m={m}): {'increasing' if increasing else 'decreasing'}, "
             f"worst violation {bad:.3e}"
         )
-    return _result("branch_monotone_direction", worst, tol, lines=lines)
+    return _result("branch_monotone_direction", worst, lines=lines)
 
 
-def check_branch_limit_matches_kappa1(tol: float) -> CheckResult:
+def check_branch_limit_matches_kappa1() -> CheckResult:
     found = _branch_moments([(1e6, d, m) for d, m in MONOTONE_PAIRS])
     worst = 0.0
     for (d, m), moments in zip(MONOTONE_PAIRS, found):
         prod = _inverse_kappa(1e6, d, m, moments) * energy.critical_set(d, m).kappa1
         worst = _worst(worst, abs(prod - 1.0))
-    return _result("branch_limit_matches_kappa1", worst, tol)
+    return _result("branch_limit_matches_kappa1", worst)
 
 
-def check_branch_continuity(tol: float) -> CheckResult:
+def check_branch_continuity() -> CheckResult:
     states = {(d, m): _supported(d, m, _continuity_kappas(d, m)) for d, m in REFERENCE_PAIRS}
     # the shape at kappa2 of each pair whose branch ends there, integrated by
     # the quadrature route, not with the solve's moments
@@ -415,19 +423,19 @@ def check_branch_continuity(tol: float) -> CheckResult:
             gap = abs(com[d, m] - equilibria.s_bar(d, m))
             worst = _worst(worst, gap)
             lines.append(f"(d={d}, m={m}): |s(kappa2) - s_bar| = {gap:.3e}")
-    return _result("branch_continuity", worst, tol, lines=lines)
+    return _result("branch_continuity", worst, lines=lines)
 
 
-def check_case_iii_com_decreasing(tol: float) -> CheckResult:
+def check_case_iii_com_decreasing() -> CheckResult:
     import numpy as np
 
     shapes = [(float(e), 5, 0.3) for e in 1.0 + np.geomspace(1e-4, 99.0, 15)]
     vals = [i1 / i0 for i0, i1, _ in _branch_moments(shapes)]
     worst = _worst_nonmonotone(vals, increasing=False)
-    return _result("case_iii_com_decreasing", worst, tol)
+    return _result("case_iii_com_decreasing", worst)
 
 
-def check_singular_multiplier_relation(tol: float) -> CheckResult:
+def check_singular_multiplier_relation() -> CheckResult:
     worst = 0.0
     samples = []
     k2_ii = energy.critical_set(3, 0.25).kappa2
@@ -445,15 +453,15 @@ def check_singular_multiplier_relation(tol: float) -> CheckResult:
         lhs = -lam / (1.0 - state.alpha)
         rhs = kappa * (state.alpha + (1.0 - state.alpha) * state.s_bar)
         worst = _worst(worst, _rel(lhs, rhs))
-    return _result("singular_multiplier_relation", worst, tol)
+    return _result("singular_multiplier_relation", worst)
 
 
-def check_singular_alpha_saturates(tol: float) -> CheckResult:
+def check_singular_alpha_saturates() -> CheckResult:
     alpha = equilibria.alpha_roots(100.0 * energy.critical_set(3, 0.25).kappa2, 3, 0.25)[-1]
-    return _result("singular_alpha_saturates", 1.0 - alpha, tol, detail=f"alpha = {alpha:.6f}")
+    return _result("singular_alpha_saturates", 1.0 - alpha, detail=f"alpha = {alpha:.6f}")
 
 
-def check_kappa2_dual_oracle(tol: float) -> CheckResult:
+def check_kappa2_dual_oracle() -> CheckResult:
     pairs = ((3, 0.25), (4, 0.2), (5, 0.3))
     worst = 0.0
     lines = []
@@ -471,18 +479,18 @@ def check_kappa2_dual_oracle(tol: float) -> CheckResult:
         lines.append(
             f"(d={d}, m={m}): closed form {closed:.10f}, quadrature {quad:.10f}{note}"
         )
-    return _result("kappa2_dual_oracle", worst, tol, lines=lines)
+    return _result("kappa2_dual_oracle", worst, lines=lines)
 
 
-def check_com_norm_closed_form(tol: float) -> CheckResult:
+def check_com_norm_closed_form() -> CheckResult:
     worst = 0.0
     found = _branch_moments([(1.0, d, m) for d, m in SINGULAR_PAIRS])
     for (d, m), (i0, i1, _) in zip(SINGULAR_PAIRS, found):
         worst = _worst(worst, _rel(equilibria.s_bar(d, m), i1 / i0))
-    return _result("com_norm_closed_form", worst, tol)
+    return _result("com_norm_closed_form", worst)
 
 
-def check_energy_two_route_agreement(tol: float) -> CheckResult:
+def check_energy_two_route_agreement() -> CheckResult:
     rows = [  # the shape, kappa and energy of each supported state
         ((eta, d, m), kappa, direct)
         for (d, m), kappas in _TWO_ROUTE_KAPPAS.items()
@@ -502,10 +510,10 @@ def check_energy_two_route_agreement(tol: float) -> CheckResult:
             -kappa * (1.0 - sb) * com * (1.0 - alpha) / m - 0.5 * kappa * com**2 + 0.5 * kappa
         )
         worst = _worst(worst, abs(direct - identity) / max(1.0, abs(direct)))
-    return _result("energy_two_route_agreement", worst, tol)
+    return _result("energy_two_route_agreement", worst)
 
 
-def check_energy_slope_identities(tol: float) -> CheckResult:
+def check_energy_slope_identities() -> CheckResult:
     worst = 0.0
     d, m = 3, 0.25
     k2 = energy.critical_set(d, m).kappa2
@@ -533,10 +541,10 @@ def check_energy_slope_identities(tol: float) -> CheckResult:
     ):
         fd = (gain_above - gain_below) / (2.0 * 1e-5 * kappa)
         worst = _worst(worst, _rel(fd, 0.5 * s * s))
-    return _result("energy_slope_identities", worst, tol)
+    return _result("energy_slope_identities", worst)
 
 
-def check_energy_comparison_steps(tol: float) -> CheckResult:
+def check_energy_comparison_steps() -> CheckResult:
     worst = 0.0
     lines = []
     supported = {}  # (d, m): the grid and its supported-branch energies
@@ -565,10 +573,10 @@ def check_energy_comparison_steps(tol: float) -> CheckResult:
     bad = _worst_nonmonotone(vals, increasing=True)
     worst = _worst(worst, bad)
     lines.append(f"supported-vs-singular gap increasing on (kappa2, kappa1): worst {bad:.2e}")
-    return _result("energy_comparison_steps", worst, tol, lines=lines)
+    return _result("energy_comparison_steps", worst, lines=lines)
 
 
-def check_minimizer_consistency(tol: float) -> CheckResult:
+def check_minimizer_consistency() -> CheckResult:
     mismatches = 0
     total = 0
     for d, m in _MINIMIZER_SPANS:
@@ -591,18 +599,18 @@ def check_minimizer_consistency(tol: float) -> CheckResult:
             total += 1
             if report.minimizer != expected:
                 mismatches += 1
-    return _result("minimizer_consistency", mismatches, tol, detail=f"{total} grid points")
+    return _result("minimizer_consistency", mismatches, detail=f"{total} grid points")
 
 
-def check_reference_energies(tol: float) -> CheckResult:
+def check_reference_energies() -> CheckResult:
     worst = 0.0
     for kappa in (1.0, 5.0, 100.0):
         gap = energy.energy_uniform(kappa, 3, 0.25) - energy.energy_uniform(0.0, 3, 0.25)
         worst = _worst(worst, abs(gap - 0.5 * kappa))
-    return _result("reference_energies", worst, tol)
+    return _result("reference_energies", worst)
 
 
-def check_uniform_stability_threshold(tol: float) -> CheckResult:
+def check_uniform_stability_threshold() -> CheckResult:
     worst = 0.0
     for d, m in REFERENCE_PAIRS:
         # along <x, e> at rho0 = 1/|S^d| the second variation of the energy is
@@ -610,7 +618,7 @@ def check_uniform_stability_threshold(tol: float) -> CheckResult:
         # at kappa1 = m (d + 1) |S^d|^(1-m), the library's closed form
         kappa1 = m * model.sphere_geometry(d).area_sd ** (2.0 - m) * _trial_rayleigh(d)
         worst = _worst(worst, _rel(kappa1, energy.critical_set(d, m).kappa1))
-    return _result("uniform_stability_threshold", worst, tol)
+    return _result("uniform_stability_threshold", worst)
 
 
 def run_verification() -> list[CheckResult]:
@@ -624,9 +632,9 @@ def run_verification() -> list[CheckResult]:
     results = []
     run = _run_entries.set({})
     try:
-        for name, tol in THRESHOLDS.items():
+        for name in THRESHOLDS:
             try:
-                results.append(globals()["check_" + name](tol))
+                results.append(globals()["check_" + name]())
             except Exception as exc:  # a crashed check is a failed check
                 results.append(
                     CheckResult(

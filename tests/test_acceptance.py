@@ -39,15 +39,15 @@ def test_criterion_02_kappa3_over_kappa2_ratio():
     report("criterion-02 kappa3/kappa2 ratio", f"ratio = {ratio:.6f} (0.88502 +- 1e-3)")
 
 
-def passes(check, tol):
-    """Run a verify check against threshold tol, and assert it passes."""
-    result = check(tol)
+def passes(check):
+    """Run a verify check against its threshold, and assert it passes."""
+    result = check()
     assert result.passed, (result.name, result.measured, result.tolerance, result.lines)
     return result
 
 
 def test_criterion_03_kappa2_dual_oracle():
-    result = passes(verification.check_kappa2_dual_oracle, 1e-8)
+    result = passes(verification.check_kappa2_dual_oracle)
     # the reported reference figure for (3, 0.25) is NOT ground truth here
     closed = en.critical_set(3, 0.25).kappa2
     assert abs(closed - 12.4453) / closed > 0.1
@@ -61,7 +61,7 @@ def test_criterion_03_kappa2_dual_oracle():
 
 def test_criterion_04_s_bar_closed_form_vs_quadrature():
     # relative to s_bar < 1, so tighter than the absolute 1e-8 of the criterion
-    result = passes(verification.check_com_norm_closed_form, 1e-8)
+    result = passes(verification.check_com_norm_closed_form)
     report(
         "criterion-04 s_bar closed form vs quadrature",
         f"max rel diff = {result.measured:.2e} (tol 1e-8)",
@@ -69,16 +69,16 @@ def test_criterion_04_s_bar_closed_form_vs_quadrature():
 
 
 def test_criterion_05_branch_limit():
-    result = passes(verification.check_branch_limit_matches_kappa1, 1e-4)
+    result = passes(verification.check_branch_limit_matches_kappa1)
     report(
         "criterion-05 uniform-limit of the branch function",
-        f"max |H*kappa1 - 1| = {result.measured:.2e} (tol 1e-4)",
+        f"max |H*kappa1 - 1| = {result.measured:.2e} (tol 1e-9)",
     )
 
 
 def test_criterion_06_branch_monotonicity():
     # tolerance 0: every step must be strict in the regime direction
-    result = passes(verification.check_branch_monotone_direction, 0.0)
+    result = passes(verification.check_branch_monotone_direction)
     report(
         "criterion-06 branch-function monotonicity",
         "strict in the regime direction on 20 log-spaced eta for all five pairs; "
@@ -118,7 +118,7 @@ def test_criterion_07_branch_self_consistency():
 
 
 def test_criterion_08_slope_identities():
-    result = passes(verification.check_energy_slope_identities, 1e-4)
+    result = passes(verification.check_energy_slope_identities)
     report(
         "criterion-08 energy slope identities",
         f"max rel FD deviation = {result.measured:.2e} over 10 samples (tol 1e-4)",

@@ -489,11 +489,12 @@ class TestVerifyWork:
         ],
     )
     def test_one_branch_solve_per_pair(self, monkeypatch, check, tol, pairs):
-        # the default thresholds of run_verification; a check called on its
-        # own solves the supported branch of each pair it reads once, over
-        # its own kappas
+        # at the thresholds of run_verification, which every check reads; a
+        # check called on its own solves the supported branch of each pair
+        # it reads once, over its own kappas
+        assert verification.THRESHOLDS[check.removeprefix("check_")] == tol
         calls = record_calls(monkeypatch, eq, "fully_supported_states")
-        assert getattr(verification, check)(tol).passed
+        assert getattr(verification, check)().passed
         assert [(d, m) for _, d, m in calls] == list(pairs)
 
     def test_minimizer_check_enumerates_each_grid_once(self, monkeypatch):
@@ -501,7 +502,7 @@ class TestVerifyWork:
         # states, not one classify_minimizer per kappa
         solves = record_calls(monkeypatch, eq, "fully_supported_states")
         classified = record_calls(monkeypatch, en, "classify_minimizer")
-        assert verification.check_minimizer_consistency(0.0).passed
+        assert verification.check_minimizer_consistency().passed
         assert [(d, m, list(kappas)) for kappas, d, m in solves] == [
             (d, m, verification._minimizer_kappas(d, m)) for d, m in verification._MINIMIZER_SPANS
         ]
@@ -517,10 +518,10 @@ class TestVerifyWork:
         roots = record_calls(monkeypatch, eq, "_measure_valued_alphas")
         read = []  # (d, m, kappa) of each call within a branch check
 
-        def counted(check, tol):
+        def counted(check):
             first = len(roots)
             try:
-                return check(tol)
+                return check()
             finally:
                 read.extend((c.d, c.m, kappa) for kappa, c in roots[first:])
 
@@ -559,7 +560,7 @@ class TestVerifyWork:
         ran = {r.name: r for r in verification.run_verification()}
         at = record_calls(monkeypatch, eq, "fully_supported_states")
         for name in self.BRANCH_CHECKS:
-            alone = getattr(verification, "check_" + name)(verification.THRESHOLDS[name])
+            alone = getattr(verification, "check_" + name)()
             assert alone == ran[name]
         own = [(d, m, list(kappas)) for kappas, d, m in at]
         # in reverse order, the last branch check solves each pair
@@ -625,12 +626,12 @@ class TestVerifyWork:
         rounds = record_calls(monkeypatch, quadrature, "_integrals")
         meshes = {}  # the meshes of each _integrals call of each check
 
-        def counted(check, name, tol):
+        def counted(check, name):
             first = len(rounds)
             try:
-                return check(tol)
+                return check()
             finally:
-                meshes[name] = [len(zetas) for zetas, *_ in rounds[first:]]
+                meshes[name] = [sum(map(len, groups.values())) for groups, *_ in rounds[first:]]
 
         for name in verification.THRESHOLDS:
             check = getattr(verification, "check_" + name)
@@ -944,9 +945,9 @@ class TestVerify:
         def skewed(*args):
             return [(i0, i1, i_ent * (1.0 + 1e-6)) for i0, i1, i_ent in original(*args)]
 
-        assert verification.check_eta1_quadrature_vs_closed_form(1e-8).passed
+        assert verification.check_eta1_quadrature_vs_closed_form().passed
         monkeypatch.setattr(quadrature, "_integrals", skewed)
-        assert not verification.check_eta1_quadrature_vs_closed_form(1e-8).passed
+        assert not verification.check_eta1_quadrature_vs_closed_form().passed
 
     @pytest.mark.parametrize("member", [0, 1], ids=["mass", "moment"])
     def test_quadrature_check_holds_moment_against_mass(self, monkeypatch, member):
@@ -960,29 +961,30 @@ class TestVerify:
                 moments[member] *= 1.0 + 1e-6
             return [tuple(moments) for moments in found]
 
-        assert verification.check_quadrature_self_consistency(1e-8).passed
+        assert verification.check_quadrature_self_consistency().passed
         monkeypatch.setattr(quadrature, "_integrals", skewed)
-        assert not verification.check_quadrature_self_consistency(1e-8).passed
+        assert not verification.check_quadrature_self_consistency().passed
 
     def test_eta_monotone_check_reads_the_public_theta_integral(self, monkeypatch):
         # the grid is integrated in one kernel batch; a fault in the public
         # front, here one ulp on its value, must still fail the check
         original = model.theta_integral
         calls = record_calls(monkeypatch, model, "theta_integral")
-        assert verification.check_theta_integral_eta_monotone(0.0).passed
+        assert verification.check_theta_integral_eta_monotone().passed
         assert len(calls) == 1
         monkeypatch.setattr(
             model, "theta_integral", lambda *args: math.nextafter(original(*args), math.inf)
         )
-        assert not verification.check_theta_integral_eta_monotone(0.0).passed
+        assert not verification.check_theta_integral_eta_monotone().passed
 
     def test_moment_check_takes_both_members_from_one_integral(self, monkeypatch):
         # 25 distinct meshes in one batch; with each moment set to its own
         # entry's mass the check passes, and fails one part in 1e6 above it
         calls = record_calls(monkeypatch, quadrature, "_integrals")
-        assert verification.check_moment_bounded_by_mass(0.0).passed
-        ((zetas, qs, ds),) = calls
-        assert len(set(zip(zetas, qs, ds))) == len(zetas) == 25
+        assert verification.check_moment_bounded_by_mass().passed
+        ((groups,),) = calls
+        meshes = [(zeta, spec) for spec, zetas in groups.items() for zeta in zetas]
+        assert len(set(meshes)) == len(meshes) == 25
         original = quadrature._integrals
         for skew, passes in ((1.0, True), (1.0 + 1e-6, False)):
             monkeypatch.setattr(
@@ -990,7 +992,7 @@ class TestVerify:
                 "_integrals",
                 lambda *args: [(i0, skew * i0, i_ent) for i0, _, i_ent in original(*args)],
             )
-            assert verification.check_moment_bounded_by_mass(0.0).passed is passes
+            assert verification.check_moment_bounded_by_mass().passed is passes
 
     def test_reports_the_fixed_thresholds(self, capsys):
         code, out, _ = run(capsys, "verify")

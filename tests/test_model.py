@@ -1,6 +1,8 @@
 import math
+from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -114,12 +116,16 @@ def test_invalid_params_rejected(d, m, kappa):
 
 
 def test_validate_params_returns_the_thresholds():
-    # the one definition of 1 - 2/d and 1 - 2/(d-1), which classify_regime reads
-    assert validate_params(5, 0.3) == (1.0 - 2.0 / 5, 1.0 - 2.0 / 4)
-    assert validate_params(1, 0.3) == (-1.0, None)
+    # the checked (d, m), as the int and float every public call computes
+    # with, then the one definition of 1 - 2/d and 1 - 2/(d-1), which
+    # classify_regime reads
+    assert validate_params(5, 0.3) == (5, 0.3, 1.0 - 2.0 / 5, 1.0 - 2.0 / 4)
+    assert validate_params(1, 0.3) == (1, 0.3, -1.0, None)
+    d, m, _, _ = validate_params(np.int64(5), Fraction(3, 10))
+    assert (type(d), type(m), d, m) == (int, float, 5, 0.3)
     for d, m in ((1, 0.5), (2, 0.3), (5, 0.3), (7, 0.7)):
         regime = classify_regime(d, m)
-        assert (regime.threshold_high, regime.threshold_low) == validate_params(d, m)
+        assert (regime.threshold_high, regime.threshold_low) == validate_params(d, m)[2:]
 
 
 @pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf, -1e-300])

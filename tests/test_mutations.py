@@ -101,7 +101,7 @@ ROWS = {
         energy,
         "critical_set",
         lambda f: skewed_critical_set("kappa1", f),
-        {"uniform_stability_threshold"},
+        {"branch_limit_matches_kappa1", "uniform_stability_threshold"},
         {
             "branch_continuity",
             "branch_limit_matches_kappa1",
@@ -225,7 +225,12 @@ ROWS = {
         quadrature,
         "_integrals",
         lambda f: skewed_moments({0, 1, 2}, f),
-        {"branch_continuity", "eta1_quadrature_vs_closed_form", "kappa2_dual_oracle"},
+        {
+            "branch_continuity",
+            "branch_limit_matches_kappa1",
+            "eta1_quadrature_vs_closed_form",
+            "kappa2_dual_oracle",
+        },
         MASS_READERS,
     ),
     "moments-i0": (
@@ -234,6 +239,7 @@ ROWS = {
         lambda f: skewed_moments({0}, f),
         {
             "branch_continuity",
+            "branch_limit_matches_kappa1",
             "com_norm_closed_form",
             "eta1_quadrature_vs_closed_form",
             "kappa2_dual_oracle",
@@ -248,6 +254,7 @@ ROWS = {
         lambda f: skewed_moments({1}, f),
         {
             "branch_continuity",
+            "branch_limit_matches_kappa1",
             "com_norm_closed_form",
             "eta1_quadrature_vs_closed_form",
             "kappa2_dual_oracle",

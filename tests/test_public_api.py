@@ -1,13 +1,17 @@
 """The public surface as a whole: what it rejects, and what the package imports."""
 
 import ast
+import dataclasses
 import inspect
 import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fastsphere
@@ -91,6 +95,82 @@ def test_every_public_call_rejects_bad_d_and_m(name, state):
         if not _rejects_kappa(func, dict(bad, d=5, m=0.3)):
             accepted.append(("kappa", kappa))
     assert accepted == []
+
+
+def _bits(value):
+    """value as bits: each float as its hex, a dataclass as its fields, every type kept."""
+    if dataclasses.is_dataclass(value):
+        value = [getattr(value, field.name) for field in dataclasses.fields(value)]
+        return list, [_bits(item) for item in value]
+    if isinstance(value, (list, tuple)):
+        return type(value), [_bits(item) for item in value]
+    return type(value), value.hex() if type(value) is float else value
+
+
+def _leaf_types(bits) -> set:
+    """The types of the numbers and other leaves of _bits."""
+    kind, value = bits
+    if kind in (list, tuple):
+        return set().union(*map(_leaf_types, value))
+    return {kind}
+
+
+@pytest.mark.parametrize("d", [np.int64(5), 5.0], ids=repr)
+@pytest.mark.parametrize(
+    "m", [np.float32(0.3), np.float64(0.3), Decimal("0.3"), Fraction(3, 10)], ids=repr
+)
+def test_every_public_call_computes_with_the_checked_d_and_m(d, m):
+    # validate_params returns (d, m) as the int and float it checked, and
+    # every public call computes with them: each gives the bits of its call
+    # at (5, float(m)), as built-in numbers
+    state = fastsphere.fully_supported_state(18.0, 5, float(m))
+    for name in TAKING_D:
+        func = getattr(fastsphere, name)
+        kwargs = _other_args(func, state=state)
+        takes_m = "m" in inspect.signature(func).parameters
+        typed, plain = (
+            _bits(func(**kwargs, d=dd, **({"m": mm} if takes_m else {})))
+            for dd, mm in ((d, m), (5, float(m)))
+        )
+        assert typed == plain, name
+        assert _leaf_types(plain) <= {float, int, bool, str, type(None), fastsphere.RegimeCase}
+
+
+# the start of the rule each field of a state must keep, and bad values of it
+STATE_RULES = {
+    "kappa": ("interaction strength kappa must", (-8.0, math.nan, "x")),
+    "s": ("centre-of-mass norm s must", (0.0, 1.0, -0.3, math.nan)),
+    "eta_minus_1": ("eta_minus_1 must", (-0.5, math.nan, math.inf)),
+}
+
+
+@pytest.mark.parametrize(
+    "field, value", [(field, value) for field, (_, bad) in STATE_RULES.items() for value in bad]
+)
+def test_a_hand_built_state_is_checked_field_by_field(field, value):
+    # FullySupportedState is public, so both functions that take one check
+    # its fields, and a bad one raises InvalidParamError naming it, with or
+    # without the moments of a solve
+    solved = fastsphere.fully_supported_state(19.0, 5, 0.3)
+    rule = STATE_RULES[field][0]
+    for moments in (solved.moments, None):
+        state = dataclasses.replace(solved, moments=moments, **{field: value})
+        with pytest.raises(InvalidParamError, match=rule):
+            fastsphere.energy_fully_supported(state, 5, 0.3)
+        with pytest.raises(InvalidParamError, match=rule):
+            fastsphere.fully_supported_density(state, 1.0, 5, 0.3)
+
+
+def test_a_state_field_is_read_as_check_kappa_reads_kappa():
+    # through float(), and the functions compute with the value read
+    solved = fastsphere.fully_supported_state(19.0, 5, 0.3)
+    text = dataclasses.replace(solved, kappa="19", s=str(solved.s))
+    assert fastsphere.energy_fully_supported(text, 5, 0.3) == fastsphere.energy_fully_supported(
+        solved, 5, 0.3
+    )
+    assert fastsphere.fully_supported_density(
+        text, 1.0, 5, 0.3
+    ) == fastsphere.fully_supported_density(solved, 1.0, 5, 0.3)
 
 
 def test_the_energies_read_kappa_and_alpha_as_check_kappa_does():

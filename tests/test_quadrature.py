@@ -98,32 +98,36 @@ def test_seed_stops_at_the_eta_one_cutoff(d, m, zeta, levels):
         assert value == pytest.approx(eta1_closed_form(qq, p, d), rel=1e-12)
 
 
-def batched_outcomes(q, d, zetas, tables):
-    """The outcomes of quadrature._integrals over zetas, given tables.
+def flat(groups):
+    """The (zeta, q, d) of every mesh of groups, in the order _integrals returns them."""
+    return [(zeta, q, d) for (q, d), zetas in groups.items() for zeta in zetas]
 
-    q and d are numbers, or lists of one per zeta.  An outcome is the (i0,
-    i1, i_ent) tuple, or the type and message of the error.
+
+def batched_outcomes(groups, tables):
+    """The outcomes of quadrature._integrals over groups, given tables.
+
+    An outcome is the (i0, i1, i_ent) tuple, or the type and message of
+    the error.
     """
-    batched = quadrature._integrals(zetas, q, d, tables)
+    batched = quadrature._integrals(groups, tables)
     assert all(r.__traceback__ is None for r in batched if isinstance(r, FastSphereError))
     return [r if type(r) is tuple else (type(r), str(r)) for r in batched]
 
 
-def scalar_outcomes(q, d, zetas):
-    """The outcomes of quadrature._integral at each of zetas, as batched_outcomes gives them."""
-    specs = zip(q, d) if isinstance(q, list) else [(q, d)] * len(zetas)
+def scalar_outcomes(groups):
+    """The outcomes of quadrature._integral at each mesh of groups, as batched_outcomes has them."""
     scalar = []
-    for zeta, spec in zip(zetas, specs):
+    for mesh in flat(groups):
         try:
-            scalar.append(quadrature._integral(zeta, *spec))
+            scalar.append(quadrature._integral(*mesh))
         except FastSphereError as exc:
             scalar.append((type(exc), str(exc)))
     return scalar
 
 
-def batched_and_scalar(q, d, zetas, tables):
-    """batched_outcomes and scalar_outcomes of the same zetas."""
-    return batched_outcomes(q, d, zetas, tables), scalar_outcomes(q, d, zetas)
+def batched_and_scalar(groups, tables):
+    """batched_outcomes and scalar_outcomes of the same groups."""
+    return batched_outcomes(groups, tables), scalar_outcomes(groups)
 
 
 def eta1_integral_is_its_seed_mesh(q, d):
@@ -142,69 +146,65 @@ def seed_outcome(zeta, q, d):
 
 
 def self_consistency_meshes(monkeypatch):
-    """The zetas, qs and ds of verify's quadrature_self_consistency: (q, d) and (q - 1, d + 2)."""
+    """The groups of verify's quadrature_self_consistency: (q, d) and (q - 1, d + 2)."""
     calls = record_calls(monkeypatch, quadrature, "_integrals")
-    verification.check_quadrature_self_consistency(1e-8)
+    verification.check_quadrature_self_consistency()
     monkeypatch.undo()
-    ((zetas, qs, ds),) = calls
-    return zetas, qs, ds
+    ((groups,),) = calls
+    return groups
 
 
 def spread_meshes(monkeypatch):
-    """zeta from 1e-9 to 1e4 at six (q, d), d = 1 and q >= 0 among them, neighbours apart."""
+    """zeta from 1e-9 to 1e4 at six (q, d), d = 1 and q >= 0 among them."""
     specs = [(0.5, 1), (1.0 / (0.3 - 1.0), 1), (0.0, 3), (2.0, 2), (-1.5, 3), (-10.0 / 7.0, 5)]
-    zetas, qs, ds = zip(*((float(z), q, d) for z in np.geomspace(1e-9, 1e4, 25) for q, d in specs))
-    return list(zetas), list(qs), list(ds)
+    return {spec: [float(z) for z in np.geomspace(1e-9, 1e4, 25)] for spec in specs}
 
 
 def deep_meshes(monkeypatch):
-    """zeta from each (q, d)'s branch floor to 1e-3 at five (q, d), neighbours apart.
+    """zeta from each (q, d)'s branch floor to 1e-3 at five (q, d).
 
     The deep seeds of every (q, d) take free panels.
     """
     specs = [(-2.0, 2), (-4.0 / 3.0, 3), (1.0 / (0.3 - 1.0), 5), (0.5, 1), (1.0 / (0.45 - 1.0), 4)]
-    grids = [np.geomspace(_zeta_floor(q, d), 1e-3, 15) for q, d in specs]
-    meshes = [(float(z), q, d) for row in zip(*grids) for z, (q, d) in zip(row, specs)]
-    zetas, qs, ds = zip(*meshes)
-    return list(zetas), list(qs), list(ds)
+    return {(q, d): [float(z) for z in np.geomspace(_zeta_floor(q, d), 1e-3, 15)] for q, d in specs}
 
 
 def spiked_meshes(monkeypatch):
     """Two meshes whose integrand leaves double range (q = -200 at zeta = 1e-300)."""
-    return [1e-300, 1e-300], [-200.0, -200.0], [3, 3]
+    return {(-200.0, 3): [1e-300, 1e-300]}
 
 
 def spiked_among_others(monkeypatch):
-    """The spiked meshes of spiked_meshes between two that integrate."""
-    return [1e-300, 0.5, 2.0, 1e-300], [-200.0, -1.0, 0.5, -200.0], [3, 3, 1, 3]
+    """The spiked meshes of spiked_meshes, and two that integrate."""
+    return {(-200.0, 3): [1e-300, 1e-300], (-1.0, 3): [0.5], (0.5, 1): [2.0]}
 
 
 def eta1_among_others(monkeypatch):
-    """eta = 1 meshes between deep and shallow ones, and a mesh at eta = 1 that diverges.
+    """eta = 1 meshes with deep and shallow ones, and a mesh at eta = 1 that diverges.
 
     At q < 0 a closed-form tail takes the bottom panel's place, at q >= 0
     (d = 1 among them) the bottom panel stays; the last mesh has 2q + d <= 0.
     """
     specs = [(-4.0 / 3.0, 3), (0.5, 1), (1.0 / (0.3 - 1.0), 5), (0.0, 3), (-0.4, 1), (2.0, 2)]
-    meshes = [(z, q, d) for z in (0.0, 1e-150, 0.0, 3.3e-4, 0.0, 2.0) for q, d in specs]
-    zetas, qs, ds = zip(*meshes, (0.0, -2.0, 2))
-    return list(zetas), list(qs), list(ds)
+    groups = {spec: [0.0, 1e-150, 0.0, 3.3e-4, 0.0, 2.0] for spec in specs}
+    groups[-2.0, 2] = [0.0]
+    return groups
 
 
 def eta1_overflowing(monkeypatch):
     """Two meshes whose eta = 1 table fill leaves double range (q = -2, d = 2 at zeta = 1e-250)."""
-    return [1e-250, 1e-250], [-2.0, -2.0], [2, 2]
+    return {(-2.0, 2): [1e-250, 1e-250]}
 
 
 def overflow_then_lone_mesh(monkeypatch):
     """eta1_overflowing's meshes, then eleven at q = -1.5, d = 2, the last batched alone."""
-    zetas = [1e-250, 1e-250] + [float(z) for z in np.geomspace(1e-220, 1e-20, 11)]
-    return zetas, [-2.0, -2.0] + [-1.5] * 11, [2, 2] + [2] * 11
+    deeper = [float(z) for z in np.geomspace(1e-220, 1e-20, 11)]
+    return {(-2.0, 2): [1e-250, 1e-250], (-1.5, 2): deeper}
 
 
 def eta1_tail_overflowing(monkeypatch):
     """Two eta = 1 meshes whose integrand and closed-form tail overflow, and one that refines."""
-    return [0.0, 0.5, 0.0], [-1500.0] * 3, [3100] * 3
+    return {(-1500.0, 3100): [0.0, 0.5, 0.0]}
 
 
 def read_tables(free, eta1, base):
@@ -253,22 +253,22 @@ def test_batched_integrals_equal_the_scalar_kernel(monkeypatch, d, m):
         # every mesh with its own (q, d); each outcome, value or error
         # message, is that of its one-mesh call, and of its seed mesh alone
         meshes, max_panels, seed_passes, fails, filled = MIXED[m]
-        zetas, qs, ds = meshes(monkeypatch)
+        groups = meshes(monkeypatch)
         if max_panels:
             monkeypatch.setattr(quadrature, "_MAX_PANELS", max_panels)
         passes = record_calls(monkeypatch, quadrature, "_seed_pass")
         tables = None if filled is None else {}
-        batched = batched_outcomes(qs, ds, zetas, tables)
+        batched = batched_outcomes(groups, tables)
         assert len(passes) == seed_passes
-        assert batched == scalar_outcomes(qs, ds, zetas)
+        assert batched == scalar_outcomes(groups)
         failed = {r[0] for r in batched if isinstance(r[0], type)}
         assert failed == fails
         assert [r[0] if isinstance(r[0], type) else r for r in batched] == [
-            seed_outcome(*mesh) for mesh in zip(zetas, qs, ds)
+            seed_outcome(*mesh) for mesh in flat(groups)
         ]
         if filled:
             depth = quadrature._ladder().depth
-            assert set(tables) <= set(zip(qs, ds))
+            assert set(tables) <= set(groups)
             assert sum(rungs.top < depth for rungs in tables.values()) >= filled
             # the free panels of a pass come from the tables of several (q, d)
             assert filled == 1 or any(len(set(read_tables(*args[4:]))) > 1 for args in passes)
@@ -279,7 +279,7 @@ def test_batched_integrals_equal_the_scalar_kernel(monkeypatch, d, m):
             rungs = tables[-2.0, 2]
             assert (~np.isfinite(rungs.table[:6, rungs.top :])).any(axis=0).sum() == 47
             passes.clear()
-            (shallow,) = quadrature._integrals([1e-200], -2.0, 2, tables)
+            (shallow,) = quadrature._integrals({(-2.0, 2): [1e-200]}, tables)
             ((_, _, _, _, free, _, _),) = passes
             assert free[0] > 0 and np.isfinite(rungs.table[:6, depth - free[0] :]).all()
             assert shallow == quadrature._integral(1e-200, -2.0, 2)
@@ -288,16 +288,29 @@ def test_batched_integrals_equal_the_scalar_kernel(monkeypatch, d, m):
     q = 1.0 / (m - 1.0)
     zetas = [float(z) for z in np.geomspace(_zeta_floor(q, d), 1e9, 60)]
     zetas[31:31] = [3.3e-4, 3.3e-4]
-    batched, scalar = batched_and_scalar(q, d, zetas, {})
+    batched, scalar = batched_and_scalar({(q, d): zetas}, {})
     assert batched == scalar
     eta1_integral_is_its_seed_mesh(q, d)
+
+
+def test_verify_groups_its_meshes_and_answers_in_mesh_order(monkeypatch):
+    # verification._integrals takes flat (eta, q, d) meshes, neighbours at
+    # different (q, d); it hands the kernel one group per (q, d), in the
+    # order met, and returns each mesh's entry in mesh order
+    specs = list(spread_meshes(monkeypatch))
+    meshes = [(1.0 + float(z), q, d) for z in np.geomspace(1e-6, 1e2, 4) for q, d in specs]
+    calls = record_calls(monkeypatch, quadrature, "_integrals")
+    found = verification._integrals(meshes)
+    ((groups,),) = calls
+    assert list(groups) == specs and [len(zetas) for zetas in groups.values()] == [4] * 6
+    assert found == [quadrature._integral(eta - 1.0, q, d) for eta, q, d in meshes]
 
 
 def test_batched_integrals_fail_item_by_item(monkeypatch):
     # with a tiny panel budget the deep seeds fail, the shallow ones pass
     monkeypatch.setattr(quadrature, "_MAX_PANELS", 12)
     q, d = 1.0 / (0.3 - 1.0), 5
-    batched, scalar = batched_and_scalar(q, d, [1e-30, 2.0, 1e-3, 1e9, 1e-200], {})
+    batched, scalar = batched_and_scalar({(q, d): [1e-30, 2.0, 1e-3, 1e9, 1e-200]}, {})
     assert batched == scalar
     assert {r[0] if isinstance(r[0], type) else float for r in batched} == {
         float,
@@ -313,7 +326,7 @@ def test_one_zeta_takes_a_seed_pass_and_the_shared_tables(monkeypatch):
     depth = quadrature._ladder().depth
     passes = record_calls(monkeypatch, quadrature, "_seed_pass")
     rungs = {}
-    (deep,) = quadrature._integrals([1e-120], q, d, rungs)
+    (deep,) = quadrature._integrals({(q, d): [1e-120]}, rungs)
     ((_, _, _, levels, free, eta1, base),) = passes
     top = rungs[q, d].top
     assert top == depth - free[0] and 0 < free[0] <= levels[0] and base[0] == 0
@@ -323,11 +336,11 @@ def test_one_zeta_takes_a_seed_pass_and_the_shared_tables(monkeypatch):
     assert deep == quadrature._integral(1e-120, q, d) == seed_reference(1e-120, q, d)[3]
     # the next call finds the table filled down to its free panels
     filled = rungs[q, d].table[:, top:].copy()
-    assert quadrature._integrals([1e-120], q, d, rungs) == [deep]
+    assert quadrature._integrals({(q, d): [1e-120]}, rungs) == [deep]
     assert len(passes) == 3 and passes[2][4][0] == free[0]
     assert rungs[q, d].top == top and np.array_equal(rungs[q, d].table[:, top:], filled)
     monkeypatch.setattr(quadrature, "_MAX_PANELS", 2)
-    (failed,) = quadrature._integrals([1e-30], q, d, rungs)
+    (failed,) = quadrature._integrals({(q, d): [1e-30]}, rungs)
     assert type(failed) is ToleranceNotMetError and failed.__traceback__ is None
     assert len(passes) == 4
 
@@ -411,7 +424,7 @@ def seed_passes_match_the_seed_meshes(monkeypatch, q, d, zetas):
     every mesh, in the order the passes laid them.
     """
     passes = record_calls(monkeypatch, quadrature, "_seed_pass")
-    batched = quadrature._integrals(zetas, q, d, {})
+    batched = quadrature._integrals({(q, d): zetas}, {})
     monkeypatch.undo()
     assert [r if type(r) is tuple else type(r) for r in batched] == [
         seed_reference(z, q, d)[3] for z in zetas
@@ -540,7 +553,7 @@ def test_batched_seeds_that_miss_the_tolerance_are_refined_exactly():
     q, d = 1.0 / (0.5 - 1.0), 2
     zetas = [float(z) for z in np.geomspace(1e-12, 1e3, 40)]
     laid = []
-    batched, rounds = refine_rounds(lambda: quadrature._integrals(zetas, q, d, {}), laid)
+    batched, rounds = refine_rounds(lambda: quadrature._integrals({(q, d): zetas}, {}), laid)
     alone = [runs_alone(z, q, d) for z in zetas]
     assert rounds == [[len(zetas), max(map(len, alone))]]
     assert sum(len(runs) > 0 for runs in alone) >= 5
@@ -561,7 +574,7 @@ def test_batched_refinement_goes_on_past_a_seed_that_fails(monkeypatch):
     monkeypatch.setattr(quadrature, "_MAX_PANELS", 6)
     q, d = 1.0 / (0.9 - 1.0), 40
     zetas = [1e-3, 1.0, 100.0, 0.1, 1e4]
-    batched, rounds = refine_rounds(lambda: quadrature._integrals(zetas, q, d, {}))
+    batched, rounds = refine_rounds(lambda: quadrature._integrals({(q, d): zetas}, {}))
     assert rounds == [[5, 3]]
     for zeta, result in zip(zetas, batched):
         if zeta < 1.0:
@@ -635,18 +648,19 @@ ZETAS = st.one_of(st.just(0.0), st.floats(-280.0, 4.0).map(lambda e: 10.0**e))
     st.booleans(),
     st.booleans(),
 )
-def test_every_batch_is_each_mesh_alone(meshes, runs, shared):
-    # a batch of meshes at any (q, d), in runs of one (q, d) as a lockstep
-    # sends them or mixed, gives each mesh the bits of its one-mesh call,
-    # with or without eta = 1 tables, fresh or filled by an earlier call
-    if runs:
+def test_every_batch_is_each_mesh_alone(meshes, ordered, shared):
+    # a batch of groups of meshes at any (q, d), the groups in BATCH_SPECS
+    # order or in the order met, gives each mesh the bits of its one-mesh
+    # call, with or without eta = 1 tables, fresh or filled by an earlier call
+    if ordered:
         meshes.sort(key=lambda mesh: BATCH_SPECS.index(mesh[0]))
-    specs, zetas = zip(*meshes)
-    qs, ds = (list(x) for x in zip(*specs))
-    alone = [as_bits(*quadrature._integrals([zeta], q, d)) for (q, d), zeta in meshes]
+    groups = {}
+    for spec, zeta in meshes:
+        groups.setdefault(spec, []).append(zeta)
+    alone = [as_bits(*quadrature._integrals({(q, d): [zeta]})) for zeta, q, d in flat(groups)]
     tables = {} if shared else None
     for _ in range(2 if shared else 1):
-        assert [as_bits(r) for r in quadrature._integrals(list(zetas), qs, ds, tables)] == alone
+        assert [as_bits(r) for r in quadrature._integrals(groups, tables)] == alone
 
 
 @settings(max_examples=30, deadline=None)
@@ -674,8 +688,8 @@ def test_a_kronrod_batch_is_each_panel_alone(exponents, spec, zeta):
 def test_an_empty_call_has_no_entry(tables):
     # a round of grouped meshes can hold a pass with no new zeta; with or
     # without tables, an empty call returns no entry and adds no table
-    assert quadrature._integrals([], -2.0, 2, tables) == []
-    assert quadrature._integrals([], [], [], tables) == []
+    assert quadrature._integrals({}, tables) == []
+    assert quadrature._integrals({(-2.0, 2): []}, tables) == []
     assert not tables
 
 
