@@ -42,7 +42,6 @@ from .equilibria import CriticalSet, FullySupportedState
 from .errors import (
     BracketFailureError,
     FastSphereError,
-    InvalidParamError,
     OutOfWindowError,
     WrongRegimeError,
 )
@@ -78,10 +77,7 @@ class EnergyReport:
 def energy_uniform(kappa: float, d, m: float) -> float:
     """Energy of the uniform state: (1/(m-1)) |S^d|^(1-m) + kappa/2."""
     d, m, _, _ = validate_params(d, m)
-    rule = "kappa must be finite and >= 0"
-    kappa = _real(kappa, rule)
-    if not math.isfinite(kappa) or kappa < 0.0:
-        raise InvalidParamError(f"{rule}, got {kappa!r}")
+    kappa = _real(kappa, "kappa must be finite and >= 0", lambda kappa: 0.0 <= kappa < math.inf)
     return _uniform_energy(kappa, sphere_geometry(d).area_sd, m)
 
 
@@ -109,13 +105,12 @@ def energy_fully_supported(state: FullySupportedState, d, m: float) -> float:
     Also evaluated through kappa/2 - g1 g2; the two routes must agree to
     1e-8 relative or the internal state is inconsistent.  Both take the
     moments the state carries from its solve, or compute them at
-    DEFAULT_REL_TOL (1e-10) when it carries none.  The state's kappa, s
-    and eta_minus_1 are checked first (equilibria._check_state), so a
-    hand-built state with a field out of range raises InvalidParamError.
+    DEFAULT_REL_TOL (1e-10) when it carries none.  The state's kappa, s,
+    eta_minus_1 and moments are checked first (equilibria._check_state), so
+    a hand-built state with a field out of range raises InvalidParamError.
     """
     d, m, _, _ = validate_params(d, m)
-    kappa, s, zeta = equilibria._check_state(state)
-    moments = state.moments
+    kappa, s, zeta, moments = equilibria._check_state(state)
     if moments is None:
         from .quadrature import _integral
 
@@ -126,7 +121,7 @@ def energy_fully_supported(state: FullySupportedState, d, m: float) -> float:
     entropy = dwd * pref**m * i_ent
     direct = entropy / (m - 1.0) - 0.5 * kappa * s**2 + 0.5 * kappa
     identity = 0.5 * kappa - _branch_energy_gain_of(i0, i1, i_ent, dwd, m)
-    if abs(direct - identity) > _CROSS_CHECK_TOL * max(1.0, abs(direct)):
+    if not abs(direct - identity) <= _CROSS_CHECK_TOL * max(1.0, abs(direct)):
         raise FastSphereError(
             f"energy cross-check failed at kappa={kappa!r}: "
             f"direct={direct!r}, identity route={identity!r}"
@@ -138,9 +133,7 @@ def energy_singular(alpha: float, kappa: float, d, m: float) -> float:
     """Energy of alpha * delta + (1 - alpha) * rho_bar at strength kappa."""
     c = equilibria._rho_bar_constants(d, m)
     kappa = check_kappa(kappa)
-    alpha = _real(alpha, "alpha must lie in (0, 1)")
-    if not 0.0 < alpha < 1.0:
-        raise InvalidParamError(f"alpha must lie in (0, 1), got {alpha!r}")
+    alpha = _real(alpha, "alpha must lie in (0, 1)", lambda alpha: 0.0 < alpha < 1.0)
     return _singular_energy(alpha, kappa, c)
 
 
@@ -158,6 +151,7 @@ def kappa_c(d, m: float) -> float:
     """
     crit = critical_set(d, m)
     if crit.kappa_c is None:
+        d, m, _, _ = validate_params(d, m)  # to name them as checked
         raise WrongRegimeError(
             f"kappa_c exists only in case_iii; d={d}, m={m!r} is {crit.regime.value}"
         )
@@ -258,7 +252,7 @@ def _rows_at(kappa, state, c: equilibria._Constants):
     """The equilibria_at entry at kappa, given the supported state or error solved there."""
     if isinstance(state, FastSphereError) and not isinstance(state, OutOfWindowError):
         return state
-    kappa = float(kappa)
+    kappa = check_kappa(kappa)  # passes: a kappa the solve rejected returned above
     try:
         rows = [(UNIFORM, None, None, 0.0, _uniform_energy(kappa, c.area_sd, c.m))]
         if not isinstance(state, OutOfWindowError):

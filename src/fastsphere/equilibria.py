@@ -41,8 +41,8 @@ from .errors import (
 from .model import (
     RegimeCase,
     _real,
+    _regime_case,
     check_kappa,
-    classify_regime,
     eta1_closed_form,
     sphere_geometry,
     validate_params,
@@ -142,8 +142,8 @@ def _constants(d, m: float) -> _Constants:
     in closed form; every other constant is a closed form of these.  The private readers of
     (d, m) take this pass alone, so each public call forms it once.
     """
-    regime = classify_regime(d, m).tag
-    d, m = int(d), float(m)
+    d, m, thr_high, thr_low = validate_params(d, m)
+    regime = _regime_case(m, thr_high, thr_low)
     q = 1.0 / (m - 1.0)
     geo = sphere_geometry(d)  # raises for d >= 438 before the closed form
     k1 = m * (d + 1) * geo.area_sd ** (1.0 - m)
@@ -338,34 +338,39 @@ def fully_supported_density(
     state with a field out of range raises InvalidParamError.
     """
     _, m, _, _ = validate_params(d, m)
-    kappa, s, zeta = _check_state(state)
+    kappa, s, zeta, _ = _check_state(state)
     return _fully_supported_density(kappa, s, zeta, _check_theta(theta), m)
 
 
-def _check_state(state: FullySupportedState) -> tuple[float, float, float]:
-    """The kappa, s and eta_minus_1 of a state, as floats, after checking each.
+def _check_state(state: FullySupportedState) -> tuple[float, float, float, tuple | None]:
+    """The kappa, s, eta_minus_1 and moments of a state, each field read by model._real.
 
-    A bad field raises InvalidParamError naming it; every solved state
-    passes, and the functions that take a state compute with these values.
+    The moments, when set, must be three finite numbers (i0, i1, i_ent) with
+    i0 > 0.  A bad field raises InvalidParamError naming it; every solved
+    state passes, and the functions that take a state compute with these
+    values.
     """
     kappa = check_kappa(state.kappa)
-    rule = "centre-of-mass norm s must lie in (0, 1)"
-    s = _real(state.s, rule)
-    if not 0.0 < s < 1.0:
-        raise InvalidParamError(f"{rule}, got {s!r}")
+    s = _real(state.s, "centre-of-mass norm s must lie in (0, 1)", lambda s: 0.0 < s < 1.0)
     rule = "eta_minus_1 must be finite and >= 0"
-    zeta = _real(state.eta_minus_1, rule)
-    if not (math.isfinite(zeta) and zeta >= 0.0):
-        raise InvalidParamError(f"{rule}, got {zeta!r}")
-    return kappa, s, zeta
+    zeta = _real(state.eta_minus_1, rule, lambda zeta: 0.0 <= zeta < math.inf)
+    moments = state.moments
+    if moments is not None:
+        rule = "moments must be three finite numbers (i0, i1, i_ent) with i0 > 0"
+        if not (isinstance(moments, tuple) and len(moments) == 3):
+            raise InvalidParamError(f"{rule}, got {moments!r}")
+        i0, i1, i_ent = moments
+        moments = (
+            _real(i0, rule, lambda i0: 0.0 < i0 < math.inf),
+            _real(i1, rule, math.isfinite),
+            _real(i_ent, rule, math.isfinite),
+        )
+    return kappa, s, zeta, moments
 
 
 def _check_theta(theta) -> float:
-    """theta as a float, after checking it lies in [0, pi]."""
-    theta = float(theta)
-    if not 0.0 <= theta <= math.pi:
-        raise InvalidParamError(f"theta must lie in [0, pi], got {theta!r}")
-    return theta
+    """theta read by model._real, after checking it lies in [0, pi]."""
+    return _real(theta, "theta must lie in [0, pi]", lambda theta: 0.0 <= theta <= math.pi)
 
 
 def _fully_supported_density(kappa: float, s: float, zeta: float, theta: float, m: float) -> float:

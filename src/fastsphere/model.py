@@ -11,6 +11,10 @@ branches.  For d in {1, 2} only the top range exists, and for d = 3 the
 bottom range is empty.  A public call checks (d, m), by validate_params,
 before kappa (check_kappa), so of two faults it reports the one in (d, m),
 and computes with the int d and float m that validate_params returns.
+Every public number, d and m, kappa, alpha, theta, eta and q and the
+fields of a state, goes through one reader, _real(value, rule, test): it
+reads the value with float() and checks test on what it read, and either
+failure raises InvalidParamError(f"{rule}, got ...").
 
 Every equilibrium condition reduces to the polar integral family
 
@@ -70,17 +74,25 @@ class SphereGeometry:
     area_sdm1: float  # |S^{d-1}| = d * w_d, w_d the volume of the unit d-ball
 
 
-def _real(value, rule: str) -> float:
-    """float(value); a value it cannot read raises InvalidParamError(f"{rule}, got {value!r}")."""
+def _real(value, rule: str, test) -> float:
+    """The one reader of a public number: value read by float(), after checking test(real).
+
+    A value float() cannot read raises InvalidParamError(f"{rule}, got {value!r}"),
+    and a real that fails the test InvalidParamError(f"{rule}, got {real!r}").
+    """
     try:
-        return float(value)
+        real = float(value)
     except (TypeError, ValueError, OverflowError):
         raise InvalidParamError(f"{rule}, got {value!r}") from None
+    if not test(real):
+        raise InvalidParamError(f"{rule}, got {real!r}")
+    return real
 
 
 def check_dimension(d) -> int:
     rule = "dimension d must be an integer >= 1"
-    real = _real(d, rule)
+    # the integer test reads d as given, and names it so
+    real = _real(d, rule, lambda real: True)
     if isinstance(d, bool) or not math.isfinite(real) or int(real) != d or d < 1:
         raise InvalidParamError(f"{rule}, got {d!r}")
     return int(d)
@@ -93,9 +105,7 @@ def validate_params(d, m: float) -> tuple[int, float, float, float | None]:
     1 - 2/(d-1)), the second None for d = 1.
     """
     d = check_dimension(d)
-    m = _real(m, "diffusion exponent m must lie in (0, 1)")
-    if not math.isfinite(m) or not 0.0 < m < 1.0:
-        raise InvalidParamError(f"diffusion exponent m must lie in (0, 1), got {m!r}")
+    m = _real(m, "diffusion exponent m must lie in (0, 1)", lambda m: 0.0 < m < 1.0)
     thresholds = (1.0 - 2.0 / d, None if d == 1 else 1.0 - 2.0 / (d - 1))
     for name, thr in zip(("1 - 2/d", "1 - 2/(d-1)"), thresholds):
         if thr is not None and abs(m - thr) < THRESHOLD_TOL:
@@ -106,12 +116,9 @@ def validate_params(d, m: float) -> tuple[int, float, float, float | None]:
 
 
 def check_kappa(kappa) -> float:
-    """kappa as a float, after checking it is finite and > 0."""
+    """kappa read by _real, after checking it is finite and > 0."""
     rule = "interaction strength kappa must be finite and > 0"
-    kappa = _real(kappa, rule)
-    if not math.isfinite(kappa) or kappa <= 0.0:
-        raise InvalidParamError(f"{rule}, got {kappa!r}")
-    return kappa
+    return _real(kappa, rule, lambda kappa: 0.0 < kappa < math.inf)
 
 
 def classify_regime(d, m: float) -> Regime:
@@ -125,13 +132,17 @@ def classify_regime(d, m: float) -> Regime:
     and InvalidParamError off the admissible ranges.
     """
     _, m, thr_high, thr_low = validate_params(d, m)
-    if m > thr_high:
-        tag = RegimeCase.CASE_I
-    elif thr_low is not None and m > thr_low:
-        tag = RegimeCase.CASE_II
-    else:
-        tag = RegimeCase.CASE_III
+    tag = _regime_case(m, thr_high, thr_low)
     return Regime(tag=tag, threshold_low=thr_low, threshold_high=thr_high)
+
+
+def _regime_case(m: float, thr_high: float, thr_low: float | None) -> RegimeCase:
+    """classify_regime's tag, from the checked m and thresholds validate_params returns."""
+    if m > thr_high:
+        return RegimeCase.CASE_I
+    if thr_low is not None and m > thr_low:
+        return RegimeCase.CASE_II
+    return RegimeCase.CASE_III
 
 
 def sphere_geometry(d) -> SphereGeometry:
@@ -164,14 +175,10 @@ def _area_from_lgamma(n: int) -> float:
 
 def _check_spec(eta: float, q: float, p: int, d) -> tuple[float, float, int, int]:
     d = check_dimension(d)
-    eta = _real(eta, "eta must be finite and >= 1")
-    q = _real(q, "exponent q must be finite")
+    eta = _real(eta, "eta must be finite and >= 1", lambda eta: 1.0 <= eta < math.inf)
+    q = _real(q, "exponent q must be finite", math.isfinite)
     if p not in (0, 1):
         raise InvalidParamError(f"cosine power p must be 0 or 1, got {p!r}")
-    if not math.isfinite(eta) or eta < 1.0:
-        raise InvalidParamError(f"eta must be finite and >= 1, got {eta!r}")
-    if not math.isfinite(q):
-        raise InvalidParamError(f"exponent q must be finite, got {q!r}")
     if eta == 1.0 and 2.0 * q + d <= 0.0:
         raise _not_integrable(q, d)
     return eta, q, int(p), d

@@ -2,6 +2,8 @@ import importlib
 import math
 import statistics
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath as mp
@@ -199,6 +201,14 @@ class TestKappaC:
         with pytest.raises(WrongRegimeError):
             en.kappa_c(3, 0.25)
 
+    @pytest.mark.parametrize("m", [Decimal("0.25"), Fraction(1, 4), np.float32(0.25)], ids=repr)
+    def test_wrong_regime_names_the_checked_d_and_m(self, m):
+        # as kappa_c(3, 0.25) names them, whatever numbers they were given as
+        for d in (3, 3.0, np.int64(3)):
+            with pytest.raises(WrongRegimeError) as raised:
+                en.kappa_c(d, m)
+            assert str(raised.value) == "kappa_c exists only in case_iii; d=3, m=0.25 is case_ii"
+
     @pytest.mark.parametrize("d, m", [(5, 0.3), (12, 0.05), (100, 0.95), (200, 0.9)])
     def test_matches_mpmath_oracle(self, d, m):
         kc = en.kappa_c(d, m)
@@ -395,7 +405,7 @@ class TestCriticalSetWork:
         # classify_minimizer and equilibria_at form the kappa-free constants
         # once and hand them to the branch window, the roots and the energies
         passes = record_calls(monkeypatch, eq, "_constants")
-        regimes = record_calls(monkeypatch, model, "classify_regime")
+        regimes = record_calls(monkeypatch, model, "_regime_case")
         closed_forms = record_calls(monkeypatch, model, "eta1_closed_form")
         geometries = record_calls(monkeypatch, model, "sphere_geometry")
         for call in (

@@ -262,12 +262,15 @@ ROWS = {
         },
         MASS_READERS - {"theta_integral_eta_monotone"},
     ),
+    # a NaN i_ent fails the moments check of every supported energy, and
+    # branch_continuity's solves take their energies too
     "moments-i_ent": (
         quadrature,
         "_integrals",
         lambda f: skewed_moments({2}, f),
         {"eta1_quadrature_vs_closed_form"},
         {
+            "branch_continuity",
             "energy_comparison_steps",
             "energy_slope_identities",
             "energy_two_route_agreement",

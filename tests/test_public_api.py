@@ -27,9 +27,12 @@ VALID_ARGS = {
     "alpha": 0.5,
     "theta": 1.0,
     "branch": "upper",
+    "eta": 1.5,
+    "q": -1.5,
+    "p": 0,
 }
 # values float() cannot read, which every check rejects as it rejects a bad number
-NOT_NUMBERS = (None, "x", 10**400)
+NOT_NUMBERS = (None, "x", 10**400, 1j)
 BAD_D = [(d, 0.3) for d in (0, -3, 2.5, True, math.nan, math.inf, *NOT_NUMBERS)]
 # off (0, 1), or on one of the thresholds 1 - 2/d and 1 - 2/(d-1) of d = 5
 BAD_M = [
@@ -39,14 +42,19 @@ BAD_M = [
 # kappas every call that takes one rejects (energy_uniform admits kappa = 0)
 BAD_KAPPAS = (-1.0, *NOT_NUMBERS)
 BAD_KAPPA = BAD_KAPPAS[0]
-# eta1_closed_form takes (q, p, d) and theta_integral (eta, q, p, d), which
-# their own tests cover
+# bad values of the other numbers the public functions of d take
+BAD_OTHERS = {
+    "kappa": BAD_KAPPAS,
+    "alpha": (0.0, 1.0, math.nan, *NOT_NUMBERS),
+    "theta": (-0.5, 4.0, math.nan, *NOT_NUMBERS),
+    "eta": (0.5, math.inf, math.nan, *NOT_NUMBERS),
+    "q": (math.inf, math.nan, *NOT_NUMBERS),
+}
 TAKING_D = [
     name
     for name in fastsphere.__all__
     if inspect.isfunction(getattr(fastsphere, name))
     and "d" in inspect.signature(getattr(fastsphere, name)).parameters
-    and name not in ("eta1_closed_form", "theta_integral")
 ]
 TAKING_KAPPA = [
     name
@@ -61,7 +69,7 @@ def _other_args(func, **values) -> dict:
     return {key: args[key] for key in inspect.signature(func).parameters if key not in ("d", "m")}
 
 
-def _rejects_kappa(func, kwargs) -> bool:
+def _rejects(func, kwargs) -> bool:
     try:
         result = func(**kwargs)
     except InvalidParamError:
@@ -89,11 +97,12 @@ def test_every_public_call_rejects_bad_d_and_m(name, state):
         except FastSphereError:
             continue
         accepted.append((d, m))
-    for kappa in BAD_KAPPAS if name in TAKING_KAPPA else ():
-        # and each bad kappa at a valid (d, m)
-        bad = _other_args(func, kappa=kappa, kappas=[kappa], state=state)
-        if not _rejects_kappa(func, dict(bad, d=5, m=0.3)):
-            accepted.append(("kappa", kappa))
+    for key, values in BAD_OTHERS.items():
+        # and each bad kappa, alpha, theta, eta and q at a valid (d, m)
+        for value in values if {key, key + "s"} & set(params) else ():
+            bad = _other_args(func, **{key: value, key + "s": [value]}, state=state)
+            if not _rejects(func, dict(bad, d=5, **({"m": 0.3} if "m" in params else {}))):
+                accepted.append((key, value))
     assert accepted == []
 
 
@@ -138,9 +147,23 @@ def test_every_public_call_computes_with_the_checked_d_and_m(d, m):
 
 # the start of the rule each field of a state must keep, and bad values of it
 STATE_RULES = {
-    "kappa": ("interaction strength kappa must", (-8.0, math.nan, "x")),
-    "s": ("centre-of-mass norm s must", (0.0, 1.0, -0.3, math.nan)),
-    "eta_minus_1": ("eta_minus_1 must", (-0.5, math.nan, math.inf)),
+    "kappa": ("interaction strength kappa must", (-8.0, math.nan, *NOT_NUMBERS)),
+    "s": ("centre-of-mass norm s must", (0.0, 1.0, -0.3, math.nan, *NOT_NUMBERS)),
+    "eta_minus_1": ("eta_minus_1 must", (-0.5, math.nan, math.inf, *NOT_NUMBERS)),
+    "moments": (
+        "moments must",
+        (
+            (math.nan,) * 3,
+            (math.inf,) * 3,
+            (1.0, 0.5, math.nan),
+            (0, 0, 0),
+            (-1.0, 0.5, 0.5),
+            (1.0,),
+            "abc",
+            (1.0, 0.5, "x"),
+            *NOT_NUMBERS[1:],  # None is a state without moments
+        ),
+    ),
 }
 
 
@@ -153,8 +176,8 @@ def test_a_hand_built_state_is_checked_field_by_field(field, value):
     # without the moments of a solve
     solved = fastsphere.fully_supported_state(19.0, 5, 0.3)
     rule = STATE_RULES[field][0]
-    for moments in (solved.moments, None):
-        state = dataclasses.replace(solved, moments=moments, **{field: value})
+    for moments in (solved.moments, None) if field != "moments" else (value,):
+        state = dataclasses.replace(solved, **{"moments": moments, field: value})
         with pytest.raises(InvalidParamError, match=rule):
             fastsphere.energy_fully_supported(state, 5, 0.3)
         with pytest.raises(InvalidParamError, match=rule):
