@@ -43,6 +43,7 @@ from .errors import (
     BracketFailureError,
     FastSphereError,
     OutOfWindowError,
+    ToleranceNotMetError,
     WrongRegimeError,
 )
 from .model import RegimeCase, _real, check_kappa, sphere_geometry, validate_params
@@ -107,7 +108,10 @@ def energy_fully_supported(state: FullySupportedState, d, m: float) -> float:
     moments the state carries from its solve, or compute them at
     DEFAULT_REL_TOL (1e-10) when it carries none.  The state's kappa, s,
     eta_minus_1 and moments are checked first (equilibria._check_state), so
-    a hand-built state with a field out of range raises InvalidParamError.
+    a hand-built state with a field out of range raises InvalidParamError;
+    one whose mass i0 (computed or carried) is not a normal double, or
+    whose density scale (m / ((1 - m) kappa s))^(1/(1-m)) leaves double
+    range, raises ToleranceNotMetError.
     """
     d, m, _, _ = validate_params(d, m)
     kappa, s, zeta, moments = equilibria._check_state(state)
@@ -116,7 +120,14 @@ def energy_fully_supported(state: FullySupportedState, d, m: float) -> float:
 
         moments = _integral(zeta, 1.0 / (m - 1.0), d)
     i0, i1, i_ent = moments
-    pref = (m / ((1.0 - m) * kappa * s)) ** (1.0 / (1.0 - m))
+    if not equilibria._SMALLEST_NORMAL <= i0 < math.inf:
+        raise equilibria._mass_out_of_range(zeta, i0, d, m)
+    try:
+        pref = (m / ((1.0 - m) * kappa * s)) ** (1.0 / (1.0 - m))
+    except OverflowError:
+        raise ToleranceNotMetError(
+            f"density scale leaves double range at kappa={kappa!r}, s={s!r} for d={d}, m={m!r}"
+        ) from None
     dwd = sphere_geometry(d).area_sdm1
     entropy = dwd * pref**m * i_ent
     direct = entropy / (m - 1.0) - 0.5 * kappa * s**2 + 0.5 * kappa

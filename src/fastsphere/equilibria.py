@@ -192,11 +192,15 @@ def _inverse_kappa_of(
     """
     # a subnormal i0 has already lost the relative precision asked for
     if not _SMALLEST_NORMAL <= i0 < math.inf:
-        raise ToleranceNotMetError(
-            f"mass integral left double range at eta = 1 + {zeta!r} for d={d}, "
-            f"m={m!r} (i0={i0!r})"
-        )
+        raise _mass_out_of_range(zeta, i0, d, m)
     return scale * i1 * i0 ** (m - 2.0)
+
+
+def _mass_out_of_range(zeta: float, i0: float, d: int, m: float) -> ToleranceNotMetError:
+    """The error of a mass i0 that is not a normal double, at eta = 1 + zeta."""
+    return ToleranceNotMetError(
+        f"mass integral left double range at eta = 1 + {zeta!r} for d={d}, m={m!r} (i0={i0!r})"
+    )
 
 
 def _window(c: _Constants):
@@ -263,8 +267,11 @@ def _fully_supported_states(requests) -> list:
     centre-of-mass norm at each root.  Next
     to it, for this call only too, every round shares one table per (q, d)
     of the seed panels that deep zetas take from eta = 1
-    (quadrature._Eta1Rungs).  A solve does not depend on the other solves
-    of its round, so each request's entries are those it gets alone.
+    (quadrature._eta1_table).  The first round asks each solve's bracket
+    floor, the deepest zeta of the solve, so it builds each table to the
+    most free panels any later round takes.  A solve does not depend on
+    the other solves of its round, so each request's entries are those it
+    gets alone.
     """
     results = [[None] * len(kappas) for _, kappas in requests]
     solves, places, brackets = [], [], []  # each solve's kappa and pass, its entry, its bracket
@@ -374,10 +381,21 @@ def _check_theta(theta) -> float:
 
 
 def _fully_supported_density(kappa: float, s: float, zeta: float, theta: float, m: float) -> float:
-    """fully_supported_density at a checked theta, from the checked kappa, s and zeta of a state."""
+    """fully_supported_density at a checked theta, from the checked kappa, s and zeta of a state.
+
+    +inf where the density leaves double range, as rho_bar's does at its
+    pole: near kappa2 the solved zeta is as low as 1e-280.
+    """
     # -lambda - kappa s cos(theta) = kappa s (zeta + (1 - cos theta))
     base = kappa * s * (zeta + 2.0 * math.sin(0.5 * theta) ** 2)
-    return (m / (1.0 - m)) ** (1.0 / (1.0 - m)) * base ** (1.0 / (m - 1.0))
+    try:
+        return (m / (1.0 - m)) ** (1.0 / (1.0 - m)) * base ** (1.0 / (m - 1.0))
+    except (OverflowError, ZeroDivisionError):  # a factor leaves double range, or base is 0
+        pass
+    try:  # the density as one power, m / ((1 - m) base) overflowing to inf
+        return (m / (1.0 - m) / base if base else math.inf) ** (1.0 / (1.0 - m))
+    except OverflowError:
+        return math.inf
 
 
 def s_bar(d, m: float) -> float:

@@ -47,6 +47,10 @@ from .errors import (
 # branch function is constant in eta and every bracketing argument fails,
 # so nearby values are refused rather than guessed at.
 THRESHOLD_TOL = 1e-9
+# eta1_closed_form's exact products hold up to this many factors before it
+# first checks the value's size with log-Gamma; every call of the package
+# (q < 0, d <= 437) holds fewer.
+_SHORT_PRODUCTS = 500
 # The relative accuracy of every integral of the package, theta_integral's included.
 DEFAULT_REL_TOL = 1e-10
 
@@ -230,12 +234,23 @@ def eta1_closed_form(q: float, p: int, d) -> float:
     2^(q - floor(q)) and, for odd d, sqrt(pi) Gamma(a0)/Gamma(a0 + 1/2) at
     a0 <= 1 are taken in floating point.  That keeps I0 within a few
     rounding errors at any d, where a sum of log-Gamma terms loses eps
-    times their size.
+    times their size.  That loss still decides a value's size: when the
+    products would hold more than _SHORT_PRODUCTS factors (about q of them
+    at odd d), a value that log-Gamma puts past double range by more than
+    a factor e is refused at once, where the products would take minutes.
     """
     _, q, p, d = _check_spec(1.0, q, p, d)
     num, den = q.as_integer_ratio()  # den is a power of two
     n, odd = divmod(d, 2)
     j = max(math.ceil(q + 0.5 * d) - 1, 0) if odd else 0
+    # long products take minutes; a value past double range by more than the
+    # log-Gamma sum's rounding (eps times its size, far below 1) is refused
+    # first, so every representable value keeps its exact path
+    if j + n > _SHORT_PRODUCTS:
+        log_i0 = (q + d - 1) * math.log(2.0) + math.lgamma(0.5 * d)
+        log_i0 += math.lgamma(q + 0.5 * d) - math.lgamma(q + d)
+        if log_i0 > math.log(sys.float_info.max) + 1.0:
+            raise _leaves_double_range(q, d)
     # a0 + k = (2 num + (2 (n - j + k) + 1) den) / (2 den), and
     # a0 + odd/2 + k = (num + (n + odd - j + k) den) / den
     top = math.prod(2 * num + (2 * (n - j + k) + 1) * den for k in range(j))
@@ -261,9 +276,11 @@ def eta1_closed_form(q: float, p: int, d) -> float:
     except OverflowError:
         i0 = math.inf
     if i0 == math.inf:
-        raise ToleranceNotMetError(
-            f"eta = 1 integral leaves double range for q={q!r}, d={d}"
-        )
+        raise _leaves_double_range(q, d)
     if p == 0:
         return i0
     return i0 * (-q) / (q + d)
+
+
+def _leaves_double_range(q: float, d: int) -> ToleranceNotMetError:
+    return ToleranceNotMetError(f"eta = 1 integral leaves double range for q={q!r}, d={d}")

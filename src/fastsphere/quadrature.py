@@ -97,17 +97,21 @@ panel), with each panel's ladder index linear in its column within its
 mesh (index arithmetic, no Python loop per mesh), and integrates up to
 _BATCH_NODES computed nodes in one batch; at eta = 1 with q < 0 the
 bottom panel is laid to join its neighbours at 0, and dropped.  A call
-may also pass a dict of eta = 1 tables keyed by (q, d) (_Eta1Rungs); the
-call adds the table of each of its (q, d) and fills it in one batch down
-to the lowest free panel of its meshes, and a caller with many calls,
-such as a lockstep of branch solves, shares the tables between them.
+may also pass a dict of eta = 1 tables keyed by (q, d) (_eta1_table):
+where it does not find the table of one of its (q, d), it builds it in
+one batch down to the lowest free panel of that group's meshes and adds
+it, and where it finds one, no mesh takes more free panels than the
+table holds (a mesh that could computes the rest itself).  A caller with
+many calls, such as a lockstep of branch solves, shares the tables
+between them; the lockstep asks each pass's deepest zeta in its first
+round, so each table is built once and serves every later round.
 Then only the panels below each free suffix are computed, and where some
 seed may have a free panel the meshes are sorted by their group, then by
 zeta, so that neighbours mostly share a table and have similar suffixes.
 A full batch costs mostly its nodes, not its fixed numpy overhead, so
 the free panels are the saving.  The pass and the eta = 1 tables hold
 their panels in _refine's rows, and one gather from the computed panels
-and the filled suffixes of the tables, read in place, puts every full
+and the top suffixes of the tables, read in place, puts every full
 seed in increasing order; the pass then goes whole to _refine.  When
 every seed meets the tolerance, as in most rounds of a sweep, _refine
 returns their totals at once; otherwise it settles those that do in one
@@ -532,34 +536,19 @@ def _free_panels(zeta, levels):
     return np.minimum(ladder.depth - ladder.free_below.searchsorted(zeta, "right"), levels)
 
 
-class _Eta1Rungs:
-    """The top dyadic panels at zeta = 0, for one (q, d), as rows of _refine's table.
+def _eta1_table(q: float, d: int, count: int) -> np.ndarray:
+    """The top count dyadic ladder panels at zeta = 0, for one (q, d), as columns of _refine's table.
 
-    Column i is ladder panel i: rows 0-5 its Kronrod values and estimates,
-    rows 6 and 7 its edges.  The panels [top, depth) are filled, and fill
-    extends them downwards in one batch.  Its callers fill only the free
-    panels of the seeds they integrate, so the table computes nothing those
-    seeds would not.
+    Column i is ladder panel depth - count + i: rows 0-5 its Kronrod values
+    and estimates, rows 6 and 7 its edges, all from one batch.  A panel
+    whose integrand overflows is left non-finite.
     """
-
-    def __init__(self, q: float, d: int):
-        ladder = _ladder()
-        self.q, self.d, self.top = q, d, ladder.depth
-        self.table = np.empty((8, ladder.depth))
-        self.table[6], self.table[7] = ladder.lo[: ladder.depth], ladder.hi[: ladder.depth]
-
-    def fill(self, low: int) -> None:
-        """Fill the panels [low, depth); a panel whose integrand overflows is left non-finite."""
-        if low >= self.top:
-            return
-        ladder = _ladder()
-        span = slice(low, self.top)
-        v, log_sin = (part[span] for part in ladder.basis)
-        edges = np.append(ladder.lo[span], ladder.hi[self.top - 1])
-        self.table[:3, span], self.table[3:6, span] = _kronrod_batch(
-            lambda: _folded_integrand(v, log_sin, 0.0, self.q, self.d), edges
-        )
-        self.top = low
+    ladder = _ladder()
+    span = slice(ladder.depth - count, ladder.depth)
+    v, log_sin = (part[span] for part in ladder.basis)
+    lo, hi = ladder.lo[span], ladder.hi[span]
+    batch = _kronrod_batch(lambda: _folded_integrand(v, log_sin, 0.0, q, d), np.append(lo, hi[-1]))
+    return np.concatenate((*batch, lo[None], hi[None]))
 
 
 def _seed_pass(zeta, q, d, levels: np.ndarray, free, eta1, base):
@@ -567,8 +556,8 @@ def _seed_pass(zeta, q, d, levels: np.ndarray, free, eta1, base):
 
     zeta is an array of one value per mesh; q and d are each one number
     that every mesh shares, or such an array.  free is the number of free
-    panels of each mesh, which come from eta1, the filled suffixes of the
-    call's eta = 1 tables (_Eta1Rungs.table) taken side by side: mesh k's
+    panels of each mesh, which come from eta1, the top suffixes of the
+    call's eta = 1 tables (_eta1_table) taken side by side: mesh k's
     from column base[k] on.  Where no mesh has a free panel eta1 may be
     empty.  Only the other panels are computed: the bottom panel and the
     dyadic panels [depth - levels, depth - free).  They are laid end to end
@@ -644,11 +633,14 @@ def _integrals(groups: dict, tables: dict | None = None) -> list:
     group hands its (q, d) to the integrand as numbers; a batch that spans
     groups gives each mesh the (q, d) of its group.  The groups stay whole
     and in order.  All the seed meshes are integrated together.  tables
-    maps a (q, d) to its eta = 1 table of free panels (_Eta1Rungs), which
-    the call adds and fills down to the free panels of its meshes, so a
-    caller may share them between calls; without it every panel is
-    computed, and since a free panel equals its computed value, no result
-    changes.  Returns one entry per zeta, group after group and in each
+    maps a (q, d) to its eta = 1 table of free panels (_eta1_table): the
+    call builds and adds the table of a group it does not find there, in
+    one batch, to that group's largest number of free panels, and caps the
+    free panels of a group's meshes at the width of a table it finds, so a
+    caller may share them between calls; a mesh that could take more free
+    panels computes them itself.  Without tables every panel is computed,
+    and since a free panel equals its computed value, no result changes.
+    Returns one entry per zeta, group after group and in each
     group's order: the (i0, i1, i_ent) tuple or the FastSphereError the
     mesh ends in, without a traceback (at eta = 1 with 2q + d <= 0, where
     the integral diverges, model's NotIntegrableError).  Where some seed
@@ -660,7 +652,7 @@ def _integrals(groups: dict, tables: dict | None = None) -> list:
     each batch is one _seed_pass, whose full seeds go whole to one
     _refine: it returns those that meet DEFAULT_REL_TOL and refines the
     others together.  The batches' results are joined in their order and
-    put back in the order asked once.  The table fills and the batches run
+    put back in the order asked once.  The table builds and the batches run
     with overflow ignored: a mesh whose integrand leaves double range, in
     its own panels or in the table columns it reads, ends in _refine's
     ToleranceNotMetError.
@@ -681,7 +673,7 @@ def _integrals(groups: dict, tables: dict | None = None) -> list:
         floor = zeta.min(initial=math.inf)
     levels = _seed_levels(zeta, cut)
     free = base = np.zeros(zeta.size, np.intp)
-    eta1 = []  # the filled suffixes of the eta = 1 tables, side by side
+    eta1 = []  # the top suffixes of the eta = 1 tables, side by side
     # an overflow leaves a non-finite panel, which ends its mesh in _refine;
     # the branch solves never get there, as their zeta floor keeps the peak in range
     with np.errstate(over="ignore"):
@@ -690,24 +682,26 @@ def _integrals(groups: dict, tables: dict | None = None) -> list:
             sort = np.lexsort((zeta, group))
             order = sort if order is None else order[sort]
             zeta, levels, group = zeta[sort], levels[sort], group[sort]
-            free = _free_panels(zeta, levels)
+            # a table the call finds caps the free panels of its group's meshes
+            widths = [tables[spec].shape[1] if spec in tables else ladder.depth for spec in specs]
+            free = _free_panels(zeta, np.minimum(levels, np.array(widths)[group]))
             # the two meshes of a pair share their top edge
             free[0:-1:2] = free[1::2] = np.minimum(free[0:-1:2], free[1::2])
         if free.any():
-            # each group's table, filled down to its lowest free panel; the free
-            # panels of each of its meshes end where its suffix ends in eta1
+            # each group's table, built to its largest free count where the
+            # call does not find it; the free panels of each of its meshes
+            # end where its suffix ends in eta1
             # each group's first mesh, as the groups stay whole and in order
             opens = [0] + [k + 1 for k in (group[1:] != group[:-1]).nonzero()[0].tolist()]
-            depth, width = ladder.depth, 0
-            shift = np.zeros(len(specs), np.intp)
-            for k, low in zip(opens, (depth - np.maximum.reduceat(free, opens)).tolist()):
+            width, shift = 0, np.zeros(len(specs), np.intp)
+            for k, most in zip(opens, np.maximum.reduceat(free, opens).tolist()):
                 spec = specs[group[k]]
-                if spec not in tables:
-                    tables[spec] = _Eta1Rungs(*spec)
-                tables[spec].fill(low)
-                eta1.append(tables[spec].table[:, low:])
-                shift[group[k]] = width + depth - low
-                width += depth - low
+                if most:
+                    if spec not in tables:
+                        tables[spec] = _eta1_table(*spec, most)
+                    eta1.append(tables[spec][:, -most:])
+                    width += most
+                shift[group[k]] = width
             base = shift[group] - free
         ends = (levels + 1 - free).cumsum().tolist()  # in computed panels
         done, first = [], 0

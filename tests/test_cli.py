@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -390,10 +391,8 @@ class TestSweepWork:
 
             return call
 
-        for name in ("_refine", "_seed_pass"):
+        for name in ("_refine", "_seed_pass", "_eta1_table"):
             monkeypatch.setattr(quadrature, name, entered(name, getattr(quadrature, name)))
-        fill = quadrature._Eta1Rungs.fill
-        monkeypatch.setattr(quadrature._Eta1Rungs, "fill", entered("fill", fill))
         for name in ("_panel_nodes", "_kronrod_batch"):
             monkeypatch.setattr(quadrature, name, logged(name, getattr(quadrature, name)))
         code, _, err = run(
@@ -405,27 +404,28 @@ class TestSweepWork:
         calls = {}
         for where, name in log:
             calls.setdefault(where, []).append(name)
-        assert set(calls) == {"_refine", "_seed_pass", "fill"}
+        assert set(calls) == {"_refine", "_seed_pass", "_eta1_table"}
         refined = calls.pop("_refine")
         assert refined == ["_panel_nodes", "_kronrod_batch"] * (len(refined) // 2)
         assert all(set(names) == {"_kronrod_batch"} for names in calls.values())
 
     def test_one_eta1_table_per_solve_and_none_kept(self, capsys, monkeypatch):
-        # each branch solve call fills its own eta = 1 table in one batch,
+        # each branch solve call builds its own eta = 1 table in one batch,
         # and no table outlives the call
-        solve, fill, builds = eq._fully_supported_states, quadrature._Eta1Rungs.fill, []
+        solve, build, builds, built = eq._fully_supported_states, quadrature._eta1_table, [], []
 
         def counted_solve(*args):
             builds.append(0)
             return solve(*args)
 
-        def counted_fill(rungs, low):
-            top = rungs.top
-            fill(rungs, low)
-            builds[-1] += rungs.top != top
+        def counted_build(*args):
+            table = build(*args)
+            builds[-1] += 1
+            built.append(weakref.ref(table))
+            return table
 
         monkeypatch.setattr(eq, "_fully_supported_states", counted_solve)
-        monkeypatch.setattr(quadrature._Eta1Rungs, "fill", counted_fill)
+        monkeypatch.setattr(quadrature, "_eta1_table", counted_build)
         for d, m, lo, hi in ((5, 0.3, 15, 22), (3, 0.25, 8, 20), (2, 0.5, 4, 16)):
             code, _, err = run(
                 capsys,
@@ -435,7 +435,7 @@ class TestSweepWork:
             assert code == 0 and err == ""
         assert builds == [1, 1, 1]
         gc.collect()
-        assert not any(isinstance(obj, quadrature._Eta1Rungs) for obj in gc.get_objects())
+        assert not any(table() is not None for table in built)
 
 
     def test_sweep_energies_call_no_integral(self, capsys, monkeypatch):
@@ -868,6 +868,20 @@ class TestProfile:
         weighted = dens * np.sin(theta) ** 4
         trapezoid = 0.5 * np.sum((weighted[1:] + weighted[:-1]) * np.diff(theta))
         assert dwd * trapezoid == pytest.approx(1.0, abs=1e-2)
+
+    @pytest.mark.parametrize("d, m", [(3, 0.25), (5, 0.3)])
+    def test_kappa2_profile_is_inf_at_the_pole_alone(self, capsys, d, m):
+        # at kappa2 the solved eta - 1 is 1e-280, so the density at theta = 0
+        # leaves double range: it prints inf there, as rho_bar's does
+        kappa2 = en.critical_set(d, m).kappa2
+        assert eq.fully_supported_state(kappa2, d, m).eta_minus_1 < 1e-250
+        code, out, err = run(
+            capsys,
+            "profile", "--d", str(d), "--m", str(m), "--kappa", repr(kappa2), "--points", "101",
+        )
+        assert code == 0 and err == ""
+        values = [float(line.split(",")[1]) for line in out.strip().splitlines()[1:]]
+        assert values[0] == math.inf and all(math.isfinite(v) for v in values[1:])
 
     @pytest.mark.parametrize(
         "argv",

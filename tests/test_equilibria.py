@@ -175,6 +175,16 @@ class TestFullySupportedState:
             state, math.pi, d, m
         )
 
+    def test_density_in_range_whose_prefactor_is_not(self):
+        # at m = 0.995 the factor (m / (1 - m))^(1/(1-m)) = 199^200 leaves
+        # double range, while the density of a solved state does not
+        d, m = 3, 0.995
+        state = eq.fully_supported_state(3.0 * en.critical_set(d, m).kappa1, d, m)
+        for theta in (0.0, 1.0, math.pi):
+            expected = mp.mpf(m) / (1 - mp.mpf(m)) / (-state.lambda_ - state.kappa * state.s * mp.cos(theta))
+            density = eq.fully_supported_density(state, theta, d, m)
+            assert density == pytest.approx(float(expected ** (1 / (1 - mp.mpf(m)))), rel=1e-10)
+
 
 class TestFullySupportedStates:
     @staticmethod

@@ -15,7 +15,12 @@ import numpy as np
 import pytest
 
 import fastsphere
-from fastsphere.errors import FastSphereError, InvalidParamError, NotIntegrableError
+from fastsphere.errors import (
+    FastSphereError,
+    InvalidParamError,
+    NotIntegrableError,
+    ToleranceNotMetError,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "fastsphere"
@@ -182,6 +187,31 @@ def test_a_hand_built_state_is_checked_field_by_field(field, value):
             fastsphere.energy_fully_supported(state, 5, 0.3)
         with pytest.raises(InvalidParamError, match=rule):
             fastsphere.fully_supported_density(state, 1.0, 5, 0.3)
+
+
+@pytest.mark.parametrize(
+    "fields, energy_error, pole_density",
+    [
+        ({"kappa": 1e-300}, "density scale leaves double range", math.inf),
+        ({"s": 1e-300}, "density scale leaves double range", math.inf),
+        ({"eta_minus_1": 0.0}, None, math.inf),
+        ({"eta_minus_1": 1e300, "moments": None}, "mass integral left double range", 0.0),
+    ],
+    ids=["kappa", "s", "eta-1", "massless"],
+)
+def test_a_hand_built_state_out_of_double_range(fields, energy_error, pole_density):
+    # fields in range whose density or energy leaves double range: the
+    # density is +inf there, as rho_bar's at its pole, and the energy
+    # raises ToleranceNotMetError naming what left the range (the mass
+    # underflows at eta - 1 = 1e300)
+    solved = fastsphere.fully_supported_state(19.0, 5, 0.3)
+    state = dataclasses.replace(solved, **fields)
+    if energy_error is None:
+        assert math.isfinite(fastsphere.energy_fully_supported(state, 5, 0.3))
+    else:
+        with pytest.raises(ToleranceNotMetError, match=energy_error):
+            fastsphere.energy_fully_supported(state, 5, 0.3)
+    assert fastsphere.fully_supported_density(state, 0.0, 5, 0.3) == pole_density
 
 
 def test_a_state_field_is_read_as_check_kappa_reads_kappa():

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import mpmath as mp
 import numpy as np
@@ -267,21 +268,26 @@ def test_batched_integrals_equal_the_scalar_kernel(monkeypatch, d, m):
             seed_outcome(*mesh) for mesh in flat(groups)
         ]
         if filled:
-            depth = quadrature._ladder().depth
+            ladder = quadrature._ladder()
+            depth = ladder.depth
             assert set(tables) <= set(groups)
-            assert sum(rungs.top < depth for rungs in tables.values()) >= filled
+            assert sum(table.shape[1] > 0 for table in tables.values()) >= filled
+            # each table holds the top ladder panels, as many as it was built to
+            for table in tables.values():
+                top = slice(depth - table.shape[1], depth)
+                assert np.array_equal(table[6:], np.stack((ladder.lo[top], ladder.hi[top])))
             # the free panels of a pass come from the tables of several (q, d)
             assert filled == 1 or any(len(set(read_tables(*args[4:]))) > 1 for args in passes)
         if m == "eta1-table-overflow":
-            # the filled table holds the non-finite columns; a mesh at about
+            # the built table holds the non-finite columns; a mesh at about
             # the (2, 0.5) branch floor takes free panels from its finite
             # ones alone, and ends as it does with no tables
-            rungs = tables[-2.0, 2]
-            assert (~np.isfinite(rungs.table[:6, rungs.top :])).any(axis=0).sum() == 47
+            table = tables[-2.0, 2]
+            assert (~np.isfinite(table[:6])).any(axis=0).sum() == 47
             passes.clear()
             (shallow,) = quadrature._integrals({(-2.0, 2): [1e-200]}, tables)
             ((_, _, _, _, free, _, _),) = passes
-            assert free[0] > 0 and np.isfinite(rungs.table[:6, depth - free[0] :]).all()
+            assert free[0] > 0 and np.isfinite(table[:6, table.shape[1] - free[0] :]).all()
             assert shallow == quadrature._integral(1e-200, -2.0, 2)
         return
     # many seed meshes per batch, several batches, a repeated zeta
@@ -323,26 +329,31 @@ def test_one_zeta_takes_a_seed_pass_and_the_shared_tables(monkeypatch):
     # a lone zeta is laid by _seed_pass like many, and a deep one takes its
     # free panels from the eta = 1 table of a dict its caller shares
     q, d = 1.0 / (0.25 - 1.0), 3
-    depth = quadrature._ladder().depth
     passes = record_calls(monkeypatch, quadrature, "_seed_pass")
-    rungs = {}
-    (deep,) = quadrature._integrals({(q, d): [1e-120]}, rungs)
+    tables = {}
+    (deep,) = quadrature._integrals({(q, d): [1e-120]}, tables)
     ((_, _, _, levels, free, eta1, base),) = passes
-    top = rungs[q, d].top
-    assert top == depth - free[0] and 0 < free[0] <= levels[0] and base[0] == 0
-    # the pass reads the filled suffix of the table, in place
-    assert len(eta1) == 1 and np.shares_memory(eta1[0], rungs[q, d].table)
-    assert np.array_equal(eta1[0], rungs[q, d].table[:, top:])
+    table = tables[q, d]
+    assert table.shape == (8, free[0]) and 0 < free[0] <= levels[0] and base[0] == 0
+    # the pass reads the table, in place
+    assert len(eta1) == 1 and np.shares_memory(eta1[0], table) and np.array_equal(eta1[0], table)
     assert deep == quadrature._integral(1e-120, q, d) == seed_reference(1e-120, q, d)[3]
-    # the next call finds the table filled down to its free panels
-    filled = rungs[q, d].table[:, top:].copy()
-    assert quadrature._integrals({(q, d): [1e-120]}, rungs) == [deep]
+    # the next call finds the table and builds none
+    built = table.copy()
+    assert quadrature._integrals({(q, d): [1e-120]}, tables) == [deep]
     assert len(passes) == 3 and passes[2][4][0] == free[0]
-    assert rungs[q, d].top == top and np.array_equal(rungs[q, d].table[:, top:], filled)
+    assert tables[q, d] is table and np.array_equal(table, built)
+    # a deeper mesh, which could take more free panels, takes those the
+    # table holds and computes the others: it ends as alone, bit for bit
+    (deeper,) = quadrature._integrals({(q, d): [1e-200]}, tables)
+    (zeta, _, _, levels, free_deeper, _, _) = passes[3]
+    assert free_deeper[0] == free[0] < quadrature._free_panels(zeta, levels)[0]
+    assert as_bits(deeper) == as_bits(quadrature._integral(1e-200, q, d))
+    assert tables[q, d] is table and np.array_equal(table, built)
     monkeypatch.setattr(quadrature, "_MAX_PANELS", 2)
-    (failed,) = quadrature._integrals({(q, d): [1e-30]}, rungs)
+    (failed,) = quadrature._integrals({(q, d): [1e-30]}, tables)
     assert type(failed) is ToleranceNotMetError and failed.__traceback__ is None
-    assert len(passes) == 4
+    assert len(passes) == 6
 
 
 def seed_reference(zeta, q, d):
@@ -588,11 +599,12 @@ def test_batched_refinement_goes_on_past_a_seed_that_fails(monkeypatch):
 
 
 def test_ladder_table_is_built_on_first_use_and_small():
-    # and no eta = 1 table exists before an integral is asked for
+    # and no eta = 1 table (an array of _refine's 8 rows) exists before an
+    # integral is asked for
     code = (
-        "import gc, fastsphere.cli, fastsphere.quadrature as q; "
+        "import fastsphere.cli, fastsphere.quadrature as q; "
         "print(q._ladder.cache_info().currsize, "
-        "sum(isinstance(o, q._Eta1Rungs) for o in gc.get_objects()))"
+        "sum(isinstance(o, q.np.ndarray) and o.ndim == 2 and len(o) == 8 for o in vars(q).values()))"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
@@ -835,6 +847,21 @@ def test_closed_form_out_of_double_range_is_typed():
     for q, d in ((2000.0, 3), (-2000.0, 4001)):
         with pytest.raises(ToleranceNotMetError):
             eta1_closed_form(q, 0, d)
+
+
+def test_closed_form_refuses_a_value_far_out_of_range_at_once():
+    # at odd d the exact products hold about q factors, minutes of work at
+    # q = 1e6: log-Gamma refuses a value that far out first, while q = 1000
+    # and 1037, the largest integer q in range at d = 3, keep the exact path
+    # and its bits
+    start = time.perf_counter()
+    with pytest.raises(ToleranceNotMetError, match="leaves double range for q=1000000.0, d=3"):
+        eta1_closed_form(1e6, 0, 3)
+    assert time.perf_counter() - start < 1.0
+    assert eta1_closed_form(1000.0, 0, 3) == float.fromhex("0x1.d4f301ead03c2p+986")
+    assert eta1_closed_form(1037.0, 0, 3) == float.fromhex("0x1.bc1e310f058d6p+1023")
+    with pytest.raises(ToleranceNotMetError, match="leaves double range for q=1038.0, d=3"):
+        eta1_closed_form(1038.0, 0, 3)
 
 
 def test_not_integrable_at_eta_one():
