@@ -58,9 +58,14 @@ def _json(obj, pad: str = "") -> str:
 
 
 def _write_table(header: tuple, rows, fmt: str, out: str | None) -> None:
-    """rows under header, as a JSON list of objects or as CSV (strings raw, the rest _fmt)."""
+    """rows under header, as a JSON list of objects or as CSV (strings raw, the rest _fmt).
+
+    JSON has no NaN or Infinity (RFC 8259), so there a non-finite float is
+    null; CSV keeps nan and inf.
+    """
     if fmt == "json":
-        text = _json([dict(zip(header, row)) for row in rows])
+        finite = lambda v: None if isinstance(v, float) and not math.isfinite(v) else v
+        text = _json([dict(zip(header, map(finite, row))) for row in rows])
     else:
         lines = [",".join(header)]
         lines.extend(",".join(v if isinstance(v, str) else _fmt(v) for v in row) for row in rows)

@@ -271,7 +271,9 @@ def _fully_supported_states(requests) -> list:
     floor, the deepest zeta of the solve, so it builds each table to the
     most free panels any later round takes.  A solve does not depend on
     the other solves of its round, so each request's entries are those it
-    gets alone.
+    gets alone.  A root whose centre-of-mass norm s does not come out below
+    1 (in case i at large kappa, eta - 1 passes below double resolution)
+    ends in ToleranceNotMetError.
     """
     results = [[None] * len(kappas) for _, kappas in requests]
     solves, places, brackets = [], [], []  # each solve's kappa and pass, its entry, its bracket
@@ -330,6 +332,13 @@ def _fully_supported_states(requests) -> list:
         zeta = math.exp(y)
         at_root = memo[zeta]
         eta, s = 1.0 + zeta, at_root[1] / at_root[0]
+        if not s < 1.0:
+            # at large kappa in case i, eta - 1 falls below double resolution
+            entries[i] = ToleranceNotMetError(
+                f"centre-of-mass norm s={s!r} is not below 1 at kappa={kappa!r}, "
+                f"eta - 1 = {zeta!r}: the state is past double precision"
+            )
+            continue
         entries[i] = FullySupportedState(
             kappa=kappa, eta=eta, s=s, lambda_=-kappa * s * eta, eta_minus_1=zeta, moments=at_root
         )

@@ -47,9 +47,10 @@ from .errors import (
 # branch function is constant in eta and every bracketing argument fails,
 # so nearby values are refused rather than guessed at.
 THRESHOLD_TOL = 1e-9
-# eta1_closed_form's exact products hold up to this many factors before it
-# first checks the value's size with log-Gamma; every call of the package
-# (q < 0, d <= 437) holds fewer.
+# eta1_closed_form's exact products hold up to this many factors, and its
+# power of two this many bits, before it first checks the value's size with
+# log-Gamma; every call of the package (q < 0, d <= 437) holds fewer.  Longer
+# products are formed as balanced trees.
 _SHORT_PRODUCTS = 500
 # The relative accuracy of every integral of the package, theta_integral's included.
 DEFAULT_REL_TOL = 1e-10
@@ -236,32 +237,35 @@ def eta1_closed_form(q: float, p: int, d) -> float:
     rounding errors at any d, where a sum of log-Gamma terms loses eps
     times their size.  That loss still decides a value's size: when the
     products would hold more than _SHORT_PRODUCTS factors (about q of them
-    at odd d), a value that log-Gamma puts past double range by more than
-    a factor e is refused at once, where the products would take minutes.
+    at odd d), or the power of two more than _SHORT_PRODUCTS bits (about q
+    at even d), a value that log-Gamma puts past double range by more than
+    a factor e is refused at once, where the products would take minutes
+    and the power could fill the memory.  Long products are formed as
+    balanced trees (_product), the same integers sooner.
     """
     _, q, p, d = _check_spec(1.0, q, p, d)
     num, den = q.as_integer_ratio()  # den is a power of two
     n, odd = divmod(d, 2)
     j = max(math.ceil(q + 0.5 * d) - 1, 0) if odd else 0
-    # long products take minutes; a value past double range by more than the
-    # log-Gamma sum's rounding (eps times its size, far below 1) is refused
-    # first, so every representable value keeps its exact path
-    if j + n > _SHORT_PRODUCTS:
+    power = math.floor(q) + d - 1 - (j + n if odd else 0)
+    # long products take minutes, and a long shift a huge integer; a value
+    # past double range by more than the log-Gamma sum's rounding (eps times
+    # its size, far below 1) is refused first, so every representable value
+    # keeps its exact path
+    if max(j + n, power) > _SHORT_PRODUCTS:
         log_i0 = (q + d - 1) * math.log(2.0) + math.lgamma(0.5 * d)
         log_i0 += math.lgamma(q + 0.5 * d) - math.lgamma(q + d)
         if log_i0 > math.log(sys.float_info.max) + 1.0:
             raise _leaves_double_range(q, d)
     # a0 + k = (2 num + (2 (n - j + k) + 1) den) / (2 den), and
     # a0 + odd/2 + k = (num + (n + odd - j + k) den) / den
-    top = math.prod(2 * num + (2 * (n - j + k) + 1) * den for k in range(j))
-    bottom = math.prod(num + (n + odd - j + k) * den for k in range(j + n))
+    top = _product(2 * num + (2 * (n - j + k) + 1) * den for k in range(j))
+    bottom = _product(num + (n + odd - j + k) * den for k in range(j + n))
     top *= den**n
     scale = 2.0 ** (q - math.floor(q))
-    power = math.floor(q) + d - 1
     if odd:
         # Gamma(n + 1/2) = sqrt(pi) (2n - 1)!! / 2^n
-        top *= math.prod(range(1, 2 * n, 2))
-        power -= j + n
+        top *= _product(range(1, 2 * n, 2))
         a0 = q + (n + 0.5 - j)
         scale *= math.sqrt(math.pi) * math.gamma(a0) / math.gamma(a0 + 0.5)
     else:
@@ -280,6 +284,21 @@ def eta1_closed_form(q: float, p: int, d) -> float:
     if p == 0:
         return i0
     return i0 * (-q) / (q + d)
+
+
+def _product(factors) -> int:
+    """math.prod of the integers factors, as a balanced tree when they are more than _SHORT_PRODUCTS.
+
+    The same integer: math.prod multiplies left to right, so a long product
+    grows by one small factor at a time, in time quadratic in its length;
+    the tree multiplies numbers of like size.
+    """
+    factors = list(factors)
+    if len(factors) > _SHORT_PRODUCTS:
+        while len(factors) > 1:
+            pairs = [a * b for a, b in zip(factors[0::2], factors[1::2])]
+            factors = pairs + factors[2 * len(pairs) :]
+    return math.prod(factors)
 
 
 def _leaves_double_range(q: float, d: int) -> ToleranceNotMetError:

@@ -57,7 +57,13 @@ to end, and bisects them all in one batch; the panel that joins two runs
 is a bridge, whose values are dropped.  Every seed goes to _refine
 whole, so its first round is the module's one test of the tolerance.
 The seed mesh usually meets it at once, so one integral costs about one
-batch.
+batch.  The single panel [0, pi/2] of eta - 1 >= pi^2 mostly misses it,
+and a refinement batch only to split it would cost more than its nodes;
+so each one-panel seed comes with its twin, the same zeta seeded one
+level deeper, whose panels [0, pi/4] and [pi/4, pi/2] are bit for bit
+the halves its first bisection would lay (pi/4 = (0 + pi/2)/2 exactly).
+The seed settles at its first test, or ends in its own error, or else
+its twin's outcome is its own.
 
 Every seed panel is a rung of one dyadic ladder: [pi/2 * 2^-(k+1), pi/2 *
 2^-k], or a bottom panel [0, pi/2 * 2^-n].  Its edges, and everything
@@ -142,7 +148,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
-from itertools import accumulate, chain
+from itertools import accumulate, chain, compress
 from typing import NamedTuple
 
 import numpy as np
@@ -339,7 +345,7 @@ def _of_mesh(value, k):
     return value.item(k) if isinstance(value, np.ndarray) else value
 
 
-def _refine(zeta, q, d, table, sizes, tail, tail_err) -> list:
+def _refine(zeta, q, d, table, sizes, tail, tail_err, twinned) -> list:
     """Adaptive Gauss-Kronrod refinement of meshes at eta = 1 + zeta, one batch per round.
 
     zeta is an array of one value per mesh; q and d are each one number
@@ -350,21 +356,28 @@ def _refine(zeta, q, d, table, sizes, tail, tail_err) -> list:
     tail, which joins each total, and tail_err[:, k] the tail's irreducible
     share of each error budget.  Each component must meet DEFAULT_REL_TOL
     relative to its own total.  When every mesh meets it at once, as most
-    seeds do, the call returns their totals straight away; otherwise a
-    round settles the meshes that meet it in one step and tests one by one
-    only those that miss, stall or overflow.  While one misses, every panel
-    whose estimate exceeds its equal share of a missing component's budget
-    is marked, and the contiguous span from the first to the last marked
-    panel is bisected.  Each round bisects the spans of all the meshes that
-    still miss in one batch: each span's halves are one increasing run of
-    edges, and the runs are laid end to end, so the panel that joins two
-    runs is a bridge, whose values are dropped.  A mesh whose panel sums
-    are not finite (its integrand left double range) ends at once, and so
-    does one of more than _MAX_PANELS panels.  A mesh's panels and sums do
-    not depend on the other meshes, so each ends as it would on its own.
+    seeds do, the call returns their totals straight away, through one
+    chain of tests; otherwise a round settles the meshes that meet it in
+    one step and tests one by one only those that miss, stall or overflow.
+    While one misses, every panel whose estimate exceeds its equal share of
+    a missing component's budget is marked, and the contiguous span from
+    the first to the last marked panel is bisected.  Each round bisects the
+    spans of all the meshes that still miss in one batch: each span's
+    halves are one increasing run of edges, and the runs are laid end to
+    end, so the panel that joins two runs is a bridge, whose values are
+    dropped.  A mesh whose panel sums are not finite (its integrand left
+    double range) ends at once, and so does one of more than _MAX_PANELS
+    panels.  A mesh's panels and sums do not depend on the other meshes,
+    so each ends as it would on its own.
+
+    twinned is a boolean array that marks each mesh whose twin is the mesh
+    after it: a one-panel seed, followed by the same zeta seeded with the
+    two halves that its first bisection would lay.  A twinned mesh ends at
+    its first test: it settles, or ends in its own error, or else would be
+    bisected, and then its entry is None, as its twin's entry is its own.
 
     Returns each mesh's (i0, i1, i_ent), or the ToleranceNotMetError it
-    ends in, without a traceback.
+    ends in, without a traceback, or None (a twinned mesh).
     """
     results = [None] * zeta.size
     live = range(zeta.size)  # the place in results of each mesh still refined
@@ -373,16 +386,21 @@ def _refine(zeta, q, d, table, sizes, tail, tail_err) -> list:
         # wherever it sits, so its totals do not depend on the other meshes
         begin = sizes.cumsum() - sizes
         sums = np.add.reduceat(table[:6], begin, axis=1)
-        in_range = np.isfinite(sums).all(axis=0)
         total, err = tail + sums[:3], tail_err + sums[3:]
         bound = DEFAULT_REL_TOL * np.abs(total)
         meets = err <= bound
-        # the meshes that meet the tolerance, settled in one step: at once
-        # when they are all the meshes of the call
+        # every mesh of the call settles at once
+        if (
+            len(live) == len(results)
+            and meets.all()
+            and np.isfinite(sums).all()
+            and (sizes <= _MAX_PANELS).all()
+        ):
+            return list(zip(*total.tolist()))
+        # the meshes that meet the tolerance, settled in one step
+        in_range = np.isfinite(sums).all(axis=0)
         settled = in_range & (sizes <= _MAX_PANELS) & meets.all(axis=0)
         totals = list(zip(*total.tolist()))  # each mesh's (i0, i1, i_ent)
-        if len(live) == len(results) and settled.all():
-            return totals
         for k in settled.nonzero()[0].tolist():
             results[live[k]] = totals[k]
         grow, fits, panels = [], in_range.tolist(), sizes.tolist()
@@ -420,8 +438,10 @@ def _refine(zeta, q, d, table, sizes, tail, tail_err) -> list:
             if positive[k] and a < b:
                 first, last = marked[a], marked[b - 1]
                 if bisect_left(whole, first) == bisect_right(whole, last):
-                    keep.append(k)
-                    spans.append((first, last))
+                    # a twinned mesh's halves are its twin's seed
+                    if not twinned.item(live[k]):
+                        keep.append(k)
+                        spans.append((first, last))
                     continue
             # No panel can reduce the budget: either the budget is used up
             # (by the analytic tail, or the budget underflowed) or the
@@ -589,7 +609,8 @@ def _seed_pass(zeta, q, d, levels: np.ndarray, free, eta1, base):
     # panel taking the index below the lowest dyadic one ...
     panel = (np.where(up, -first, last) + (depth - 1 - levels)).repeat(laid)
     sign = step.repeat(laid)
-    panel += sign * np.arange(panel.size)
+    walk = sign * np.arange(panel.size)
+    panel += walk
     # ... until its own index replaces it
     bottom = np.where(up, first, last)
     panel[bottom] = depth + levels
@@ -611,15 +632,20 @@ def _seed_pass(zeta, q, d, levels: np.ndarray, free, eta1, base):
     # each full seed is its computed panels in increasing order, a run up or
     # down their laid columns, then its free ones, a run up eta1 past them
     table = np.concatenate((values, errors, lo[None], hi[None]))
-    start, stride, length = bottom, step, kept  # each run's first column, step and length
-    if eta1:
-        runs = np.ones((3, size, 2), np.intp)
-        runs[:, :, 0] = start, stride, length
-        runs[0, :, 1], runs[2, :, 1] = panel.size + base, free
-        start, stride, length = runs.reshape(3, -1)
-        table = np.concatenate((table, *eta1), axis=1)
-    to = length.cumsum() - length  # each run's first column in the full seeds
-    gather = (start - stride * to).repeat(length) + stride.repeat(length) * np.arange(length.sum())
+    if kept is laid and not eta1:
+        # no tail and no free panel: each full seed is its laid panels, so
+        # the gather follows the laid walk, from the mesh's first or last column
+        gather = np.where(up, 0, first + last).repeat(laid) + walk
+    else:
+        start, stride, length = bottom, step, kept  # each run's first column, step and length
+        if eta1:
+            runs = np.ones((3, size, 2), np.intp)
+            runs[:, :, 0] = start, stride, length
+            runs[0, :, 1], runs[2, :, 1] = panel.size + base, free
+            start, stride, length = runs.reshape(3, -1)
+            table = np.concatenate((table, *eta1), axis=1)
+        to = length.cumsum() - length  # each run's first column in the full seeds
+        gather = (start - stride * to).repeat(length) + stride.repeat(length) * np.arange(length.sum())
     table = table.take(gather, 1)
     return table, kept + free, tail, tail_err
 
@@ -651,8 +677,11 @@ def _integrals(groups: dict, tables: dict | None = None) -> list:
     batches of at most _BATCH_NODES computed nodes (a pair at least), and
     each batch is one _seed_pass, whose full seeds go whole to one
     _refine: it returns those that meet DEFAULT_REL_TOL and refines the
-    others together.  The batches' results are joined in their order and
-    put back in the order asked once.  The table builds and the batches run
+    others together.  Each one-panel seed (levels 0) is followed by its
+    twin, seeded one level deeper, in the same pass (a batch is never cut
+    between them): where the seed would be bisected, its entry is its
+    twin's, and the twins' own entries go.  The batches' results are
+    joined in their order and put back in the order asked once.  The table builds and the batches run
     with overflow ignored: a mesh whose integrand leaves double range, in
     its own panels or in the table columns it reads, ends in _refine's
     ToleranceNotMetError.
@@ -672,16 +701,28 @@ def _integrals(groups: dict, tables: dict | None = None) -> list:
         zeta, cut, group = zeta[order], cut[order], group[order]
         floor = zeta.min(initial=math.inf)
     levels = _seed_levels(zeta, cut)
+    # where zeta is above the largest free_below, no panel is free
+    tabled = tables is not None and floor < ladder.free_below[-1]
+    if tabled:
+        sort = np.lexsort((zeta, group))
+        order = sort if order is None else order[sort]
+        zeta, levels, group = zeta[sort], levels[sort], group[sort]
+    # each one-panel seed is followed by its twin, the same zeta seeded one
+    # level deeper: the halves that the seed's first bisection would lay
+    twinned = twin = levels == 0
+    twins = twinned.any()
+    if twins:
+        place = np.arange(zeta.size).repeat(twinned + 1)
+        zeta, levels, group = zeta[place], levels[place], group[place]
+        twinned = np.append(place[1:] == place[:-1], False)
+        twin = np.insert(twinned[:-1], 0, False)
+        levels += twin
     free = base = np.zeros(zeta.size, np.intp)
     eta1 = []  # the top suffixes of the eta = 1 tables, side by side
     # an overflow leaves a non-finite panel, which ends its mesh in _refine;
     # the branch solves never get there, as their zeta floor keeps the peak in range
     with np.errstate(over="ignore"):
-        # where zeta is above the largest free_below, no panel is free
-        if tables is not None and floor < ladder.free_below[-1]:
-            sort = np.lexsort((zeta, group))
-            order = sort if order is None else order[sort]
-            zeta, levels, group = zeta[sort], levels[sort], group[sort]
+        if tabled:
             # a table the call finds caps the free panels of its group's meshes
             widths = [tables[spec].shape[1] if spec in tables else ladder.depth for spec in specs]
             free = _free_panels(zeta, np.minimum(levels, np.array(widths)[group]))
@@ -704,12 +745,17 @@ def _integrals(groups: dict, tables: dict | None = None) -> list:
                 shift[group[k]] = width
             base = shift[group] - free
         ends = (levels + 1 - free).cumsum().tolist()  # in computed panels
+        cuts = []  # where a batch may end, once one must
         done, first = [], 0
         while first < zeta.size:
             room = (ends[first - 1] if first else 0) + _BATCH_NODES // _NODES.size
             last = bisect_right(ends, room)
-            if last < zeta.size:  # cut between two pairs, after one at least
-                last = min(max(last - (last - first) % 2, first + 2), zeta.size)
+            if last < zeta.size:
+                # cut between two pairs, after one at least, and never between
+                # a mesh and its twin
+                cuts = cuts or (2 * (~twin[0::2]).nonzero()[0]).tolist() + [zeta.size]
+                below = cuts[bisect_right(cuts, last) - 1]
+                last = below if below > first else cuts[bisect_right(cuts, first)]
             span = slice(first, last)
             # the groups stay whole and in order, so a batch whose ends are of
             # one group is of one (q, d)
@@ -719,8 +765,14 @@ def _integrals(groups: dict, tables: dict | None = None) -> list:
                 qs, ds = zip(*specs)
                 spec = np.array(qs, float)[group[span]], np.array(ds)[group[span]]
             batch = (zeta[span], *spec)
-            done += _refine(*batch, *_seed_pass(*batch, levels[span], free[span], eta1, base[span]))
+            seeds = _seed_pass(*batch, levels[span], free[span], eta1, base[span])
+            done += _refine(*batch, *seeds, twinned[span])
             first = last
+    if twins:  # a twinned mesh whose entry is None takes its twin's, and the twins go
+        for k in twinned.nonzero()[0].tolist():
+            if done[k] is None:
+                done[k] = done[k + 1]
+        done = list(compress(done, (~twin).tolist()))
     if order is None:
         return done
     for k, result in zip(order.tolist(), done):

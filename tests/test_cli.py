@@ -293,6 +293,20 @@ class TestSweep:
         assert "nan" in out
         assert "3 kappa samples failed" in err
 
+    def test_json_writes_failed_rows_as_null(self, capsys):
+        # the three kappas fail (the energy cross-check at 1e8, s rounding to
+        # 1 above it), and their rows' NaNs are null in JSON, nan in CSV
+        argv = [
+            "sweep", "--d", "2", "--m", "0.5",
+            "--kappa-min", "1e8", "--kappa-max", "1e10", "--steps", "3", "--log-grid",
+        ]
+        code, out, err = run(capsys, *argv, "--format", "json")
+        rows = strict_json(out)
+        assert code == 0 and "3 kappa samples failed" in err
+        assert [(row["com_norm"], row["energy"]) for row in rows] == [(None, None)] * 3
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out.count(",nan") == 12
+
 
     @pytest.mark.parametrize("d, m", [(3, 0.25), (5, 0.3)])
     def test_supported_row_at_kappa2(self, capsys, d, m):
@@ -370,7 +384,9 @@ class TestSweepWork:
     def test_only_refinement_builds_nodes(self, capsys, monkeypatch):
         # a seed pass and an eta = 1 table read the angle basis of their
         # panels from the ladder; only a refinement batch builds the nodes of
-        # its halves, once per batch
+        # its halves, once per batch.  A case_i sweep still refines (the
+        # case_ii sweep of test_lockstep_solves_share_their_batches no
+        # longer does: its one-panel seeds come with their halves)
         quadrature._ladder()  # its one-time build computes nodes too
         within, log = ["sweep"], []
 
@@ -397,8 +413,8 @@ class TestSweepWork:
             monkeypatch.setattr(quadrature, name, logged(name, getattr(quadrature, name)))
         code, _, err = run(
             capsys,
-            "sweep", "--d", "3", "--m", "0.25",
-            "--kappa-min", "8", "--kappa-max", "20", "--steps", "41",
+            "sweep", "--d", "2", "--m", "0.5",
+            "--kappa-min", "4", "--kappa-max", "16", "--steps", "41",
         )
         assert code == 0 and err == ""
         calls = {}
@@ -681,7 +697,7 @@ class TestWorkLedger:
 
     def test_demo_sweeps(self, monkeypatch, tmp_path):
         counts, integrands = self.ledger(monkeypatch, lambda: run_demo_sweeps(tmp_path))
-        assert counts == (151, 218, 807_045)
+        assert counts == (151, 204, 805_185)
         # every batch of a sweep holds one pass, whose q and d reach the
         # integrand as numbers
         assert all(type(q) is float and type(d) is int for *_, q, d in integrands)
@@ -689,7 +705,7 @@ class TestWorkLedger:
     def test_verify(self, monkeypatch):
         work = lambda: all(r.passed for r in verification.run_verification())
         counts, integrands = self.ledger(monkeypatch, work)
-        assert counts == (67, 111, 200_835)
+        assert counts == (67, 83, 200_940)
         # a batch of meshes at several (q, d) gives every node its own q and d
         mixed = [(v, q, d) for v, _, _, q, d in integrands if isinstance(q, np.ndarray)]
         assert mixed and all(q.shape == d.shape == v.shape for v, q, d in mixed)
@@ -822,6 +838,15 @@ def test_json_writer_matches_indented_dumps(obj):
     assert cli._json(obj) == json.dumps(obj, indent=2)
 
 
+def strict_json(text: str):
+    """json.loads that refuses NaN, Infinity and -Infinity, which are not JSON (RFC 8259)."""
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def test_critical_payload_with_nulls_matches_indented_dumps(capsys):
     code, out, _ = run(capsys, "critical", "--d", "2", "--m", "0.5")
     payload = json.loads(out)
@@ -830,6 +855,17 @@ def test_critical_payload_with_nulls_matches_indented_dumps(capsys):
 
 
 class TestProfile:
+    def test_json_writes_the_pole_as_null(self, capsys):
+        # at kappa2 of (3, 0.25) the density is +inf at theta = 0: null in
+        # JSON, inf in CSV
+        argv = ["profile", "--d", "3", "--m", "0.25", "--kappa", "14.056326244543639"]
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        rows = strict_json(out)
+        assert code == 0 and rows[0] == {"theta": 0.0, "density": None}
+        assert all(type(row["density"]) is float for row in rows[1:])
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out.splitlines()[1] == "0.0,inf"
+
     def test_flat_near_branch_birth(self, capsys):
         kappa = en.critical_set(2, 0.5).kappa1 * 1.000001
         code, out, _ = run(

@@ -30,6 +30,7 @@ from fastsphere.errors import (
     InvalidParamError,
     NotIntegrableError,
     OutOfWindowError,
+    ToleranceNotMetError,
 )
 from fastsphere.model import sphere_geometry
 
@@ -184,6 +185,23 @@ class TestFullySupportedState:
             expected = mp.mpf(m) / (1 - mp.mpf(m)) / (-state.lambda_ - state.kappa * state.s * mp.cos(theta))
             density = eq.fully_supported_density(state, theta, d, m)
             assert density == pytest.approx(float(expected ** (1 / (1 - mp.mpf(m)))), rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "kappa, d, m", [(1e9, 2, 0.5), (1e9, 3, 0.5), (1e11, 1, 0.3), (1e12, 4, 0.9)]
+    )
+    def test_a_root_past_double_precision_is_a_typed_error(self, kappa, d, m):
+        # in case i at large kappa, eta - 1 falls below double resolution and
+        # s = i1 / i0 rounds to 1 or above: the solve ends in a tolerance
+        # error that names kappa, eta - 1 and s, not in a state whose energy
+        # then blames a parameter
+        with pytest.raises(ToleranceNotMetError, match=r"centre-of-mass norm s=1\.0") as exc:
+            eq.fully_supported_state(kappa, d, m)
+        assert f"at kappa={kappa!r}, eta - 1 = " in str(exc.value)
+        with pytest.raises(ToleranceNotMetError) as report:
+            en.classify_minimizer(kappa, d, m)
+        assert str(report.value) == str(exc.value)
+        # four decades below, the state is solved
+        assert 0.0 < eq.fully_supported_state(kappa / 10.0**4, d, m).s < 1.0
 
 
 class TestFullySupportedStates:

@@ -356,19 +356,21 @@ def test_one_zeta_takes_a_seed_pass_and_the_shared_tables(monkeypatch):
     assert len(passes) == 6
 
 
-def seed_reference(zeta, q, d):
+def seed_entry(zeta, q, d, levels=None):
     """The seed of zeta built apart from the ladder, integrated with the basis computed at its nodes.
 
-    Its n levels have the dyadic edges pi/2 * 2^-k, k = n, ..., 0, and one
-    bottom panel reaches down to 0, except at eta = 1 with q < 0, where the
-    closed-form tail below pi/2 * 2^-n takes its place.  Returns the edges,
-    the panel values and estimates of the one batch, and the (i0, i1,
-    i_ent) that _refine makes of them, or the type of its error.
+    Its n levels (given, or those of the seed of zeta) have the dyadic
+    edges pi/2 * 2^-k, k = n, ..., 0, and one bottom panel reaches down to
+    0, except at eta = 1 with q < 0, where the closed-form tail below
+    pi/2 * 2^-n takes its place.  Returns the edges, the panel values and
+    estimates of the one batch, and the entry that _refine makes of them
+    with no twin, so that a one-panel seed is bisected: the (i0, i1, i_ent)
+    or the error the mesh ends in.
     """
     cut = quadrature._seed_cut(q, d)
     if zeta == 0.0 and cut == 0.0:
         raise NotIntegrableError(f"no eta = 1 seed at q={q!r}, d={d}")
-    n = int(quadrature._seed_levels(zeta, cut))
+    n = int(quadrature._seed_levels(zeta, cut)) if levels is None else int(levels)
     edges = np.ldexp(quadrature._HALF_PI, np.arange(-n, 1))
     tail = tail_err = np.zeros((3, 1))
     if zeta > 0.0 or q >= 0.0:
@@ -378,16 +380,17 @@ def seed_reference(zeta, q, d):
     v, log_sin = quadrature._angle_basis(quadrature._panel_nodes(edges[:-1], edges[1:]))
     f = lambda: quadrature._folded_integrand(v, log_sin, zeta, q, d)
     values, errors = quadrature._kronrod_batch(f, edges)
+    table = np.concatenate((values, errors, edges[None, :-1], edges[None, 1:]))
+    mesh = (np.array([x]) for x in (zeta, q, d))
+    alone = np.zeros(1, bool)  # no twin
+    (entry,) = quadrature._refine(*mesh, table, np.array([table.shape[1]]), tail, tail_err, alone)
+    return edges, values, errors, entry
 
-    def refined():
-        table = np.concatenate((values, errors, edges[None, :-1], edges[None, 1:]))
-        mesh = (np.array([x]) for x in (zeta, q, d))
-        (result,) = quadrature._refine(*mesh, table, np.array([table.shape[1]]), tail, tail_err)
-        if isinstance(result, FastSphereError):
-            raise result
-        return result
 
-    return edges, values, errors, outcome(refined)
+def seed_reference(zeta, q, d, levels=None):
+    """seed_entry, with the type of the error in place of an error entry."""
+    *seed, entry = seed_entry(zeta, q, d, levels)
+    return (*seed, type(entry) if isinstance(entry, FastSphereError) else entry)
 
 
 def outcome(call):
@@ -431,8 +434,9 @@ def seed_passes_match_the_seed_meshes(monkeypatch, q, d, zetas):
     with no panel between the meshes; every row of every panel of the
     pass's table (value, estimate and edges), computed or taken from the
     eta = 1 table, equals that of the seed mesh integrated on its own, bit
-    for bit; and so do the results.  Returns the number of free panels of
-    every mesh, in the order the passes laid them.
+    for bit (a twin's is the seed one level deeper); and so do the
+    results.  Returns the number of free panels of every mesh, twins
+    included, in the order the passes laid them.
     """
     passes = record_calls(monkeypatch, quadrature, "_seed_pass")
     batched = quadrature._integrals({(q, d): zetas}, {})
@@ -457,7 +461,7 @@ def seed_passes_match_the_seed_meshes(monkeypatch, q, d, zetas):
         assert table.shape == (8, sizes.sum())
         begin = np.cumsum(sizes) - sizes
         for k, z in enumerate(zeta.tolist()):
-            ref_edges, ref_values, ref_errors, _ = seed_reference(z, q, d)
+            ref_edges, ref_values, ref_errors, _ = seed_reference(z, q, d, levels[k])
             mesh = edges[first[k] : first[k] + computed[k] + 1]
             full = np.concatenate(([0.0], ref_edges[ref_edges > 0.0]))
             assert np.array_equal(np.sort(mesh), full[: computed[k] + 1])
@@ -560,13 +564,17 @@ def test_batched_seeds_that_miss_the_tolerance_are_refined_exactly():
     # misses the tolerance in one Gauss-Kronrod batch per round, bit for bit
     # as on its own.  A round lays each span's halves as the increasing run
     # of edges the mesh lays on its own, the runs end to end in mesh order,
-    # so two neighbours are joined by one bridge panel
+    # so two neighbours are joined by one bridge panel.  Each one-panel seed
+    # (zeta >= pi^2) comes with its twin, as it does alone, and the twin's
+    # rounds are the mesh's own
     q, d = 1.0 / (0.5 - 1.0), 2
     zetas = [float(z) for z in np.geomspace(1e-12, 1e3, 40)]
+    twins = sum(z >= math.pi**2 for z in zetas)
+    assert twins == 6 and (quadrature._seed_levels(np.array(zetas), 0.0) == 0).sum() == twins
     laid = []
     batched, rounds = refine_rounds(lambda: quadrature._integrals({(q, d): zetas}, {}), laid)
     alone = [runs_alone(z, q, d) for z in zetas]
-    assert rounds == [[len(zetas), max(map(len, alone))]]
+    assert rounds == [[len(zetas) + twins, max(map(len, alone))]]
     assert sum(len(runs) > 0 for runs in alone) >= 5
     for j, edges in enumerate(laid):
         runs = [mesh[j] for mesh in alone if len(mesh) > j]
@@ -579,14 +587,15 @@ def test_batched_seeds_that_miss_the_tolerance_are_refined_exactly():
 def test_batched_refinement_goes_on_past_a_seed_that_fails(monkeypatch):
     # at d = 40, m = 0.9 the seeds need 2 or 3 rounds: one at zeta <= 0.1
     # has 5 panels, then 7 and 9; one at zeta = 1 has 3, then 4 and 6; one
-    # at zeta >= 10 has 1, then 2, 4 and 6.  With at most 6 panels the
-    # first fail after one round, while the others go on to their second
-    # and third, still one batch per round for all the meshes left
+    # at zeta >= 10 has 1, then 2, 4 and 6, and its twin, seeded with the
+    # 2, takes over after its first test.  With at most 6 panels the first
+    # fail after one round, while the others go on to their second, still
+    # one batch per round for all the meshes left
     monkeypatch.setattr(quadrature, "_MAX_PANELS", 6)
     q, d = 1.0 / (0.9 - 1.0), 40
     zetas = [1e-3, 1.0, 100.0, 0.1, 1e4]
     batched, rounds = refine_rounds(lambda: quadrature._integrals({(q, d): zetas}, {}))
-    assert rounds == [[5, 3]]
+    assert rounds == [[5 + 2, 2]]
     for zeta, result in zip(zetas, batched):
         if zeta < 1.0:
             assert type(result) is ToleranceNotMetError and result.__traceback__ is None
@@ -596,6 +605,71 @@ def test_batched_refinement_goes_on_past_a_seed_that_fails(monkeypatch):
             assert str(exc.value) == str(result)
         else:
             assert result == quadrature._integral(zeta, q, d)
+
+
+# one-panel seeds (zeta >= pi^2 where no cutoff stops the ladder) that meet
+# the tolerance at once, settle on their halves, need more rounds or
+# overflow, and, in the same call, deep seeds with free panels and eta = 1
+TWINS = {
+    (-2.0, 2): [30.0, 1e3, 1e-200, 10.0],
+    (1.0 / (0.3 - 1.0), 1): [50.0, 1e4],
+    (0.5, 1): [0.0, 1e6],
+    (1.0 / (0.9 - 1.0), 40): [100.0, 1e-3, 1e4],
+    (3.0, 2): [1e100, 12.0],
+    (-4.0 / 3.0, 3): [0.0, 1e-120, 20.0],
+}
+
+
+def test_one_panel_seeds_come_with_their_halves(monkeypatch):
+    # each one-panel seed is laid with its twin, the two halves its first
+    # bisection would lay, in the same seed pass; its entry is the one its
+    # seed makes alone when bisected, bit for bit, and so is every other
+    # entry of the call, value or error message
+    passes = record_calls(monkeypatch, quadrature, "_seed_pass")
+    with np.errstate(over="ignore"):
+        (entries, rounds) = refine_rounds(lambda: quadrature._integrals(TWINS, {}))
+        alone = [refine_rounds(lambda: seed_entry(*mesh)[3]) for mesh in flat(TWINS)]
+    assert [as_bits(entry) for entry in entries] == [as_bits(entry) for entry, _ in alone]
+    one_panel = [
+        (entry, record[0][1])
+        for mesh, (entry, record) in zip(flat(TWINS), alone)
+        if quadrature._seed_levels(mesh[0], quadrature._seed_cut(*mesh[1:])) == 0
+    ]
+    # alone, they met the tolerance at once, settled after one bisection or
+    # after more, or left double range
+    batches = sorted({batches for entry, batches in one_panel if type(entry) is tuple})
+    assert batches[:2] == [0, 1] and batches[-1] > 1
+    assert any(isinstance(entry, ToleranceNotMetError) for entry, _ in one_panel)
+    # each in the pass of its twin, which follows it, over several passes
+    assert len(passes) == len(rounds) > 1
+    assert sum(meshes for meshes, _ in rounds) == len(flat(TWINS)) + len(one_panel)
+    for zeta, _, _, levels, *_ in passes:
+        (seeds,) = (levels[:-1] == 0).nonzero()
+        assert levels[-1] > 0 and (levels[seeds + 1] == 1).all()
+        assert np.array_equal(zeta[seeds], zeta[seeds + 1])
+
+
+def test_a_pass_is_never_cut_between_a_mesh_and_its_twin(monkeypatch):
+    # nine seeds of 53 panels, then one-panel seeds, each followed by its
+    # twin, so that every even place past the ninth seed holds a twin: the
+    # node budget (546 panels) would cut the call at the twin in place 54,
+    # and the first pass ends at the last even place that holds no twin
+    q, d = -2.0, 2
+    zetas = [1e-30] * 9 + [100.0] * 30
+    passes = record_calls(monkeypatch, quadrature, "_seed_pass")
+    entries = quadrature._integrals({(q, d): zetas})
+    assert [args[3].tolist() for args in passes] == [[52] * 8, [52] + [0, 1] * 30]
+    assert [as_bits(entry) for entry in entries] == [as_bits(seed_entry(z, q, d)[3]) for z in zetas]
+
+
+def test_a_lone_large_eta_integral_makes_no_refinement_batch(monkeypatch):
+    # alone, the one-panel seed at eta - 1 = 10 misses the tolerance and is
+    # bisected once; with its twin, the halves are seeded in the same pass
+    assert refine_rounds(lambda: seed_entry(10.0, -2.0, 2))[1] == [[1, 1]]
+    batches = record_calls(monkeypatch, quadrature, "_kronrod_batch")
+    result, rounds = refine_rounds(lambda: quadrature._integral(10.0, -2.0, 2))
+    assert rounds == [[2, 0]] and len(batches) == 1
+    assert result == seed_entry(10.0, -2.0, 2)[3]
 
 
 def test_ladder_table_is_built_on_first_use_and_small():
@@ -862,6 +936,21 @@ def test_closed_form_refuses_a_value_far_out_of_range_at_once():
     assert eta1_closed_form(1037.0, 0, 3) == float.fromhex("0x1.bc1e310f058d6p+1023")
     with pytest.raises(ToleranceNotMetError, match="leaves double range for q=1038.0, d=3"):
         eta1_closed_form(1038.0, 0, 3)
+
+
+def test_closed_form_refuses_a_long_shift_and_multiplies_long_products_as_trees():
+    # at even d the power of two holds about q bits: q = 5e15 would shift by
+    # 5e15 bits (a MemoryError) and q = 1e8 build 12.5 MB, so log-Gamma
+    # refuses both first; q = 1000 keeps its exact path and its bits.  At
+    # d = 100001 the products hold about d factors, which a balanced tree
+    # multiplies to the same integers (left to right took seconds)
+    start = time.perf_counter()
+    for q in (5e15, 1e8):
+        with pytest.raises(ToleranceNotMetError, match=f"leaves double range for q={q!r}, d=2"):
+            eta1_closed_form(q, 0, 2)
+    assert time.perf_counter() - start < 1.0
+    assert eta1_closed_form(1000.0, 0, 2) == 2.1408763380345e298
+    assert eta1_closed_form(-1.0, 0, 100001) == 0.007926714045740762
 
 
 def test_not_integrable_at_eta_one():
