@@ -62,8 +62,9 @@ and a refinement batch only to split it would cost more than its nodes;
 so each one-panel seed comes with its twin, the same zeta seeded one
 level deeper, whose panels [0, pi/4] and [pi/4, pi/2] are bit for bit
 the halves its first bisection would lay (pi/4 = (0 + pi/2)/2 exactly).
-The seed settles at its first test, or ends in its own error, or else
-its twin's outcome is its own.
+The one-panel seeds are laid first, each with its twin as one pair of
+neighbours, so that no batch parts them.  The seed settles at its first
+test, or ends in its own error, or else its twin's outcome is its own.
 
 Every seed panel is a rung of one dyadic ladder: [pi/2 * 2^-(k+1), pi/2 *
 2^-k], or a bottom panel [0, pi/2 * 2^-n].  Its edges, and everything
@@ -148,7 +149,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
-from itertools import accumulate, chain, compress
+from itertools import accumulate, chain
 from typing import NamedTuple
 
 import numpy as np
@@ -356,19 +357,18 @@ def _refine(zeta, q, d, table, sizes, tail, tail_err, twinned) -> list:
     tail, which joins each total, and tail_err[:, k] the tail's irreducible
     share of each error budget.  Each component must meet DEFAULT_REL_TOL
     relative to its own total.  When every mesh meets it at once, as most
-    seeds do, the call returns their totals straight away, through one
-    chain of tests; otherwise a round settles the meshes that meet it in
-    one step and tests one by one only those that miss, stall or overflow.
-    While one misses, every panel whose estimate exceeds its equal share of
-    a missing component's budget is marked, and the contiguous span from
-    the first to the last marked panel is bisected.  Each round bisects the
-    spans of all the meshes that still miss in one batch: each span's
-    halves are one increasing run of edges, and the runs are laid end to
-    end, so the panel that joins two runs is a bridge, whose values are
-    dropped.  A mesh whose panel sums are not finite (its integrand left
-    double range) ends at once, and so does one of more than _MAX_PANELS
-    panels.  A mesh's panels and sums do not depend on the other meshes,
-    so each ends as it would on its own.
+    seeds do, the call returns their totals straight away; otherwise a
+    round settles the meshes that meet it in one step and tests one by one
+    only those that miss, stall or overflow.  While one misses, every panel
+    whose estimate exceeds its equal share of a missing component's budget
+    is marked, and the contiguous span from the first to the last marked
+    panel is bisected.  Each round bisects the spans of all the meshes that
+    still miss in one batch: each span's halves are one increasing run of
+    edges, and the runs are laid end to end, so the panel that joins two
+    runs is a bridge, whose values are dropped.  A mesh whose panel sums
+    are not finite (its integrand left double range) ends at once, and so
+    does one of more than _MAX_PANELS panels.  A mesh's panels and sums do
+    not depend on the other meshes, so each ends as it would on its own.
 
     twinned is a boolean array that marks each mesh whose twin is the mesh
     after it: a one-panel seed, followed by the same zeta seeded with the
@@ -386,21 +386,16 @@ def _refine(zeta, q, d, table, sizes, tail, tail_err, twinned) -> list:
         # wherever it sits, so its totals do not depend on the other meshes
         begin = sizes.cumsum() - sizes
         sums = np.add.reduceat(table[:6], begin, axis=1)
+        in_range = np.isfinite(sums).all(axis=0)
         total, err = tail + sums[:3], tail_err + sums[3:]
         bound = DEFAULT_REL_TOL * np.abs(total)
         meets = err <= bound
-        # every mesh of the call settles at once
-        if (
-            len(live) == len(results)
-            and meets.all()
-            and np.isfinite(sums).all()
-            and (sizes <= _MAX_PANELS).all()
-        ):
-            return list(zip(*total.tolist()))
-        # the meshes that meet the tolerance, settled in one step
-        in_range = np.isfinite(sums).all(axis=0)
+        # the meshes that meet the tolerance, settled in one step: at once
+        # when they are all the meshes of the call
         settled = in_range & (sizes <= _MAX_PANELS) & meets.all(axis=0)
         totals = list(zip(*total.tolist()))  # each mesh's (i0, i1, i_ent)
+        if len(live) == len(results) and settled.all():
+            return totals
         for k in settled.nonzero()[0].tolist():
             results[live[k]] = totals[k]
         grow, fits, panels = [], in_range.tolist(), sizes.tolist()
@@ -609,8 +604,7 @@ def _seed_pass(zeta, q, d, levels: np.ndarray, free, eta1, base):
     # panel taking the index below the lowest dyadic one ...
     panel = (np.where(up, -first, last) + (depth - 1 - levels)).repeat(laid)
     sign = step.repeat(laid)
-    walk = sign * np.arange(panel.size)
-    panel += walk
+    panel += sign * np.arange(panel.size)
     # ... until its own index replaces it
     bottom = np.where(up, first, last)
     panel[bottom] = depth + levels
@@ -632,20 +626,15 @@ def _seed_pass(zeta, q, d, levels: np.ndarray, free, eta1, base):
     # each full seed is its computed panels in increasing order, a run up or
     # down their laid columns, then its free ones, a run up eta1 past them
     table = np.concatenate((values, errors, lo[None], hi[None]))
-    if kept is laid and not eta1:
-        # no tail and no free panel: each full seed is its laid panels, so
-        # the gather follows the laid walk, from the mesh's first or last column
-        gather = np.where(up, 0, first + last).repeat(laid) + walk
-    else:
-        start, stride, length = bottom, step, kept  # each run's first column, step and length
-        if eta1:
-            runs = np.ones((3, size, 2), np.intp)
-            runs[:, :, 0] = start, stride, length
-            runs[0, :, 1], runs[2, :, 1] = panel.size + base, free
-            start, stride, length = runs.reshape(3, -1)
-            table = np.concatenate((table, *eta1), axis=1)
-        to = length.cumsum() - length  # each run's first column in the full seeds
-        gather = (start - stride * to).repeat(length) + stride.repeat(length) * np.arange(length.sum())
+    start, stride, length = bottom, step, kept  # each run's first column, step and length
+    if eta1:
+        runs = np.ones((3, size, 2), np.intp)
+        runs[:, :, 0] = start, stride, length
+        runs[0, :, 1], runs[2, :, 1] = panel.size + base, free
+        start, stride, length = runs.reshape(3, -1)
+        table = np.concatenate((table, *eta1), axis=1)
+    to = length.cumsum() - length  # each run's first column in the full seeds
+    gather = (start - stride * to).repeat(length) + stride.repeat(length) * np.arange(length.sum())
     table = table.take(gather, 1)
     return table, kept + free, tail, tail_err
 
@@ -673,18 +662,19 @@ def _integrals(groups: dict, tables: dict | None = None) -> list:
     may have a free panel, the meshes of each group are sorted by zeta, so
     that neighbouring meshes mostly share a table and have similar numbers
     of free panels, and each pair of neighbours takes the smaller of the
-    two; otherwise they stay in the order asked.  The meshes are cut into
-    batches of at most _BATCH_NODES computed nodes (a pair at least), and
-    each batch is one _seed_pass, whose full seeds go whole to one
-    _refine: it returns those that meet DEFAULT_REL_TOL and refines the
-    others together.  Each one-panel seed (levels 0) is followed by its
-    twin, seeded one level deeper, in the same pass (a batch is never cut
-    between them): where the seed would be bisected, its entry is its
+    two; otherwise they stay in the order asked, the one-panel seeds
+    aside (below).  The meshes are cut into batches of at most
+    _BATCH_NODES computed nodes (a pair at least), and each batch is one
+    _seed_pass, whose full seeds go whole to one _refine: it returns
+    those that meet DEFAULT_REL_TOL and refines the others together.
+    The one-panel seeds (levels 0) go first, each
+    followed by its twin, seeded one level deeper, as one pair, so no
+    batch parts them: where the seed would be bisected, its entry is its
     twin's, and the twins' own entries go.  The batches' results are
-    joined in their order and put back in the order asked once.  The table builds and the batches run
-    with overflow ignored: a mesh whose integrand leaves double range, in
-    its own panels or in the table columns it reads, ends in _refine's
-    ToleranceNotMetError.
+    joined in their order and put back in the order asked once.  The
+    table builds and the batches run with overflow ignored: a mesh whose
+    integrand leaves double range, in its own panels or in the table
+    columns it reads, ends in _refine's ToleranceNotMetError.
     """
     specs = list(groups)
     group = np.arange(len(specs)).repeat([len(zetas) for zetas in groups.values()])
@@ -701,22 +691,28 @@ def _integrals(groups: dict, tables: dict | None = None) -> list:
         zeta, cut, group = zeta[order], cut[order], group[order]
         floor = zeta.min(initial=math.inf)
     levels = _seed_levels(zeta, cut)
+    seeds = int((levels == 0).sum())  # one-panel seeds
     # where zeta is above the largest free_below, no panel is free
     tabled = tables is not None and floor < ladder.free_below[-1]
+    # the one-panel seeds go first, so that each can be laid with its twin
+    # as one pair, then the other meshes, each part in group order
     if tabled:
-        sort = np.lexsort((zeta, group))
+        sort = np.lexsort((zeta, group, levels > 0))
+    elif seeds and not (levels[:seeds] == 0).all():
+        sort = np.argsort(levels > 0, kind="stable")
+    else:
+        sort = None
+    if sort is not None:
         order = sort if order is None else order[sort]
         zeta, levels, group = zeta[sort], levels[sort], group[sort]
     # each one-panel seed is followed by its twin, the same zeta seeded one
     # level deeper: the halves that the seed's first bisection would lay
-    twinned = twin = levels == 0
-    twins = twinned.any()
-    if twins:
-        place = np.arange(zeta.size).repeat(twinned + 1)
+    twinned = np.zeros(zeta.size + seeds, bool)
+    if seeds:
+        place = np.arange(zeta.size).repeat((levels == 0) + 1)
         zeta, levels, group = zeta[place], levels[place], group[place]
-        twinned = np.append(place[1:] == place[:-1], False)
-        twin = np.insert(twinned[:-1], 0, False)
-        levels += twin
+        twinned[: 2 * seeds : 2] = True
+        levels[1 : 2 * seeds : 2] = 1
     free = base = np.zeros(zeta.size, np.intp)
     eta1 = []  # the top suffixes of the eta = 1 tables, side by side
     # an overflow leaves a non-finite panel, which ends its mesh in _refine;
@@ -733,6 +729,8 @@ def _integrals(groups: dict, tables: dict | None = None) -> list:
             # call does not find it; the free panels of each of its meshes
             # end where its suffix ends in eta1
             # each group's first mesh, as the groups stay whole and in order
+            # in each part (in the first, of one-panel seeds, no panel is
+            # free, and a group's later part sets its shift)
             opens = [0] + [k + 1 for k in (group[1:] != group[:-1]).nonzero()[0].tolist()]
             width, shift = 0, np.zeros(len(specs), np.intp)
             for k, most in zip(opens, np.maximum.reduceat(free, opens).tolist()):
@@ -745,34 +743,25 @@ def _integrals(groups: dict, tables: dict | None = None) -> list:
                 shift[group[k]] = width
             base = shift[group] - free
         ends = (levels + 1 - free).cumsum().tolist()  # in computed panels
-        cuts = []  # where a batch may end, once one must
         done, first = [], 0
         while first < zeta.size:
             room = (ends[first - 1] if first else 0) + _BATCH_NODES // _NODES.size
             last = bisect_right(ends, room)
-            if last < zeta.size:
-                # cut between two pairs, after one at least, and never between
-                # a mesh and its twin
-                cuts = cuts or (2 * (~twin[0::2]).nonzero()[0]).tolist() + [zeta.size]
-                below = cuts[bisect_right(cuts, last) - 1]
-                last = below if below > first else cuts[bisect_right(cuts, first)]
+            if last < zeta.size:  # cut between two pairs, after one at least
+                last = min(max(last - (last - first) % 2, first + 2), zeta.size)
             span = slice(first, last)
-            # the groups stay whole and in order, so a batch whose ends are of
-            # one group is of one (q, d)
-            if group[first] == group[last - 1]:
+            if (group[span] == group[first]).all():  # a batch of one (q, d)
                 spec = specs[group[first]]
             else:  # each mesh takes the (q, d) of its group
                 qs, ds = zip(*specs)
                 spec = np.array(qs, float)[group[span]], np.array(ds)[group[span]]
             batch = (zeta[span], *spec)
-            seeds = _seed_pass(*batch, levels[span], free[span], eta1, base[span])
-            done += _refine(*batch, *seeds, twinned[span])
+            seeded = _seed_pass(*batch, levels[span], free[span], eta1, base[span])
+            done += _refine(*batch, *seeded, twinned[span])
             first = last
-    if twins:  # a twinned mesh whose entry is None takes its twin's, and the twins go
-        for k in twinned.nonzero()[0].tolist():
-            if done[k] is None:
-                done[k] = done[k + 1]
-        done = list(compress(done, (~twin).tolist()))
+    if seeds:  # each seed's entry, or where it is None its twin's; the twins go
+        pairs = iter(done[: 2 * seeds])
+        done[: 2 * seeds] = [twin if seed is None else seed for seed, twin in zip(pairs, pairs)]
     if order is None:
         return done
     for k, result in zip(order.tolist(), done):

@@ -697,7 +697,7 @@ class TestWorkLedger:
 
     def test_demo_sweeps(self, monkeypatch, tmp_path):
         counts, integrands = self.ledger(monkeypatch, lambda: run_demo_sweeps(tmp_path))
-        assert counts == (151, 204, 805_185)
+        assert counts == (151, 204, 805_170)
         # every batch of a sweep holds one pass, whose q and d reach the
         # integrand as numbers
         assert all(type(q) is float and type(d) is int for *_, q, d in integrands)

@@ -640,26 +640,48 @@ def test_one_panel_seeds_come_with_their_halves(monkeypatch):
     batches = sorted({batches for entry, batches in one_panel if type(entry) is tuple})
     assert batches[:2] == [0, 1] and batches[-1] > 1
     assert any(isinstance(entry, ToleranceNotMetError) for entry, _ in one_panel)
-    # each in the pass of its twin, which follows it, over several passes
-    assert len(passes) == len(rounds) > 1
+    # the seeds are laid first, each with its twin after it, in one pass
+    assert len(passes) == len(rounds)
     assert sum(meshes for meshes, _ in rounds) == len(flat(TWINS)) + len(one_panel)
-    for zeta, _, _, levels, *_ in passes:
-        (seeds,) = (levels[:-1] == 0).nonzero()
-        assert levels[-1] > 0 and (levels[seeds + 1] == 1).all()
-        assert np.array_equal(zeta[seeds], zeta[seeds + 1])
+    (zeta, _, _, levels, *_), seeds = passes[0], len(one_panel)
+    assert levels[: 2 * seeds : 2].tolist() == [0] * seeds
+    assert levels[1 : 2 * seeds : 2].tolist() == [1] * seeds
+    assert np.array_equal(zeta[: 2 * seeds : 2], zeta[1 : 2 * seeds : 2])
+    assert (levels[2 * seeds :] > 0).all()
 
 
-def test_a_pass_is_never_cut_between_a_mesh_and_its_twin(monkeypatch):
-    # nine seeds of 53 panels, then one-panel seeds, each followed by its
-    # twin, so that every even place past the ninth seed holds a twin: the
-    # node budget (546 panels) would cut the call at the twin in place 54,
-    # and the first pass ends at the last even place that holds no twin
+def test_a_pass_holds_each_seed_with_its_twin_within_the_node_budget(monkeypatch):
+    # nine seeds of 53 panels, then 400 one-panel seeds: the seeds are laid
+    # first, each with its twin (2 panels) as one pair, so a pass is cut
+    # between two pairs, holds 182 pairs (546 panels, the node budget) and
+    # then the deep seeds, and never runs past the budget
     q, d = -2.0, 2
-    zetas = [1e-30] * 9 + [100.0] * 30
+    zetas = [1e-30] * 9 + [100.0] * 400
     passes = record_calls(monkeypatch, quadrature, "_seed_pass")
     entries = quadrature._integrals({(q, d): zetas})
-    assert [args[3].tolist() for args in passes] == [[52] * 8, [52] + [0, 1] * 30]
-    assert [as_bits(entry) for entry in entries] == [as_bits(seed_entry(z, q, d)[3]) for z in zetas]
+    laid = [args[3] for args in passes]
+    assert np.concatenate(laid).tolist() == [0, 1] * 400 + [52] * 9
+    assert [levels.size for levels in laid] == [364, 364, 80, 1]
+    budget = quadrature._BATCH_NODES // quadrature._NODES.size  # in panels
+    assert all((levels + 1).sum() <= budget for levels in laid)
+    alone = {z: as_bits(seed_entry(z, q, d)[3]) for z in set(zetas)}
+    assert [as_bits(entry) for entry in entries] == [alone[z] for z in zetas]
+
+
+def test_a_pass_of_seeds_and_deep_meshes_gives_each_mesh_its_group(monkeypatch):
+    # the one-panel seeds go first, so the pass's first and last meshes are
+    # of the second group and the deep mesh of the first lies between them:
+    # each node still takes the q and d of its own mesh's group
+    q1 = 1.0 / (0.3 - 1.0)
+    groups = {(-2.0, 2): [1e-3], (q1, 1): [100.0, 1e-3]}
+    passes = record_calls(monkeypatch, quadrature, "_seed_pass")
+    entries = quadrature._integrals(groups)
+    ((zeta, q, d, levels, *_),) = passes
+    assert zeta.tolist() == [100.0, 100.0, 1e-3, 1e-3] and levels[:2].tolist() == [0, 1]
+    assert q.tolist() == [q1, q1, -2.0, q1] and d.tolist() == [1, 1, 2, 1]
+    assert [as_bits(entry) for entry in entries] == [
+        as_bits(seed_entry(*mesh)[3]) for mesh in flat(groups)
+    ]
 
 
 def test_a_lone_large_eta_integral_makes_no_refinement_batch(monkeypatch):
