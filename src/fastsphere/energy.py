@@ -111,7 +111,8 @@ def energy_fully_supported(state: FullySupportedState, d, m: float) -> float:
     a hand-built state with a field out of range raises InvalidParamError;
     one whose mass i0 (computed or carried) is not a normal double, or
     whose density scale (m / ((1 - m) kappa s))^(1/(1-m)) leaves double
-    range, raises ToleranceNotMetError.
+    range, raises ToleranceNotMetError, as does a state whose two routes
+    disagree.
     """
     d, m, _, _ = validate_params(d, m)
     kappa, s, zeta, moments = equilibria._check_state(state)
@@ -133,7 +134,7 @@ def energy_fully_supported(state: FullySupportedState, d, m: float) -> float:
     direct = entropy / (m - 1.0) - 0.5 * kappa * s**2 + 0.5 * kappa
     identity = 0.5 * kappa - _branch_energy_gain_of(i0, i1, i_ent, dwd, m)
     if not abs(direct - identity) <= _CROSS_CHECK_TOL * max(1.0, abs(direct)):
-        raise FastSphereError(
+        raise ToleranceNotMetError(
             f"energy cross-check failed at kappa={kappa!r}: "
             f"direct={direct!r}, identity route={identity!r}"
         )

@@ -34,9 +34,11 @@ Every integral is seeded the same way.  The only fine structure is the
 spike of (eta - cos t)^q at t = 0, of width sqrt(eta - 1), and around and
 above it the integrand is self-similar under halving.  So the seed panels
 are dyadic, with edges pi/2 * 2^-k from pi/2 down to the first edge below
-half the spike scale.  Below that edge the integrand is analytic for
-eta > 1, and one more panel reaches down to 0; for eta - 1 >= pi^2 that
-leaves the single panel [0, pi/2].  Where the eta = 1 integral converges
+half the spike scale, but at least to pi/4.  Below that edge the
+integrand is analytic for eta > 1, and one more panel reaches down to 0.
+The floor is for eta - 1 >= pi^2: there the single panel [0, pi/2]
+mostly misses the tolerance, and a refinement batch only to split it
+would cost more than its nodes.  Where the eta = 1 integral converges
 (2q + d > 0) the edges never go below the cutoff theta_c under which the
 singular part of the eta = 1 integrand holds less than 1e-18 of its
 total, and for eta > 1 even less, however narrow the spike.  At eta = 1
@@ -57,14 +59,7 @@ to end, and bisects them all in one batch; the panel that joins two runs
 is a bridge, whose values are dropped.  Every seed goes to _refine
 whole, so its first round is the module's one test of the tolerance.
 The seed mesh usually meets it at once, so one integral costs about one
-batch.  The single panel [0, pi/2] of eta - 1 >= pi^2 mostly misses it,
-and a refinement batch only to split it would cost more than its nodes;
-so each one-panel seed comes with its twin, the same zeta seeded one
-level deeper, whose panels [0, pi/4] and [pi/4, pi/2] are bit for bit
-the halves its first bisection would lay (pi/4 = (0 + pi/2)/2 exactly).
-The one-panel seeds are laid first, each with its twin as one pair of
-neighbours, so that no batch parts them.  The seed settles at its first
-test, or ends in its own error, or else its twin's outcome is its own.
+batch.
 
 Every seed panel is a rung of one dyadic ladder: [pi/2 * 2^-(k+1), pi/2 *
 2^-k], or a bottom panel [0, pi/2 * 2^-n].  Its edges, and everything
@@ -346,7 +341,7 @@ def _of_mesh(value, k):
     return value.item(k) if isinstance(value, np.ndarray) else value
 
 
-def _refine(zeta, q, d, table, sizes, tail, tail_err, twinned) -> list:
+def _refine(zeta, q, d, table, sizes, tail, tail_err) -> list:
     """Adaptive Gauss-Kronrod refinement of meshes at eta = 1 + zeta, one batch per round.
 
     zeta is an array of one value per mesh; q and d are each one number
@@ -370,14 +365,8 @@ def _refine(zeta, q, d, table, sizes, tail, tail_err, twinned) -> list:
     does one of more than _MAX_PANELS panels.  A mesh's panels and sums do
     not depend on the other meshes, so each ends as it would on its own.
 
-    twinned is a boolean array that marks each mesh whose twin is the mesh
-    after it: a one-panel seed, followed by the same zeta seeded with the
-    two halves that its first bisection would lay.  A twinned mesh ends at
-    its first test: it settles, or ends in its own error, or else would be
-    bisected, and then its entry is None, as its twin's entry is its own.
-
     Returns each mesh's (i0, i1, i_ent), or the ToleranceNotMetError it
-    ends in, without a traceback, or None (a twinned mesh).
+    ends in, without a traceback.
     """
     results = [None] * zeta.size
     live = range(zeta.size)  # the place in results of each mesh still refined
@@ -433,10 +422,8 @@ def _refine(zeta, q, d, table, sizes, tail, tail_err, twinned) -> list:
             if positive[k] and a < b:
                 first, last = marked[a], marked[b - 1]
                 if bisect_left(whole, first) == bisect_right(whole, last):
-                    # a twinned mesh's halves are its twin's seed
-                    if not twinned.item(live[k]):
-                        keep.append(k)
-                        spans.append((first, last))
+                    keep.append(k)
+                    spans.append((first, last))
                     continue
             # No panel can reduce the budget: either the budget is used up
             # (by the analytic tail, or the budget underflowed) or the
@@ -496,12 +483,13 @@ def _seed_cut(q: float, d: int) -> float:
 def _seed_levels(zeta, cut: float):
     """Dyadic levels n of the seed at zeta (a float or an array, cut > 0 where zeta = 0).
 
-    n = ceil(log2(pi/2 / low)), at least 0, where low = max(sqrt(zeta)/2, cut):
+    n = ceil(log2(pi/2 / low)), at least 1, where low = max(sqrt(zeta)/2, cut):
     pi/2 * 2^-n is the highest dyadic edge at or below low.  Read off the
-    binary exponent, so it is exact.
+    binary exponent, so it is exact.  The floor of 1 seeds [0, pi/4] and
+    [pi/4, pi/2] where eta - 1 >= pi^2, in place of the single panel.
     """
     mantissa, exponent = np.frexp(_HALF_PI / np.maximum(_SPIKE_FRACTION * np.sqrt(zeta), cut))
-    return np.maximum(exponent - (mantissa == 0.5), 0)
+    return np.maximum(exponent - (mantissa == 0.5), 1)
 
 
 class _Ladder(NamedTuple):
@@ -662,19 +650,15 @@ def _integrals(groups: dict, tables: dict | None = None) -> list:
     may have a free panel, the meshes of each group are sorted by zeta, so
     that neighbouring meshes mostly share a table and have similar numbers
     of free panels, and each pair of neighbours takes the smaller of the
-    two; otherwise they stay in the order asked, the one-panel seeds
-    aside (below).  The meshes are cut into batches of at most
-    _BATCH_NODES computed nodes (a pair at least), and each batch is one
-    _seed_pass, whose full seeds go whole to one _refine: it returns
-    those that meet DEFAULT_REL_TOL and refines the others together.
-    The one-panel seeds (levels 0) go first, each
-    followed by its twin, seeded one level deeper, as one pair, so no
-    batch parts them: where the seed would be bisected, its entry is its
-    twin's, and the twins' own entries go.  The batches' results are
-    joined in their order and put back in the order asked once.  The
-    table builds and the batches run with overflow ignored: a mesh whose
-    integrand leaves double range, in its own panels or in the table
-    columns it reads, ends in _refine's ToleranceNotMetError.
+    two; otherwise they stay in the order asked.  The meshes are cut into
+    batches of at most _BATCH_NODES computed nodes (a pair at least), and
+    each batch is one _seed_pass, whose full seeds go whole to one
+    _refine: it returns those that meet DEFAULT_REL_TOL and refines the
+    others together.  The batches' results are joined in their order and
+    put back in the order asked once.  The table builds and the batches run
+    with overflow ignored: a mesh whose integrand leaves double range, in
+    its own panels or in the table columns it reads, ends in _refine's
+    ToleranceNotMetError.
     """
     specs = list(groups)
     group = np.arange(len(specs)).repeat([len(zetas) for zetas in groups.values()])
@@ -691,34 +675,16 @@ def _integrals(groups: dict, tables: dict | None = None) -> list:
         zeta, cut, group = zeta[order], cut[order], group[order]
         floor = zeta.min(initial=math.inf)
     levels = _seed_levels(zeta, cut)
-    seeds = int((levels == 0).sum())  # one-panel seeds
-    # where zeta is above the largest free_below, no panel is free
-    tabled = tables is not None and floor < ladder.free_below[-1]
-    # the one-panel seeds go first, so that each can be laid with its twin
-    # as one pair, then the other meshes, each part in group order
-    if tabled:
-        sort = np.lexsort((zeta, group, levels > 0))
-    elif seeds and not (levels[:seeds] == 0).all():
-        sort = np.argsort(levels > 0, kind="stable")
-    else:
-        sort = None
-    if sort is not None:
-        order = sort if order is None else order[sort]
-        zeta, levels, group = zeta[sort], levels[sort], group[sort]
-    # each one-panel seed is followed by its twin, the same zeta seeded one
-    # level deeper: the halves that the seed's first bisection would lay
-    twinned = np.zeros(zeta.size + seeds, bool)
-    if seeds:
-        place = np.arange(zeta.size).repeat((levels == 0) + 1)
-        zeta, levels, group = zeta[place], levels[place], group[place]
-        twinned[: 2 * seeds : 2] = True
-        levels[1 : 2 * seeds : 2] = 1
     free = base = np.zeros(zeta.size, np.intp)
     eta1 = []  # the top suffixes of the eta = 1 tables, side by side
     # an overflow leaves a non-finite panel, which ends its mesh in _refine;
     # the branch solves never get there, as their zeta floor keeps the peak in range
     with np.errstate(over="ignore"):
-        if tabled:
+        # where zeta is above the largest free_below, no panel is free
+        if tables is not None and floor < ladder.free_below[-1]:
+            sort = np.lexsort((zeta, group))
+            order = sort if order is None else order[sort]
+            zeta, levels, group = zeta[sort], levels[sort], group[sort]
             # a table the call finds caps the free panels of its group's meshes
             widths = [tables[spec].shape[1] if spec in tables else ladder.depth for spec in specs]
             free = _free_panels(zeta, np.minimum(levels, np.array(widths)[group]))
@@ -729,8 +695,6 @@ def _integrals(groups: dict, tables: dict | None = None) -> list:
             # call does not find it; the free panels of each of its meshes
             # end where its suffix ends in eta1
             # each group's first mesh, as the groups stay whole and in order
-            # in each part (in the first, of one-panel seeds, no panel is
-            # free, and a group's later part sets its shift)
             opens = [0] + [k + 1 for k in (group[1:] != group[:-1]).nonzero()[0].tolist()]
             width, shift = 0, np.zeros(len(specs), np.intp)
             for k, most in zip(opens, np.maximum.reduceat(free, opens).tolist()):
@@ -750,18 +714,16 @@ def _integrals(groups: dict, tables: dict | None = None) -> list:
             if last < zeta.size:  # cut between two pairs, after one at least
                 last = min(max(last - (last - first) % 2, first + 2), zeta.size)
             span = slice(first, last)
-            if (group[span] == group[first]).all():  # a batch of one (q, d)
+            # the groups stay whole and in order, so a batch whose ends are of
+            # one group is of one (q, d)
+            if group[first] == group[last - 1]:
                 spec = specs[group[first]]
             else:  # each mesh takes the (q, d) of its group
                 qs, ds = zip(*specs)
                 spec = np.array(qs, float)[group[span]], np.array(ds)[group[span]]
             batch = (zeta[span], *spec)
-            seeded = _seed_pass(*batch, levels[span], free[span], eta1, base[span])
-            done += _refine(*batch, *seeded, twinned[span])
+            done += _refine(*batch, *_seed_pass(*batch, levels[span], free[span], eta1, base[span]))
             first = last
-    if seeds:  # each seed's entry, or where it is None its twin's; the twins go
-        pairs = iter(done[: 2 * seeds])
-        done[: 2 * seeds] = [twin if seed is None else seed for seed, twin in zip(pairs, pairs)]
     if order is None:
         return done
     for k, result in zip(order.tolist(), done):

@@ -386,7 +386,7 @@ class TestSweepWork:
         # panels from the ladder; only a refinement batch builds the nodes of
         # its halves, once per batch.  A case_i sweep still refines (the
         # case_ii sweep of test_lockstep_solves_share_their_batches no
-        # longer does: its one-panel seeds come with their halves)
+        # longer does: its seeds at eta - 1 >= pi^2 are two panels)
         quadrature._ladder()  # its one-time build computes nodes too
         within, log = ["sweep"], []
 
@@ -674,6 +674,7 @@ def run_demo_sweeps(out_dir):
 
 
 class TestDemoSweeps:
+    @pytest.mark.filterwarnings("error")  # as CI runs the demo script, under -W error
     def test_demo_csvs_are_reproduced_byte_for_byte(self, tmp_path):
         for name in run_demo_sweeps(tmp_path):
             assert (tmp_path / name).read_bytes() == (DEMOS / name).read_bytes(), name
@@ -697,7 +698,7 @@ class TestWorkLedger:
 
     def test_demo_sweeps(self, monkeypatch, tmp_path):
         counts, integrands = self.ledger(monkeypatch, lambda: run_demo_sweeps(tmp_path))
-        assert counts == (151, 204, 805_170)
+        assert counts == (151, 202, 802_455)
         # every batch of a sweep holds one pass, whose q and d reach the
         # integrand as numbers
         assert all(type(q) is float and type(d) is int for *_, q, d in integrands)
@@ -705,7 +706,7 @@ class TestWorkLedger:
     def test_verify(self, monkeypatch):
         work = lambda: all(r.passed for r in verification.run_verification())
         counts, integrands = self.ledger(monkeypatch, work)
-        assert counts == (67, 83, 200_940)
+        assert counts == (67, 82, 195_315)
         # a batch of meshes at several (q, d) gives every node its own q and d
         mixed = [(v, q, d) for v, _, _, q, d in integrands if isinstance(q, np.ndarray)]
         assert mixed and all(q.shape == d.shape == v.shape for v, q, d in mixed)

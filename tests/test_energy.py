@@ -1,5 +1,6 @@
 import importlib
 import math
+import re
 import statistics
 import sys
 from decimal import Decimal
@@ -28,6 +29,7 @@ from fastsphere.errors import (
     BracketFailureError,
     FastSphereError,
     InvalidParamError,
+    ToleranceNotMetError,
     WrongRegimeError,
 )
 from fastsphere.model import RegimeCase, classify_regime, sphere_geometry
@@ -96,6 +98,19 @@ class TestFullySupportedEnergy:
             verification._branch_moments([(state.eta, d, m)])[0], d, m
         )
         assert gain == pytest.approx(direct_gain, abs=1e-8)
+
+    def test_routes_that_disagree_raise_tolerance_not_met(self):
+        # at kappa = 1e8 the branch is far out (s near 1) and the two routes
+        # part at the 3e-2 level, past the 1e-8 cross-check
+        state = eq.fully_supported_state(1e8, 2, 0.5)
+        with pytest.raises(ToleranceNotMetError) as exc:
+            en.energy_fully_supported(state, 2, 0.5)
+        assert type(exc.value) is ToleranceNotMetError
+        assert re.fullmatch(
+            r"energy cross-check failed at kappa=100000000\.0: "
+            r"direct=-2\.58\d+e-06, identity route=-2\.65\d+e-06",
+            str(exc.value),
+        )
 
     def test_branch_birth_energy(self):
         k1 = en.critical_set(2, 0.5).kappa1
