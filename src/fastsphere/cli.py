@@ -11,7 +11,9 @@ command it names, and writes JSON through the standard library's C
 encoder; both keep every output byte of the top-level parser and of
 ``json.dumps(..., indent=2)``.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parameter error.
+Exit codes: 0 success, 1 verification failure, 2 usage or parameter error
+(an --out that cannot be written among them), with one ``error: ...``
+line on stderr.
 """
 
 from __future__ import annotations
@@ -37,8 +39,11 @@ def _write(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", newline="") as handle:
-            handle.write(text)
+        try:
+            with open(out, "w", newline="") as handle:
+                handle.write(text)
+        except OSError as exc:  # a usage error, as main reports it
+            raise FastSphereError(f"cannot write --out: {exc}") from None
 
 
 def _json(obj, pad: str = "") -> str:

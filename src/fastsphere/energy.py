@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import equilibria
+from . import equilibria, model
 from .equilibria import CriticalSet, FullySupportedState
 from .errors import (
     BracketFailureError,
@@ -108,7 +108,9 @@ def energy_fully_supported(state: FullySupportedState, d, m: float) -> float:
     moments the state carries from its solve, or compute them at
     DEFAULT_REL_TOL (1e-10) when it carries none.  The state's kappa, s,
     eta_minus_1 and moments are checked first (equilibria._check_state), so
-    a hand-built state with a field out of range raises InvalidParamError;
+    a hand-built state with a field out of range raises InvalidParamError,
+    and one with no moments at eta = 1 where the mass diverges (2q + d <= 0,
+    q = 1/(m - 1)) raises NotIntegrableError (model._check_integrable);
     one whose mass i0 (computed or carried) is not a normal double, or
     whose density scale (m / ((1 - m) kappa s))^(1/(1-m)) leaves double
     range, raises ToleranceNotMetError, as does a state whose two routes
@@ -119,7 +121,9 @@ def energy_fully_supported(state: FullySupportedState, d, m: float) -> float:
     if moments is None:
         from .quadrature import _integral
 
-        moments = _integral(zeta, 1.0 / (m - 1.0), d)
+        q = 1.0 / (m - 1.0)
+        model._check_integrable(zeta, q, d)
+        moments = _integral(zeta, q, d)
     i0, i1, i_ent = moments
     if not equilibria._SMALLEST_NORMAL <= i0 < math.inf:
         raise equilibria._mass_out_of_range(zeta, i0, d, m)

@@ -26,7 +26,9 @@ value at eta = 1.  Like sphere_geometry it is a Gamma-function closed
 form on the standard library, so the closed forms and the critical
 strengths built from them load no numpy.  theta_integral imports the numpy
 kernel (quadrature) when it is called; the closed form shares no module
-with that quadrature, which at eta = 1 is its independent oracle.
+with that quadrature, which at eta = 1 is its independent oracle.  Where
+the family diverges (eta = 1 with 2q + d <= 0) is decided here alone, by
+_check_integrable: the kernel integrates every mesh it is handed.
 """
 
 from __future__ import annotations
@@ -184,16 +186,21 @@ def _check_spec(eta: float, q: float, p: int, d) -> tuple[float, float, int, int
     q = _real(q, "exponent q must be finite", math.isfinite)
     if p not in (0, 1):
         raise InvalidParamError(f"cosine power p must be 0 or 1, got {p!r}")
-    if eta == 1.0 and 2.0 * q + d <= 0.0:
-        raise _not_integrable(q, d)
+    _check_integrable(eta - 1.0, q, d)
     return eta, q, int(p), d
 
 
-def _not_integrable(q: float, d: int) -> NotIntegrableError:
-    return NotIntegrableError(
-        f"(1 - cos t)^q sin^(d-1) t diverges at t = 0 for q={q!r}, d={d}: "
-        f"need 2q + d - 1 > -1"
-    )
+def _check_integrable(zeta: float, q: float, d: int) -> None:
+    """Raise NotIntegrableError where I(1 + zeta, q, p, d) diverges: at zeta = 0 with 2q + d <= 0.
+
+    Takes zeta = eta - 1, as the quadrature kernel does, which takes only
+    meshes that pass this test.
+    """
+    if zeta == 0.0 and 2.0 * q + d <= 0.0:
+        raise NotIntegrableError(
+            f"(1 - cos t)^q sin^(d-1) t diverges at t = 0 for q={q!r}, d={d}: "
+            f"need 2q + d - 1 > -1"
+        )
 
 
 def theta_integral(eta: float, q: float, p: int, d) -> float:

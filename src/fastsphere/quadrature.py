@@ -82,31 +82,36 @@ it grows with the panel, so the free panels of a seed are a top suffix
 of it, found by one searchsorted.
 
 _integrals integrates the seed meshes of many zetas together, eta = 1
-included.  Its callers hand them over grouped, as a dict from each
-(q, d) to its zetas, and the entries come back group after group.  Each
-group pays its share of the set-up once per call: its seed cut, its
-eta = 1 table, and the q and d of a batch whose meshes all share them,
-which reach the integrand as numbers (_at_nodes), as a lone mesh's zeta
-does; only a batch that spans groups gives every node the (q, d) of its
-mesh's group.  The branch solves, run in lockstep, send it the new zetas
-of every unfinished solve grouped by the (q, d) of their pass of (d, m),
-so a sweep's batches each hold one (q, d); verify's checks send it all
-the meshes of a check, grouped from their (eta, q, d), at up to 100
-(q, d); _integral is its one-mesh call that raises.  _seed_pass lays the
-computed panels end to end, alternately upwards and downwards so that
-neighbours share an edge (the two meshes of a pair are cut at the same
-panel), with each panel's ladder index linear in its column within its
-mesh (index arithmetic, no Python loop per mesh), and integrates up to
-_BATCH_NODES computed nodes in one batch; at eta = 1 with q < 0 the
-bottom panel is laid to join its neighbours at 0, and dropped.  A call
-may also pass a dict of eta = 1 tables keyed by (q, d) (_eta1_table):
-where it does not find the table of one of its (q, d), it builds it in
-one batch down to the lowest free panel of that group's meshes and adds
-it, and where it finds one, no mesh takes more free panels than the
-table holds (a mesh that could computes the rest itself).  A caller with
-many calls, such as a lockstep of branch solves, shares the tables
-between them; the lockstep asks each pass's deepest zeta in its first
-round, so each table is built once and serves every later round.
+included, and integrates every mesh it is handed: each must converge,
+which at eta = 1 takes 2q + d > 0.  model alone decides that
+(_check_integrable), before a mesh reaches the kernel.  Its callers hand
+the meshes over grouped, as a dict from each (q, d) to its zetas, and
+the entries come back group after group.  Each group pays its share of
+the set-up once per call: its seed cut, its eta = 1 table, and the q and
+d of a batch whose meshes all share them, which reach the integrand as
+numbers (_at_nodes); zeta, and the (q, d) of a batch that spans groups,
+reach it as one value per node.  The branch solves, run in lockstep,
+send it the new zetas of every unfinished solve grouped by the (q, d) of
+their pass of (d, m), so a sweep's batches each hold one (q, d);
+verify's checks send it all the meshes of a check, grouped from their
+(eta, q, d), at up to 100 (q, d); _integral is its one-mesh call that
+raises.  _seed_pass lays the computed panels end to end, alternately
+upwards and downwards so that neighbours share an edge (the two meshes
+of a pair are cut at the same panel), with each panel's ladder index
+linear in its column within its mesh (index arithmetic, no Python loop
+per mesh), and integrates up to _BATCH_NODES computed nodes in one
+batch; at eta = 1 with q < 0 the bottom panel is laid to join its
+neighbours at 0, and dropped.  Every batch, of a seed pass, of an eta = 1
+table or of a refinement round, builds its columns in one place
+(_columns).  A call may also pass a dict of eta = 1 tables keyed by
+(q, d) (_eta1_table): where it does not find the table of one of its
+(q, d), it builds it in one batch down to the lowest free panel of that
+group's meshes and adds it, and where it finds one, no mesh takes more
+free panels than the table holds (a mesh that could computes the rest
+itself).  A caller with many calls, such as a lockstep of branch
+solves, shares the tables between them; the lockstep asks each pass's
+deepest zeta in its first round, so each table is built once and serves
+every later round.
 Then only the panels below each free suffix are computed, and where some
 seed may have a free panel the meshes are sorted by their group, then by
 zeta, so that neighbours mostly share a table and have similar suffixes.
@@ -150,7 +155,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import FastSphereError, ToleranceNotMetError
-from .model import DEFAULT_REL_TOL, _not_integrable
+from .model import DEFAULT_REL_TOL
 
 # The seed mesh reaches down to this fraction of the spike scale sqrt(eta - 1).
 _SPIKE_FRACTION = 0.5
@@ -312,26 +317,29 @@ def _eta1_tail(q: float, d: int, cut: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _worst(err: np.ndarray, total: np.ndarray) -> float:
-    return max(e / max(abs(t), 1e-300) for e, t in zip(err.tolist(), total.tolist()))
+    """The largest err / |total| of the components, the error the tolerance test reads.
+
+    A component whose total is 0 meets the tolerance with no error, and
+    misses it by an infinite factor with any.
+    """
+    pairs = zip(err.tolist(), total.tolist())
+    return max(e / abs(t) if t else (math.inf if e else 0.0) for e, t in pairs)
 
 
 def _at_nodes(values, panels) -> list:
     """Each of values at every node of panels[k] panels of mesh k, as the integrand takes it.
 
-    A value is one number that every mesh shares, or an array of one per
-    mesh.  A value every mesh shares reaches the integrand as a number: a
-    number stays one, and so does an array of one mesh.  Any other array is
-    expanded as floats to one row per panel: full rows, not a column to
-    broadcast, keep every operation of the integrand contiguous, and floats
-    spare it a cast.
+    A value is one number that every mesh shares, which reaches the
+    integrand as it is, or an array of one per mesh, which is expanded as
+    floats to one row per panel: full rows, not a column to broadcast, keep
+    every operation of the integrand contiguous, and floats spare it a
+    cast.  The integrand does the same operations on either, so a mesh's
+    values do not depend on which it is given.
     """
     at_nodes, nodes = [], np.multiply(panels, _NODES.size)
     for value in values:
         if isinstance(value, np.ndarray):
-            if value.size == 1:
-                value = value.item()
-            else:
-                value = value.astype(float, copy=False).repeat(nodes).reshape(-1, _NODES.size)
+            value = value.astype(float, copy=False).repeat(nodes).reshape(-1, _NODES.size)
         at_nodes.append(value)
     return at_nodes
 
@@ -339,6 +347,21 @@ def _at_nodes(values, panels) -> list:
 def _of_mesh(value, k):
     """Mesh k's value, as a number: value is one number for every mesh, or an array of one per mesh."""
     return value.item(k) if isinstance(value, np.ndarray) else value
+
+
+def _columns(edges, lo, hi, basis, mesh, panels) -> np.ndarray:
+    """_refine's table columns of one batch of joined panels, from one _kronrod_batch.
+
+    edges are the batch's laid edges, as _kronrod_batch takes them, and lo
+    and hi each panel's lower and upper edge.  basis is _angle_basis at the
+    nodes, and mesh the zeta, q and d of the panels[k] panels of mesh k, as
+    _at_nodes takes them.  Rows 0-2 of a column are its panel's Kronrod
+    values, 3-5 their estimates, 6 and 7 its lo and hi.
+    """
+    v, log_sin = basis
+    at_nodes = _at_nodes(mesh, panels)
+    values, errors = _kronrod_batch(lambda: _folded_integrand(v, log_sin, *at_nodes), edges)
+    return np.concatenate((values, errors, lo[None], hi[None]))
 
 
 def _refine(zeta, q, d, table, sizes, tail, tail_err) -> list:
@@ -387,8 +410,21 @@ def _refine(zeta, q, d, table, sizes, tail, tail_err) -> list:
             return totals
         for k in settled.nonzero()[0].tolist():
             results[live[k]] = totals[k]
-        grow, fits, panels = [], in_range.tolist(), sizes.tolist()
+        # a mesh out of range ends before its budget (inf - inf if its tail overflowed)
+        missing = ~meets & in_range
+        share = np.subtract(bound, tail_err, np.full_like(bound, np.inf), where=missing) / sizes
+        positive = (share > 0.0).all(axis=0).tolist()
+        marked = (table[3:6] > share.repeat(sizes, axis=1)).any(axis=0).nonzero()[0].tolist()
+        lo, hi = table[6], table[7]
+        mid = 0.5 * (lo + hi)
+        # the panels at floating point resolution, which no bisection splits
+        splits = (lo < mid) & (mid < hi)
+        whole = [] if splits.all() else (~splits).nonzero()[0].tolist()
+        fits, panels, begin = in_range.tolist(), sizes.tolist(), begin.tolist()
+        keep, spans = [], []  # the meshes bisected now, and their first and last marked panel
         for k in (~settled).nonzero()[0].tolist():
+            # the marked panels of mesh k are marked[a:b]
+            a, b = bisect_left(marked, begin[k]), bisect_left(marked, begin[k] + panels[k])
             if not fits[k]:
                 results[live[k]] = ToleranceNotMetError(
                     f"the integrand leaves double range at eta - 1 = {zeta.item(k)!r}, "
@@ -400,39 +436,20 @@ def _refine(zeta, q, d, table, sizes, tail, tail_err) -> list:
                     f"{_worst(err[:, k], total[:, k]):.3e} after {panels[k]} panels "
                     f"(target {DEFAULT_REL_TOL:.1e})"
                 )
+            elif positive[k] and a < b and (
+                bisect_left(whole, marked[a]) == bisect_right(whole, marked[b - 1])
+            ):
+                keep.append(k)
+                spans.append((marked[a], marked[b - 1]))
             else:
-                grow.append(k)
-        if not grow:
-            return results
-        # a mesh out of range ends before its budget (inf - inf if its tail overflowed)
-        missing = ~meets & in_range
-        share = np.subtract(bound, tail_err, np.full_like(bound, np.inf), where=missing) / sizes
-        positive = (share > 0.0).all(axis=0).tolist()
-        marked = (table[3:6] > share.repeat(sizes, axis=1)).any(axis=0).nonzero()[0].tolist()
-        lo, hi = table[6], table[7]
-        mid = 0.5 * (lo + hi)
-        # the panels at floating point resolution, which no bisection splits
-        splits = (lo < mid) & (mid < hi)
-        whole = [] if splits.all() else (~splits).nonzero()[0].tolist()
-        begin = begin.tolist()
-        keep, spans = [], []  # the meshes bisected now, and their first and last marked panel
-        for k in grow:
-            # the marked panels of mesh k are marked[a:b]
-            a, b = bisect_left(marked, begin[k]), bisect_left(marked, begin[k] + panels[k])
-            if positive[k] and a < b:
-                first, last = marked[a], marked[b - 1]
-                if bisect_left(whole, first) == bisect_right(whole, last):
-                    keep.append(k)
-                    spans.append((first, last))
-                    continue
-            # No panel can reduce the budget: either the budget is used up
-            # (by the analytic tail, or the budget underflowed) or the
-            # marked panels sit at floating point resolution.
-            results[live[k]] = ToleranceNotMetError(
-                f"adaptive quadrature hit its resolution floor at estimated "
-                f"relative error {_worst(err[:, k], total[:, k]):.3e} "
-                f"(target {DEFAULT_REL_TOL:.1e})"
-            )
+                # No panel can reduce the budget: either the budget is used
+                # up (by the analytic tail, or the budget underflowed) or the
+                # marked panels sit at floating point resolution.
+                results[live[k]] = ToleranceNotMetError(
+                    f"adaptive quadrature hit its resolution floor at estimated "
+                    f"relative error {_worst(err[:, k], total[:, k]):.3e} "
+                    f"(target {DEFAULT_REL_TOL:.1e})"
+                )
         if not keep:
             return results
         if len(keep) < len(live):
@@ -450,10 +467,8 @@ def _refine(zeta, q, d, table, sizes, tail, tail_err) -> list:
             counts.append(2 * (last - first) + 3)  # the span's halves and the bridge after them
         counts[-1] -= 1  # the last run has no bridge
         laid = np.concatenate(laid)
-        v, log_sin = _angle_basis(_panel_nodes(laid[:-1], laid[1:]))
-        at_nodes = _at_nodes((zeta, q, d), counts)
-        vals, errs = _kronrod_batch(lambda: _folded_integrand(v, log_sin, *at_nodes), laid)
-        new = np.concatenate((vals, errs, laid[None, :-1], laid[None, 1:]))
+        basis = _angle_basis(_panel_nodes(laid[:-1], laid[1:]))
+        new = _columns(laid, laid[:-1], laid[1:], basis, (zeta, q, d), counts)
         # each mesh again: its panels below the span, the span's halves, its panels above it
         parts, grown = [], []
         for k, (first, last), foot in zip(keep, spans, accumulate(counts, initial=0)):
@@ -486,7 +501,7 @@ def _seed_levels(zeta, cut: float):
     n = ceil(log2(pi/2 / low)), at least 1, where low = max(sqrt(zeta)/2, cut):
     pi/2 * 2^-n is the highest dyadic edge at or below low.  Read off the
     binary exponent, so it is exact.  The floor of 1 seeds [0, pi/4] and
-    [pi/4, pi/2] where eta - 1 >= pi^2, in place of the single panel.
+    [pi/4, pi/2] where eta - 1 >= pi^2.
     """
     mantissa, exponent = np.frexp(_HALF_PI / np.maximum(_SPIKE_FRACTION * np.sqrt(zeta), cut))
     return np.maximum(exponent - (mantissa == 0.5), 1)
@@ -548,10 +563,9 @@ def _eta1_table(q: float, d: int, count: int) -> np.ndarray:
     """
     ladder = _ladder()
     span = slice(ladder.depth - count, ladder.depth)
-    v, log_sin = (part[span] for part in ladder.basis)
     lo, hi = ladder.lo[span], ladder.hi[span]
-    batch = _kronrod_batch(lambda: _folded_integrand(v, log_sin, 0.0, q, d), np.append(lo, hi[-1]))
-    return np.concatenate((*batch, lo[None], hi[None]))
+    basis = [part[span] for part in ladder.basis]
+    return _columns(np.append(lo, hi[-1]), lo, hi, basis, (0.0, q, d), count)
 
 
 def _seed_pass(zeta, q, d, levels: np.ndarray, free, eta1, base):
@@ -608,12 +622,10 @@ def _seed_pass(zeta, q, d, levels: np.ndarray, free, eta1, base):
         for k in tailed.nonzero()[0].tolist():
             low = float(ladder.lo[depth - levels[k]])  # the lowest dyadic edge
             tail[:, k], tail_err[:, k] = _eta1_tail(_of_mesh(q, k), _of_mesh(d, k), low)
-    at_nodes = _at_nodes((zeta, q, d), laid)
-    v, log_sin = (part.take(panel, 0) for part in ladder.basis)
-    values, errors = _kronrod_batch(lambda: _folded_integrand(v, log_sin, *at_nodes), edges)
+    basis = [part.take(panel, 0) for part in ladder.basis]
+    table = _columns(edges, lo, hi, basis, (zeta, q, d), laid)
     # each full seed is its computed panels in increasing order, a run up or
     # down their laid columns, then its free ones, a run up eta1 past them
-    table = np.concatenate((values, errors, lo[None], hi[None]))
     start, stride, length = bottom, step, kept  # each run's first column, step and length
     if eta1:
         runs = np.ones((3, size, 2), np.intp)
@@ -631,7 +643,8 @@ def _integrals(groups: dict, tables: dict | None = None) -> list:
     """I(eta, q, 0), I(eta, q, 1) and I(eta, q + 1, 0) at eta = 1 + zeta, for each zeta of groups.
 
     groups maps each (q, d) to its zetas (>= 0), one group; the call's
-    work is the number of zetas over all groups.  Each group takes its seed
+    work is the number of zetas over all groups.  Every mesh must converge
+    (2q + d > 0 where zeta = 0): model refuses the others first.  Each group takes its seed
     cut and its eta = 1 table once per call, and a batch of meshes of one
     group hands its (q, d) to the integrand as numbers; a batch that spans
     groups gives each mesh the (q, d) of its group.  The groups stay whole
@@ -644,9 +657,8 @@ def _integrals(groups: dict, tables: dict | None = None) -> list:
     panels computes them itself.  Without tables every panel is computed,
     and since a free panel equals its computed value, no result changes.
     Returns one entry per zeta, group after group and in each
-    group's order: the (i0, i1, i_ent) tuple or the FastSphereError the
-    mesh ends in, without a traceback (at eta = 1 with 2q + d <= 0, where
-    the integral diverges, model's NotIntegrableError).  Where some seed
+    group's order: the (i0, i1, i_ent) tuple or the ToleranceNotMetError
+    the mesh ends in, without a traceback.  Where some seed
     may have a free panel, the meshes of each group are sorted by zeta, so
     that neighbouring meshes mostly share a table and have similar numbers
     of free panels, and each pair of neighbours takes the smaller of the
@@ -663,28 +675,18 @@ def _integrals(groups: dict, tables: dict | None = None) -> list:
     specs = list(groups)
     group = np.arange(len(specs)).repeat([len(zetas) for zetas in groups.values()])
     zeta = np.fromiter(chain.from_iterable(groups.values()), float, group.size)
-    size = zeta.size
     ladder = _ladder()
-    cut = np.array([_seed_cut(*spec) for spec in specs])[group]
-    results, order = [None] * size, None  # order: the place asked of each mesh, once they move
-    floor = zeta.min(initial=math.inf)
-    if not floor > 0.0:  # some mesh is at eta = 1, whose integral needs a cut (2q + d > 0)
-        for k in ((zeta == 0.0) & (cut == 0.0)).nonzero()[0].tolist():
-            results[k] = _not_integrable(*specs[group[k]])
-        order = ((zeta > 0.0) | (cut > 0.0)).nonzero()[0]
-        zeta, cut, group = zeta[order], cut[order], group[order]
-        floor = zeta.min(initial=math.inf)
-    levels = _seed_levels(zeta, cut)
+    levels = _seed_levels(zeta, np.array([_seed_cut(*spec) for spec in specs])[group])
+    order = None  # the place asked of each mesh, once they move
     free = base = np.zeros(zeta.size, np.intp)
     eta1 = []  # the top suffixes of the eta = 1 tables, side by side
     # an overflow leaves a non-finite panel, which ends its mesh in _refine;
     # the branch solves never get there, as their zeta floor keeps the peak in range
     with np.errstate(over="ignore"):
         # where zeta is above the largest free_below, no panel is free
-        if tables is not None and floor < ladder.free_below[-1]:
-            sort = np.lexsort((zeta, group))
-            order = sort if order is None else order[sort]
-            zeta, levels, group = zeta[sort], levels[sort], group[sort]
+        if tables is not None and zeta.min(initial=math.inf) < ladder.free_below[-1]:
+            order = np.lexsort((zeta, group))
+            zeta, levels, group = zeta[order], levels[order], group[order]
             # a table the call finds caps the free panels of its group's meshes
             widths = [tables[spec].shape[1] if spec in tables else ladder.depth for spec in specs]
             free = _free_panels(zeta, np.minimum(levels, np.array(widths)[group]))
@@ -726,6 +728,7 @@ def _integrals(groups: dict, tables: dict | None = None) -> list:
             first = last
     if order is None:
         return done
+    results = [None] * zeta.size
     for k, result in zip(order.tolist(), done):
         results[k] = result
     return results
@@ -734,7 +737,9 @@ def _integrals(groups: dict, tables: dict | None = None) -> list:
 def _integral(zeta: float, q: float, d: int) -> tuple[float, float, float]:
     """(I(eta, q, 0), I(eta, q, 1), I(eta, q + 1, 0)) at eta = 1 + zeta: _integrals of one zeta.
 
-    Computed on every call; raises the error the mesh ends in.
+    Computed on every call; raises the error the mesh ends in.  The mesh
+    must converge, as every mesh of _integrals must: its callers
+    (model.theta_integral, energy_fully_supported) ask model first.
     """
     (result,) = _integrals({(q, d): [zeta]})
     if isinstance(result, FastSphereError):

@@ -774,6 +774,17 @@ def _parse_argvs():
     return [pytest.param(argv, parses, id=case) for case, argv, parses in cases]
 
 
+@pytest.mark.parametrize("command", PARSE_CALLS)
+def test_an_unwritable_out_exits_2(capsys, tmp_path, command):
+    # an --out in a missing directory is a usage error: exit 2, not verify's
+    # 1 for a failed check, one error line naming the path, and no output
+    path = tmp_path / "missing" / "out"
+    code, out, err = run(capsys, *PARSE_CALLS[command][0], "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
+    assert not path.parent.exists()
+
+
 def _outcome(capsys, call, argv):
     try:
         code = call(argv)

@@ -29,6 +29,7 @@ from fastsphere.errors import (
     BracketFailureError,
     FastSphereError,
     InvalidParamError,
+    NotIntegrableError,
     ToleranceNotMetError,
     WrongRegimeError,
 )
@@ -111,6 +112,23 @@ class TestFullySupportedEnergy:
             r"direct=-2\.58\d+e-06, identity route=-2\.65\d+e-06",
             str(exc.value),
         )
+
+    def test_no_kernel_call_where_the_mass_diverges(self, monkeypatch):
+        # a hand-built state at eta = 1 with no moments, where 2q + d = -2 at
+        # (2, 0.5): the energy, like theta_integral, raises model's one
+        # divergence error before any mesh reaches the kernel
+        state = eq.FullySupportedState(kappa=8.0, eta=1.0, s=0.5, lambda_=-4.0, eta_minus_1=0.0)
+        calls = record_calls(monkeypatch, quadrature, "_integrals")
+        for call in (
+            lambda: en.energy_fully_supported(state, 2, 0.5),
+            lambda: model.theta_integral(1.0, -2.0, 0, 2),
+        ):
+            with pytest.raises(NotIntegrableError) as exc:
+                call()
+            assert str(exc.value) == (
+                "(1 - cos t)^q sin^(d-1) t diverges at t = 0 for q=-2.0, d=2: need 2q + d - 1 > -1"
+            )
+        assert calls == []
 
     def test_branch_birth_energy(self):
         k1 = en.critical_set(2, 0.5).kappa1

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -181,15 +182,13 @@ def spiked_among_others(monkeypatch):
 
 
 def eta1_among_others(monkeypatch):
-    """eta = 1 meshes with deep and shallow ones, and a mesh at eta = 1 that diverges.
+    """eta = 1 meshes with deep and shallow ones.
 
     At q < 0 a closed-form tail takes the bottom panel's place, at q >= 0
-    (d = 1 among them) the bottom panel stays; the last mesh has 2q + d <= 0.
+    (d = 1 among them) the bottom panel stays.
     """
     specs = [(-4.0 / 3.0, 3), (0.5, 1), (1.0 / (0.3 - 1.0), 5), (0.0, 3), (-0.4, 1), (2.0, 2)]
-    groups = {spec: [0.0, 1e-150, 0.0, 3.3e-4, 0.0, 2.0] for spec in specs}
-    groups[-2.0, 2] = [0.0]
-    return groups
+    return {spec: [0.0, 1e-150, 0.0, 3.3e-4, 0.0, 2.0] for spec in specs}
 
 
 def eta1_overflowing(monkeypatch):
@@ -230,8 +229,8 @@ MIXED = {
     "eta1-tables": (deep_meshes, None, 3, set(), 5),
     # eta = 1 in the batch: each mesh ends as on its own, with and without
     # the tables, from which an eta = 1 mesh takes all its dyadic panels
-    "eta1": (eta1_among_others, None, 6, {NotIntegrableError}, None),
-    "eta1-with-tables": (eta1_among_others, None, 1, {NotIntegrableError}, 5),
+    "eta1": (eta1_among_others, None, 6, set(), None),
+    "eta1-with-tables": (eta1_among_others, None, 1, set(), 5),
     # the fill of the eta = 1 table overflows: it leaves non-finite columns,
     # and each mesh, which reads them, ends in the double range error
     "eta1-table-overflow": (eta1_overflowing, None, 1, {ToleranceNotMetError}, 1),
@@ -296,7 +295,8 @@ def test_batched_integrals_equal_the_scalar_kernel(monkeypatch, d, m):
     zetas[31:31] = [3.3e-4, 3.3e-4]
     batched, scalar = batched_and_scalar({(q, d): zetas}, {})
     assert batched == scalar
-    eta1_integral_is_its_seed_mesh(q, d)
+    if 2.0 * q + d > 0.0:  # the kernel takes no eta = 1 mesh where it diverges
+        eta1_integral_is_its_seed_mesh(q, d)
 
 
 def test_verify_groups_its_meshes_and_answers_in_mesh_order(monkeypatch):
@@ -741,7 +741,9 @@ def as_bits(outcome):
 # (q, d) of a sweep pass, a deep spike with no eta = 1 cutoff (2q + d < 0:
 # eta = 1 diverges), q >= 0 at d = 1 and d = 2, meshes that refine for
 # several rounds (d = 40), and q = -200, whose integrand leaves double
-# range near eta = 1 (as does the eta = 1 table of (-2, 2) below 1e-240)
+# range near eta = 1 (as does the eta = 1 table of (-2, 2) below 1e-240).
+# The kernel takes convergent meshes only, so MESHES draws no eta = 1 mesh
+# where 2q + d <= 0.
 BATCH_SPECS = [
     (-2.0, 2),
     (1.0 / (0.25 - 1.0), 3),
@@ -752,11 +754,14 @@ BATCH_SPECS = [
     (-200.0, 3),
 ]
 ZETAS = st.one_of(st.just(0.0), st.floats(-280.0, 4.0).map(lambda e: 10.0**e))
+MESHES = st.tuples(st.sampled_from(BATCH_SPECS), ZETAS).filter(
+    lambda mesh: mesh[1] > 0.0 or 2.0 * mesh[0][0] + mesh[0][1] > 0.0
+)
 
 
 @settings(max_examples=30, deadline=None)
 @given(
-    st.lists(st.tuples(st.sampled_from(BATCH_SPECS), ZETAS), min_size=1, max_size=14),
+    st.lists(MESHES, min_size=1, max_size=14),
     st.booleans(),
     st.booleans(),
 )
@@ -1007,6 +1012,20 @@ def test_tolerance_not_met_when_budget_exhausted(monkeypatch):
     monkeypatch.setattr(quadrature, "_MAX_PANELS", 2)
     with pytest.raises(ToleranceNotMetError):
         integral(1.0 + 2e-6, -2.0, 0, 2)
+
+
+def test_a_stall_reports_the_error_the_tolerance_test_read():
+    # a zeta the solve of fully_supported_state(3.95 kappa1, 3, 0.997814)
+    # asks: the moment total is subnormal (5.3e-309), and its error
+    # relative to that total, 2.1e-4, is what misses the target
+    (result,) = quadrature._integrals({(-457.45654162854083, 3): [3.8780017186506877]})
+    assert type(result) is ToleranceNotMetError
+    found = re.fullmatch(
+        r"adaptive quadrature stalled at estimated relative error (\S+) after \d+ panels "
+        r"\(target 1\.0e-10\)",
+        str(result),
+    )
+    assert found and float(found[1]) == pytest.approx(2.1e-4, rel=0.05)
 
 
 @pytest.mark.parametrize(
