@@ -260,16 +260,19 @@ def _fully_supported_states(requests) -> list:
     pass: q, d, m, the scale of 1/kappa, the window and the bracket.  Each
     solver round evaluates the integrals of every unfinished solve, of any
     request, in one quadrature._integrals call (a lone zeta as well), which
-    takes the round's new zetas grouped by the (q, d) of their pass as the
-    round collects them.  A memo per pass, one dict of the moments at every
-    zeta met at its (q, d), kept for this call only (the package's only
-    memo of integrals), serves the zetas that several solves visit and the
-    centre-of-mass norm at each root.  Next
-    to it, for this call only too, every round shares one table per (q, d)
-    of the seed panels that deep zetas take from eta = 1
-    (quadrature._eta1_table).  The first round asks each solve's bracket
-    floor, the deepest zeta of the solve, so it builds each table to the
-    most free panels any later round takes.  A solve does not depend on
+    takes the round's new zetas grouped by the (q, d) of their pass, the
+    groups in the order the round meets them, and answers in the order
+    asked.  A memo per pass, one dict of the moments at every zeta met at
+    its (q, d), kept for this call only (the package's only memo of
+    integrals), serves the zetas that several solves visit and the
+    centre-of-mass norm at each root.  Next to it, for this call only too,
+    every round shares one table per (q, d) of the seed panels that deep
+    zetas take from eta = 1 (quadrature._eta1_table).  Two neighbouring
+    meshes take the smaller of their numbers of those panels, so each
+    group is asked in zeta order, where neighbours take similar numbers.
+    The first round asks each solve's bracket floor, the deepest zeta of
+    the solve, so it builds each table to the most free panels any later
+    round takes.  A solve does not depend on
     the other solves of its round, so each request's entries are those it
     gets alone.  A root whose centre-of-mass norm s does not come out below
     1 (in case i at large kappa, eta - 1 passes below double resolution)
@@ -300,12 +303,15 @@ def _fully_supported_states(requests) -> list:
 
     def residuals(asks):
         zetas = [exp(y) for _, y in asks]
-        new = defaultdict(dict)  # the new zetas of each (q, d), in the order first met
+        new = defaultdict(set)  # the new zetas of each (q, d), the groups in the order first met
         for (item, _), zeta in zip(asks, zetas):
             _, _, _, _, spec, memo = solves[item]
             if zeta not in memo:
-                new[spec][zeta] = None
+                new[spec].add(zeta)
         if new:
+            # each group in zeta order, so that neighbouring meshes take
+            # similar numbers of free panels from the shared tables
+            new = {spec: sorted(fresh) for spec, fresh in new.items()}
             found = iter(_integrals(new, tables))
             for spec, fresh in new.items():
                 memos[spec].update(zip(fresh, found))

@@ -86,7 +86,8 @@ included, and integrates every mesh it is handed: each must converge,
 which at eta = 1 takes 2q + d > 0.  model alone decides that
 (_check_integrable), before a mesh reaches the kernel.  Its callers hand
 the meshes over grouped, as a dict from each (q, d) to its zetas, and
-the entries come back group after group.  Each group pays its share of
+the kernel answers in the order asked: the meshes are laid, and the
+entries come back, group after group.  Each group pays its share of
 the set-up once per call: its seed cut, its eta = 1 table, and the q and
 d of a batch whose meshes all share them, which reach the integrand as
 numbers (_at_nodes); zeta, and the (q, d) of a batch that spans groups,
@@ -105,33 +106,32 @@ neighbours at 0, and dropped.  Every batch, of a seed pass, of an eta = 1
 table or of a refinement round, builds its columns in one place
 (_columns).  A call may also pass a dict of eta = 1 tables keyed by
 (q, d) (_eta1_table): where it does not find the table of one of its
-(q, d), it builds it in one batch down to the lowest free panel of that
-group's meshes and adds it, and where it finds one, no mesh takes more
-free panels than the table holds (a mesh that could computes the rest
-itself).  A caller with many calls, such as a lockstep of branch
+(q, d), or finds one narrower than the most free panels of that group's
+meshes, it builds it in one batch down to that lowest free panel and
+puts it in.  A caller with many calls, such as a lockstep of branch
 solves, shares the tables between them; the lockstep asks each pass's
 deepest zeta in its first round, so each table is built once and serves
-every later round.
-Then only the panels below each free suffix are computed, and where some
-seed may have a free panel the meshes are sorted by their group, then by
-zeta, so that neighbours mostly share a table and have similar suffixes.
-A full batch costs mostly its nodes, not its fixed numpy overhead, so
-the free panels are the saving.  The pass and the eta = 1 tables hold
-their panels in _refine's rows, and one gather from the computed panels
-and the top suffixes of the tables, read in place, puts every full
-seed in increasing order; the pass then goes whole to _refine.  When
-every seed meets the tolerance, as in most rounds of a sweep, _refine
-returns their totals at once; otherwise it settles those that do in one
-step and refines the others together, so a round of their refinement
-costs one batch however many seeds it bisects.  The results of the
-batches are put back in the order asked once, at the end.  Every panel
-and every per-mesh sum is computed in the same order wherever its mesh
-sits, every free panel equals its computed value, and the integrand does
-the same operations on a number as on an array of it, so each mesh ends
-as it would alone, with or without the tables.  A panel whose integrand
-leaves double range is not finite, and _refine ends the meshes that hold
-it: a table column ends exactly those that read it, each of which would
-overflow on its own.
+every later round.  Then only the panels below each free suffix are
+computed.  The two meshes of a pair take the smaller of their free
+counts, so a caller that shares tables asks each group in zeta order,
+where neighbours have similar suffixes.  A full batch costs mostly its
+nodes, not its fixed numpy overhead, so the free panels are the saving.
+The pass and the eta = 1 tables hold their panels in _refine's rows, and
+one gather from the computed panels and the top suffixes of the tables,
+read in place, puts every full seed in increasing order; the pass then
+goes whole to _refine.  When every seed meets the tolerance, as in most
+rounds of a sweep, _refine returns their totals at once; otherwise it
+settles those that do in one step and refines the others together, so a
+round of their refinement costs one batch however many seeds it bisects.
+Every panel and every per-mesh sum is computed in the same order
+wherever its mesh sits, every free panel equals its computed value, and
+the integrand does the same operations on a number as on an array of it,
+so each mesh ends as it would alone, with or without the tables.  A
+panel whose integrand leaves double range is not finite, and _refine
+ends the meshes that hold it: a table column ends exactly those that
+read it, each of which would overflow on its own.  It also ends a mesh
+whose component misses the tolerance with a total below the normal
+double range, where no relative error estimate can meet it.
 
 This module holds the numpy kernel alone, and it is the package's only
 module that imports numpy at load time.  The public front of the family
@@ -384,15 +384,21 @@ def _refine(zeta, q, d, table, sizes, tail, tail_err) -> list:
     still miss in one batch: each span's halves are one increasing run of
     edges, and the runs are laid end to end, so the panel that joins two
     runs is a bridge, whose values are dropped.  A mesh whose panel sums
-    are not finite (its integrand left double range) ends at once, and so
-    does one of more than _MAX_PANELS panels.  A mesh's panels and sums do
-    not depend on the other meshes, so each ends as it would on its own.
+    are not finite (its integrand left double range) ends at once; so does
+    one that misses in a component whose total is below the normal double
+    range, and one that misses with more than _MAX_PANELS panels.  A mesh
+    that meets the tolerance settles at any panel count.  A mesh's panels
+    and sums do not depend on the other meshes, so each ends as it would
+    on its own.
 
     Returns each mesh's (i0, i1, i_ent), or the ToleranceNotMetError it
     ends in, without a traceback.
     """
     results = [None] * zeta.size
     live = range(zeta.size)  # the place in results of each mesh still refined
+    # the parts of mesh k's error message, formed only for a mesh that ends in one
+    at = lambda k: f"eta - 1 = {zeta.item(k)!r}, q = {_of_mesh(q, k)!r}, d = {_of_mesh(d, k)}"
+    worst = lambda k: f"{_worst(err[:, k], total[:, k]):.3e}"
     while True:
         # each mesh's run of panels is summed on its own and in the same order
         # wherever it sits, so its totals do not depend on the other meshes
@@ -404,7 +410,7 @@ def _refine(zeta, q, d, table, sizes, tail, tail_err) -> list:
         meets = err <= bound
         # the meshes that meet the tolerance, settled in one step: at once
         # when they are all the meshes of the call
-        settled = in_range & (sizes <= _MAX_PANELS) & meets.all(axis=0)
+        settled = in_range & meets.all(axis=0)
         totals = list(zip(*total.tolist()))  # each mesh's (i0, i1, i_ent)
         if len(live) == len(results) and settled.all():
             return totals
@@ -413,6 +419,8 @@ def _refine(zeta, q, d, table, sizes, tail, tail_err) -> list:
         # a mesh out of range ends before its budget (inf - inf if its tail overflowed)
         missing = ~meets & in_range
         share = np.subtract(bound, tail_err, np.full_like(bound, np.inf), where=missing) / sizes
+        # a missing component whose total is below the normal range cannot meet a relative tolerance
+        tiny = (missing & (np.abs(total) < np.finfo(float).tiny)).T.tolist()
         positive = (share > 0.0).all(axis=0).tolist()
         marked = (table[3:6] > share.repeat(sizes, axis=1)).any(axis=0).nonzero()[0].tolist()
         lo, hi = table[6], table[7]
@@ -426,30 +434,27 @@ def _refine(zeta, q, d, table, sizes, tail, tail_err) -> list:
             # the marked panels of mesh k are marked[a:b]
             a, b = bisect_left(marked, begin[k]), bisect_left(marked, begin[k] + panels[k])
             if not fits[k]:
-                results[live[k]] = ToleranceNotMetError(
-                    f"the integrand leaves double range at eta - 1 = {zeta.item(k)!r}, "
-                    f"q = {_of_mesh(q, k)!r}, d = {_of_mesh(d, k)}"
-                )
+                error = f"the integrand leaves double range at {at(k)}"
+            elif True in tiny[k]:
+                c = tiny[k].index(True)
+                error = f"the {('i0', 'i1', 'i_ent')[c]} total {total.item(c, k)!r} is below the "
+                error += f"normal double range (no relative tolerance can be met) at {at(k)}"
             elif panels[k] > _MAX_PANELS:
-                results[live[k]] = ToleranceNotMetError(
-                    f"adaptive quadrature stalled at estimated relative error "
-                    f"{_worst(err[:, k], total[:, k]):.3e} after {panels[k]} panels "
-                    f"(target {DEFAULT_REL_TOL:.1e})"
-                )
+                error = f"adaptive quadrature stalled at estimated relative error {worst(k)} "
+                error += f"after {panels[k]} panels (target {DEFAULT_REL_TOL:.1e})"
             elif positive[k] and a < b and (
                 bisect_left(whole, marked[a]) == bisect_right(whole, marked[b - 1])
             ):
                 keep.append(k)
                 spans.append((marked[a], marked[b - 1]))
+                continue
             else:
                 # No panel can reduce the budget: either the budget is used
                 # up (by the analytic tail, or the budget underflowed) or the
                 # marked panels sit at floating point resolution.
-                results[live[k]] = ToleranceNotMetError(
-                    f"adaptive quadrature hit its resolution floor at estimated "
-                    f"relative error {_worst(err[:, k], total[:, k]):.3e} "
-                    f"(target {DEFAULT_REL_TOL:.1e})"
-                )
+                error = "adaptive quadrature hit its resolution floor at estimated relative error "
+                error += f"{worst(k)} (target {DEFAULT_REL_TOL:.1e})"
+            results[live[k]] = ToleranceNotMetError(error)
         if not keep:
             return results
         if len(keep) < len(live):
@@ -647,27 +652,23 @@ def _integrals(groups: dict, tables: dict | None = None) -> list:
     (2q + d > 0 where zeta = 0): model refuses the others first.  Each group takes its seed
     cut and its eta = 1 table once per call, and a batch of meshes of one
     group hands its (q, d) to the integrand as numbers; a batch that spans
-    groups gives each mesh the (q, d) of its group.  The groups stay whole
-    and in order.  All the seed meshes are integrated together.  tables
-    maps a (q, d) to its eta = 1 table of free panels (_eta1_table): the
-    call builds and adds the table of a group it does not find there, in
-    one batch, to that group's largest number of free panels, and caps the
-    free panels of a group's meshes at the width of a table it finds, so a
-    caller may share them between calls; a mesh that could take more free
-    panels computes them itself.  Without tables every panel is computed,
-    and since a free panel equals its computed value, no result changes.
-    Returns one entry per zeta, group after group and in each
-    group's order: the (i0, i1, i_ent) tuple or the ToleranceNotMetError
-    the mesh ends in, without a traceback.  Where some seed
-    may have a free panel, the meshes of each group are sorted by zeta, so
-    that neighbouring meshes mostly share a table and have similar numbers
-    of free panels, and each pair of neighbours takes the smaller of the
-    two; otherwise they stay in the order asked.  The meshes are cut into
-    batches of at most _BATCH_NODES computed nodes (a pair at least), and
-    each batch is one _seed_pass, whose full seeds go whole to one
-    _refine: it returns those that meet DEFAULT_REL_TOL and refines the
-    others together.  The batches' results are joined in their order and
-    put back in the order asked once.  The table builds and the batches run
+    groups gives each mesh the (q, d) of its group.  The meshes are laid
+    as asked, group after group and each in its order, and all
+    integrated together.  tables maps a (q, d) to its eta = 1 table of
+    free panels (_eta1_table): the call builds and puts in the table of a
+    group it does not find there, or finds narrower than that group's
+    largest number of free panels, in one batch to that number, so a
+    caller may share them between calls.  Each pair of neighbouring
+    meshes takes the smaller of their two free counts, so a caller that
+    shares tables asks each group in zeta order, where neighbours have
+    similar counts.  Without tables every panel is computed, and since a
+    free panel equals its computed value, no result changes.  Returns one
+    entry per zeta, in the order asked: the (i0, i1, i_ent) tuple or the
+    ToleranceNotMetError the mesh ends in, without a traceback.  The
+    meshes are cut into batches of at most _BATCH_NODES computed nodes (a
+    pair at least), and each batch is one _seed_pass, whose full seeds go
+    whole to one _refine: it returns those that meet DEFAULT_REL_TOL and
+    refines the others together.  The table builds and the batches run
     with overflow ignored: a mesh whose integrand leaves double range, in
     its own panels or in the table columns it reads, ends in _refine's
     ToleranceNotMetError.
@@ -675,34 +676,28 @@ def _integrals(groups: dict, tables: dict | None = None) -> list:
     specs = list(groups)
     group = np.arange(len(specs)).repeat([len(zetas) for zetas in groups.values()])
     zeta = np.fromiter(chain.from_iterable(groups.values()), float, group.size)
-    ladder = _ladder()
     levels = _seed_levels(zeta, np.array([_seed_cut(*spec) for spec in specs])[group])
-    order = None  # the place asked of each mesh, once they move
     free = base = np.zeros(zeta.size, np.intp)
     eta1 = []  # the top suffixes of the eta = 1 tables, side by side
     # an overflow leaves a non-finite panel, which ends its mesh in _refine;
     # the branch solves never get there, as their zeta floor keeps the peak in range
     with np.errstate(over="ignore"):
         # where zeta is above the largest free_below, no panel is free
-        if tables is not None and zeta.min(initial=math.inf) < ladder.free_below[-1]:
-            order = np.lexsort((zeta, group))
-            zeta, levels, group = zeta[order], levels[order], group[order]
-            # a table the call finds caps the free panels of its group's meshes
-            widths = [tables[spec].shape[1] if spec in tables else ladder.depth for spec in specs]
-            free = _free_panels(zeta, np.minimum(levels, np.array(widths)[group]))
+        if tables is not None and zeta.min(initial=math.inf) < _ladder().free_below[-1]:
+            free = _free_panels(zeta, levels)
             # the two meshes of a pair share their top edge
             free[0:-1:2] = free[1::2] = np.minimum(free[0:-1:2], free[1::2])
         if free.any():
             # each group's table, built to its largest free count where the
-            # call does not find it; the free panels of each of its meshes
-            # end where its suffix ends in eta1
+            # call does not find one that wide; the free panels of each of
+            # its meshes end where its suffix ends in eta1
             # each group's first mesh, as the groups stay whole and in order
             opens = [0] + [k + 1 for k in (group[1:] != group[:-1]).nonzero()[0].tolist()]
             width, shift = 0, np.zeros(len(specs), np.intp)
             for k, most in zip(opens, np.maximum.reduceat(free, opens).tolist()):
                 spec = specs[group[k]]
                 if most:
-                    if spec not in tables:
+                    if spec not in tables or tables[spec].shape[1] < most:
                         tables[spec] = _eta1_table(*spec, most)
                     eta1.append(tables[spec][:, -most:])
                     width += most
@@ -726,12 +721,7 @@ def _integrals(groups: dict, tables: dict | None = None) -> list:
             batch = (zeta[span], *spec)
             done += _refine(*batch, *_seed_pass(*batch, levels[span], free[span], eta1, base[span]))
             first = last
-    if order is None:
-        return done
-    results = [None] * zeta.size
-    for k, result in zip(order.tolist(), done):
-        results[k] = result
-    return results
+    return done
 
 
 def _integral(zeta: float, q: float, d: int) -> tuple[float, float, float]:

@@ -636,15 +636,7 @@ def run_verification() -> list[CheckResult]:
             try:
                 results.append(globals()["check_" + name]())
             except Exception as exc:  # a crashed check is a failed check
-                results.append(
-                    CheckResult(
-                        name=name,
-                        passed=False,
-                        measured=math.inf,
-                        tolerance=0.0,
-                        detail=f"{type(exc).__name__}: {exc}",
-                    )
-                )
+                results.append(_result(name, math.inf, detail=f"{type(exc).__name__}: {exc}"))
     finally:
         _run_entries.reset(run)
     return results

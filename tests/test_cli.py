@@ -572,6 +572,23 @@ class TestVerifyWork:
             locksteps.clear()
         assert verification._run_entries.get() is None
 
+    def test_a_check_that_raises_fails_at_its_own_threshold(self, monkeypatch):
+        # a crashed check is a failed one, reported against its THRESHOLDS
+        # entry, and the other checks still run and pass
+        def crash():
+            raise ZeroDivisionError("float division by zero")
+
+        monkeypatch.setattr(verification, "check_quadrature_self_consistency", crash)
+        results = verification.run_verification()
+        assert [r.name for r in results] == list(verification.THRESHOLDS)
+        failed = [r for r in results if not r.passed]
+        assert [r.name for r in failed] == ["quadrature_self_consistency"]
+        assert verification.format_report(failed).splitlines()[0] == (
+            "FAIL quadrature_self_consistency: measured inf (tolerance 1.000e-08)"
+            " - ZeroDivisionError: float division by zero"
+        )
+        assert len(results) - len(failed) == 19
+
     def test_sharing_couples_no_verdict(self, monkeypatch):
         ran = {r.name: r for r in verification.run_verification()}
         at = record_calls(monkeypatch, eq, "fully_supported_states")

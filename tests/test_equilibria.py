@@ -284,6 +284,18 @@ class TestFullySupportedStates:
         kinds = {type(s) for found in together for s in found}
         assert kinds == {eq.FullySupportedState, InvalidParamError, OutOfWindowError}
 
+    def test_the_lockstep_asks_each_group_in_zeta_order(self, monkeypatch):
+        # neighbouring meshes of a group take similar numbers of free panels
+        # from the eta = 1 tables, which every round of the lockstep shares
+        calls = record_calls(monkeypatch, quadrature, "_integrals")
+        states = eq.fully_supported_states(np.linspace(4.0, 16.0, 41).tolist(), *CASE_I)
+        assert sum(isinstance(s, eq.FullySupportedState) for s in states) >= 30
+        tables = calls[0][1]
+        assert type(tables) is dict and all(shared is tables for _, shared in calls)
+        groups = [list(zetas) for asked, _ in calls for zetas in asked.values()]
+        assert max(map(len, groups)) > 30
+        assert all(a < b for zetas in groups for a, b in zip(zetas, zetas[1:]))
+
     @staticmethod
     def one_at_a_time(kappas, d, m):
         return [eq.fully_supported_states([kappa], d, m)[0] for kappa in kappas]

@@ -162,6 +162,12 @@ def spread_meshes(monkeypatch):
     return {spec: [float(z) for z in np.geomspace(1e-9, 1e4, 25)] for spec in specs}
 
 
+def spread_and_steep_meshes(monkeypatch):
+    """spread_meshes, and zeta from 1e-9 to 1e4 at q = -10, d = 21, where every seed misses the tolerance."""
+    steep = [float(z) for z in np.geomspace(1e-9, 1e4, 25)]
+    return {**spread_meshes(monkeypatch), (1.0 / (0.9 - 1.0), 21): steep}
+
+
 def deep_meshes(monkeypatch):
     """zeta from each (q, d)'s branch floor to 1e-3 at five (q, d).
 
@@ -189,6 +195,11 @@ def eta1_among_others(monkeypatch):
     """
     specs = [(-4.0 / 3.0, 3), (0.5, 1), (1.0 / (0.3 - 1.0), 5), (0.0, 3), (-0.4, 1), (2.0, 2)]
     return {spec: [0.0, 1e-150, 0.0, 3.3e-4, 0.0, 2.0] for spec in specs}
+
+
+def eta1_among_others_in_order(monkeypatch):
+    """eta1_among_others with each group in zeta order, as a caller that shares tables asks."""
+    return {spec: sorted(zetas) for spec, zetas in eta1_among_others(monkeypatch).items()}
 
 
 def eta1_overflowing(monkeypatch):
@@ -220,8 +231,9 @@ def read_tables(free, eta1, base):
 MIXED = {
     "verify": (self_consistency_meshes, None, 1, set(), None),
     "spread": (spread_meshes, None, 3, set(), None),
-    # the deep seeds fail, each on its own, the shallow ones pass
-    "spread-failing": (spread_meshes, 12, 3, {ToleranceNotMetError}, None),
+    # the steep seeds of more than 12 panels, which miss the tolerance, fail,
+    # each on its own; the others pass
+    "spread-failing": (spread_and_steep_meshes, 12, 3, {ToleranceNotMetError}, None),
     # an overflow ends its mesh, as on its own, and no other: one pass per batch
     "spiked": (spiked_meshes, None, 1, {ToleranceNotMetError}, None),
     "spiked-among-others": (spiked_among_others, None, 2, {ToleranceNotMetError}, None),
@@ -230,7 +242,7 @@ MIXED = {
     # eta = 1 in the batch: each mesh ends as on its own, with and without
     # the tables, from which an eta = 1 mesh takes all its dyadic panels
     "eta1": (eta1_among_others, None, 6, set(), None),
-    "eta1-with-tables": (eta1_among_others, None, 1, set(), 5),
+    "eta1-with-tables": (eta1_among_others_in_order, None, 1, set(), 5),
     # the fill of the eta = 1 table overflows: it leaves non-finite columns,
     # and each mesh, which reads them, ends in the double range error
     "eta1-table-overflow": (eta1_overflowing, None, 1, {ToleranceNotMetError}, 1),
@@ -313,10 +325,11 @@ def test_verify_groups_its_meshes_and_answers_in_mesh_order(monkeypatch):
 
 
 def test_batched_integrals_fail_item_by_item(monkeypatch):
-    # with a tiny panel budget the deep seeds fail, the shallow ones pass
+    # with a tiny panel budget the deep seeds, which miss the tolerance with
+    # more than 12 panels, fail; the shallow ones refine within it and pass
     monkeypatch.setattr(quadrature, "_MAX_PANELS", 12)
-    q, d = 1.0 / (0.3 - 1.0), 5
-    batched, scalar = batched_and_scalar({(q, d): [1e-30, 2.0, 1e-3, 1e9, 1e-200]}, {})
+    q, d = 1.0 / (0.9 - 1.0), 21
+    batched, scalar = batched_and_scalar({(q, d): [1e-30, 2.0, 1e-3, 1e4, 1e-200]}, {})
     assert batched == scalar
     assert {r[0] if isinstance(r[0], type) else float for r in batched} == {
         float,
@@ -343,17 +356,23 @@ def test_one_zeta_takes_a_seed_pass_and_the_shared_tables(monkeypatch):
     assert quadrature._integrals({(q, d): [1e-120]}, tables) == [deep]
     assert len(passes) == 3 and passes[2][4][0] == free[0]
     assert tables[q, d] is table and np.array_equal(table, built)
-    # a deeper mesh, which could take more free panels, takes those the
-    # table holds and computes the others: it ends as alone, bit for bit
+    # a deeper mesh, which takes more free panels than the table holds,
+    # rebuilds it to its own count: the narrower table's columns are the
+    # top of the new one, and every entry ends as alone, bit for bit
     (deeper,) = quadrature._integrals({(q, d): [1e-200]}, tables)
     (zeta, _, _, levels, free_deeper, _, _) = passes[3]
-    assert free_deeper[0] == free[0] < quadrature._free_panels(zeta, levels)[0]
+    assert free[0] < free_deeper[0] == quadrature._free_panels(zeta, levels)[0]
+    wider = tables[q, d]
+    assert wider.shape == (8, free_deeper[0]) and np.array_equal(wider[:, -free[0] :], built)
     assert as_bits(deeper) == as_bits(quadrature._integral(1e-200, q, d))
-    assert tables[q, d] is table and np.array_equal(table, built)
-    monkeypatch.setattr(quadrature, "_MAX_PANELS", 2)
-    (failed,) = quadrature._integrals({(q, d): [1e-30]}, tables)
+    again = quadrature._integrals({(q, d): [1e-200, 1e-120]}, tables)
+    assert tables[q, d] is wider and [as_bits(r) for r in again] == [as_bits(deeper), as_bits(deep)]
+    # a lone steep mesh misses the tolerance with more panels than the
+    # budget: it ends in the error, without a traceback
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 12)
+    (failed,) = quadrature._integrals({(1.0 / (0.9 - 1.0), 21): [1e-30]}, tables)
     assert type(failed) is ToleranceNotMetError and failed.__traceback__ is None
-    assert len(passes) == 6
+    assert "stalled" in str(failed) and len(passes) == 7
 
 
 def seed_entry(zeta, q, d, levels=None):
@@ -502,8 +521,9 @@ def test_seed_panels_at_their_free_threshold(monkeypatch, below_top):
     assert (levels >= below_top).all()  # the panel is in every seed
     expected = [below_top, below_top, below_top - 1, below_top - 1]
     assert quadrature._free_panels(np.array(zetas), levels).tolist() == expected
-    # sorted and paired as listed: the first pair takes the panel from the table
-    assert seed_passes_match_the_seed_meshes(monkeypatch, q, d, zetas[::-1]) == expected
+    # asked in zeta order and paired as listed: the first pair takes the
+    # panel from the table
+    assert seed_passes_match_the_seed_meshes(monkeypatch, q, d, zetas) == expected
 
 
 @pytest.mark.parametrize("k", [0, 1, 7, 40, 300])
@@ -1009,23 +1029,65 @@ def test_invalid_spec_rejected():
 
 
 def test_tolerance_not_met_when_budget_exhausted(monkeypatch):
+    # the seed misses the tolerance with more panels than the budget
     monkeypatch.setattr(quadrature, "_MAX_PANELS", 2)
-    with pytest.raises(ToleranceNotMetError):
-        integral(1.0 + 2e-6, -2.0, 0, 2)
+    with pytest.raises(ToleranceNotMetError, match="stalled"):
+        integral(1.0 + 2e-6, 1.0 / (0.9 - 1.0), 0, 21)
 
 
-def test_a_stall_reports_the_error_the_tolerance_test_read():
-    # a zeta the solve of fully_supported_state(3.95 kappa1, 3, 0.997814)
-    # asks: the moment total is subnormal (5.3e-309), and its error
-    # relative to that total, 2.1e-4, is what misses the target
-    (result,) = quadrature._integrals({(-457.45654162854083, 3): [3.8780017186506877]})
+def test_a_stall_reports_the_error_the_tolerance_test_read(monkeypatch):
+    # the seed misses the tolerance with more panels than the budget: the
+    # stall reports the largest err / |total| of the seed's components
+    q, d, zeta = 1.0 / (0.9 - 1.0), 21, 1e-30
+    _, values, errors, _ = seed_entry(zeta, q, d)
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", values.shape[1] - 1)
+    (result,) = quadrature._integrals({(q, d): [zeta]})
     assert type(result) is ToleranceNotMetError
     found = re.fullmatch(
-        r"adaptive quadrature stalled at estimated relative error (\S+) after \d+ panels "
+        r"adaptive quadrature stalled at estimated relative error (\S+) after (\d+) panels "
         r"\(target 1\.0e-10\)",
         str(result),
     )
-    assert found and float(found[1]) == pytest.approx(2.1e-4, rel=0.05)
+    worst = quadrature._worst(errors.sum(axis=1), values.sum(axis=1))
+    assert worst > quadrature.DEFAULT_REL_TOL
+    assert found and float(found[1]) == pytest.approx(worst, rel=1e-3)
+    assert int(found[2]) == values.shape[1]
+
+
+def test_a_subnormal_total_ends_its_mesh_at_once(monkeypatch):
+    # a zeta the solve of fully_supported_state(3.95 kappa1, 3, 0.997814)
+    # asks: the seed's moment total is subnormal, which no relative
+    # tolerance can be met at, so the mesh ends after its seed batch
+    q, d, zeta = -457.45654162854083, 3, 3.8780017186506877
+    batches = record_calls(monkeypatch, quadrature, "_kronrod_batch")
+    (result,) = quadrature._integrals({(q, d): [zeta]})
+    assert len(batches) == 1 and type(result) is ToleranceNotMetError
+    found = re.fullmatch(
+        r"the i1 total (\S+) is below the normal double range \(no relative tolerance can be "
+        r"met\) at eta - 1 = (\S+), q = (\S+), d = 3",
+        str(result),
+    )
+    assert found and 0.0 < float(found[1]) < sys.float_info.min
+    assert (float(found[2]), float(found[3])) == (zeta, q)
+
+
+@pytest.mark.parametrize(
+    "zeta, q, d, rounds",
+    [(1e-30, 1.0 / (0.3 - 1.0), 5, 0), (1e-30, 1.0 / (0.9 - 1.0), 40, 2)],
+)
+def test_a_mesh_that_meets_the_tolerance_past_its_budget_returns_its_value(
+    monkeypatch, zeta, q, d, rounds
+):
+    # with the budget one panel below the count a mesh converges at, in its
+    # seed or after rounds of refinement, it returns its unbudgeted value
+    alone = quadrature._integral(zeta, q, d)
+    laid = runs_alone(zeta, q, d)
+    assert len(laid) == rounds
+    # a round of one mesh bisects a span of panels, laid as 2 * span + 1 edges
+    converged = int(quadrature._seed_levels(zeta, quadrature._seed_cut(q, d))) + 1
+    converged += sum((edges.size - 1) // 2 for edges in laid)
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", converged - 1)
+    assert as_bits(quadrature._integral(zeta, q, d)) == as_bits(alone)
 
 
 @pytest.mark.parametrize(
